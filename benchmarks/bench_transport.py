@@ -1,24 +1,20 @@
 """Benchmark: per-component cost of the serialization/hash/transport hot path.
 
-The zero-copy PR replaced three per-component serializers — the repr-string
-canonical hash, the nested-JSON component wire, and whole-object pickling
-into worker processes — with one flat-array form consumed by all three.
-This harness measures each leg on the Table 1 circuits and records the
-before/after ratios:
+One flat-array form feeds the canonical hash, the binary component wire and
+the worker-pool payload.  This harness measures each leg on the Table 1
+circuits:
 
 * **hash**        — v1 repr-string SHA-256 (reimplemented baseline) vs the
   v2 packed-array streaming hash (cold, memo invalidated per run) vs the
   memoised re-hash (the steady-state cost inside one request);
-* **wire**        — JSON v1 roundtrip (encode dict → ``json.dumps`` →
-  ``json.loads`` → rebuild graph) vs binary v2 roundtrip (flatten →
-  frame bytes → decode → rebuild graph);
+* **wire**        — binary frame roundtrip (flatten → frame bytes → decode
+  → rebuild graph);
 * **dispatch**    — pickling the graph object there and back (the old
-  process-pool payload) vs writing the flat frame into a shared-memory
-  segment and reading+decoding it back (the new payload);
-* **serialize+hash** — the end-to-end per-component preparation cost the
-  coordinator pays before a component leaves the box: v1 hash + JSON encode
-  vs v2 hash + binary encode (sharing one flattening), the ratio the PR's
-  acceptance bar (≥ 2×) pins.
+  process-pool payload) vs shipping the flat frame inline through the
+  pickle channel and decoding it (the payload the pools send);
+* **serialize+hash** — the per-component preparation cost the coordinator
+  pays before a component leaves the box: hash + binary encode, sharing
+  one flattening.
 
 Run standalone to (re)record ``benchmarks/artifacts/transport.json``::
 
@@ -47,15 +43,8 @@ from repro.bench.factory import circuit_graph
 from repro.core.options import AlgorithmOptions, DivisionOptions
 from repro.graph.components import connected_components
 from repro.graph.flat import FlatGraph
-from repro.runtime.component_io import graph_from_wire, graph_to_wire
 from repro.runtime.hashing import canonical_component_key, options_fingerprint
-from repro.runtime.shm_transport import (
-    SHM_MIN_FRAME_BYTES,
-    ShmSegment,
-    read_segment,
-    shared_memory_available,
-)
-from repro.runtime.wire_binary import decode_components_frame, encode_components_frame
+from repro.runtime.wire_binary import encode_components_frame
 
 QUICK_CIRCUITS = ["C432", "C6288"]
 FULL_CIRCUITS = [
@@ -118,10 +107,6 @@ def _v2_hash_memoised(graph) -> str:
     )
 
 
-def _json_roundtrip(graph):
-    return graph_from_wire(json.loads(json.dumps(graph_to_wire(graph))))
-
-
 def _binary_roundtrip(graph):
     _invalidate(graph)
     frame = graph.to_arrays().to_bytes()
@@ -133,40 +118,18 @@ def _pickle_dispatch(graph):
     return pickle.loads(pickle.dumps(graph))
 
 
-# The dispatch legs never invalidate: by dispatch time the hashing leg has
+# The dispatch leg never invalidates: by dispatch time the hashing leg has
 # already materialised (and memoised) the flat form — production never
 # flattens twice, so the benchmark must not either.
-def _shm_dispatch(graph):
-    segment = ShmSegment(graph.to_arrays().to_bytes())
-    try:
-        flat, _ = FlatGraph.from_bytes(read_segment(segment.descriptor()))
-        return flat.to_graph()
-    finally:
-        segment.unlink()
-
-
 def _inline_frame_dispatch(graph):
-    """The sub-threshold path: frame bytes through the pickle channel."""
+    """What the scheduler/pool do: frame bytes through the pickle channel."""
     frame = pickle.loads(pickle.dumps(graph.to_arrays().to_bytes()))
     flat, _ = FlatGraph.from_bytes(frame)
     return flat.to_graph()
 
 
-def _policy_dispatch(graph):
-    """What the scheduler/pool actually do: shm past the size threshold."""
-    if graph.to_arrays().frame_size() >= SHM_MIN_FRAME_BYTES:
-        return _shm_dispatch(graph)
-    return _inline_frame_dispatch(graph)
-
-
-def _serialize_hash_v1(graph):
-    """Per-component prep of a v1 coordinator: repr hash + JSON wire encode."""
-    _v1_hash(graph)
-    return json.dumps(graph_to_wire(graph))
-
-
 def _serialize_hash_v2(graph):
-    """Per-component prep of a v2 coordinator: one flattening feeds both."""
+    """Per-component coordinator prep: one flattening feeds hash and frame."""
     _invalidate(graph)
     key = canonical_component_key(
         graph, NUM_COLORS, ALGORITHM, AlgorithmOptions(), DivisionOptions()
@@ -195,7 +158,6 @@ def _time_per_component(
 def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
     circuits = QUICK_CIRCUITS if quick else FULL_CIRCUITS
     repeats = 5 if quick else 9
-    shm_ok = shared_memory_available()
     rows = []
     for circuit in circuits:
         graph = circuit_graph(circuit, NUM_COLORS).graph
@@ -209,9 +171,6 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
             "hash_v2_memoised": _time_per_component(
                 _v2_hash_memoised, components, repeats
             ),
-            "wire_json_roundtrip": _time_per_component(
-                _json_roundtrip, components, repeats
-            ),
             "wire_binary_roundtrip": _time_per_component(
                 _binary_roundtrip, components, repeats
             ),
@@ -221,20 +180,10 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
             "dispatch_inline_frame": _time_per_component(
                 _inline_frame_dispatch, components, repeats
             ),
-            "serialize_hash_v1": _time_per_component(
-                _serialize_hash_v1, components, repeats
-            ),
             "serialize_hash_v2": _time_per_component(
                 _serialize_hash_v2, components, repeats
             ),
         }
-        if shm_ok:
-            legs["dispatch_shm"] = _time_per_component(
-                _shm_dispatch, components, repeats
-            )
-            legs["dispatch_policy"] = _time_per_component(
-                _policy_dispatch, components, repeats
-            )
         row = {
             "circuit": circuit,
             "components": len(components),
@@ -244,24 +193,11 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
             },
             "speedups": {
                 "hash_v2_vs_v1": round(legs["hash_v1_repr"] / legs["hash_v2_cold"], 2),
-                "wire_binary_vs_json": round(
-                    legs["wire_json_roundtrip"] / legs["wire_binary_roundtrip"], 2
-                ),
-                "serialize_hash_v2_vs_v1": round(
-                    legs["serialize_hash_v1"] / legs["serialize_hash_v2"], 2
+                "inline_frame_vs_pickle": round(
+                    legs["dispatch_pickle"] / legs["dispatch_inline_frame"], 2
                 ),
             },
         }
-        row["speedups"]["inline_frame_vs_pickle"] = round(
-            legs["dispatch_pickle"] / legs["dispatch_inline_frame"], 2
-        )
-        if shm_ok:
-            row["speedups"]["shm_vs_pickle"] = round(
-                legs["dispatch_pickle"] / legs["dispatch_shm"], 2
-            )
-            row["speedups"]["dispatch_policy_vs_pickle"] = round(
-                legs["dispatch_pickle"] / legs["dispatch_policy"], 2
-            )
         rows.append(row)
     payload = {
         "benchmark": "transport",
@@ -269,16 +205,12 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
         "num_colors": NUM_COLORS,
         "quick": quick,
         "repeats": repeats,
-        "shared_memory_available": shm_ok,
         "note": (
             "per-component microseconds, best-of over repeated full-circuit "
             "sweeps; hash_v2_cold re-flattens per call, hash_v2_memoised is "
             "the steady-state re-hash inside one request"
         ),
         "circuits": rows,
-        "min_serialize_hash_speedup": min(
-            row["speedups"]["serialize_hash_v2_vs_v1"] for row in rows
-        ),
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -307,20 +239,10 @@ def main(argv: List[str] | None = None) -> int:
             f"{row['circuit']:>7} ({row['components']:4d} components): "
             f"hash {times['hash_v1_repr']:8.1f}us -> {times['hash_v2_cold']:7.1f}us "
             f"({speedups['hash_v2_vs_v1']:5.2f}x)  "
-            f"wire {times['wire_json_roundtrip']:8.1f}us -> "
-            f"{times['wire_binary_roundtrip']:7.1f}us "
-            f"({speedups['wire_binary_vs_json']:5.2f}x)  "
-            f"ser+hash {speedups['serialize_hash_v2_vs_v1']:5.2f}x"
-            + (
-                f"  dispatch {speedups['dispatch_policy_vs_pickle']:5.2f}x"
-                if "dispatch_policy_vs_pickle" in speedups
-                else f"  dispatch {speedups['inline_frame_vs_pickle']:5.2f}x"
-            )
+            f"wire {times['wire_binary_roundtrip']:7.1f}us  "
+            f"ser+hash {times['serialize_hash_v2']:7.1f}us  "
+            f"dispatch {speedups['inline_frame_vs_pickle']:5.2f}x"
         )
-    print(
-        f"minimum serialize+hash speedup across circuits: "
-        f"{payload['min_serialize_hash_speedup']}x"
-    )
     print(f"artifact written to {args.artifact}")
     return 0
 

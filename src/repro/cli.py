@@ -28,7 +28,7 @@ Results are bit-identical to running ``decompose`` on each input serially.
 ``serve`` runs the long-lived decomposition server of
 :mod:`repro.service` (also reachable as ``python -m repro.service``): a
 persistent worker pool behind ``POST /decompose`` / ``POST /batch`` /
-``POST /component`` / ``GET /healthz`` / ``GET /stats`` / ``GET /metrics``,
+``POST /components`` / ``GET /healthz`` / ``GET /stats`` / ``GET /metrics``,
 with the same SQLite cache flags so solved components persist across
 requests and restarts.
 
@@ -228,7 +228,7 @@ def _cmd_cluster_node(args: argparse.Namespace) -> int:
     from repro.service import run_server
 
     # A node *is* a decomposition server — the shard role only adds traffic
-    # on POST /component, routed here by the coordinators' hash ring.
+    # on POST /components, routed here by the coordinators' hash ring.
     _setup_cli_logging(args, "node")
     return run_server(_server_config_from(args))
 
@@ -687,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the decomposition server (persistent worker pool + HTTP API)",
         description=(
             "Start the long-running decomposition service: an asyncio HTTP "
-            "front end (POST /decompose, POST /batch, POST /component, "
+            "front end (POST /decompose, POST /batch, POST /components, "
             "GET /healthz, GET /stats, GET /metrics) over a pool of worker "
             "processes created once at startup.  With --cache-db, solved "
             "components persist in a SQLite store shared by every worker "
@@ -719,7 +719,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one cluster shard (decomposition server + component endpoint)",
         description=(
             "One cluster shard.  Identical to 'serve' — the coordinators "
-            "add traffic on POST /component.  Give every node of a cluster "
+            "add traffic on POST /components (binary component frames; "
+            "coordinators refuse a node whose /healthz reports another "
+            "frame version).  Give every node of a cluster "
             "its own --cache-db (or its own disk): a node owns the cache "
             "for its hash range, so sharing one database across shards is "
             "unnecessary.  Use 'repro-decompose prefill' to warm the cache "

@@ -7,12 +7,14 @@ components by canonical hash to a cache-owning node" step:
 * :mod:`repro.cluster.ring` — consistent-hash ring with virtual nodes;
   deterministic placement, minimal movement on node loss;
 * :mod:`repro.cluster.membership` — static ``--peers`` list, heartbeat
-  probes, immediate mark-dead on observed failures, ring rebalance and
+  probes (which also refuse a node reporting a different components frame
+  version), immediate mark-dead on observed failures, ring rebalance and
   failback;
 * :mod:`repro.cluster.coordinator` — :class:`ClusterCoordinator`, the
   front end accepting the single-node ``POST /decompose``/``/batch`` API,
-  splitting layouts into canonical components, routing each to its owner
-  node over keep-alive connections and merging deterministically;
+  splitting layouts into canonical components, micro-batching each node's
+  share into one binary ``POST /components`` frame over keep-alive
+  connections and merging deterministically;
 * :mod:`repro.cluster.client` — :class:`ClusterClient`, a
   :class:`~repro.service.client.ServiceClient` with coordinator failover.
 
@@ -25,7 +27,7 @@ including while nodes are dying mid-batch.  Topology:
                     POST /decompose|/batch
     clients ──────────► ClusterCoordinator ◄──────── (any number of
                         │ split + hash-route           coordinators;
-            POST /component (keep-alive)               same placement)
+           POST /components (keep-alive)               same placement)
             ┌───────────┼───────────┐
             ▼           ▼           ▼
          node A       node B      node C        each DecompositionServer

@@ -75,9 +75,7 @@ from repro.runtime.component_io import (
     ComponentErrorEntry,
     ComponentSolve,
     ComponentWireError,
-    components_request,
     parse_components_response,
-    wire_dict_from_flat,
 )
 from repro.runtime.hashing import canonical_component_key
 from repro.runtime.wire_binary import encode_components_frame, frame_size
@@ -115,21 +113,6 @@ logger = logging.getLogger("repro.cluster.coordinator")
 #: next to the peer scrapes, so ``up{node="coordinator"}`` and the
 #: coordinator's stage histograms live in the same fleet view.
 SELF_NODE_ID = "coordinator"
-
-
-def _estimate_json_wire_bytes(flat: FlatGraph) -> int:
-    """Approximate one component's JSON v1 body size from its flat form.
-
-    Budgets chunks for peers that receive (or may yet receive) the JSON
-    fallback — ``batch_max_bytes`` is documented as approximate, so a
-    structural estimate (per-vertex and per-edge constants) is enough, and
-    it deliberately over-estimates relative to the binary frame so a
-    mid-request downgrade can never push a re-encoded chunk past the caps.
-    """
-    edges = (
-        len(flat.conflict_edges) + len(flat.stitch_edges) + len(flat.friend_edges)
-    ) // 2
-    return 64 + 28 * flat.num_vertices + 12 * edges
 
 
 class NodeBusyError(ReproError):
@@ -259,7 +242,6 @@ class ClusterCoordinator(BaseHttpServer):
             probe_timeout=config.probe_timeout,
             failure_threshold=config.failure_threshold,
             virtual_nodes=config.virtual_nodes,
-            on_transition=self._on_node_transition,
         )
         self._clients = {
             node.node_id: ServiceClient(
@@ -273,26 +255,11 @@ class ClusterCoordinator(BaseHttpServer):
                 "component_cache_hits": 0,
                 "reroutes": 0,
                 "node_requests": 0,
-                "wire_downgrades": 0,
-                "frame_downgrades": 0,
             }
         )
         self._routed: Dict[str, int] = {
             node_id: 0 for node_id in sorted(self._clients)
         }
-        #: Peers that rejected the binary v2 components frame (pre-v2 nodes):
-        #: every later batch to them is sent in the JSON v1 schema directly.
-        self._json_only_nodes: set = set()
-        #: Peers that have answered a binary frame successfully.  Chunk byte
-        #: budgets use the exact binary size only for these; unconfirmed and
-        #: JSON-only peers are budgeted by the (larger) JSON estimate, so a
-        #: downgrade mid-request can never inflate a chunk past the caps.
-        self._binary_nodes: set = set()
-        #: Peers that speak binary but rejected the *v2* frame (they predate
-        #: the trace field): later batches to them are encoded as v1 frames
-        #: with the trace id riding only the header.  Both frame versions
-        #: have identical size, so chunk budgeting is unaffected.
-        self._v1_frame_nodes: set = set()
         #: Guards the counters mutated from fan-out threads.
         self._counter_lock = threading.Lock()
         self._jobs_executor: Optional[ThreadPoolExecutor] = None
@@ -616,7 +583,7 @@ class ClusterCoordinator(BaseHttpServer):
 
             # One flat-array form per distinct component, flattened once (the
             # same memoised snapshot the canonical key above was streamed
-            # from) — reused across chunks, re-routes and the JSON fallback.
+            # from) — reused across chunks and re-routes.
             # Ordered by first appearance so chunking (and therefore request
             # traffic) is deterministic.
             ordered_keys = sorted(groups, key=lambda key: groups[key][0])
@@ -662,16 +629,7 @@ class ClusterCoordinator(BaseHttpServer):
         limit = self.config.max_reroutes or max(1, len(self.membership))
         if ctx is not None:
             ctx.register_work(len(ordered_keys))
-        binary_sizes = {key: frame_size(flat, key) for key, flat in flats.items()}
-        # Unconfirmed peers may be sent either encoding (binary first, JSON
-        # after a downgrade), so their budget must dominate both: the JSON
-        # estimate wins for anything non-trivial, the exact binary size for
-        # single-digit-vertex components where the fixed frame overhead
-        # exceeds the JSON text.
-        conservative_sizes = {
-            key: max(_estimate_json_wire_bytes(flat), binary_sizes[key])
-            for key, flat in flats.items()
-        }
+        sizes = {key: frame_size(flat, key) for key, flat in flats.items()}
         solves: Dict[str, ComponentSolve] = {}
         attempts: Dict[str, int] = {key: 0 for key in ordered_keys}
         pending = list(ordered_keys)
@@ -681,13 +639,8 @@ class ClusterCoordinator(BaseHttpServer):
                 owner = self.membership.owner(key)  # raises NoNodesAvailable
                 assignment.setdefault(owner, []).append(key)
             tasks: List[Tuple[str, List[str]]] = []
-            with self._counter_lock:
-                confirmed_binary = set(self._binary_nodes - self._json_only_nodes)
             for node_id in sorted(assignment):
-                node_sizes = (
-                    binary_sizes if node_id in confirmed_binary else conservative_sizes
-                )
-                for chunk in self._chunk_keys(assignment[node_id], node_sizes):
+                for chunk in self._chunk_keys(assignment[node_id], sizes):
                     tasks.append((node_id, chunk))
             assert self._fanout_executor is not None
             futures = [
@@ -770,147 +723,24 @@ class ClusterCoordinator(BaseHttpServer):
     def _post_components(
         self,
         client: ServiceClient,
-        node_id: str,
         chunk: List[str],
         flats: Dict[str, FlatGraph],
         colors: int,
         algorithm: str,
         trace_id: Optional[str] = None,
     ) -> Dict:
-        """POST one chunk, binary-first with sticky frame/JSON downgrades.
+        """POST one chunk as a binary components frame.
 
-        New peers get the packed binary frame (each component's canonical
-        key rides along, so the node never re-hashes); a traced request
-        encodes the v2-with-trace-field variant unless this peer is already
-        known to speak only v1 frames.  Two distinct rejections downgrade,
-        each sticky per node and renegotiated on liveness transitions:
-
-        * ``400 unsupported components frame version`` — a binary-capable
-          node that predates the v2 trace field.  The chunk is re-sent as a
-          v1 frame with the trace id riding only the header, and the node
-          is remembered as v1-frame-only (one wasted round trip, ever).
-        * ``400 not valid JSON`` / ``415`` — a pre-binary node that pushed
-          the frame through its JSON parser.  The chunk is re-sent in the
-          JSON v1 schema and the node is remembered as JSON-only.
+        Each component's canonical key rides along, so the node never
+        re-hashes; the trace id rides the frame's trace field (and the
+        header).
         """
         with self._counter_lock:
-            binary_first = node_id not in self._json_only_nodes
-            frame_version = 1 if node_id in self._v1_frame_nodes else None
-            if binary_first:
-                self._counters["node_requests"] += 1
-        if binary_first:
-            entries = [(key, flats[key]) for key in chunk]
-            frame = encode_components_frame(
-                entries, colors, algorithm,
-                trace_id=trace_id, force_version=frame_version,
-            )
-            try:
-                response = client.components_binary(frame, trace_id=trace_id)
-            except ServiceError as exc:
-                if self._peer_rejected_frame_version(exc):
-                    # Binary-capable peer, pre-trace frame decoder: retry
-                    # once as a v1 frame (identical bytes minus the trace
-                    # field) and pin the node to v1 frames.  Idempotent
-                    # under concurrent chunks, like the JSON downgrade.
-                    with self._counter_lock:
-                        if node_id not in self._v1_frame_nodes:
-                            self._v1_frame_nodes.add(node_id)
-                            self._counters["frame_downgrades"] += 1
-                        self._counters["node_requests"] += 1
-                    if trace_id:
-                        logger.info(
-                            "node %s rejected v2 frame; pinned to v1 frames",
-                            node_id, extra={"trace_id": trace_id},
-                        )
-                    frame = encode_components_frame(
-                        entries, colors, algorithm, force_version=1
-                    )
-                    response = client.components_binary(frame, trace_id=trace_id)
-                    with self._counter_lock:
-                        self._binary_nodes.add(node_id)
-                    return response
-                if not self._peer_rejected_binary(exc):
-                    raise
-                with self._counter_lock:
-                    # Concurrent chunks to one node can all have their
-                    # binary attempt in flight when the first rejection
-                    # lands: the downgrade itself is idempotent, and the
-                    # counter must be too (one downgrade per node).
-                    if node_id not in self._json_only_nodes:
-                        self._json_only_nodes.add(node_id)
-                        self._counters["wire_downgrades"] += 1
-                    self._binary_nodes.discard(node_id)
-            else:
-                with self._counter_lock:
-                    self._binary_nodes.add(node_id)
-                return response
-        # The chunk may have been budgeted with exact binary sizes (a peer
-        # that was binary last request and is not any more): re-chunk it by
-        # the JSON estimate so the re-encoded bodies still respect the byte
-        # caps, and merge the per-piece results back into one response.
-        json_sizes = {key: _estimate_json_wire_bytes(flats[key]) for key in chunk}
-        results: List[Dict] = []
-        for piece in self._chunk_keys(chunk, json_sizes):
-            payload = components_request(
-                [wire_dict_from_flat(flats[key]) for key in piece],
-                colors,
-                algorithm,
-                keys=list(piece),
-                trace_id=trace_id,
-            )
-            with self._counter_lock:
-                self._counters["node_requests"] += 1
-            response = client.components(payload, trace_id=trace_id)
-            piece_results = response.get("results")
-            if not isinstance(piece_results, list):
-                raise ComponentWireError(
-                    f"node {node_id} answered a components batch without 'results'"
-                )
-            results.extend(piece_results)
-        return {"results": results}
-
-    def _on_node_transition(self, node_id: str, alive: bool) -> None:
-        """Reset a node's wire negotiation on any liveness transition.
-
-        Fired by membership for probe-detected death, failback, and
-        observed hard failures alike: whatever answers at this address
-        after a transition may be a different build (a rolled-back pre-v2
-        node, or an upgraded v2 one), so both the sticky JSON downgrade
-        and the binary-confirmed budgeting state must renegotiate.
-        """
-        with self._counter_lock:
-            self._binary_nodes.discard(node_id)
-            self._json_only_nodes.discard(node_id)
-            self._v1_frame_nodes.discard(node_id)
-
-    @staticmethod
-    def _peer_rejected_binary(exc: ServiceError) -> bool:
-        """Did this error mean "the peer cannot read the binary frame"?
-
-        A pre-v2 node (and a ``binary_wire=False`` one) pushes the frame
-        through its JSON parser and answers 400 "not valid JSON"; an
-        explicit 415 means the same.  Any *other* 400 — unknown algorithm,
-        frame validation on a fully binary-capable node — must propagate:
-        downgrading on it would be sticky-wrong (the JSON retry fails
-        identically) and would mislabel a v2 peer as pre-v2 forever.
-        """
-        if exc.status == 415:
-            return True
-        return exc.status == 400 and "not valid JSON" in str(exc)
-
-    @staticmethod
-    def _peer_rejected_frame_version(exc: ServiceError) -> bool:
-        """Did this error mean "binary yes, but not *this* frame version"?
-
-        A binary-capable node that predates the v2 trace field decodes the
-        magic fine and rejects the version byte with exactly this message;
-        it deserves a v1-frame retry, not the JSON fallback (which would
-        forfeit the packed encoding forever).
-        """
-        return (
-            exc.status == 400
-            and "unsupported components frame version" in str(exc)
+            self._counters["node_requests"] += 1
+        frame = encode_components_frame(
+            [(key, flats[key]) for key in chunk], colors, algorithm, trace_id=trace_id
         )
+        return client.components_binary(frame, trace_id=trace_id)
 
     def _send_batch(
         self,
@@ -930,7 +760,7 @@ class ClusterCoordinator(BaseHttpServer):
                 detail=f"{node_id} x{len(chunk)}",
             ):
                 response = self._post_components(
-                    client, node_id, chunk, flats, colors, algorithm, trace_id
+                    client, chunk, flats, colors, algorithm, trace_id
                 )
         except ServiceError as exc:
             if exc.status == 503:
@@ -947,9 +777,7 @@ class ClusterCoordinator(BaseHttpServer):
             if exc.status == 0:
                 # Hard connection failure: the node is gone.  Shrink the
                 # ring now; the routing loop re-routes this chunk to the
-                # new owners of its key ranges.  (The liveness transition
-                # also resets the node's wire-negotiation state, via the
-                # membership on_transition hook.)
+                # new owners of its key ranges.
                 self.membership.mark_dead(node_id, str(exc))
                 raise _NodeConnectionLost(node_id) from exc
             raise NodeRequestError(node_id, exc.status, str(exc)) from exc
@@ -973,7 +801,7 @@ class ClusterCoordinator(BaseHttpServer):
     # ------------------------------------------------------------ telemetry
     def _metrics_extras(self) -> List:
         """Observability families appended to the counter-based exposition."""
-        families = [build_info_family("coordinator")]
+        families = [build_info_family("coordinator", "none")]
         families.extend(observability_families(self.obs))
         return families
 
@@ -1137,18 +965,6 @@ def coordinator_metrics_text(stats: Dict, extra_families: Optional[List] = None)
             "HTTP requests sent to nodes (micro-batched: one per owning "
             "node per layout when batches fit the caps).",
             [({}, coordinator.get("node_requests", 0))],
-        ),
-        counter_family(
-            "repro_coordinator_wire_downgrades_total",
-            "Peers downgraded to the JSON v1 component schema after "
-            "rejecting the binary v2 frame (one per pre-v2 node).",
-            [({}, coordinator.get("wire_downgrades", 0))],
-        ),
-        counter_family(
-            "repro_coordinator_frame_downgrades_total",
-            "Binary-capable peers pinned to v1 component frames after "
-            "rejecting the v2 trace field (one per pre-trace node).",
-            [({}, coordinator.get("frame_downgrades", 0))],
         ),
         counter_family(
             "repro_coordinator_rebalances_total",

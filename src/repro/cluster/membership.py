@@ -7,7 +7,11 @@ and the consistent-hash ring is rebuilt over the live subset whenever
 liveness changes.  Two paths mark a node dead:
 
 * **heartbeat failures** — ``failure_threshold`` consecutive probe failures
-  (tolerates one dropped probe without a rebalance);
+  (tolerates one dropped probe without a rebalance).  A probe fails when
+  the node is unreachable, not ``ok``, or reports a ``components_frame``
+  version other than the one this build encodes: nodes speak exactly one
+  wire, so a mixed-version peer is refused — taken out of the ring with
+  both versions in its ``last_error`` — instead of negotiated with;
 * **observed request failures** — the coordinator calls :meth:`mark_dead`
   the moment a component request dies on a connection error, so re-routing
   does not wait for the next probe tick.
@@ -30,10 +34,24 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.cluster.ring import DEFAULT_VIRTUAL_NODES, HashRing
+from repro.runtime.wire_binary import FRAME_VERSION
 
 
 class NoNodesAvailable(ReproError):
     """Every node in the cluster is marked dead (mapped to HTTP 503)."""
+
+
+def _health_error(health: Dict) -> Optional[str]:
+    """Why a ``/healthz`` answer disqualifies its node, or ``None`` if ready."""
+    if health.get("status") != "ok":
+        return f"status={health.get('status')!r}"
+    frame = health.get("components_frame")
+    if frame != FRAME_VERSION:
+        return (
+            f"node speaks components frame {frame!r}, "
+            f"this coordinator speaks {FRAME_VERSION}"
+        )
+    return None
 
 
 def parse_peer(peer: str) -> Tuple[str, int]:
@@ -81,14 +99,7 @@ class Membership:
         probe_timeout: float = 2.0,
         failure_threshold: int = 2,
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-        on_transition=None,
     ) -> None:
-        #: Optional ``callback(node_id, alive)`` fired after every liveness
-        #: transition (probe-detected death, failback, observed hard
-        #: failure), outside the membership lock.  The coordinator uses it
-        #: to reset per-node wire-negotiation state: whatever answers at a
-        #: reappearing address may be a different build.
-        self._on_transition = on_transition
         if not peers:
             raise ConfigurationError("a cluster needs at least one peer node")
         if failure_threshold < 1:
@@ -145,20 +156,15 @@ class Membership:
         for node in self.nodes():
             client = ServiceClient(node.host, node.port, timeout=self.probe_timeout)
             try:
-                health = client.healthz()
-                ok = health.get("status") == "ok"
+                error = _health_error(client.healthz())
             except ServiceError as exc:
-                self._record_probe(node.node_id, False, str(exc))
-            else:
-                self._record_probe(
-                    node.node_id, ok, None if ok else f"status={health.get('status')!r}"
-                )
+                error = str(exc)
             finally:
                 client.close()
+            self._record_probe(node.node_id, error is None, error)
 
     # ------------------------------------------------------------- liveness
     def _record_probe(self, node_id: str, success: bool, error: Optional[str]) -> None:
-        transitioned: Optional[bool] = None
         with self._lock:
             node = self._nodes[node_id]
             node.probes += 1
@@ -168,16 +174,12 @@ class Membership:
                 if not node.alive:
                     node.alive = True
                     self._rebuild_ring_locked()
-                    transitioned = True
             else:
                 node.consecutive_failures += 1
                 node.last_error = error
                 if node.alive and node.consecutive_failures >= self.failure_threshold:
                     node.alive = False
                     self._rebuild_ring_locked()
-                    transitioned = False
-        if transitioned is not None:
-            self._fire_transition(node_id, transitioned)
 
     def mark_dead(self, node_id: str, error: Optional[str] = None) -> bool:
         """Immediately remove ``node_id`` from the ring (observed hard failure).
@@ -194,16 +196,7 @@ class Membership:
             )
             node.last_error = error
             self._rebuild_ring_locked()
-        self._fire_transition(node_id, False)
         return True
-
-    def _fire_transition(self, node_id: str, alive: bool) -> None:
-        if self._on_transition is None:
-            return
-        try:
-            self._on_transition(node_id, alive)
-        except Exception:  # pragma: no cover - observer must never break liveness
-            pass
 
     def _rebuild_ring_locked(self) -> None:
         self._ring = HashRing(

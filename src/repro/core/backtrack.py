@@ -197,17 +197,17 @@ def run_backtrack_search(
     """Solve ``merged`` with the fastest available backtracking implementation.
 
     Dispatches through :func:`repro.core.kernels.select_kernel` to the
-    packed-array kernel (compiled core or pure-Python fallback) when kernels
-    are enabled, and to the reference :func:`search_merged_graph` otherwise.
-    Every implementation is bit-identical — same coloring, same tie-breaks,
-    same expansion count and statistics — so call sites never observe which
-    one ran.
+    compiled packed-array kernel when the core is loaded, and to the
+    reference :func:`search_merged_graph` otherwise (or when the kernel
+    declines, e.g. on a C allocation failure).  Both are bit-identical —
+    same coloring, same tie-breaks, same expansion count and statistics —
+    so call sites never observe which one ran.
     """
     from repro.core.kernels import select_kernel
 
     kernel = select_kernel("backtrack")
     if kernel is not None:
-        return kernel.backtrack_search(
+        coloring = kernel.backtrack_search(
             merged,
             num_colors,
             alpha,
@@ -215,6 +215,8 @@ def run_backtrack_search(
             initial=initial,
             statistics=statistics,
         )
+        if coloring is not None:
+            return coloring
     return search_merged_graph(
         merged,
         num_colors,

@@ -122,5 +122,7 @@ class GreedyColoring(ColoringAlgorithm):
 
         kernel = select_kernel("greedy")
         if kernel is not None:
-            return kernel.greedy_color(graph, self.num_colors, self.options.alpha)
+            coloring = kernel.greedy_color(graph, self.num_colors, self.options.alpha)
+            if coloring is not None:
+                return coloring
         return greedy_color_graph(graph, self.num_colors, self.options.alpha)

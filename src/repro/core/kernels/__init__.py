@@ -1,36 +1,41 @@
-"""Vectorized solve kernels over the flat-array graph form.
+"""Compiled solve kernels over the flat-array graph form.
 
 The per-component solvers in :mod:`repro.core` are the reference
 implementations: dict-walking pure Python, written for clarity and pinned by
-the golden tables.  The kernels in this package consume the packed
+the golden tables.  The kernels in this package marshal the packed
 :class:`repro.graph.flat.FlatGraph` arrays (CSR adjacency, flat earlier-edge
-arrays, color bitmasks) and — for the hot backtracking/greedy inner loops —
-an optional compiled C core, while producing **bit-identical output**: same
-colorings, same tie-breaks, same search statistics.  Parity is the hard
-acceptance gate (``tests/kernels/``), which is why the kernels replicate the
-reference float expression order operation for operation.
+arrays) into the compiled C core of :mod:`repro.core.kernels.ccore` and
+produce **bit-identical output**: same colorings, same tie-breaks, same
+search statistics.  Parity is the hard acceptance gate (``tests/kernels/``),
+which is why the C loops replicate the reference float expression order
+operation for operation.
 
-Dispatch is controlled by the ``REPRO_SOLVE_KERNELS`` environment variable
-(checked once per solve, overridable in-process via :func:`set_kernel_mode`):
+Dispatch is compiled or reference, controlled by the ``REPRO_SOLVE_KERNELS``
+environment variable (checked once per solve, overridable in-process via
+:func:`set_kernel_mode`):
 
 ``auto`` (default)
-    Use the kernels; use the compiled core when it is available (building it
-    on first use), the pure-Python packed-array fallback otherwise.
+    Use the compiled core when it is available (building it on first use),
+    the reference solvers otherwise.
 ``compiled``
-    Use the kernels and *require* the compiled core — raise instead of
-    silently falling back (CI uses this to keep the compiled path honest).
-``python``
-    Use the kernels with the pure-Python core only (never build/load C).
+    *Require* the compiled core — raise instead of silently running the
+    reference solvers (CI uses this to keep the compiled path honest).
 ``off``
-    Bypass the kernels entirely and run the reference solvers.
+    Never load the core; run the reference solvers.
+
+With the core loaded, a solve still runs the reference when K exceeds
+:data:`MAX_COMPILED_COLORS` or the core cannot allocate its working memory:
+the kernel returns ``None`` and its caller falls back.  A server reports the
+backend its workers actually run on (``repro_build_info{solve_kernels=}``).
 
 The mode deliberately lives outside :class:`repro.core.options.AlgorithmOptions`:
-options are fingerprinted into cache keys, and because every mode produces
-identical output, keys must not (and do not) depend on which kernel ran.
+options are fingerprinted into cache keys, and because every backend produces
+identical output, keys must not (and do not) depend on which one ran.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 from typing import Optional
 
@@ -39,14 +44,25 @@ from repro.errors import ConfigurationError
 #: Environment variable selecting the kernel mode.
 KERNEL_MODE_ENV = "REPRO_SOLVE_KERNELS"
 
-_VALID_MODES = ("auto", "compiled", "python", "off")
+_VALID_MODES = ("auto", "compiled", "off")
+
+#: The C stages keep per-color counters/bitmasks with this bound (mirrors
+#: ``MAX_COLORS`` in ``_solvecore.c``); larger K runs the reference.
+MAX_COMPILED_COLORS = 64
+
+#: Algorithms with a compiled kernel, and the module holding it.
+_KERNEL_MODULES = {
+    "greedy": "greedy_kernel",
+    "linear": "linear_kernel",
+    "backtrack": "backtrack_kernel",
+}
 
 #: In-process override (tests, benchmarks); ``None`` defers to the env var.
 _forced_mode: Optional[str] = None
 
 
 def kernel_mode() -> str:
-    """Return the active kernel mode (``auto``/``compiled``/``python``/``off``)."""
+    """Return the active kernel mode (``auto``/``compiled``/``off``)."""
     if _forced_mode is not None:
         return _forced_mode
     raw = os.environ.get(KERNEL_MODE_ENV, "").strip().lower()
@@ -76,37 +92,27 @@ def set_kernel_mode(mode: Optional[str]) -> Optional[str]:
 
 
 def select_kernel(algorithm: str):
-    """Return the kernel module for ``algorithm``, or ``None`` to use the reference.
+    """Return the compiled kernel module for ``algorithm``, or ``None``.
 
-    ``algorithm`` is one of ``greedy``, ``linear``, ``backtrack``; anything
-    else (and mode ``off``) selects the reference solver.
+    ``None`` — run the reference solver — for anything but ``greedy``,
+    ``linear`` and ``backtrack``, in mode ``off``, and in mode ``auto`` when
+    the compiled core is unavailable.
     """
-    if kernel_mode() == "off":
+    module = _KERNEL_MODULES.get(algorithm)
+    if module is None or active_core() is None:
         return None
-    if algorithm == "greedy":
-        from repro.core.kernels import greedy_kernel
-
-        return greedy_kernel
-    if algorithm == "linear":
-        from repro.core.kernels import linear_kernel
-
-        return linear_kernel
-    if algorithm == "backtrack":
-        from repro.core.kernels import backtrack_kernel
-
-        return backtrack_kernel
-    return None
+    return importlib.import_module(f"repro.core.kernels.{module}")
 
 
 def active_core():
     """Return the loaded compiled core for the current mode, or ``None``.
 
-    ``off`` and ``python`` never load it; ``compiled`` raises
+    ``off`` never loads it; ``compiled`` raises
     :class:`~repro.errors.ConfigurationError` when it cannot be built or
     loaded (no silent fallback); ``auto`` returns it opportunistically.
     """
     mode = kernel_mode()
-    if mode in ("off", "python"):
+    if mode == "off":
         return None
     from repro.core.kernels.ccore import compiled_core
 
@@ -116,13 +122,14 @@ def active_core():
             f"{KERNEL_MODE_ENV}=compiled but the compiled solve core is "
             "unavailable (no C compiler, build disabled via "
             "REPRO_KERNELS_BUILD=0, or the build failed); use mode "
-            "'auto'/'python' to run the pure-Python kernels"
+            "'auto' or 'off' to run the reference solvers"
         )
     return core
 
 
 __all__ = [
     "KERNEL_MODE_ENV",
+    "MAX_COMPILED_COLORS",
     "active_core",
     "kernel_mode",
     "select_kernel",

@@ -1,7 +1,8 @@
 """CSR adjacency built from the packed flat-graph edge arrays.
 
-The kernels walk neighbours through one contiguous index array per relation
-(conflict / stitch / color-friendly) instead of per-vertex Python sets.  The
+The compiled kernels walk neighbours through one contiguous index array per
+relation (conflict / stitch / color-friendly) instead of per-vertex Python
+sets; this module builds those arrays for the C core.  The
 construction exploits an invariant of :class:`repro.graph.flat.FlatGraph`:
 edge pairs are normalised (``u_rank <= v_rank``) and stored in sorted order,
 so appending both directions while scanning the pairs once yields CSR rows

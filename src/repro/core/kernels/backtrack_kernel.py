@@ -5,8 +5,8 @@ lists of ``(other, conflict_w, stitch_w)`` tuples.  This kernel packs them
 into four flat arrays in **position space** (position = index in the
 decreasing-weighted-degree order, so the DFS works on contiguous ints) and
 runs the identical loop — same dirty-suffix undo, same symmetry breaking,
-same budget contract, same float accumulation order — either in pure Python
-or in the compiled C core.
+same budget contract, same float accumulation order — in the compiled C
+core.
 
 Bit-exactness notes: all float-sensitive preprocessing (weighted degrees,
 the node order, the incumbent cost) happens in Python with the reference
@@ -32,10 +32,18 @@ def backtrack_search(
     expansion_limit: int = 2_000_000,
     initial: Optional[Dict[int, int]] = None,
     statistics=None,
-) -> Dict[int, int]:
-    """Branch-and-bound search; bit-identical to ``search_merged_graph``."""
+) -> Optional[Dict[int, int]]:
+    """Branch-and-bound search; bit-identical to ``search_merged_graph``.
+
+    Returns ``None`` — the caller runs the reference, and ``statistics`` is
+    left untouched — when the compiled core is unavailable or cannot
+    allocate its search state.
+    """
     from repro.core.greedy_coloring import greedy_color_merged
 
+    core = active_core()
+    if core is None:
+        return None
     n = merged.num_nodes
     if n == 0:
         if statistics is not None:
@@ -92,34 +100,20 @@ def backtrack_search(
     for p, node in enumerate(order):
         best_pos[p] = incumbent.get(node, 0)
 
-    core = active_core()
-    result = None
-    if core is not None:
-        result = core.backtrack_search(
-            n,
-            num_colors,
-            alpha,
-            expansion_limit,
-            edge_start,
-            edge_pos,
-            edge_cw,
-            edge_sw,
-            best_cost,
-            best_pos,
-        )
-    if result is None:  # no core, or it could not allocate
-        result = _python_search(
-            n,
-            num_colors,
-            alpha,
-            expansion_limit,
-            edge_start,
-            edge_pos,
-            edge_cw,
-            edge_sw,
-            best_cost,
-            best_pos,
-        )
+    result = core.backtrack_search(
+        n,
+        num_colors,
+        alpha,
+        expansion_limit,
+        edge_start,
+        edge_pos,
+        edge_cw,
+        edge_sw,
+        best_cost,
+        best_pos,
+    )
+    if result is None:  # the core could not allocate
+        return None
     expansions, completed, best_cost = result
 
     if statistics is not None:
@@ -131,61 +125,3 @@ def backtrack_search(
         best_by_node[node] = best_pos[p]
     return {node: best_by_node[node] for node in range(n)}
 
-
-def _python_search(
-    n: int,
-    num_colors: int,
-    alpha: float,
-    expansion_limit: int,
-    edge_start: array,
-    edge_pos: array,
-    edge_cw: array,
-    edge_sw: array,
-    best_cost: float,
-    best_pos: array,
-):
-    """The reference DFS over the packed arrays (pure-python core)."""
-    assignment = [-1] * n
-    dirty = 0
-    expansions = 0
-    completed = True
-    max_fresh = num_colors - 1
-    stack = [(0, 0, 0.0, -1)]
-    while stack:
-        depth, color, cost_so_far, max_used = stack.pop()
-        while dirty > depth:
-            dirty -= 1
-            assignment[dirty] = -1
-        limit_color = max_used + 1
-        if limit_color > max_fresh:
-            limit_color = max_fresh
-        if color > limit_color:
-            continue
-        if expansions >= expansion_limit:
-            completed = False
-            break
-        if color + 1 <= limit_color:
-            stack.append((depth, color + 1, cost_so_far, max_used))
-        expansions += 1
-        added = 0.0
-        for i in range(edge_start[depth], edge_start[depth + 1]):
-            other_color = assignment[edge_pos[i]]
-            if other_color < 0:
-                continue
-            if other_color == color:
-                added += edge_cw[i]
-            else:
-                added += alpha * edge_sw[i]
-        new_cost = cost_so_far + added
-        if new_cost >= best_cost:
-            continue
-        assignment[depth] = color
-        dirty = depth + 1
-        if depth + 1 == n:
-            best_cost = new_cost
-            best_pos[:] = array("i", assignment)
-            continue
-        stack.append(
-            (depth + 1, 0, new_cost, max_used if max_used >= color else color)
-        )
-    return expansions, completed, best_cost

@@ -4,7 +4,7 @@ No build system, no new dependencies: on first use the C source shipped
 inside this package is compiled with the system C compiler into a per-user
 cache directory and loaded with :mod:`ctypes`.  Missing compiler, disabled
 builds (``REPRO_KERNELS_BUILD=0``) or a failed build all degrade to ``None``
-— the kernels then run their pure-Python cores (unless the mode is
+— the solvers then run their reference implementations (unless the mode is
 ``compiled``, where :func:`repro.core.kernels.active_core` raises instead).
 
 The flags matter for bit-exactness: ``-ffp-contract=off`` forbids fused

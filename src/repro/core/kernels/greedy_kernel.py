@@ -6,27 +6,28 @@ lower id, which is the lower rank under the order-preserving relabeling),
 per-color integer hit counters, and the reference cost expression
 ``conflict_hits + alpha * (colored_stitches - stitch_hits)`` compared with a
 strict ``<`` scan over ascending colors — the exact first-minimum tie-break
-of ``min(range(K), key=...)``.
-
-The compiled core runs the same walk in C over the same arrays; the float
-expression order is preserved operation for operation, so both paths (and
-the reference) agree on every coloring.
+of ``min(range(K), key=...)``.  The compiled core runs the walk in C with
+the float expression order preserved operation for operation.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict
+from typing import Dict, Optional
 
-from repro.core.kernels import active_core
+from repro.core.kernels import MAX_COMPILED_COLORS, active_core
 from repro.core.kernels.adjacency import CSRAdjacency, degree_order
 
-#: The C walk allocates per-color counters on the stack with this bound.
-MAX_COMPILED_COLORS = 64
 
+def greedy_color(graph, num_colors: int, alpha: float) -> Optional[Dict[int, int]]:
+    """Color ``graph`` greedily; bit-identical to ``greedy_color_graph``.
 
-def greedy_color(graph, num_colors: int, alpha: float) -> Dict[int, int]:
-    """Color ``graph`` greedily; bit-identical to ``greedy_color_graph``."""
+    Returns ``None`` — the caller runs the reference — when the compiled
+    core is unavailable or ``num_colors`` exceeds its color bound.
+    """
+    core = active_core()
+    if core is None or num_colors > MAX_COMPILED_COLORS:
+        return None
     flat = graph.to_arrays()
     n = flat.num_vertices
     if n == 0:
@@ -36,57 +37,17 @@ def greedy_color(graph, num_colors: int, alpha: float) -> Dict[int, int]:
     colors = array("i", bytes(4 * n))
     for rank in range(n):
         colors[rank] = -1
-
-    core = active_core() if num_colors <= MAX_COMPILED_COLORS else None
-    if core is not None:
-        core.greedy_walk(
-            n,
-            num_colors,
-            alpha,
-            array("i", order),
-            csr.conflict_start,
-            csr.conflict_adj,
-            csr.stitch_start,
-            csr.stitch_adj,
-            colors,
-        )
-    else:
-        _python_walk(csr, order, num_colors, alpha, colors)
-
+    core.greedy_walk(
+        n,
+        num_colors,
+        alpha,
+        array("i", order),
+        csr.conflict_start,
+        csr.conflict_adj,
+        csr.stitch_start,
+        csr.stitch_adj,
+        colors,
+    )
     # Emit in processing order — the reference builds its dict the same way.
     ids = flat.vertex_ids
     return {ids[rank]: colors[rank] for rank in order}
-
-
-def _python_walk(
-    csr: CSRAdjacency, order, num_colors: int, alpha: float, colors: array
-) -> None:
-    """Pure-python packed walk (fallback when the C core is unavailable)."""
-    conflict_start = csr.conflict_start
-    conflict_adj = csr.conflict_adj
-    stitch_start = csr.stitch_start
-    stitch_adj = csr.stitch_adj
-    conflict_hits = [0] * num_colors
-    stitch_hits = [0] * num_colors
-    for rank in order:
-        for c in range(num_colors):
-            conflict_hits[c] = 0
-            stitch_hits[c] = 0
-        for i in range(conflict_start[rank], conflict_start[rank + 1]):
-            other = colors[conflict_adj[i]]
-            if other >= 0:
-                conflict_hits[other] += 1
-        colored_stitches = 0
-        for i in range(stitch_start[rank], stitch_start[rank + 1]):
-            other = colors[stitch_adj[i]]
-            if other >= 0:
-                stitch_hits[other] += 1
-                colored_stitches += 1
-        best = 0
-        best_cost = conflict_hits[0] + alpha * (colored_stitches - stitch_hits[0])
-        for c in range(1, num_colors):
-            cost = conflict_hits[c] + alpha * (colored_stitches - stitch_hits[c])
-            if cost < best_cost:
-                best_cost = cost
-                best = c
-        colors[rank] = best

@@ -3,7 +3,7 @@
 Replicates Algorithm 2 — peel, peer-selected kernel coloring, refinement,
 reinsert — exactly as :class:`repro.core.linear_coloring.LinearColoring` and
 :mod:`repro.graph.simplify` implement it, but in rank space over the packed
-flat arrays:
+flat arrays, with every stage running in the compiled core:
 
 * the peel loop runs on degree counters and an ``alive`` byte array instead
   of a mutated graph copy (same seed order, same LIFO queue, same sorted
@@ -22,31 +22,32 @@ order match the reference exactly.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List
+from typing import Dict, List, Optional
 
-from repro.core.kernels import active_core
+from repro.core.kernels import MAX_COMPILED_COLORS, active_core
 from repro.core.kernels.adjacency import CSRAdjacency
 
-#: The C stages allocate per-color counters/bitmasks with this bound
-#: (mirrors MAX_COLORS in ``_solvecore.c``).
-MAX_COMPILED_COLORS = 64
 
+def linear_color(graph, num_colors: int, options) -> Optional[Dict[int, int]]:
+    """Color ``graph`` with Algorithm 2; bit-identical to ``LinearColoring``.
 
-def linear_color(graph, num_colors: int, options) -> Dict[int, int]:
-    """Color ``graph`` with Algorithm 2; bit-identical to ``LinearColoring``."""
+    Returns ``None`` — the caller runs the reference — when the compiled
+    core is unavailable, ``num_colors`` exceeds its color bound, or the core
+    cannot allocate its peel state.
+    """
+    core = active_core()
+    if core is None or num_colors > MAX_COMPILED_COLORS:
+        return None
     flat = graph.to_arrays()
     n = flat.num_vertices
     if n == 0:
         return {}
     csr = CSRAdjacency(flat)
     alpha = options.alpha
-    core = active_core() if num_colors <= MAX_COMPILED_COLORS else None
-
-    peeled = core.peel(num_colors, 2, csr) if core is not None else None
-    if peeled is None:
-        alive, cdeg, sdeg, fdeg, peel_stack = _peel(csr, num_colors)
-    else:
-        alive, cdeg, sdeg, fdeg, peel_stack = peeled
+    peeled = core.peel(num_colors, 2, csr)
+    if peeled is None:  # the core could not allocate
+        return None
+    alive, cdeg, sdeg, fdeg, peel_stack = peeled
     kernel_vertices = [r for r in range(n) if alive[r]]
 
     colors = array("i", bytes(4 * n))
@@ -60,23 +61,17 @@ def linear_color(graph, num_colors: int, options) -> Dict[int, int]:
         best_conflicts = best_stitches = 0
         for candidate_order in orders:
             candidate = array("i", colors)
-            if core is not None:
-                core.linear_walk(
-                    num_colors,
-                    alpha,
-                    options.use_color_friendly,
-                    array("i", candidate_order),
-                    csr,
-                    candidate,
-                )
-                conflicts, stitches = core.evaluate(
-                    flat.conflict_edges, flat.stitch_edges, candidate
-                )
-            else:
-                _color_in_order(
-                    csr, candidate_order, candidate, num_colors, alpha, options
-                )
-                conflicts, stitches = _evaluate(flat, candidate)
+            core.linear_walk(
+                num_colors,
+                alpha,
+                options.use_color_friendly,
+                array("i", candidate_order),
+                csr,
+                candidate,
+            )
+            conflicts, stitches = core.evaluate(
+                flat.conflict_edges, flat.stitch_edges, candidate
+            )
             if best_colors is None or (
                 conflicts < best_conflicts
                 or (conflicts == best_conflicts and stitches < best_stitches)
@@ -87,24 +82,12 @@ def linear_color(graph, num_colors: int, options) -> Dict[int, int]:
         colors = best_colors
 
         if options.use_post_refinement:
-            if core is not None:
-                core.refine_pass(
-                    num_colors, alpha, array("i", kernel_vertices), csr, colors
-                )
-            else:
-                _refine(csr, kernel_vertices, colors, num_colors, alpha)
+            core.refine_pass(
+                num_colors, alpha, array("i", kernel_vertices), csr, colors
+            )
 
     # Pop the peel stack: every removed vertex takes a legal color.
-    if core is not None:
-        stack_arr = (
-            peel_stack
-            if isinstance(peel_stack, array)
-            else array("i", peel_stack)
-        )
-        core.reinsert(num_colors, stack_arr, csr, colors)
-    else:
-        for rank in reversed(peel_stack):
-            colors[rank] = _legal_color(csr, rank, colors, num_colors)
+    core.reinsert(num_colors, peel_stack, csr, colors)
 
     # Reference insertion order: chosen kernel order, then reinsert order.
     ids = flat.vertex_ids
@@ -112,90 +95,6 @@ def linear_color(graph, num_colors: int, options) -> Dict[int, int]:
     for rank in reversed(peel_stack):
         coloring[ids[rank]] = colors[rank]
     return coloring
-
-
-# ------------------------------------------------------------------- peeling
-def _peel(csr: CSRAdjacency, num_colors: int, max_stitch_degree: int = 2):
-    """Iteratively remove non-critical vertices (simplify.peel_low_degree_vertices)."""
-    n = csr.num_vertices
-    alive = bytearray([1]) * n
-    cdeg = [csr.conflict_degree(r) for r in range(n)]
-    sdeg = [csr.stitch_degree(r) for r in range(n)]
-    fdeg = [csr.friend_degree(r) for r in range(n)]
-    candidates = [
-        r for r in range(n) if cdeg[r] < num_colors and sdeg[r] < max_stitch_degree
-    ]
-    pending = bytearray(n)
-    for r in candidates:
-        pending[r] = 1
-    queue = list(candidates)
-    stack: List[int] = []
-    while queue:
-        rank = queue.pop()
-        pending[rank] = 0
-        if not alive[rank]:
-            continue
-        if cdeg[rank] >= num_colors or sdeg[rank] >= max_stitch_degree:
-            continue
-        # Neighbours (conflict ∪ stitch, alive only) in ascending rank order:
-        # the two CSR rows are sorted, so a merge keeps them sorted.
-        conflict_row = [
-            other
-            for other in csr.conflict_adj[
-                csr.conflict_start[rank] : csr.conflict_start[rank + 1]
-            ]
-            if alive[other]
-        ]
-        stitch_row = [
-            other
-            for other in csr.stitch_adj[
-                csr.stitch_start[rank] : csr.stitch_start[rank + 1]
-            ]
-            if alive[other]
-        ]
-        neighbours = _merge_sorted(conflict_row, stitch_row)
-        alive[rank] = 0
-        stack.append(rank)
-        for other in conflict_row:
-            cdeg[other] -= 1
-        for other in stitch_row:
-            sdeg[other] -= 1
-        for i in range(csr.friend_start[rank], csr.friend_start[rank + 1]):
-            other = csr.friend_adj[i]
-            if alive[other]:
-                fdeg[other] -= 1
-        for other in neighbours:
-            if (
-                not pending[other]
-                and alive[other]
-                and cdeg[other] < num_colors
-                and sdeg[other] < max_stitch_degree
-            ):
-                pending[other] = 1
-                queue.append(other)
-    return alive, cdeg, sdeg, fdeg, stack
-
-
-def _merge_sorted(first: List[int], second: List[int]) -> List[int]:
-    """Merge two sorted duplicate-free lists (conflict/stitch rows are disjoint
-    per relation but one pair may carry both relations, so dedupe on merge)."""
-    out: List[int] = []
-    i = j = 0
-    while i < len(first) and j < len(second):
-        a, b = first[i], second[j]
-        if a < b:
-            out.append(a)
-            i += 1
-        elif b < a:
-            out.append(b)
-            j += 1
-        else:
-            out.append(a)
-            i += 1
-            j += 1
-    out.extend(first[i:])
-    out.extend(second[j:])
-    return out
 
 
 # ------------------------------------------------------------------ ordering
@@ -219,133 +118,3 @@ def _orders(csr, kernel_vertices, cdeg, fdeg, num_colors, options):
     round_two.sort(key=lambda r: (-cdeg[r], r))
     three_round = round_one + round_two + round_three
     return [sequence, degree, three_round]
-
-
-# ------------------------------------------------------------------ coloring
-def _color_in_order(csr, order, colors, num_colors, alpha, options) -> None:
-    """Greedy kernel walk (LinearColoring._color_in_order / _pick_color).
-
-    Only alive vertices are ever colored, so ``colors[other] >= 0`` exactly
-    reproduces "neighbour present and colored in the peeled kernel graph".
-    """
-    use_friendly = options.use_color_friendly
-    conflict_hits = [0] * num_colors
-    stitch_hits = [0] * num_colors
-    friend_hits = [0] * num_colors
-    for rank in order:
-        for c in range(num_colors):
-            conflict_hits[c] = 0
-            stitch_hits[c] = 0
-            friend_hits[c] = 0
-        for i in range(csr.conflict_start[rank], csr.conflict_start[rank + 1]):
-            other = colors[csr.conflict_adj[i]]
-            if other >= 0:
-                conflict_hits[other] += 1
-        colored_stitches = 0
-        for i in range(csr.stitch_start[rank], csr.stitch_start[rank + 1]):
-            other = colors[csr.stitch_adj[i]]
-            if other >= 0:
-                stitch_hits[other] += 1
-                colored_stitches += 1
-        if use_friendly:
-            for i in range(csr.friend_start[rank], csr.friend_start[rank + 1]):
-                other = colors[csr.friend_adj[i]]
-                if other >= 0:
-                    friend_hits[other] += 1
-        best = 0
-        best_key = (
-            conflict_hits[0],
-            alpha * (colored_stitches - stitch_hits[0]),
-            -friend_hits[0],
-        )
-        for c in range(1, num_colors):
-            key = (
-                conflict_hits[c],
-                alpha * (colored_stitches - stitch_hits[c]),
-                -friend_hits[c],
-            )
-            if key < best_key:
-                best_key = key
-                best = c
-        colors[rank] = best
-
-
-def _evaluate(flat, colors):
-    """(conflicts, stitches) over the kernel subgraph (core.evaluation.evaluate).
-
-    The peeled kernel graph contains only alive vertices; an edge counts only
-    when both endpoints are colored (colored implies alive).
-    """
-    conflicts = 0
-    edges = flat.conflict_edges
-    for i in range(0, len(edges), 2):
-        cu = colors[edges[i]]
-        if cu >= 0 and cu == colors[edges[i + 1]]:
-            conflicts += 1
-    stitches = 0
-    edges = flat.stitch_edges
-    for i in range(0, len(edges), 2):
-        cu, cv = colors[edges[i]], colors[edges[i + 1]]
-        if cu >= 0 and cv >= 0 and cu != cv:
-            stitches += 1
-    return conflicts, stitches
-
-
-# ---------------------------------------------------------------- refinement
-def _refine(csr, kernel_vertices, colors, num_colors, alpha) -> None:
-    """One greedy improvement pass (core.refinement.refine_coloring)."""
-    for rank in kernel_vertices:
-        current = colors[rank]
-        current_cost = _local_cost(csr, rank, current, colors, alpha)
-        best_color = current
-        best_cost = current_cost
-        for color in range(num_colors):
-            if color == current:
-                continue
-            cost = _local_cost(csr, rank, color, colors, alpha)
-            if cost < best_cost - 1e-12:
-                best_cost = cost
-                best_color = color
-        if best_color != current:
-            colors[rank] = best_color
-
-
-def _local_cost(csr, rank, color, colors, alpha) -> float:
-    conflicts = 0
-    for i in range(csr.conflict_start[rank], csr.conflict_start[rank + 1]):
-        if colors[csr.conflict_adj[i]] == color:
-            conflicts += 1
-    stitches = 0
-    for i in range(csr.stitch_start[rank], csr.stitch_start[rank + 1]):
-        other = colors[csr.stitch_adj[i]]
-        if other >= 0 and other != color:
-            stitches += 1
-    return conflicts + alpha * stitches
-
-
-# ------------------------------------------------------------------ reinsert
-def _legal_color(csr, rank, colors, num_colors) -> int:
-    """Legal color for a peeled vertex (simplify.legal_color) via bitmasks."""
-    blocked = 0
-    for i in range(csr.conflict_start[rank], csr.conflict_start[rank + 1]):
-        other = colors[csr.conflict_adj[i]]
-        if other >= 0:
-            blocked |= 1 << other
-    # Stitch rows are sorted ascending — the reference's sorted() visit order.
-    for i in range(csr.stitch_start[rank], csr.stitch_start[rank + 1]):
-        color = colors[csr.stitch_adj[i]]
-        if color >= 0 and not blocked & (1 << color):
-            return color
-    for color in range(num_colors):
-        if not blocked & (1 << color):
-            return color
-    damage = [0] * num_colors
-    for i in range(csr.conflict_start[rank], csr.conflict_start[rank + 1]):
-        other = colors[csr.conflict_adj[i]]
-        if other >= 0:
-            damage[other] += 1
-    best = 0
-    for color in range(1, num_colors):
-        if damage[color] < damage[best]:
-            best = color
-    return best

@@ -47,7 +47,9 @@ class LinearColoring(ColoringAlgorithm):
 
         kernel_module = select_kernel("linear")
         if kernel_module is not None:
-            return kernel_module.linear_color(graph, self.num_colors, self.options)
+            coloring = kernel_module.linear_color(graph, self.num_colors, self.options)
+            if coloring is not None:
+                return coloring
 
         # Stage 1: iterative removal of non-critical vertices.
         kernel, stack = peel_low_degree_vertices(graph, self.num_colors)

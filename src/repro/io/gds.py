@@ -14,6 +14,11 @@ subset that matters:
 The writer emits a single flat structure with one BOUNDARY per shape, which
 round-trips through the reader and is accepted by mainstream viewers
 (KLayout) — enough to exchange masks produced by the decomposer.
+
+The reader decodes from bytes (:func:`parse_gds`; :func:`read_gds` is the
+file wrapper), so uploads never touch the filesystem, and every malformed
+stream — truncated records, odd-sized integer payloads, element records of
+the wrong data type, degenerate outlines — raises :class:`LayoutIOError`.
 """
 
 from __future__ import annotations
@@ -108,6 +113,8 @@ def _iter_records(raw: bytes) -> Iterable[GdsRecord]:
         (length,) = struct.unpack(">H", raw[offset : offset + 2])
         if length == 0:
             break  # optional null padding at end of stream
+        if length < 4 or offset + length > size:
+            raise LayoutIOError(f"malformed GDSII record length {length} at byte {offset}")
         record_type = raw[offset + 2]
         data_type = raw[offset + 3]
         payload = raw[offset + 4 : offset + length]
@@ -122,11 +129,13 @@ def _decode_payload(data_type: int, payload: bytes):
     if data_type == _NO_DATA:
         return b""
     if data_type == _INT16:
-        count = len(payload) // 2
-        return list(struct.unpack(f">{count}h", payload))
+        if len(payload) % 2:
+            raise LayoutIOError(f"INT16 record payload of {len(payload)} bytes")
+        return list(struct.unpack(f">{len(payload) // 2}h", payload))
     if data_type == _INT32:
-        count = len(payload) // 4
-        return list(struct.unpack(f">{count}i", payload))
+        if len(payload) % 4:
+            raise LayoutIOError(f"INT32 record payload of {len(payload)} bytes")
+        return list(struct.unpack(f">{len(payload) // 4}i", payload))
     if data_type == _REAL8:
         return [
             _decode_real8(payload[i : i + 8]) for i in range(0, len(payload), 8)
@@ -162,23 +171,50 @@ def read_gds(
     layer_map: Optional[Dict[int, str]] = None,
     default_layer: str = "metal1",
 ) -> Layout:
-    """Read a flat GDSII file into a :class:`Layout`.
+    """Read a flat GDSII file into a :class:`Layout` (see :func:`parse_gds`).
+
+    The file stem names the layout unless the stream carries a name.
+    """
+    return parse_gds(
+        Path(path).read_bytes(), layer_map, default_layer, name=Path(path).stem
+    )
+
+
+def _int_record(record: GdsRecord) -> List[int]:
+    """The integer payload of a LAYER/WIDTH/XY record; anything else is malformed."""
+    if record.data_type not in (_INT16, _INT32):
+        raise LayoutIOError(
+            f"GDSII record 0x{record.record_type:02x} has data type "
+            f"0x{record.data_type:02x}, expected an integer type"
+        )
+    return record.data
+
+
+def parse_gds(
+    raw: bytes,
+    layer_map: Optional[Dict[int, str]] = None,
+    default_layer: str = "metal1",
+    name: str = "layout",
+) -> Layout:
+    """Decode a flat GDSII byte stream into a :class:`Layout`.
 
     Parameters
     ----------
-    path:
-        File to read.
+    raw:
+        The GDSII stream.
     layer_map:
         Optional mapping from GDS layer numbers to layer names.  Unmapped
         layers get the name ``"gds<layer>"``.
     default_layer:
         Name used when a BOUNDARY carries no LAYER record (non-conforming but
         seen in the wild).
+    name:
+        Layout name when the stream carries neither LIBNAME nor STRNAME.
+
+    Raises :class:`LayoutIOError` for any malformed stream.
     """
-    raw = Path(path).read_bytes()
     layout: Optional[Layout] = None
     dbu_per_nm = 1.0
-    name = Path(path).stem
 
     current_element: Optional[int] = None
     current_layer: Optional[int] = None
@@ -205,11 +241,13 @@ def read_gds(
             current_width = 0
             current_xy = []
         elif rt == LAYER and current_element is not None:
-            current_layer = int(record.data[0]) if record.data else None
+            values = _int_record(record)
+            current_layer = values[0] if values else None
         elif rt == WIDTH and current_element is not None:
-            current_width = int(record.data[0]) if record.data else 0
+            values = _int_record(record)
+            current_width = values[0] if values else 0
         elif rt == XY and current_element is not None:
-            current_xy = list(record.data)
+            current_xy = _int_record(record)
         elif rt == ENDEL and current_element is not None:
             if layout is None:
                 layout = Layout(name=name, dbu_per_nm=dbu_per_nm)
@@ -247,14 +285,15 @@ def _finish_element(
     if layer is not None:
         layer_name = layer_map.get(layer, f"gds{layer}")
     points = [Point(xy[i], xy[i + 1]) for i in range(0, len(xy) - 1, 2)]
-    if element == BOUNDARY:
-        try:
+    try:
+        if element == BOUNDARY:
             layout.add_polygon(Polygon.from_points(points), layer_name)
-        except Exception as exc:  # degenerate boundary: report, do not abort
-            raise LayoutIOError(f"bad BOUNDARY outline: {exc}") from exc
-    elif element == PATH:
-        for polygon in _path_to_polygons(points, width):
-            layout.add_polygon(polygon, layer_name)
+        elif element == PATH:
+            for polygon in _path_to_polygons(points, width):
+                layout.add_polygon(polygon, layer_name)
+    except Exception as exc:  # degenerate outline: report, do not abort
+        kind = "BOUNDARY" if element == BOUNDARY else "PATH"
+        raise LayoutIOError(f"bad {kind} outline: {exc}") from exc
 
 
 def _path_to_polygons(points: Sequence[Point], width: int) -> List[Polygon]:

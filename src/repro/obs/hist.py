@@ -2,7 +2,7 @@
 
 This module deliberately imports nothing from the rest of ``repro`` so it
 can be used from low-level runtime modules (``runtime/cache.py``,
-``runtime/shm_transport.py``, ``service/pool.py``) without import cycles.
+``service/pool.py``) without import cycles.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 A trace id is minted once at admission (server or coordinator) and
 propagated everywhere the request travels: HTTP headers
-(``X-Repro-Trace-Id``), the JSON ``/components`` envelope, binary v2
-frames, shm job frames and worker-pool jobs all carry the same 16-hex
-string. The :class:`TraceContext` lives only on the process that minted
+(``X-Repro-Trace-Id``), binary ``/components`` frames and worker-pool
+jobs all carry the same 16-hex string. The :class:`TraceContext` lives only on the process that minted
 or received the id; remote hops ship the bare string.
 """
 

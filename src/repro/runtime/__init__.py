@@ -15,10 +15,7 @@ this package turns that structural fact into throughput:
 * :mod:`repro.runtime.batch` — :func:`decompose_many`, the multi-layout API
   behind the ``repro-decompose batch`` subcommand;
 * :mod:`repro.runtime.wire_binary` — the binary v2 ``POST /components``
-  frame over the flat-array graph form of :mod:`repro.graph.flat`;
-* :mod:`repro.runtime.shm_transport` — shared-memory shipping of flat
-  graph frames to worker processes (creator-unlinks lifecycle, automatic
-  inline fallback).
+  frame over the flat-array graph form of :mod:`repro.graph.flat`.
 
 Every path through this package preserves the exact masks, conflict counts
 and stitch counts of the serial pipeline.
@@ -42,11 +39,6 @@ from repro.runtime.scheduler import (
     schedule_and_color,
 )
 from repro.runtime.batch import BatchItem, BatchResult, decompose_many
-from repro.runtime.shm_transport import (
-    SHM_MIN_FRAME_BYTES,
-    ShmSegment,
-    shared_memory_available,
-)
 from repro.runtime.wire_binary import (
     COMPONENTS_V2_CONTENT_TYPE,
     decode_components_frame,
@@ -71,9 +63,6 @@ __all__ = [
     "BatchItem",
     "BatchResult",
     "decompose_many",
-    "SHM_MIN_FRAME_BYTES",
-    "ShmSegment",
-    "shared_memory_available",
     "COMPONENTS_V2_CONTENT_TYPE",
     "decode_components_frame",
     "encode_components_frame",

@@ -1,52 +1,29 @@
-"""JSON wire schema of one decomposition-graph component.
+"""Component-level work unit of the cluster: solve options, responses, worker.
 
 The cluster's unit of work is a single divided component (the same unit the
 process scheduler of :mod:`repro.runtime.scheduler` ships to worker
 processes), so this module is the component-level counterpart of
-:mod:`repro.service.protocol`: one owner for the request/response shapes
-that cross the coordinator → node HTTP boundary.
+:mod:`repro.service.protocol`: one owner for the shapes that cross the
+coordinator → node HTTP boundary.
 
-Request (``POST /component``)::
+Requests travel as one binary ``POST /components`` micro-batch frame
+(:mod:`repro.runtime.wire_binary`): many components of one layout in a
+single node round trip, each entry carrying its packed flat-array graph and
+canonical cache key.  The response is JSON, ``results`` aligned
+index-for-index with the frame's components; each entry is either a
+component response or a per-component error envelope, so one bad component
+never poisons its batch siblings::
 
-    {
-      "graph": {
-        "version": 1,
-        "vertices": [[id, shape_id, fragment, weight], ...],
-        "conflict_edges": [[u, v], ...],
-        "stitch_edges":   [[u, v], ...],
-        "friend_edges":   [[u, v], ...]
-      },
-      "colors": 4,
-      "algorithm": "sdp-backtrack"
-    }
-
-Response::
-
-    {
-      "key": "<canonical component hash>",
-      "vertices": n,
-      "cache_hit": true,
-      "coloring": [c0, c1, ...],      # canonical *rank* space
-      "report": {... DivisionReport delta ...},
-      "solver_timeouts": 0
-    }
-
-Micro-batch (``POST /components``) — many components of one layout in a
-single node round trip (the coordinator's hot path; HTTP overhead is
-amortised across the batch)::
-
-    {
-      "components": [{"graph": {...}}, ...],
-      "colors": 4,
-      "algorithm": "sdp-backtrack"
-    }
-
-Batch response, ``results`` aligned index-for-index with ``components``;
-each entry is either a component response (above) or a per-component error
-envelope, so one bad component never poisons its batch siblings::
-
-    {"results": [{...component response...},
-                 {"error": {"status": 422, "message": "..."}}, ...]}
+    {"results": [
+        {
+          "key": "<canonical component hash>",
+          "vertices": n,
+          "cache_hit": true,
+          "coloring": [c0, c1, ...],      # canonical *rank* space
+          "report": {... DivisionReport delta ...},
+          "solver_timeouts": 0
+        },
+        {"error": {"status": 422, "message": "..."}}, ...]}
 
 The coloring travels in canonical rank space (rank = position in sorted
 vertex-id order), exactly how the component cache stores records: the
@@ -64,17 +41,14 @@ the node always matches the one the coordinator routed on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.division import DivisionReport
 from repro.core.options import DecomposerOptions
 from repro.errors import ReproError
-from repro.graph.decomposition_graph import DecompositionGraph, VertexData
+from repro.graph.decomposition_graph import DecompositionGraph
 from repro.runtime.cache import ComponentCache
 from repro.runtime.hashing import canonical_component_key, canonical_vertex_order
-
-#: Bump when the graph wire layout changes (checked by :func:`graph_from_wire`).
-GRAPH_WIRE_VERSION = 1
 
 #: DivisionReport counters that cross the wire (the per-component delta).
 _REPORT_FIELDS = (
@@ -119,184 +93,7 @@ def options_for(colors: int, algorithm: str) -> DecomposerOptions:
     return options
 
 
-# --------------------------------------------------------------------- graph
-def graph_to_wire(graph: DecompositionGraph) -> Dict:
-    """Serialise ``graph`` to the JSON-level wire dict."""
-    vertices = []
-    for vertex in graph.vertices():
-        data = graph.vertex_data(vertex)
-        vertices.append([vertex, data.shape_id, data.fragment, data.weight])
-    return {
-        "version": GRAPH_WIRE_VERSION,
-        "vertices": vertices,
-        "conflict_edges": [list(edge) for edge in graph.conflict_edges()],
-        "stitch_edges": [list(edge) for edge in graph.stitch_edges()],
-        "friend_edges": [list(edge) for edge in graph.friend_edges()],
-    }
-
-
-def wire_dict_from_flat(flat) -> Dict:
-    """Build the JSON v1 wire dict straight from a flat-array graph.
-
-    The JSON fallback path of a binary-first coordinator: when a peer node
-    only speaks the v1 schema, the already-flattened component is re-encoded
-    without rebuilding a :class:`DecompositionGraph` first.  Output is
-    byte-identical to ``graph_to_wire(flat.to_graph())`` — the flat form's
-    rank order *is* sorted-id order and its edge lists are sorted rank
-    pairs, which map monotonically back to sorted id pairs.
-    """
-    ids = flat.vertex_ids
-    vertices = [
-        [
-            ids[rank],
-            None if flat.shape_ids[rank] == -1 else flat.shape_ids[rank],
-            flat.fragments[rank],
-            flat.weights[rank],
-        ]
-        for rank in range(len(ids))
-    ]
-
-    def edges_to_wire(edges) -> List[List[int]]:
-        return [
-            [ids[edges[i]], ids[edges[i + 1]]] for i in range(0, len(edges), 2)
-        ]
-
-    return {
-        "version": GRAPH_WIRE_VERSION,
-        "vertices": vertices,
-        "conflict_edges": edges_to_wire(flat.conflict_edges),
-        "stitch_edges": edges_to_wire(flat.stitch_edges),
-        "friend_edges": edges_to_wire(flat.friend_edges),
-    }
-
-
-#: Value bounds of the flat-array form: ids/shape ids must fit int64, counts
-#: must fit uint32.  Enforced at the wire boundary so an out-of-range value
-#: is a 400 at decode time, never an OverflowError deep inside ``to_arrays``
-#: (and so a wire ``shape_id`` can never collide with the flat form's ``-1``
-#: none-sentinel).
-_MAX_ID = 2**63 - 1
-_MAX_COUNT = 2**32 - 1
-
-
-def _checked(value, low: int, high: int, what: str) -> int:
-    number = int(value)
-    if not low <= number <= high:
-        raise ComponentWireError(f"{what} {number} outside [{low}, {high}]")
-    return number
-
-
-def graph_from_wire(payload: Dict) -> DecompositionGraph:
-    """Rebuild a :class:`DecompositionGraph` from its wire dict."""
-    if not isinstance(payload, dict):
-        raise ComponentWireError("'graph' must be a JSON object")
-    version = payload.get("version")
-    if version != GRAPH_WIRE_VERSION:
-        raise ComponentWireError(
-            f"unsupported graph wire version {version!r} "
-            f"(this node speaks version {GRAPH_WIRE_VERSION})"
-        )
-    graph = DecompositionGraph()
-    try:
-        for vertex, shape_id, fragment, weight in payload["vertices"]:
-            graph.add_vertex(
-                _checked(vertex, 0, _MAX_ID, "vertex id"),
-                VertexData(
-                    shape_id=(
-                        None
-                        if shape_id is None
-                        else _checked(shape_id, 0, _MAX_ID, "shape_id")
-                    ),
-                    fragment=_checked(fragment, 0, _MAX_COUNT, "fragment"),
-                    weight=_checked(weight, 0, _MAX_COUNT, "weight"),
-                ),
-            )
-        for u, v in payload.get("conflict_edges", ()):
-            graph.add_conflict_edge(int(u), int(v))
-        for u, v in payload.get("stitch_edges", ()):
-            graph.add_stitch_edge(int(u), int(v))
-        for u, v in payload.get("friend_edges", ()):
-            graph.add_friend_edge(int(u), int(v))
-    except (ReproError, KeyError, TypeError, ValueError) as exc:
-        raise ComponentWireError(f"invalid 'graph' payload: {exc}") from exc
-    return graph
-
-
-# ------------------------------------------------------------------- request
-def component_request(graph: DecompositionGraph, colors: int, algorithm: str) -> Dict:
-    """Build one ``POST /component`` request payload."""
-    return {"graph": graph_to_wire(graph), "colors": colors, "algorithm": algorithm}
-
-
-def validate_component_request(payload: Dict) -> None:
-    """Cheap structural validation run in the node's server process.
-
-    Catches client mistakes at the door (HTTP 400) without paying for a full
-    graph rebuild on the server side — the worker that solves the job does
-    the authoritative decode.
-    """
-    if not isinstance(payload, dict):
-        raise ComponentWireError("request body must be a JSON object")
-    options_for(payload.get("colors", 4), payload.get("algorithm", "sdp-backtrack"))
-    graph = payload.get("graph")
-    if not isinstance(graph, dict):
-        raise ComponentWireError("'graph' must be a JSON object")
-    if graph.get("version") != GRAPH_WIRE_VERSION:
-        raise ComponentWireError(
-            f"unsupported graph wire version {graph.get('version')!r}"
-        )
-    vertices = graph.get("vertices")
-    if not isinstance(vertices, list):
-        raise ComponentWireError("'graph.vertices' must be an array")
-    try:
-        known = {int(entry[0]) for entry in vertices}
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ComponentWireError(f"invalid 'graph.vertices' entries: {exc}") from exc
-    for edge_set in ("conflict_edges", "stitch_edges", "friend_edges"):
-        edges = graph.get(edge_set, [])
-        if not isinstance(edges, list):
-            raise ComponentWireError(f"'graph.{edge_set}' must be an array")
-        for edge in edges:
-            if (
-                not isinstance(edge, (list, tuple))
-                or len(edge) != 2
-                or edge[0] not in known
-                or edge[1] not in known
-            ):
-                raise ComponentWireError(
-                    f"'graph.{edge_set}' entry {edge!r} does not join known vertices"
-                )
-
-
 # -------------------------------------------------------------- micro-batch
-def components_request(
-    graphs: List[Dict],
-    colors: int,
-    algorithm: str,
-    keys: Optional[List[Optional[str]]] = None,
-    trace_id: Optional[str] = None,
-) -> Dict:
-    """Build one ``POST /components`` request from pre-serialised graph wires.
-
-    ``graphs`` are :func:`graph_to_wire` dicts — the coordinator serialises
-    each distinct component once and reuses the wire across re-routes, so
-    this function only wraps them in the batch envelope.  ``keys`` optionally
-    attaches each component's canonical cache key so a v2 node skips
-    re-hashing; ``trace_id`` threads the coordinator's trace through the
-    JSON wire (pre-v2 nodes ignore both extra fields).
-    """
-    entries: List[Dict] = []
-    for position, wire in enumerate(graphs):
-        entry: Dict = {"graph": wire}
-        if keys is not None and keys[position]:
-            entry["key"] = keys[position]
-        entries.append(entry)
-    payload = {"components": entries, "colors": colors, "algorithm": algorithm}
-    if trace_id:
-        payload["trace_id"] = trace_id
-    return payload
-
-
 class ComponentErrorEntry:
     """One failed entry of a ``POST /components`` response (coordinator side)."""
 
@@ -367,7 +164,7 @@ def report_from_wire(payload: Dict) -> DivisionReport:
 
 
 class ComponentSolve:
-    """One parsed ``POST /component`` response (coordinator side)."""
+    """One parsed component response entry (coordinator side)."""
 
     __slots__ = ("key", "ranks", "report", "solver_timeouts", "cache_hit")
 
@@ -421,30 +218,20 @@ def parse_component_response(payload: Dict) -> ComponentSolve:
 
 # --------------------------------------------------------------- node worker
 def job_graph(job: Dict) -> DecompositionGraph:
-    """Materialise the job's component graph from whichever transport it used.
+    """Materialise the job's component graph from its ``graph_frame`` bytes.
 
-    A component job carries exactly one of: ``graph`` (the JSON v1 wire
-    dict), ``graph_frame`` (packed flat-graph frame bytes, the binary wire
-    and the pickle fallback), or ``graph_shm`` (a shared-memory descriptor
-    from :mod:`repro.runtime.shm_transport`, the zero-copy process-pool
-    path).
+    The frame is the component's packed flat-graph frame, exactly as it
+    arrived in the binary ``POST /components`` body; it reaches process
+    workers inline through the executor's pickle channel.
     """
     from repro.graph.flat import FlatFrameError, graph_from_frame
 
-    descriptor = job.get("graph_shm")
-    frame = job.get("graph_frame")
-    if descriptor is not None:
-        from repro.runtime.shm_transport import read_segment
-
-        frame = read_segment(descriptor)
-    if frame is not None:
-        try:
-            # memoize=True: node workers hash and solve straight off the
-            # shipped canonical buffers (no re-flattening on the hot path).
-            return graph_from_frame(frame, memoize=True)
-        except FlatFrameError as exc:
-            raise ComponentWireError(f"invalid 'graph_frame' payload: {exc}") from exc
-    return graph_from_wire(job["graph"])
+    try:
+        # memoize=True: node workers hash and solve straight off the
+        # shipped canonical buffers (no re-flattening on the hot path).
+        return graph_from_frame(job["graph_frame"], memoize=True)
+    except (FlatFrameError, KeyError) as exc:
+        raise ComponentWireError(f"invalid 'graph_frame' payload: {exc}") from exc
 
 
 def solve_component_job(job: Dict, cache: Optional[ComponentCache]) -> Dict:
@@ -458,7 +245,7 @@ def solve_component_job(job: Dict, cache: Optional[ComponentCache]) -> Dict:
 
     A ``key`` shipped with the job (the coordinator's routing hash) is used
     for the cache *lookup* — hashing schemes are versioned together, so a
-    v2 peer's key is exactly what this worker would recompute, and the hit
+    peer's key is exactly what this worker would recompute, and the hit
     path (the affinity payoff) skips hashing entirely.  Cache *stores*
     always use a locally computed key: the request boundary is untrusted,
     and storing a solution under a caller-controlled key would let one bad

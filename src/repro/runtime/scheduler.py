@@ -80,9 +80,6 @@ class ScheduleOutcome:
     #: solved in the same run.
     cache_hits: int = 0
     deduplicated_components: int = 0
-    #: Pool submissions that travelled through shared-memory segments (the
-    #: remainder shipped their flat frame inline through the pickle channel).
-    shm_components: int = 0
     #: True when a pool was requested but had to be abandoned.
     pool_fallback: bool = False
     #: Wall seconds per pipeline stage (``divide``/``hash``/``solve``),
@@ -90,27 +87,21 @@ class ScheduleOutcome:
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
 
-def _resolve_payload_graph(graph_or_transport) -> DecompositionGraph:
-    """Materialise the payload's graph from whichever transport shipped it.
+def _resolve_payload_graph(graph_or_frame) -> DecompositionGraph:
+    """Materialise the payload's graph.
 
     The in-process path passes the :class:`DecompositionGraph` itself; pool
-    submissions ship the packed flat frame — through a shared-memory segment
-    (``("shm", descriptor)``) when the host allows it, inline through the
-    pickle channel (``("frame", bytes)``) otherwise.
+    submissions ship its packed flat frame inline through the pickle
+    channel, so no object graph is ever pickled.
     """
-    if isinstance(graph_or_transport, DecompositionGraph):
-        return graph_or_transport
-    kind, payload = graph_or_transport
-    if kind == "shm":
-        from repro.runtime.shm_transport import read_segment
-
-        payload = read_segment(payload)
+    if isinstance(graph_or_frame, DecompositionGraph):
+        return graph_or_frame
     from repro.graph.flat import graph_from_frame
 
     # memoize=True: the decoded frame becomes the rebuilt graph's flat form,
     # so the worker-side hashing and solve kernels run straight off the
     # shipped buffers instead of re-flattening.
-    return graph_from_frame(payload, memoize=True)
+    return graph_from_frame(graph_or_frame, memoize=True)
 
 
 def _solve_component_job(
@@ -120,8 +111,8 @@ def _solve_component_job(
     # Imported lazily so worker start-up does not drag the CLI/analysis stack in.
     from repro.core.decomposer import make_colorer
 
-    graph_or_transport, algorithm, num_colors, algorithm_options, division = payload
-    subgraph = _resolve_payload_graph(graph_or_transport)
+    graph_or_frame, algorithm, num_colors, algorithm_options, division = payload
+    subgraph = _resolve_payload_graph(graph_or_frame)
     colorer = make_colorer(algorithm, num_colors, algorithm_options)
     report = DivisionReport()
     coloring = color_component(subgraph, colorer, division, report)
@@ -144,15 +135,6 @@ class ComponentScheduler:
     executor:
         Optional externally-owned pool, reused across many graphs; when given,
         ``workers`` only gates whether it is used.
-    use_shared_memory:
-        Ship pool submissions through ``multiprocessing.shared_memory``
-        segments (default).  Hosts where segments cannot be created fall
-        back automatically to inline flat frames over the pickle channel;
-        ``False`` forces the inline path (diagnostics, benchmarks).
-    shm_min_frame_bytes:
-        Frames below this ship inline even with shared memory on (segment
-        syscalls only amortise past a few KiB); ``None`` uses
-        :data:`repro.runtime.shm_transport.SHM_MIN_FRAME_BYTES`.
     """
 
     def __init__(
@@ -164,8 +146,6 @@ class ComponentScheduler:
         workers: Optional[int] = None,
         cache: Optional[ComponentCache] = None,
         executor: Optional[ProcessPoolExecutor] = None,
-        use_shared_memory: bool = True,
-        shm_min_frame_bytes: Optional[int] = None,
     ) -> None:
         self.algorithm = algorithm
         self.num_colors = num_colors
@@ -173,8 +153,6 @@ class ComponentScheduler:
         self.division = division or DivisionOptions()
         self.workers = resolve_workers(workers)
         self.cache = cache
-        self.use_shared_memory = use_shared_memory
-        self.shm_min_frame_bytes = shm_min_frame_bytes
         self._executor = executor
         self._owns_executor = False
 
@@ -306,13 +284,12 @@ class ComponentScheduler:
         remote = [item for item in representatives if item.size > SMALL_COMPONENT_CUTOFF]
         use_pool = self.workers >= 2 and len(remote) >= 2
         if use_pool:
-            segments: List = []
             try:
                 executor = self._ensure_executor()
                 futures = {
                     item.index: executor.submit(
                         _solve_component_job,
-                        self._remote_payload(subgraphs[item.index], segments, outcome),
+                        self._remote_payload(subgraphs[item.index]),
                     )
                     for item in remote
                 }
@@ -333,16 +310,8 @@ class ComponentScheduler:
                 outcome.pool_fallback = True
                 outcome.parallel_components = 0
                 outcome.serial_components = 0
-                outcome.shm_components = 0
                 solved.clear()
                 self.close()
-            finally:
-                # Creator-unlinks lifecycle: by the time control reaches
-                # here every worker read has finished (results collected) or
-                # been abandoned (executor shut down above), so the segments
-                # can be released unconditionally.
-                for segment in segments:
-                    segment.unlink()
         for item in representatives:
             solved[item.index] = _solve_component_job(self._payload(subgraphs[item.index]))
             outcome.serial_components += 1
@@ -357,31 +326,10 @@ class ComponentScheduler:
             self.division,
         )
 
-    def _remote_payload(
-        self,
-        subgraph: DecompositionGraph,
-        segments: List,
-        outcome: ScheduleOutcome,
-    ):
-        """Payload for a pool submission: flat frame via shm, or inline.
-
-        The flat frame replaces pickling the graph object either way; shared
-        memory additionally keeps the frame bytes out of the executor pipe.
-        Created segments are appended to ``segments`` — the caller owns
-        unlinking them once the futures settle.
-        """
-        frame = subgraph.to_arrays().to_bytes()
-        transport: object = ("frame", frame)
-        if self.use_shared_memory:
-            from repro.runtime.shm_transport import maybe_segment
-
-            segment = maybe_segment(frame, self.shm_min_frame_bytes)
-            if segment is not None:
-                segments.append(segment)
-                outcome.shm_components += 1
-                transport = ("shm", segment.descriptor())
+    def _remote_payload(self, subgraph: DecompositionGraph):
+        """Payload for a pool submission: the packed flat frame, inline."""
         return (
-            transport,
+            subgraph.to_arrays().to_bytes(),
             self.algorithm,
             self.num_colors,
             self.algorithm_options,

@@ -2,42 +2,29 @@
 
 ``POST /components`` is the cluster's dominant byte stream: every layout a
 coordinator serves ships each distinct component's graph to its owner node.
-The JSON v1 schema (:mod:`repro.runtime.component_io`) expands every edge
-into a nested two-element list — parsing cost scales with the *text*, not
-the structure.  The v2 frame defined here ships the graphs as the packed
-flat arrays of :mod:`repro.graph.flat` instead: length-prefixed, little-
-endian, base64-free, decoded by ``struct``/``array`` at memcpy speed.
-
-Content negotiation is by ``Content-Type``:
-
-* a v2 sender marks the request body
-  ``application/x-repro-components-v2`` (:data:`COMPONENTS_V2_CONTENT_TYPE`);
-* a v2 node decodes it natively; a **pre-v2 node** answers ``400`` (the body
-  is not JSON), which the coordinator treats as "this peer speaks JSON only"
-  — it re-sends the batch in the v1 JSON schema and remembers the downgrade
-  for the node's lifetime.  Mixed-version clusters therefore keep working;
-  they just keep paying the JSON tax on the old nodes.
+The frame defined here ships the graphs as the packed flat arrays of
+:mod:`repro.graph.flat`: length-prefixed, little-endian, base64-free,
+decoded by ``struct``/``array`` at memcpy speed.  It is the only wire a
+node speaks; the request body is marked ``application/x-repro-components-v2``
+(:data:`COMPONENTS_V2_CONTENT_TYPE`).
 
 Frame layout (all integers little-endian)::
 
     <4s magic  b"RPC2">
-    <B  frame version (1 or 2)>
+    <B  frame version (2)>
     <I  colors>
     <B  algorithm length> <algorithm utf-8>
-    version >= 2 only:
-        <B  trace id length> <trace id ascii>   # 0 = request is untraced
+    <B  trace id length> <trace id ascii>   # 0 = request is untraced
     <I  component count>
     per component:
         <B  key length> <canonical key ascii>   # 0 = sender did not hash
         <I  graph frame length> <flat-graph frame>   # repro.graph.flat
 
-Version 2 adds only the optional trace-id field.  The encoder emits a v1
-envelope whenever no trace id is supplied, so untraced traffic is
-bit-identical to the pre-v2 wire and old peers never see a version they
-cannot parse.  A traced coordinator talking to a v1-only node gets a 400
-naming the unsupported version; the coordinator retries that node with v1
-frames (trace id carried in the ``X-Repro-Trace-Id`` header instead) and
-remembers the downgrade for the node's lifetime.
+A node decodes exactly :data:`FRAME_VERSION` and answers any other version
+with ``400``.  Nodes also report the version on ``GET /healthz``
+(``components_frame``); a coordinator's heartbeat refuses a peer that
+reports a different one, so a mixed-version cluster fails loudly at the
+membership probe instead of negotiating.
 
 Each component's canonical cache key rides along so the node never re-hashes
 a graph the coordinator already hashed for routing — the "hash once per
@@ -58,9 +45,7 @@ from repro.runtime.component_io import ComponentWireError
 COMPONENTS_V2_CONTENT_TYPE = "application/x-repro-components-v2"
 
 _MAGIC = b"RPC2"
-#: Oldest envelope layout every node understands.
-BASE_FRAME_VERSION = 1
-#: Newest envelope layout this build speaks (v2 = v1 + optional trace id).
+#: The envelope layout this build speaks.
 FRAME_VERSION = 2
 
 _ENVELOPE = struct.Struct("<4sBIB")  # magic, version, colors, algorithm length
@@ -73,35 +58,26 @@ def encode_components_frame(
     colors: int,
     algorithm: str,
     trace_id: Optional[str] = None,
-    force_version: Optional[int] = None,
 ) -> bytes:
     """Encode one ``POST /components`` binary request body.
 
     ``entries`` pairs each component's canonical key (``None`` when the
-    sender did not compute one) with its flat-array graph.  Untraced
-    requests encode as v1 (bit-identical to the pre-trace wire); a
-    ``trace_id`` selects v2.  ``force_version=1`` drops the trace field
-    for peers that rejected v2 (the sticky frame downgrade).
+    sender did not compute one) with its flat-array graph.  The trace field
+    is always present; it is empty for an untraced request.
     """
     algorithm_utf8 = algorithm.encode("utf-8")
     if len(algorithm_utf8) > 255:
         raise ComponentWireError(f"algorithm name too long: {algorithm!r}")
-    version = force_version
-    if version is None:
-        version = FRAME_VERSION if trace_id else BASE_FRAME_VERSION
-    if version not in (BASE_FRAME_VERSION, FRAME_VERSION):
-        raise ComponentWireError(f"cannot encode components frame version {version}")
+    trace_ascii = (trace_id or "").encode("ascii")
+    if len(trace_ascii) > 255:
+        raise ComponentWireError(f"trace id too long: {trace_id!r}")
     parts: List[bytes] = [
-        _ENVELOPE.pack(_MAGIC, version, colors, len(algorithm_utf8)),
+        _ENVELOPE.pack(_MAGIC, FRAME_VERSION, colors, len(algorithm_utf8)),
         algorithm_utf8,
+        _U8.pack(len(trace_ascii)),
+        trace_ascii,
+        _U32.pack(len(entries)),
     ]
-    if version >= 2:
-        trace_ascii = (trace_id or "").encode("ascii")
-        if len(trace_ascii) > 255:
-            raise ComponentWireError(f"trace id too long: {trace_id!r}")
-        parts.append(_U8.pack(len(trace_ascii)))
-        parts.append(trace_ascii)
-    parts.append(_U32.pack(len(entries)))
     for key, flat in entries:
         key_ascii = (key or "").encode("ascii")
         if len(key_ascii) > 255:
@@ -120,11 +96,11 @@ def frame_size(flat: FlatGraph, key: Optional[str] = None) -> int:
 
 
 class ComponentFrame:
-    """One decoded component of a v2 request: its key, graph, or decode error.
+    """One decoded component of a request: its key, graph, or decode error.
 
     ``frame`` keeps the entry's raw graph-frame bytes so the server can hand
-    them straight to the worker transport (shared memory or inline) without
-    re-encoding the already-validated :attr:`flat`.
+    them straight to a worker without re-encoding the already-validated
+    :attr:`flat`.
     """
 
     __slots__ = ("key", "flat", "frame", "error")
@@ -147,14 +123,12 @@ def decode_components_frame(
 ) -> Tuple[int, str, Optional[str], List[ComponentFrame]]:
     """Decode a binary request body into ``(colors, algorithm, trace_id, components)``.
 
-    Accepts both the v1 and v2 envelopes; ``trace_id`` is ``None`` for v1
-    bodies and for v2 bodies whose trace field is empty.  A malformed
+    ``trace_id`` is ``None`` when the trace field is empty.  A malformed
     *envelope* (bad magic/version, truncated header or entry framing)
     raises :class:`ComponentWireError` — the whole request is
     unintelligible and answers ``400``.  A malformed *graph frame inside an
     intact entry* becomes that entry's :attr:`ComponentFrame.error` so the
-    node fails only that component, mirroring the JSON path's per-entry
-    validation envelopes.
+    node fails only that component.
     """
     view = memoryview(data)
     try:
@@ -165,10 +139,10 @@ def decode_components_frame(
         raise ComponentWireError(
             f"bad components frame magic {bytes(magic)!r} (expected {_MAGIC!r})"
         )
-    if not BASE_FRAME_VERSION <= version <= FRAME_VERSION:
+    if version != FRAME_VERSION:
         raise ComponentWireError(
             f"unsupported components frame version {version} "
-            f"(this node speaks versions {BASE_FRAME_VERSION}-{FRAME_VERSION})"
+            f"(this node speaks version {FRAME_VERSION})"
         )
     cursor = _ENVELOPE.size
     if cursor + algorithm_length > len(view):
@@ -178,21 +152,17 @@ def decode_components_frame(
     except UnicodeDecodeError as exc:
         raise ComponentWireError(f"invalid algorithm name bytes: {exc}") from exc
     cursor += algorithm_length
-    trace_id: Optional[str] = None
-    if version >= 2:
-        if cursor + _U8.size > len(view):
-            raise ComponentWireError("components frame truncated before trace id")
-        (trace_length,) = _U8.unpack_from(view, cursor)
-        cursor += _U8.size
-        if cursor + trace_length > len(view):
-            raise ComponentWireError("components frame truncated in trace id")
-        try:
-            trace_id = (
-                bytes(view[cursor : cursor + trace_length]).decode("ascii") or None
-            )
-        except UnicodeDecodeError as exc:
-            raise ComponentWireError(f"trace id is not ascii: {exc}") from exc
-        cursor += trace_length
+    if cursor + _U8.size > len(view):
+        raise ComponentWireError("components frame truncated before trace id")
+    (trace_length,) = _U8.unpack_from(view, cursor)
+    cursor += _U8.size
+    if cursor + trace_length > len(view):
+        raise ComponentWireError("components frame truncated in trace id")
+    try:
+        trace_id = bytes(view[cursor : cursor + trace_length]).decode("ascii") or None
+    except UnicodeDecodeError as exc:
+        raise ComponentWireError(f"trace id is not ascii: {exc}") from exc
+    cursor += trace_length
     if cursor + _U32.size > len(view):
         raise ComponentWireError("components frame truncated before component count")
     (count,) = _U32.unpack_from(view, cursor)

@@ -328,33 +328,13 @@ class ServiceClient:
                 payload[key] = value
         return self._request("POST", "/batch", payload)
 
-    def component(self, payload: Dict) -> Dict:
-        """Solve one decomposition-graph component (``POST /component``).
-
-        ``payload`` is a :func:`repro.runtime.component_io.component_request`
-        dict; the response carries the canonical rank-space coloring.
-        """
-        return self._request("POST", "/component", payload)
-
-    def components(self, payload: Dict, trace_id: Optional[str] = None) -> Dict:
-        """Solve a component micro-batch (``POST /components``).
-
-        ``payload`` is a
-        :func:`repro.runtime.component_io.components_request` dict; the
-        response's ``results`` list is aligned with the request and carries
-        a per-component solve or error envelope.  ``trace_id`` additionally
-        rides the trace header — the channel pre-tracing servers ignore.
-        """
-        return self._request("POST", "/components", payload, trace_id=trace_id)
-
     def components_binary(self, body: bytes, trace_id: Optional[str] = None) -> Dict:
-        """Solve a component micro-batch shipped as a binary frame.
+        """Solve a component micro-batch (``POST /components``).
 
         ``body`` is an
         :func:`repro.runtime.wire_binary.encode_components_frame` blob; the
-        response is the same JSON envelope :meth:`components` returns.  A
-        pre-v2 server answers 400 (it tries to parse the frame as JSON) —
-        callers use that signal to fall back to the JSON schema.
+        response's ``results`` list is aligned with the frame's components
+        and carries a per-component solve or error envelope.
         """
         from repro.runtime.wire_binary import COMPONENTS_V2_CONTENT_TYPE
 

@@ -29,9 +29,8 @@ MAX_HEADER_BYTES = 64 * 1024
 #: Default cap on request bodies (layouts can be large; GDS is base64'd).
 DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
 
-#: HTTP header carrying a request's trace id in both directions.  The header
-#: channel survives every wire downgrade (binary→JSON components, v2→v1
-#: frames): peers that predate tracing simply ignore it and echo nothing.
+#: HTTP header carrying a request's trace id in both directions (the binary
+#: components frame also carries it in its own trace field).
 TRACE_HEADER = "X-Repro-Trace-Id"
 
 #: HTTP header naming the calling client/tenant for usage metering.  Purely
@@ -104,10 +103,8 @@ class HttpRequest:
     def media_type(self) -> str:
         """The body's media type, lowercased, without parameters.
 
-        How endpoints accepting more than one representation negotiate —
-        e.g. ``POST /components`` picks its decoder by comparing this
-        against the binary frame's content type (an empty string, like any
-        unrecognised type, selects the JSON default).
+        ``POST /components`` compares this against the binary frame's
+        content type and refuses anything else with ``415``.
         """
         return self.headers.get("content-type", "").split(";", 1)[0].strip().lower()
 

@@ -106,17 +106,17 @@ def histogram_family(
     return (name, "histogram", help_text, samples)
 
 
-def build_info_family(role: str, extra: Optional[Mapping[str, str]] = None) -> MetricFamily:
+def build_info_family(role: str, solve_kernels: str) -> MetricFamily:
     """``repro_build_info``: constant-1 gauge whose labels identify the build.
 
     Carries the package version, every wire/cache schema version, and the
-    active solve-kernel mode so a fleet dashboard can spot mixed-version
-    clusters (the sticky JSON/frame downgrades then explain themselves).
+    solve-kernel backend that actually runs (``compiled`` or ``reference``,
+    as the worker pool's startup probe found it; ``none`` on a process that
+    solves nothing), so a fleet dashboard can spot a node without the
+    compiled core or a build speaking another components frame.
     """
     import repro
-    from repro.core.kernels import kernel_mode
     from repro.graph import FLAT_FRAME_VERSION
-    from repro.runtime.component_io import GRAPH_WIRE_VERSION
     from repro.runtime.hashing import _SCHEMA_VERSION as HASH_SCHEMA_VERSION
     from repro.runtime.sqlite_cache import SCHEMA_VERSION as CACHE_SCHEMA_VERSION
     from repro.runtime.wire_binary import FRAME_VERSION
@@ -126,12 +126,10 @@ def build_info_family(role: str, extra: Optional[Mapping[str, str]] = None) -> M
         "role": role,
         "hash_schema": str(HASH_SCHEMA_VERSION),
         "cache_schema": str(CACHE_SCHEMA_VERSION),
-        "graph_wire": str(GRAPH_WIRE_VERSION),
         "components_frame": str(FRAME_VERSION),
         "flat_frame": str(FLAT_FRAME_VERSION),
-        "solve_kernels": kernel_mode(),
+        "solve_kernels": solve_kernels,
     }
-    labels.update(extra or {})
     return gauge_family(
         "repro_build_info",
         "Build/version identity of this process (value is always 1).",
@@ -199,11 +197,10 @@ def observability_families(obs) -> List[MetricFamily]:
     """Metric families fed by :mod:`repro.obs` instrumentation.
 
     Shared by the server's and the coordinator's ``/metrics``: the span
-    stage histograms, the runtime-layer latency histograms (component-cache
-    lookups, shared-memory transfers — process-wide, serving-process view),
-    and, when the journal is enabled, journal/watch telemetry.
+    stage histograms, the component-cache lookup histogram (process-wide,
+    serving-process view), and, when the journal is enabled, journal/watch
+    telemetry.
     """
-    from repro.runtime import shm_transport
     from repro.runtime.cache import lookup_histogram
 
     families: List[MetricFamily] = process_telemetry_families()
@@ -218,15 +215,6 @@ def observability_families(obs) -> List[MetricFamily]:
             "Component-cache lookup latency (serving process only; pool "
             "worker processes keep their own).",
             [({}, lookup_histogram().snapshot())],
-        ),
-        histogram_family(
-            "repro_shm_transfer_seconds",
-            "Shared-memory segment write/read latency (serving process "
-            "only).",
-            [
-                ({"op": "write"}, shm_transport.WRITE_HISTOGRAM.snapshot()),
-                ({"op": "read"}, shm_transport.READ_HISTOGRAM.snapshot()),
-            ],
         ),
     ]
     if obs.journal is not None:
@@ -284,7 +272,7 @@ def server_metrics_text(
         ),
         counter_family(
             "repro_server_components_total",
-            "Component requests served via POST /component.",
+            "Components solved via POST /components micro-batches.",
             [({}, server.get("components", 0))],
         ),
         counter_family(

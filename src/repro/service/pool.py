@@ -24,7 +24,11 @@ Environments that cannot fork (locked-down sandboxes) are detected at
 startup by running a probe job through the pool; on failure the pool falls
 back to long-lived *threads* in the server process, trading parallelism for
 availability — the same correctness, since jobs never share mutable state.
-The active mode is reported by ``/healthz`` and ``/stats``.
+The active mode is reported by ``/healthz`` and ``/stats``.  The same probe
+loads the compiled solve core in a worker and reports which backend solves
+actually run on (``compiled`` or ``reference``), so a box without a C
+compiler is visible in ``/stats`` and ``repro_build_info`` instead of only
+in its latency.
 
 Jobs and results are plain JSON-level dicts (see
 :mod:`repro.service.protocol`), which keeps the process boundary cheap and
@@ -67,9 +71,9 @@ def _worker_run(job: Dict) -> Dict:
 
     ``kind`` selects the work unit: whole-layout decomposition (the default,
     what ``POST /decompose``/``/batch`` enqueue) or a single divided
-    component (``POST /component`` and each entry of ``POST /components``,
-    the cluster's unit of work — solved against this worker's component
-    cache so routed-by-hash repeats are affinity hits).
+    component (each entry of ``POST /components``, the cluster's unit of
+    work — solved against this worker's component cache so routed-by-hash
+    repeats are affinity hits).
     """
     cache = getattr(_worker_state, "cache", None)
     if job.get("kind") == "component":
@@ -80,8 +84,16 @@ def _worker_run(job: Dict) -> Dict:
 
 
 def _worker_probe() -> str:
-    """Startup canary proving the pool can actually run code."""
-    return "ok"
+    """Startup canary: proves the pool runs code, names the kernel backend.
+
+    Loads the compiled solve core inside the worker — raising in mode
+    ``compiled`` when it is missing, so such a server fails at startup —
+    and returns ``compiled`` or ``reference``: what this worker's solves
+    actually run on.
+    """
+    from repro.core.kernels import active_core
+
+    return "compiled" if active_core() is not None else "reference"
 
 
 def estimate_job_cost(job: Dict) -> int:
@@ -89,17 +101,12 @@ def estimate_job_cost(job: Dict) -> int:
 
     Deliberately cheap and structural — vertices for a component, shapes for
     a layout — because the estimate only has to *order* jobs (small before
-    large), not predict wall time.  Binary-framed component jobs carry the
-    vertex count as ``num_vertices`` (the decode already read it); JSON ones
-    fall back to counting the wire dict's entries.
+    large), not predict wall time.  Component jobs carry the vertex count
+    as ``num_vertices`` (the frame decode already read it).
     """
     if job.get("kind") == "component":
         hint = job.get("num_vertices")
-        if isinstance(hint, int) and hint > 0:
-            return hint
-        graph = job.get("graph")
-        vertices = graph.get("vertices") if isinstance(graph, dict) else None
-        return max(1, len(vertices)) if isinstance(vertices, list) else 1
+        return hint if isinstance(hint, int) and hint > 0 else 1
     layout = job.get("layout")
     shapes = layout.get("shapes") if isinstance(layout, dict) else None
     return max(1, len(shapes)) if isinstance(shapes, list) else 1
@@ -121,13 +128,6 @@ class PoolConfig:
     #: Oldest-job wait beyond which the age bump overrides cost order.
     #: ``0`` degenerates to FIFO dispatch.
     starvation_age_seconds: float = 5.0
-    #: Ship component-job graph frames to process workers through
-    #: ``multiprocessing.shared_memory`` (ignored in thread mode, where the
-    #: worker already shares the server's address space).
-    use_shared_memory: bool = True
-    #: Frames below this many bytes ship inline even with shared memory on;
-    #: ``None`` uses :data:`repro.runtime.shm_transport.SHM_MIN_FRAME_BYTES`.
-    shm_min_frame_bytes: Optional[int] = None
 
 
 @dataclass
@@ -150,6 +150,8 @@ class WorkerPool:
         self.config = config
         self.workers = resolve_workers(config.workers)
         self.mode = "unstarted"
+        #: Solve backend the startup probe found (``compiled``/``reference``).
+        self.kernels = "unstarted"
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
         self._executor = None
@@ -166,7 +168,6 @@ class WorkerPool:
             "completed": 0,
             "failed": 0,
             "priority_bumps": 0,
-            "shm_jobs": 0,
         }
         #: Admission-queue wait (enqueue → dispatch to a worker), rendered
         #: as ``repro_pool_queue_wait_seconds`` on ``/metrics``.  The owning
@@ -181,7 +182,7 @@ class WorkerPool:
         """Create the workers; must be called exactly once before ``submit``."""
         if self._executor is not None:
             raise RuntimeError("pool already started")
-        self._executor, self.mode = self._build_executor()
+        self._executor, self.mode, self.kernels = self._build_executor()
 
     def _build_executor(self):
         initargs = (self.config.cache_db, self.config.cache_max_entries)
@@ -195,8 +196,8 @@ class WorkerPool:
                 )
                 # Force worker creation now: a pool that cannot fork must
                 # fail at startup (and degrade), not on the first request.
-                executor.submit(_worker_probe).result(timeout=60)
-                return executor, "process"
+                kernels = executor.submit(_worker_probe).result(timeout=60)
+                return executor, "process", kernels
             except Exception:
                 # Partially-forked workers, pipes and the queue-management
                 # thread must not leak into the thread-mode fallback.
@@ -212,11 +213,11 @@ class WorkerPool:
         # (e.g. an unusable cache_db path), the server must fail at startup
         # with the real error — not report healthy and 500 every request.
         try:
-            executor.submit(_worker_probe).result(timeout=60)
+            kernels = executor.submit(_worker_probe).result(timeout=60)
         except Exception:
             executor.shutdown(wait=False, cancel_futures=True)
             raise
-        return executor, "inline"
+        return executor, "inline", kernels
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the workers; with ``wait`` the call blocks until jobs finish.
@@ -255,65 +256,26 @@ class WorkerPool:
         """
         if klass not in self._queued:
             klass = "interactive"
-        cost = estimate_job_cost(job)
-        job, segment = self._upgrade_transport(job)
         entry = _PendingJob(
             seq=0,
-            cost=cost,
+            cost=estimate_job_cost(job),
             klass=klass,
             enqueued_at=time.monotonic(),
             job=job,
         )
-        if segment is not None:
-            # Creator-unlinks lifecycle: the outer future settles exactly
-            # once (result, error or drain-time cancellation), strictly
-            # after the worker's one read.
-            entry.future.add_done_callback(lambda _future: segment.unlink())
-        try:
-            with self._lock:
-                if self._stopping or self.mode == "unstarted":
-                    raise RuntimeError("pool is not running")
-                self._seq += 1
-                entry.seq = self._seq
-                self._counters["submitted"] += 1
-                if segment is not None:
-                    self._counters["shm_jobs"] += 1
-                self._queued[entry.klass] += 1
-                heapq.heappush(self._heap, (entry.cost, entry.seq, entry))
-                self._fifo.append(entry)
-                failures, submissions = self._dispatch_locked()
-        except BaseException:
-            if segment is not None:
-                segment.unlink()
-            raise
+        with self._lock:
+            if self._stopping or self.mode == "unstarted":
+                raise RuntimeError("pool is not running")
+            self._seq += 1
+            entry.seq = self._seq
+            self._counters["submitted"] += 1
+            self._queued[entry.klass] += 1
+            heapq.heappush(self._heap, (entry.cost, entry.seq, entry))
+            self._fifo.append(entry)
+            failures, submissions = self._dispatch_locked()
         entry.future.add_done_callback(self._on_done)
         self._after_dispatch(failures, submissions)
         return entry.future
-
-    def _upgrade_transport(self, job: Dict):
-        """Move a component job's graph frame into shared memory when useful.
-
-        Only worth it in process mode (thread workers share this address
-        space already); any shared-memory failure quietly keeps the inline
-        frame — transport is an optimisation, never a correctness concern.
-        Returns ``(job, segment)``; a non-``None`` segment is owned by the
-        caller, to be unlinked when the job's future settles.
-        """
-        frame = job.get("graph_frame")
-        if (
-            frame is None
-            or self.mode != "process"
-            or not self.config.use_shared_memory
-        ):
-            return job, None
-        from repro.runtime.shm_transport import maybe_segment
-
-        segment = maybe_segment(frame, self.config.shm_min_frame_bytes)
-        if segment is None:
-            return job, None
-        shipped = {key: value for key, value in job.items() if key != "graph_frame"}
-        shipped["graph_shm"] = segment.descriptor()
-        return shipped, segment
 
     # ----------------------------------------------------------- dispatching
     def _pending_count_locked(self) -> int:
@@ -393,7 +355,7 @@ class WorkerPool:
 
     def _submit_to_executor_locked(self, job: Dict) -> Future:
         if self._executor is None:
-            self._executor, self.mode = self._build_executor()
+            self._executor, self.mode, self.kernels = self._build_executor()
         try:
             return self._executor.submit(_worker_run, job)
         except Exception:
@@ -401,7 +363,7 @@ class WorkerPool:
             # once and retry, so one bad request cannot take the service
             # down for good.
             self._executor.shutdown(wait=False)
-            self._executor, self.mode = self._build_executor()
+            self._executor, self.mode, self.kernels = self._build_executor()
             return self._executor.submit(_worker_run, job)
 
     def _on_worker_done(self, entry: _PendingJob, inner: Future) -> None:
@@ -437,6 +399,7 @@ class WorkerPool:
             active = self._active
         return {
             "mode": self.mode,
+            "kernels": self.kernels,
             "workers": self.workers,
             "active": active,
             "queue_depth": queue_depth,

@@ -41,15 +41,13 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-import os
-import tempfile
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.decomposer import DecompositionResult
 from repro.core.options import DecomposerOptions
 from repro.errors import ReproError
 from repro.geometry.layout import Layout
-from repro.io.gds import read_gds
+from repro.io.gds import parse_gds
 from repro.io.jsonio import FORMAT_MARKER
 
 
@@ -123,20 +121,12 @@ def parse_layout(payload: Dict) -> Tuple[str, Layout]:
             blob = base64.b64decode(raw, validate=True)
         except (binascii.Error, ValueError) as exc:
             raise ProtocolError(f"'gds_b64' is not valid base64: {exc}") from exc
-        # The GDS reader is file-based; round-trip through a temp file.  The
-        # temp name would otherwise leak into Layout.name (and the response),
-        # so it is overridden below.
-        fd, tmp = tempfile.mkstemp(suffix=".gds")
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            try:
-                layout = read_gds(tmp)
-            except ReproError as exc:
-                raise ProtocolError(f"invalid 'gds_b64' GDSII payload: {exc}") from exc
-            layout.name = "gds-upload"
-        finally:
-            os.unlink(tmp)
+            layout = parse_gds(blob)
+        except ReproError as exc:
+            raise ProtocolError(f"invalid 'gds_b64' GDSII payload: {exc}") from exc
+        # Uploads are named uniformly, whatever LIBNAME/STRNAME they carry.
+        layout.name = "gds-upload"
     name = payload.get("name", layout.name or "layout")
     if not isinstance(name, str):
         raise ProtocolError(f"'name' must be a string, got {name!r}")

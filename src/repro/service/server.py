@@ -12,22 +12,21 @@ Endpoints
     :mod:`repro.service.protocol` for the exact schema.
 ``POST /batch``
     Many layouts in one request; items share the pool and the cache.
-``POST /component``
-    One decomposition-graph *component* in, canonical coloring out (see
-    :mod:`repro.runtime.component_io`).  This is the work unit of the
-    cluster: a coordinator routes each component to its cache-owning node,
-    so a node answers from its component cache whenever any coordinator has
-    routed the same canonical component here before.
 ``POST /components``
-    A **micro-batch** of components in one round trip — how a cluster
-    coordinator ships everything this node owns for one layout, turning
-    per-component request amplification into one request per owning node.
-    The batch occupies a single admission slot (its members are ordered by
-    the pool's priority queue, not by the HTTP queue limit) and the
-    response carries per-component results: one bad component yields an
+    A **micro-batch** of decomposition-graph *components* in one round
+    trip, as one binary frame (:mod:`repro.runtime.wire_binary`) — how a
+    cluster coordinator ships everything this node owns for one layout.
+    Components are the cluster's work unit: a coordinator routes each one
+    to its cache-owning node, so a node answers from its component cache
+    whenever any coordinator has routed the same canonical component here
+    before.  The batch occupies a single admission slot (its members are
+    ordered by the pool's priority queue, not by the HTTP queue limit) and
+    the JSON response carries per-component results in canonical rank
+    space (:mod:`repro.runtime.component_io`): one bad component yields an
     error entry for itself, never a failure of its batch siblings.
 ``GET /healthz``
-    Liveness: status, pool mode, in-flight count, uptime.
+    Liveness: status, pool mode, the components frame version this node
+    decodes, in-flight count, uptime.
 ``GET /stats``
     Request counters, pool counters, component-affinity counters, and
     component-cache effectiveness (cumulative *and* since-startup when the
@@ -73,7 +72,11 @@ from repro.runtime.component_io import (
     ComponentWireError,
     component_error_entry,
     options_for,
-    validate_component_request,
+)
+from repro.runtime.wire_binary import (
+    COMPONENTS_V2_CONTENT_TYPE,
+    FRAME_VERSION,
+    decode_components_frame,
 )
 from repro.service.base import BaseHttpServer, ThreadedServer
 from repro.service.http import (
@@ -129,15 +132,6 @@ class ServerConfig:
     #: Oldest-queued-job wait beyond which the pool's age bump overrides
     #: smallest-cost-first dispatch (0 = FIFO).
     starvation_age_seconds: float = 5.0
-    #: Accept the binary v2 ``POST /components`` frame.  ``False`` emulates a
-    #: pre-v2 node (binary bodies fail JSON parsing with 400), which is how
-    #: the mixed-version-cluster tests exercise the coordinator's fallback.
-    binary_wire: bool = True
-    #: Ship component graph frames to process workers via shared memory.
-    use_shared_memory: bool = True
-    #: Frames below this many bytes ship inline even with shared memory on;
-    #: ``None`` uses the transport default.
-    shm_min_frame_bytes: Optional[int] = None
     #: Event-journal directory; ``None`` disables tracing, the journal and
     #: the ``/trace``//``/watch`` endpoints (the near-zero-cost default).
     journal_dir: Optional[str] = None
@@ -188,8 +182,6 @@ class DecompositionServer(BaseHttpServer):
                 cache_max_entries=self.config.cache_max_entries,
                 force_inline=self.config.force_inline_pool,
                 starvation_age_seconds=self.config.starvation_age_seconds,
-                use_shared_memory=self.config.use_shared_memory,
-                shm_min_frame_bytes=self.config.shm_min_frame_bytes,
             )
         )
         self._counters.update(
@@ -259,8 +251,6 @@ class DecompositionServer(BaseHttpServer):
             return await self._serve_jobs(request, batch=False)
         if route == ("POST", "/batch"):
             return await self._serve_jobs(request, batch=True)
-        if route == ("POST", "/component"):
-            return await self._serve_component(request)
         if route == ("POST", "/components"):
             return await self._serve_components(request)
         known = (
@@ -269,7 +259,6 @@ class DecompositionServer(BaseHttpServer):
             "/metrics",
             "/decompose",
             "/batch",
-            "/component",
             "/components",
             "/watch",
         )
@@ -376,70 +365,28 @@ class DecompositionServer(BaseHttpServer):
             if not outcome.get("cache_hit"):
                 ctx.add_span("solve", now - solve, solve, parent="execute", detail=detail)
 
-    async def _serve_component(
-        self, request: HttpRequest
-    ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
-        loop = asyncio.get_running_loop()
-        ctx = self.obs.begin(request.headers.get(TRACE_HEADER.lower()))
-        self.obs.emit(
-            ctx,
-            "received",
-            kind="component",
-            client=client_identity(request.headers.get(CLIENT_HEADER.lower())),
-            bytes_in=len(request.body),
-        )
-
-        def _decode_component() -> Dict:
-            payload = request.json()
-            validate_component_request(payload)
-            return {"kind": "component", **payload}
-
-        try:
-            with self.obs.span("parse", ctx):
-                job = await loop.run_in_executor(None, _decode_component)
-        except (ProtocolError, ComponentWireError) as exc:
-            self._counters["invalid"] += 1
-            self.obs.emit(ctx, "failed", status=400, message=str(exc))
-            return (*error_body(400, str(exc)), self._trace_headers(ctx))
-
-        job["priority_class"] = "interactive"
-        job.pop("trace_id", None)
-        if ctx is not None:
-            job["trace_id"] = ctx.trace_id
-        with self.obs.span("execute", ctx):
-            results, error = await self._execute_jobs([job])
-        if error is not None:
-            self.obs.emit(ctx, "failed", status=error[0])
-            return error[0], error[1], {**(error[2] or {}), **(self._trace_headers(ctx) or {})}
-        payload = results[0]
-        self._observe_component_timings(payload, ctx)
-        self._counters["components"] += 1
-        if payload.get("cache_hit"):
-            self._counters["component_cache_hits"] += 1
-        body = json_body(payload)
-        self.obs.emit(
-            ctx,
-            "completed",
-            solved=1,
-            total=1,
-            cache_hits=int(bool(payload.get("cache_hit"))),
-            bytes_out=len(body),
-        )
-        return 200, body, self._trace_headers(ctx)
-
     async def _serve_components(
         self, request: HttpRequest
     ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
         """One component micro-batch: per-component results, one admission slot."""
         loop = asyncio.get_running_loop()
         started_at = time.perf_counter()
+        if request.media_type() != COMPONENTS_V2_CONTENT_TYPE:
+            self._counters["invalid"] += 1
+            return (
+                *error_body(
+                    415,
+                    f"POST /components takes {COMPONENTS_V2_CONTENT_TYPE} "
+                    f"frames (version {FRAME_VERSION}), "
+                    f"got {request.media_type()!r}",
+                ),
+                None,
+            )
 
-        def _decode_binary_batch() -> Tuple[List[object], Optional[str]]:
-            # The v2 hot path: packed flat-array frames, no JSON in sight.
-            # Envelope damage is a request-level 400; a bad graph frame
-            # inside an intact entry fails only that component.
-            from repro.runtime.wire_binary import decode_components_frame
-
+        def _decode_batch() -> Tuple[List[object], Optional[str]]:
+            # Packed flat-array frames, no JSON in sight.  Envelope damage
+            # is a request-level 400; a bad graph frame inside an intact
+            # entry fails only that component.
             colors, algorithm, body_trace, frames = decode_components_frame(
                 request.body
             )
@@ -464,60 +411,16 @@ class DecompositionServer(BaseHttpServer):
                 )
             return entries, body_trace
 
-        def _decode_json_batch() -> Tuple[List[object], Optional[str]]:
-            payload = request.json()
-            if not isinstance(payload, dict):
-                raise ComponentWireError("request body must be a JSON object")
-            items = payload.get("components")
-            if not isinstance(items, list) or not items:
-                raise ComponentWireError("'components' must be a non-empty array")
-            colors = payload.get("colors", 4)
-            algorithm = payload.get("algorithm", "sdp-backtrack")
-            options_for(colors, algorithm)  # envelope-level 400
-            body_trace = payload.get("trace_id")
-            if not isinstance(body_trace, str):
-                body_trace = None
-            # Per-entry validation: a malformed component fails only itself
-            # (its layout, on the coordinator side), never its batch
-            # siblings — so errors become entries, not a request-level 400.
-            entries: List[object] = []
-            for item in items:
-                candidate = {
-                    "kind": "component",
-                    "graph": item.get("graph") if isinstance(item, dict) else None,
-                    "colors": colors,
-                    "algorithm": algorithm,
-                    "priority_class": "batch",
-                }
-                key = item.get("key") if isinstance(item, dict) else None
-                if isinstance(key, str) and key:
-                    candidate["key"] = key
-                try:
-                    validate_component_request(candidate)
-                except ComponentWireError as exc:
-                    entries.append(exc)
-                    continue
-                entries.append(candidate)
-            return entries, body_trace
-
-        from repro.runtime.wire_binary import COMPONENTS_V2_CONTENT_TYPE
-
-        use_binary = (
-            self.config.binary_wire
-            and request.media_type() == COMPONENTS_V2_CONTENT_TYPE
-        )
-        decode = _decode_binary_batch if use_binary else _decode_json_batch
         try:
-            entries, body_trace = await loop.run_in_executor(None, decode)
+            entries, body_trace = await loop.run_in_executor(None, _decode_batch)
         except (ProtocolError, ComponentWireError) as exc:
             self._counters["invalid"] += 1
             self.obs.stages.observe("parse", time.perf_counter() - started_at)
             return (*error_body(400, str(exc)), None)
         parse_done = time.perf_counter()
         self.obs.stages.observe("parse", parse_done - started_at)
-        # Trace id priority: wire body (frame v2 field / JSON envelope), then
-        # the header (the downgrade-proof channel).  ``t0`` is the request's
-        # arrival so the trace's wall time covers the parse too.
+        # Trace id priority: the frame's trace field, then the header.  ``t0``
+        # is the request's arrival so the trace's wall time covers the parse.
         ctx = self.obs.begin(
             body_trace or request.headers.get(TRACE_HEADER.lower()),
             started_at=started_at,
@@ -529,7 +432,6 @@ class DecompositionServer(BaseHttpServer):
             "received",
             kind="components",
             components=len(entries),
-            wire="binary" if use_binary else "json",
             client=client_identity(request.headers.get(CLIENT_HEADER.lower())),
             bytes_in=len(request.body),
         )
@@ -646,7 +548,7 @@ class DecompositionServer(BaseHttpServer):
     # ------------------------------------------------------------ telemetry
     def _metrics_extras(self) -> List:
         """Observability families appended to the counter-based exposition."""
-        families = [build_info_family("server")]
+        families = [build_info_family("server", self.pool.kernels)]
         families.extend(observability_families(self.obs))
         families.append(
             histogram_family(
@@ -661,6 +563,7 @@ class DecompositionServer(BaseHttpServer):
         return {
             "status": "draining" if self._draining else "ok",
             "mode": self.pool.mode,
+            "components_frame": FRAME_VERSION,
             "workers": self.pool.workers,
             "inflight": self._inflight,
             "uptime_seconds": self.uptime_seconds(),

@@ -1,10 +1,9 @@
 """End-to-end trace propagation through the cluster.
 
 One trace id, minted (or supplied) at the coordinator, must survive every
-hop: the binary v2 components frame to a node, the sticky downgrade to v1
-frames against pre-trace peers, the JSON schema fallback against
-pre-binary peers, and coordinator failover — so the coordinator's and the
-nodes' journals stitch into one story.
+hop — the binary components frame's trace field to a node, and coordinator
+failover — so the coordinator's and the nodes' journals stitch into one
+story.
 """
 
 from __future__ import annotations
@@ -14,15 +13,9 @@ import socket
 import pytest
 
 from repro.bench.factory import repeated_cell_layout, wire_row_layout
-from repro.cluster import ClusterClient, CoordinatorConfig, CoordinatorThread
-from repro.cluster.coordinator import ClusterCoordinator
-from repro.core.options import AlgorithmOptions, DivisionOptions
-from repro.graph.decomposition_graph import DecompositionGraph
+from repro.cluster import ClusterClient
 from repro.obs.journal import read_journal
 from repro.obs.replay import check_events
-from repro.runtime.hashing import canonical_component_key
-from repro.service import ServerConfig, ServerThread
-from repro.service.client import ServiceError
 
 from cluster_harness import mini_cluster
 
@@ -31,11 +24,11 @@ pytestmark = [pytest.mark.cluster, pytest.mark.obs]
 TRACE = "feedface00112233"
 
 
-def _journaled_cluster(tmp_path, **node_overrides):
+def _journaled_cluster(tmp_path):
     """One journaled node + one journaled coordinator (distinct dirs)."""
     return mini_cluster(
         num_nodes=1,
-        node_config={"journal_dir": str(tmp_path / "node"), **node_overrides},
+        node_config={"journal_dir": str(tmp_path / "node")},
         coordinator_config={"journal_dir": str(tmp_path / "coordinator")},
     )
 
@@ -70,7 +63,7 @@ class TestPropagation:
         assert check_events(coordinator_events) == []
         assert check_events(node_events) == []
         # The node journaled the same trace the coordinator minted: the id
-        # crossed the wire inside the binary v2 frame.
+        # crossed the wire inside the binary frame's trace field.
         assert node_events, "node journal is empty - trace id never arrived"
         assert {e["trace_id"] for e in node_events} == {TRACE}
         assert {e["trace_id"] for e in coordinator_events} == {TRACE}
@@ -95,105 +88,6 @@ class TestPropagation:
         progress = [e for e in events if e["event"] == "progress"]
         assert len(progress) >= 2  # both layouts reported under one trace
         assert len({e["trace_id"] for e in progress}) == 1
-
-
-class TestJsonDowngrade:
-    def test_trace_survives_json_schema_fallback(self, tmp_path):
-        """A pre-binary node forces the JSON v1 schema; the trace id must
-        ride the JSON envelope (and header) instead of the binary frame."""
-        with _journaled_cluster(tmp_path, binary_wire=False) as cluster:
-            client = cluster.client()
-            client.decompose(
-                repeated_cell_layout(copies=4),
-                name="cells",
-                algorithm="linear",
-                trace_id=TRACE,
-            )
-            stats = client.stats()
-            assert stats["coordinator"]["wire_downgrades"] == 1
-            assert stats["coordinator"]["frame_downgrades"] == 0
-        node_events = read_journal(str(tmp_path / "node"))
-        assert node_events and {e["trace_id"] for e in node_events} == {TRACE}
-        assert check_events(node_events) == []
-
-
-class _FrameVersionStubClient:
-    """A binary-capable peer that predates the v2 trace field."""
-
-    def __init__(self):
-        self.bodies = []
-
-    def components_binary(self, body, trace_id=None):
-        self.bodies.append(body)
-        if body[4] != 1:
-            raise ServiceError(
-                400,
-                "unsupported components frame version 2 "
-                "(this node speaks versions 1-1)",
-            )
-        return {"results": [{"stub": True}]}
-
-    def components(self, payload, trace_id=None):  # pragma: no cover
-        raise AssertionError("v1-frame peers must not fall back to JSON")
-
-
-class TestFrameVersionFallback:
-    def test_predicate_matches_only_the_version_rejection(self):
-        rejected = ClusterCoordinator._peer_rejected_frame_version
-        assert rejected(
-            ServiceError(
-                400,
-                "unsupported components frame version 2 "
-                "(this node speaks versions 1-1)",
-            )
-        )
-        assert not rejected(ServiceError(400, "request body is not valid JSON"))
-        assert not rejected(ServiceError(415, "unsupported media type"))
-        assert not rejected(ServiceError(400, "unknown algorithm 'nope'"))
-        assert not rejected(ServiceError(503, "queue is full"))
-        assert not rejected(ServiceError(0, "cannot reach node"))
-
-    def _coordinator_and_chunk(self):
-        coordinator = ClusterCoordinator(
-            CoordinatorConfig(
-                port=0, peers=["127.0.0.1:19999"], probe_interval=60.0
-            )
-        )
-        graph = DecompositionGraph.from_edges([(0, 1), (1, 2)])
-        key = canonical_component_key(
-            graph, 4, "linear", AlgorithmOptions(), DivisionOptions()
-        )
-        return coordinator, [key], {key: graph.to_arrays()}
-
-    def test_v2_rejection_retries_v1_and_pins_node(self):
-        coordinator, chunk, flats = self._coordinator_and_chunk()
-        stub = _FrameVersionStubClient()
-        node_id = "127.0.0.1:19999"
-
-        response = coordinator._post_components(
-            stub, node_id, chunk, flats, 4, "linear", trace_id=TRACE
-        )
-        assert response == {"results": [{"stub": True}]}
-        # First attempt was v2 (the trace field), the retry was v1.
-        assert [body[4] for body in stub.bodies] == [2, 1]
-        assert node_id in coordinator._v1_frame_nodes
-        assert coordinator._counters["frame_downgrades"] == 1
-        assert coordinator._counters["wire_downgrades"] == 0
-
-        # The pin is sticky: the next traced chunk goes straight to v1.
-        coordinator._post_components(
-            stub, node_id, chunk, flats, 4, "linear", trace_id=TRACE
-        )
-        assert [body[4] for body in stub.bodies] == [2, 1, 1]
-        assert coordinator._counters["frame_downgrades"] == 1
-
-    def test_liveness_transition_unpins_v1_frames(self):
-        coordinator, _, _ = self._coordinator_and_chunk()
-        node_id = "127.0.0.1:19999"
-        with coordinator._counter_lock:
-            coordinator._v1_frame_nodes.add(node_id)
-        assert coordinator.membership.mark_dead(node_id, "test")
-        assert node_id not in coordinator._v1_frame_nodes
 
 
 class TestFailover:

@@ -1,5 +1,6 @@
 """Unit tests for the GDSII stream reader/writer."""
 
+import random
 import struct
 
 import pytest
@@ -11,6 +12,7 @@ from repro.geometry.rect import Rect
 from repro.io.gds import (
     _decode_real8,
     _encode_real8,
+    parse_gds,
     read_gds,
     write_gds,
 )
@@ -101,6 +103,105 @@ class TestGdsErrors:
         path.write_bytes(b"")
         layout = read_gds(path)
         assert len(layout) == 0
+
+    @pytest.mark.parametrize("length", [3, 9])
+    def test_odd_integer_payload_raises(self, length):
+        """An INT16/INT32 record with a ragged payload is malformed, not a crash."""
+        record = struct.pack(">HBB", length + 4, 0x0D, 0x02) + b"\x00" * length
+        with pytest.raises(LayoutIOError, match="INT16"):
+            parse_gds(record)
+
+    def test_record_running_past_the_end_raises(self):
+        with pytest.raises(LayoutIOError, match="record length"):
+            parse_gds(struct.pack(">HBB", 40, 0x00, 0x02) + b"\x00\x01")
+
+    def test_element_record_with_wrong_data_type_raises(self):
+        from repro.io import gds as g
+
+        records = [
+            g._encode_record(g.BOUNDARY, 0x00, b""),
+            g._encode_record(g.LAYER, 0x06, "x"),
+        ]
+        with pytest.raises(LayoutIOError, match="data type"):
+            parse_gds(b"".join(records))
+
+
+def _c432_gds() -> bytes:
+    from repro.bench.circuits import load_circuit
+
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        path = f"{scratch}/c432.gds"
+        write_gds(load_circuit("C432", scale=0.25), path)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+def _mutants(body: bytes, seed: int, count: int):
+    """``count`` copies of ``body`` with 1-4 bytes overwritten at random."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        mutant = bytearray(body)
+        for _ in range(rng.randint(1, 4)):
+            mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+        yield bytes(mutant)
+
+
+class TestMutatedStreams:
+    """Seeded byte mutations never escape as anything but the documented error."""
+
+    @pytest.mark.parametrize("seed", [1, 3, 5, 7])
+    def test_every_mutant_parses_or_raises_layout_io_error(self, seed):
+        for index, mutant in enumerate(_mutants(_c432_gds(), seed=seed, count=150)):
+            try:
+                assert isinstance(parse_gds(mutant), Layout)
+            except LayoutIOError:
+                pass
+            except Exception as exc:  # pragma: no cover - the regression
+                pytest.fail(f"mutant {index} escaped as {exc!r}")
+
+    @pytest.mark.parametrize("seed", [2, 4, 6])
+    def test_every_mutant_upload_succeeds_or_is_a_protocol_error(self, seed):
+        import base64
+
+        from repro.service.protocol import ProtocolError, parse_decompose_request
+
+        for index, mutant in enumerate(_mutants(_c432_gds(), seed=seed, count=50)):
+            payload = {"gds_b64": base64.b64encode(mutant).decode("ascii")}
+            try:
+                job = parse_decompose_request(payload)
+            except ProtocolError:
+                continue
+            except Exception as exc:  # pragma: no cover - the regression
+                pytest.fail(f"mutant {index} escaped as {exc!r}")
+            assert job["name"] == "gds-upload"
+
+    def test_unnamed_stream_takes_the_file_stem(self, tmp_path):
+        from repro.io import gds as g
+
+        records = [
+            g._encode_record(g.BOUNDARY, 0x00, b""),
+            g._encode_record(g.LAYER, 0x02, [1]),
+            g._encode_record(g.XY, 0x03, [0, 0, 10, 0, 10, 10, 0, 10, 0, 0]),
+            g._encode_record(g.ENDEL, 0x00, b""),
+        ]
+        path = tmp_path / "cellA.gds"
+        path.write_bytes(b"".join(records))
+        assert read_gds(path).name == "cellA"
+        assert parse_gds(path.read_bytes()).name == "layout"
+        assert len(parse_gds(path.read_bytes())) == 1
+
+    def test_bytes_and_file_entry_points_agree(self, tmp_path):
+        body = _c432_gds()
+        path = tmp_path / "c432.gds"
+        path.write_bytes(body)
+        from_file = read_gds(path)
+        from_bytes = parse_gds(body)
+        assert from_file.name == from_bytes.name
+        assert [s.polygon.vertices for s in from_file] == [
+            s.polygon.vertices for s in from_bytes
+        ]
 
 
 class TestGdsPath:

@@ -2,8 +2,8 @@
 
 The backtrack solver claims exactness within its expansion budget.  These
 tests enumerate *every* coloring of small random merged graphs and assert
-the search (reference and both kernel modes) lands on the optimal weighted
-cost — the strongest check a bounded search can pass, and one that the
+the search (reference and, when it loads, the compiled kernel) lands on the
+optimal weighted cost — the strongest check a bounded search can pass, and one that the
 pruning (symmetry breaking, incumbent bound, cost cut) cannot fake.
 """
 
@@ -23,7 +23,8 @@ from repro.graph.simplify import MergedGraph, build_merged_graph
 
 COMPILED_AVAILABLE = compiled_core() is not None
 
-MODES = ["python"] + (["compiled"] if COMPILED_AVAILABLE else [])
+#: Kernel modes checked next to the reference solver.
+MODES = ["compiled"] if COMPILED_AVAILABLE else []
 
 
 @pytest.fixture(autouse=True)
@@ -63,7 +64,7 @@ def random_merged(rng: random.Random, n: int) -> MergedGraph:
 
 
 def _solvers():
-    """(name, solver) pairs: the reference plus each kernel mode."""
+    """(name, solver) pairs: the reference plus the compiled kernel."""
     yield "reference", search_merged_graph
 
     def kernel_solver(mode):

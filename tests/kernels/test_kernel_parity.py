@@ -1,23 +1,30 @@
 """Bit-identical parity between the solve kernels and the reference solvers.
 
-The kernels (``repro.core.kernels``) are pure speed: same colors, same dict
-insertion order, same statistics, on every input, in every mode.  These
-tests sweep randomized graphs through all three kernels against the
-reference implementations, check the dispatch plumbing (env modes, the
-in-process override, the compiled-core contract), and — in the slow tier —
-sweep every component of all fifteen Table 1 circuits.
+The compiled kernels (``repro.core.kernels``) are pure speed: same colors,
+same dict insertion order, same statistics, on every input.  These tests
+sweep randomized graphs through all three kernels against the reference
+implementations, check the dispatch plumbing (env modes, the in-process
+override, the compiled-core contract, the fall-backs to the reference), and
+— in the slow tier — sweep every component of all fifteen Table 1 circuits.
 """
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
-from repro.core.backtrack import BacktrackStatistics, search_merged_graph
+from repro.core.backtrack import (
+    BacktrackStatistics,
+    run_backtrack_search,
+    search_merged_graph,
+)
 from repro.core.greedy_coloring import GreedyColoring
 from repro.core.kernels import (
     KERNEL_MODE_ENV,
+    MAX_COMPILED_COLORS,
     active_core,
     kernel_mode,
     select_kernel,
@@ -37,7 +44,8 @@ needs_compiled = pytest.mark.skipif(
     not COMPILED_AVAILABLE, reason="compiled solve core unavailable"
 )
 
-MODES = ["python"] + (["compiled"] if COMPILED_AVAILABLE else [])
+#: Every parity test compares the reference (mode ``off``) with these.
+MODES = [pytest.param("compiled", marks=needs_compiled)]
 
 
 @pytest.fixture(autouse=True)
@@ -187,19 +195,32 @@ class TestDispatchPlumbing:
         set_kernel_mode(None)
         monkeypatch.delenv(KERNEL_MODE_ENV, raising=False)
         assert kernel_mode() == "auto"
-        monkeypatch.setenv(KERNEL_MODE_ENV, "python")
-        assert kernel_mode() == "python"
+        monkeypatch.setenv(KERNEL_MODE_ENV, "OFF")
+        assert kernel_mode() == "off"
         monkeypatch.setenv(KERNEL_MODE_ENV, "")
         assert kernel_mode() == "auto"
         monkeypatch.setenv(KERNEL_MODE_ENV, "fast")
         with pytest.raises(ConfigurationError):
             kernel_mode()
 
+    def test_python_mode_is_refused(self, monkeypatch):
+        """The pure-Python tier is gone; its mode name must fail loudly."""
+        set_kernel_mode(None)
+        monkeypatch.setenv(KERNEL_MODE_ENV, "python")
+        with pytest.raises(ConfigurationError) as from_env:
+            kernel_mode()
+        with pytest.raises(ConfigurationError) as from_override:
+            set_kernel_mode("python")
+        for excinfo in (from_env, from_override):
+            message = str(excinfo.value)
+            assert "'python'" in message
+            assert "auto, compiled, off" in message
+
     def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_MODE_ENV, "off")
-        set_kernel_mode("python")
-        assert kernel_mode() == "python"
-        assert select_kernel("greedy") is not None
+        monkeypatch.setenv(KERNEL_MODE_ENV, "compiled")
+        set_kernel_mode("off")
+        assert kernel_mode() == "off"
+        assert select_kernel("greedy") is None
 
     def test_off_disables_dispatch(self):
         set_kernel_mode("off")
@@ -209,12 +230,8 @@ class TestDispatchPlumbing:
         assert active_core() is None
 
     def test_unknown_algorithm_is_none(self):
-        set_kernel_mode("python")
+        set_kernel_mode("auto")
         assert select_kernel("sdp") is None
-
-    def test_python_mode_never_uses_core(self):
-        set_kernel_mode("python")
-        assert active_core() is None
 
     def test_compiled_mode_is_strict(self, monkeypatch, tmp_path):
         """``compiled`` must raise, not fall back, when no core can build.
@@ -232,7 +249,13 @@ class TestDispatchPlumbing:
             with pytest.raises(ConfigurationError):
                 active_core()
             set_kernel_mode("auto")
-            assert active_core() is None  # auto degrades silently
+            assert active_core() is None  # auto runs the reference
+            assert select_kernel("greedy") is None
+            graph = random_graph(random.Random(4), 9)
+            algorithm = GreedyColoring(4, AlgorithmOptions())
+            candidate = algorithm.color(graph)
+            set_kernel_mode("off")
+            _assert_same_coloring(algorithm.color(graph), candidate, "no core")
         finally:
             ccore.reset()
 
@@ -241,16 +264,128 @@ class TestDispatchPlumbing:
 
         With ``REPRO_SOLVE_KERNELS=compiled`` this hard-fails when the core
         cannot build — ``active_core`` raises — which is exactly the point.
+        With ``auto`` on a box that cannot build the core (the CI leg sets
+        ``REPRO_KERNELS_BUILD=0`` over an empty cache), the reference path
+        must be the one that runs.
         """
+        from repro.core.kernels import ccore
+
         set_kernel_mode(None)
         mode = kernel_mode()
         if mode == "compiled":
             assert active_core() is not None
-        elif mode == "python":
-            assert active_core() is None
             assert select_kernel("greedy") is not None
-        elif mode == "off":
+        elif mode == "off" or _core_cannot_load(ccore):
+            assert active_core() is None
             assert select_kernel("greedy") is None
+            assert select_kernel("linear") is None
+            assert select_kernel("backtrack") is None
+
+
+def _core_cannot_load(ccore) -> bool:
+    """True when builds are forbidden and the build cache holds no core."""
+    if os.environ.get(ccore.BUILD_ENV, "").strip() != "0":
+        return False
+    return not Path(ccore._library_path()).exists()
+
+
+class _AllocationFailingCore:
+    """A loaded core whose allocating stages report failure (``None``)."""
+
+    def backtrack_search(self, *args):
+        return None
+
+    def peel(self, *args):
+        return None
+
+
+class TestReferenceFallback:
+    """Whenever a kernel declines, the reference runs — bit for bit."""
+
+    @pytest.fixture
+    def failing_core(self, monkeypatch):
+        from repro.core.kernels import ccore
+
+        monkeypatch.setattr(ccore, "compiled_core", _AllocationFailingCore)
+        set_kernel_mode("auto")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_backtrack_allocation_failure_runs_reference(self, failing_core, seed):
+        rng = random.Random(seed)
+        for trial in range(6):
+            merged = random_merged(rng, rng.randint(0, 10))
+            limit = rng.choice([0, 5, 2_000_000])
+            reference_stats = BacktrackStatistics()
+            reference = search_merged_graph(
+                merged, 4, 0.1, expansion_limit=limit, statistics=reference_stats
+            )
+            stats = BacktrackStatistics()
+            candidate = run_backtrack_search(
+                merged, 4, 0.1, expansion_limit=limit, statistics=stats
+            )
+            context = (seed, trial, limit)
+            _assert_same_coloring(reference, candidate, context)
+            assert vars(stats) == vars(reference_stats), context
+
+    @pytest.mark.parametrize("solver", ["greedy", "linear", "backtrack"])
+    def test_auto_without_core_runs_reference(self, monkeypatch, solver):
+        from repro.core.kernels import ccore
+
+        monkeypatch.setattr(ccore, "compiled_core", lambda: None)
+        set_kernel_mode("auto")
+        assert select_kernel(solver) is None
+        rng = random.Random(11)
+        if solver == "backtrack":
+            merged = random_merged(rng, 9)
+            stats, reference_stats = BacktrackStatistics(), BacktrackStatistics()
+            candidate = run_backtrack_search(merged, 4, 0.1, statistics=stats)
+            reference = search_merged_graph(
+                merged, 4, 0.1, statistics=reference_stats
+            )
+            assert vars(stats) == vars(reference_stats)
+        else:
+            graph = random_graph(rng, 12)
+            cls = GreedyColoring if solver == "greedy" else LinearColoring
+            algorithm = cls(4, AlgorithmOptions())
+            candidate = algorithm.color(graph)
+            set_kernel_mode("off")
+            reference = algorithm.color(graph)
+        _assert_same_coloring(reference, candidate, solver)
+
+    @pytest.mark.parametrize("solver", ["greedy", "linear"])
+    def test_kernels_decline_beyond_color_cap(self, failing_core, solver):
+        """K past the compiled bound: the kernel declines before any C call."""
+        from repro.core.kernels import greedy_kernel, linear_kernel
+
+        graph = random_graph(random.Random(8), 8)
+        too_many = MAX_COMPILED_COLORS + 1
+        if solver == "greedy":
+            assert greedy_kernel.greedy_color(graph, too_many, 0.1) is None
+        else:
+            options = AlgorithmOptions()
+            assert linear_kernel.linear_color(graph, too_many, options) is None
+
+    def test_unknown_algorithm_never_touches_the_core(self, monkeypatch, tmp_path):
+        """``select_kernel('sdp')`` answers before loading (or requiring) a core."""
+        from repro.core.kernels import ccore
+
+        monkeypatch.setenv(ccore.BUILD_ENV, "0")
+        monkeypatch.setenv(ccore.CACHE_DIR_ENV, str(tmp_path))
+        ccore.reset()
+        try:
+            set_kernel_mode("compiled")
+            assert select_kernel("sdp") is None
+        finally:
+            ccore.reset()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_peel_allocation_failure_runs_reference(self, failing_core, seed):
+        rng = random.Random(seed)
+        graph = random_graph(rng, 13)
+        algorithm = LinearColoring(4, AlgorithmOptions())
+        candidate = algorithm.color(graph)
+        set_kernel_mode("off")
+        _assert_same_coloring(algorithm.color(graph), candidate, seed)
 
 
 class TestCompiledCore:
@@ -263,13 +398,12 @@ class TestCompiledCore:
         assert first is second is not None
 
     @needs_compiled
-    def test_color_cap_falls_back(self):
-        """K beyond the compiled color cap silently uses the python walk."""
-        from repro.core.kernels.greedy_kernel import MAX_COMPILED_COLORS
-
+    @pytest.mark.parametrize("algorithm_cls", [GreedyColoring, LinearColoring])
+    def test_color_cap_falls_back(self, algorithm_cls):
+        """K beyond the compiled color cap runs the reference solver."""
         rng = random.Random(3)
         graph = random_graph(rng, 10)
-        algorithm = GreedyColoring(MAX_COMPILED_COLORS + 1, AlgorithmOptions())
+        algorithm = algorithm_cls(MAX_COMPILED_COLORS + 1, AlgorithmOptions())
         set_kernel_mode("off")
         reference = algorithm.color(graph)
         set_kernel_mode("compiled")
@@ -336,7 +470,7 @@ class TestCircuitSweep:
 
 
 class TestEndToEndTable:
-    def test_run_table_identical_off_vs_python(self):
+    def test_run_table_identical_off_vs_auto(self):
         """A full (small) experiment run must not depend on the kernel mode."""
         from repro.experiments.runner import run_table
 
@@ -351,7 +485,7 @@ class TestEndToEndTable:
 
         set_kernel_mode("off")
         reference = table()
-        set_kernel_mode("python")
+        set_kernel_mode("auto")
         candidate = table()
         for ref_row, cand_row in zip(reference.rows, candidate.rows):
             assert (ref_row.circuit, ref_row.algorithm) == (

@@ -232,3 +232,19 @@ class TestFallback:
         serial = Decomposer(options).decompose(layout)
         parallel = Decomposer(options).decompose(layout, workers=4)
         assert_identical_solutions(serial, parallel)
+
+
+class TestPoolPayload:
+    def test_remote_payload_is_the_inline_flat_frame(self, fig5):
+        """Pool submissions carry the packed frame bytes — and solve alike."""
+        from repro.runtime.scheduler import ComponentScheduler, _solve_component_job
+
+        options = _options(4, "linear")
+        scheduler = ComponentScheduler(
+            "linear", 4, options.algorithm_options, options.division, workers=2
+        )
+        payload = scheduler._remote_payload(fig5)
+        assert payload[0] == fig5.to_arrays().to_bytes()
+        assert _solve_component_job(payload) == _solve_component_job(
+            scheduler._payload(fig5)
+        )

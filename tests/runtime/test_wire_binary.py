@@ -1,4 +1,4 @@
-"""Binary component frames: JSON equivalence, robustness, key pass-through."""
+"""Binary component frames: lossless roundtrip, robustness, key pass-through."""
 
 from __future__ import annotations
 
@@ -8,12 +8,7 @@ from repro.bench import TABLE1_CIRCUITS, circuit_graph
 from repro.core.options import AlgorithmOptions, DivisionOptions
 from repro.graph.components import connected_components
 from repro.graph.decomposition_graph import DecompositionGraph
-from repro.runtime.component_io import (
-    ComponentWireError,
-    graph_from_wire,
-    graph_to_wire,
-    wire_dict_from_flat,
-)
+from repro.runtime.component_io import ComponentWireError
 from repro.runtime.hashing import canonical_component_key
 from repro.runtime.wire_binary import (
     ComponentFrame,
@@ -57,25 +52,19 @@ def _roundtrip_equivalence(subgraphs) -> None:
     for graph, key, frame in zip(subgraphs, keys, frames):
         assert frame.error is None
         assert frame.key == key
-        binary_graph = frame.flat.to_graph()
-        json_graph = graph_from_wire(graph_to_wire(graph))
-        _assert_graphs_equal(binary_graph, json_graph)
-        _assert_graphs_equal(binary_graph, graph)
-        # The JSON fallback encoding built from the flat form must be
-        # byte-identical to the one built from the graph itself.
-        assert wire_dict_from_flat(graph.to_arrays()) == graph_to_wire(graph)
+        _assert_graphs_equal(frame.flat.to_graph(), graph)
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("circuit", FAST_CIRCUITS)
-    def test_binary_matches_json_wire(self, circuit):
+    def test_frame_roundtrip_matches_graph(self, circuit):
         subgraphs = _components_of(circuit)
         assert subgraphs
         _roundtrip_equivalence(subgraphs)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("circuit", TABLE1_CIRCUITS)
-    def test_binary_matches_json_wire_all_table1(self, circuit):
+    def test_frame_roundtrip_matches_graph_all_table1(self, circuit):
         subgraphs = _components_of(circuit)
         assert subgraphs
         _roundtrip_equivalence(subgraphs)
@@ -94,13 +83,14 @@ class TestFrameVersions:
         graph = DecompositionGraph.from_edges([(0, 1), (1, 2)])
         return [("k" * 64, graph.to_arrays())]
 
-    def test_untraced_frame_is_v1_and_byte_stable(self):
-        """No trace id → the exact pre-trace v1 bytes (old peers unaffected)."""
+    def test_untraced_frame_has_empty_trace_field(self):
+        """One wire: an untraced request is a v2 frame with an empty trace."""
         body = encode_components_frame(self._entries(), 4, "linear")
-        assert body[4] == 1
-        assert body == encode_components_frame(
-            self._entries(), 4, "linear", force_version=1
+        assert body[4] == 2
+        traced = encode_components_frame(
+            self._entries(), 4, "linear", trace_id="deadbeefcafef00d"
         )
+        assert len(traced) - len(body) == len("deadbeefcafef00d")
         _, _, trace_id, frames = decode_components_frame(body)
         assert trace_id is None and len(frames) == 1
 
@@ -113,20 +103,15 @@ class TestFrameVersions:
         assert (colors, algorithm, trace_id) == (4, "linear", "deadbeefcafef00d")
         assert frames[0].key == "k" * 64
 
-    def test_force_v1_drops_trace_field_only(self):
-        """The downgrade encoding: identical payload, trace stripped."""
-        v1 = encode_components_frame(
-            self._entries(), 4, "linear", trace_id="deadbeefcafef00d", force_version=1
-        )
-        assert v1 == encode_components_frame(self._entries(), 4, "linear")
-        _, _, trace_id, frames = decode_components_frame(v1)
-        assert trace_id is None and frames[0].error is None
-
-    def test_future_version_error_names_speakable_range(self):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_other_versions_are_refused(self, version):
+        """No negotiation: a v1 (pre-trace) or future frame is a 400."""
         body = bytearray(encode_components_frame(self._entries(), 4, "linear"))
-        body[4] = 3
+        body[4] = version
         with pytest.raises(
-            ComponentWireError, match="unsupported components frame version"
+            ComponentWireError,
+            match=f"unsupported components frame version {version} "
+            r"\(this node speaks version 2\)",
         ):
             decode_components_frame(bytes(body))
 
@@ -135,45 +120,6 @@ class TestFrameVersions:
             encode_components_frame(
                 self._entries(), 4, "linear", trace_id="x" * 300
             )
-
-
-class TestWireValueBounds:
-    @pytest.mark.parametrize(
-        "vertex_row",
-        [
-            [0, None, 0, -1],  # negative weight
-            [0, None, -1, 1],  # negative fragment
-            [0, None, 0, 2**32],  # weight past uint32
-            [0, -1, 0, 1],  # negative shape_id (would alias the None sentinel)
-            [0, 2**63, 0, 1],  # shape_id past int64
-            [-1, None, 0, 1],  # negative vertex id
-        ],
-    )
-    def test_out_of_range_vertex_values_are_wire_errors(self, vertex_row):
-        """Values the flat arrays cannot hold must fail at the wire boundary
-        (a 400), never as an OverflowError deep inside ``to_arrays``."""
-        from repro.runtime.component_io import graph_from_wire
-
-        payload = {
-            "version": 1,
-            "vertices": [vertex_row, [7, None, 0, 1]],
-            "conflict_edges": [],
-        }
-        with pytest.raises(ComponentWireError):
-            graph_from_wire(payload)
-
-    def test_in_range_values_still_flatten(self):
-        from repro.runtime.component_io import graph_from_wire
-
-        payload = {
-            "version": 1,
-            "vertices": [[0, 2**62, 3, 2**31], [5, None, 0, 1]],
-            "conflict_edges": [[0, 5]],
-        }
-        graph = graph_from_wire(payload)
-        rebuilt = DecompositionGraph.from_arrays(graph.to_arrays())
-        assert vars(rebuilt.vertex_data(0)) == vars(graph.vertex_data(0))
-        assert rebuilt.conflict_edges() == [(0, 5)]
 
 
 class TestMalformedFrames:
@@ -220,3 +166,21 @@ class TestMalformedFrames:
         assert [frame.error is None for frame in frames] == [True, False, True]
         assert "version" in frames[1].error
         assert isinstance(frames[0], ComponentFrame) and frames[0].flat is not None
+
+
+class TestComponentJobGraph:
+    """A worker job's graph comes only from its ``graph_frame`` bytes."""
+
+    def test_frame_roundtrips_to_the_graph(self):
+        from repro.runtime.component_io import job_graph
+
+        graph = DecompositionGraph.from_edges([(0, 1), (1, 2)], [(2, 3)])
+        rebuilt = job_graph({"graph_frame": graph.to_arrays().to_bytes()})
+        _assert_graphs_equal(rebuilt, graph)
+
+    @pytest.mark.parametrize("job", [{}, {"graph_frame": b"junk"}], ids=["missing", "corrupt"])
+    def test_bad_job_frame_is_a_wire_error(self, job):
+        from repro.runtime.component_io import job_graph
+
+        with pytest.raises(ComponentWireError, match="graph_frame"):
+            job_graph(job)

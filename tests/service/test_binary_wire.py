@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
+import json
+
 import pytest
 
 from repro.bench.factory import repeated_cell_layout, wire_row_layout
@@ -9,7 +12,7 @@ from repro.core.options import AlgorithmOptions, DecomposerOptions, DivisionOpti
 from repro.graph.components import connected_components
 from repro.graph.construction import build_decomposition_graph
 from repro.graph.decomposition_graph import DecompositionGraph
-from repro.runtime.component_io import components_request, graph_to_wire
+from repro.runtime.component_io import solve_component_job
 from repro.runtime.hashing import canonical_component_key
 from repro.runtime.wire_binary import encode_components_frame
 from repro.service import ServerConfig, ServerThread, ServiceClient, ServiceError
@@ -26,6 +29,19 @@ def _subgraphs(layout, layer="contact"):
         construction.graph.subgraph(component)
         for component in connected_components(construction.graph)
     ]
+
+
+def _direct_solve(graph, colors=4, algorithm="linear"):
+    """Ground truth: the exact worker solve path, cacheless."""
+    return solve_component_job(
+        {
+            "kind": "component",
+            "graph_frame": graph.to_arrays().to_bytes(),
+            "colors": colors,
+            "algorithm": algorithm,
+        },
+        None,
+    )
 
 
 def _entries(subgraphs, with_keys=True):
@@ -50,20 +66,18 @@ def inline_server():
 
 
 class TestBinaryComponents:
-    def test_binary_and_json_answers_match(self, inline_server):
+    def test_binary_answers_match_direct_solve(self, inline_server):
         subgraphs = _subgraphs(repeated_cell_layout(copies=3, cell_pitch=1000))
         assert len(subgraphs) >= 2
         binary = inline_server.components_binary(
             encode_components_frame(_entries(subgraphs), 4, "linear")
         )
-        json_response = inline_server.components(
-            components_request([graph_to_wire(g) for g in subgraphs], 4, "linear")
-        )
         assert len(binary["results"]) == len(subgraphs)
-        for left, right in zip(binary["results"], json_response["results"]):
-            assert left["coloring"] == right["coloring"]
-            assert left["key"] == right["key"]
-            assert left["report"] == right["report"]
+        for entry, graph in zip(binary["results"], subgraphs):
+            expected = _direct_solve(graph)
+            assert entry["coloring"] == expected["coloring"]
+            assert entry["key"] == expected["key"]
+            assert entry["report"] == expected["report"]
 
     def test_keyless_binary_entries_are_hashed_server_side(self, inline_server):
         subgraphs = _subgraphs(wire_row_layout(num_wires=3, wire_length=400), "metal1")
@@ -151,41 +165,66 @@ class TestBinaryComponents:
             )
             entry = honest["results"][0]
             assert entry["key"] == key_of(path)
-            # Ground truth: the exact worker solve path, cacheless.
-            from repro.runtime.component_io import component_request, solve_component_job
+            assert entry["coloring"] == _direct_solve(path)["coloring"]
 
-            expected = solve_component_job(
-                {"kind": "component", **component_request(path, 4, "linear")}, None
-            )
-            assert entry["coloring"] == expected["coloring"]
-
-    def test_binary_disabled_server_rejects_frames(self):
-        """A ``binary_wire=False`` node behaves exactly like a pre-v2 node."""
-        config = ServerConfig(
-            port=0, workers=1, force_inline_pool=True, binary_wire=False
+    def test_json_body_is_refused_with_415(self, inline_server):
+        """One wire: the node names the frame it takes instead of guessing."""
+        connection = http.client.HTTPConnection(
+            inline_server.host, inline_server.port, timeout=30
         )
-        subgraphs = _subgraphs(wire_row_layout(num_wires=3, wire_length=400), "metal1")
-        with ServerThread(config) as (host, port):
-            client = ServiceClient(host, port)
-            client.wait_until_healthy()
-            with pytest.raises(ServiceError) as excinfo:
-                client.components_binary(
-                    encode_components_frame(_entries(subgraphs), 4, "linear")
-                )
-            assert excinfo.value.status == 400
-            # The JSON schema still works on the same server.
-            response = client.components(
-                components_request([graph_to_wire(g) for g in subgraphs], 4, "linear")
+        try:
+            connection.request(
+                "POST",
+                "/components",
+                body=json.dumps({"components": [], "colors": 4}),
+                headers={"Content-Type": "application/json"},
             )
-            assert all("coloring" in entry for entry in response["results"])
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 415
+        assert "application/x-repro-components-v2" in body["error"]["message"]
+
+    def test_v1_frame_is_refused_naming_both_versions(self, inline_server):
+        graph = DecompositionGraph.from_edges([(0, 1), (1, 2)])
+        body = bytearray(
+            encode_components_frame([(None, graph.to_arrays())], 4, "linear")
+        )
+        body[4] = 1
+        with pytest.raises(ServiceError) as excinfo:
+            inline_server.components_binary(bytes(body))
+        assert excinfo.value.status == 400
+        assert "version 1" in str(excinfo.value)
+        assert "speaks version 2" in str(excinfo.value)
+
+    def test_single_component_endpoint_is_gone(self, inline_server):
+        connection = http.client.HTTPConnection(
+            inline_server.host, inline_server.port, timeout=30
+        )
+        try:
+            connection.request(
+                "POST",
+                "/component",
+                body=b"{}",
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            response.read()
+        finally:
+            connection.close()
+        assert response.status == 404
+
+    def test_healthz_reports_frame_version(self, inline_server):
+        from repro.runtime.wire_binary import FRAME_VERSION
+
+        assert inline_server.healthz()["components_frame"] == FRAME_VERSION
 
 
 class TestProcessPoolTransport:
-    def test_process_pool_uses_shared_memory(self):
-        """Process-mode servers ship binary component frames via shm."""
-        from repro.runtime.shm_transport import shared_memory_available
-
-        config = ServerConfig(port=0, workers=2, shm_min_frame_bytes=0)
+    def test_process_pool_ships_inline_frames(self):
+        """Process-mode workers get each graph frame inline and answer it."""
+        config = ServerConfig(port=0, workers=2)
         with ServerThread(config) as (host, port):
             client = ServiceClient(host, port)
             client.wait_until_healthy()
@@ -195,21 +234,8 @@ class TestProcessPoolTransport:
             response = client.components_binary(
                 encode_components_frame(_entries(subgraphs), 4, "linear")
             )
-            assert all("coloring" in entry for entry in response["results"])
-            stats = client.stats()
-            if shared_memory_available():
-                assert stats["pool"]["shm_jobs"] == len(subgraphs)
-            else:
-                assert stats["pool"]["shm_jobs"] == 0
-
-    def test_shared_memory_disabled_still_serves(self):
-        config = ServerConfig(port=0, workers=2, use_shared_memory=False)
-        with ServerThread(config) as (host, port):
-            client = ServiceClient(host, port)
-            client.wait_until_healthy()
-            subgraphs = _subgraphs(wire_row_layout(num_wires=3, wire_length=400), "metal1")
-            response = client.components_binary(
-                encode_components_frame(_entries(subgraphs), 4, "linear")
-            )
-            assert all("coloring" in entry for entry in response["results"])
-            assert client.stats()["pool"]["shm_jobs"] == 0
+            for entry, graph in zip(response["results"], subgraphs):
+                assert entry["coloring"] == _direct_solve(graph)["coloring"]
+            pool = client.stats()["pool"]
+            assert pool["completed"] >= len(subgraphs)
+            assert "shm_jobs" not in pool

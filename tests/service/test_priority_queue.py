@@ -17,20 +17,15 @@ import repro.service.pool as pool_module
 from repro.bench.factory import repeated_cell_layout
 from repro.graph.components import connected_components
 from repro.graph.construction import build_decomposition_graph
-from repro.runtime.component_io import components_request, graph_to_wire
-from repro.service import ServerConfig, ServerThread, ServiceClient
+from repro.runtime.wire_binary import encode_components_frame
+from repro.service import ServerConfig, ServerThread, ServiceClient, ServiceError
 from repro.service.pool import PoolConfig, WorkerPool, estimate_job_cost
 
 pytestmark = pytest.mark.service
 
 
 def _component_job(name: str, vertices: int, **extra) -> dict:
-    return {
-        "kind": "component",
-        "name": name,
-        "graph": {"vertices": [[i, i, 0, 1] for i in range(vertices)]},
-        **extra,
-    }
+    return {"kind": "component", "name": name, "num_vertices": vertices, **extra}
 
 
 class TestCostEstimate:
@@ -45,6 +40,7 @@ class TestCostEstimate:
     def test_malformed_jobs_cost_one(self):
         assert estimate_job_cost({}) == 1
         assert estimate_job_cost({"kind": "component"}) == 1
+        assert estimate_job_cost({"kind": "component", "num_vertices": 0}) == 1
         assert estimate_job_cost({"layout": "junk"}) == 1
 
 
@@ -196,7 +192,7 @@ class TestPriorityOrder:
             harness.gate.set()
 
 
-def _component_wires(layout, algorithm="linear"):
+def _component_flats(layout, algorithm="linear"):
     from repro.service.protocol import build_options
 
     layer = layout.layers()[0]
@@ -206,115 +202,118 @@ def _component_wires(layout, algorithm="linear"):
     )
     graph = construction.graph
     return [
-        graph_to_wire(graph.subgraph(component))
+        graph.subgraph(component).to_arrays()
         for component in connected_components(graph)
     ]
 
 
+def _frame(flats, colors=4, algorithm="linear"):
+    return encode_components_frame(
+        [(None, flat) for flat in flats], colors, algorithm
+    )
+
+
+def _smash_entry(body: bytes, flats, position: int) -> bytes:
+    """Corrupt the flat-frame version byte of entry ``position``.
+
+    Entries follow the envelope as ``<key len=0><u32 length><frame>``, so
+    the envelope stays intact and only that component's graph is bad.
+    """
+    offset = len(_frame([])) + sum(1 + 4 + flat.frame_size() for flat in flats[:position])
+    corrupted = bytearray(body)
+    assert corrupted[offset + 1 + 4] == 1  # flat frame version
+    corrupted[offset + 1 + 4] = 99
+    return bytes(corrupted)
+
+
 class TestComponentsEndpoint:
-    def test_batch_matches_single_component_requests(self):
+    def test_batch_matches_single_component_batches(self):
         layout = repeated_cell_layout(copies=3)
-        wires = _component_wires(layout)
-        assert len(wires) >= 2
+        flats = _component_flats(layout)
+        assert len(flats) >= 2
         config = ServerConfig(port=0, workers=1, force_inline_pool=True)
         with ServerThread(config) as (host, port):
             client = ServiceClient(host, port)
             client.wait_until_healthy()
             singles = [
-                client.component({"graph": wire, "colors": 4, "algorithm": "linear"})
-                for wire in wires
+                client.components_binary(_frame([flat]))["results"][0]
+                for flat in flats
             ]
-            batched = client.components(components_request(wires, 4, "linear"))
+            batched = client.components_binary(_frame(flats))
             results = batched["results"]
-            assert len(results) == len(wires)
+            assert len(results) == len(flats)
             for single, entry in zip(singles, results):
                 assert entry["key"] == single["key"]
                 assert entry["coloring"] == single["coloring"]
                 # The single pass already cached every component.
                 assert entry["cache_hit"] is True
             stats = client.stats()["server"]
-            assert stats["component_batches"] == 1
-            assert stats["batched_components"] == len(wires)
+            assert stats["component_batches"] == len(flats) + 1
+            assert stats["batched_components"] == 2 * len(flats)
 
     def test_batch_occupies_one_admission_slot(self):
-        # queue_limit=1 would 400 a five-job batch if each component counted
+        # queue_limit=1 would 503 a five-job batch if each component counted
         # against admission; a micro-batch is one round trip -> one slot.
         layout = repeated_cell_layout(copies=5)
-        wires = _component_wires(layout)
-        assert len(wires) >= 5
+        flats = _component_flats(layout)
+        assert len(flats) >= 5
         config = ServerConfig(
             port=0, workers=1, force_inline_pool=True, queue_limit=1
         )
         with ServerThread(config) as (host, port):
             client = ServiceClient(host, port)
             client.wait_until_healthy()
-            response = client.components(components_request(wires, 4, "linear"))
-            assert len(response["results"]) == len(wires)
+            response = client.components_binary(_frame(flats))
+            assert len(response["results"]) == len(flats)
             assert all("key" in entry for entry in response["results"])
 
     def test_one_bad_component_fails_only_itself(self):
         layout = repeated_cell_layout(copies=2)
-        wires = _component_wires(layout)
-        payload = components_request(wires, 4, "linear")
-        # Corrupt the middle entry: edge endpoints that don't exist.
-        payload["components"].insert(
-            1,
-            {
-                "graph": {
-                    "version": 1,
-                    "vertices": [[0, 0, 0, 1]],
-                    "conflict_edges": [[0, 99]],
-                }
-            },
-        )
+        good = _component_flats(layout)
+        flats = [good[0], good[0], *good[1:]]
+        body = _smash_entry(_frame(flats), flats, 1)
         config = ServerConfig(port=0, workers=1, force_inline_pool=True)
         with ServerThread(config) as (host, port):
             client = ServiceClient(host, port)
             client.wait_until_healthy()
-            response = client.components(payload)
+            response = client.components_binary(body)
             results = response["results"]
-            assert len(results) == len(wires) + 1
+            assert len(results) == len(flats)
             assert "error" in results[1]
             assert results[1]["error"]["status"] == 400
-            good = [entry for i, entry in enumerate(results) if i != 1]
-            assert all("key" in entry for entry in good)
+            others = [entry for i, entry in enumerate(results) if i != 1]
+            assert all("key" in entry for entry in others)
             stats = client.stats()["server"]
-            assert stats["components"] == len(wires)
-            assert stats["batched_components"] == len(wires) + 1
+            assert stats["components"] == len(flats) - 1
+            assert stats["batched_components"] == len(flats)
 
     def test_metrics_expose_queue_and_batch_counters(self):
         layout = repeated_cell_layout(copies=2)
-        wires = _component_wires(layout)
+        flats = _component_flats(layout)
         config = ServerConfig(port=0, workers=1, force_inline_pool=True)
         with ServerThread(config) as (host, port):
             client = ServiceClient(host, port)
             client.wait_until_healthy()
-            client.components(components_request(wires, 4, "linear"))
+            client.components_binary(_frame(flats))
             text = client.metrics_text()
             assert "# TYPE repro_pool_queue_depth gauge" in text
             assert 'repro_pool_queue_depth{class="batch"} 0' in text
             assert 'repro_pool_queue_depth{class="interactive"} 0' in text
             assert "# TYPE repro_pool_priority_bumps_total counter" in text
             assert "repro_server_component_batches_total 1" in text
-            assert f"repro_server_batched_components_total {len(wires)}" in text
+            assert f"repro_server_batched_components_total {len(flats)}" in text
 
 
 class TestEnvelopeErrors:
     def test_malformed_envelope_is_400(self):
+        flats = _component_flats(repeated_cell_layout(copies=1))
         config = ServerConfig(port=0, workers=1, force_inline_pool=True)
         with ServerThread(config) as (host, port):
             client = ServiceClient(host, port)
             client.wait_until_healthy()
-            from repro.service import ServiceError
-
             with pytest.raises(ServiceError) as empty:
-                client.components({"components": []})
+                client.components_binary(_frame([]))
             assert empty.value.status == 400
             with pytest.raises(ServiceError) as bad_algorithm:
-                client.components(
-                    {
-                        "components": [{"graph": {}}],
-                        "algorithm": "no-such-algorithm",
-                    }
-                )
+                client.components_binary(_frame(flats, algorithm="no-such-algorithm"))
             assert bad_algorithm.value.status == 400

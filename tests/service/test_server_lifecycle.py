@@ -257,3 +257,99 @@ class TestSigterm:
                 process.communicate()
         assert process.returncode == 0
         assert "drained" in output
+
+
+def _spawn_server(*args, env_overrides=None):
+    """Start ``python -m repro.service --port 0`` with this checkout's sources."""
+    src_root = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src_root), env.get("PYTHONPATH", "")]
+    ).rstrip(os.pathsep)
+    env.update(env_overrides or {})
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "--port", "0", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+    )
+
+
+class TestKernelBackendReport:
+    """The server reports the solve backend its workers run, not the mode."""
+
+    def test_box_without_core_reports_reference(self, tmp_path):
+        empty_cache = tmp_path / "kernels"
+        empty_cache.mkdir()
+        process = _spawn_server(
+            "--workers", "1",
+            env_overrides={
+                "REPRO_SOLVE_KERNELS": "auto",
+                "REPRO_KERNELS_BUILD": "0",
+                "REPRO_KERNELS_CACHE": str(empty_cache),
+            },
+        )
+        try:
+            first_line = process.stdout.readline()
+            address = re.search(r"http://([\d.]+):(\d+)", first_line)
+            assert address, f"no address in startup line: {first_line!r}"
+            client = ServiceClient(address.group(1), int(address.group(2)))
+            client.wait_until_healthy()
+            assert client.stats()["pool"]["kernels"] == "reference"
+            assert 'solve_kernels="reference"' in client.metrics_text()
+            process.send_signal(signal.SIGTERM)
+            process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0
+        assert list(empty_cache.iterdir()) == []  # nothing was built
+
+    def test_compiled_mode_without_core_fails_startup(self, tmp_path):
+        process = _spawn_server(
+            "--workers", "1", "--inline-pool",
+            env_overrides={
+                "REPRO_SOLVE_KERNELS": "compiled",
+                "REPRO_KERNELS_BUILD": "0",
+                "REPRO_KERNELS_CACHE": str(tmp_path),
+            },
+        )
+        try:
+            output, _ = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode != 0
+        assert "compiled solve core is unavailable" in output
+        assert "listening" not in output
+
+    @pytest.mark.parametrize("mode", ["off", "auto"])
+    def test_worker_probe_names_backend(self, mode):
+        from repro.core.kernels import active_core, set_kernel_mode
+        from repro.service.pool import _worker_probe
+
+        previous = set_kernel_mode(mode)
+        try:
+            expected = "compiled" if active_core() is not None else "reference"
+            assert _worker_probe() == expected
+        finally:
+            set_kernel_mode(previous)
+        if mode == "off":
+            assert expected == "reference"
+
+    def test_in_process_server_reports_active_backend(self):
+        from repro.core.kernels import active_core
+
+        expected = "compiled" if active_core() is not None else "reference"
+        with ServerThread(ServerConfig(port=0, workers=1, force_inline_pool=True)) as (
+            host,
+            port,
+        ):
+            client = ServiceClient(host, port)
+            client.wait_until_healthy()
+            assert client.stats()["pool"]["kernels"] == expected
+            assert f'solve_kernels="{expected}"' in client.metrics_text()
+
