@@ -79,8 +79,7 @@ class DecompositionGraph:
         """Pickle without the memoised derived forms.
 
         The flat snapshot and key memo are cheap to rebuild and would only
-        inflate the pickle-fallback worker payloads that exist for
-        environments where the shared-memory transport is unavailable.
+        inflate a pickled graph.
         """
         state = dict(self.__dict__)
         state["_flat"] = None
@@ -250,7 +249,7 @@ class DecompositionGraph:
         """Return the graph's canonical flat-array form (:class:`FlatGraph`).
 
         The snapshot is memoised and reused until the next structural
-        mutation, so the hashing, wire and shared-memory layers each pulling
+        mutation, so the hashing, wire and worker-dispatch layers each pulling
         the flat form pay for one flattening, not three.  Callers must treat
         the returned object as immutable.
         """

@@ -33,7 +33,7 @@ frames must agree across machines); on the ubiquitous little-endian hosts the
 conversion is free (``array.tobytes`` already is LE).
 
 Frame format (version 1), used verbatim inside the binary component wire and
-the shared-memory worker transport::
+the inline frames worker pools ship::
 
     <B  frame version (1)>
     <I  n = vertex count>            little-endian u32
@@ -91,7 +91,7 @@ class FlatGraph:
     """Packed-array snapshot of one decomposition graph (immutable by use).
 
     Built by :meth:`DecompositionGraph.to_arrays`; consumed by the hashing,
-    wire and shared-memory layers.  Instances are cheap views over ``array``
+    wire and worker-dispatch layers.  Instances are cheap views over ``array``
     buffers — copying one is copying a few contiguous allocations, not an
     object graph.
     """
@@ -171,8 +171,8 @@ class FlatGraph:
     def from_bytes(data, offset: int = 0) -> Tuple["FlatGraph", int]:
         """Decode one frame from ``data`` at ``offset``.
 
-        Accepts any bytes-like object (``bytes``, ``memoryview`` over a
-        shared-memory block).  Returns ``(flat, end offset)``; raises
+        Accepts any bytes-like object (``bytes``, a ``memoryview`` into a
+        request body).  Returns ``(flat, end offset)``; raises
         :class:`FlatFrameError` on truncation, bad version, or edge ranks
         outside the vertex range.
         """
@@ -256,7 +256,7 @@ class FlatGraph:
         and all three edge sets equal the source graph's, so colorings (and
         canonical keys) computed on the rebuilt graph match the original.
 
-        This is the worker-side hot path (every shared-memory or binary-wire
+        This is the worker-side hot path (every binary-wire or pool-dispatched
         component lands here), so it populates the graph's storage directly
         instead of going through the per-call-validating mutator methods:
         the structural invariants the mutators enforce — known endpoints, no
@@ -323,7 +323,7 @@ def graph_from_frame(data, memoize: bool = False):
     """Decode one complete flat-graph frame into a graph.
 
     The one materialisation helper every transport consumer uses (binary
-    wire jobs, shared-memory payloads, inline pickle-channel frames), so
+    wire jobs, inline pickle-channel frames), so
     the trailing-bytes check can never silently diverge between them.
     Raises :class:`FlatFrameError` on any malformation.  ``memoize=True``
     re-attaches the decoded (canonical) frame as the graph's flat form —

@@ -11,16 +11,31 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.factory import repeated_cell_layout
+from repro.bench.factory import repeated_cell_layout, wire_row_layout
+from repro.core.decomposer import Decomposer
 from repro.runtime.wire_binary import FRAME_VERSION
 from repro.service.client import ServiceError
 from repro.service.metrics import parse_metrics_text
+from repro.service.protocol import build_options, canonical_json, result_to_payload
 
 from cluster_harness import mini_cluster
 
 pytestmark = pytest.mark.cluster
 
 OTHER_FRAME = FRAME_VERSION + 1
+
+
+def _direct_payload(layout, name, algorithm="linear", colors=4):
+    layer = layout.layers()[0]
+    result = Decomposer(build_options(colors, algorithm)).decompose(layout, layer=layer)
+    return result_to_payload(name, layer, result)
+
+
+def _layouts():
+    return [
+        ("cells", repeated_cell_layout(copies=4)),
+        ("wires", wire_row_layout(num_wires=4, wire_length=600)),
+    ]
 
 
 class TestFrameVersionRefusal:
@@ -58,6 +73,53 @@ class TestFrameVersionRefusal:
             assert client.stats()["nodes"][node_id]["last_error"] is None
 
 
+class TestMixedCluster:
+    def test_current_node_serves_every_layout_after_the_other_is_refused(self):
+        """One current node + one reporting another frame behind one coordinator.
+
+        The refused node gets no component traffic; the current node answers
+        every layout byte-identically to a direct run.
+        """
+        coordinator_config = {"failure_threshold": 1}
+        with mini_cluster(num_nodes=2, coordinator_config=coordinator_config) as cluster:
+            client = cluster.client()
+            current_id, refused_id = cluster.node_ids
+            refused = cluster.nodes[1].server
+            honest_healthz = refused._healthz
+            refused._healthz = lambda: {**honest_healthz(), "components_frame": OTHER_FRAME}
+            membership = cluster.coordinator.server.membership
+            membership.probe_once()
+            assert membership.alive_count() == 1
+
+            for name, layout in _layouts():
+                served = client.decompose(layout, name=name, algorithm="linear")
+                assert canonical_json(served) == canonical_json(
+                    _direct_payload(layout, name)
+                )
+            stats = client.stats()
+            assert stats["coordinator"]["components_routed"] > 0
+            assert stats["coordinator"]["failed"] == 0
+            assert stats["nodes"][current_id]["alive"] is True
+            assert stats["nodes"][refused_id]["alive"] is False
+            assert cluster.node_client(1).stats()["server"]["component_batches"] == 0
+            assert cluster.node_client(0).stats()["server"]["component_batches"] > 0
+
+
+class TestUniformCluster:
+    def test_probes_keep_every_current_node_in_the_ring(self):
+        """Real ``/healthz`` answers from same-build nodes pass the check."""
+        with mini_cluster(num_nodes=2) as cluster:
+            client = cluster.client()
+            membership = cluster.coordinator.server.membership
+            for _ in range(3):
+                membership.probe_once()
+            assert membership.alive_count() == 2
+            nodes = client.stats()["nodes"]
+            for node_id in cluster.node_ids:
+                assert nodes[node_id]["alive"] is True
+                assert nodes[node_id]["last_error"] is None
+
+
 class TestHealthVerdict:
     """The probe's verdict on one ``/healthz`` answer."""
 
@@ -74,8 +136,30 @@ class TestHealthVerdict:
                 {"status": "ok", "components_frame": 1},
                 ["components frame 1", f"speaks {FRAME_VERSION}"],
             ),
+            (
+                {"status": "ok", "components_frame": OTHER_FRAME},
+                [f"components frame {OTHER_FRAME}", f"speaks {FRAME_VERSION}"],
+            ),
+            ({"components_frame": FRAME_VERSION}, ["status=None"]),
+            (
+                {
+                    "status": "ok",
+                    "components_frame": FRAME_VERSION,
+                    "mode": "inline",
+                    "workers": 1,
+                },
+                None,
+            ),
         ],
-        ids=["ready", "draining", "pre-refusal-build", "older-frame"],
+        ids=[
+            "ready",
+            "draining",
+            "pre-refusal-build",
+            "older-frame",
+            "newer-frame",
+            "no-status",
+            "extra-fields-ignored",
+        ],
     )
     def test_health_error(self, health, fragments):
         from repro.cluster.membership import _health_error

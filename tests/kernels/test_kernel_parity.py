@@ -411,10 +411,31 @@ class TestCompiledCore:
         _assert_same_coloring(reference, candidate, "color-cap")
 
 
+    @needs_compiled
+    def test_backtrack_has_no_color_cap(self):
+        """The search keeps no per-color state, so K past the cap stays compiled."""
+        merged = random_merged(random.Random(6), 10)
+        too_many = MAX_COMPILED_COLORS + 1
+        initial = {node: 0 for node in range(merged.num_nodes)}
+        reference_stats = BacktrackStatistics()
+        reference = search_merged_graph(
+            merged, too_many, 0.1, initial=initial, statistics=reference_stats
+        )
+        set_kernel_mode("compiled")
+        stats = BacktrackStatistics()
+        candidate = backtrack_search(
+            merged, too_many, 0.1, initial=initial, statistics=stats
+        )
+        assert candidate is not None
+        _assert_same_coloring(reference, candidate, "backtrack past the color cap")
+        assert vars(stats) == vars(reference_stats)
+        assert stats.expansions > 1
+
+
 class TestMemoizedFrameParity:
     """Workers solve straight off shipped frames — results must not change."""
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", ["off", *MODES])
     def test_frame_roundtrip_solves_identically(self, mode):
         from repro.graph.flat import graph_from_frame
 
@@ -437,24 +458,28 @@ class TestCircuitSweep:
     """Byte-identical colorings over every component of all 15 circuits."""
 
     SCALE = 0.15
+    CIRCUITS = [
+        "C432", "C499", "C880", "C1355", "C1908", "C2670", "C3540",
+        "C5315", "C6288", "C7552", "S1488", "S38417", "S35932",
+        "S38584", "S15850",
+    ]
+    #: Small components finish the search; the large ones stop here, so the
+    #: sweep checks both a completed search and a budget-cut incumbent.
+    EXPANSION_LIMIT = 20_000
 
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize(
-        "circuit",
-        [
-            "C432", "C499", "C880", "C1355", "C1908", "C2670", "C3540",
-            "C5315", "C6288", "C7552", "S1488", "S38417", "S35932",
-            "S38584", "S15850",
-        ],
-    )
-    def test_all_components_identical(self, circuit, mode):
+    def _components(self, circuit):
         from repro.bench.factory import circuit_graph
         from repro.graph.components import connected_components
 
         graph = circuit_graph(circuit, 4, scale=self.SCALE).graph
-        components = [
+        return [
             graph.subgraph(component) for component in connected_components(graph)
         ]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("circuit", CIRCUITS)
+    def test_all_components_identical(self, circuit, mode):
+        components = self._components(circuit)
         for algorithm_cls in (GreedyColoring, LinearColoring):
             algorithm = algorithm_cls(4, AlgorithmOptions())
             for component in components:
@@ -467,6 +492,30 @@ class TestCircuitSweep:
                     candidate,
                     (circuit, algorithm_cls.__name__, mode, component.num_vertices),
                 )
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("circuit", CIRCUITS)
+    def test_all_components_backtrack_identical(self, circuit, mode):
+        """The search on each component: unmerged at K=3, stitch-merged at K=4."""
+        for component in self._components(circuit):
+            for num_colors, merge_pairs in ((3, []), (4, component.stitch_edges())):
+                merged = build_merged_graph(component, merge_pairs)
+                reference_stats = BacktrackStatistics()
+                reference = search_merged_graph(
+                    merged, num_colors, 0.1,
+                    expansion_limit=self.EXPANSION_LIMIT,
+                    statistics=reference_stats,
+                )
+                set_kernel_mode(mode)
+                stats = BacktrackStatistics()
+                candidate = backtrack_search(
+                    merged, num_colors, 0.1,
+                    expansion_limit=self.EXPANSION_LIMIT,
+                    statistics=stats,
+                )
+                context = (circuit, mode, num_colors, merged.num_nodes)
+                _assert_same_coloring(reference, candidate, context)
+                assert vars(stats) == vars(reference_stats), context
 
 
 class TestEndToEndTable:

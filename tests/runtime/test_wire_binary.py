@@ -94,6 +94,37 @@ class TestFrameVersions:
         _, _, trace_id, frames = decode_components_frame(body)
         assert trace_id is None and len(frames) == 1
 
+    @pytest.mark.parametrize(
+        "trace_id, trace_field",
+        [(None, b"\x00"), ("00ff", b"\x0400ff")],
+        ids=["untraced", "traced"],
+    )
+    def test_frame_bytes_are_pinned(self, trace_id, trace_field):
+        """The v2 layout byte for byte: changing it needs a version bump."""
+        graph = DecompositionGraph.from_edges([(0, 1)], [(1, 2)])
+        graph_frame = bytes.fromhex(
+            "01" "03000000"  # flat-graph frame version 1, three vertices
+            + "0000000000000000" "0100000000000000" "0200000000000000"  # ids
+            + "ff" * 24  # shape ids: none
+            + "00000000" * 3  # fragments
+            + "01000000" * 3  # weights
+            + "01000000" "00000000" "01000000"  # one conflict edge, ranks 0-1
+            + "01000000" "01000000" "02000000"  # one stitch edge, ranks 1-2
+            + "00000000"  # no friend edges
+        )
+        expected = (
+            b"RPC2" b"\x02" b"\x04\x00\x00\x00"  # magic, version 2, four colors
+            + b"\x06linear"
+            + trace_field
+            + b"\x01\x00\x00\x00"  # one component
+            + b"\x02ab" + len(graph_frame).to_bytes(4, "little") + graph_frame
+        )
+        body = encode_components_frame(
+            [("ab", graph.to_arrays())], 4, "linear", trace_id=trace_id
+        )
+        assert body == expected
+        assert decode_components_frame(expected)[2] == trace_id
+
     def test_traced_frame_roundtrips_v2(self):
         body = encode_components_frame(
             self._entries(), 4, "linear", trace_id="deadbeefcafef00d"
