@@ -1,9 +1,10 @@
-"""Benchmark: process-level scaling of the component scheduler.
+"""Benchmark: process-level scaling of the component pipeline.
 
-Measures ``divide_and_color`` throughput on one large synthetic layout when
-the divided components are colored by 1, 2 and 4 worker processes (the
-``repro.runtime`` scheduler).  Quality metrics are attached to
-``extra_info`` like the other bench harnesses, and a standalone run
+Measures ``color_graph`` throughput on one large synthetic layout when the
+divided components are colored in-process (1 worker) or by the
+``PoolExecutor`` with 2 and 4 worker processes.  Quality metrics are
+attached to ``extra_info`` like the other bench harnesses, and a standalone
+run
 
     python benchmarks/bench_parallel_scaling.py
 
@@ -29,10 +30,9 @@ import pytest
 
 from repro.bench.synthetic import SyntheticSpec, generate_layout
 from repro.core.evaluation import count_conflicts, count_stitches
-from repro.core.options import AlgorithmOptions, DivisionOptions
 from repro.core.options import DecomposerOptions
 from repro.graph.construction import build_decomposition_graph
-from repro.runtime import ComponentScheduler
+from repro.runtime import color_graph, executor_for
 
 WORKER_COUNTS = [1, 2, 4]
 ALGORITHM = "sdp-backtrack"
@@ -63,17 +63,9 @@ def _build_graph():
 
 
 def _color_with_workers(graph, workers):
-    scheduler = ComponentScheduler(
-        ALGORITHM,
-        NUM_COLORS,
-        AlgorithmOptions(),
-        DivisionOptions(),
-        workers=workers,
-    )
-    try:
-        return scheduler.run(graph)
-    finally:
-        scheduler.close()
+    options = DecomposerOptions(num_colors=NUM_COLORS, algorithm=ALGORITHM)
+    with executor_for(workers) as executor:
+        return color_graph(graph, options, executor)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -88,8 +80,6 @@ def test_parallel_scaling(benchmark, workers):
     benchmark.extra_info["conflicts"] = count_conflicts(graph, outcome.coloring)
     benchmark.extra_info["stitches"] = count_stitches(graph, outcome.coloring)
     benchmark.extra_info["vertices"] = graph.num_vertices
-    benchmark.extra_info["parallel_components"] = outcome.parallel_components
-    benchmark.extra_info["pool_fallback"] = outcome.pool_fallback
 
 
 def record_artifact(path: Path = ARTIFACT_PATH) -> dict:
@@ -125,9 +115,6 @@ def record_artifact(path: Path = ARTIFACT_PATH) -> dict:
                 "speedup": round(serial_seconds / elapsed, 3) if serial_seconds else None,
                 "conflicts": count_conflicts(graph, outcome.coloring),
                 "stitches": count_stitches(graph, outcome.coloring),
-                "parallel_components": outcome.parallel_components,
-                "serial_components": outcome.serial_components,
-                "pool_fallback": outcome.pool_fallback,
             }
         )
     payload = {

@@ -7,13 +7,15 @@ tree (K-1)-cut removal with color rotation) and four color-assignment
 algorithms (exact ILP, SDP + backtrack, SDP + greedy, linear color
 assignment), generalised to any K >= 4.
 
-On top of the paper's flow sits an execution runtime (:mod:`repro.runtime`)
-that exploits the independence of divided components: ``workers=N`` colors
-components across a process pool (largest-first, deterministic merge,
-automatic serial fallback) and a :class:`ComponentCache` memoises solved
-components under a canonical graph hash, so cells repeated within or across
-layouts are solved once.  Both knobs are pure execution strategies — masks,
-conflict counts and stitch counts stay bit-identical to the serial flow.
+Every decomposition colors through one pipeline
+(:func:`repro.runtime.color_graph`) that exploits the independence of
+divided components: identical components of a layout are solved once,
+``workers=N`` colors them across a process pool (largest-first,
+deterministic merge, automatic in-process fallback) and a
+:class:`ComponentCache` memoises solved components under a canonical graph
+hash, so cells repeated across layouts are solved once too.  Both knobs are
+pure execution strategies — masks, conflict counts and stitch counts stay
+bit-identical to the serial flow.
 
 Quick start::
 
@@ -85,9 +87,7 @@ from repro.runtime import (
     BatchResult,
     CacheStats,
     ComponentCache,
-    ComponentScheduler,
     decompose_many,
-    schedule_and_color,
 )
 from repro.analysis import (
     conflict_report,
@@ -142,9 +142,7 @@ __all__ = [
     "BatchResult",
     "CacheStats",
     "ComponentCache",
-    "ComponentScheduler",
     "decompose_many",
-    "schedule_and_color",
     # analysis
     "mask_balance",
     "conflict_report",

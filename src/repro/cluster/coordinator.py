@@ -5,21 +5,22 @@ service — it accepts the exact ``POST /decompose`` / ``POST /batch`` schema
 of :mod:`repro.service.protocol` — but instead of solving on a local worker
 pool it **shards by component**:
 
-1. the layout's decomposition graph is built locally and divided into
-   connected components (the same division the serial pipeline performs);
-2. identical components are deduplicated through their canonical hash
-   (:mod:`repro.runtime.hashing`) — the coordinator solves each distinct
-   component once per request, like the PR 1 scheduler;
-3. each distinct component is routed to the node *owning* its hash on the
+1. the layout runs through the library's own flow —
+   :meth:`Decomposer.decompose` over
+   :func:`repro.runtime.pipeline.color_graph` — which builds the graph
+   locally, divides it into connected components and deduplicates them
+   through their canonical hash (:mod:`repro.runtime.hashing`);
+2. the pipeline's executor here is :meth:`ClusterCoordinator._solve_components`:
+   each distinct component is routed to the node *owning* its hash on the
    consistent-hash ring (:mod:`repro.cluster.ring`), and everything one
    node owns for this layout is **micro-batched** into a single
    ``POST /components`` round trip (bounded by ``batch_max_components`` /
    ``batch_max_bytes``) over a keep-alive connection — request
    amplification is O(owning nodes) per layout, not O(components);
-4. rank-space colorings come back and are merged deterministically, so the
-   cluster's response is **byte-identical** to a direct
-   :meth:`Decomposer.decompose` run — sharding changes where components are
-   solved, never what is computed.
+3. rank-space colorings come back and the pipeline merges them exactly as
+   it merges in-process solves, so the cluster's response is
+   **byte-identical** to a direct :meth:`Decomposer.decompose` run —
+   sharding changes where components are solved, never what is computed.
 
 Cache affinity is the point of the routing rule: a component hash has one
 owner node, so that node's component cache accumulates every solution for
@@ -44,6 +45,7 @@ overload contract end-to-end.
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 import threading
 import time
@@ -51,20 +53,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.decomposer import DecompositionResult, make_colorer
-from repro.core.division import DivisionReport
-from repro.core.evaluation import (
-    DecompositionSolution,
-    check_complete,
-    count_conflicts,
-    count_stitches,
-)
+from repro.core.decomposer import Decomposer
 from repro.core.options import DecomposerOptions
 from repro.errors import ReproError
 from repro.geometry.layout import Layout
-from repro.graph.components import connected_components
-from repro.graph.construction import build_decomposition_graph
-from repro.graph.decomposition_graph import DecompositionGraph
 from repro.cluster.membership import Membership, NoNodesAvailable
 from repro.graph.flat import FlatGraph
 from repro.obs.federate import FederationConfig, MetricsFederator
@@ -77,7 +69,7 @@ from repro.runtime.component_io import (
     ComponentWireError,
     parse_components_response,
 )
-from repro.runtime.hashing import canonical_component_key
+from repro.runtime.pipeline import Batch
 from repro.runtime.wire_binary import encode_components_frame, frame_size
 from repro.service.base import BaseHttpServer, ThreadedServer
 from repro.service.client import ServiceClient, ServiceError
@@ -502,137 +494,51 @@ class ClusterCoordinator(BaseHttpServer):
 
     # --------------------------------------------------- clustered decompose
     def _decompose_job(self, job: Dict) -> Dict:
-        """Decompose one layout job by sharding its components across nodes.
+        """Decompose one layout job, solving its components on the nodes.
 
-        Runs on a jobs thread; blocking.  The construction, division,
-        dedup-by-hash and merge mirror :class:`repro.runtime.scheduler`
-        exactly, which is what keeps cluster output byte-identical to a
-        direct :class:`Decomposer` run.
+        Runs on a jobs thread; blocking.  The flow is the library's own
+        :meth:`Decomposer.decompose`, with :meth:`_solve_components` as the
+        pipeline's executor and the stages timed as children of the
+        request's ``execute`` span.
         """
         ctx = job.pop("_obs_ctx", None)
-        start_total = time.perf_counter()
-        layout = Layout.from_dict(job["layout"])
         options = build_options(
             colors=job["colors"],
             algorithm=job["algorithm"],
             min_spacing=job.get("min_spacing"),
         )
-        with self.obs.span("build", ctx, parent="execute"):
-            construction = build_decomposition_graph(
-                layout, layer=job["layer"], options=options.construction
-            )
-        graph = construction.graph
-        report = DivisionReport()
-        report.num_vertices = graph.num_vertices
-        start_color = time.perf_counter()
-        coloring = self._color_graph(graph, options, report, ctx)
-        color_seconds = time.perf_counter() - start_color
-        check_complete(graph, coloring, options.num_colors)
-        solution = DecompositionSolution(
-            coloring=coloring,
-            num_colors=options.num_colors,
-            conflicts=count_conflicts(graph, coloring),
-            stitches=count_stitches(graph, coloring),
-            algorithm=make_colorer(
-                options.algorithm, options.num_colors, options.algorithm_options
-            ).name,
-            color_assignment_seconds=color_seconds,
-            graph=graph,
-            alpha=options.algorithm_options.alpha,
-        )
-        solution.total_seconds = time.perf_counter() - start_total
-        result = DecompositionResult(
-            solution=solution,
-            construction=construction,
-            division_report=report,
-            options=options,
+        result = Decomposer(options).decompose(
+            Layout.from_dict(job["layout"]),
+            layer=job["layer"],
+            executor=functools.partial(self._solve_components, ctx=ctx),
+            span=lambda stage: self.obs.span(stage, ctx, parent="execute"),
         )
         return result_to_payload(job["name"], job["layer"], result)
 
-    def _color_graph(
-        self,
-        graph: DecompositionGraph,
-        options: DecomposerOptions,
-        report: DivisionReport,
-        ctx=None,
-    ) -> Dict[int, int]:
-        """Divide, route, and deterministically merge one graph's components."""
-        if graph.num_vertices == 0:
-            return {}
-        with self.obs.span("divide", ctx, parent="execute"):
-            if options.division.independent_components:
-                components = connected_components(graph)
-            else:
-                components = [graph.vertices()]
-        report.num_connected_components = len(components)
-
-        with self.obs.span("hash", ctx, parent="execute"):
-            subgraphs: Dict[int, DecompositionGraph] = {}
-            groups: Dict[str, List[int]] = {}
-            for index, component in enumerate(components):
-                subgraph = graph.subgraph(component)
-                key = canonical_component_key(
-                    subgraph,
-                    options.num_colors,
-                    options.algorithm,
-                    options.algorithm_options,
-                    options.division,
-                )
-                subgraphs[index] = subgraph
-                groups.setdefault(key, []).append(index)
-
-            # One flat-array form per distinct component, flattened once (the
-            # same memoised snapshot the canonical key above was streamed
-            # from) — reused across chunks and re-routes.
-            # Ordered by first appearance so chunking (and therefore request
-            # traffic) is deterministic.
-            ordered_keys = sorted(groups, key=lambda key: groups[key][0])
-            flats = {
-                key: subgraphs[groups[key][0]].to_arrays() for key in ordered_keys
-            }
-        self.obs.emit(
-            ctx,
-            "divided",
-            components=len(components),
-            distinct=len(ordered_keys),
-        )
-        with self.obs.span("route", ctx, parent="execute"):
-            solves = self._solve_components(
-                ordered_keys, flats, options.num_colors, options.algorithm, ctx
-            )
-
-        with self.obs.span("merge", ctx, parent="execute"):
-            coloring: Dict[int, int] = {}
-            for key, indices in sorted(groups.items(), key=lambda kv: kv[1][0]):
-                solve = solves[key]
-                for index in indices:
-                    coloring.update(solve.coloring_for(subgraphs[index]))
-                    report.merge_from(solve.report)
-        return coloring
-
     # ------------------------------------------------------- batched routing
     def _solve_components(
-        self,
-        ordered_keys: List[str],
-        flats: Dict[str, FlatGraph],
-        colors: int,
-        algorithm: str,
-        ctx=None,
-    ) -> Dict[str, ComponentSolve]:
-        """Micro-batch the distinct components to their owner nodes.
+        self, batch: Batch, options: DecomposerOptions, ctx=None
+    ) -> List[ComponentSolve]:
+        """Cluster executor: micro-batch distinct components to their owners.
 
-        Groups the pending keys by ring owner, ships each node one
+        Groups the batch's keys by ring owner, ships each node one
         ``POST /components`` request per chunk (bounded by the batch limits),
         and loops: a chunk that dies with its node re-routes through the
         rebalanced ring while every already-returned solve is kept.
         """
+        keys = [key for key, _ in batch]
+        # The memoised flat form each key was streamed from, reused across
+        # chunks and re-routes.
+        flats = {key: graph.to_arrays() for key, graph in batch}
+        colors, algorithm = options.num_colors, options.algorithm
+        self.obs.emit(ctx, "divided", distinct=len(keys))
         limit = self.config.max_reroutes or max(1, len(self.membership))
         if ctx is not None:
-            ctx.register_work(len(ordered_keys))
+            ctx.register_work(len(keys))
         sizes = {key: frame_size(flat, key) for key, flat in flats.items()}
         solves: Dict[str, ComponentSolve] = {}
-        attempts: Dict[str, int] = {key: 0 for key in ordered_keys}
-        pending = list(ordered_keys)
+        attempts: Dict[str, int] = {key: 0 for key in keys}
+        pending = list(keys)
         while pending:
             assignment: Dict[str, List[str]] = {}
             for key in pending:
@@ -696,7 +602,7 @@ class ClusterCoordinator(BaseHttpServer):
             if first_error is not None:
                 raise first_error
             pending = retry
-        return solves
+        return [solves[key] for key in keys]
 
     def _chunk_keys(
         self, keys: List[str], sizes: Dict[str, int]

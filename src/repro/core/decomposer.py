@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.core.backtrack import BacktrackColoring
 from repro.core.coloring import ColoringAlgorithm
-from repro.core.division import DivisionReport, divide_and_color
+from repro.core.division import DivisionReport
 from repro.core.evaluation import (
     DecompositionSolution,
     check_complete,
@@ -36,6 +36,7 @@ from repro.errors import ConfigurationError
 from repro.geometry.layout import Layout
 from repro.graph.construction import ConstructionResult, build_decomposition_graph
 from repro.graph.decomposition_graph import DecompositionGraph
+from repro.obs.trace import Span
 
 
 def make_colorer(
@@ -97,18 +98,22 @@ class DecompositionResult:
 class Decomposer:
     """End-to-end K-patterning layout decomposer.
 
+    Every call colors through :func:`repro.runtime.pipeline.color_graph`:
+    divide into components, solve each distinct one once, merge.
     ``decompose`` accepts optional execution knobs: ``workers`` colors the
     divided components across a process pool (``N >= 2`` processes, ``0`` =
-    one per CPU) and ``cache`` memoises solved components across calls via a
-    :class:`repro.runtime.cache.ComponentCache` (in-memory or SQLite-backed;
-    see :func:`repro.runtime.open_cache`).  Both are pure execution
-    strategies — masks, conflict counts and stitch counts are bit-identical
-    to the default serial path.
+    one per CPU), ``executor`` passes a pipeline executor to use instead
+    (one pool shared by many calls), and ``cache`` memoises solved
+    components across calls via a :class:`repro.runtime.cache.ComponentCache`
+    (in-memory or SQLite-backed; see :func:`repro.runtime.open_cache`).
+    All are pure execution strategies — masks, conflict counts and stitch
+    counts are bit-identical to the default in-process path.
 
-    Both knobs may also be bound at construction time, which is how
-    long-lived holders (the batch API, the decomposition server's workers)
-    configure one decomposer and then call plain ``decompose(layout)`` per
-    request; per-call arguments override the bound defaults.
+    ``workers`` and ``cache`` may also be bound at construction time, which
+    is how long-lived holders (the batch API, the decomposition server's
+    workers) configure one decomposer and then call plain
+    ``decompose(layout)`` per request; per-call arguments override the
+    bound defaults.
     """
 
     def __init__(
@@ -130,19 +135,24 @@ class Decomposer:
         workers: Optional[int] = None,
         cache=None,
         executor=None,
+        span=Span,
     ) -> DecompositionResult:
-        """Decompose one layer of ``layout`` into K masks."""
+        """Decompose one layer of ``layout`` into K masks.
+
+        ``span(stage)`` times the ``build`` stage and the pipeline's stages;
+        the cluster coordinator passes its traced factory, every other
+        caller the sink-less default.
+        """
         if workers is None:
             workers = self.workers
         if cache is None:
             cache = self.cache
         start_total = time.perf_counter()
-        construction = build_decomposition_graph(
-            layout, layer=layer, options=self.options.construction
-        )
-        solution, report = self._solve(
-            construction.graph, workers=workers, cache=cache, executor=executor
-        )
+        with span("build"):
+            construction = build_decomposition_graph(
+                layout, layer=layer, options=self.options.construction
+            )
+        solution, report = self._solve(construction.graph, workers, cache, executor, span)
         solution.total_seconds = time.perf_counter() - start_total
         return DecompositionResult(
             solution=solution,
@@ -163,58 +173,36 @@ class Decomposer:
             workers = self.workers
         if cache is None:
             cache = self.cache
-        solution, _ = self._solve(graph, workers=workers, cache=cache, executor=executor)
+        solution, _ = self._solve(graph, workers, cache, executor)
         solution.total_seconds = solution.color_assignment_seconds
         return solution
 
     # ------------------------------------------------------------ internals
-    def _solve(
-        self,
-        graph: DecompositionGraph,
-        workers: Optional[int] = None,
-        cache=None,
-        executor=None,
-    ):
-        colorer = make_colorer(
-            self.options.algorithm,
-            self.options.num_colors,
-            self.options.algorithm_options,
-        )
-        report = DivisionReport()
-        start = time.perf_counter()
-        if workers not in (None, 1) or cache is not None or executor is not None:
-            # Runtime path: same per-component work, scheduled across
-            # processes and/or replayed from the component cache.
-            from repro.runtime.scheduler import schedule_and_color
+    def _solve(self, graph: DecompositionGraph, workers, cache, executor, span=Span):
+        # The runtime imports this module: bind it at call time.
+        from repro.runtime.pipeline import color_graph, executor_for
 
-            coloring = schedule_and_color(
-                graph,
-                self.options.algorithm,
-                self.options.num_colors,
-                self.options.algorithm_options,
-                self.options.division,
-                workers=workers,
-                cache=cache,
-                report=report,
-                executor=executor,
-            )
-        else:
-            coloring = divide_and_color(
-                graph, colorer, division=self.options.division, report=report
-            )
+        start = time.perf_counter()
+        with executor_for(workers, executor) as solve:
+            colored = color_graph(graph, self.options, solve, cache, span)
         elapsed = time.perf_counter() - start
+        coloring = colored.coloring
         check_complete(graph, coloring, self.options.num_colors)
         solution = DecompositionSolution(
             coloring=coloring,
             num_colors=self.options.num_colors,
             conflicts=count_conflicts(graph, coloring),
             stitches=count_stitches(graph, coloring),
-            algorithm=colorer.name,
+            algorithm=make_colorer(
+                self.options.algorithm,
+                self.options.num_colors,
+                self.options.algorithm_options,
+            ).name,
             color_assignment_seconds=elapsed,
             graph=graph,
             alpha=self.options.algorithm_options.alpha,
         )
-        return solution, report
+        return solution, colored.report
 
 
 def decompose_layout(

@@ -49,9 +49,9 @@ class DivisionReport:
         Counters add, the largest-piece watermark takes the max; the
         whole-graph fields (``num_vertices``, ``num_connected_components``)
         belong to the aggregate and are left untouched.  Addition and max are
-        order-independent, which is what lets the parallel scheduler merge
-        per-component reports in any completion order and still match the
-        serial pipeline exactly.
+        order-independent, which is what lets
+        :func:`repro.runtime.pipeline.color_graph` merge per-component
+        reports from any executor and still match the serial pipeline exactly.
         """
         self.peeled_vertices += other.peeled_vertices
         self.num_biconnected_blocks += other.num_biconnected_blocks
@@ -82,6 +82,11 @@ def divide_and_color(
 
     Returns a complete coloring of the graph.  ``report``, when provided, is
     filled with division statistics.
+
+    The serial reference of the flow, one component after another: the
+    library colors through :func:`repro.runtime.pipeline.color_graph`, which
+    solves each distinct component once, and the equivalence tests and the
+    table benchmarks compare against this function.
     """
     division = division or DivisionOptions()
     report = report if report is not None else DivisionReport()
@@ -113,8 +118,9 @@ def color_component(
 ) -> Dict[int, int]:
     """Color one connected component through stages 2-4 of the division flow.
 
-    This is the unit of work shared by the serial loop above and the
-    process-level scheduler in :mod:`repro.runtime.scheduler`: a component is
+    This is the unit of work shared by the serial loop above and every
+    executor of :func:`repro.runtime.pipeline.color_graph` (through
+    :func:`repro.runtime.component_io.solve_component`): a component is
     self-contained, so coloring it never reads or writes state outside
     ``graph`` and the per-call ``report``.
     """

@@ -15,13 +15,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.bench.circuits import TABLE1_CIRCUITS, TABLE2_CIRCUITS, load_circuit
-from repro.core.decomposer import make_colorer
-from repro.core.division import DivisionReport, divide_and_color
 from repro.core.evaluation import check_complete, count_conflicts, count_stitches
-from repro.core.ilp_coloring import IlpColoring
 from repro.core.options import AlgorithmOptions, DecomposerOptions, DivisionOptions
 from repro.graph.construction import ConstructionResult, build_decomposition_graph
 from repro.graph.decomposition_graph import DecompositionGraph
+from repro.runtime.pipeline import color_graph, executor_for
 
 #: Algorithm columns of Table 1, in the paper's order.
 TABLE1_ALGORITHMS = ["ilp", "sdp-backtrack", "sdp-greedy", "linear"]
@@ -122,45 +120,25 @@ def run_algorithm(
     ``workers`` >= 2 colors the divided components across a process pool and
     ``cache`` (a :class:`repro.runtime.cache.ComponentCache`) memoises solved
     components; both keep the reported conflict/stitch numbers bit-identical
-    to the serial run, only the CPU column changes.  ``executor`` lets a
-    table sweep reuse one pool across cells so pool start-up never pollutes
-    the timed region.
+    to the in-process run, only the CPU column changes.  ``executor`` (a
+    :mod:`repro.runtime.pipeline` executor) lets a table sweep reuse one
+    pool across cells so pool start-up never pollutes the timed region.
     """
-    algorithm_options = AlgorithmOptions(ilp_time_limit=ilp_time_limit)
-    division = division or DivisionOptions()
-
-    timeouts = 0
-    if workers not in (None, 1) or cache is not None or executor is not None:
-        from repro.runtime.scheduler import ComponentScheduler
-
-        scheduler = ComponentScheduler(
-            algorithm,
-            num_colors,
-            algorithm_options,
-            division,
-            workers=workers,
-            cache=cache,
-            executor=executor,
-        )
-        start = time.perf_counter()
-        try:
-            outcome = scheduler.run(graph)
-            elapsed = time.perf_counter() - start
-        finally:
-            scheduler.close()
-        coloring = outcome.coloring
-        timeouts = outcome.solver_timeouts
-    else:
-        colorer = make_colorer(algorithm, num_colors, algorithm_options)
-        start = time.perf_counter()
-        coloring = divide_and_color(graph, colorer, division=division)
-        elapsed = time.perf_counter() - start
-        if isinstance(colorer, IlpColoring):
-            timeouts = colorer.timeouts
+    options = DecomposerOptions(
+        num_colors=num_colors,
+        algorithm=algorithm,
+        division=division or DivisionOptions(),
+        algorithm_options=AlgorithmOptions(ilp_time_limit=ilp_time_limit),
+    )
+    start = time.perf_counter()
+    with executor_for(workers, executor) as solve:
+        colored = color_graph(graph, options, solve, cache)
+    elapsed = time.perf_counter() - start
+    coloring = colored.coloring
     check_complete(graph, coloring, num_colors)
 
     status = "ok"
-    if algorithm == "ilp" and timeouts > 0:
+    if algorithm == "ilp" and colored.solver_timeouts > 0:
         status = "timeout"
     return ExperimentRow(
         circuit=circuit,
@@ -201,18 +179,8 @@ def run_table(
         from repro.runtime.cache import ComponentCache
 
         cache = ComponentCache()
-    executor = None
-    if workers is not None and workers != 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.runtime.scheduler import resolve_workers
-
-        try:
-            executor = ProcessPoolExecutor(max_workers=resolve_workers(workers))
-        except Exception:
-            executor = None  # schedulers run serially; results identical
     table = ExperimentTable(name=name, num_colors=num_colors)
-    try:
+    with executor_for(workers) as executor:
         for circuit in circuits:
             construction = build_graph_for_circuit(circuit, num_colors, scale)
             graph = construction.graph
@@ -223,16 +191,12 @@ def run_table(
                     num_colors,
                     circuit=circuit,
                     ilp_time_limit=ilp_time_limit,
-                    workers=workers,
                     cache=cache,
                     executor=executor,
                 )
                 table.rows.append(row)
                 if verbose:
                     print(format_row(row))
-    finally:
-        if executor is not None:
-            executor.shutdown()
     return table
 
 

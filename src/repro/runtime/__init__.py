@@ -1,17 +1,18 @@
-"""Execution runtime: parallel component scheduling, memoisation, batching.
+"""Execution runtime: the component pipeline, memoisation, batching.
 
 The divide stage of the paper's flow produces many independent subproblems;
 this package turns that structural fact into throughput:
 
+* :mod:`repro.runtime.pipeline` — :func:`color_graph`, the one
+  divide → dedup → solve → merge pipeline, and its in-process and
+  process-pool executors (largest-first ordering, deterministic merge,
+  in-process fallback when the pool dies);
 * :mod:`repro.runtime.hashing` — canonical, order-preserving component keys;
 * :mod:`repro.runtime.cache` — :class:`ComponentCache`, replaying previously
   solved components bit-identically over a pluggable :class:`CacheBackend`
   (in-memory LRU by default);
 * :mod:`repro.runtime.sqlite_cache` — :class:`SqliteBackend`, the durable
   multi-process store behind ``--cache-db`` and the decomposition server;
-* :mod:`repro.runtime.scheduler` — :class:`ComponentScheduler` /
-  :func:`schedule_and_color`, process-pool execution with largest-first
-  ordering, deterministic merge and graceful serial fallback;
 * :mod:`repro.runtime.batch` — :func:`decompose_many`, the multi-layout API
   behind the ``repro-decompose batch`` subcommand;
 * :mod:`repro.runtime.wire_binary` — the binary v2 ``POST /components``
@@ -31,12 +32,13 @@ from repro.runtime.cache import (
 )
 from repro.runtime.sqlite_cache import SqliteBackend
 from repro.runtime.hashing import canonical_component_key, options_fingerprint
-from repro.runtime.scheduler import (
-    ComponentScheduler,
-    ScheduleOutcome,
-    WorkItem,
+from repro.runtime.pipeline import (
+    ColoredGraph,
+    PoolExecutor,
+    color_graph,
+    executor_for,
     resolve_workers,
-    schedule_and_color,
+    solve_inline,
 )
 from repro.runtime.batch import BatchItem, BatchResult, decompose_many
 from repro.runtime.wire_binary import (
@@ -55,11 +57,12 @@ __all__ = [
     "open_cache",
     "canonical_component_key",
     "options_fingerprint",
-    "ComponentScheduler",
-    "ScheduleOutcome",
-    "WorkItem",
+    "ColoredGraph",
+    "PoolExecutor",
+    "color_graph",
+    "executor_for",
     "resolve_workers",
-    "schedule_and_color",
+    "solve_inline",
     "BatchItem",
     "BatchResult",
     "decompose_many",

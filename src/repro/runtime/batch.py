@@ -22,7 +22,6 @@ what a serial :meth:`Decomposer.decompose` call would return.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -30,7 +29,7 @@ from repro.core.decomposer import Decomposer, DecompositionResult
 from repro.core.options import DecomposerOptions
 from repro.geometry.layout import Layout
 from repro.runtime.cache import CacheStats, ComponentCache
-from repro.runtime.scheduler import resolve_workers
+from repro.runtime.pipeline import executor_for, resolve_workers
 
 #: Accepted layout collections: a sequence of layouts (named after
 #: ``Layout.name``), a sequence of (name, layout) pairs, or a name->layout map.
@@ -194,21 +193,13 @@ def decompose_many(
     worker_count = resolve_workers(workers)
     decomposer = Decomposer(options)
 
-    executor: Optional[ProcessPoolExecutor] = None
     start_batch = time.perf_counter()
     stats_before = (
         component_cache.snapshot_stats() if component_cache is not None else None
     )
-    try:
-        if worker_count >= 2:
-            try:
-                executor = ProcessPoolExecutor(max_workers=worker_count)
-            except Exception:
-                # The shared pool could not start (sandboxed environment):
-                # degrade the whole batch to serial rather than letting every
-                # layout's scheduler attempt (and tear down) its own pool.
-                worker_count = 1
-        batch = BatchResult(workers=worker_count)
+    batch = BatchResult(workers=worker_count)
+    # One executor (and so at most one process pool) for every layout.
+    with executor_for(worker_count) as executor:
         for name, layout in named:
             if layer is None:
                 layers = layout.layers()
@@ -217,18 +208,11 @@ def decompose_many(
                 layout_layer = layer
             start = time.perf_counter()
             result = decomposer.decompose(
-                layout,
-                layer=layout_layer,
-                workers=worker_count,
-                cache=component_cache,
-                executor=executor,
+                layout, layer=layout_layer, cache=component_cache, executor=executor
             )
             batch.items.append(
                 BatchItem(name=name, result=result, seconds=time.perf_counter() - start)
             )
-    finally:
-        if executor is not None:
-            executor.shutdown()
     batch.total_seconds = time.perf_counter() - start_batch
     if component_cache is not None:
         # Report this batch's activity only: a user-supplied cache may carry

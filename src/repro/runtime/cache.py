@@ -1,7 +1,8 @@
 """Memoisation of solved decomposition-graph components.
 
 Standard-cell layouts repeat the same cell across the die, so after graph
-division the scheduler sees the same small component over and over.  The
+division the pipeline (:mod:`repro.runtime.pipeline`) sees the same small
+component over and over, within one layout and across layouts.  The
 :class:`ComponentCache` stores each solved component's coloring in canonical
 (rank) space, keyed by :func:`repro.runtime.hashing.canonical_component_key`;
 a later isomorphic component replays the stored colors through its own rank
@@ -96,7 +97,13 @@ def _shape_matches(record: ComponentRecord, expected) -> bool:
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting of one :class:`ComponentCache`."""
+    """Hit/miss accounting of one :class:`ComponentCache`.
+
+    ``hits`` counts every component answered without a solve: backend hits
+    plus the identical siblings :func:`repro.runtime.pipeline.color_graph`
+    replays from a solve in hand.  ``misses`` counts backend reads that
+    found nothing; the pipeline reads each distinct key once per call.
+    """
 
     hits: int = 0
     misses: int = 0

@@ -1,8 +1,9 @@
-"""Component-level work unit of the cluster: solve options, responses, worker.
+"""Component-level work unit: solve options, the solve itself, responses.
 
-The cluster's unit of work is a single divided component (the same unit the
-process scheduler of :mod:`repro.runtime.scheduler` ships to worker
-processes), so this module is the component-level counterpart of
+The unit of work of every executor of :func:`repro.runtime.pipeline.color_graph`
+is a single divided component, solved by :func:`solve_component` into a
+rank-space :class:`ComponentSolve` — in this process, in a pool worker or on
+a cluster node.  This module is also the component-level counterpart of
 :mod:`repro.service.protocol`: one owner for the shapes that cross the
 coordinator → node HTTP boundary.
 
@@ -43,11 +44,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.division import DivisionReport
+from repro.core.decomposer import make_colorer
+from repro.core.division import DivisionReport, color_component
 from repro.core.options import DecomposerOptions
 from repro.errors import ReproError
 from repro.graph.decomposition_graph import DecompositionGraph
-from repro.runtime.cache import ComponentCache
+from repro.runtime.cache import ComponentCache, ComponentRecord
 from repro.runtime.hashing import canonical_component_key, canonical_vertex_order
 
 #: DivisionReport counters that cross the wire (the per-component delta).
@@ -164,7 +166,12 @@ def report_from_wire(payload: Dict) -> DivisionReport:
 
 
 class ComponentSolve:
-    """One parsed component response entry (coordinator side)."""
+    """One solved component in canonical rank space.
+
+    What every executor returns: :func:`solve_component` builds it from a
+    solve, :meth:`from_record` from a cache hit, and
+    :func:`parse_component_response` from a node's response entry.
+    """
 
     __slots__ = ("key", "ranks", "report", "solver_timeouts", "cache_hit")
 
@@ -195,6 +202,40 @@ class ComponentSolve:
                 f"local component has {len(order)}"
             )
         return {vertex: self.ranks[rank] for rank, vertex in enumerate(order)}
+
+    @classmethod
+    def from_record(
+        cls, key: str, record: ComponentRecord, graph: DecompositionGraph
+    ) -> "ComponentSolve":
+        """A cache hit (``record`` on ``graph``'s vertex ids) in rank space."""
+        return cls(
+            key=key,
+            ranks=[record.coloring[vertex] for vertex in canonical_vertex_order(graph)],
+            report=record.report,
+            solver_timeouts=record.solver_timeouts,
+            cache_hit=True,
+        )
+
+
+def solve_component(
+    graph: DecompositionGraph, options: DecomposerOptions, key: str = ""
+) -> ComponentSolve:
+    """Solve one divided component; the one component-job function.
+
+    The inline executor, the process pool's workers and a node's
+    :func:`solve_component_job` all solve here, through stages 2-4 of the
+    division flow (:func:`~repro.core.division.color_component`).
+    """
+    colorer = make_colorer(options.algorithm, options.num_colors, options.algorithm_options)
+    report = DivisionReport()
+    coloring = color_component(graph, colorer, options.division, report)
+    return ComponentSolve(
+        key=key,
+        ranks=[coloring[vertex] for vertex in canonical_vertex_order(graph)],
+        report=report.component_delta(),
+        solver_timeouts=int(getattr(colorer, "timeouts", 0)),
+        cache_hit=False,
+    )
 
 
 def parse_component_response(payload: Dict) -> ComponentSolve:
@@ -239,9 +280,8 @@ def solve_component_job(job: Dict, cache: Optional[ComponentCache]) -> Dict:
 
     Consults the worker's component cache first (this is the cache-affinity
     payoff: any coordinator routing canonical key H here finds the entry a
-    previous request stored), solves on a miss via the exact
-    :func:`~repro.core.division.color_component` path the serial pipeline
-    uses, and encodes the response in canonical rank space.
+    previous request stored), solves on a miss via :func:`solve_component`,
+    and encodes the response in canonical rank space.
 
     A ``key`` shipped with the job (the coordinator's routing hash) is used
     for the cache *lookup* — hashing schemes are versioned together, so a
@@ -276,35 +316,30 @@ def solve_component_job(job: Dict, cache: Optional[ComponentCache]) -> Dict:
         if key != job["key"]:
             record = cache.lookup(key, graph)
     lookup_seconds = time.perf_counter() - lookup_started
-    cache_hit = record is not None
     solve_seconds = 0.0
     if record is not None:
-        coloring = record.coloring
-        report = record.report
-        solver_timeouts = record.solver_timeouts
+        solve = ComponentSolve.from_record(key, record, graph)
     else:
-        from repro.core.decomposer import make_colorer
-        from repro.core.division import color_component
-
-        colorer = make_colorer(algorithm, colors, options.algorithm_options)
-        report = DivisionReport()
         solve_started = time.perf_counter()
-        coloring = color_component(graph, colorer, options.division, report)
+        solve = solve_component(graph, options, key)
         solve_seconds = time.perf_counter() - solve_started
-        report = report.component_delta()
-        solver_timeouts = int(getattr(colorer, "timeouts", 0))
         if cache is not None:
-            cache.store(key, graph, coloring, report, solver_timeouts=solver_timeouts)
-    order = canonical_vertex_order(graph)
+            cache.store(
+                key,
+                graph,
+                solve.coloring_for(graph),
+                solve.report,
+                solver_timeouts=solve.solver_timeouts,
+            )
     # "timings" is node-local observability: the server feeds it into its
     # stage histograms and trace spans, then strips it before encoding the
     # wire response, so response bytes are identical with tracing on or off.
     return {
         "key": key,
         "vertices": graph.num_vertices,
-        "cache_hit": cache_hit,
-        "coloring": [coloring[vertex] for vertex in order],
-        "report": report_to_wire(report),
-        "solver_timeouts": solver_timeouts,
+        "cache_hit": solve.cache_hit,
+        "coloring": solve.ranks,
+        "report": report_to_wire(solve.report),
+        "solver_timeouts": solve.solver_timeouts,
         "timings": {"cache_lookup": lookup_seconds, "solve": solve_seconds},
     }

@@ -90,8 +90,8 @@ def canonical_component_key(
     re-solving.
 
     The key is **memoised on the graph object** (per solve configuration,
-    dropped on structural mutation), so the coordinator's routing, the
-    scheduler's dedup and the cache lookup hash each component once.  The
+    dropped on structural mutation), so the pipeline's dedup, the cache
+    lookup and the coordinator's routing hash each component once.  The
     payload streams straight out of the memoised flat-array form
     (:meth:`~repro.graph.decomposition_graph.DecompositionGraph.to_arrays`):
     a fixed header followed by the length-prefixed packed little-endian

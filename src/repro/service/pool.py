@@ -48,7 +48,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.core.decomposer import Decomposer
 from repro.obs.hist import Histogram
 from repro.runtime.cache import open_cache
-from repro.runtime.scheduler import resolve_workers
+from repro.runtime.pipeline import resolve_workers
 from repro.service import protocol
 
 #: The queue's priority classes, in display order.

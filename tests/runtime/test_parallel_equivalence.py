@@ -1,10 +1,11 @@
-"""Determinism harness: the parallel/cached path must match serial bit-for-bit.
+"""Determinism harness: every executor and cache state must match serial.
 
-The scheduler's contract is that worker count, component cache state, and
-completion order are pure execution details: masks (the full coloring),
-conflict counts and stitch counts are identical to the serial
-``divide_and_color`` pipeline.  These tests enforce that contract on
-seeded-random layouts across K ∈ {3, 4, 5} and every algorithm registered in
+The pipeline's contract is that the executor (inline, process pool),
+worker count, component cache state and completion order are pure
+execution details: masks (the full coloring), conflict counts, stitch
+counts and the division report are identical to the serial reference
+``divide_and_color``.  These tests enforce that contract on seeded-random
+layouts across K ∈ {3, 4, 5} and every algorithm registered in
 ``make_colorer``, on hypothesis-generated random graphs, and on the named
 benchmark circuits.
 """
@@ -12,18 +13,32 @@ benchmark circuits.
 from __future__ import annotations
 
 import dataclasses
+import logging
+import pickle
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.runtime.pipeline as pipeline
 from repro.bench.circuits import TABLE1_CIRCUITS, load_circuit
-from repro.bench.factory import random_layout
+from repro.bench.factory import random_layout, repeated_cell_layout
 from repro.core.decomposer import Decomposer, make_colorer
 from repro.core.division import DivisionReport, divide_and_color
 from repro.core.options import AlgorithmOptions, DecomposerOptions, DivisionOptions
+from repro.graph.components import connected_components
+from repro.graph.construction import build_decomposition_graph
 from repro.graph.decomposition_graph import DecompositionGraph
-from repro.runtime import ComponentCache, ComponentScheduler, schedule_and_color
+from repro.runtime import (
+    ComponentCache,
+    InMemoryBackend,
+    PoolExecutor,
+    canonical_component_key,
+    color_graph,
+    decompose_many,
+    solve_inline,
+)
 
 #: Every algorithm ``make_colorer`` accepts, split by weight.
 FAST_ALGORITHMS = ["greedy", "linear", "backtrack"]
@@ -39,6 +54,17 @@ def _options(num_colors: int, algorithm: str) -> DecomposerOptions:
     if num_colors == 5:
         return DecomposerOptions.for_pentuple_patterning(algorithm)
     return DecomposerOptions.for_k_patterning(num_colors, algorithm)
+
+
+def _pipeline_options(
+    num_colors: int, algorithm: str, division: DivisionOptions = None
+) -> DecomposerOptions:
+    """The solve configuration ``divide_and_color`` gets as loose arguments."""
+    return DecomposerOptions(
+        num_colors=num_colors,
+        algorithm=algorithm,
+        division=division or DivisionOptions(),
+    )
 
 
 def assert_identical_solutions(serial, parallel) -> None:
@@ -81,8 +107,8 @@ class TestRandomLayoutEquivalence:
         assert_identical_solutions(serial, parallel)
 
 
-class TestSchedulerGraphEquivalence:
-    """Scheduler vs divide_and_color on raw graphs, in-process (no pool)."""
+class TestColorGraphEquivalence:
+    """color_graph vs divide_and_color on raw graphs, inline executor."""
 
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_all_algorithms_on_fig_graphs(self, algorithm, fig4, fig5):
@@ -90,19 +116,14 @@ class TestSchedulerGraphEquivalence:
             colorer = make_colorer(algorithm, 4, AlgorithmOptions())
             serial_report = DivisionReport()
             serial = divide_and_color(graph, colorer, report=serial_report)
-            parallel_report = DivisionReport()
-            parallel = schedule_and_color(
+            colored = color_graph(
                 graph,
-                algorithm,
-                4,
-                AlgorithmOptions(),
-                DivisionOptions(),
-                workers=1,
+                _pipeline_options(4, algorithm),
+                solve_inline,
                 cache=ComponentCache(),
-                report=parallel_report,
             )
-            assert parallel == serial
-            assert dataclasses.asdict(parallel_report) == dataclasses.asdict(
+            assert colored.coloring == serial
+            assert dataclasses.asdict(colored.report) == dataclasses.asdict(
                 serial_report
             )
 
@@ -122,20 +143,85 @@ class TestSchedulerGraphEquivalence:
         graph = DecompositionGraph.from_edges(edges, vertices=range(24))
         colorer = make_colorer(algorithm, num_colors, AlgorithmOptions())
         serial = divide_and_color(graph, colorer)
-        parallel = schedule_and_color(
-            graph, algorithm, num_colors, workers=1, cache=ComponentCache()
+        colored = color_graph(
+            graph,
+            _pipeline_options(num_colors, algorithm),
+            solve_inline,
+            cache=ComponentCache(),
         )
-        assert parallel == serial
+        assert colored.coloring == serial
 
     def test_division_options_respected(self, fig5):
         division = DivisionOptions(ghtree_cut_removal=False)
         colorer = make_colorer("greedy", 4, AlgorithmOptions())
         serial = divide_and_color(fig5, colorer, division=division)
-        scheduler = ComponentScheduler(
-            "greedy", 4, AlgorithmOptions(), division, workers=1
+        colored = color_graph(
+            fig5, _pipeline_options(4, "greedy", division), solve_inline
         )
-        outcome = scheduler.run(fig5)
-        assert outcome.coloring == serial
+        assert colored.coloring == serial
+
+
+class TestInCallDedup:
+    """Identical components of one graph are solved once, with or without
+    a cache, and replayed from the solve in hand."""
+
+    @staticmethod
+    def _options():
+        options = _options(4, "linear")
+        # Peeling would dissolve every 4-clique cell before the colorer runs.
+        options.division.low_degree_removal = False
+        return options
+
+    def test_default_serial_path_solves_each_distinct_component_once(
+        self, monkeypatch
+    ):
+        from repro.core.linear_coloring import LinearColoring
+
+        calls = []
+        original = LinearColoring.color
+
+        def counting_color(colorer, graph):
+            calls.append(graph.num_vertices)
+            return original(colorer, graph)
+
+        monkeypatch.setattr(LinearColoring, "color", counting_color)
+        options = self._options()
+        layout = repeated_cell_layout(copies=4)
+        result = Decomposer(options).decompose(layout, layer="contact")
+        assert calls == [4]  # four identical cells, one solve
+
+        graph = result.construction.graph
+        reference_report = DivisionReport()
+        reference = divide_and_color(
+            graph,
+            make_colorer("linear", 4, options.algorithm_options),
+            division=options.division,
+            report=reference_report,
+        )
+        assert len(calls) == 5  # the reference solves every copy
+        assert result.solution.coloring == reference
+        assert dataclasses.asdict(result.division_report) == dataclasses.asdict(
+            reference_report
+        )
+
+    def test_siblings_never_reread_an_evicted_entry(self):
+        """A backend may lose an entry right after storing it (a concurrent
+        process evicting it): the identical sibling still replays."""
+
+        class ForgetfulBackend(InMemoryBackend):
+            def put(self, key, record):
+                super().put(key, record)
+                self.clear()
+                return 1
+
+        options = self._options()
+        layout = repeated_cell_layout(copies=2)
+        serial = Decomposer(options).decompose(layout, layer="contact")
+        cache = ComponentCache(backend=ForgetfulBackend())
+        cached = Decomposer(options).decompose(layout, layer="contact", cache=cache)
+        assert_identical_solutions(serial, cached)
+        assert len(cache) == 0
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
 
 class TestBenchCircuitEquivalence:
@@ -217,34 +303,93 @@ class TestPickleDeterminism:
 
 
 class TestFallback:
-    def test_pool_failure_falls_back_to_serial(self, monkeypatch):
-        """A dead pool must not change results — only the execution venue."""
-        import repro.runtime.scheduler as scheduler_module
+    def test_pool_failure_falls_back_to_serial(self, monkeypatch, caplog):
+        """A dead pool must not change results — only the execution venue —
+        and the executor says so in one WARNING naming the exception."""
 
-        def broken_executor(self):
+        def broken_pool(max_workers):
             raise OSError("no processes in this sandbox")
 
-        monkeypatch.setattr(
-            scheduler_module.ComponentScheduler, "_ensure_executor", broken_executor
-        )
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", broken_pool)
         layout = load_circuit("C432", scale=0.25)
         options = _options(4, "linear")
         serial = Decomposer(options).decompose(layout)
-        parallel = Decomposer(options).decompose(layout, workers=4)
+        with caplog.at_level(logging.WARNING, logger="repro.runtime.pipeline"):
+            parallel = Decomposer(options).decompose(layout, workers=4)
         assert_identical_solutions(serial, parallel)
+        warnings = [r for r in caplog.records if r.name == "repro.runtime.pipeline"]
+        assert len(warnings) == 1
+        assert warnings[0].levelno == logging.WARNING
+        assert "OSError: no processes in this sandbox" in warnings[0].getMessage()
+
+    def test_abandoned_pool_stays_abandoned(self, monkeypatch, caplog):
+        """One executor serving a whole batch gives up on its pool once."""
+        attempts = []
+
+        def broken_pool(max_workers):
+            attempts.append(max_workers)
+            raise OSError("no processes in this sandbox")
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", broken_pool)
+        # Both circuits have two components above the in-process cutoff.
+        layouts = [
+            ("a", load_circuit("C432", scale=0.25)),
+            ("b", load_circuit("C499", scale=0.25)),
+        ]
+        options = _options(4, "linear")
+        with caplog.at_level(logging.WARNING, logger="repro.runtime.pipeline"):
+            batch = decompose_many(layouts, options=options, workers=2, cache=False)
+        assert attempts == [2]
+        warnings = [r for r in caplog.records if r.name == "repro.runtime.pipeline"]
+        assert len(warnings) == 1
+        for name, layout in layouts:
+            serial = Decomposer(options).decompose(layout, layer=layout.layers()[0])
+            assert_identical_solutions(serial, batch.item(name).result)
 
 
 class TestPoolPayload:
-    def test_remote_payload_is_the_inline_flat_frame(self, fig5):
-        """Pool submissions carry the packed frame bytes — and solve alike."""
-        from repro.runtime.scheduler import ComponentScheduler, _solve_component_job
+    def test_pool_ships_inline_flat_frames_largest_first(self, monkeypatch):
+        """Pool submissions carry each component's packed frame bytes,
+        biggest component first — and solve exactly like the inline path."""
+        submitted = []
 
+        class InlinePool:
+            """Runs each job at submit time, through a real pickle round trip."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, *args):
+                submitted.append(args)
+                future = Future()
+                shipped = pickle.loads(pickle.dumps(args))
+                future.set_result(pickle.loads(pickle.dumps(fn(*shipped))))
+                return future
+
+            def shutdown(self, wait=True):
+                pass
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
         options = _options(4, "linear")
-        scheduler = ComponentScheduler(
-            "linear", 4, options.algorithm_options, options.division, workers=2
-        )
-        payload = scheduler._remote_payload(fig5)
-        assert payload[0] == fig5.to_arrays().to_bytes()
-        assert _solve_component_job(payload) == _solve_component_job(
-            scheduler._payload(fig5)
-        )
+        layout = load_circuit("C432", scale=0.25)
+        graph = build_decomposition_graph(
+            layout, layer="metal1", options=options.construction
+        ).graph
+        pooled = color_graph(graph, options, PoolExecutor(2))
+        assert pooled == color_graph(graph, options, solve_inline)
+
+        frames, sizes = {}, {}
+        for component in connected_components(graph):
+            subgraph = graph.subgraph(component)
+            key = canonical_component_key(
+                subgraph, 4, "linear", options.algorithm_options, options.division
+            )
+            frames[key] = subgraph.to_arrays().to_bytes()
+            sizes[key] = subgraph.num_vertices
+        assert len(submitted) >= 2
+        for frame, key, shipped_options in submitted:
+            assert frame == frames[key]
+            assert sizes[key] > pipeline.SMALL_COMPONENT_CUTOFF
+            assert shipped_options is options
+        shipped_sizes = [sizes[key] for _, key, _ in submitted]
+        assert shipped_sizes == sorted(shipped_sizes, reverse=True)
