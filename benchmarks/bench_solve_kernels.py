@@ -1,9 +1,8 @@
 """Benchmark: per-component solve speed of the compiled flat-array kernels.
 
-The three per-component solvers run either as the dict-walking reference
-implementations or on the compiled C core over the packed
-:class:`~repro.graph.flat.FlatGraph` arrays.  This harness measures each
-solver on the Table 1 circuits in both modes and records the speedups:
+The per-component solvers and the SDP relaxation run either as their
+reference implementations or on the compiled C core.  This harness measures
+each on the Table 1 circuits in both modes and records the speedups:
 
 * **greedy**    — ``GreedyColoring`` over every component: reference vs the
   compiled walk;
@@ -12,18 +11,22 @@ solver on the Table 1 circuits in both modes and records the speedups:
 * **backtrack** — ``search_merged_graph`` vs the packed kernel on the merged
   graphs of the small components (the exact search is exponential, so the
   leg is capped at ``BACKTRACK_MAX_NODES`` merged nodes — the cap and how
-  many components it skipped are recorded in the artifact, never silent).
+  many components it skipped are recorded in the artifact, never silent);
+* **sdp**       — ``VectorProgramSolver.solve`` on every relaxation problem
+  (SDP piece) an sdp-backtrack run of the circuit solves: the numpy
+  reference vs the compiled loop.
 
-Every timed call is parity-checked against the reference coloring — the
-benchmark refuses to report a speedup for a kernel that changed the output.
+Every timed call is parity-checked against the reference output (colorings,
+or every field of the relaxation result bit for bit) — the benchmark refuses
+to report a speedup for a kernel that changed the output.
 
 Run standalone to (re)record ``benchmarks/artifacts/solve_kernels.json``::
 
     python benchmarks/bench_solve_kernels.py           # full Table 1 suite
     python benchmarks/bench_solve_kernels.py --quick   # CI smoke: 2 circuits
 
-Timings are best-of over repeated sweeps of all components of each circuit,
-divided by the component count — per-component microseconds.
+Timings are best-of over repeated sweeps of all components (SDP pieces for
+the sdp leg) of each circuit, divided by their count — microseconds each.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, List
 
@@ -39,14 +43,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.factory import circuit_graph
 from repro.core.backtrack import search_merged_graph
+from repro.core.division import divide_and_color
 from repro.core.greedy_coloring import GreedyColoring
 from repro.core.kernels import set_kernel_mode
 from repro.core.kernels.backtrack_kernel import backtrack_search
 from repro.core.kernels.ccore import compiled_core
 from repro.core.linear_coloring import LinearColoring
 from repro.core.options import AlgorithmOptions
+from repro.core.sdp_coloring import SdpColoring
 from repro.graph.components import connected_components
 from repro.graph.simplify import build_merged_graph
+from repro.opt.sdp import VectorProgramSolver
 
 QUICK_CIRCUITS = ["C432", "C6288"]
 FULL_CIRCUITS = [
@@ -169,6 +176,59 @@ def _backtrack_leg(components: List, repeats: int) -> tuple:
     return legs, skipped, len(merged_graphs)
 
 
+@contextmanager
+def _recording_relaxations():
+    """Collect the ``(n, conflict, stitch)`` problem of every relaxation solved."""
+    pieces: List[tuple] = []
+    original = VectorProgramSolver.solve
+
+    def recording(solver, num_vertices, conflict_edges, stitch_edges=()):
+        pieces.append((num_vertices, list(conflict_edges), list(stitch_edges)))
+        return original(solver, num_vertices, conflict_edges, stitch_edges)
+
+    VectorProgramSolver.solve = recording
+    try:
+        yield pieces
+    finally:
+        VectorProgramSolver.solve = original
+
+
+def _sdp_leg(graph, repeats: int) -> tuple:
+    """Time the relaxation on every SDP piece of an sdp-backtrack run."""
+    with _recording_relaxations() as pieces:
+        divide_and_color(graph, SdpColoring(NUM_COLORS, AlgorithmOptions()))
+    if not pieces:
+        return {}, 0
+
+    solver = VectorProgramSolver(NUM_COLORS, alpha=ALPHA)
+
+    def solve(piece):
+        return solver.solve(*piece)
+
+    set_kernel_mode("off")
+    reference = [solve(piece) for piece in pieces]
+    legs: Dict[str, float] = {"off": _time_sweep(solve, pieces, repeats)}
+    for mode in _modes():
+        if mode == "off":
+            continue
+        set_kernel_mode(mode)
+        for index, piece in enumerate(pieces):
+            expected, candidate = reference[index], solve(piece)
+            if (
+                candidate.vectors.tobytes() != expected.vectors.tobytes()
+                or candidate.gram.tobytes() != expected.gram.tobytes()
+                or (candidate.iterations, candidate.objective, candidate.constraint_violation)
+                != (expected.iterations, expected.objective, expected.constraint_violation)
+            ):
+                raise AssertionError(
+                    f"sdp parity violation in mode {mode!r} on piece {index} "
+                    f"({piece[0]} vertices)"
+                )
+        legs[mode] = _time_sweep(solve, pieces, repeats)
+    set_kernel_mode(None)
+    return legs, len(pieces)
+
+
 def _speedups(legs: Dict[str, float]) -> Dict[str, float]:
     return {
         f"{mode}_vs_reference": round(legs["off"] / legs[mode], 2)
@@ -189,6 +249,7 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
         greedy_legs = _solver_leg(GreedyColoring, components, repeats)
         linear_legs = _solver_leg(LinearColoring, components, repeats)
         backtrack_legs, skipped, timed = _backtrack_leg(components, repeats)
+        sdp_legs, sdp_pieces = _sdp_leg(graph, repeats)
         row = {
             "circuit": circuit,
             "components": len(components),
@@ -199,14 +260,17 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
                 "backtrack": {
                     m: round(s * 1e6, 3) for m, s in backtrack_legs.items()
                 },
+                "sdp": {m: round(s * 1e6, 3) for m, s in sdp_legs.items()},
             },
             "speedups": {
                 "greedy": _speedups(greedy_legs),
                 "linear": _speedups(linear_legs),
                 "backtrack": _speedups(backtrack_legs) if backtrack_legs else {},
+                "sdp": _speedups(sdp_legs) if sdp_legs else {},
             },
             "backtrack_components_timed": timed,
             "backtrack_components_skipped_over_cap": skipped,
+            "sdp_pieces_timed": sdp_pieces,
         }
         rows.append(row)
     payload = {
@@ -224,7 +288,10 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
             "reference coloring first.  'off' is the dict-walking reference; "
             "the backtrack leg runs only on components whose merged graph "
             "has <= backtrack_max_nodes nodes (skips are counted per row) "
-            "and under backtrack_expansion_limit expansions per search."
+            "and under backtrack_expansion_limit expansions per search.  "
+            "The sdp leg times one relaxation per SDP piece of an "
+            "sdp-backtrack run (sdp_pieces_timed per row; its microseconds "
+            "are per piece) and checks every result field bit for bit."
         ),
         "circuits": rows,
         "min_compiled_speedup": {
@@ -236,7 +303,7 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
                 ),
                 default=None,
             )
-            for solver in ("greedy", "linear", "backtrack")
+            for solver in ("greedy", "linear", "backtrack", "sdp")
         },
     }
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -271,7 +338,8 @@ def main(argv: List[str] | None = None) -> int:
             f"greedy {compiled('greedy')}  linear {compiled('linear')}  "
             f"backtrack {compiled('backtrack')} "
             f"({row['backtrack_components_timed']} timed, "
-            f"{row['backtrack_components_skipped_over_cap']} over cap)"
+            f"{row['backtrack_components_skipped_over_cap']} over cap)  "
+            f"sdp {compiled('sdp')} ({row['sdp_pieces_timed']} pieces)"
         )
     print(f"minimum compiled speedup per solver: {payload['min_compiled_speedup']}")
     print(f"artifact written to {args.artifact}")

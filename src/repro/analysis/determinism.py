@@ -13,8 +13,8 @@ serial solver produces.  Three recurring ways Python code breaks that:
 * **DET002** — module-level ``random.*`` / legacy ``numpy.random.*`` calls:
   the shared global RNG makes results depend on everything else that drew
   from it.  Use an explicitly seeded ``random.Random`` /
-  ``numpy.random.default_rng`` instance (as ``repro.opt.sdp`` and
-  ``repro.bench.synthetic`` already do).
+  ``numpy.random.default_rng`` / bit-generator instance (as
+  ``repro.bench.synthetic`` and ``repro.opt.sdp`` already do).
 * **DET003** — wall-clock time, ``id()``, ``os.urandom`` or ``uuid`` values
   inside canonical-hashing code (functions whose name mentions hashing,
   fingerprinting, canonicalisation or cache keys): any such value differs

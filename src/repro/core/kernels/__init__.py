@@ -6,7 +6,9 @@ the golden tables.  The kernels in this package marshal the packed
 :class:`repro.graph.flat.FlatGraph` arrays (CSR adjacency, flat earlier-edge
 arrays) into the compiled C core of :mod:`repro.core.kernels.ccore` and
 produce **bit-identical output**: same colorings, same tie-breaks, same
-search statistics.  Parity is the hard acceptance gate (``tests/kernels/``),
+search statistics.  The SDP relaxation of :mod:`repro.opt.sdp` dispatches
+the same way: its numpy reference defines the arithmetic and one C call
+repeats it.  Parity is the hard acceptance gate (``tests/kernels/``),
 which is why the C loops replicate the reference float expression order
 operation for operation.
 
@@ -24,8 +26,8 @@ environment variable (checked once per solve, overridable in-process via
     Never load the core; run the reference solvers.
 
 With the core loaded, a solve still runs the reference when K exceeds
-:data:`MAX_COMPILED_COLORS` or the core cannot allocate its working memory:
-the kernel returns ``None`` and its caller falls back.  A server reports the
+:data:`MAX_COMPILED_COLORS` (greedy and linear) or the core cannot allocate
+its working memory: the kernel returns ``None`` and its caller falls back.  A server reports the
 backend its workers actually run on (``repro_build_info{solve_kernels=}``).
 
 The mode deliberately lives outside :class:`repro.core.options.AlgorithmOptions`:
@@ -55,6 +57,7 @@ _KERNEL_MODULES = {
     "greedy": "greedy_kernel",
     "linear": "linear_kernel",
     "backtrack": "backtrack_kernel",
+    "sdp": "sdp_kernel",
 }
 
 #: In-process override (tests, benchmarks); ``None`` defers to the env var.
@@ -95,8 +98,8 @@ def select_kernel(algorithm: str):
     """Return the compiled kernel module for ``algorithm``, or ``None``.
 
     ``None`` — run the reference solver — for anything but ``greedy``,
-    ``linear`` and ``backtrack``, in mode ``off``, and in mode ``auto`` when
-    the compiled core is unavailable.
+    ``linear``, ``backtrack`` and ``sdp``, in mode ``off``, and in mode
+    ``auto`` when the compiled core is unavailable.
     """
     module = _KERNEL_MODULES.get(algorithm)
     if module is None or active_core() is None:

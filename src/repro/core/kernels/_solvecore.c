@@ -2,19 +2,20 @@
  *
  * Built on first use by ccore.py with
  *     cc -O2 -fPIC -shared -ffp-contract=off
- * and loaded through ctypes.  Every loop mirrors its pure-Python
- * counterpart operation for operation: the same double expressions in the
- * same order (no FMA contraction, no reassociation at -O2), the same
- * strict-< first-minimum tie-breaks, the same traversal order.  Python int
- * -> C double conversions are exact for the magnitudes involved, so the
+ * and loaded through ctypes.  Every loop mirrors its reference solver
+ * operation for operation: the same double expressions in the same order
+ * (no FMA contraction, no reassociation at -O2), the same strict-<
+ * first-minimum tie-breaks, the same traversal order.  Python int -> C
+ * double conversions are exact for the magnitudes involved, so the
  * compiled results are bit-identical to the interpreter's.
  */
 
+#include <math.h>
 #include <stdlib.h>
 
 #define MAX_COLORS 64 /* mirrored by MAX_COMPILED_COLORS on the python side */
 
-/* Greedy coloring walk (greedy_kernel._python_walk).
+/* Greedy coloring walk (greedy_coloring.greedy_color_graph).
  *
  * colors[] must arrive initialised to -1; order[] is the processing order
  * over vertex ranks; CSR rows are sorted ascending.
@@ -61,7 +62,7 @@ void repro_greedy_walk(
     }
 }
 
-/* Linear-kernel greedy walk (linear_kernel._color_in_order).
+/* Kernel coloring walk (LinearColoring._color_in_order / _pick_color).
  *
  * Same hit counters as the greedy walk plus the color-friendly counter;
  * the color pick replicates the python tuple comparison
@@ -128,7 +129,7 @@ void repro_linear_walk(
     }
 }
 
-/* Kernel-subgraph score (linear_kernel._evaluate): conflict/stitch counts
+/* Kernel-subgraph score (evaluation.evaluate): conflict/stitch counts
  * over the flat uint32 edge-pair arrays, uncolored (-1) endpoints skipped. */
 void repro_evaluate(
     const unsigned int *conf_edges, int conf_len,
@@ -152,7 +153,7 @@ void repro_evaluate(
     *stitches_out = stitches;
 }
 
-/* Local recolor cost (linear_kernel._local_cost). */
+/* Local recolor cost (refinement.local_color_cost). */
 static double local_cost(
     int rank, int color, double alpha, const int *colors,
     const int *conf_start, const int *conf_adj,
@@ -172,7 +173,7 @@ static double local_cost(
     return conflicts + alpha * (double)stitches;
 }
 
-/* One greedy improvement pass (linear_kernel._refine),
+/* One greedy improvement pass (refinement.refine_coloring),
  * including the reference's `cost < best_cost - 1e-12` epsilon. */
 void repro_refine_pass(
     int num_colors, double alpha,
@@ -204,7 +205,7 @@ void repro_refine_pass(
     }
 }
 
-/* Pop the peel stack (linear_kernel._legal_color loop): stack entries are
+/* Pop the peel stack (simplify.reinsert_peeled_vertices): stack entries are
  * visited last-pushed-first; each takes a stitch-preferred legal color. */
 void repro_reinsert(
     int num_colors,
@@ -256,13 +257,13 @@ void repro_reinsert(
     }
 }
 
-/* Iterative low-degree vertex removal (linear_kernel._peel).
+/* Iterative low-degree vertex removal (simplify.peel_low_degree_vertices).
  *
  * Fills alive/cdeg/sdeg/fdeg and the removal stack; returns the stack
- * length, or -1 on allocation failure (the caller falls back to python).
+ * length, or -1 on allocation failure (the caller runs the reference).
  * The queue is LIFO with a pending guard, so it never exceeds n entries —
  * the exact traversal (including the sorted merged neighbour re-enqueue
- * order) matches the python loop.
+ * order) matches the reference loop.
  */
 int repro_peel(
     int n, int num_colors, int max_stitch_degree,
@@ -366,7 +367,7 @@ int repro_peel(
     return stack_len;
 }
 
-/* Branch-and-bound DFS (backtrack_kernel._python_search).
+/* Branch-and-bound DFS (backtrack.search_merged_graph).
  *
  * Position-space packed earlier-edge CSR; best_cost_io carries the incumbent
  * cost in and the best cost out; best_pos carries the incumbent assignment
@@ -472,4 +473,151 @@ long long repro_backtrack_search(
     *best_cost_io = best_cost;
     *completed_out = completed;
     return expansions;
+}
+
+/* Dot product summed left to right from +0.0 (sdp._row_dots). */
+static double dot(const double *a, const double *b, int dim)
+{
+    double s = 0.0;
+    for (int k = 0; k < dim; k++)
+        s += a[k] * b[k];
+    return s;
+}
+
+/* g_i += w * v_j, then g_j += w * v_i. */
+static void scatter_edge(
+    double *grad, const double *vectors, int i, int j, double w, int dim)
+{
+    double *gi = grad + (size_t)i * dim;
+    const double *vj = vectors + (size_t)j * dim;
+    for (int k = 0; k < dim; k++)
+        gi[k] += w * vj[k];
+    double *gj = grad + (size_t)j * dim;
+    const double *vi = vectors + (size_t)i * dim;
+    for (int k = 0; k < dim; k++)
+        gj[k] += w * vi[k];
+}
+
+/* Largest lower_bound - v_i . v_j over the conflict edges, at least 0
+ * (sdp._max_violation). */
+static double max_violation(
+    const double *vectors, int dim, const int *conflict, int num_conflicts,
+    double lower_bound)
+{
+    double worst = 0.0;
+    for (int e = 0; e < num_conflicts; e++) {
+        double v = lower_bound - dot(vectors + (size_t)conflict[2 * e] * dim,
+                                     vectors + (size_t)conflict[2 * e + 1] * dim,
+                                     dim);
+        if (v > worst)
+            worst = v;
+    }
+    return worst;
+}
+
+/* Vector-program relaxation (opt/sdp.py VectorProgramSolver._relax).
+ *
+ * vectors[n * dim] carries the normalised start point in and the final
+ * factor out; gram[n * n] receives the clipped inner products.  Edge
+ * arrays are (i, j) pairs.  Returns the total inner iterations, or -1 on
+ * allocation failure before anything was written (the caller runs the
+ * reference).  The arithmetic contract lives in the opt/sdp.py docstring:
+ * sums run left to right from +0.0, the gradient is scattered per edge in
+ * edge order (conflicts, then stitches), norms are sqrt of such a sum.
+ */
+long long repro_sdp_solve(
+    int n, int dim,
+    const int *conflict, int num_conflicts,
+    const int *stitch, int num_stitches,
+    double alpha, double lower_bound, double learning_rate,
+    double penalty_initial, double penalty_growth, double gradient_tolerance,
+    long long max_outer, long long max_inner,
+    double *vectors, double *gram,
+    double *objective_out, double *violation_out)
+{
+    size_t size = (size_t)n * dim;
+    double *grad = malloc(size * sizeof(double));
+    if (grad == NULL)
+        return -1;
+    double neg_alpha = -alpha;
+    double penalty = penalty_initial;
+    long long total = 0;
+    for (long long outer = 0; outer < max_outer; outer++) {
+        double twice_penalty = 2.0 * penalty;
+        double previous = HUGE_VAL;
+        long long iterations = 0;
+        for (long long iteration = 0; iteration < max_inner; iteration++) {
+            iterations = iteration + 1;
+            for (size_t x = 0; x < size; x++)
+                grad[x] = 0.0;
+            double value = 0.0;
+            for (int e = 0; e < num_conflicts; e++) {
+                int i = conflict[2 * e], j = conflict[2 * e + 1];
+                double d = dot(vectors + (size_t)i * dim,
+                               vectors + (size_t)j * dim, dim);
+                double s = lower_bound - d;
+                if (!(s > 0.0))
+                    s = 0.0;
+                value += d + penalty * (s * s);
+                scatter_edge(grad, vectors, i, j, 1.0 - twice_penalty * s, dim);
+            }
+            for (int e = 0; e < num_stitches; e++) {
+                int i = stitch[2 * e], j = stitch[2 * e + 1];
+                double d = dot(vectors + (size_t)i * dim,
+                               vectors + (size_t)j * dim, dim);
+                value += neg_alpha * d;
+                scatter_edge(grad, vectors, i, j, neg_alpha, dim);
+            }
+            /* Tangent projection in place; its squared norm in row-major order. */
+            double norm_sq = 0.0;
+            for (int r = 0; r < n; r++) {
+                double *g = grad + (size_t)r * dim;
+                const double *v = vectors + (size_t)r * dim;
+                double radial = dot(g, v, dim);
+                for (int k = 0; k < dim; k++) {
+                    g[k] = g[k] - radial * v[k];
+                    norm_sq += g[k] * g[k];
+                }
+            }
+            if (sqrt(norm_sq) / (double)n < gradient_tolerance)
+                break;
+            for (int r = 0; r < n; r++) {
+                double *v = vectors + (size_t)r * dim;
+                const double *g = grad + (size_t)r * dim;
+                for (int k = 0; k < dim; k++)
+                    v[k] = v[k] - learning_rate * g[k];
+                double norm = sqrt(dot(v, v, dim));
+                if (norm == 0.0)
+                    norm = 1.0;
+                for (int k = 0; k < dim; k++)
+                    v[k] = v[k] / norm;
+            }
+            if (fabs(previous - value) < 1e-9 * (1.0 + fabs(value)))
+                break;
+            previous = value;
+        }
+        total += iterations;
+        if (max_violation(vectors, dim, conflict, num_conflicts, lower_bound) < 1e-3)
+            break;
+        penalty *= penalty_growth;
+    }
+    free(grad);
+
+    for (int a = 0; a < n; a++) {
+        for (int b = 0; b < n; b++) {
+            double x = dot(vectors + (size_t)a * dim, vectors + (size_t)b * dim, dim);
+            gram[(size_t)a * n + b] = x < -1.0 ? -1.0 : (x > 1.0 ? 1.0 : x);
+        }
+    }
+    double objective = 0.0;
+    for (int e = 0; e < num_conflicts; e++)
+        objective += dot(vectors + (size_t)conflict[2 * e] * dim,
+                         vectors + (size_t)conflict[2 * e + 1] * dim, dim);
+    for (int e = 0; e < num_stitches; e++)
+        objective += neg_alpha * dot(vectors + (size_t)stitch[2 * e] * dim,
+                                     vectors + (size_t)stitch[2 * e + 1] * dim,
+                                     dim);
+    *objective_out = objective;
+    *violation_out = max_violation(vectors, dim, conflict, num_conflicts, lower_bound);
+    return total;
 }

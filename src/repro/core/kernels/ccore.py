@@ -154,6 +154,27 @@ class CompiledCore:
             ctypes.c_void_p,
         ]
         lib.repro_peel.restype = ctypes.c_int
+        lib.repro_sdp_solve.argtypes = [
+            ctypes.c_int,
+            ctypes.c_int,
+            ctypes.c_void_p,
+            ctypes.c_int,
+            ctypes.c_void_p,
+            ctypes.c_int,
+            ctypes.c_double,
+            ctypes.c_double,
+            ctypes.c_double,
+            ctypes.c_double,
+            ctypes.c_double,
+            ctypes.c_double,
+            ctypes.c_longlong,
+            ctypes.c_longlong,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.POINTER(ctypes.c_double),
+            ctypes.POINTER(ctypes.c_double),
+        ]
+        lib.repro_sdp_solve.restype = ctypes.c_longlong
 
     @staticmethod
     def _buf(arr: array) -> ctypes.c_void_p:
@@ -327,6 +348,51 @@ class CompiledCore:
             return None
         return expansions, bool(completed.value), cost_io.value
 
+    def sdp_solve(
+        self,
+        conflict,
+        stitch,
+        alpha: float,
+        lower_bound: float,
+        options,
+        vectors,
+        gram,
+    ) -> Optional[Tuple[int, float, float]]:
+        """Run the relaxation in place on ``vectors``; fill ``gram``.
+
+        ``conflict``/``stitch`` are C-contiguous int32 ``(m, 2)`` arrays and
+        ``vectors``/``gram`` C-contiguous float64 arrays.  Returns
+        ``(iterations, objective, constraint_violation)``, or ``None`` when
+        the core could not allocate (``vectors`` is then untouched).
+        """
+        n, dim = vectors.shape
+        objective = ctypes.c_double(0.0)
+        violation = ctypes.c_double(0.0)
+        iterations = self._lib.repro_sdp_solve(
+            n,
+            dim,
+            conflict.ctypes.data,
+            len(conflict),
+            stitch.ctypes.data,
+            len(stitch),
+            alpha,
+            lower_bound,
+            options.learning_rate,
+            options.penalty_initial,
+            options.penalty_growth,
+            options.gradient_tolerance,
+            # Iteration caps beyond 2**62 are unreachable either way.
+            min(options.max_outer_iterations, 2**62),
+            min(options.max_inner_iterations, 2**62),
+            vectors.ctypes.data,
+            gram.ctypes.data,
+            ctypes.byref(objective),
+            ctypes.byref(violation),
+        )
+        if iterations < 0:  # allocation failure inside the core
+            return None
+        return iterations, objective.value, violation.value
+
 
 def _cache_dir() -> Path:
     configured = os.environ.get(CACHE_DIR_ENV)
@@ -360,7 +426,7 @@ def _build(target: Path) -> bool:
     staging = target.with_name(f"{target.name}.build-{os.getpid()}")
     try:
         subprocess.run(
-            [compiler, *_CFLAGS, *_extra_cflags(), str(_SOURCE), "-o", str(staging)],
+            [compiler, *_CFLAGS, *_extra_cflags(), str(_SOURCE), "-lm", "-o", str(staging)],
             check=True,
             capture_output=True,
             timeout=120,

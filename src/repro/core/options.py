@@ -58,8 +58,6 @@ class AlgorithmOptions:
     #: Wall-clock budget (seconds) for the ILP baseline; mirrors the paper's
     #: one-hour cap (scaled down because our components are smaller).
     ilp_time_limit: Optional[float] = 60.0
-    #: Wall-clock budget per SDP component solve.
-    sdp_time_limit: Optional[float] = None
     #: Enable the color-friendly guidance in the linear color assignment.
     use_color_friendly: bool = True
     #: Enable peer selection (three orderings) in the linear color assignment.

@@ -19,6 +19,36 @@ tightens the penalty.  The downstream mapping stages only consume the pairwise
 inner products ``x_ij``, which this solver provides with the same semantics
 ("close to 1" = same mask, "close to -1/(K-1)" = different masks).
 
+Arithmetic contract
+-------------------
+The relaxation's output bytes are defined here, not by numpy's reduction
+order, BLAS or SIMD width.  :meth:`VectorProgramSolver._relax` is the
+reference, and the compiled loop ``repro_sdp_solve`` in
+``repro/core/kernels/_solvecore.c`` repeats it operation for operation, so
+the two are bit-identical (``tests/kernels/test_sdp_parity.py``):
+
+* the start point is ``PCG64(seed + n).random_raw`` words — a stream NumPy
+  keeps stable, unlike ``Generator.normal`` — whose top 53 bits map exactly
+  to coordinates in ``[-1, 1)``, then each row is normalised;
+* every dot product and every sum runs left to right from ``+0.0``, and a
+  norm is the ``sqrt`` of such a sum (a row norm of 0 divides by 1);
+* the gradient is scattered in edge order, conflict edges then stitch
+  edges, fused per edge: edge ``(i, j)`` with weight ``w`` adds ``w * v_j``
+  to row ``i`` and then ``w * v_i`` to row ``j``, where ``w`` is
+  ``1 - 2 * penalty * max(lb - v_i.v_j, 0)`` for a conflict edge and
+  ``-alpha`` for a stitch edge;
+* the penalised value adds ``d + penalty * (s * s)`` per conflict edge (``d``
+  the dot product, ``s`` its violation) and ``-alpha * d`` per stitch edge;
+  the objective adds ``d`` and ``-alpha * d``;
+* the gram matrix is the clipped row-by-row dot products of the final
+  vectors.
+
+Only elementwise numpy operations and sequential accumulations
+(``np.add.accumulate``, ``np.add.at``) appear in the reference; ``einsum``,
+``@``, ``linalg.norm`` and ``.sum()`` do not, because their summation order
+is numpy's to choose.  The only libm call is ``sqrt``, which IEEE 754
+rounds correctly everywhere.
+
 The module also exposes :func:`simplex_vectors`, the K unit vectors of Fig. 3
 (mutual inner product exactly ``-1/(K-1)``), used by tests and by the
 discrete-solution encoder.
@@ -26,6 +56,7 @@ discrete-solution encoder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -162,7 +193,9 @@ class VectorProgramSolver:
     ) -> SdpResult:
         """Solve the relaxation for a graph on ``range(num_vertices)``.
 
-        Edge endpoints must be indices in ``[0, num_vertices)``.
+        Edge endpoints must be indices in ``[0, num_vertices)``.  Runs the
+        compiled loop when :func:`repro.core.kernels.select_kernel` offers
+        it, and :meth:`_relax` otherwise; both return the same bytes.
         """
         if num_vertices <= 0:
             raise SolverError("cannot solve an empty vector program")
@@ -173,36 +206,21 @@ class VectorProgramSolver:
         # A couple of extra dimensions beyond K helps the low-rank factorisation
         # escape the local minima a rank-K landscape exhibits.
         dim = self.options.dimension or (self.num_colors + 2)
-        rng = np.random.default_rng(self.options.seed + num_vertices)
-        vectors = rng.normal(size=(num_vertices, dim))
-        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-
+        vectors = start_point(num_vertices, dim, self.options.seed)
         conflict = np.asarray(conflict_edges, dtype=int).reshape(-1, 2)
         stitch = np.asarray(stitch_edges, dtype=int).reshape(-1, 2)
         lower_bound = -1.0 / (self.num_colors - 1)
 
-        penalty = self.options.penalty_initial
-        total_iterations = 0
-        for _ in range(self.options.max_outer_iterations):
-            vectors, inner_iterations = self._minimise(
-                vectors, conflict, stitch, lower_bound, penalty
-            )
-            total_iterations += inner_iterations
-            violation = self._max_violation(vectors, conflict, lower_bound)
-            if violation < 1e-3:
-                break
-            penalty *= self.options.penalty_growth
+        from repro.core.kernels import select_kernel
 
-        gram = np.clip(vectors @ vectors.T, -1.0, 1.0)
-        objective = self._objective(vectors, conflict, stitch)
-        violation = self._max_violation(vectors, conflict, lower_bound)
-        return SdpResult(
-            gram=gram,
-            vectors=vectors,
-            objective=objective,
-            constraint_violation=violation,
-            iterations=total_iterations,
-        )
+        kernel = select_kernel("sdp")
+        if kernel is not None:
+            result = kernel.relax(
+                vectors, conflict, stitch, self.alpha, lower_bound, self.options
+            )
+            if result is not None:
+                return result
+        return self._relax(vectors, conflict, stitch, lower_bound)
 
     def solve_graph(
         self,
@@ -216,80 +234,113 @@ class VectorProgramSolver:
         se = [(index[u], index[v]) for (u, v) in stitch_edges]
         return self.solve(len(index), ce, se), index
 
-    # ------------------------------------------------------------ internals
-    def _objective(
-        self, vectors: np.ndarray, conflict: np.ndarray, stitch: np.ndarray
-    ) -> float:
-        value = 0.0
-        if conflict.size:
-            value += float(
-                np.einsum("ij,ij->i", vectors[conflict[:, 0]], vectors[conflict[:, 1]]).sum()
-            )
-        if stitch.size:
-            value -= self.alpha * float(
-                np.einsum("ij,ij->i", vectors[stitch[:, 0]], vectors[stitch[:, 1]]).sum()
-            )
-        return value
-
-    @staticmethod
-    def _max_violation(
-        vectors: np.ndarray, conflict: np.ndarray, lower_bound: float
-    ) -> float:
-        if not conflict.size:
-            return 0.0
-        dots = np.einsum("ij,ij->i", vectors[conflict[:, 0]], vectors[conflict[:, 1]])
-        return float(np.maximum(lower_bound - dots, 0.0).max())
-
-    def _minimise(
+    # ------------------------------------------------------------ reference
+    def _relax(
         self,
         vectors: np.ndarray,
         conflict: np.ndarray,
         stitch: np.ndarray,
         lower_bound: float,
-        penalty: float,
-    ) -> Tuple[np.ndarray, int]:
-        """Projected gradient descent with a fixed penalty weight."""
-        rate = self.options.learning_rate
+    ) -> SdpResult:
+        """The reference loop: penalty schedule around projected gradient descent.
+
+        Its operation order is the arithmetic contract of the module
+        docstring; the compiled ``repro_sdp_solve`` repeats it exactly.
+        """
+        options = self.options
         n = vectors.shape[0]
-        previous_value = np.inf
-        iterations = 0
-        for iteration in range(self.options.max_inner_iterations):
-            iterations = iteration + 1
-            gradient = np.zeros_like(vectors)
-            value = 0.0
-            if conflict.size:
-                vi = vectors[conflict[:, 0]]
-                vj = vectors[conflict[:, 1]]
-                dots = np.einsum("ij,ij->i", vi, vj)
-                value += dots.sum()
-                np.add.at(gradient, conflict[:, 0], vj)
-                np.add.at(gradient, conflict[:, 1], vi)
-                violation = np.maximum(lower_bound - dots, 0.0)
-                value += penalty * float((violation**2).sum())
-                scale = (-2.0 * penalty * violation)[:, None]
-                np.add.at(gradient, conflict[:, 0], scale * vj)
-                np.add.at(gradient, conflict[:, 1], scale * vi)
-            if stitch.size:
-                vi = vectors[stitch[:, 0]]
-                vj = vectors[stitch[:, 1]]
-                dots = np.einsum("ij,ij->i", vi, vj)
-                value -= self.alpha * dots.sum()
-                np.add.at(gradient, stitch[:, 0], -self.alpha * vj)
-                np.add.at(gradient, stitch[:, 1], -self.alpha * vi)
+        split = len(conflict)
+        edges = np.concatenate((conflict, stitch))
+        heads, tails = edges[:, 0], edges[:, 1]
+        # Scatter entry 2e adds w_e * v_tail to the head's row, entry 2e + 1
+        # adds w_e * v_head to the tail's row: np.add.at applies them in order.
+        rows = edges.ravel()
+        partners = edges[:, ::-1].ravel()
+        weights = np.full(len(edges), -self.alpha)
+        terms = np.empty(len(edges))
 
-            # Project the gradient onto the tangent space of each unit sphere
-            # (Riemannian gradient), then step and re-normalise.
-            radial = np.einsum("ij,ij->i", gradient, vectors)[:, None] * vectors
-            tangent = gradient - radial
-            grad_norm = float(np.linalg.norm(tangent) / max(n, 1))
-            if grad_norm < self.options.gradient_tolerance:
+        penalty = options.penalty_initial
+        total_iterations = 0
+        for _ in range(options.max_outer_iterations):
+            twice_penalty = 2.0 * penalty
+            previous_value = math.inf
+            for iteration in range(options.max_inner_iterations):
+                dots = _row_dots(vectors[heads], vectors[tails])
+                violation = np.maximum(lower_bound - dots[:split], 0.0)
+                terms[:split] = dots[:split] + penalty * (violation * violation)
+                terms[split:] = -self.alpha * dots[split:]
+                value = _total(terms)
+                weights[:split] = 1.0 - twice_penalty * violation
+                gradient = np.zeros_like(vectors)
+                np.add.at(
+                    gradient, rows, vectors[partners] * np.repeat(weights, 2)[:, None]
+                )
+                # Project onto the tangent space of each unit sphere
+                # (Riemannian gradient), then step and re-normalise.
+                tangent = gradient - _row_dots(gradient, vectors)[:, None] * vectors
+                grad_norm = math.sqrt(_total((tangent * tangent).ravel())) / n
+                if grad_norm < options.gradient_tolerance:
+                    break
+                vectors = _normalised(vectors - options.learning_rate * tangent)
+                if abs(previous_value - value) < 1e-9 * (1.0 + abs(value)):
+                    break
+                previous_value = value
+            total_iterations += iteration + 1
+            if _max_violation(vectors, conflict, lower_bound) < 1e-3:
                 break
-            vectors = vectors - rate * tangent
-            norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-            norms[norms == 0] = 1.0
-            vectors = vectors / norms
+            penalty *= options.penalty_growth
 
-            if abs(previous_value - value) < 1e-9 * (1.0 + abs(value)):
-                break
-            previous_value = value
-        return vectors, iterations
+        gram = np.zeros((n, n))
+        for k in range(vectors.shape[1]):
+            gram += np.multiply.outer(vectors[:, k], vectors[:, k])
+        dots = _row_dots(vectors[heads], vectors[tails])
+        terms[:split] = dots[:split]
+        terms[split:] = -self.alpha * dots[split:]
+        return SdpResult(
+            gram=np.clip(gram, -1.0, 1.0),
+            vectors=vectors,
+            objective=_total(terms),
+            constraint_violation=_max_violation(vectors, conflict, lower_bound),
+            iterations=total_iterations,
+        )
+
+
+def start_point(num_vertices: int, dim: int, seed: int) -> np.ndarray:
+    """Return the seeded start point: ``num_vertices`` unit rows of ``dim``.
+
+    Each coordinate is the top 53 bits of one ``PCG64(seed + num_vertices)``
+    word scaled to ``[0, 2)`` and shifted to ``[-1, 1)`` — all three steps
+    are exact in double precision.
+    """
+    words = np.random.PCG64(seed + num_vertices).random_raw(num_vertices * dim)
+    coords = (words >> np.uint64(11)).astype(np.float64) * 2.0**-52 - 1.0
+    return _normalised(coords.reshape(num_vertices, dim))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each summed left to right from +0.0."""
+    return np.add.accumulate(a * b, axis=1)[:, -1] + 0.0
+
+
+def _total(values: np.ndarray) -> float:
+    """Sum of a flat array, left to right from +0.0."""
+    if not values.size:
+        return 0.0
+    return float(np.add.accumulate(values)[-1]) + 0.0
+
+
+def _normalised(vectors: np.ndarray) -> np.ndarray:
+    """Divide every row by its norm (a zero row is divided by 1)."""
+    norms = np.sqrt(_row_dots(vectors, vectors))
+    norms[norms == 0.0] = 1.0
+    return vectors / norms[:, None]
+
+
+def _max_violation(
+    vectors: np.ndarray, conflict: np.ndarray, lower_bound: float
+) -> float:
+    """Largest ``lower_bound - v_i . v_j`` over the conflict edges, at least 0."""
+    if not len(conflict):
+        return 0.0
+    dots = _row_dots(vectors[conflict[:, 0]], vectors[conflict[:, 1]])
+    return float(np.maximum(lower_bound - dots, 0.0).max())

@@ -45,7 +45,10 @@ from repro.graph.flat import _le_bytes
 #: v3 marks the greedy-merged ordering fix (conflict-degree order replacing
 #: group-size order): solver outputs changed for some components, so pre-fix
 #: cached colorings must not be replayed against the fixed solvers.
-_SCHEMA_VERSION = 3
+#: v4 marks the fixed-order SDP relaxation arithmetic (seeded raw-word start
+#: point, edge-order scatter, left-to-right sums): sdp-* solutions changed
+#: under unchanged keys, so cached pre-v4 relaxations must not be replayed.
+_SCHEMA_VERSION = 4
 
 _U32 = struct.Struct("<I")
 

@@ -63,7 +63,7 @@ class TestMutationDetection:
     def test_bump_without_regenerate_reports_schema002(self):
         relpath = "src/repro/runtime/hashing.py"
         source = (ROOT / relpath).read_text(encoding="utf-8")
-        bumped = source.replace("_SCHEMA_VERSION = 3", "_SCHEMA_VERSION = 4", 1)
+        bumped = source.replace("_SCHEMA_VERSION = 4", "_SCHEMA_VERSION = 5", 1)
         assert bumped != source
         findings = schema.check_manifest(
             ROOT, _load(), source_overrides={relpath: bumped}
@@ -76,7 +76,7 @@ class TestMutationDetection:
         relpath = "src/repro/runtime/hashing.py"
         source = (ROOT / relpath).read_text(encoding="utf-8")
         mutated = source.replace(
-            "_SCHEMA_VERSION = 3", "_SCHEMA_VERSION = 4", 1
+            "_SCHEMA_VERSION = 4", "_SCHEMA_VERSION = 5", 1
         ).replace(
             "digest.update(_le_bytes(buf))",
             "digest.update(_le_bytes(buf) + b'!')",

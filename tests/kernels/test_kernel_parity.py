@@ -37,6 +37,7 @@ from repro.core.options import AlgorithmOptions
 from repro.errors import ConfigurationError
 from repro.graph.decomposition_graph import DecompositionGraph
 from repro.graph.simplify import build_merged_graph
+from repro.opt.sdp import VectorProgramSolver
 
 COMPILED_AVAILABLE = compiled_core() is not None
 
@@ -227,11 +228,12 @@ class TestDispatchPlumbing:
         assert select_kernel("greedy") is None
         assert select_kernel("linear") is None
         assert select_kernel("backtrack") is None
+        assert select_kernel("sdp") is None
         assert active_core() is None
 
     def test_unknown_algorithm_is_none(self):
         set_kernel_mode("auto")
-        assert select_kernel("sdp") is None
+        assert select_kernel("ilp") is None
 
     def test_compiled_mode_is_strict(self, monkeypatch, tmp_path):
         """``compiled`` must raise, not fall back, when no core can build.
@@ -275,11 +277,13 @@ class TestDispatchPlumbing:
         if mode == "compiled":
             assert active_core() is not None
             assert select_kernel("greedy") is not None
+            assert select_kernel("sdp") is not None
         elif mode == "off" or _core_cannot_load(ccore):
             assert active_core() is None
             assert select_kernel("greedy") is None
             assert select_kernel("linear") is None
             assert select_kernel("backtrack") is None
+            assert select_kernel("sdp") is None
 
 
 def _core_cannot_load(ccore) -> bool:
@@ -296,6 +300,9 @@ class _AllocationFailingCore:
         return None
 
     def peel(self, *args):
+        return None
+
+    def sdp_solve(self, *args):
         return None
 
 
@@ -366,7 +373,7 @@ class TestReferenceFallback:
             assert linear_kernel.linear_color(graph, too_many, options) is None
 
     def test_unknown_algorithm_never_touches_the_core(self, monkeypatch, tmp_path):
-        """``select_kernel('sdp')`` answers before loading (or requiring) a core."""
+        """``select_kernel('ilp')`` answers before loading (or requiring) a core."""
         from repro.core.kernels import ccore
 
         monkeypatch.setenv(ccore.BUILD_ENV, "0")
@@ -374,9 +381,28 @@ class TestReferenceFallback:
         ccore.reset()
         try:
             set_kernel_mode("compiled")
-            assert select_kernel("sdp") is None
+            assert select_kernel("ilp") is None
         finally:
             ccore.reset()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sdp_allocation_failure_runs_reference(self, failing_core, seed):
+        assert select_kernel("sdp") is not None  # the declining core is reached
+        rng = random.Random(seed)
+        n = 11
+        conflict = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        stitch = [(i, i + 1) for i in range(n - 1) if rng.random() < 0.3]
+        solver = VectorProgramSolver(4)
+        candidate = solver.solve(n, conflict, stitch)
+        set_kernel_mode("off")
+        reference = solver.solve(n, conflict, stitch)
+        assert candidate.vectors.tobytes() == reference.vectors.tobytes()
+        assert candidate.gram.tobytes() == reference.gram.tobytes()
+        assert (
+            candidate.iterations, candidate.objective, candidate.constraint_violation
+        ) == (
+            reference.iterations, reference.objective, reference.constraint_violation
+        )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_peel_allocation_failure_runs_reference(self, failing_core, seed):

@@ -29,9 +29,9 @@ from repro.runtime.hashing import (
 #: schema) and re-pin; silent drift here silently severs every persisted
 #: cache and every mixed-version cluster.
 GOLDEN_KEYS = {
-    "triangle-linear-K4": "c1e886793043a06aa0242138a2b64f75d379feb6f4d5af257a3d9035fdf76a45",
-    "stitch-sdp-K4": "9d3f7aa8f1642ac528aa846179dbfe104ef3719ebc067207280916e7c396fef3",
-    "k4-greedy-K5": "821f0ce081e3387b9d8439e3d8e6c2473d83ce433f951bf70dd468fd7e93cec4",
+    "triangle-linear-K4": "1d3e9c3b5ec5bec1312f92bfa6b9625e4bf141c05a1ba612c8bd0e6c7913d28a",
+    "stitch-sdp-K4": "00ec689e5569c2d52b416b27ff4d1a1bf2e7256adf5887ed94ef0a3d047b70d2",
+    "k4-greedy-K5": "6b89dabe52a0b1443b497d2833c0a0136d8df8e6b62f60febc010ced8b045bc7",
 }
 
 
@@ -86,8 +86,8 @@ def _v1_key(graph, num_colors, algorithm) -> str:
 
 
 class TestGoldenKeys:
-    def test_schema_version_is_3(self):
-        assert _SCHEMA_VERSION == 3
+    def test_schema_version_is_4(self):
+        assert _SCHEMA_VERSION == 4
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
     def test_keys_pinned(self, name):
