@@ -2,9 +2,9 @@
 
 These do not map to a specific table but keep the expensive building blocks
 honest: decomposition-graph construction (spatial hashing + exact distances),
-Gomory-Hu tree construction (n-1 Dinic max-flows), the vector-program solver,
-and the low-degree peeling pass.  Regressions here translate directly into
-the Table 1/2 CPU columns.
+Gomory-Hu tree construction (n-1 unit-capacity max-flows on one reused
+network), the vector-program solver, and the low-degree peeling pass.
+Regressions here translate directly into the Table 1/2 CPU columns.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import LayoutError
+from repro.errors import LayoutError, LayoutIOError
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect, bounding_box
 
@@ -149,15 +149,21 @@ class Layout:
 
     @staticmethod
     def from_dict(data: Dict) -> "Layout":
-        """Rebuild a layout from :meth:`to_dict` output."""
+        """Rebuild a layout from :meth:`to_dict` output.
+
+        Raises :class:`LayoutIOError` for a shape whose ``layer`` is not a
+        string, since layer names must sort against each other.
+        """
         layout = Layout(
             name=data.get("name", "layout"),
             dbu_per_nm=data.get("dbu_per_nm", 1.0),
         )
         for entry in data.get("shapes", []):
-            layout.add_polygon(
-                Polygon.from_points(entry["vertices"]), entry.get("layer", "metal1")
-            )
+            polygon = Polygon.from_points(entry["vertices"])
+            layer = entry.get("layer", "metal1")
+            if not isinstance(layer, str):
+                raise LayoutIOError(f"shape layer must be a string, got {layer!r}")
+            layout.add_polygon(polygon, layer)
         return layout
 
     # ----------------------------------------------------------------- stats

@@ -24,7 +24,7 @@ from repro.graph.biconnected import (
     biconnected_components,
     bridges,
 )
-from repro.graph.maxflow import FlowNetwork, min_cut
+from repro.graph.maxflow import FlowNetwork
 from repro.graph.gomory_hu import GomoryHuTree, gomory_hu_tree
 from repro.graph.simplify import (
     MergedGraph,
@@ -55,7 +55,6 @@ __all__ = [
     "biconnected_components",
     "bridges",
     "FlowNetwork",
-    "min_cut",
     "GomoryHuTree",
     "gomory_hu_tree",
     "MergedGraph",

@@ -4,8 +4,15 @@ A Gomory–Hu tree (GH-tree) of an undirected graph is a weighted tree on the
 same vertex set such that, for any vertex pair ``(u, v)``, the minimum u-v cut
 in the graph equals the smallest edge weight on the tree path between ``u``
 and ``v``.  The paper builds the GH-tree with Gusfield's all-pairs method
-[21], which needs only ``n - 1`` max-flow computations (Dinic [22]) and never
-contracts the graph.
+[21], which needs only ``n - 1`` max-flow computations and never contracts
+the graph, so all of them run on one :class:`~repro.graph.maxflow.FlowNetwork`
+built once per tree.
+
+Gusfield reads two things from each flow: its value and the source side of
+the cut.  The value is unique, and the side is the *minimal* minimum cut,
+which every maximum flow yields alike (Picard & Queyranne, 1980; see
+:mod:`repro.graph.maxflow`).  So the tree, and the pieces cut from it, are
+the same as with the paper's Dinic [22], whatever order the edges come in.
 
 The QPLD graph-division stage removes every tree edge of weight < K; the
 resulting forest components are exactly the parts separated by some
@@ -14,10 +21,9 @@ resulting forest components are exactly the parts separated by some
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.errors import GraphError
 from repro.graph.maxflow import FlowNetwork
 
 
@@ -36,25 +42,6 @@ class GomoryHuTree:
 
     vertices: List[int]
     edges: List[Tuple[int, int, int]]
-
-    def min_cut_value(self, u: int, v: int) -> int:
-        """Return the minimum cut value between ``u`` and ``v``.
-
-        Computed as the minimum edge weight on the unique tree path.
-        """
-        if u == v:
-            raise GraphError("min cut between identical vertices")
-        parent, weight = self._rooted(u)
-        if v not in parent:
-            raise GraphError(f"vertices {u} and {v} are not connected")
-        best: Optional[int] = None
-        current = v
-        while current != u:
-            w = weight[current]
-            best = w if best is None else min(best, w)
-            current = parent[current]
-        assert best is not None
-        return best
 
     def components_below(self, threshold: int) -> List[List[int]]:
         """Split the tree by removing edges of weight < ``threshold``.
@@ -86,35 +73,11 @@ class GomoryHuTree:
         components.sort(key=lambda comp: comp[0])
         return components
 
-    def cut_edges_below(self, threshold: int) -> List[Tuple[int, int, int]]:
-        """Return the tree edges removed by :meth:`components_below`."""
-        return [(u, v, w) for (u, v, w) in self.edges if w < threshold]
-
-    def _rooted(self, root: int) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """Root the tree at ``root``; return parent and edge-weight maps."""
-        adjacency: Dict[int, List[Tuple[int, int]]] = {v: [] for v in self.vertices}
-        for u, v, w in self.edges:
-            adjacency[u].append((v, w))
-            adjacency[v].append((u, w))
-        parent: Dict[int, int] = {root: root}
-        weight: Dict[int, int] = {}
-        stack = [root]
-        while stack:
-            vertex = stack.pop()
-            for other, w in adjacency[vertex]:
-                if other not in parent:
-                    parent[other] = vertex
-                    weight[other] = w
-                    stack.append(other)
-        return parent, weight
-
 
 def gomory_hu_tree(
-    vertices: Sequence[int],
-    edges: Iterable[Tuple[int, int]],
-    capacity: int = 1,
+    vertices: Sequence[int], edges: Iterable[Tuple[int, int]]
 ) -> GomoryHuTree:
-    """Build the GH-tree of an undirected graph with uniform edge capacities.
+    """Build the GH-tree of an undirected unit-capacity graph.
 
     Parameters
     ----------
@@ -122,34 +85,24 @@ def gomory_hu_tree(
         Vertex ids (the graph must be connected on these vertices; for
         decomposition graphs the caller runs this per connected component).
     edges:
-        Undirected edges; parallel edges add capacity.
-    capacity:
-        Capacity of each edge (1 for conflict graphs).
+        Undirected edges of capacity 1; parallel edges add capacity.
     """
     vertices = sorted(set(vertices))
-    edge_list = [tuple(e) for e in edges]
-    if len(vertices) == 0:
-        return GomoryHuTree([], [])
-    if len(vertices) == 1:
-        return GomoryHuTree(list(vertices), [])
+    if len(vertices) <= 1:
+        return GomoryHuTree(vertices, [])
 
+    network = FlowNetwork.from_edges(edges, vertices=vertices)
     root = vertices[0]
     parent: Dict[int, int] = {v: root for v in vertices if v != root}
     flow_value: Dict[int, int] = {}
 
     for index, vertex in enumerate(vertices[1:], start=1):
-        network = FlowNetwork.from_edges(edge_list, capacity=capacity, vertices=vertices)
         target = parent[vertex]
-        value = network.max_flow(vertex, target)
-        flow_value[vertex] = value
-        source_side = network.min_cut_partition(vertex)
+        flow_value[vertex] = network.max_flow(vertex, target)
+        source_side = network.min_cut_partition()
         for other in vertices[index + 1 :]:
             if other in source_side and parent[other] == target:
                 parent[other] = vertex
 
-    tree_edges = [
-        (vertex, parent[vertex], flow_value[vertex])
-        for vertex in vertices
-        if vertex != root
-    ]
-    return GomoryHuTree(list(vertices), tree_edges)
+    tree_edges = [(v, parent[v], flow_value[v]) for v in vertices[1:]]
+    return GomoryHuTree(vertices, tree_edges)

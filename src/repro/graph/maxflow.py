@@ -1,194 +1,137 @@
-"""Dinic's blocking-flow maximum-flow algorithm.
+"""Unit-capacity maximum flow by BFS augmenting paths.
 
 The GH-tree based (K-1)-cut removal of Section 4 needs ``n - 1`` minimum
-s-t cut computations per component (Gusfield's construction).  The paper uses
-Dinic's algorithm [22]; this module provides an adjacency-list implementation
-operating on unit-capacity undirected conflict graphs but supporting arbitrary
-integer capacities so it can also be unit-tested against networkx on weighted
-graphs.
+s-t cut computations per component (Gusfield's construction) on an
+undirected graph whose edges all have capacity 1.  The paper names Dinic's
+algorithm [22]; this module augments along BFS shortest paths instead
+(Edmonds–Karp), one unit per path, on a network built once and reused for
+every terminal pair.
+
+Which augmenting strategy runs cannot change the answer.  The flow value is
+the min-cut value.  The source side is read off the residual graph of the
+final flow: the vertices the source still reaches.  In *any* maximum flow
+that set is the unique minimal minimum cut (Picard & Queyranne, *On the
+structure of all minimum cuts in a network and applications*, Math. Prog.
+Study 13, 1980), so Dinic, Edmonds–Karp or any other exact algorithm hand
+Gusfield the same value and the same source side, and the GH-tree built on
+them is the same.  On these graphs a flow value is at most a vertex degree
+(tens), so one BFS per unit of flow is nearly as fast as Dinic's level graphs
+with far less code.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import GraphError
 
 
 class FlowNetwork:
-    """Residual flow network with undirected-edge support.
+    """Undirected unit-capacity flow network on dense vertex indices.
 
-    Edges are stored in a flat arc list; arc ``i`` and arc ``i ^ 1`` are
-    mutual residuals.  An undirected edge of capacity ``c`` is modelled as a
-    pair of arcs of capacity ``c`` each, which is the standard reduction for
-    undirected min-cut.
+    Vertex ids map to indices ``0..n-1`` in insertion order.  An undirected
+    edge becomes the arc pair ``i`` (u→v) and ``i ^ 1`` (v→u), each of
+    capacity 1 and each the other's residual; parallel edges add capacity.
+    :meth:`max_flow` works on a fresh residual array and leaves the arcs
+    untouched, so one network answers any sequence of terminal pairs.
     """
 
     def __init__(self) -> None:
-        self._heads: List[int] = []
-        self._capacities: List[int] = []
-        self._adjacency: Dict[int, List[int]] = {}
+        self._index: Dict[int, int] = {}
+        self._ids: List[int] = []
+        self._arcs: List[List[int]] = []  # vertex index -> ids of arcs leaving it
+        self._heads: List[int] = []  # arc id -> head vertex index
+        self._source_side: Optional[Set[int]] = None
 
     # ---------------------------------------------------------------- build
-    def add_vertex(self, vertex: int) -> None:
-        """Ensure ``vertex`` exists in the network."""
-        self._adjacency.setdefault(vertex, [])
+    def add_vertex(self, vertex: int) -> int:
+        """Ensure ``vertex`` exists in the network; return its dense index."""
+        index = self._index.get(vertex)
+        if index is None:
+            index = self._index[vertex] = len(self._ids)
+            self._ids.append(vertex)
+            self._arcs.append([])
+        return index
 
-    def vertices(self) -> List[int]:
-        """Return all vertex ids."""
-        return sorted(self._adjacency)
-
-    def add_edge(self, u: int, v: int, capacity: int, undirected: bool = True) -> None:
-        """Add an edge from ``u`` to ``v`` with the given capacity.
-
-        With ``undirected=True`` (the default, matching conflict graphs) the
-        reverse direction receives the same capacity instead of zero.
-        """
-        if capacity < 0:
-            raise GraphError(f"negative capacity {capacity}")
+    def add_edge(self, u: int, v: int) -> None:
+        """Add an undirected edge of capacity 1 between ``u`` and ``v``."""
         if u == v:
             raise GraphError(f"self loop on vertex {u}")
-        self.add_vertex(u)
-        self.add_vertex(v)
-        self._adjacency[u].append(len(self._heads))
-        self._heads.append(v)
-        self._capacities.append(capacity)
-        self._adjacency[v].append(len(self._heads))
-        self._heads.append(u)
-        self._capacities.append(capacity if undirected else 0)
+        tail, head = self.add_vertex(u), self.add_vertex(v)
+        self._arcs[tail].append(len(self._heads))
+        self._heads.append(head)
+        self._arcs[head].append(len(self._heads))
+        self._heads.append(tail)
 
     @staticmethod
     def from_edges(
-        edges: Iterable[Tuple[int, int]],
-        capacity: int = 1,
-        vertices: Iterable[int] = (),
+        edges: Iterable[Tuple[int, int]], vertices: Iterable[int] = ()
     ) -> "FlowNetwork":
-        """Build a unit-capacity undirected network from an edge list."""
+        """Build a network from an edge list (plus optional isolated vertices)."""
         network = FlowNetwork()
         for vertex in vertices:
             network.add_vertex(vertex)
         for u, v in edges:
-            network.add_edge(u, v, capacity)
+            network.add_edge(u, v)
         return network
 
     # ---------------------------------------------------------------- solve
     def max_flow(self, source: int, sink: int) -> int:
         """Return the maximum flow value from ``source`` to ``sink``.
 
-        The residual capacities are left in place afterwards so
-        :meth:`min_cut_partition` can read off the source side of the cut.
-        Call :meth:`reset` (or rebuild) before reusing the network for a
-        different terminal pair.
+        Every call starts from the capacities the network was built with.
+        The source side of the minimal minimum cut is kept for
+        :meth:`min_cut_partition`.
         """
         if source == sink:
             raise GraphError("source and sink must differ")
-        if source not in self._adjacency or sink not in self._adjacency:
+        if source not in self._index or sink not in self._index:
             raise GraphError("source or sink not in network")
-        self._flow_backup = list(self._capacities)
+        s, t = self._index[source], self._index[sink]
+        heads = self._heads
+        residual = [1] * len(heads)
         total = 0
         while True:
-            levels = self._bfs_levels(source, sink)
-            if levels.get(sink) is None:
-                break
-            pointers = {v: 0 for v in self._adjacency}
-            while True:
-                pushed = self._dfs_push(source, sink, float("inf"), levels, pointers)
-                if pushed == 0:
-                    break
-                total += pushed
-        return total
+            via, reached = self._search(s, t, residual)
+            if via[t] == -1:
+                ids = self._ids
+                self._source_side = {ids[vertex] for vertex in reached}
+                return total
+            vertex = t
+            while vertex != s:
+                arc = via[vertex]
+                residual[arc] -= 1
+                residual[arc ^ 1] += 1
+                vertex = heads[arc ^ 1]
+            total += 1
 
-    def reset(self) -> None:
-        """Restore the capacities saved by the last :meth:`max_flow` call."""
-        backup = getattr(self, "_flow_backup", None)
-        if backup is not None:
-            self._capacities = list(backup)
-
-    def min_cut_partition(self, source: int) -> Set[int]:
-        """Return the source side of the minimum cut after :meth:`max_flow`."""
-        side: Set[int] = {source}
-        queue: deque = deque([source])
-        while queue:
-            vertex = queue.popleft()
-            for arc in self._adjacency[vertex]:
-                if self._capacities[arc] > 0:
-                    head = self._heads[arc]
-                    if head not in side:
-                        side.add(head)
-                        queue.append(head)
-        return side
+    def min_cut_partition(self) -> Set[int]:
+        """Return the source side of the minimal minimum cut of the last flow."""
+        if self._source_side is None:
+            raise GraphError("no max_flow has run on this network")
+        return self._source_side
 
     # -------------------------------------------------------------- internal
-    def _bfs_levels(self, source: int, sink: int) -> Dict[int, int]:
-        levels: Dict[int, int] = {source: 0}
-        queue: deque = deque([source])
-        while queue:
-            vertex = queue.popleft()
-            for arc in self._adjacency[vertex]:
-                head = self._heads[arc]
-                if self._capacities[arc] > 0 and head not in levels:
-                    levels[head] = levels[vertex] + 1
-                    queue.append(head)
-                    if head == sink:
-                        # Keep expanding the level graph fully; early exit is
-                        # only a minor optimisation and complicates levels.
-                        pass
-        return levels
+    def _search(
+        self, s: int, t: int, residual: List[int]
+    ) -> Tuple[List[int], List[int]]:
+        """BFS from ``s`` over arcs with residual capacity, stopping at ``t``.
 
-    def _dfs_push(
-        self,
-        vertex: int,
-        sink: int,
-        limit: float,
-        levels: Dict[int, int],
-        pointers: Dict[int, int],
-    ) -> int:
-        """Iterative DFS that pushes one augmenting path along the level graph."""
-        if vertex == sink:
-            return int(limit) if limit != float("inf") else 0
-        path: List[Tuple[int, int]] = []  # (vertex, arc index chosen)
-        stack: List[int] = [vertex]
-        while stack:
-            current = stack[-1]
-            if current == sink:
-                # Found an augmenting path: bottleneck then retreat.
-                bottleneck = min(self._capacities[arc] for _, arc in path)
-                for _, arc in path:
-                    self._capacities[arc] -= bottleneck
-                    self._capacities[arc ^ 1] += bottleneck
-                return bottleneck
-            advanced = False
-            adjacency = self._adjacency[current]
-            while pointers[current] < len(adjacency):
-                arc = adjacency[pointers[current]]
-                head = self._heads[arc]
-                if (
-                    self._capacities[arc] > 0
-                    and levels.get(head) == levels[current] + 1
-                ):
-                    path.append((current, arc))
-                    stack.append(head)
-                    advanced = True
-                    break
-                pointers[current] += 1
-            if not advanced:
-                # Dead end: remove from level graph and backtrack.
-                levels.pop(current, None)
-                stack.pop()
-                if path:
-                    path.pop()
-        return 0
-
-
-def min_cut(
-    edges: Iterable[Tuple[int, int]],
-    source: int,
-    sink: int,
-    vertices: Iterable[int] = (),
-    capacity: int = 1,
-) -> Tuple[int, Set[int]]:
-    """Convenience helper: minimum s-t cut value and source-side partition."""
-    network = FlowNetwork.from_edges(edges, capacity=capacity, vertices=vertices)
-    value = network.max_flow(source, sink)
-    return value, network.min_cut_partition(source)
+        Returns ``via`` (the arc that first reached each vertex, ``-1`` if
+        unreached) and the vertices reached before ``t``, in visiting order:
+        all of them when ``t`` is unreachable.
+        """
+        arcs, heads = self._arcs, self._heads
+        via = [-1] * len(arcs)
+        via[s] = -2
+        reached = [s]
+        for vertex in reached:
+            for arc in arcs[vertex]:
+                if residual[arc]:
+                    head = heads[arc]
+                    if via[head] == -1:
+                        via[head] = arc
+                        if head == t:
+                            return via, reached
+                        reached.append(head)
+        return via, reached

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import LayoutError
+from repro.errors import LayoutError, LayoutIOError
 from repro.geometry.layout import Layout, Shape
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
@@ -98,3 +98,13 @@ class TestLayoutSerialisation:
         assert clone.layers() == layout.layers()
         for original, copied in zip(layout, clone):
             assert original.polygon.vertices == copied.polygon.vertices
+
+    @pytest.mark.parametrize("layer", [True, 1, None, 2.5, ["metal1"], {"name": "m1"}])
+    def test_non_string_layer_rejected(self, layer):
+        layout = Layout()
+        layout.add_rect(Rect(0, 0, 10, 10), layer="metal1")
+        layout.add_rect(Rect(20, 0, 30, 10), layer="metal2")
+        data = layout.to_dict()
+        data["shapes"][1]["layer"] = layer
+        with pytest.raises(LayoutIOError, match="layer must be a string"):
+            Layout.from_dict(data)

@@ -1,11 +1,30 @@
-"""Unit tests for the Dinic max-flow implementation (networkx as oracle)."""
+"""Unit tests for the unit-capacity max-flow network (networkx as oracle)."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.maxflow import FlowNetwork, min_cut
+from repro.graph.maxflow import FlowNetwork
+
+
+def random_edges(n: int, probability: float, seed: int):
+    rng = np.random.default_rng(seed)
+    return [
+        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < probability
+    ]
+
+
+def nx_capacity_graph(edges, n: int) -> nx.Graph:
+    """Simple graph whose edge capacities count the parallel copies in ``edges``."""
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    for u, v in edges:
+        if g.has_edge(u, v):
+            g[u][v]["capacity"] += 1
+        else:
+            g.add_edge(u, v, capacity=1)
+    return g
 
 
 class TestFlowNetworkBasics:
@@ -25,20 +44,14 @@ class TestFlowNetworkBasics:
     def test_disconnected_zero_flow(self):
         net = FlowNetwork.from_edges([(0, 1)], vertices=[2])
         assert net.max_flow(0, 2) == 0
+        assert net.min_cut_partition() == {0, 1}
 
-    def test_capacity_scaling(self):
-        net = FlowNetwork()
-        net.add_edge(0, 1, 5)
-        net.add_edge(1, 2, 3)
-        assert net.max_flow(0, 2) == 3
-
-    def test_directed_edge(self):
-        net = FlowNetwork()
-        net.add_edge(0, 1, 1, undirected=False)
-        assert net.max_flow(0, 1) == 1
-        net2 = FlowNetwork()
-        net2.add_edge(0, 1, 1, undirected=False)
-        assert net2.max_flow(1, 0) == 0
+    def test_parallel_edges_add_capacity(self):
+        net = FlowNetwork.from_edges([(0, 1), (0, 1), (1, 2), (1, 2), (1, 2)])
+        assert net.max_flow(0, 2) == 2
+        assert net.min_cut_partition() == {0}
+        assert net.max_flow(2, 1) == 3
+        assert net.min_cut_partition() == {2}
 
     def test_same_terminals_rejected(self):
         net = FlowNetwork.from_edges([(0, 1)])
@@ -50,60 +63,87 @@ class TestFlowNetworkBasics:
         with pytest.raises(GraphError):
             net.max_flow(0, 9)
 
-    def test_negative_capacity_rejected(self):
+    def test_self_loop_rejected(self):
+        with pytest.raises(GraphError, match="self loop"):
+            FlowNetwork().add_edge(3, 3)
+
+    def test_partition_before_any_flow_rejected(self):
         with pytest.raises(GraphError):
-            FlowNetwork().add_edge(0, 1, -1)
+            FlowNetwork.from_edges([(0, 1)]).min_cut_partition()
 
 
 class TestMinCutPartition:
     def test_partition_separates_terminals(self):
         net = FlowNetwork.from_edges([(0, 1), (1, 2), (2, 3)])
         value = net.max_flow(0, 3)
-        side = net.min_cut_partition(0)
+        side = net.min_cut_partition()
         assert value == 1
         assert 0 in side and 3 not in side
 
     def test_cut_value_equals_crossing_edges(self):
         edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)]
-        value, side = min_cut(edges, 0, 4)
+        net = FlowNetwork.from_edges(edges)
+        value = net.max_flow(0, 4)
+        side = net.min_cut_partition()
         crossing = sum(1 for (u, v) in edges if (u in side) != (v in side))
         assert crossing == value == 1
+
+
+class TestNetworkReuse:
+    """One network answers any sequence of pairs as fresh networks would."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sequence_of_pairs_matches_fresh_networks(self, seed):
+        n = 12
+        edges = random_edges(n, 0.3, seed)
+        shared = FlowNetwork.from_edges(edges, vertices=range(n))
+        pairs = [(0, n - 1), (3, 7), (n - 1, 0), (5, 2), (0, n - 1)]
+        for source, sink in pairs:
+            fresh = FlowNetwork.from_edges(edges, vertices=range(n))
+            expected = fresh.max_flow(source, sink)
+            assert shared.max_flow(source, sink) == expected, (source, sink)
+            assert shared.min_cut_partition() == fresh.min_cut_partition()
 
 
 class TestAgainstNetworkx:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_unit_graphs(self, seed):
-        rng = np.random.default_rng(seed)
         n = 12
-        edges = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25
-        ]
+        edges = random_edges(n, 0.25, seed)
         if not edges:
             pytest.skip("empty random graph")
-        g = nx.Graph(edges)
-        g.add_nodes_from(range(n))
-        nx.set_edge_attributes(g, 1, "capacity")
+        g = nx_capacity_graph(edges, n)
         source, sink = 0, n - 1
         expected = nx.maximum_flow_value(g, source, sink, capacity="capacity")
         net = FlowNetwork.from_edges(edges, vertices=range(n))
         assert net.max_flow(source, sink) == expected
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_random_weighted_graphs(self, seed):
+    def test_parallel_edges_match_weighted_networkx(self, seed):
+        """An edge repeated ``c`` times carries what capacity ``c`` carries."""
         rng = np.random.default_rng(100 + seed)
         n = 10
-        g = nx.Graph()
-        g.add_nodes_from(range(n))
-        net = FlowNetwork()
-        for v in range(n):
-            net.add_vertex(v)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.3:
-                    cap = int(rng.integers(1, 6))
-                    g.add_edge(i, j, capacity=cap)
-                    net.add_edge(i, j, cap)
-        if g.number_of_edges() == 0:
-            pytest.skip("empty random graph")
+        edges = []
+        for u, v in random_edges(n, 0.3, 100 + seed):
+            edges.extend([(u, v)] * int(rng.integers(1, 6)))
+        rng.shuffle(edges)
+        g = nx_capacity_graph(edges, n)
         expected = nx.maximum_flow_value(g, 0, n - 1, capacity="capacity")
+        net = FlowNetwork.from_edges(edges, vertices=range(n))
         assert net.max_flow(0, n - 1) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_source_side_is_minimal(self, seed):
+        """``v`` is on the returned source side iff every minimum cut puts it
+        there, i.e. iff tying ``v`` to the sink raises the cut value."""
+        n = 10
+        edges = random_edges(n, 0.35, 200 + seed)
+        net = FlowNetwork.from_edges(edges, vertices=range(n))
+        source, sink = 0, n - 1
+        value = net.max_flow(source, sink)
+        side = net.min_cut_partition()
+        for vertex in range(1, n - 1):
+            tied = nx_capacity_graph(edges, n)
+            tied.add_edge(vertex, sink, capacity=len(edges) + 1)
+            forced = nx.maximum_flow_value(tied, source, sink, capacity="capacity")
+            assert (vertex in side) == (forced > value), vertex

@@ -6,6 +6,10 @@ import base64
 
 import pytest
 
+import copy
+import random
+
+from repro.bench.circuits import load_circuit
 from repro.bench.factory import wire_row_layout
 from repro.core.decomposer import Decomposer
 from repro.io.gds import write_gds
@@ -55,6 +59,66 @@ class TestParseLayout:
     def test_bad_layout_payloads(self, payload):
         with pytest.raises(ProtocolError):
             parse_layout(payload)
+
+    def test_non_string_shape_layer_is_protocol_error(self, layout):
+        data = layout.to_dict()
+        data["shapes"][0]["layer"] = True
+        with pytest.raises(ProtocolError, match="layer must be a string"):
+            parse_decompose_request({"layout": data})
+
+
+#: Replacement values for a mutated field: every JSON type, edge numbers.
+_FIELD_VALUES = [
+    None, True, False, 0, -1, 7, 1.5, 10**30,
+    "", "x", [], {}, [1, 2], [[0, 0]], {"x": 1},
+]
+
+
+def _field_paths(node, prefix=()):
+    """Every key/index path into a JSON document, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+def _field_mutants(document, seed: int, count: int):
+    """``count`` copies of ``document`` with one field replaced or deleted."""
+    rng = random.Random(seed)
+    paths = list(_field_paths(document))
+    for _ in range(count):
+        mutant = copy.deepcopy(document)
+        path = rng.choice(paths)
+        holder = mutant
+        for key in path[:-1]:
+            holder = holder[key]
+        if isinstance(holder, dict) and rng.random() < 0.1:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = rng.choice(_FIELD_VALUES)
+        yield mutant
+
+
+class TestMutatedLayouts:
+    """Seeded field mutations of a JSON layout never escape as anything but
+    :class:`ProtocolError` (which the server answers with a 400)."""
+
+    @pytest.mark.parametrize("seed", [1, 3, 5, 7])
+    def test_every_mutant_parses_or_raises_protocol_error(self, seed):
+        document = load_circuit("C432", scale=0.05).to_dict()
+        for index, mutant in enumerate(_field_mutants(document, seed=seed, count=300)):
+            try:
+                job = parse_decompose_request({"layout": mutant})
+            except ProtocolError:
+                continue
+            except Exception as exc:  # pragma: no cover - the regression
+                pytest.fail(f"mutant {index} escaped as {exc!r}")
+            assert isinstance(job["layer"], str)
 
 
 class TestParseRequests:

@@ -108,6 +108,12 @@ class TestServeAndMatch:
             with pytest.raises(ServiceError) as bad_request:
                 client._request("POST", "/decompose", {"neither": "source"})
             assert bad_request.value.status == 400
+            bad_layer = layout.to_dict()
+            bad_layer["shapes"][0]["layer"] = True
+            with pytest.raises(ServiceError) as bad_layout:
+                client._request("POST", "/decompose", {"layout": bad_layer})
+            assert bad_layout.value.status == 400
+            assert "layer must be a string" in str(bad_layout.value)
 
 
 class TestStartupFailure:
