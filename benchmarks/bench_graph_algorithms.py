@@ -1,7 +1,7 @@
 """Micro-benchmarks of the substrates the decomposer is built on.
 
 These do not map to a specific table but keep the expensive building blocks
-honest: decomposition-graph construction (spatial hashing + exact distances),
+honest: decomposition-graph construction (strip sweeps + exact distances),
 Gomory-Hu tree construction (n-1 unit-capacity max-flows on one reused
 network), the vector-program solver, and the low-degree peeling pass.
 Regressions here translate directly into the Table 1/2 CPU columns.

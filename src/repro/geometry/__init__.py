@@ -1,10 +1,9 @@
-"""Geometry kernel: points, rectangles, polygons, layouts and spatial search."""
+"""Geometry kernel: points, rectangles, polygons, layouts and spacing queries."""
 
 from repro.geometry.point import Point, as_point
 from repro.geometry.rect import Rect, bounding_box, merge_touching_rects
 from repro.geometry.polygon import Polygon, polygons_bbox
 from repro.geometry.layout import Layout, Shape
-from repro.geometry.spatial import GridIndex, suggest_cell_size
 from repro.geometry.distance import (
     in_distance_band,
     in_distance_band_rects,
@@ -23,8 +22,6 @@ __all__ = [
     "polygons_bbox",
     "Layout",
     "Shape",
-    "GridIndex",
-    "suggest_cell_size",
     "within_distance",
     "within_distance_rects",
     "in_distance_band",

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import LayoutError, LayoutIOError
+from repro.geometry.point import COORDINATE_MAX, COORDINATE_MIN, Point, as_point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect, bounding_box
 
@@ -152,14 +153,16 @@ class Layout:
         """Rebuild a layout from :meth:`to_dict` output.
 
         Raises :class:`LayoutIOError` for a shape whose ``layer`` is not a
-        string, since layer names must sort against each other.
+        string, since layer names must sort against each other, and for a
+        vertex coordinate that is not finite or that rounds outside the
+        signed 32-bit range a GDSII XY record holds.
         """
         layout = Layout(
             name=data.get("name", "layout"),
             dbu_per_nm=data.get("dbu_per_nm", 1.0),
         )
         for entry in data.get("shapes", []):
-            polygon = Polygon.from_points(entry["vertices"])
+            polygon = Polygon.from_points(_lattice_points(entry["vertices"]))
             layer = entry.get("layer", "metal1")
             if not isinstance(layer, str):
                 raise LayoutIOError(f"shape layer must be a string, got {layer!r}")
@@ -181,3 +184,27 @@ class Layout:
             "bbox_width": box.width,
             "bbox_height": box.height,
         }
+
+
+def _lattice_points(vertices) -> List[Point]:
+    """Round JSON vertices onto the lattice, in the range GDSII XY records hold.
+
+    Raises :class:`LayoutIOError` for a coordinate that is not finite, a
+    vertex that is not a pair, or a coordinate outside
+    :data:`~repro.geometry.point.COORDINATE_MIN` ..
+    :data:`~repro.geometry.point.COORDINATE_MAX`.
+    """
+    try:
+        points = [as_point(vertex) for vertex in vertices]
+    except (OverflowError, ValueError) as exc:
+        raise LayoutIOError(f"invalid vertex coordinates: {exc}") from None
+    for point in points:
+        if not (
+            COORDINATE_MIN <= point.x <= COORDINATE_MAX
+            and COORDINATE_MIN <= point.y <= COORDINATE_MAX
+        ):
+            raise LayoutIOError(
+                f"vertex coordinate outside the signed 32-bit range "
+                f"{COORDINATE_MIN}..{COORDINATE_MAX} of GDSII coordinates"
+            )
+    return points

@@ -13,6 +13,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+#: Layout coordinates are signed 32-bit integers, the range a GDSII XY record
+#: holds.  The bulk construction computes in int64, which this range keeps
+#: exact: squared spacings below a radius of at most ``COORDINATE_MAX``.
+COORDINATE_MIN = -(2**31)
+COORDINATE_MAX = 2**31 - 1
+
 
 @dataclass(frozen=True, order=True)
 class Point:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.point import Point
+from repro.geometry.point import COORDINATE_MAX, COORDINATE_MIN, Point
 
 
 @dataclass(frozen=True, order=True)
@@ -212,6 +214,31 @@ def bounding_box(rects: Iterable[Rect]) -> Rect:
         max(r.xh for r in rects),
         max(r.yh for r in rects),
     )
+
+
+def rect_array(rects: Sequence[Rect]) -> np.ndarray:
+    """Return ``rects`` as an int64 ``(n, 4)`` array of ``(xl, yl, xh, yh)`` rows.
+
+    Raises :class:`GeometryError` for a coordinate outside the signed 32-bit
+    range (:data:`~repro.geometry.point.COORDINATE_MIN` ..
+    :data:`~repro.geometry.point.COORDINATE_MAX`), the range in which the
+    array computations on the result stay exact.
+    """
+    try:
+        boxes = np.array(
+            [(r.xl, r.yl, r.xh, r.yh) for r in rects], dtype=np.int64
+        ).reshape(-1, 4)
+        inside = not boxes.size or (
+            boxes.min() >= COORDINATE_MIN and boxes.max() <= COORDINATE_MAX
+        )
+    except OverflowError:  # beyond int64
+        inside = False
+    if not inside:
+        raise GeometryError(
+            f"rectangle coordinate outside the signed 32-bit range "
+            f"{COORDINATE_MIN}..{COORDINATE_MAX}"
+        )
+    return boxes
 
 
 def merge_touching_rects(rects: List[Rect]) -> List[Rect]:

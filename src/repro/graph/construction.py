@@ -1,30 +1,42 @@
 """Decomposition graph construction from a layout (Fig. 2, first stage).
 
-The construction proceeds in three passes over one layer of the layout:
+The construction works on whole arrays of one layer's rectangles, in exact
+int64 arithmetic, and makes three passes:
 
-1. *Conflict detection* — a uniform-grid spatial index proposes candidate
-   pairs, and an exact rectangle-set distance check keeps the pairs closer
-   than ``min_s``.  Pairs in the band ``[min_s, min_s + half_pitch)`` are
-   recorded as color-friendly (Definition 2).
-2. *Stitch insertion* — every feature with at least one conflict neighbour is
-   offered projection-based stitch candidates and split into fragments.
-3. *Graph assembly* — fragments become vertices; conflict and friend edges
-   are re-evaluated between fragments; consecutive fragments of a feature are
-   linked by stitch edges.
+1. *Conflict neighbours* — one sort-and-sweep over the shapes' rectangles
+   (:func:`~repro.geometry.distance.close_rect_pairs`) at radius ``min_s``
+   yields every pair of features closer than ``min_s``.
+2. *Stitch insertion* — every feature with at least one conflict neighbour
+   is offered projection-based stitch candidates, all features at once
+   (:func:`~repro.graph.stitch.stitch_positions`), and split into fragments.
+3. *Fragment edges* — a second sweep over the fragments' rectangles at
+   radius ``min_s + half_pitch``, skipping pairs from one shape, gives every
+   fragment pair's exact spacing: below ``min_s`` a conflict edge, inside
+   the band ``[min_s, min_s + half_pitch)`` a color-friendly edge
+   (Definition 2).  Consecutive fragments of a feature are linked by stitch
+   edges, and :meth:`DecompositionGraph.from_parts` assembles the graph in
+   one call.
+
+Every fragment rectangle lies inside its shape's rectangles, so two
+fragments can only be that close when their shapes are: the fragment sweep
+finds exactly the edges a shape-level search followed by a fragment-level
+re-check of the close shape pairs would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.geometry.distance import rects_squared_distance
-from repro.geometry.layout import Layout, Shape
-from repro.geometry.rect import Rect
-from repro.geometry.spatial import GridIndex, suggest_cell_size
+from repro.geometry.distance import close_rect_pairs
+from repro.geometry.layout import Layout
+from repro.geometry.point import COORDINATE_MAX
+from repro.geometry.rect import Rect, rect_array
 from repro.graph.decomposition_graph import DecompositionGraph, VertexData
-from repro.graph.stitch import find_stitch_candidates, split_feature
+from repro.graph.stitch import split_at, stitch_positions
 
 
 @dataclass
@@ -71,6 +83,17 @@ class ConstructionOptions:
             raise ConfigurationError("min_fragment_length must be positive")
         if self.max_stitches_per_feature < 0:
             raise ConfigurationError("max_stitches_per_feature must be >= 0")
+        if self.stitch_projection_margin < 0:
+            raise ConfigurationError("stitch_projection_margin must be >= 0")
+        # Lengths beyond the coordinate range are meaningless, and bounding
+        # them keeps the int64 array passes exact.
+        for name in ("min_fragment_length", "stitch_projection_margin"):
+            if getattr(self, name) > COORDINATE_MAX:
+                raise ConfigurationError(f"{name} must be at most {COORDINATE_MAX}")
+        if self.min_coloring_distance + self.half_pitch > COORDINATE_MAX:
+            raise ConfigurationError(
+                f"min_coloring_distance + half_pitch must be at most {COORDINATE_MAX}"
+            )
 
 
 @dataclass
@@ -108,75 +131,81 @@ def build_decomposition_graph(
     layer: str = "metal1",
     options: Optional[ConstructionOptions] = None,
 ) -> ConstructionResult:
-    """Build the decomposition graph of one layout layer."""
+    """Build the decomposition graph of one layout layer.
+
+    Raises :class:`GeometryError` for a coordinate outside the signed 32-bit
+    range the array passes compute in.
+    """
     options = options or ConstructionOptions()
     options.validate()
     shapes = layout.shapes_on_layer(layer)
+    shape_rects = [shape.rects() for shape in shapes]
+    sizes = np.array([len(rects) for rects in shape_rects], dtype=np.int64)
+    boxes = rect_array([rect for rects in shape_rects for rect in rects])
+    shape_of_row = np.repeat(np.arange(len(shapes)), sizes)
 
-    shape_rects: Dict[int, List[Rect]] = {s.shape_id: s.rects() for s in shapes}
-    shape_bboxes: Dict[int, Rect] = {s.shape_id: s.bbox for s in shapes}
-
-    conflict_pairs, friend_pairs = _find_feature_pairs(
-        shapes, shape_rects, shape_bboxes, options
-    )
-
-    conflict_neighbours: Dict[int, Set[int]] = {s.shape_id: set() for s in shapes}
-    for a, b in conflict_pairs:
-        conflict_neighbours[a].add(b)
-        conflict_neighbours[b].add(a)
+    cuts = _stitch_candidates(boxes, shape_of_row, sizes, options)
 
     # ---------------------------------------------------------------- split
+    pieces_of = {
+        index: split_at(shape_rects[index], positions, horizontal)
+        for index, (positions, horizontal) in cuts.items()
+    }
+    vertex_data: Dict[int, VertexData] = {}
     fragments: Dict[int, List[Rect]] = {}
     shape_vertices: Dict[int, List[int]] = {}
-    graph = DecompositionGraph()
-    next_vertex = 0
-    for shape in shapes:
+    stitch_edges: List[Tuple[int, int]] = []
+    first_vertex: List[int] = []
+    split_rows: List[Rect] = []
+    split_owners: List[int] = []
+    split_shapes: List[int] = []
+    vertex = 0
+    for index, shape in enumerate(shapes):
         sid = shape.shape_id
-        rects = shape_rects[sid]
-        pieces: List[List[Rect]]
-        if options.enable_stitches and conflict_neighbours[sid]:
-            candidates = find_stitch_candidates(
-                rects,
-                [shape_rects[n] for n in sorted(conflict_neighbours[sid])],
-                min_fragment_length=options.min_fragment_length,
-                projection_margin=options.stitch_projection_margin,
-                max_candidates=options.max_stitches_per_feature,
-            )
-            pieces = split_feature(rects, candidates)
-        else:
-            pieces = [list(rects)]
-        vertex_ids: List[int] = []
+        first_vertex.append(vertex)
+        pieces = pieces_of.get(index)
+        if pieces is None:
+            vertex_data[vertex] = VertexData(sid)
+            fragments[vertex] = shape_rects[index]
+            shape_vertices[sid] = [vertex]
+            vertex += 1
+            continue
+        vertex_ids = list(range(vertex, vertex + len(pieces)))
         for fragment_index, piece in enumerate(pieces):
-            vertex = next_vertex
-            next_vertex += 1
-            graph.add_vertex(
-                vertex, VertexData(shape_id=sid, fragment=fragment_index)
-            )
+            vertex_data[vertex] = VertexData(sid, fragment_index)
             fragments[vertex] = piece
-            vertex_ids.append(vertex)
+            split_rows.extend(piece)
+            split_owners.extend([vertex] * len(piece))
+            split_shapes.extend([index] * len(piece))
+            vertex += 1
         shape_vertices[sid] = vertex_ids
-        for left, right in zip(vertex_ids[:-1], vertex_ids[1:]):
-            graph.add_stitch_edge(left, right)
+        stitch_edges.extend(zip(vertex_ids[:-1], vertex_ids[1:]))
 
     # ------------------------------------------------------- fragment edges
+    # Unsplit shapes keep their rows; split ones contribute their pieces.
+    whole = np.ones(len(shapes), dtype=bool)
+    whole[list(pieces_of)] = False
+    kept = whole[shape_of_row]
+    fragment_boxes = np.concatenate((boxes[kept], rect_array(split_rows)))
+    owners = np.concatenate(
+        (
+            np.array(first_vertex, dtype=np.int64)[shape_of_row[kept]],
+            np.array(split_owners, dtype=np.int64),
+        )
+    )
+    groups = np.concatenate(
+        (shape_of_row[kept], np.array(split_shapes, dtype=np.int64))
+    )
     min_s = options.min_coloring_distance
-    friend_hi = min_s + options.half_pitch
-    for a, b in conflict_pairs:
-        for u in shape_vertices[a]:
-            for v in shape_vertices[b]:
-                d2 = rects_squared_distance(fragments[u], fragments[v])
-                if d2 < min_s * min_s:
-                    graph.add_conflict_edge(u, v)
-                elif options.enable_color_friendly and d2 < friend_hi * friend_hi:
-                    graph.add_friend_edge(u, v)
-    if options.enable_color_friendly:
-        for a, b in friend_pairs:
-            for u in shape_vertices[a]:
-                for v in shape_vertices[b]:
-                    d2 = rects_squared_distance(fragments[u], fragments[v])
-                    if min_s * min_s <= d2 < friend_hi * friend_hi:
-                        graph.add_friend_edge(u, v)
-
+    radius = min_s + options.half_pitch if options.enable_color_friendly else min_s
+    low, high, d2 = close_rect_pairs(fragment_boxes, owners, radius, groups)
+    conflict = d2 < min_s * min_s
+    graph = DecompositionGraph.from_parts(
+        vertex_data,
+        list(zip(low[conflict].tolist(), high[conflict].tolist())),
+        stitch_edges,
+        list(zip(low[~conflict].tolist(), high[~conflict].tolist())),
+    )
     return ConstructionResult(
         graph=graph,
         fragments=fragments,
@@ -186,40 +215,55 @@ def build_decomposition_graph(
     )
 
 
-def _find_feature_pairs(
-    shapes: Sequence[Shape],
-    shape_rects: Dict[int, List[Rect]],
-    shape_bboxes: Dict[int, Rect],
+def _stitch_candidates(
+    boxes: np.ndarray,
+    shape_of_row: np.ndarray,
+    sizes: np.ndarray,
     options: ConstructionOptions,
-) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
-    """Return (conflict pairs, friend-band pairs) of shape ids."""
-    conflict_pairs: List[Tuple[int, int]] = []
-    friend_pairs: List[Tuple[int, int]] = []
-    if not shapes:
-        return conflict_pairs, friend_pairs
+) -> Dict[int, Tuple[List[int], bool]]:
+    """Return ``{shape index: (sorted cut positions, horizontal)}`` for every
+    shape offered stitch candidates.
 
-    min_s = options.min_coloring_distance
-    friend_hi = min_s + options.half_pitch
-    search_radius = friend_hi if options.enable_color_friendly else min_s
+    Only a shape with a conflict neighbour is offered candidates; each
+    neighbour projects all of its rectangles.
+    """
+    if not options.enable_stitches:
+        return {}
+    a, b, _ = close_rect_pairs(boxes, shape_of_row, options.min_coloring_distance)
+    if not len(a):
+        return {}
+    shape = np.concatenate((a, b))
+    neighbour = np.concatenate((b, a))
+    has_neighbour = np.zeros(len(sizes), dtype=bool)
+    has_neighbour[shape] = True
+    features = np.flatnonzero(has_neighbour)
+    slot_of_shape = np.cumsum(has_neighbour) - 1
 
-    cell_size = suggest_cell_size(shape_bboxes.values(), search_radius)
-    index = GridIndex(cell_size)
-    for shape in shapes:
-        index.insert(shape.shape_id, shape_bboxes[shape.shape_id])
-
-    seen: Set[Tuple[int, int]] = set()
-    for shape in shapes:
-        sid = shape.shape_id
-        for other in index.neighbours(sid, search_radius):
-            pair = (sid, other) if sid < other else (other, sid)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            d2 = rects_squared_distance(shape_rects[pair[0]], shape_rects[pair[1]])
-            if d2 < min_s * min_s:
-                conflict_pairs.append(pair)
-            elif options.enable_color_friendly and d2 < friend_hi * friend_hi:
-                friend_pairs.append(pair)
-    conflict_pairs.sort()
-    friend_pairs.sort()
-    return conflict_pairs, friend_pairs
+    # A shape's rows are consecutive, so its bounding box is one reduceat.
+    starts = np.cumsum(sizes) - sizes
+    feature_boxes = np.stack(
+        (
+            np.minimum.reduceat(boxes[:, 0], starts),
+            np.minimum.reduceat(boxes[:, 1], starts),
+            np.maximum.reduceat(boxes[:, 2], starts),
+            np.maximum.reduceat(boxes[:, 3], starts),
+        ),
+        axis=1,
+    )[features]
+    repeats = sizes[neighbour]
+    rows = np.arange(int(repeats.sum())) + np.repeat(
+        starts[neighbour] - (np.cumsum(repeats) - repeats), repeats
+    )
+    found, positions, horizontal = stitch_positions(
+        feature_boxes,
+        np.repeat(slot_of_shape[shape], repeats),
+        boxes[rows],
+        min_fragment_length=options.min_fragment_length,
+        projection_margin=options.stitch_projection_margin,
+        max_candidates=options.max_stitches_per_feature,
+    )
+    cuts: Dict[int, List[int]] = {}
+    for slot, position in zip(found.tolist(), positions.tolist()):
+        cuts.setdefault(slot, []).append(position)
+    indices, across = features.tolist(), horizontal.tolist()
+    return {indices[slot]: (cut, across[slot]) for slot, cut in cuts.items()}

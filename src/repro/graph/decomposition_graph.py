@@ -16,8 +16,8 @@ only guide the linear color assignment heuristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import GraphError
 
@@ -25,6 +25,23 @@ from repro.errors import GraphError
 def _edge_key(u: int, v: int) -> Tuple[int, int]:
     """Canonical undirected edge key."""
     return (u, v) if u <= v else (v, u)
+
+
+def _edge_set(edges: Collection[Tuple[int, int]]) -> Set[Tuple[int, int]]:
+    """The ``u < v`` keys of ``edges``; raises :class:`GraphError` on a self loop.
+
+    Tuples already ordered ``u < v`` are kept as they are, so rebuilding a
+    graph from another one's edge set allocates no new tuples.
+    """
+    keys = set(edges)
+    flipped = [(v, u) for u, v in edges if u >= v]
+    if flipped:
+        for u, v in flipped:
+            if u == v:
+                raise GraphError(f"self loop on vertex {u}")
+        keys.difference_update([(v, u) for u, v in flipped])
+        keys.update(flipped)
+    return keys
 
 
 @dataclass
@@ -266,38 +283,87 @@ class DecompositionGraph:
         return flat.to_graph()
 
     # --------------------------------------------------------------- builders
+    @classmethod
+    def from_parts(
+        cls,
+        vertex_data: Dict[int, VertexData],
+        conflict_edges: Collection[Tuple[int, int]] = (),
+        stitch_edges: Collection[Tuple[int, int]] = (),
+        friend_edges: Collection[Tuple[int, int]] = (),
+    ) -> "DecompositionGraph":
+        """Build a graph in one pass from its vertex data and three edge lists.
+
+        Every whole-graph build goes through here: the construction,
+        :meth:`copy`, :meth:`subgraph`, :meth:`from_edges` and
+        :meth:`FlatGraph.to_graph <repro.graph.flat.FlatGraph.to_graph>`.
+        ``vertex_data`` becomes the graph's own vertex map (pass a fresh
+        dict).  Edges are collections of ``(u, v)`` tuples in either
+        orientation; an edge already ordered ``u < v`` is stored as the very
+        tuple given, and repeats collapse.  Raises :class:`GraphError` for a
+        negative vertex id, a self loop or an endpoint that is not a vertex;
+        the checks run over each whole list, with no validating call per
+        edge.
+        """
+        if vertex_data and min(vertex_data) < 0:
+            raise GraphError(
+                f"vertex ids must be non-negative, got {min(vertex_data)}"
+            )
+        graph = cls()
+        graph._vertices = vertex_data
+        for edges, adjacency_name, edges_name in (
+            (conflict_edges, "_conflict_adj", "_conflict_edges"),
+            (stitch_edges, "_stitch_adj", "_stitch_edges"),
+            (friend_edges, "_friend_adj", "_friend_edges"),
+        ):
+            # Filled in the order given: callers pass sorted lists where they
+            # have them, and walking the adjacency in vertex order is
+            # markedly faster than in hash order.
+            adjacency: Dict[int, Set[int]] = {v: set() for v in vertex_data}
+            try:
+                for u, v in edges:
+                    adjacency[u].add(v)
+                    adjacency[v].add(u)
+            except KeyError as exc:
+                raise GraphError(f"unknown vertex {exc.args[0]}") from None
+            setattr(graph, adjacency_name, adjacency)
+            setattr(graph, edges_name, _edge_set(edges))
+        return graph
+
     def copy(self) -> "DecompositionGraph":
         """Return a deep structural copy (vertex data objects are shared)."""
-        clone = DecompositionGraph()
-        for v, data in self._vertices.items():
-            clone.add_vertex(v, data)
-        for u, v in self._conflict_edges:
-            clone.add_conflict_edge(u, v)
-        for u, v in self._stitch_edges:
-            clone.add_stitch_edge(u, v)
-        for u, v in self._friend_edges:
-            clone.add_friend_edge(u, v)
-        return clone
+        return DecompositionGraph.from_parts(
+            dict(self._vertices),
+            self._conflict_edges,
+            self._stitch_edges,
+            self._friend_edges,
+        )
 
     def subgraph(self, keep: Iterable[int]) -> "DecompositionGraph":
-        """Return the induced subgraph on ``keep`` (original vertex ids kept)."""
+        """Return the induced subgraph on ``keep`` (original vertex ids kept).
+
+        Walks the kept vertices' adjacency, so the cost follows the
+        subgraph's size, not the parent graph's edge count.
+        """
         keep_set = set(keep)
-        missing = keep_set - set(self._vertices)
+        missing = keep_set - self._vertices.keys()
         if missing:
             raise GraphError(f"subgraph on unknown vertices {sorted(missing)[:5]}")
-        sub = DecompositionGraph()
-        for v in sorted(keep_set):
-            sub.add_vertex(v, self._vertices[v])
-        for u, v in self._conflict_edges:
-            if u in keep_set and v in keep_set:
-                sub.add_conflict_edge(u, v)
-        for u, v in self._stitch_edges:
-            if u in keep_set and v in keep_set:
-                sub.add_stitch_edge(u, v)
-        for u, v in self._friend_edges:
-            if u in keep_set and v in keep_set:
-                sub.add_friend_edge(u, v)
-        return sub
+        order = sorted(keep_set)
+
+        def induced(adjacency: Dict[int, Set[int]]) -> List[Tuple[int, int]]:
+            return [
+                (u, v)
+                for u in order
+                for v in adjacency[u]
+                if u < v and v in keep_set
+            ]
+
+        return DecompositionGraph.from_parts(
+            {v: self._vertices[v] for v in order},
+            induced(self._conflict_adj),
+            induced(self._stitch_adj),
+            induced(self._friend_adj),
+        )
 
     @staticmethod
     def from_edges(
@@ -305,19 +371,18 @@ class DecompositionGraph:
         stitch_edges: Iterable[Tuple[int, int]] = (),
         vertices: Iterable[int] = (),
     ) -> "DecompositionGraph":
-        """Build a graph directly from edge lists (test / example helper)."""
-        graph = DecompositionGraph()
-        for v in vertices:
-            graph.add_vertex(v)
-        for u, v in conflict_edges:
-            graph.add_vertex(u)
-            graph.add_vertex(v)
-            graph.add_conflict_edge(u, v)
-        for u, v in stitch_edges:
-            graph.add_vertex(u)
-            graph.add_vertex(v)
-            graph.add_stitch_edge(u, v)
-        return graph
+        """Build a graph directly from edge lists (test / example helper).
+
+        Edge endpoints are added as vertices after ``vertices``, in order.
+        """
+        conflict = [(u, v) for u, v in conflict_edges]
+        stitch = [(u, v) for u, v in stitch_edges]
+        ids = list(vertices)
+        for edges in (conflict, stitch):
+            ids.extend(endpoint for edge in edges for endpoint in edge)
+        return DecompositionGraph.from_parts(
+            {v: VertexData() for v in dict.fromkeys(ids)}, conflict, stitch
+        )
 
     # ------------------------------------------------------------------ misc
     def degree_histogram(self) -> Dict[int, int]:

@@ -257,12 +257,11 @@ class FlatGraph:
         canonical keys) computed on the rebuilt graph match the original.
 
         This is the worker-side hot path (every binary-wire or pool-dispatched
-        component lands here), so it populates the graph's storage directly
-        instead of going through the per-call-validating mutator methods:
-        the structural invariants the mutators enforce — known endpoints, no
-        self loops — are guaranteed by :meth:`from_bytes`'s rank-range check
-        plus the explicit self-loop check below, and are re-checked cheaply
-        here for directly-constructed instances.
+        component lands here), so it builds through the one bulk
+        constructor, :meth:`DecompositionGraph.from_parts`, whose whole-list
+        checks (known endpoints, no self loops, non-negative ids) surface
+        here as :class:`FlatFrameError`, as does an edge rank outside the
+        vertex range.
 
         With ``memoize=True`` this snapshot is attached to the rebuilt graph
         as its memoised flat form (guarded by :meth:`is_canonical`), so the
@@ -272,35 +271,27 @@ class FlatGraph:
         from repro.graph.decomposition_graph import DecompositionGraph, VertexData
 
         ids = self.vertex_ids
-        graph = DecompositionGraph()
-        vertices = graph._vertices
+        vertex_data = {
+            vertex: VertexData(
+                shape_id=None if shape == _NO_SHAPE else shape,
+                fragment=fragment,
+                weight=weight,
+            )
+            for vertex, shape, fragment, weight in zip(
+                ids, self.shape_ids, self.fragments, self.weights
+            )
+        }
+        vertex_at = ids.__getitem__
         try:
-            for rank, vertex in enumerate(ids):
-                shape = self.shape_ids[rank]
-                vertices[vertex] = VertexData(
-                    shape_id=None if shape == _NO_SHAPE else shape,
-                    fragment=self.fragments[rank],
-                    weight=self.weights[rank],
-                )
-            adjacencies = (graph._conflict_adj, graph._stitch_adj, graph._friend_adj)
-            for adjacency in adjacencies:
-                for vertex in ids:
-                    adjacency[vertex] = set()
-            edge_sets = (graph._conflict_edges, graph._stitch_edges, graph._friend_edges)
-            for edges, adjacency, edge_set in zip(
-                (self.conflict_edges, self.stitch_edges, self.friend_edges),
-                adjacencies,
-                edge_sets,
-            ):
-                for i in range(0, len(edges), 2):
-                    u, v = ids[edges[i]], ids[edges[i + 1]]
-                    if u == v:
-                        raise FlatFrameError(f"self loop on vertex {u}")
-                    adjacency[u].add(v)
-                    adjacency[v].add(u)
-                    edge_set.add((u, v) if u <= v else (v, u))
+            edge_lists = [
+                list(zip(map(vertex_at, edges[0::2]), map(vertex_at, edges[1::2])))
+                for edges in (self.conflict_edges, self.stitch_edges, self.friend_edges)
+            ]
+            graph = DecompositionGraph.from_parts(vertex_data, *edge_lists)
         except IndexError as exc:
             raise FlatFrameError(f"edge rank outside the vertex range: {exc}") from exc
+        except GraphError as exc:
+            raise FlatFrameError(str(exc)) from exc
         if memoize and self.is_canonical():
             graph._flat = self
         return graph

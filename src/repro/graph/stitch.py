@@ -9,15 +9,22 @@ Candidate positions follow the projection rule used by the triple-patterning
 decomposers the paper builds on: project every conflicting neighbour onto the
 long axis of the feature; a position is a legal stitch candidate only where no
 neighbour projection covers the feature, and only when both resulting
-fragments keep a minimum printable length.
+fragments keep a minimum printable length.  :func:`stitch_positions` finds
+them for every feature of a layer in one pass over arrays;
+:func:`find_stitch_candidates` is its one-feature form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from repro.geometry.rect import Rect
+import numpy as np
+
+from repro.errors import ConfigurationError
+from repro.geometry.point import COORDINATE_MAX
+from repro.geometry.rect import Rect, bounding_box, rect_array
 
 
 @dataclass(frozen=True)
@@ -41,19 +48,91 @@ def _axis_interval(rect: Rect, horizontal: bool) -> Tuple[int, int]:
     return (rect.xl, rect.xh) if horizontal else (rect.yl, rect.yh)
 
 
-def _merge_intervals(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Merge overlapping/adjacent intervals into a disjoint sorted list."""
-    if not intervals:
-        return []
-    intervals = sorted(intervals)
-    merged = [intervals[0]]
-    for lo, hi in intervals[1:]:
-        last_lo, last_hi = merged[-1]
-        if lo <= last_hi:
-            merged[-1] = (last_lo, max(last_hi, hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+def stitch_positions(
+    feature_boxes: np.ndarray,
+    owners: np.ndarray,
+    neighbour_boxes: np.ndarray,
+    min_fragment_length: int,
+    projection_margin: int = 0,
+    max_candidates: int = 2,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return the legal stitch positions of many features at once.
+
+    ``feature_boxes`` is an int64 ``(f, 4)`` array of feature bounding boxes
+    ``(xl, yl, xh, yh)``; ``neighbour_boxes`` holds one row per rectangle of
+    a conflicting neighbour, projected onto the cut axis of feature
+    ``owners[row]``.  Returns ``(features, positions, horizontal)``: the
+    candidates as parallel arrays sorted by feature then position, and each
+    feature's cut axis (True when the long axis is x).
+
+    Per feature, the projections (widened by ``projection_margin``) are
+    swept by their low ends.  A cursor starts at the feature's low end
+    and follows the largest high end seen so far; a projection starting
+    past the cursor leaves a gap before it, and a last gap runs from the
+    cursor to the feature's high end.  Gaps are clipped to the window that
+    leaves both fragments ``min_fragment_length`` long; each non-empty one
+    offers its midpoint, and the ``max_candidates`` widest win (ties to the
+    lower position).  Two sentinel rows per feature carry the cursor start
+    and close the last gap, so every feature's sweep is one run of the same
+    segmented running maximum.  Projections sharing a low end leave at most
+    one gap whatever their order, since the first one moves the cursor past
+    the shared low end; that needs ``projection_margin >= 0``, and
+    :class:`ConfigurationError` refuses a negative one.
+    """
+    for name, value in (
+        ("min_fragment_length", min_fragment_length),
+        ("projection_margin", projection_margin),
+    ):
+        if not 0 <= value <= COORDINATE_MAX:
+            raise ConfigurationError(
+                f"{name} must lie in 0..{COORDINATE_MAX}, got {value}"
+            )
+    empty = np.zeros(0, dtype=np.int64)
+    count = len(feature_boxes)
+    fxl, fyl, fxh, fyh = np.ascontiguousarray(feature_boxes.T).reshape(4, count)
+    horizontal = fxh - fxl >= fyh - fyl
+    lo = np.where(horizontal, fxl, fyl)
+    hi = np.where(horizontal, fxh, fyh)
+    if not count or max_candidates <= 0:
+        return empty, empty, horizontal
+
+    nxl, nyl, nxh, nyh = np.ascontiguousarray(neighbour_boxes.T).reshape(4, -1)
+    along = horizontal[owners]
+    start = np.where(along, nxl, nyl) - projection_margin
+    end = np.where(along, nxh, nyh) + projection_margin
+    below = int(min(start.min(initial=0), lo.min())) - 1
+    above = int(max(start.max(initial=0), hi.max())) + 1
+    every = np.arange(count)
+    feature = np.concatenate((owners, every, every))
+    start = np.concatenate((start, np.full(count, below), np.full(count, above)))
+    end = np.concatenate((end, lo, hi))
+    order = np.argsort(feature * (above - below + 1) + (start - below))
+    feature, start, end = feature[order], start[order], end[order]
+
+    # Running maximum of ``end`` inside each feature's run: lifting run k by
+    # k * spread puts it above every earlier run.
+    base = int(end.min())
+    lift = feature * (int(end.max()) - base + 1)
+    cursor = np.maximum.accumulate(lift + (end - base)) - lift + base
+
+    gap = np.flatnonzero(feature[1:] == feature[:-1]) + 1
+    owner = feature[gap]
+    gap_lo = np.maximum(cursor[gap - 1], lo[owner] + min_fragment_length)
+    gap_hi = np.minimum(start[gap], hi[owner] - min_fragment_length)
+    legal = gap_hi > gap_lo
+    owner, gap_lo, gap_hi = owner[legal], gap_lo[legal], gap_hi[legal]
+    if not len(owner):
+        return empty, empty, horizontal
+    position = (gap_lo + gap_hi) // 2
+
+    # Gaps come out disjoint and in position order per feature, so a stable
+    # sort by (feature, widest first) breaks width ties to the lower position.
+    width = gap_hi - gap_lo
+    order = np.argsort(owner * (int(width.max()) + 1) - width, kind="stable")
+    rank = np.arange(len(order)) - np.searchsorted(owner[order], owner[order])
+    chosen = np.zeros(len(owner), dtype=bool)
+    chosen[order[rank < max_candidates]] = True
+    return owner[chosen], position[chosen], horizontal
 
 
 def find_stitch_candidates(
@@ -64,6 +143,8 @@ def find_stitch_candidates(
     max_candidates: int = 2,
 ) -> List[StitchCandidate]:
     """Return legal stitch candidates for one feature.
+
+    A one-feature call of :func:`stitch_positions`.
 
     Parameters
     ----------
@@ -82,51 +163,18 @@ def find_stitch_candidates(
     """
     if not feature_rects:
         return []
-    bbox = feature_rects[0]
-    for rect in feature_rects[1:]:
-        bbox = bbox.union_bbox(rect)
-    horizontal = bbox.width >= bbox.height
-    lo, hi = _axis_interval(bbox, horizontal)
-
-    # Long-axis span too small to ever host two printable fragments.
-    if hi - lo < 2 * min_fragment_length:
-        return []
-
-    projections: List[Tuple[int, int]] = []
-    for rects in neighbour_rects:
-        for rect in rects:
-            p_lo, p_hi = _axis_interval(rect, horizontal)
-            projections.append((p_lo - projection_margin, p_hi + projection_margin))
-    covered = _merge_intervals(projections)
-
-    # Uncovered gaps inside the feature span, clipped to the legal cut window.
-    window_lo = lo + min_fragment_length
-    window_hi = hi - min_fragment_length
-    gaps: List[Tuple[int, int]] = []
-    cursor = lo
-    for c_lo, c_hi in covered:
-        if c_lo > cursor:
-            gaps.append((cursor, min(c_lo, hi)))
-        cursor = max(cursor, c_hi)
-        if cursor >= hi:
-            break
-    if cursor < hi:
-        gaps.append((cursor, hi))
-
-    candidates: List[Tuple[int, StitchCandidate]] = []
-    for g_lo, g_hi in gaps:
-        g_lo = max(g_lo, window_lo)
-        g_hi = min(g_hi, window_hi)
-        if g_hi <= g_lo:
-            continue
-        width = g_hi - g_lo
-        position = (g_lo + g_hi) // 2
-        candidates.append((width, StitchCandidate(position, horizontal)))
-
-    candidates.sort(key=lambda item: (-item[0], item[1].position))
-    selected = [cand for _, cand in candidates[:max_candidates]]
-    selected.sort(key=lambda cand: cand.position)
-    return selected
+    box = bounding_box(feature_rects)
+    rects = [rect for rects in neighbour_rects for rect in rects]
+    _, positions, horizontal = stitch_positions(
+        rect_array([box]),
+        np.zeros(len(rects), dtype=np.int64),
+        rect_array(rects),
+        min_fragment_length,
+        projection_margin,
+        max_candidates,
+    )
+    across = bool(horizontal[0])
+    return [StitchCandidate(position, across) for position in positions.tolist()]
 
 
 def split_feature(
@@ -140,37 +188,35 @@ def split_feature(
     """
     if not candidates:
         return [list(feature_rects)]
-    horizontal = candidates[0].horizontal
-    positions = sorted(c.position for c in candidates)
+    return split_at(
+        feature_rects,
+        sorted(c.position for c in candidates),
+        candidates[0].horizontal,
+    )
 
+
+def split_at(
+    feature_rects: Sequence[Rect], positions: Sequence[int], horizontal: bool
+) -> List[List[Rect]]:
+    """Split a feature's rectangles at sorted cut ``positions`` on one axis.
+
+    Every rectangle is cut at each distinct position strictly inside its
+    interval on the cut axis, and each piece joins the fragment between the
+    positions around it.  Empty fragments are dropped.
+    """
+    distinct = list(dict.fromkeys(positions))
     fragments: List[List[Rect]] = [[] for _ in range(len(positions) + 1)]
-    boundaries = [float("-inf")] + [float(p) for p in positions] + [float("inf")]
     for rect in feature_rects:
-        pieces = _slice_rect(rect, positions, horizontal)
-        for piece in pieces:
-            lo, hi = _axis_interval(piece, horizontal)
-            mid = (lo + hi) / 2.0
-            for index in range(len(fragments)):
-                if boundaries[index] <= mid < boundaries[index + 1]:
-                    fragments[index].append(piece)
-                    break
-    return [frag for frag in fragments if frag]
-
-
-def _slice_rect(rect: Rect, positions: Sequence[int], horizontal: bool) -> List[Rect]:
-    """Cut one rectangle at every position crossing its axis interval."""
-    pieces = [rect]
-    for position in positions:
-        next_pieces: List[Rect] = []
-        for piece in pieces:
-            lo, hi = _axis_interval(piece, horizontal)
-            if lo < position < hi:
-                if horizontal:
-                    left, right = piece.split_vertical(position)
-                else:
-                    left, right = piece.split_horizontal(position)
-                next_pieces.extend((left, right))
+        lo, hi = _axis_interval(rect, horizontal)
+        cuts = [p for p in distinct if lo < p < hi]
+        if not cuts:
+            fragments[bisect_right(positions, lo)].append(rect)
+            continue
+        ends = [lo, *cuts, hi]
+        for a, b in zip(ends, ends[1:]):
+            if horizontal:
+                piece = Rect(a, rect.yl, b, rect.yh)
             else:
-                next_pieces.append(piece)
-        pieces = next_pieces
-    return pieces
+                piece = Rect(rect.xl, a, rect.xh, b)
+            fragments[bisect_right(positions, a)].append(piece)
+    return [fragment for fragment in fragments if fragment]

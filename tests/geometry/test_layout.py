@@ -108,3 +108,25 @@ class TestLayoutSerialisation:
         data["shapes"][1]["layer"] = layer
         with pytest.raises(LayoutIOError, match="layer must be a string"):
             Layout.from_dict(data)
+
+
+class TestCoordinateRange:
+    """JSON coordinates must fit the signed 32-bit range of GDSII XY records."""
+
+    @staticmethod
+    def _square_at(x):
+        return {"shapes": [{"vertices": [[x, 0], [x, 10], [0, 10], [0, 0]]}]}
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("inf"), -float("inf"), float("nan"), 1e300, -1e300, 2**70,
+         2**31, -(2**31) - 1],
+    )
+    def test_out_of_range_coordinate_rejected(self, value):
+        with pytest.raises(LayoutIOError):
+            Layout.from_dict(self._square_at(value))
+
+    @pytest.mark.parametrize("value", [2**31 - 1, -(2**31), 12.4])
+    def test_range_ends_accepted(self, value):
+        layout = Layout.from_dict(self._square_at(value))
+        assert layout.bbox().width == abs(round(value))

@@ -7,7 +7,7 @@ from repro.core.options import (
     QUADRUPLE_MIN_COLORING_DISTANCE,
 )
 from repro.bench.cells import four_clique_contact_cell, regular_wire_array
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GeometryError
 from repro.geometry.layout import Layout
 from repro.geometry.rect import Rect
 from repro.graph.construction import ConstructionOptions, build_decomposition_graph
@@ -93,6 +93,56 @@ class TestConflictEdges:
         assert pp.graph.num_conflict_edges > qp.graph.num_conflict_edges
 
 
+class TestRuleBoundaries:
+    """Spacings exactly at the rule edges, decided on exact squared integers."""
+
+    @staticmethod
+    def _pair(first, second, **overrides):
+        layout = Layout()
+        layout.add_rect(first)
+        layout.add_rect(second)
+        options = ConstructionOptions(
+            min_coloring_distance=80, half_pitch=20, enable_stitches=False, **overrides
+        )
+        return build_decomposition_graph(layout, options=options).graph
+
+    def test_diagonal_corner_at_exactly_min_s_is_no_conflict(self):
+        # Corner gaps (48, 64): spacing sqrt(48² + 64²) = 80 = min_s.
+        graph = self._pair(Rect(0, 0, 20, 20), Rect(68, 84, 88, 104))
+        assert graph.num_conflict_edges == 0
+        assert graph.friend_edges() == [(0, 1)]
+
+    def test_diagonal_corner_just_inside_min_s_conflicts(self):
+        # Corner gaps (47, 64): 47² + 64² = 6305 < 80².
+        graph = self._pair(Rect(0, 0, 20, 20), Rect(67, 84, 87, 104))
+        assert graph.conflict_edges() == [(0, 1)]
+        assert graph.friend_edges() == []
+
+    def test_spacing_of_exactly_min_s_plus_half_pitch_is_no_friend(self):
+        graph = self._pair(Rect(0, 0, 400, 20), Rect(0, 120, 400, 140))
+        assert graph.num_conflict_edges == 0
+        assert graph.friend_edges() == []
+        graph = self._pair(Rect(0, 0, 400, 20), Rect(0, 119, 400, 139))
+        assert graph.friend_edges() == [(0, 1)]
+
+    @pytest.mark.parametrize(
+        "second",
+        [Rect(10, 10, 30, 30), Rect(20, 0, 40, 20), Rect(20, 20, 40, 40)],
+        ids=["overlapping", "edge-touching", "corner-touching"],
+    )
+    def test_overlapping_and_touching_shapes_conflict(self, second):
+        graph = self._pair(Rect(0, 0, 20, 20), second)
+        assert graph.conflict_edges() == [(0, 1)]
+
+    @pytest.mark.parametrize("far", [2**31, 2**70, -(2**31) - 1])
+    def test_out_of_range_coordinates_raise_geometry_error(self, far):
+        layout = Layout()
+        layout.add_rect(Rect(min(far, 0), 0, max(far, 0), 20))
+        layout.add_rect(Rect(0, 60, 100, 80))
+        with pytest.raises(GeometryError, match="32-bit"):
+            build_decomposition_graph(layout)
+
+
 class TestColorFriendlyEdges:
     def test_friend_band(self):
         # spacing 90 lies in [80, 80+20) -> color friendly, not conflict
@@ -169,6 +219,19 @@ class TestOptionsValidation:
     def test_bad_fragment_length_rejected(self):
         with pytest.raises(ConfigurationError):
             ConstructionOptions(min_fragment_length=0).validate()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"stitch_projection_margin": -1},
+            {"stitch_projection_margin": 2**31},
+            {"min_fragment_length": 2**31},
+            {"min_coloring_distance": 2**31 - 20, "half_pitch": 20},
+        ],
+    )
+    def test_lengths_outside_the_coordinate_range_rejected(self, overrides):
+        with pytest.raises(ConfigurationError):
+            ConstructionOptions(**overrides).validate()
 
     def test_empty_layer_gives_empty_graph(self):
         result = build_decomposition_graph(Layout(), layer="metal1")

@@ -121,3 +121,48 @@ class TestBuilders:
     def test_degree_histogram(self):
         g = DecompositionGraph.from_edges([(0, 1), (0, 2), (0, 3)])
         assert g.degree_histogram() == {3: 1, 1: 3}
+
+    def test_subgraph_reads_only_kept_adjacency(self):
+        g = DecompositionGraph.from_edges(
+            [(0, 1), (1, 2), (2, 3), (0, 3)], [(1, 3)], vertices=[9]
+        )
+        g.add_friend_edge(0, 2)
+        sub = g.subgraph([0, 2, 3, 9])
+        assert sub.conflict_edges() == [(0, 3), (2, 3)]
+        assert sub.stitch_edges() == []
+        assert sub.friend_edges() == [(0, 2)]
+        assert sub.conflict_neighbors(3) == {0, 2}
+        assert sub.vertices() == [0, 2, 3, 9]
+
+
+class TestFromParts:
+    def test_builds_every_relation(self):
+        data = {v: VertexData(shape_id=v // 2, fragment=v % 2) for v in range(4)}
+        g = DecompositionGraph.from_parts(data, [(0, 2), (3, 1)], [(0, 1)], [(2, 3)])
+        assert g.conflict_edges() == [(0, 2), (1, 3)]
+        assert g.stitch_edges() == [(0, 1)]
+        assert g.friend_edges() == [(2, 3)]
+        assert g.conflict_neighbors(1) == {3}
+        assert g.vertex_data(3).fragment == 1
+
+    def test_repeats_and_orientations_collapse(self):
+        data = {0: VertexData(), 1: VertexData()}
+        g = DecompositionGraph.from_parts(data, [(0, 1), (1, 0), (0, 1)])
+        assert g.conflict_edges() == [(0, 1)]
+        assert g.conflict_degree(0) == 1
+
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            ([0, 1], [(0, 2)], "unknown vertex 2"),
+            ([0, 1], [(1, 1)], "self loop"),
+            ([-1, 0], [], "non-negative"),
+        ],
+    )
+    def test_whole_list_checks(self, vertices, edges, message):
+        data = {v: VertexData() for v in vertices}
+        for relation in range(3):
+            lists = [[], [], []]
+            lists[relation] = edges
+            with pytest.raises(GraphError, match=message):
+                DecompositionGraph.from_parts(dict(data), *lists)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from array import array
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.graph import (
     FlatGraph,
     VertexData,
 )
+from repro.graph.flat import graph_from_frame
 
 
 def _rich_graph() -> DecompositionGraph:
@@ -113,6 +115,20 @@ class TestFrameErrors:
         frame[offset : offset + 4] = (2).to_bytes(4, "little")
         with pytest.raises(FlatFrameError, match="outside"):
             FlatGraph.from_bytes(bytes(frame))
+
+
+    @pytest.mark.parametrize(
+        "vertex_ids, conflict, message",
+        [([0, 1], [1, 1], "self loop"), ([-4, 1], [0, 1], "non-negative")],
+    )
+    def test_graph_errors_surface_as_frame_errors(self, vertex_ids, conflict, message):
+        flat = FlatGraph(
+            array("q", vertex_ids), array("q", [0, 0]), array("I", [0, 0]),
+            array("I", [1, 1]), array("I", conflict), array("I"), array("I"),
+        )
+        frame = flat.to_bytes()
+        with pytest.raises(FlatFrameError, match=message):
+            graph_from_frame(frame)
 
 
 class TestMemoisation:

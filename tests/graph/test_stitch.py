@@ -1,7 +1,16 @@
 """Unit tests for stitch candidate generation and feature splitting."""
 
-from repro.geometry.rect import Rect
-from repro.graph.stitch import StitchCandidate, find_stitch_candidates, split_feature
+import numpy as np
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.geometry.rect import Rect, rect_array
+from repro.graph.stitch import (
+    StitchCandidate,
+    find_stitch_candidates,
+    split_feature,
+    stitch_positions,
+)
 
 
 def horizontal_wire(length=400, width=20, y=0):
@@ -62,6 +71,58 @@ class TestFindStitchCandidates:
         )
         positions = [c.position for c in candidates]
         assert positions == sorted(positions)
+
+
+class TestStitchPositions:
+    """The all-features routine :func:`find_stitch_candidates` wraps."""
+
+    @staticmethod
+    def _tied_features(count):
+        """``count`` wires [0, 1500] whose neighbours leave five gaps of
+        widths 150, 100, 150, 100, 150 (midpoints 175, 425, 675, 925, 1175)."""
+        features = rect_array(
+            [Rect(0, 200 * i, 1500, 200 * i + 20) for i in range(count)]
+        )
+        covers = [
+            (0, 100), (250, 375), (475, 600), (750, 875), (975, 1100), (1250, 1500)
+        ]
+        neighbours = rect_array(
+            [
+                Rect(lo, 200 * i + 60, hi, 200 * i + 80)
+                for i in range(count)
+                for lo, hi in covers
+            ]
+        )
+        owners = np.repeat(np.arange(count), len(covers))
+        return features, owners, neighbours
+
+    @pytest.mark.parametrize(
+        "keep, expected",
+        [(1, [175]), (2, [175, 675]), (4, [175, 425, 675, 1175])],
+    )
+    def test_width_ties_go_to_the_lower_position(self, keep, expected):
+        """Enough tied gaps, out of key order, that an unstable sort would
+        reorder them."""
+        features, owners, neighbours = self._tied_features(60)
+        found, positions, horizontal = stitch_positions(
+            features, owners, neighbours, min_fragment_length=1, max_candidates=keep
+        )
+        assert horizontal.all()
+        assert found.tolist() == np.repeat(np.arange(60), keep).tolist()
+        assert positions.tolist() == expected * 60
+
+    def test_feature_without_projections_is_cut_in_the_middle(self):
+        found, positions, _ = stitch_positions(
+            rect_array([Rect(0, 0, 20, 400)]),
+            np.zeros(0, dtype=np.int64),
+            rect_array([]),
+            min_fragment_length=40,
+        )
+        assert found.tolist() == [0] and positions.tolist() == [200]
+
+    def test_negative_margin_rejected(self):
+        with pytest.raises(ConfigurationError):
+            find_stitch_candidates(horizontal_wire(), [], 40, projection_margin=-1)
 
 
 class TestSplitFeature:

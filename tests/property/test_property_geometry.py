@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect, bounding_box, merge_touching_rects
-from repro.geometry.spatial import GridIndex
 
 coordinates = st.integers(min_value=-10_000, max_value=10_000)
 sizes = st.integers(min_value=1, max_value=500)
@@ -91,22 +90,3 @@ class TestPolygonProperties:
     @given(staircase_polygons(), coordinates, coordinates)
     def test_translation_preserves_area(self, polygon, dx, dy):
         assert polygon.translated(dx, dy).area == polygon.area
-
-
-class TestSpatialIndexProperties:
-    @settings(max_examples=30)
-    @given(
-        st.lists(rects(), min_size=1, max_size=25, unique_by=lambda r: (r.xl, r.yl, r.xh, r.yh)),
-        st.integers(min_value=1, max_value=300),
-    )
-    def test_no_false_negatives(self, rect_list, margin):
-        index = GridIndex(cell_size=128)
-        for key, rect in enumerate(rect_list):
-            index.insert(key, rect)
-        for key, rect in enumerate(rect_list):
-            reported = index.neighbours(key, margin)
-            for other, other_rect in enumerate(rect_list):
-                if other == key:
-                    continue
-                if rect.squared_distance(other_rect) <= margin * margin:
-                    assert other in reported

@@ -120,6 +120,30 @@ class TestMutatedLayouts:
                 pytest.fail(f"mutant {index} escaped as {exc!r}")
             assert isinstance(job["layer"], str)
 
+    @pytest.mark.parametrize(
+        "value",
+        [float("inf"), -float("inf"), float("nan"), 1e300, -1e300, 2**70],
+        ids=["inf", "-inf", "nan", "1e300", "-1e300", "2**70"],
+    )
+    def test_out_of_range_coordinates_are_protocol_errors(self, value):
+        """Moving one edge of a shape to a coordinate no GDSII XY record can
+        hold keeps the outline rectilinear, and is still a 400: never an
+        escaped OverflowError (a 500), nor a layout whose coordinates reach
+        the int64 construction."""
+        document = load_circuit("C432", scale=0.05).to_dict()
+        rng = random.Random(11)
+        for _ in range(40):
+            mutant = copy.deepcopy(document)
+            shape = rng.choice(mutant["shapes"])
+            axis = rng.randrange(2)
+            moved = rng.choice(shape["vertices"])[axis]
+            shape["vertices"] = [
+                [value if point[k] == moved and k == axis else point[k] for k in (0, 1)]
+                for point in shape["vertices"]
+            ]
+            with pytest.raises(ProtocolError, match="vertex coordinate"):
+                parse_decompose_request({"layout": mutant})
+
 
 class TestParseRequests:
     def test_defaults_applied(self, layout):

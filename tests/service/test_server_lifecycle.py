@@ -114,6 +114,12 @@ class TestServeAndMatch:
                 client._request("POST", "/decompose", {"layout": bad_layer})
             assert bad_layout.value.status == 400
             assert "layer must be a string" in str(bad_layout.value)
+            infinite = layout.to_dict()
+            infinite["shapes"][0]["vertices"][0] = [float("inf"), 0]
+            with pytest.raises(ServiceError) as bad_coordinate:
+                client._request("POST", "/decompose", {"layout": infinite})
+            assert bad_coordinate.value.status == 400
+            assert "vertex coordinates" in str(bad_coordinate.value)
 
 
 class TestStartupFailure:
