@@ -80,23 +80,12 @@ def _save_layout(layout: Layout, path: str) -> None:
         write_json(layout, path)
 
 
-def _options_for(colors: int, algorithm: str) -> DecomposerOptions:
-    if colors == 4:
-        return DecomposerOptions.for_quadruple_patterning(algorithm)
-    if colors == 5:
-        return DecomposerOptions.for_pentuple_patterning(algorithm)
-    return DecomposerOptions.for_k_patterning(colors, algorithm)
-
-
 def _cmd_decompose(args: argparse.Namespace) -> int:
     from repro.analysis import decomposition_to_svg, summary_text
 
     layout = _load_layout(args.input)
     layer = args.layer or (layout.layers()[0] if layout.layers() else "metal1")
-    options = _options_for(args.colors, args.algorithm)
-    if args.min_spacing is not None:
-        options.construction.min_coloring_distance = args.min_spacing
-    result = Decomposer(options).decompose(layout, layer=layer)
+    result = Decomposer(_solve_options_from(args)).decompose(layout, layer=layer)
     print(summary_text(result))
     if args.output:
         _save_layout(result.to_mask_layout(), args.output)
@@ -114,7 +103,7 @@ def _load_named_layouts(paths) -> list:
 
 def _solve_options_from(args: argparse.Namespace) -> DecomposerOptions:
     """Build DecomposerOptions from the shared --colors/--algorithm/--min-spacing."""
-    options = _options_for(args.colors, args.algorithm)
+    options = DecomposerOptions.for_k_patterning(args.colors, args.algorithm)
     if args.min_spacing is not None:
         options.construction.min_coloring_distance = args.min_spacing
     return options

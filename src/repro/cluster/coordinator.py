@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -56,12 +55,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.decomposer import Decomposer
 from repro.core.options import DecomposerOptions
 from repro.errors import ReproError
-from repro.geometry.layout import Layout
 from repro.cluster.membership import Membership, NoNodesAvailable
 from repro.graph.flat import FlatGraph
 from repro.obs.federate import FederationConfig, MetricsFederator
-from repro.obs.journal import DEFAULT_SEGMENT_BYTES
-from repro.obs.observer import ObsConfig, Observer
 from repro.obs.slo import DEFAULT_SLO_SPEC, SloEngine, parse_slo_spec
 from repro.runtime.component_io import (
     ComponentErrorEntry,
@@ -71,17 +67,15 @@ from repro.runtime.component_io import (
 )
 from repro.runtime.pipeline import Batch
 from repro.runtime.wire_binary import encode_components_frame, frame_size
-from repro.service.base import BaseHttpServer, ThreadedServer
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.http import (
-    CLIENT_HEADER,
-    DEFAULT_MAX_BODY_BYTES,
-    TRACE_HEADER,
-    HttpRequest,
-    client_identity,
-    error_body,
-    json_body,
+from repro.service.base import (
+    BaseHttpServer,
+    HttpServerConfig,
+    Response,
+    ThreadedServer,
+    serve_forever,
 )
+from repro.service.client import ServiceClient, ServiceError
+from repro.service.http import HttpRequest, error_body, json_body
 from repro.service.metrics import (
     METRICS_CONTENT_TYPE,
     build_info_family,
@@ -90,15 +84,7 @@ from repro.service.metrics import (
     observability_families,
     render_metrics,
 )
-from repro.service.protocol import (
-    ProtocolError,
-    build_options,
-    parse_batch_request,
-    parse_decompose_request,
-    result_to_payload,
-)
-
-logger = logging.getLogger("repro.cluster.coordinator")
+from repro.service.protocol import run_job
 
 #: Node id the coordinator federates itself under in ``/cluster/metrics``:
 #: its own exposition is rendered locally (no HTTP loopback) and merged
@@ -148,20 +134,15 @@ class _NodeConnectionLost(ReproError):
 
 
 @dataclass
-class CoordinatorConfig:
+class CoordinatorConfig(HttpServerConfig):
     """Static configuration of one :class:`ClusterCoordinator`."""
 
-    host: str = "127.0.0.1"
     #: TCP port; ``0`` binds an ephemeral port (reported by :meth:`start`).
     port: int = 8100
-    #: Static node list, each ``host:port`` of a ``repro-decompose cluster node``.
-    peers: List[str] = field(default_factory=list)
     #: Maximum queued + in-flight layout jobs before requests are shed with 503.
     queue_limit: int = 16
-    #: Per-request solve budget in seconds (504 beyond it).
-    request_timeout: float = 300.0
-    #: Value of the ``Retry-After`` header on 503 responses.
-    retry_after_seconds: int = 1
+    #: Static node list, each ``host:port`` of a ``repro-decompose cluster node``.
+    peers: List[str] = field(default_factory=list)
     #: Seconds between heartbeat probes of the peer nodes.
     probe_interval: float = 2.0
     #: Heartbeat / health-probe connection timeout in seconds.
@@ -184,20 +165,6 @@ class CoordinatorConfig:
     #: Approximate byte bound per micro-batch (serialised component wires);
     #: a single component larger than this still ships, alone.
     batch_max_bytes: int = 4 * 1024 * 1024
-    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
-    #: Seconds a connection may idle before sending a complete request.
-    header_timeout: float = 30.0
-    #: Event-journal directory; ``None`` disables tracing, the journal and
-    #: the ``/trace``//``/watch`` endpoints (the near-zero-cost default).
-    journal_dir: Optional[str] = None
-    #: fsync every journal append (durability over throughput).
-    journal_fsync: bool = False
-    #: Journal segment rotation threshold in bytes.
-    journal_segment_bytes: int = DEFAULT_SEGMENT_BYTES
-    #: Per-subscriber ``GET /watch`` queue bound (drop-oldest beyond it).
-    watch_queue_limit: int = 256
-    #: Seconds between SSE heartbeat comments on an idle ``GET /watch``.
-    watch_heartbeat_seconds: float = 10.0
     #: Seconds between federation scrapes of every node's ``/metrics``.
     scrape_interval: float = 5.0
     #: Connection/read timeout of one federation scrape.
@@ -215,19 +182,12 @@ class CoordinatorConfig:
 class ClusterCoordinator(BaseHttpServer):
     """Multi-node decomposition front end with consistent-hash routing."""
 
-    queue_noun = "coordinator"
+    role = "coordinator"
+    failure_source = "coordinator"
+    config: CoordinatorConfig
 
     def __init__(self, config: CoordinatorConfig) -> None:
-        super().__init__(
-            host=config.host,
-            port=config.port,
-            max_body_bytes=config.max_body_bytes,
-            header_timeout=config.header_timeout,
-            queue_limit=config.queue_limit,
-            request_timeout=config.request_timeout,
-            retry_after_seconds=config.retry_after_seconds,
-        )
-        self.config = config
+        super().__init__(config)
         self.membership = Membership(
             config.peers,
             probe_interval=config.probe_interval,
@@ -249,6 +209,13 @@ class ClusterCoordinator(BaseHttpServer):
                 "node_requests": 0,
             }
         )
+        self._routes.update(
+            {
+                ("GET", "/ring"): self._serve_ring,
+                ("GET", "/cluster/metrics"): self._serve_cluster_metrics,
+                ("GET", "/slo"): self._serve_slo,
+            }
+        )
         self._routed: Dict[str, int] = {
             node_id: 0 for node_id in sorted(self._clients)
         }
@@ -256,16 +223,6 @@ class ClusterCoordinator(BaseHttpServer):
         self._counter_lock = threading.Lock()
         self._jobs_executor: Optional[ThreadPoolExecutor] = None
         self._fanout_executor: Optional[ThreadPoolExecutor] = None
-        self.obs = Observer(
-            ObsConfig(
-                journal_dir=config.journal_dir,
-                journal_fsync=config.journal_fsync,
-                journal_segment_bytes=config.journal_segment_bytes,
-                watch_queue_limit=config.watch_queue_limit,
-                watch_heartbeat_seconds=config.watch_heartbeat_seconds,
-                role="coordinator",
-            )
-        )
         # --- cluster observability control plane -------------------------
         # A bad --slo spec must fail construction, not the first /slo hit.
         self.slo_engine = SloEngine(
@@ -283,7 +240,7 @@ class ClusterCoordinator(BaseHttpServer):
         staleness = config.metrics_staleness_seconds
         if staleness is None:
             staleness = 3.0 * config.scrape_interval
-        targets = [(SELF_NODE_ID, self._own_metrics_text)]
+        targets = [(SELF_NODE_ID, self._metrics_text)]
         targets += [
             (node_id, client.metrics_text)
             for node_id, client in sorted(self._scrape_clients.items())
@@ -334,129 +291,12 @@ class ClusterCoordinator(BaseHttpServer):
         for client in self._scrape_clients.values():
             client.close()
 
-    # ------------------------------------------------------------- requests
-    async def _dispatch(
-        self, request: HttpRequest
-    ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
-        route = (request.method, request.path.split("?", 1)[0])
-        if route == ("GET", "/healthz"):
-            return 200, json_body(self._healthz()), None
-        if route == ("GET", "/stats"):
-            return 200, json_body(self._stats()), None
-        if route == ("GET", "/metrics"):
-            text = coordinator_metrics_text(
-                self._stats(), extra_families=self._metrics_extras()
-            )
-            return 200, text.encode("utf-8"), {"Content-Type": METRICS_CONTENT_TYPE}
-        if route == ("GET", "/ring"):
-            return 200, json_body(self._ring_view()), None
-        if route == ("GET", "/cluster/metrics"):
-            return await self._serve_cluster_metrics(request)
-        if route == ("GET", "/slo"):
-            return await self._serve_slo(request)
-        observability = await self._dispatch_observability(request)
-        if observability is not None:
-            return observability
-        if route == ("POST", "/decompose"):
-            return await self._serve_jobs(request, batch=False)
-        if route == ("POST", "/batch"):
-            return await self._serve_jobs(request, batch=True)
-        known = (
-            "/healthz",
-            "/stats",
-            "/metrics",
-            "/ring",
-            "/cluster/metrics",
-            "/slo",
-            "/decompose",
-            "/batch",
-            "/watch",
-        )
-        if route[1] in known:
-            return (*error_body(405, f"{request.method} not allowed on {route[1]}"), None)
-        return (*error_body(404, f"no such endpoint {route[1]!r}"), None)
-
-    def _trace_headers(self, ctx) -> Optional[Dict[str, str]]:
-        """Response headers advertising the request's trace id (or none)."""
-        return {TRACE_HEADER: ctx.trace_id} if ctx is not None else None
-
-    async def _serve_jobs(
-        self, request: HttpRequest, batch: bool
-    ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
-        loop = asyncio.get_running_loop()
-        kind = "batch" if batch else "decompose"
-        ctx = self.obs.begin(request.headers.get(TRACE_HEADER.lower()))
-        self.obs.emit(
-            ctx,
-            "received",
-            kind=kind,
-            client=client_identity(request.headers.get(CLIENT_HEADER.lower())),
-            bytes_in=len(request.body),
-        )
-
-        def _decode_jobs() -> List[Dict]:
-            payload = request.json()
-            if batch:
-                return parse_batch_request(payload)
-            return [parse_decompose_request(payload)]
-
-        try:
-            with self.obs.span("parse", ctx):
-                jobs = await loop.run_in_executor(None, _decode_jobs)
-        except ProtocolError as exc:
-            self._counters["invalid"] += 1
-            self.obs.emit(ctx, "failed", status=400, message=str(exc))
-            if ctx is not None:
-                logger.warning(
-                    "bad %s request: %s", kind, exc, extra={"trace_id": ctx.trace_id}
-                )
-            return (*error_body(400, str(exc)), self._trace_headers(ctx))
-        if ctx is not None:
-            for job in jobs:
-                job["_obs_ctx"] = ctx
-
-        self.obs.emit(ctx, "divided", layouts=len(jobs))
-        with self.obs.span("execute", ctx):
-            results, error = await self._execute_jobs(jobs)
-        if error is not None:
-            status = error[0]
-            self.obs.emit(ctx, "failed", status=status)
-            if ctx is not None:
-                logger.warning(
-                    "%s request failed with %d", kind, status,
-                    extra={"trace_id": ctx.trace_id},
-                )
-            return error[0], error[1], {**(error[2] or {}), **(self._trace_headers(ctx) or {})}
-        self._counters["served"] += len(jobs)
-
-        def _encode_response() -> bytes:
-            if not batch:
-                return json_body(results[0])
-            aggregate = {
-                "layouts": len(results),
-                "conflicts": sum(r["conflicts"] for r in results),
-                "stitches": sum(r["stitches"] for r in results),
-            }
-            return json_body({"items": results, "aggregate": aggregate})
-
-        body = await loop.run_in_executor(None, _encode_response)
-        self.obs.emit(
-            ctx,
-            "merged",
-            layouts=len(results),
-            conflicts=sum(r.get("conflicts", 0) for r in results),
-            stitches=sum(r.get("stitches", 0) for r in results),
-            names=[str(r.get("name", "")) for r in results],
-            bytes_out=len(body),
-        )
-        return 200, body, self._trace_headers(ctx)
-
     # ----------------------------------------------------- job control hooks
-    async def _submit_jobs(self, loop, jobs: List[Dict], release_slot):
+    async def _submit_jobs(self, loop, jobs: List[Dict], release_slot, klass, ctx):
         assert self._jobs_executor is not None
         futures = []
         for job in jobs:
-            future = self._jobs_executor.submit(self._decompose_job, job)
+            future = self._jobs_executor.submit(self._decompose_job, job, ctx)
             future.add_done_callback(release_slot)
             futures.append(future)
         return futures, None
@@ -480,20 +320,10 @@ class ClusterCoordinator(BaseHttpServer):
         if isinstance(exc, (NodeRequestError, ClusterRoutingError, ComponentWireError)):
             self._counters["failed"] += 1
             return (*error_body(502, str(exc)), None)
-        if isinstance(exc, ProtocolError):
-            self._counters["invalid"] += 1
-            return (*error_body(400, str(exc)), None)
-        if isinstance(exc, ReproError):
-            self._counters["failed"] += 1
-            return (*error_body(422, f"decomposition failed: {exc}"), None)
-        self._counters["failed"] += 1
-        return (*error_body(500, f"coordinator failure: {exc}"), None)
-
-    def _timeout_message(self) -> str:
-        return f"decomposition exceeded {self.config.request_timeout}s"
+        return super()._map_job_error(exc)
 
     # --------------------------------------------------- clustered decompose
-    def _decompose_job(self, job: Dict) -> Dict:
+    def _decompose_job(self, job: Dict, ctx) -> Dict:
         """Decompose one layout job, solving its components on the nodes.
 
         Runs on a jobs thread; blocking.  The flow is the library's own
@@ -501,19 +331,12 @@ class ClusterCoordinator(BaseHttpServer):
         pipeline's executor and the stages timed as children of the
         request's ``execute`` span.
         """
-        ctx = job.pop("_obs_ctx", None)
-        options = build_options(
-            colors=job["colors"],
-            algorithm=job["algorithm"],
-            min_spacing=job.get("min_spacing"),
-        )
-        result = Decomposer(options).decompose(
-            Layout.from_dict(job["layout"]),
-            layer=job["layer"],
+        return run_job(
+            job,
+            Decomposer,
             executor=functools.partial(self._solve_components, ctx=ctx),
             span=lambda stage: self.obs.span(stage, ctx, parent="execute"),
         )
-        return result_to_payload(job["name"], job["layer"], result)
 
     # ------------------------------------------------------- batched routing
     def _solve_components(
@@ -704,19 +527,16 @@ class ClusterCoordinator(BaseHttpServer):
             )
         return outcomes
 
-    # ------------------------------------------------------------ telemetry
-    def _metrics_extras(self) -> List:
-        """Observability families appended to the counter-based exposition."""
-        families = [build_info_family("coordinator", "none")]
-        families.extend(observability_families(self.obs))
-        return families
-
     # -------------------------------------------- cluster observability
-    def _own_metrics_text(self) -> str:
-        """The coordinator's node-level exposition, as the federator's
-        local scrape target (identical to what ``GET /metrics`` serves)."""
+    def _metrics_text(self) -> str:
+        """The coordinator's node-level exposition: ``GET /metrics`` and the
+        federator's local scrape target."""
         return coordinator_metrics_text(
-            self._stats(), extra_families=self._metrics_extras()
+            self._stats(),
+            extra_families=[
+                build_info_family("coordinator", "none"),
+                *observability_families(self.obs),
+            ],
         )
 
     def _live_node_ids(self) -> set:
@@ -763,9 +583,7 @@ class ClusterCoordinator(BaseHttpServer):
             if part
         )
 
-    async def _serve_cluster_metrics(
-        self, request: HttpRequest
-    ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
+    async def _serve_cluster_metrics(self, request: HttpRequest) -> Response:
         loop = asyncio.get_running_loop()
         # ?refresh=1 (and the very first hit, before the background round)
         # forces a synchronous scrape so tests and operators get a
@@ -775,9 +593,7 @@ class ClusterCoordinator(BaseHttpServer):
         text = await loop.run_in_executor(None, self._cluster_metrics_text)
         return 200, text.encode("utf-8"), {"Content-Type": METRICS_CONTENT_TYPE}
 
-    async def _serve_slo(
-        self, request: HttpRequest
-    ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
+    async def _serve_slo(self, request: HttpRequest) -> Response:
         loop = asyncio.get_running_loop()
         if self._wants_refresh(request) or not self.federator.scraped:
             await loop.run_in_executor(None, self.federator.scrape_once)
@@ -792,43 +608,34 @@ class ClusterCoordinator(BaseHttpServer):
 
     def _healthz(self) -> Dict[str, object]:
         return {
-            "status": "draining" if self._draining else "ok",
+            **super()._healthz(),
             "role": "coordinator",
             "nodes": {
                 "alive": self.membership.alive_count(),
                 "total": len(self.membership),
             },
-            "inflight": self._inflight,
-            "uptime_seconds": self.uptime_seconds(),
         }
 
     def _stats(self) -> Dict[str, object]:
         with self._counter_lock:
-            counters = dict(self._counters)
+            stats = super()._stats()
             routed = dict(self._routed)
         membership = self.membership.snapshot()
-        nodes = {
+        stats["nodes"] = {
             node_id: {**state, "routed": routed.get(node_id, 0)}
             for node_id, state in membership.pop("nodes").items()
         }
-        return {
-            "coordinator": {
-                **counters,
-                "inflight": self._inflight,
-                "queue_limit": self.config.queue_limit,
-                "uptime_seconds": self.uptime_seconds(),
-            },
-            "nodes": nodes,
-            "membership": membership,
-        }
+        stats["membership"] = membership
+        return stats
 
-    def _ring_view(self) -> Dict[str, object]:
+    async def _serve_ring(self, request: HttpRequest) -> Response:
         ring = self.membership.ring()
-        return {
+        view = {
             "virtual_nodes": ring.virtual_nodes,
             "alive_nodes": list(ring.nodes),
             "all_nodes": sorted(self._clients),
         }
+        return 200, json_body(view), None
 
 
 def coordinator_metrics_text(stats: Dict, extra_families: Optional[List] = None) -> str:
@@ -915,23 +722,15 @@ def run_coordinator(config: CoordinatorConfig) -> int:
     Prints the bound address on startup (machine-parsable first line) and
     drains cleanly on SIGTERM/SIGINT.
     """
-
-    async def _main() -> None:
-        coordinator = ClusterCoordinator(config)
-        host, port = await coordinator.start()
-        coordinator.install_signal_handlers()
-        print(f"repro-coordinator: listening on http://{host}:{port}", flush=True)
-        print(
-            f"repro-coordinator: peers={','.join(config.peers)} "
+    return serve_forever(
+        ClusterCoordinator(config),
+        "repro-coordinator",
+        lambda: (
+            f"peers={','.join(config.peers)} "
             f"virtual_nodes={config.virtual_nodes} "
-            f"queue_limit={config.queue_limit}",
-            flush=True,
-        )
-        await coordinator.wait_stopped()
-        print("repro-coordinator: drained, exiting", flush=True)
-
-    asyncio.run(_main())
-    return 0
+            f"queue_limit={config.queue_limit}"
+        ),
+    )
 
 
 class CoordinatorThread(ThreadedServer):

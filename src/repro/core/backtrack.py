@@ -40,6 +40,52 @@ class BacktrackStatistics:
     best_cost: float = float("inf")
 
 
+def search_setup(
+    merged: MergedGraph,
+    num_colors: int,
+    alpha: float,
+    initial: Optional[Dict[int, int]] = None,
+) -> Tuple[List[int], List[List[Tuple[int, float, float]]], Dict[int, int], float]:
+    """The branch-and-bound set-up every search implementation shares.
+
+    Returns ``(order, earlier_edges, incumbent, best_cost)`` for a
+    non-empty merged graph:
+
+    * ``order`` — nodes by decreasing weighted degree (ties by id), so heavy
+      nodes are fixed early and pruning bites sooner;
+    * ``earlier_edges[node]`` — ``(other, conflict_w, stitch_w)`` for each
+      edge toward a node earlier in ``order``: conflict entries in dict
+      order, then stitch entries, the order the cost accumulator sums them;
+    * ``incumbent`` — ``initial`` or the greedy coloring, and its cost.
+    """
+    n = merged.num_nodes
+    weight_degree = [0.0] * n
+    for (a, b), w in merged.conflict_weight.items():
+        weight_degree[a] += w
+        weight_degree[b] += w
+    for (a, b), w in merged.stitch_weight.items():
+        weight_degree[a] += alpha * w
+        weight_degree[b] += alpha * w
+    order = sorted(range(n), key=lambda node: (-weight_degree[node], node))
+    position = {node: index for index, node in enumerate(order)}
+
+    earlier_edges: List[List[Tuple[int, float, float]]] = [[] for _ in range(n)]
+    for (a, b), w in merged.conflict_weight.items():
+        if position[a] < position[b]:
+            earlier_edges[b].append((a, float(w), 0.0))
+        else:
+            earlier_edges[a].append((b, float(w), 0.0))
+    for (a, b), w in merged.stitch_weight.items():
+        if position[a] < position[b]:
+            earlier_edges[b].append((a, 0.0, float(w)))
+        else:
+            earlier_edges[a].append((b, 0.0, float(w)))
+
+    incumbent = dict(initial) if initial else greedy_color_merged(merged, num_colors, alpha)
+    _, _, best_cost = merged.coloring_cost(incumbent, alpha)
+    return order, earlier_edges, incumbent, best_cost
+
+
 def search_merged_graph(
     merged: MergedGraph,
     num_colors: int,
@@ -91,33 +137,9 @@ def search_merged_graph(
             statistics.best_cost = 0.0
         return {}
 
-    # Order nodes by decreasing weighted degree so heavy nodes are fixed early
-    # and pruning bites sooner.
-    weight_degree = [0.0] * n
-    for (a, b), w in merged.conflict_weight.items():
-        weight_degree[a] += w
-        weight_degree[b] += w
-    for (a, b), w in merged.stitch_weight.items():
-        weight_degree[a] += alpha * w
-        weight_degree[b] += alpha * w
-    order = sorted(range(n), key=lambda node: (-weight_degree[node], node))
-    position = {node: index for index, node in enumerate(order)}
-
-    # Pre-compute, for each node, its weighted edges toward earlier nodes.
-    earlier_edges: List[List[Tuple[int, float, float]]] = [[] for _ in range(n)]
-    for (a, b), w in merged.conflict_weight.items():
-        if position[a] < position[b]:
-            earlier_edges[b].append((a, float(w), 0.0))
-        else:
-            earlier_edges[a].append((b, float(w), 0.0))
-    for (a, b), w in merged.stitch_weight.items():
-        if position[a] < position[b]:
-            earlier_edges[b].append((a, 0.0, float(w)))
-        else:
-            earlier_edges[a].append((b, 0.0, float(w)))
-
-    incumbent = dict(initial) if initial else greedy_color_merged(merged, num_colors, alpha)
-    _, _, best_cost = merged.coloring_cost(incumbent, alpha)
+    order, earlier_edges, incumbent, best_cost = search_setup(
+        merged, num_colors, alpha, initial
+    )
     best_assignment = [incumbent.get(node, 0) for node in range(n)]
 
     assignment = [-1] * n

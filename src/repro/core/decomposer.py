@@ -215,10 +215,5 @@ def decompose_layout(
 
     Uses the paper's technology parameters for the requested mask count.
     """
-    if num_colors == 4:
-        options = DecomposerOptions.for_quadruple_patterning(algorithm)
-    elif num_colors == 5:
-        options = DecomposerOptions.for_pentuple_patterning(algorithm)
-    else:
-        options = DecomposerOptions.for_k_patterning(num_colors, algorithm)
+    options = DecomposerOptions.for_k_patterning(num_colors, algorithm)
     return Decomposer(options).decompose(layout, layer=layer)

@@ -9,12 +9,12 @@ same budget contract, same float accumulation order — in the compiled C
 core.
 
 Bit-exactness notes: all float-sensitive preprocessing (weighted degrees,
-the node order, the incumbent cost) happens in Python with the reference
-expressions; the packed per-position edge lists preserve the reference
-append order (conflict entries in dict order, then stitch entries), so the
-``added`` accumulator sums the same doubles in the same order; and the C
-build disables FP contraction, so compiled arithmetic is IEEE-identical to
-CPython's.
+the node order, the incumbent cost) is the reference's own
+:func:`~repro.core.backtrack.search_setup`; the packed per-position edge
+lists preserve its append order (conflict entries in dict order, then
+stitch entries), so the ``added`` accumulator sums the same doubles in the
+same order; and the C build disables FP contraction, so compiled
+arithmetic is IEEE-identical to CPython's.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def backtrack_search(
     left untouched — when the compiled core is unavailable or cannot
     allocate its search state.
     """
-    from repro.core.greedy_coloring import greedy_color_merged
+    from repro.core.backtrack import search_setup
 
     core = active_core()
     if core is None:
@@ -52,31 +52,14 @@ def backtrack_search(
             statistics.best_cost = 0.0
         return {}
 
-    weight_degree = [0.0] * n
-    for (a, b), w in merged.conflict_weight.items():
-        weight_degree[a] += w
-        weight_degree[b] += w
-    for (a, b), w in merged.stitch_weight.items():
-        weight_degree[a] += alpha * w
-        weight_degree[b] += alpha * w
-    order = sorted(range(n), key=lambda node: (-weight_degree[node], node))
+    order, earlier, incumbent, best_cost = search_setup(
+        merged, num_colors, alpha, initial
+    )
     position = {node: index for index, node in enumerate(order)}
 
-    # Per-node earlier-edge lists in the reference append order, then packed
-    # into position-space CSR: edges of the node at position p live in
+    # The earlier-edge lists packed into position-space CSR: edges of the
+    # node at position p live in
     # edge_pos/edge_cw/edge_sw[edge_start[p]:edge_start[p + 1]].
-    earlier = [[] for _ in range(n)]
-    for (a, b), w in merged.conflict_weight.items():
-        if position[a] < position[b]:
-            earlier[b].append((position[a], float(w), 0.0))
-        else:
-            earlier[a].append((position[b], float(w), 0.0))
-    for (a, b), w in merged.stitch_weight.items():
-        if position[a] < position[b]:
-            earlier[b].append((position[a], 0.0, float(w)))
-        else:
-            earlier[a].append((position[b], 0.0, float(w)))
-
     edge_start = array("i", bytes(4 * (n + 1)))
     total = 0
     for p, node in enumerate(order):
@@ -88,14 +71,12 @@ def backtrack_search(
     edge_sw = array("d", bytes(8 * total))
     cursor = 0
     for node in order:
-        for other_pos, cw, sw in earlier[node]:
-            edge_pos[cursor] = other_pos
+        for other, cw, sw in earlier[node]:
+            edge_pos[cursor] = position[other]
             edge_cw[cursor] = cw
             edge_sw[cursor] = sw
             cursor += 1
 
-    incumbent = dict(initial) if initial else greedy_color_merged(merged, num_colors, alpha)
-    _, _, best_cost = merged.coloring_cost(incumbent, alpha)
     best_pos = array("i", bytes(4 * n))
     for p, node in enumerate(order):
         best_pos[p] = incumbent.get(node, 0)

@@ -93,12 +93,7 @@ def build_graph_for_circuit(
 ) -> ConstructionResult:
     """Generate the synthetic circuit and construct its decomposition graph."""
     layout = load_circuit(circuit, scale=scale)
-    if num_colors == 5:
-        options = DecomposerOptions.for_pentuple_patterning()
-    elif num_colors == 4:
-        options = DecomposerOptions.for_quadruple_patterning()
-    else:
-        options = DecomposerOptions.for_k_patterning(num_colors)
+    options = DecomposerOptions.for_k_patterning(num_colors)
     return build_decomposition_graph(
         layout, layer="metal1", options=options.construction
     )

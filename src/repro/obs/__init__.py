@@ -31,7 +31,7 @@ watch fan-out happens at all.
 
 from repro.obs.hist import DEFAULT_BUCKETS, Histogram, HistogramVec, format_float
 from repro.obs.journal import EventJournal
-from repro.obs.observer import ObsConfig, Observer
+from repro.obs.observer import Observer
 from repro.obs.trace import Span, TraceContext, assemble_trace, new_trace_id
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "EventJournal",
     "Histogram",
     "HistogramVec",
-    "ObsConfig",
     "Observer",
     "Span",
     "TraceContext",

@@ -1,7 +1,9 @@
 """Per-server observability facade.
 
-One :class:`Observer` instance lives on each server (decomposition node
-or cluster coordinator) and owns the pieces the request path talks to:
+One :class:`Observer` instance lives on each front end (decomposition node
+or cluster coordinator), built by its
+:class:`~repro.service.base.BaseHttpServer`, and owns the pieces the
+request path talks to:
 the per-stage latency histograms (always on — the cost is one dict/bucket
 update per span), and, only when a journal directory is configured, the
 trace-id minting, the JSONL event journal and the ``GET /watch`` hub.
@@ -11,11 +13,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.obs.hist import HistogramVec
-from repro.obs.journal import DEFAULT_SEGMENT_BYTES, EventJournal
+from repro.obs.journal import EventJournal
 from repro.obs.trace import (
     Span,
     TERMINAL_EVENTS,
@@ -39,29 +40,25 @@ COORDINATOR_STAGES = (
     "route",
     "node_rpc",
     "merge",
+    "encode",
 )
 
 
-@dataclass
-class ObsConfig:
-    journal_dir: Optional[str] = None
-    journal_fsync: bool = False
-    journal_segment_bytes: int = DEFAULT_SEGMENT_BYTES
-    watch_queue_limit: int = 256
-    watch_heartbeat_seconds: float = 10.0
-    role: str = "server"
-
-
 class Observer:
-    """Tracing + histograms + journal + watch hub for one server."""
+    """Tracing + histograms + journal + watch hub for one server.
 
-    def __init__(self, config: ObsConfig) -> None:
+    ``config`` is the front end's
+    :class:`~repro.service.base.HttpServerConfig`, read for its journal and
+    watch fields; ``role`` names the process in journal records and picks
+    the stages seeded at zero.
+    """
+
+    def __init__(self, config, role: str) -> None:
         self.config = config
+        self.role = role
         self.enabled = config.journal_dir is not None
         self.stages = HistogramVec("stage")
-        stage_names = (
-            COORDINATOR_STAGES if config.role == "coordinator" else SERVER_STAGES
-        )
+        stage_names = COORDINATOR_STAGES if role == "coordinator" else SERVER_STAGES
         for stage in stage_names:
             self.stages.labels(stage)
         self.journal: Optional[EventJournal] = None
@@ -118,7 +115,7 @@ class Observer:
         """Journal + fan out one lifecycle event (no-op when disabled)."""
         if ctx is None or self.journal is None:
             return
-        record: Dict[str, Any] = {"event": event, "role": self.config.role}
+        record: Dict[str, Any] = {"event": event, "role": self.role}
         if isinstance(ctx, TraceContext):
             if event in TERMINAL_EVENTS:
                 if not ctx.mark_finished():

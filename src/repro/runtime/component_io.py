@@ -69,11 +69,13 @@ class ComponentWireError(ReproError):
 def options_for(colors: int, algorithm: str) -> DecomposerOptions:
     """Expand wire-level solve scalars into full :class:`DecomposerOptions`.
 
-    **The single preset mapping in the codebase**: the coordinator (routing),
-    the nodes (solving) and :func:`repro.service.protocol.build_options`
-    (whole-layout requests) all delegate here, so the algorithm/division
-    option sets — and therefore the canonical component keys — can never
-    diverge between the routing side and the solving side.
+    Validates the scalars a request carries, then maps them through
+    :meth:`DecomposerOptions.for_k_patterning`, the one preset mapping.  The
+    coordinator (routing), the nodes (solving) and
+    :func:`repro.service.protocol.build_options` (whole-layout requests) all
+    delegate here, so the algorithm/division option sets — and therefore
+    the canonical component keys — can never diverge between the routing
+    side and the solving side.
     """
     if not isinstance(colors, int) or isinstance(colors, bool):
         raise ComponentWireError(f"'colors' must be an integer, got {colors!r}")
@@ -83,12 +85,7 @@ def options_for(colors: int, algorithm: str) -> DecomposerOptions:
             f"known: {sorted(DecomposerOptions.KNOWN_ALGORITHMS)}"
         )
     try:
-        if colors == 4:
-            options = DecomposerOptions.for_quadruple_patterning(algorithm)
-        elif colors == 5:
-            options = DecomposerOptions.for_pentuple_patterning(algorithm)
-        else:
-            options = DecomposerOptions.for_k_patterning(colors, algorithm)
+        options = DecomposerOptions.for_k_patterning(colors, algorithm)
         options.validate()
     except ReproError as exc:
         raise ComponentWireError(str(exc)) from exc

@@ -1,26 +1,42 @@
-"""Shared asyncio HTTP server chassis for the serving subsystems.
+"""Shared asyncio HTTP chassis of the two front ends.
 
 :class:`BaseHttpServer` owns everything about running a JSON-over-HTTP
-daemon that is *not* specific to what the daemon computes: the accept loop,
-the per-connection keep-alive request loop, idle-connection timeouts,
-request counters, signal handling and the graceful-drain protocol.  Two
-front ends ride on it:
+daemon that is *not* specific to how it computes: the accept loop, the
+per-connection keep-alive request loop, idle-connection timeouts, request
+counters, signal handling, the graceful-drain protocol — and the request
+path both front ends share.  Two front ends ride on it:
 
 * :class:`repro.service.server.DecompositionServer` — the single-node
   decomposition service over a persistent worker pool;
 * :class:`repro.cluster.coordinator.ClusterCoordinator` — the multi-node
   front end that fans components out across cache-owning nodes.
 
-Subclasses implement :meth:`_dispatch` (route one request) plus the
-``_on_start`` / ``_on_bind_failed`` / ``_on_shutdown`` lifecycle hooks for
-whatever backend they own (worker pool, node membership, ...).  Endpoints
-that execute *jobs* share :meth:`_execute_jobs` — admission control
-(oversized-batch 400, queue-full/draining 503 + Retry-After), in-flight
-slot accounting released per job from done-callbacks (a 504'd request
-abandons jobs that keep running), the request timeout, and error mapping
-through the :meth:`_submit_jobs` / :meth:`_map_job_error` hooks — so the
-single-node server and the coordinator can never drift on the overload
-contract.
+What the base owns, once
+------------------------
+
+* **Routes** — ``GET /healthz``, ``GET /stats``, ``GET /metrics``,
+  ``POST /decompose``, ``POST /batch`` and the journal-backed
+  ``GET /trace/<id>`` and ``GET /watch``.  A role adds its own routes to
+  ``_routes``; any other method on a known path is a 405, any other path a
+  404.
+* **The layout request path** (:meth:`_serve_jobs`) — ``parse``,
+  ``execute`` and ``encode`` spans, the journal's lifecycle events, 400 on
+  a :class:`~repro.service.protocol.ProtocolError` and the trace-id
+  response header.
+* **The overload contract** (:meth:`_execute_jobs`) — oversized-batch 400,
+  queue-full/draining 503 + Retry-After, in-flight slot accounting released
+  per job from done-callbacks (a 504'd request abandons jobs that keep
+  running) and the request timeout.
+* **Error statuses** (:meth:`_map_job_error`) — 400 for a bad request, 422
+  for a decomposition the library refused, 500 otherwise; a role maps its
+  own failures first.
+* **Config** (:class:`HttpServerConfig`) — bind address, overload contract
+  and journal fields, extended by each role's config.
+
+A role supplies only how a parsed job runs (:meth:`_submit_jobs`), its
+backend's lifecycle (``_on_start`` / ``_on_bind_failed`` /
+``_on_shutdown``), its extra ``/healthz`` and ``/stats`` fields and its
+``/metrics`` text.
 
 Connection handling
 -------------------
@@ -32,25 +48,36 @@ loop until the peer closes, asks for ``Connection: close``, idles past
 those immediately, so idle keep-alive peers can never stall shutdown — only
 genuinely in-flight requests are awaited.
 
-:class:`ThreadedServer` runs any :class:`BaseHttpServer` on a background
-thread with a context-manager lifecycle; it is the harness used by the
-tests, the examples and the in-process cluster benchmarks.
+:func:`serve_forever` runs a front end as a process (``repro-decompose
+serve``, ``cluster node`` and ``cluster coordinator``); :class:`ThreadedServer`
+runs one on a background thread with a context-manager lifecycle, the
+harness used by the tests, the examples and the in-process cluster
+benchmarks.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
+import logging
 import signal
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.errors import ReproError
+from repro.obs.journal import DEFAULT_SEGMENT_BYTES
+from repro.obs.observer import Observer, journal_hint_body
 from repro.service.http import (
+    CLIENT_HEADER,
     DEFAULT_MAX_BODY_BYTES,
+    TRACE_HEADER,
     HttpError,
     HttpRequest,
     MAX_HEADER_BYTES,
     StreamResponse,
+    client_identity,
     error_body,
     json_body,
     read_request,
@@ -58,34 +85,67 @@ from repro.service.http import (
     write_response,
     write_stream_head,
 )
+from repro.service.metrics import METRICS_CONTENT_TYPE
+from repro.service.protocol import (
+    ProtocolError,
+    parse_batch_request,
+    parse_decompose_request,
+)
 
-#: One request's terminal error response: (status, body, extra headers).
+#: One request's terminal response: (status, body, extra headers).
 ErrorResponse = Tuple[int, bytes, Optional[Dict[str, str]]]
+#: What a route handler returns: a response, or a stream (``GET /watch``).
+Response = Union[ErrorResponse, StreamResponse]
+
+
+@dataclass
+class HttpServerConfig:
+    """Settings every front end shares: bind address, overload contract,
+    event journal.  :class:`~repro.service.server.ServerConfig` and
+    :class:`~repro.cluster.coordinator.CoordinatorConfig` extend it."""
+
+    host: str = "127.0.0.1"
+    #: TCP port; ``0`` binds an ephemeral port (reported by :meth:`start`).
+    port: int = 8000
+    #: Maximum queued + in-flight jobs before requests are shed with 503.
+    queue_limit: int = 32
+    #: Per-request solve budget in seconds (504 beyond it).
+    request_timeout: float = 300.0
+    #: Value of the ``Retry-After`` header on 503 responses.
+    retry_after_seconds: int = 1
+    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
+    #: Seconds a connection may idle before sending a complete request.
+    #: Bounds how long an idle/slowloris peer can stall a graceful drain.
+    header_timeout: float = 30.0
+    #: Event-journal directory; ``None`` disables tracing, the journal and
+    #: the ``/trace``//``/watch`` endpoints (the near-zero-cost default).
+    journal_dir: Optional[str] = None
+    #: fsync every journal append (durability over throughput).
+    journal_fsync: bool = False
+    #: Journal segment rotation threshold in bytes.
+    journal_segment_bytes: int = DEFAULT_SEGMENT_BYTES
+    #: Per-subscriber ``GET /watch`` queue bound (drop-oldest beyond it).
+    watch_queue_limit: int = 256
+    #: Seconds between SSE heartbeat comments on an idle ``GET /watch``.
+    watch_heartbeat_seconds: float = 10.0
 
 
 class BaseHttpServer:
-    """Asyncio HTTP daemon skeleton: lifecycle, connection loop, job control."""
+    """Asyncio HTTP daemon skeleton: lifecycle, connection loop, the shared
+    routes and the layout request path."""
 
-    #: How admission-control error messages name this daemon.
-    queue_noun = "server"
+    #: Names this front end in admission-control messages, its ``/stats``
+    #: block, journal records and the stage histograms it seeds.
+    role = "server"
+    #: What a 500 names as the failing party.
+    failure_source = "worker"
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        header_timeout: float = 30.0,
-        queue_limit: int = 32,
-        request_timeout: float = 300.0,
-        retry_after_seconds: int = 1,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.max_body_bytes = max_body_bytes
-        self.header_timeout = header_timeout
-        self.queue_limit = queue_limit
-        self.request_timeout = request_timeout
-        self.retry_after_seconds = retry_after_seconds
+    def __init__(self, config: HttpServerConfig) -> None:
+        self.config = config
+        self.obs = Observer(config, self.role)
+        #: Logs under the role's module (``repro.service.server``,
+        #: ``repro.cluster.coordinator``), so per-role log filters hold.
+        self._logger = logging.getLogger(type(self).__module__)
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
         self._idle_writers: set = set()
@@ -95,9 +155,6 @@ class BaseHttpServer:
         #: awaited, so long-lived streams (``GET /watch``) can end promptly
         #: instead of deadlocking the drain.
         self._drain_started: Optional[asyncio.Event] = None
-        #: Optional :class:`repro.obs.observer.Observer` attached by the
-        #: subclass before :meth:`start`; ``None`` = no observability.
-        self.obs = None
         self._started_at = 0.0
         self._inflight = 0
         self._counters = {
@@ -107,6 +164,16 @@ class BaseHttpServer:
             "failed": 0,
             "timeouts": 0,
             "invalid": 0,
+        }
+        #: ``(method, path) -> handler``; a role adds its own routes.
+        self._routes: Dict[
+            Tuple[str, str], Callable[[HttpRequest], Awaitable[Response]]
+        ] = {
+            ("GET", "/healthz"): self._serve_healthz,
+            ("GET", "/stats"): self._serve_stats,
+            ("GET", "/metrics"): self._serve_metrics,
+            ("POST", "/decompose"): functools.partial(self._serve_jobs, batch=False),
+            ("POST", "/batch"): functools.partial(self._serve_jobs, batch=True),
         }
 
     # -------------------------------------------------------- subclass hooks
@@ -119,34 +186,177 @@ class BaseHttpServer:
     async def _on_shutdown(self, loop: asyncio.AbstractEventLoop) -> None:
         """Tear down the backend after every connection has drained."""
 
-    async def _dispatch(
-        self, request: HttpRequest
-    ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
-        """Route one request; return (status, body, extra headers)."""
-        raise NotImplementedError
-
     async def _submit_jobs(
-        self, loop: asyncio.AbstractEventLoop, jobs: List[Dict], release_slot
+        self,
+        loop: asyncio.AbstractEventLoop,
+        jobs: List[Dict],
+        release_slot,
+        klass: str,
+        ctx,
     ):
         """Hand admitted jobs to the backend.
 
-        Returns ``(futures, first submit error)``; every returned future
-        must carry ``release_slot`` as a done-callback (it owns that job's
-        in-flight slot from then on).
+        ``klass`` is the jobs' priority class (``interactive`` or
+        ``batch``) and ``ctx`` the request's trace context (``None`` when
+        tracing is off).  Returns ``(futures, first submit error)``; every
+        returned future must carry ``release_slot`` as a done-callback (it
+        owns that job's in-flight slot from then on).
         """
         raise NotImplementedError
 
-    def _map_job_error(self, exc: BaseException) -> ErrorResponse:
-        """Map a job failure onto a terminal error response (and counters)."""
+    def _metrics_text(self) -> str:
+        """The role's ``GET /metrics`` exposition (runs off the event loop)."""
         raise NotImplementedError
 
+    def _map_job_error(self, exc: BaseException) -> ErrorResponse:
+        """Map a job failure onto a terminal error response (and counters).
+
+        A role maps its own failures first and hands the rest here.
+        """
+        if isinstance(exc, ProtocolError):
+            self._counters["invalid"] += 1
+            return (*error_body(400, str(exc)), None)
+        self._counters["failed"] += 1
+        if isinstance(exc, ReproError):
+            return (*error_body(422, f"decomposition failed: {exc}"), None)
+        return (*error_body(500, f"{self.failure_source} failure: {exc}"), None)
+
     def _timeout_message(self) -> str:
-        return f"request exceeded {self.request_timeout}s"
+        return f"decomposition exceeded {self.config.request_timeout}s"
+
+    def _healthz(self) -> Dict[str, object]:
+        """``GET /healthz`` fields every role reports; roles add their own."""
+        return {
+            "status": "draining" if self._draining else "ok",
+            "inflight": self._inflight,
+            "uptime_seconds": self.uptime_seconds(),
+        }
+
+    def _stats(self) -> Dict[str, object]:
+        """``GET /stats``: the role's request counters and admission state
+        under its own key; roles add their own blocks."""
+        return {
+            self.role: {
+                **self._counters,
+                "inflight": self._inflight,
+                "queue_limit": self.config.queue_limit,
+                "uptime_seconds": self.uptime_seconds(),
+            }
+        }
+
+    # ---------------------------------------------------------------- routes
+    async def _dispatch(self, request: HttpRequest) -> Response:
+        """Route one request: the route table, then the journal routes, then
+        405 for a known path and 404 for any other."""
+        path = request.path.split("?", 1)[0]
+        handler = self._routes.get((request.method, path))
+        if handler is not None:
+            return await handler(request)
+        observability = await self._dispatch_observability(request)
+        if observability is not None:
+            return observability
+        if path == "/watch" or path in {known for _, known in self._routes}:
+            return (*error_body(405, f"{request.method} not allowed on {path}"), None)
+        return (*error_body(404, f"no such endpoint {path!r}"), None)
+
+    async def _serve_healthz(self, request: HttpRequest) -> Response:
+        return 200, json_body(self._healthz()), None
+
+    async def _serve_stats(self, request: HttpRequest) -> Response:
+        # A role's stats may read disk (the server's SQLite cache counters
+        # can wait on a writer's lock): keep it off the event loop.
+        loop = asyncio.get_running_loop()
+        return 200, json_body(await loop.run_in_executor(None, self._stats)), None
+
+    async def _serve_metrics(self, request: HttpRequest) -> Response:
+        loop = asyncio.get_running_loop()
+        text = await loop.run_in_executor(None, self._metrics_text)
+        return 200, text.encode("utf-8"), {"Content-Type": METRICS_CONTENT_TYPE}
+
+    def _trace_headers(self, ctx) -> Optional[Dict[str, str]]:
+        """Response headers advertising the request's trace id (or none)."""
+        return {TRACE_HEADER: ctx.trace_id} if ctx is not None else None
+
+    async def _serve_jobs(self, request: HttpRequest, batch: bool) -> Response:
+        """``POST /decompose`` and ``POST /batch``: parse, execute, encode."""
+        loop = asyncio.get_running_loop()
+        kind = "batch" if batch else "decompose"
+        ctx = self.obs.begin(request.headers.get(TRACE_HEADER.lower()))
+        self.obs.emit(
+            ctx,
+            "received",
+            kind=kind,
+            client=client_identity(request.headers.get(CLIENT_HEADER.lower())),
+            bytes_in=len(request.body),
+        )
+
+        def _decode_jobs() -> List[Dict]:
+            # Decoding a (up to max_body_bytes) JSON body and rebuilding the
+            # layout is CPU work: off the event loop, or one big request
+            # stalls /healthz and every other connection.
+            payload = request.json()
+            if batch:
+                return parse_batch_request(payload)
+            return [parse_decompose_request(payload)]
+
+        try:
+            with self.obs.span("parse", ctx):
+                jobs = await loop.run_in_executor(None, _decode_jobs)
+        except ProtocolError as exc:
+            self._counters["invalid"] += 1
+            self.obs.emit(ctx, "failed", status=400, message=str(exc))
+            if ctx is not None:
+                self._logger.warning(
+                    "bad %s request: %s", kind, exc, extra={"trace_id": ctx.trace_id}
+                )
+            return (*error_body(400, str(exc)), self._trace_headers(ctx))
+
+        self.obs.emit(ctx, "divided", layouts=len(jobs))
+        with self.obs.span("execute", ctx):
+            results, error = await self._execute_jobs(
+                jobs, klass="batch" if batch else "interactive", ctx=ctx
+            )
+        if error is not None:
+            status = error[0]
+            self.obs.emit(ctx, "failed", status=status)
+            if ctx is not None:
+                self._logger.warning(
+                    "%s request failed with %d", kind, status,
+                    extra={"trace_id": ctx.trace_id},
+                )
+            return error[0], error[1], {**(error[2] or {}), **(self._trace_headers(ctx) or {})}
+        self._counters["served"] += len(jobs)
+
+        def _encode_response() -> bytes:
+            # Mask payloads can be multi-MB; serialise off-loop too.
+            if not batch:
+                return json_body(results[0])
+            aggregate = {
+                "layouts": len(results),
+                "conflicts": sum(r["conflicts"] for r in results),
+                "stitches": sum(r["stitches"] for r in results),
+            }
+            return json_body({"items": results, "aggregate": aggregate})
+
+        with self.obs.span("encode", ctx):
+            body = await loop.run_in_executor(None, _encode_response)
+        self.obs.emit(
+            ctx,
+            "merged",
+            layouts=len(results),
+            conflicts=sum(r.get("conflicts", 0) for r in results),
+            stitches=sum(r.get("stitches", 0) for r in results),
+            names=[str(r.get("name", "")) for r in results],
+            bytes_out=len(body),
+        )
+        return 200, body, self._trace_headers(ctx)
 
     # ---------------------------------------------------------- job control
     async def _execute_jobs(
         self,
         jobs: List[Dict],
+        klass: str = "interactive",
+        ctx=None,
         units: Optional[int] = None,
         collect_errors: bool = False,
     ) -> Tuple[Optional[List], Optional[ErrorResponse]]:
@@ -156,6 +366,7 @@ class BaseHttpServer:
         when the request was shed, timed out or failed — the single place
         where queue limits, in-flight slot accounting and the overload
         contract live, shared by every job endpoint of every subclass.
+        ``klass`` and ``ctx`` pass through to :meth:`_submit_jobs`.
 
         ``units`` is how many admission slots the request occupies (default:
         one per job).  A component micro-batch passes ``units=1`` — it is one
@@ -166,27 +377,27 @@ class BaseHttpServer:
         for batch endpoints).
         """
         loop = asyncio.get_running_loop()
+        queue_limit = self.config.queue_limit
+        retry_after = self.config.retry_after_seconds
         units = len(jobs) if units is None else max(1, min(units, len(jobs)))
-        if units > self.queue_limit:
+        if units > queue_limit:
             # Would never fit, even on an idle server: a permanent-client
             # error, not transient overload — 503 + Retry-After would send
             # the client into an infinite retry loop.
             self._counters["invalid"] += 1
             status, body = error_body(
                 400,
-                f"batch of {len(jobs)} layouts exceeds the {self.queue_noun}'s "
-                f"queue capacity of {self.queue_limit}; split the batch",
+                f"batch of {len(jobs)} layouts exceeds the {self.role}'s "
+                f"queue capacity of {queue_limit}; split the batch",
             )
             return None, (status, body, None)
-        if self._draining or self._inflight + units > self.queue_limit:
+        if self._draining or self._inflight + units > queue_limit:
             self._counters["rejected"] += 1
-            reason = (
-                f"{self.queue_noun} is draining" if self._draining else "queue is full"
-            )
+            reason = f"{self.role} is draining" if self._draining else "queue is full"
             status, body = error_body(
-                503, f"{reason}; retry later", retry_after=self.retry_after_seconds
+                503, f"{reason}; retry later", retry_after=retry_after
             )
-            return None, (status, body, {"Retry-After": str(self.retry_after_seconds)})
+            return None, (status, body, {"Retry-After": str(retry_after)})
 
         # Slots are held from admission until the jobs leave the backend —
         # on the happy path that is when gather() resolves, but a 504'd
@@ -210,7 +421,9 @@ class BaseHttpServer:
 
         unsubmitted = len(jobs)
         try:
-            futures, submit_error = await self._submit_jobs(loop, jobs, _release_slot)
+            futures, submit_error = await self._submit_jobs(
+                loop, jobs, _release_slot, klass, ctx
+            )
             unsubmitted = len(jobs) - len(futures)
             if submit_error is not None:
                 raise submit_error
@@ -220,7 +433,7 @@ class BaseHttpServer:
                         *[asyncio.wrap_future(f) for f in futures],
                         return_exceptions=collect_errors,
                     ),
-                    timeout=self.request_timeout,
+                    timeout=self.config.request_timeout,
                 )
             except asyncio.TimeoutError:
                 self._counters["timeouts"] += 1
@@ -241,7 +454,6 @@ class BaseHttpServer:
         ``GET /trace/<id>`` returns the assembled span tree of one journaled
         request; ``GET /watch`` upgrades to a live SSE stream.  Both answer
         404 with an enablement hint when the server runs without a journal.
-        Subclasses call this from ``_dispatch`` before their 404 fallthrough.
         """
         if request.method != "GET":
             return None
@@ -250,9 +462,7 @@ class BaseHttpServer:
         if not is_trace and not is_watch:
             return None
         obs = self.obs
-        if obs is None or not obs.enabled:
-            from repro.obs.observer import journal_hint_body
-
+        if not obs.enabled:
             return 404, journal_hint_body(), None
         if is_trace:
             trace_id = request.path[len("/trace/") :]
@@ -276,14 +486,13 @@ class BaseHttpServer:
         loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
         self._drain_started = asyncio.Event()
-        if self.obs is not None:
-            self.obs.open(loop)
+        self.obs.open(loop)
         await self._on_start(loop)
         try:
             self._server = await asyncio.start_server(
                 self._handle_connection,
-                host=self.host,
-                port=self.port,
+                host=self.config.host,
+                port=self.config.port,
                 limit=MAX_HEADER_BYTES,
             )
         except Exception:
@@ -313,7 +522,7 @@ class BaseHttpServer:
         # notices the drain.
         if self._drain_started is not None:
             self._drain_started.set()
-        if self.obs is not None and self.obs.hub is not None:
+        if self.obs.hub is not None:
             self.obs.hub.wake_all()
         if self._server is not None:
             self._server.close()
@@ -327,8 +536,7 @@ class BaseHttpServer:
         if self._connections:
             await asyncio.gather(*list(self._connections), return_exceptions=True)
         await self._on_shutdown(asyncio.get_running_loop())
-        if self.obs is not None:
-            self.obs.close()
+        self.obs.close()
         if self._stopped is not None:
             self._stopped.set()
 
@@ -353,8 +561,8 @@ class BaseHttpServer:
                 self._idle_writers.add(writer)
                 try:
                     request = await asyncio.wait_for(
-                        read_request(reader, self.max_body_bytes),
-                        timeout=self.header_timeout,
+                        read_request(reader, self.config.max_body_bytes),
+                        timeout=self.config.header_timeout,
                     )
                 except asyncio.TimeoutError:
                     # Idle or trickling peer: close it.  Also what bounds a
@@ -407,6 +615,30 @@ class BaseHttpServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+
+def serve_forever(
+    server: BaseHttpServer, program: str, summary: Callable[[], str]
+) -> int:
+    """Run a front end as a process until SIGTERM/SIGINT drains it.
+
+    The entry point behind ``run_server`` and ``run_coordinator``.  The
+    first stdout line is ``<program>: listening on http://HOST:PORT`` — the
+    machine-parsable line the subprocess tests, the examples and the
+    benchmark harness read an ephemeral port from — then ``summary()``
+    once the backend is up, and a last line once the drain completed.
+    """
+
+    async def _main() -> None:
+        host, port = await server.start()
+        server.install_signal_handlers()
+        print(f"{program}: listening on http://{host}:{port}", flush=True)
+        print(f"{program}: {summary()}", flush=True)
+        await server.wait_stopped()
+        print(f"{program}: drained, exiting", flush=True)
+
+    asyncio.run(_main())
+    return 0
 
 
 class ThreadedServer:

@@ -49,6 +49,7 @@ from repro.errors import ReproError
 from repro.geometry.layout import Layout
 from repro.io.gds import parse_gds
 from repro.io.jsonio import FORMAT_MARKER
+from repro.obs.trace import Span
 
 
 class ProtocolError(ReproError):
@@ -189,12 +190,15 @@ def parse_batch_request(payload: Dict) -> List[Dict]:
     return jobs
 
 
-def run_job(job: Dict, decomposer_factory) -> Dict:
+def run_job(job: Dict, decomposer_factory, executor=None, span=Span) -> Dict:
     """Execute one job dict and encode the response payload.
 
     ``decomposer_factory(options)`` returns the :class:`Decomposer` to use —
-    the worker pool binds its per-process cache there.  Lives next to the
-    parsers so request decoding and response encoding stay one module.
+    the worker pool binds its per-process cache there.  ``executor`` and
+    ``span`` pass through to :meth:`Decomposer.decompose`: the cluster
+    coordinator solves components on its nodes and times the stages under
+    the request's trace.  Lives next to the parsers so request decoding and
+    response encoding stay one module.
     """
     layout = Layout.from_dict(job["layout"])
     options = build_options(
@@ -203,7 +207,9 @@ def run_job(job: Dict, decomposer_factory) -> Dict:
         min_spacing=job.get("min_spacing"),
     )
     decomposer = decomposer_factory(options)
-    result = decomposer.decompose(layout, layer=job["layer"])
+    result = decomposer.decompose(
+        layout, layer=job["layer"], executor=executor, span=span
+    )
     return result_to_payload(job["name"], job["layer"], result)
 
 

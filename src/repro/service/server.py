@@ -60,14 +60,11 @@ server adds scheduling, not semantics.
 from __future__ import annotations
 
 import asyncio
-import logging
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.obs.journal import DEFAULT_SEGMENT_BYTES
-from repro.obs.observer import ObsConfig, Observer
 from repro.runtime.component_io import (
     ComponentWireError,
     component_error_entry,
@@ -78,10 +75,15 @@ from repro.runtime.wire_binary import (
     FRAME_VERSION,
     decode_components_frame,
 )
-from repro.service.base import BaseHttpServer, ThreadedServer
+from repro.service.base import (
+    BaseHttpServer,
+    HttpServerConfig,
+    Response,
+    ThreadedServer,
+    serve_forever,
+)
 from repro.service.http import (
     CLIENT_HEADER,
-    DEFAULT_MAX_BODY_BYTES,
     TRACE_HEADER,
     HttpRequest,
     client_identity,
@@ -89,60 +91,29 @@ from repro.service.http import (
     json_body,
 )
 from repro.service.metrics import (
-    METRICS_CONTENT_TYPE,
     build_info_family,
     histogram_family,
     observability_families,
     server_metrics_text,
 )
 from repro.service.pool import PoolConfig, WorkerPool
-from repro.service.protocol import (
-    ProtocolError,
-    parse_batch_request,
-    parse_decompose_request,
-)
-
-logger = logging.getLogger("repro.service.server")
+from repro.service.protocol import ProtocolError
 
 
 @dataclass
-class ServerConfig:
+class ServerConfig(HttpServerConfig):
     """Static configuration of one :class:`DecompositionServer`."""
 
-    host: str = "127.0.0.1"
-    #: TCP port; ``0`` binds an ephemeral port (reported by :meth:`start`).
-    port: int = 8000
     #: Worker processes; ``0`` = one per CPU.
     workers: int = 0
-    #: Maximum queued + in-flight jobs before requests are shed with 503.
-    queue_limit: int = 32
-    #: Per-request solve budget in seconds (504 beyond it).
-    request_timeout: float = 300.0
-    #: Value of the ``Retry-After`` header on 503 responses.
-    retry_after_seconds: int = 1
     #: Shared SQLite component cache; ``None`` = per-worker in-memory LRU.
     cache_db: Optional[str] = None
     cache_max_entries: Optional[int] = None
-    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
-    #: Seconds a connection may idle before sending a complete request.
-    #: Bounds how long an idle/slowloris peer can stall a graceful drain.
-    header_timeout: float = 30.0
     #: Run jobs on threads in-process instead of worker processes.
     force_inline_pool: bool = False
     #: Oldest-queued-job wait beyond which the pool's age bump overrides
     #: smallest-cost-first dispatch (0 = FIFO).
     starvation_age_seconds: float = 5.0
-    #: Event-journal directory; ``None`` disables tracing, the journal and
-    #: the ``/trace``//``/watch`` endpoints (the near-zero-cost default).
-    journal_dir: Optional[str] = None
-    #: fsync every journal append (durability over throughput).
-    journal_fsync: bool = False
-    #: Journal segment rotation threshold in bytes.
-    journal_segment_bytes: int = DEFAULT_SEGMENT_BYTES
-    #: Per-subscriber ``GET /watch`` queue bound (drop-oldest beyond it).
-    watch_queue_limit: int = 256
-    #: Seconds between SSE heartbeat comments on an idle ``GET /watch``.
-    watch_heartbeat_seconds: float = 10.0
 
 
 class DecompositionServer(BaseHttpServer):
@@ -159,21 +130,14 @@ class DecompositionServer(BaseHttpServer):
         in production.
     """
 
+    config: ServerConfig
+
     def __init__(
         self,
         config: Optional[ServerConfig] = None,
         pre_dispatch_hook: Optional[Callable[[], None]] = None,
     ) -> None:
-        self.config = config or ServerConfig()
-        super().__init__(
-            host=self.config.host,
-            port=self.config.port,
-            max_body_bytes=self.config.max_body_bytes,
-            header_timeout=self.config.header_timeout,
-            queue_limit=self.config.queue_limit,
-            request_timeout=self.config.request_timeout,
-            retry_after_seconds=self.config.retry_after_seconds,
-        )
+        super().__init__(config or ServerConfig())
         self._pre_dispatch_hook = pre_dispatch_hook
         self.pool = WorkerPool(
             PoolConfig(
@@ -192,17 +156,8 @@ class DecompositionServer(BaseHttpServer):
                 "batched_components": 0,
             }
         )
+        self._routes[("POST", "/components")] = self._serve_components
         self._cache_stats_start: Dict[str, int] = {}
-        self.obs = Observer(
-            ObsConfig(
-                journal_dir=self.config.journal_dir,
-                journal_fsync=self.config.journal_fsync,
-                journal_segment_bytes=self.config.journal_segment_bytes,
-                watch_queue_limit=self.config.watch_queue_limit,
-                watch_heartbeat_seconds=self.config.watch_heartbeat_seconds,
-                role="server",
-            )
-        )
         # Queue waits observed inside the pool surface as the ``queue_wait``
         # stage of the same histogram family the spans feed.
         self.pool.stage_histograms = self.obs.stages
@@ -229,124 +184,6 @@ class DecompositionServer(BaseHttpServer):
         await loop.run_in_executor(None, lambda: self.pool.shutdown(wait=True))
 
     # ------------------------------------------------------------- requests
-    async def _dispatch(
-        self, request: HttpRequest
-    ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
-        route = (request.method, request.path.split("?", 1)[0])
-        if route == ("GET", "/healthz"):
-            return 200, json_body(self._healthz()), None
-        if route in (("GET", "/stats"), ("GET", "/metrics")):
-            # The cache block reads the SQLite counters — synchronous I/O
-            # that can wait on a writer's lock; keep it off the event loop.
-            loop = asyncio.get_running_loop()
-            stats = await loop.run_in_executor(None, self._stats)
-            if route[1] == "/stats":
-                return 200, json_body(stats), None
-            text = server_metrics_text(stats, extra_families=self._metrics_extras())
-            return 200, text.encode("utf-8"), {"Content-Type": METRICS_CONTENT_TYPE}
-        observability = await self._dispatch_observability(request)
-        if observability is not None:
-            return observability
-        if route == ("POST", "/decompose"):
-            return await self._serve_jobs(request, batch=False)
-        if route == ("POST", "/batch"):
-            return await self._serve_jobs(request, batch=True)
-        if route == ("POST", "/components"):
-            return await self._serve_components(request)
-        known = (
-            "/healthz",
-            "/stats",
-            "/metrics",
-            "/decompose",
-            "/batch",
-            "/components",
-            "/watch",
-        )
-        if route[1] in known:
-            return (*error_body(405, f"{request.method} not allowed on {route[1]}"), None)
-        return (*error_body(404, f"no such endpoint {route[1]!r}"), None)
-
-    def _trace_headers(self, ctx) -> Optional[Dict[str, str]]:
-        """Response headers advertising the request's trace id (or none)."""
-        return {TRACE_HEADER: ctx.trace_id} if ctx is not None else None
-
-    async def _serve_jobs(
-        self, request: HttpRequest, batch: bool
-    ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
-        loop = asyncio.get_running_loop()
-        kind = "batch" if batch else "decompose"
-        ctx = self.obs.begin(request.headers.get(TRACE_HEADER.lower()))
-        self.obs.emit(
-            ctx,
-            "received",
-            kind=kind,
-            client=client_identity(request.headers.get(CLIENT_HEADER.lower())),
-            bytes_in=len(request.body),
-        )
-
-        def _decode_jobs() -> List[Dict]:
-            # Decoding a (up to max_body_bytes) JSON body and rebuilding the
-            # layout is CPU work: off the event loop, or one big request
-            # stalls /healthz and every other connection.
-            payload = request.json()
-            if batch:
-                return parse_batch_request(payload)
-            return [parse_decompose_request(payload)]
-
-        try:
-            with self.obs.span("parse", ctx):
-                jobs = await loop.run_in_executor(None, _decode_jobs)
-        except ProtocolError as exc:
-            self._counters["invalid"] += 1
-            self.obs.emit(ctx, "failed", status=400, message=str(exc))
-            if ctx is not None:
-                logger.warning(
-                    "bad %s request: %s", kind, exc, extra={"trace_id": ctx.trace_id}
-                )
-            return (*error_body(400, str(exc)), self._trace_headers(ctx))
-        for job in jobs:
-            job["priority_class"] = "batch" if batch else "interactive"
-            if ctx is not None:
-                job["trace_id"] = ctx.trace_id
-
-        self.obs.emit(ctx, "divided", layouts=len(jobs))
-        with self.obs.span("execute", ctx):
-            results, error = await self._execute_jobs(jobs)
-        if error is not None:
-            status = error[0]
-            self.obs.emit(ctx, "failed", status=status)
-            if ctx is not None:
-                logger.warning(
-                    "%s request failed with %d", kind, status,
-                    extra={"trace_id": ctx.trace_id},
-                )
-            return error[0], error[1], {**(error[2] or {}), **(self._trace_headers(ctx) or {})}
-        self._counters["served"] += len(jobs)
-
-        def _encode_response() -> bytes:
-            # Mask payloads can be multi-MB; serialise off-loop too.
-            if not batch:
-                return json_body(results[0])
-            aggregate = {
-                "layouts": len(results),
-                "conflicts": sum(r["conflicts"] for r in results),
-                "stitches": sum(r["stitches"] for r in results),
-            }
-            return json_body({"items": results, "aggregate": aggregate})
-
-        with self.obs.span("encode", ctx):
-            body = await loop.run_in_executor(None, _encode_response)
-        self.obs.emit(
-            ctx,
-            "merged",
-            layouts=len(results),
-            conflicts=sum(r.get("conflicts", 0) for r in results),
-            stitches=sum(r.get("stitches", 0) for r in results),
-            names=[str(r.get("name", "")) for r in results],
-            bytes_out=len(body),
-        )
-        return 200, body, self._trace_headers(ctx)
-
     def _observe_component_timings(self, outcome: Dict, ctx) -> None:
         """Feed one worker result's ``timings`` into histograms/spans, then
         strip it so response bytes stay identical with tracing on or off."""
@@ -365,9 +202,7 @@ class DecompositionServer(BaseHttpServer):
             if not outcome.get("cache_hit"):
                 ctx.add_span("solve", now - solve, solve, parent="execute", detail=detail)
 
-    async def _serve_components(
-        self, request: HttpRequest
-    ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
+    async def _serve_components(self, request: HttpRequest) -> Response:
         """One component micro-batch: per-component results, one admission slot."""
         loop = asyncio.get_running_loop()
         started_at = time.perf_counter()
@@ -406,7 +241,6 @@ class DecompositionServer(BaseHttpServer):
                         "colors": colors,
                         "algorithm": algorithm,
                         "num_vertices": component.flat.num_vertices,
-                        "priority_class": "batch",
                     }
                 )
             return entries, body_trace
@@ -437,9 +271,6 @@ class DecompositionServer(BaseHttpServer):
         )
 
         jobs = [entry for entry in entries if isinstance(entry, dict)]
-        if ctx is not None:
-            for job in jobs:
-                job["trace_id"] = ctx.trace_id
         results: List = []
         execute_span = self.obs.span("execute", ctx)
         if jobs:
@@ -448,7 +279,7 @@ class DecompositionServer(BaseHttpServer):
             # the ordering of the batch's members against other work.
             with execute_span:
                 results, error = await self._execute_jobs(
-                    jobs, units=1, collect_errors=True
+                    jobs, klass="batch", units=1, collect_errors=True
                 )
             if error is not None:
                 self.obs.emit(ctx, "failed", status=error[0])
@@ -507,7 +338,7 @@ class DecompositionServer(BaseHttpServer):
         return component_error_entry(500, f"worker failure: {exc}")
 
     # ----------------------------------------------------- job control hooks
-    async def _submit_jobs(self, loop, jobs: List[Dict], release_slot):
+    async def _submit_jobs(self, loop, jobs: List[Dict], release_slot, klass, ctx):
         def _submit_all():
             """Submit every job (off-loop: a broken-pool rebuild blocks).
 
@@ -516,7 +347,6 @@ class DecompositionServer(BaseHttpServer):
             """
             submitted = []
             for job in jobs:
-                klass = job.pop("priority_class", "interactive")
                 try:
                     future = self.pool.submit(job, klass=klass)
                 except Exception as exc:  # pool broken beyond repair
@@ -529,56 +359,35 @@ class DecompositionServer(BaseHttpServer):
             await loop.run_in_executor(None, self._pre_dispatch_hook)
         return await loop.run_in_executor(None, _submit_all)
 
-    def _map_job_error(self, exc: BaseException):
-        if isinstance(exc, (ProtocolError, ComponentWireError)):
-            self._counters["invalid"] += 1
-            return (*error_body(400, str(exc)), None)
-        if isinstance(exc, ReproError):
-            self._counters["failed"] += 1
-            return (*error_body(422, f"decomposition failed: {exc}"), None)
-        self._counters["failed"] += 1
-        return (*error_body(500, f"worker failure: {exc}"), None)
-
     def _timeout_message(self) -> str:
-        return (
-            f"decomposition exceeded {self.config.request_timeout}s; "
-            "the result will be cached for a retry"
-        )
+        return f"{super()._timeout_message()}; the result will be cached for a retry"
 
     # ------------------------------------------------------------ telemetry
-    def _metrics_extras(self) -> List:
-        """Observability families appended to the counter-based exposition."""
-        families = [build_info_family("server", self.pool.kernels)]
-        families.extend(observability_families(self.obs))
-        families.append(
-            histogram_family(
-                "repro_pool_queue_wait_seconds",
-                "Seconds jobs spent in the worker pool's priority queue.",
-                [({}, self.pool.queue_wait.snapshot())],
-            )
+    def _metrics_text(self) -> str:
+        return server_metrics_text(
+            self._stats(),
+            extra_families=[
+                build_info_family("server", self.pool.kernels),
+                *observability_families(self.obs),
+                histogram_family(
+                    "repro_pool_queue_wait_seconds",
+                    "Seconds jobs spent in the worker pool's priority queue.",
+                    [({}, self.pool.queue_wait.snapshot())],
+                ),
+            ],
         )
-        return families
 
     def _healthz(self) -> Dict[str, object]:
         return {
-            "status": "draining" if self._draining else "ok",
+            **super()._healthz(),
             "mode": self.pool.mode,
             "components_frame": FRAME_VERSION,
             "workers": self.pool.workers,
-            "inflight": self._inflight,
-            "uptime_seconds": self.uptime_seconds(),
         }
 
     def _stats(self) -> Dict[str, object]:
-        stats: Dict[str, object] = {
-            "server": {
-                **self._counters,
-                "inflight": self._inflight,
-                "queue_limit": self.config.queue_limit,
-                "uptime_seconds": self.uptime_seconds(),
-            },
-            "pool": self.pool.stats(),
-        }
+        stats = super()._stats()
+        stats["pool"] = self.pool.stats()
         if self.config.cache_db is not None:
             totals = self._read_cache_totals()
             session = {
@@ -613,23 +422,16 @@ def run_server(config: ServerConfig) -> int:
     is how the subprocess tests and examples discover an ephemeral port) and
     drains cleanly on SIGTERM/SIGINT.
     """
-
-    async def _main() -> None:
-        server = DecompositionServer(config)
-        host, port = await server.start()
-        server.install_signal_handlers()
-        print(f"repro-serve: listening on http://{host}:{port}", flush=True)
-        print(
-            f"repro-serve: pool mode={server.pool.mode} workers={server.pool.workers} "
-            f"queue_limit={config.queue_limit} "
-            f"cache={'sqlite:' + str(config.cache_db) if config.cache_db else 'memory'}",
-            flush=True,
-        )
-        await server.wait_stopped()
-        print("repro-serve: drained, exiting", flush=True)
-
-    asyncio.run(_main())
-    return 0
+    server = DecompositionServer(config)
+    cache = f"sqlite:{config.cache_db}" if config.cache_db else "memory"
+    return serve_forever(
+        server,
+        "repro-serve",
+        lambda: (
+            f"pool mode={server.pool.mode} workers={server.pool.workers} "
+            f"queue_limit={config.queue_limit} cache={cache}"
+        ),
+    )
 
 
 class ServerThread(ThreadedServer):

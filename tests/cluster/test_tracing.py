@@ -16,6 +16,7 @@ from repro.bench.factory import repeated_cell_layout, wire_row_layout
 from repro.cluster import ClusterClient
 from repro.obs.journal import read_journal
 from repro.obs.replay import check_events
+from repro.service.metrics import parse_metrics_text
 
 from cluster_harness import mini_cluster
 
@@ -112,3 +113,23 @@ class TestFailover:
         events = read_journal(str(tmp_path / "coordinator"))
         assert events and {e["trace_id"] for e in events} == {TRACE}
         assert check_events(events) == []
+
+
+class TestEncodeStage:
+    def test_coordinator_times_encode(self, tmp_path):
+        """Serialising the response is on the request's critical path: the
+        coordinator's trace and stage histogram both show it."""
+        with _journaled_cluster(tmp_path) as cluster:
+            client = cluster.client()
+            client.decompose(
+                repeated_cell_layout(copies=2),
+                name="cells",
+                algorithm="linear",
+                trace_id=TRACE,
+            )
+            trace = client.trace(TRACE)
+            assert "encode" in {span["stage"] for span in trace["spans"]}
+            metrics = parse_metrics_text(client.metrics_text())
+        assert metrics.problems == []
+        encode = {"stage": "encode"}
+        assert metrics.value("repro_stage_duration_seconds_count", encode) == 1

@@ -50,6 +50,17 @@ class TestDecomposerOptions:
             > PENTUPLE_MIN_COLORING_DISTANCE
         )
 
+    @pytest.mark.parametrize("algorithm", DecomposerOptions.KNOWN_ALGORITHMS)
+    def test_named_presets_are_the_general_preset(self, algorithm):
+        """The paper's QP and pentuple settings are K=4 and K=5 of the
+        general mapping, field for field, under every algorithm."""
+        assert DecomposerOptions.for_k_patterning(
+            4, algorithm
+        ) == DecomposerOptions.for_quadruple_patterning(algorithm)
+        assert DecomposerOptions.for_k_patterning(
+            5, algorithm
+        ) == DecomposerOptions.for_pentuple_patterning(algorithm)
+
     def test_k_patterning_rejects_bad_k(self):
         with pytest.raises(ConfigurationError):
             DecomposerOptions.for_k_patterning(1)
