@@ -2,8 +2,10 @@
 
 These do not map to a specific table but keep the expensive building blocks
 honest: decomposition-graph construction (strip sweeps + exact distances),
-Gomory-Hu tree construction (n-1 unit-capacity max-flows on one reused
-network), the vector-program solver, and the low-degree peeling pass.
+the Gomory-Hu division (the K-classes the division runs: n-1 flows capped
+at K between contracted classes; and the exact tree it is checked against:
+Gusfield's n-1 uncapped max-flows on one reused network), the
+vector-program solver, and the low-degree peeling pass.
 Regressions here translate directly into the Table 1/2 CPU columns.
 """
 
@@ -34,17 +36,24 @@ def test_graph_construction(benchmark, circuit):
     benchmark.extra_info["conflict_edges"] = result.graph.num_conflict_edges
 
 
-def test_gomory_hu_tree(benchmark):
-    """GH-tree of a dense contact-array conflict graph."""
+@pytest.mark.parametrize("case", ["components_below", "exact_tree"])
+def test_gomory_hu_division(benchmark, case):
+    """GH division of a dense contact-array conflict graph: the pieces the
+    division cuts at K=4 (``components_below``), or the exact tree
+    (``edges``) that serves as their reference."""
     benchmark.group = "graph-algorithms"
     layout = dense_contact_array(5, 8)
     options = DecomposerOptions.for_quadruple_patterning().construction
     graph = build_decomposition_graph(layout, options=options).graph
+    vertices, edges = graph.vertices(), graph.conflict_edges()
 
-    tree = benchmark(
-        lambda: gomory_hu_tree(graph.vertices(), graph.conflict_edges())
-    )
-    benchmark.extra_info["vertices"] = len(tree.vertices)
+    if case == "components_below":
+        pieces = benchmark(lambda: gomory_hu_tree(vertices, edges).components_below(4))
+        benchmark.extra_info["pieces"] = len(pieces)
+    else:
+        tree_edges = benchmark(lambda: gomory_hu_tree(vertices, edges).edges)
+        benchmark.extra_info["tree_edges"] = len(tree_edges)
+    benchmark.extra_info["vertices"] = len(vertices)
 
 
 def test_low_degree_peeling(benchmark):

@@ -49,7 +49,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.bench.circuits import load_circuit
 from repro.core.decomposer import Decomposer
@@ -187,22 +187,30 @@ def _setup_cli_logging(args: argparse.Namespace, component: str) -> None:
         raise ConfigurationError(str(exc)) from exc
 
 
+def _front_door_config(args: argparse.Namespace) -> Dict[str, object]:
+    """The ``HttpServerConfig`` fields every front end takes from the flags
+    :func:`_add_front_door_flags` defines."""
+    return dict(
+        host=args.host,
+        port=args.port,
+        queue_limit=args.queue_limit,
+        request_timeout=args.timeout,
+        max_body_bytes=args.max_body_mb * 1024 * 1024,
+        journal_dir=args.journal,
+        journal_fsync=args.journal_fsync,
+        journal_segment_bytes=args.journal_segment_mb * 1024 * 1024,
+    )
+
+
 def _server_config_from(args: argparse.Namespace):
     from repro.service import ServerConfig
 
     return ServerConfig(
-        host=args.host,
-        port=args.port,
+        **_front_door_config(args),
         workers=args.workers,
-        queue_limit=args.queue_limit,
-        request_timeout=args.timeout,
         cache_db=args.cache_db,
         cache_max_entries=args.cache_max_entries,
-        max_body_bytes=args.max_body_mb * 1024 * 1024,
         force_inline_pool=args.inline_pool,
-        journal_dir=args.journal,
-        journal_fsync=args.journal_fsync,
-        journal_segment_bytes=args.journal_segment_mb * 1024 * 1024,
     )
 
 
@@ -239,11 +247,8 @@ def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigurationError(f"invalid --slo spec: {exc}") from exc
     config = CoordinatorConfig(
-        host=args.host,
-        port=args.port,
+        **_front_door_config(args),
         peers=peers,
-        queue_limit=args.queue_limit,
-        request_timeout=args.timeout,
         probe_interval=args.probe_interval,
         failure_threshold=args.failure_threshold,
         virtual_nodes=args.virtual_nodes,
@@ -251,10 +256,6 @@ def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
         fanout_threads=args.fanout_threads,
         batch_max_components=args.batch_max_components,
         batch_max_bytes=args.batch_max_bytes,
-        max_body_bytes=args.max_body_mb * 1024 * 1024,
-        journal_dir=args.journal,
-        journal_fsync=args.journal_fsync,
-        journal_segment_bytes=args.journal_segment_mb * 1024 * 1024,
         scrape_interval=args.scrape_interval,
         scrape_timeout=args.scrape_timeout,
         metrics_staleness_seconds=args.metrics_staleness,
@@ -496,8 +497,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main([])
 
 
-def _add_server_flags(parser: argparse.ArgumentParser, default_port: int) -> None:
-    """Flags shared by ``serve`` and ``cluster node`` (one server, two roles)."""
+def _add_front_door_flags(
+    parser: argparse.ArgumentParser, default_port: int, default_queue_limit: int, jobs: str
+) -> None:
+    """Flags every front end shares: bind address, overload contract, body
+    bound, event journal and logging (see :func:`_front_door_config`)."""
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
         "--port",
@@ -506,16 +510,10 @@ def _add_server_flags(parser: argparse.ArgumentParser, default_port: int) -> Non
         help="TCP port (0 = ephemeral, printed on start)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes (0 = one per CPU)",
-    )
-    parser.add_argument(
         "--queue-limit",
         type=int,
-        default=32,
-        help="max queued+in-flight jobs before requests get 503 + Retry-After",
+        default=default_queue_limit,
+        help=f"max queued+in-flight {jobs} before requests get 503 + Retry-After",
     )
     parser.add_argument(
         "--timeout",
@@ -524,34 +522,11 @@ def _add_server_flags(parser: argparse.ArgumentParser, default_port: int) -> Non
         help="per-request solve budget in seconds (504 beyond it)",
     )
     parser.add_argument(
-        "--cache-db",
-        default=None,
-        metavar="PATH",
-        help="SQLite component cache shared by workers and across restarts",
-    )
-    parser.add_argument(
-        "--cache-max-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bound the component cache to N entries (LRU eviction)",
-    )
-    parser.add_argument(
         "--max-body-mb",
         type=int,
         default=64,
         help="largest accepted request body in MiB",
     )
-    parser.add_argument(
-        "--inline-pool",
-        action="store_true",
-        help="run jobs on threads in-process instead of worker processes",
-    )
-    _add_observability_flags(parser)
-
-
-def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
-    """Tracing/journal/logging flags shared by every long-running role."""
     parser.add_argument(
         "--journal",
         default=None,
@@ -578,6 +553,35 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         default="warning",
         metavar="LEVEL",
         help="structured key=value log level: debug, info, warning, error",
+    )
+
+
+def _add_server_flags(parser: argparse.ArgumentParser, default_port: int) -> None:
+    """Flags of ``serve`` and ``cluster node`` (one server, two roles)."""
+    _add_front_door_flags(parser, default_port, default_queue_limit=32, jobs="jobs")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="worker processes (0 = one per CPU)",
+    )
+    parser.add_argument(
+        "--cache-db",
+        default=None,
+        metavar="PATH",
+        help="SQLite component cache shared by workers and across restarts",
+    )
+    parser.add_argument(
+        "--cache-max-entries",
+        type=int,
+        default=None,
+        metavar="N",
+        help="bound the component cache to N entries (LRU eviction)",
+    )
+    parser.add_argument(
+        "--inline-pool",
+        action="store_true",
+        help="run jobs on threads in-process instead of worker processes",
     )
 
 
@@ -733,9 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
             "'python -m repro.cluster'."
         ),
     )
-    coordinator.add_argument("--host", default="127.0.0.1", help="bind address")
-    coordinator.add_argument(
-        "--port", type=int, default=8100, help="TCP port (0 = ephemeral, printed on start)"
+    _add_front_door_flags(
+        coordinator, default_port=8100, default_queue_limit=16, jobs="layout jobs"
     )
     coordinator.add_argument(
         "--peers",
@@ -743,18 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="HOST:PORT[,HOST:PORT...]",
         help="cluster nodes (repeat the flag or separate with commas)",
-    )
-    coordinator.add_argument(
-        "--queue-limit",
-        type=int,
-        default=16,
-        help="max queued+in-flight layout jobs before requests get 503 + Retry-After",
-    )
-    coordinator.add_argument(
-        "--timeout",
-        type=float,
-        default=300.0,
-        help="per-request solve budget in seconds (504 beyond it)",
     )
     coordinator.add_argument(
         "--probe-interval",
@@ -804,12 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     coordinator.add_argument(
-        "--max-body-mb",
-        type=int,
-        default=64,
-        help="largest accepted request body in MiB",
-    )
-    coordinator.add_argument(
         "--slo",
         default="p99=2s,err=0.1%",
         metavar="SPEC",
@@ -849,7 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
             "long without a fresh scrape (default: 3x --scrape-interval)"
         ),
     )
-    _add_observability_flags(coordinator)
     coordinator.set_defaults(func=_cmd_cluster_coordinator)
 
     prefill = subparsers.add_parser(

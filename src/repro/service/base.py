@@ -252,7 +252,7 @@ class BaseHttpServer:
         handler = self._routes.get((request.method, path))
         if handler is not None:
             return await handler(request)
-        observability = await self._dispatch_observability(request)
+        observability = await self._dispatch_observability(request, path)
         if observability is not None:
             return observability
         if path == "/watch" or path in {known for _, known in self._routes}:
@@ -448,24 +448,25 @@ class BaseHttpServer:
         return list(results), None
 
     # -------------------------------------------------- observability routes
-    async def _dispatch_observability(self, request: HttpRequest):
+    async def _dispatch_observability(self, request: HttpRequest, path: str):
         """Serve the shared journal-backed routes; ``None`` when unmatched.
 
         ``GET /trace/<id>`` returns the assembled span tree of one journaled
         request; ``GET /watch`` upgrades to a live SSE stream.  Both answer
         404 with an enablement hint when the server runs without a journal.
+        ``path`` is the request path without its query string.
         """
         if request.method != "GET":
             return None
-        is_trace = request.path.startswith("/trace/")
-        is_watch = request.path == "/watch"
+        is_trace = path.startswith("/trace/")
+        is_watch = path == "/watch"
         if not is_trace and not is_watch:
             return None
         obs = self.obs
         if not obs.enabled:
             return 404, journal_hint_body(), None
         if is_trace:
-            trace_id = request.path[len("/trace/") :]
+            trace_id = path[len("/trace/") :]
             # Journal reads hit disk: keep them off the event loop.
             payload = await asyncio.get_running_loop().run_in_executor(
                 None, obs.trace_payload, trace_id

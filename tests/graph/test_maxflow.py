@@ -147,3 +147,100 @@ class TestAgainstNetworkx:
             tied.add_edge(vertex, sink, capacity=len(edges) + 1)
             forced = nx.maximum_flow_value(tied, source, sink, capacity="capacity")
             assert (vertex in side) == (forced > value), vertex
+
+
+def terminal_flow_value(edges, n, source_class, sink_class) -> int:
+    """networkx's flow on the multigraph with the source class and the sink
+    class each contracted to one vertex (edges inside them dropped)."""
+    rep = {v: v for v in range(n)}
+    rep.update({v: "s" for v in source_class})
+    rep.update({v: "t" for v in sink_class})
+    g = nx.Graph()
+    g.add_nodes_from(rep.values())
+    for u, v in edges:
+        a, b = rep[u], rep[v]
+        if a == b:
+            continue
+        if g.has_edge(a, b):
+            g[a][b]["capacity"] += 1
+        else:
+            g.add_edge(a, b, capacity=1)
+    return nx.maximum_flow_value(g, "s", "t", capacity="capacity")
+
+
+class TestFlowLimit:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_limit_returns_min_of_value_and_limit(self, seed):
+        n = 12
+        edges = random_edges(n, 0.35, 300 + seed)
+        net = FlowNetwork.from_edges(edges, vertices=range(n))
+        value = net.max_flow(0, n - 1)
+        side = net.min_cut_partition()
+        for limit in range(value + 3):
+            assert net.max_flow(0, n - 1, limit=limit) == min(value, limit)
+            if limit <= value:
+                with pytest.raises(GraphError, match="no cut side"):
+                    net.min_cut_partition()
+            else:
+                assert net.min_cut_partition() == side
+
+    def test_capped_flow_drops_the_previous_cut_side(self):
+        net = FlowNetwork.from_edges([(0, 1), (0, 1), (1, 2)])
+        assert net.max_flow(1, 2) == 1
+        assert net.min_cut_partition() == {0, 1}
+        assert net.max_flow(0, 1, limit=2) == 2
+        with pytest.raises(GraphError):
+            net.min_cut_partition()
+
+
+class TestMergedClasses:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_flow_between_classes_matches_contracted_terminals(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        n = 12
+        edges = []
+        for u, v in random_edges(n, 0.3, 400 + seed):
+            edges.extend([(u, v)] * int(rng.integers(1, 3)))
+        net = FlowNetwork.from_edges(edges, vertices=range(n))
+        classes = [{v} for v in range(n)]
+        for _ in range(5):
+            u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+            net.merge(u, v)
+            cu = next(c for c in classes if u in c)
+            cv = next(c for c in classes if v in c)
+            if cu is not cv:
+                classes.remove(cv)
+                cu |= cv
+        for source_class, sink_class in zip(classes, classes[1:]):
+            source, sink = max(source_class), min(sink_class)
+            value = net.max_flow(source, sink)
+            assert value == terminal_flow_value(edges, n, source_class, sink_class)
+            side = net.min_cut_partition()
+            assert source_class <= side and not sink_class & side
+            assert sum((u in side) != (v in side) for u, v in edges) == value
+
+    def test_merged_class_acts_as_one_vertex(self):
+        # 3 hangs off the triangle 0-1-2 by one edge; merged with 2, it is
+        # reached over both of 2's triangle edges.
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
+        net = FlowNetwork.from_edges(edges)
+        assert net.max_flow(0, 3) == 1
+        net.merge(2, 3)
+        assert net.max_flow(0, 3) == 2
+        assert net.min_cut_partition() == {0}
+        assert net.max_flow(3, 0) == 2
+        assert net.min_cut_partition() == {2, 3}
+
+    def test_flow_inside_one_class_rejected(self):
+        net = FlowNetwork.from_edges([(0, 1), (1, 2), (2, 3)])
+        net.merge(0, 2)
+        net.merge(2, 2)
+        with pytest.raises(GraphError, match="different classes"):
+            net.max_flow(0, 2)
+        with pytest.raises(GraphError, match="different classes"):
+            net.max_flow(2, 0)
+        assert net.max_flow(1, 3) == 1
+
+    def test_merge_of_unknown_vertex_rejected(self):
+        with pytest.raises(GraphError, match="not in network"):
+            FlowNetwork.from_edges([(0, 1)]).merge(0, 7)

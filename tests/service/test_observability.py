@@ -8,6 +8,7 @@ must stay lint-clean with the histogram and build-info families present.
 
 from __future__ import annotations
 
+import http.client
 import threading
 import time
 
@@ -198,3 +199,44 @@ class TestMetrics:
         assert lint_metrics_text(text) == []
         assert "repro_stage_duration_seconds" in text
         assert "repro_journal_events_total" not in text
+
+
+class TestJournalRoutesIgnoreTheQueryString:
+    """``/trace/<id>`` and ``/watch`` route on the path without its query,
+    like every other route."""
+
+    def test_trace_with_a_query_string(self, tmp_path):
+        with _server(tmp_path) as (host, port):
+            client = ServiceClient(host, port)
+            client.wait_until_healthy()
+            client.decompose(
+                wire_row_layout(num_wires=3, wire_length=400),
+                name="w",
+                algorithm="linear",
+            )
+            trace_id = client.last_trace_id
+            bodies = []
+            for path in (f"/trace/{trace_id}", f"/trace/{trace_id}?format=json"):
+                connection = http.client.HTTPConnection(host, port, timeout=30.0)
+                try:
+                    connection.request("GET", path)
+                    response = connection.getresponse()
+                    assert response.status == 200, path
+                    bodies.append(response.read())
+                finally:
+                    connection.close()
+            assert bodies[0] == bodies[1]
+
+    def test_watch_with_a_query_string(self, tmp_path):
+        with _server(tmp_path) as (host, port):
+            ServiceClient(host, port).wait_until_healthy()
+            connection = http.client.HTTPConnection(host, port, timeout=30.0)
+            try:
+                connection.request(
+                    "GET", "/watch?x=1", headers={"Accept": "text/event-stream"}
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                assert response.getheader("Content-Type").startswith("text/event-stream")
+            finally:
+                connection.close()
