@@ -1,6 +1,6 @@
 """Command line interface.
 
-Eleven subcommands::
+Ten subcommands::
 
     repro-decompose decompose INPUT [--algorithm linear --colors 4 --output masks.gds]
     repro-decompose batch INPUT [INPUT ...] [--workers 4 --cache-db cells.db --json report.json]
@@ -10,7 +10,6 @@ Eleven subcommands::
     repro-decompose stats INPUT
     repro-decompose generate CIRCUIT [--scale 0.35 --output circuit.json]
     repro-decompose trace --journal DIR [TRACE_ID] [--since SEQ|ISO --limit N] [--json]
-    repro-decompose usage --journal DIR [--checkpoint FILE] [--json]
     repro-decompose status --coordinator HOST:PORT [--watch --interval 2]
     repro-decompose lint [PATHS ...] [--json --no-baseline --update-baseline --update-manifest]
 
@@ -47,7 +46,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -177,14 +178,32 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _setup_cli_logging(args: argparse.Namespace, component: str) -> None:
+@contextmanager
+def _daemon_logging(args: argparse.Namespace, component: str):
+    """Structured ``repro`` logging for one daemon command, undone on return.
+
+    :func:`~repro.obs.logsetup.setup_logging` reconfigures the process-wide
+    ``repro`` logger (level, ``propagate``, a stderr handler); :func:`main`
+    also runs in-process, where that must not outlive the command.
+    """
     from repro.errors import ConfigurationError
     from repro.obs.logsetup import setup_logging
 
+    logger = logging.getLogger("repro")
+    level, propagate, handlers = logger.level, logger.propagate, list(logger.handlers)
     try:
-        setup_logging(args.log_level, component)
+        setup_logging(args.log_level, component)  # checks the level first
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
+    try:
+        yield
+    finally:
+        for handler in logger.handlers:
+            if handler not in handlers:
+                handler.close()
+        logger.handlers[:] = handlers
+        logger.propagate = propagate
+        logger.setLevel(level)
 
 
 def _front_door_config(args: argparse.Namespace) -> Dict[str, object]:
@@ -217,8 +236,8 @@ def _server_config_from(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import run_server
 
-    _setup_cli_logging(args, "server")
-    return run_server(_server_config_from(args))
+    with _daemon_logging(args, "server"):
+        return run_server(_server_config_from(args))
 
 
 def _cmd_cluster_node(args: argparse.Namespace) -> int:
@@ -226,16 +245,15 @@ def _cmd_cluster_node(args: argparse.Namespace) -> int:
 
     # A node *is* a decomposition server — the shard role only adds traffic
     # on POST /components, routed here by the coordinators' hash ring.
-    _setup_cli_logging(args, "node")
-    return run_server(_server_config_from(args))
+    with _daemon_logging(args, "node"):
+        return run_server(_server_config_from(args))
 
 
-def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
-    from repro.cluster import CoordinatorConfig, run_coordinator
+def _coordinator_config_from(args: argparse.Namespace):
+    from repro.cluster import CoordinatorConfig
     from repro.errors import ConfigurationError
     from repro.obs.slo import parse_slo_spec
 
-    _setup_cli_logging(args, "coordinator")
     peers = [
         peer.strip()
         for chunk in args.peers
@@ -246,7 +264,7 @@ def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
         parse_slo_spec(args.slo)  # fail a typo at startup, not at /slo time
     except ValueError as exc:
         raise ConfigurationError(f"invalid --slo spec: {exc}") from exc
-    config = CoordinatorConfig(
+    return CoordinatorConfig(
         **_front_door_config(args),
         peers=peers,
         probe_interval=args.probe_interval,
@@ -262,7 +280,13 @@ def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
         slo=args.slo,
         slo_window_seconds=args.slo_window,
     )
-    return run_coordinator(config)
+
+
+def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
+    from repro.cluster import run_coordinator
+
+    with _daemon_logging(args, "coordinator"):
+        return run_coordinator(_coordinator_config_from(args))
 
 
 def _parse_since(text: Optional[str]):
@@ -331,33 +355,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(json.dumps(trace, indent=2, sort_keys=True))
     else:
         print(format_trace_tree(trace))
-    return 0
-
-
-def _cmd_usage(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
-    from repro.obs.journal import read_journal
-    from repro.obs.usage import fold_usage, format_usage_table, render_checkpoint
-
-    try:
-        events = read_journal(args.journal)
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot read journal {args.journal!r}: {exc}"
-        ) from exc
-    rollup = fold_usage(events)
-    if args.checkpoint:
-        text = render_checkpoint(rollup)
-        Path(args.checkpoint).write_text(text, encoding="utf-8")
-        print(
-            f"usage checkpoint: {rollup['meta']['clients']} client(s) over "
-            f"{rollup['meta']['events']} events -> {args.checkpoint}"
-        )
-        return 0
-    if args.json:
-        sys.stdout.write(render_checkpoint(rollup))
-    else:
-        print(format_usage_table(rollup))
     return 0
 
 
@@ -915,36 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the assembled trace as JSON"
     )
     trace.set_defaults(func=_cmd_trace)
-
-    usage = subparsers.add_parser(
-        "usage",
-        help="fold a journal into deterministic per-client usage rollups",
-        description=(
-            "Meter a '--journal DIR' server or coordinator: fold its "
-            "lifecycle events into per-client rollups (requests by kind, "
-            "layouts by name, components solved, cache hits, bytes in/out, "
-            "wall time by stage).  Clients self-identify via the "
-            "X-Repro-Client request header; requests without one meter "
-            "under 'anonymous'.  The fold is deterministic: re-running "
-            "over the same journal is byte-identical, so a checkpoint can "
-            "be audited by re-folding."
-        ),
-    )
-    usage.add_argument(
-        "--journal", required=True, metavar="DIR", help="journal directory to read"
-    )
-    usage.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="FILE",
-        help="write the versioned JSONL checkpoint to FILE instead of printing",
-    )
-    usage.add_argument(
-        "--json",
-        action="store_true",
-        help="print the checkpoint JSONL instead of the human table",
-    )
-    usage.set_defaults(func=_cmd_usage)
 
     status = subparsers.add_parser(
         "status",

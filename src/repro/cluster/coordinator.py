@@ -31,8 +31,8 @@ on the node and ``component_cache_hits`` on the coordinator).
 Failure handling: a batch request that dies on a *connection* error marks
 the node dead (:meth:`Membership.mark_dead`), rebalances the ring and
 re-routes only that batch's components to their new owners — results from
-the dead node's earlier batches are kept, and each component's re-route
-count is bounded by ``max_reroutes`` — so killing a node mid-batch degrades
+the dead node's earlier batches are kept, and each component is re-routed
+at most once per configured peer — so killing a node mid-batch degrades
 throughput, never correctness.  Solve counters (``components_routed``,
 per-node ``routed``, cache hits) increment only on *completed* solves;
 re-routed attempts land exclusively in the distinct ``reroutes`` counter,
@@ -92,6 +92,9 @@ from repro.service.protocol import run_job
 #: coordinator's stage histograms live in the same fleet view.
 SELF_NODE_ID = "coordinator"
 
+#: Threads executing layout jobs (graph construction + merge).
+JOB_THREADS = 4
+
 
 class NodeBusyError(ReproError):
     """A node shed a component with 503 — propagated, not retried elsewhere.
@@ -117,7 +120,7 @@ class NodeRequestError(ReproError):
 
 
 class ClusterRoutingError(ReproError):
-    """Re-routing a component exhausted ``max_reroutes`` attempts (HTTP 502)."""
+    """Re-routing a component exhausted one try per configured peer (HTTP 502)."""
 
 
 class _NodeConnectionLost(ReproError):
@@ -151,13 +154,8 @@ class CoordinatorConfig(HttpServerConfig):
     failure_threshold: int = 2
     #: Virtual nodes per physical node on the consistent-hash ring.
     virtual_nodes: int = 64
-    #: Re-route attempts per component before giving up (``0`` = one try per
-    #: configured peer, the sensible default for total-cluster death).
-    max_reroutes: int = 0
     #: Threads fanning component requests out to nodes.
     fanout_threads: int = 8
-    #: Threads executing layout jobs (graph construction + merge).
-    job_threads: int = 4
     #: Per-component node request timeout in seconds.
     component_timeout: float = 120.0
     #: Most components shipped per ``POST /components`` micro-batch.
@@ -261,7 +259,7 @@ class ClusterCoordinator(BaseHttpServer):
         # thread while it waits on its components, so sharing one pool would
         # deadlock under load.
         self._jobs_executor = ThreadPoolExecutor(
-            max_workers=max(1, self.config.job_threads),
+            max_workers=JOB_THREADS,
             thread_name_prefix="repro-coord-job",
         )
         self._fanout_executor = ThreadPoolExecutor(
@@ -355,7 +353,7 @@ class ClusterCoordinator(BaseHttpServer):
         flats = {key: graph.to_arrays() for key, graph in batch}
         colors, algorithm = options.num_colors, options.algorithm
         self.obs.emit(ctx, "divided", distinct=len(keys))
-        limit = self.config.max_reroutes or max(1, len(self.membership))
+        limit = max(1, len(self.membership))
         if ctx is not None:
             ctx.register_work(len(keys))
         sizes = {key: frame_size(flat, key) for key, flat in flats.items()}

@@ -43,18 +43,20 @@ COORDINATOR_STAGES = (
     "encode",
 )
 
+#: Seconds between SSE heartbeat comments on an idle ``GET /watch``.
+WATCH_HEARTBEAT_SECONDS = 10.0
+
 
 class Observer:
     """Tracing + histograms + journal + watch hub for one server.
 
     ``config`` is the front end's
-    :class:`~repro.service.base.HttpServerConfig`, read for its journal and
-    watch fields; ``role`` names the process in journal records and picks
-    the stages seeded at zero.
+    :class:`~repro.service.base.HttpServerConfig`, read for its journal
+    fields; ``role`` names the process in journal records and picks the
+    stages seeded at zero.
     """
 
     def __init__(self, config, role: str) -> None:
-        self.config = config
         self.role = role
         self.enabled = config.journal_dir is not None
         self.stages = HistogramVec("stage")
@@ -69,7 +71,7 @@ class Observer:
                 max_segment_bytes=config.journal_segment_bytes,
                 fsync=config.journal_fsync,
             )
-            self.hub = WatchHub(config.watch_queue_limit)
+            self.hub = WatchHub()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -165,7 +167,6 @@ class Observer:
         by an idle watcher) or the client disconnects.
         """
         hub = self.hub
-        heartbeat = max(0.5, float(self.config.watch_heartbeat_seconds))
 
         async def run(writer: asyncio.StreamWriter) -> None:
             sub = hub.subscribe()
@@ -186,7 +187,7 @@ class Observer:
                         waiters.append(asyncio.ensure_future(drain_started.wait()))
                     done, pending = await asyncio.wait(
                         waiters,
-                        timeout=heartbeat,
+                        timeout=WATCH_HEARTBEAT_SECONDS,
                         return_when=asyncio.FIRST_COMPLETED,
                     )
                     for task in pending:

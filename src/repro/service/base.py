@@ -70,14 +70,12 @@ from repro.errors import ReproError
 from repro.obs.journal import DEFAULT_SEGMENT_BYTES
 from repro.obs.observer import Observer, journal_hint_body
 from repro.service.http import (
-    CLIENT_HEADER,
     DEFAULT_MAX_BODY_BYTES,
     TRACE_HEADER,
     HttpError,
     HttpRequest,
     MAX_HEADER_BYTES,
     StreamResponse,
-    client_identity,
     error_body,
     json_body,
     read_request,
@@ -124,10 +122,6 @@ class HttpServerConfig:
     journal_fsync: bool = False
     #: Journal segment rotation threshold in bytes.
     journal_segment_bytes: int = DEFAULT_SEGMENT_BYTES
-    #: Per-subscriber ``GET /watch`` queue bound (drop-oldest beyond it).
-    watch_queue_limit: int = 256
-    #: Seconds between SSE heartbeat comments on an idle ``GET /watch``.
-    watch_heartbeat_seconds: float = 10.0
 
 
 class BaseHttpServer:
@@ -286,7 +280,6 @@ class BaseHttpServer:
             ctx,
             "received",
             kind=kind,
-            client=client_identity(request.headers.get(CLIENT_HEADER.lower())),
             bytes_in=len(request.body),
         )
 

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.geometry.layout import Layout
-from repro.service.http import CLIENT_HEADER, TRACE_HEADER
+from repro.service.http import TRACE_HEADER
 
 #: One server address.
 Address = Tuple[str, int]
@@ -97,20 +97,10 @@ class ServiceError(ReproError):
 class ServiceClient:
     """Blocking client bound to one server address."""
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 600.0,
-        client_id: Optional[str] = None,
-    ) -> None:
+    def __init__(self, host: str, port: int, timeout: float = 600.0) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        #: Self-declared identity sent as the X-Repro-Client header on every
-        #: request, so journaled servers meter this caller's usage under one
-        #: name (see ``repro-decompose usage``).
-        self.client_id = client_id
         self._local = threading.local()
         #: Every thread's connection pool, so :meth:`close` can reach them all.
         self._pools: List[Dict[Address, http.client.HTTPConnection]] = []
@@ -228,8 +218,6 @@ class ServiceClient:
         headers = {"Accept": "application/json", "Connection": "keep-alive"}
         if trace_id:
             headers[TRACE_HEADER] = trace_id
-        if self.client_id:
-            headers[CLIENT_HEADER] = self.client_id
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"

@@ -33,31 +33,6 @@ DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
 #: components frame also carries it in its own trace field).
 TRACE_HEADER = "X-Repro-Trace-Id"
 
-#: HTTP header naming the calling client/tenant for usage metering.  Purely
-#: self-declared (no auth layer yet): the value is sanitised into journal
-#: lifecycle events so ``repro-decompose usage`` can roll up per-client
-#: accounting; absent or unusable values meter under ``anonymous``.
-CLIENT_HEADER = "X-Repro-Client"
-
-#: Cap + charset guard for :func:`client_identity` (label-safe, journal-safe).
-_CLIENT_ID_MAX = 64
-
-
-def client_identity(value: Optional[str]) -> str:
-    """Sanitise a self-declared client id into a metering-safe token.
-
-    Keeps ``[A-Za-z0-9._-]`` up to 64 chars; anything else (or nothing)
-    meters as ``anonymous`` rather than letting arbitrary header bytes into
-    journal events and metric labels.
-    """
-    if not value:
-        return "anonymous"
-    token = value.strip()[:_CLIENT_ID_MAX]
-    allowed = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-"
-    if not token or any(ch not in allowed for ch in token):
-        return "anonymous"
-    return token
-
 _REASONS = {
     200: "OK",
     400: "Bad Request",

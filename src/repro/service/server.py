@@ -83,10 +83,8 @@ from repro.service.base import (
     serve_forever,
 )
 from repro.service.http import (
-    CLIENT_HEADER,
     TRACE_HEADER,
     HttpRequest,
-    client_identity,
     error_body,
     json_body,
 )
@@ -111,9 +109,6 @@ class ServerConfig(HttpServerConfig):
     cache_max_entries: Optional[int] = None
     #: Run jobs on threads in-process instead of worker processes.
     force_inline_pool: bool = False
-    #: Oldest-queued-job wait beyond which the pool's age bump overrides
-    #: smallest-cost-first dispatch (0 = FIFO).
-    starvation_age_seconds: float = 5.0
 
 
 class DecompositionServer(BaseHttpServer):
@@ -145,7 +140,6 @@ class DecompositionServer(BaseHttpServer):
                 cache_db=self.config.cache_db,
                 cache_max_entries=self.config.cache_max_entries,
                 force_inline=self.config.force_inline_pool,
-                starvation_age_seconds=self.config.starvation_age_seconds,
             )
         )
         self._counters.update(
@@ -266,7 +260,6 @@ class DecompositionServer(BaseHttpServer):
             "received",
             kind="components",
             components=len(entries),
-            client=client_identity(request.headers.get(CLIENT_HEADER.lower())),
             bytes_in=len(request.body),
         )
 

@@ -108,6 +108,38 @@ class TestTotalNodeLoss:
             assert client.healthz()["nodes"]["alive"] == 0
 
 
+class TestRerouteLimit:
+    @pytest.mark.parametrize("num_nodes", [1, 2])
+    def test_component_gives_up_after_one_try_per_peer(self, monkeypatch, num_nodes):
+        """A component whose batches keep losing their connection while the
+        node stays in the ring re-routes once per configured peer, then
+        answers 502."""
+        from repro.cluster.coordinator import _NodeConnectionLost
+
+        with mini_cluster(num_nodes=num_nodes) as cluster:
+            client = cluster.client()
+            sends = {}
+
+            def lose_connection(node_id, chunk, *args, **kwargs):
+                for key in chunk:
+                    sends[key] = sends.get(key, 0) + 1
+                raise _NodeConnectionLost(node_id)
+
+            monkeypatch.setattr(
+                cluster.coordinator.server, "_send_batch", lose_connection
+            )
+            with pytest.raises(ServiceError) as excinfo:
+                client.decompose(
+                    wire_row_layout(num_wires=3, wire_length=400),
+                    name="w",
+                    algorithm="linear",
+                )
+            assert excinfo.value.status == 502
+            assert f"re-routed {num_nodes + 1} times" in str(excinfo.value)
+            assert sends and set(sends.values()) == {num_nodes + 1}
+            assert client.stats()["membership"]["alive"] == num_nodes
+
+
 class TestRebalanceDeterminism:
     def test_mark_dead_ring_equals_fresh_ring_over_survivors(self):
         from repro.cluster import HashRing

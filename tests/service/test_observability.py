@@ -9,16 +9,19 @@ must stay lint-clean with the histogram and build-info families present.
 from __future__ import annotations
 
 import http.client
+import json
 import threading
 import time
 
 import pytest
 
+from repro.bench.cells import figure4_graph
 from repro.bench.factory import repeated_cell_layout, wire_row_layout
 from repro.core.decomposer import Decomposer
 from repro.obs.journal import read_journal
 from repro.obs.replay import check_events
-from repro.obs.trace import valid_trace_id
+from repro.obs.trace import TERMINAL_EVENTS, valid_trace_id
+from repro.runtime.wire_binary import COMPONENTS_V2_CONTENT_TYPE, encode_components_frame
 from repro.service import ServerConfig, ServerThread, ServiceClient, ServiceError
 from repro.service.http import TRACE_HEADER
 from repro.service.metrics import lint_metrics_text
@@ -69,6 +72,90 @@ class TestByteIdentity:
         events = read_journal(str(tmp_path / "journal"))
         assert len(events) >= 4  # received+completed per layout
         assert check_events(events) == []
+
+
+class TestJournalReconciliation:
+    def test_journal_reconciles_with_stats(self, tmp_path):
+        """The journal accounts for every served layout, and each request's
+        events carry its byte counts and spans."""
+        layout = wire_row_layout(num_wires=4, wire_length=600)
+        with _server(tmp_path) as (host, port):
+            client = ServiceClient(host, port)
+            client.wait_until_healthy()
+            for name in ("w1", "w2", "w3"):
+                client.decompose(layout, name=name, algorithm="linear")
+            served = client.stats()["server"]["served"]
+            client.close()
+
+        events = read_journal(str(tmp_path / "journal"))
+        merged = [event for event in events if event["event"] == "merged"]
+        assert sum(event["layouts"] for event in merged) == served == 3
+        assert [event["names"] for event in merged] == [["w1"], ["w2"], ["w3"]]
+        received = {
+            event["trace_id"]: event for event in events if event["event"] == "received"
+        }
+        terminal = [event for event in events if event["event"] in TERMINAL_EVENTS]
+        assert len(terminal) == len(received) == 3
+        for event in terminal:
+            assert received[event["trace_id"]]["bytes_in"] > 0
+            assert event["bytes_out"] > 0
+            assert event["spans"]  # spans landed
+
+
+class TestClientHeaderIgnored:
+    """``X-Repro-Client``, which older clients send, changes nothing: such a
+    request is served and journaled exactly like one without it."""
+
+    def _post_with_and_without(self, tmp_path, path, bodies, content_type):
+        """POST each body, the first with the header; return the decoded
+        responses and the journal's ``received`` events."""
+        responses = []
+        with _server(tmp_path) as (host, port):
+            ServiceClient(host, port).wait_until_healthy()
+            for body, extra in zip(bodies, ({"X-Repro-Client": "team-a"}, {})):
+                connection = http.client.HTTPConnection(host, port, timeout=30.0)
+                try:
+                    connection.request(
+                        "POST", path, body=body,
+                        headers={"Content-Type": content_type, **extra},
+                    )
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    responses.append(json.loads(response.read()))
+                finally:
+                    connection.close()
+        events = read_journal(str(tmp_path / "journal"))
+        assert check_events(events) == []
+        received = [event for event in events if event["event"] == "received"]
+        assert len(received) == 2
+        assert all("client" not in event for event in received)
+        assert received[0].keys() == received[1].keys()
+        return responses, received
+
+    def test_decompose(self, tmp_path):
+        layout = wire_row_layout(num_wires=3, wire_length=400)
+        body = json.dumps(
+            {"layout": layout.to_dict(), "name": "w", "algorithm": "linear"}
+        ).encode("utf-8")
+        responses, _ = self._post_with_and_without(
+            tmp_path, "/decompose", [body, body], "application/json"
+        )
+        # Equal bytes once the wall-clock ``seconds`` is stripped.
+        served = [canonical_json(response) for response in responses]
+        assert served[0] == served[1] == canonical_json(_direct_payload(layout, "w"))
+
+    def test_components(self, tmp_path):
+        body = encode_components_frame([(None, figure4_graph().to_arrays())], 4, "linear")
+        responses, received = self._post_with_and_without(
+            tmp_path, "/components", [body, body], COMPONENTS_V2_CONTENT_TYPE
+        )
+        assert [event["kind"] for event in received] == ["components", "components"]
+        # The second request is a cache hit; the solve is the same.
+        solves = [
+            {k: v for k, v in response["results"][0].items() if k != "cache_hit"}
+            for response in responses
+        ]
+        assert solves[0] == solves[1]
 
 
 class TestTraceEndpoint:

@@ -299,3 +299,48 @@ def test_defaults_reach_the_config(started, argv, port, queue_limit):
     assert (config.request_timeout, config.max_body_bytes) == (300.0, 64 * 1024 * 1024)
     assert (config.journal_dir, config.journal_fsync) == (None, False)
     assert config.journal_segment_bytes == 4 * 1024 * 1024
+
+
+def _logger_state():
+    logger = logging.getLogger("repro")
+    return logger.level, logger.propagate, list(logger.handlers)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["serve", "--log-level", "info"], 0),
+        (["cluster", "node", "--log-level", "info"], 0),
+        (["cluster", "coordinator", "--peers", "a:1", "--log-level", "info"], 0),
+        (["cluster", "coordinator", "--peers", "a:1", "--slo", "p99"], 1),
+        (["serve", "--log-level", "loud"], 1),
+    ],
+    ids=["serve", "node", "coordinator", "coordinator-bad-slo", "serve-bad-level"],
+)
+def test_daemon_commands_restore_the_repro_logger(monkeypatch, caplog, argv, code):
+    """A daemon command run in-process leaves the ``repro`` logger as it found
+    it, so later ``caplog`` captures of ``repro.*`` loggers still see records."""
+    import repro.cluster
+    import repro.service
+
+    logger = logging.getLogger("repro")
+    for attribute in ("level", "propagate", "handlers"):
+        value = getattr(logger, attribute)
+        monkeypatch.setattr(logger, attribute, list(value) if attribute == "handlers" else value)
+    during = []
+
+    def run(config):
+        during.append(_logger_state())
+        return 0
+
+    monkeypatch.setattr(repro.service, "run_server", run)
+    monkeypatch.setattr(repro.cluster, "run_coordinator", run)
+    before = _logger_state()
+    assert main(argv) == code
+    if code == 0:
+        ((level, propagate, handlers),) = during
+        assert (level, propagate, len(handlers)) == (logging.INFO, False, len(before[2]) + 1)
+    assert _logger_state() == before
+    with caplog.at_level(logging.WARNING, logger="repro.runtime.pipeline"):
+        logging.getLogger("repro.runtime.pipeline").warning("still captured")
+    assert "still captured" in caplog.text
