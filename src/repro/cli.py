@@ -52,7 +52,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.bench.circuits import load_circuit
 from repro.core.decomposer import Decomposer
 from repro.core.options import DecomposerOptions
 from repro.errors import ReproError
@@ -479,6 +478,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.bench.circuits import load_circuit
+
     layout = load_circuit(args.circuit, scale=args.scale)
     output = args.output or f"{args.circuit.lower()}.json"
     _save_layout(layout, output)

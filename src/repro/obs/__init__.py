@@ -27,22 +27,7 @@ Everything here is stdlib-only, and tracing costs near zero when disabled:
 without ``--journal`` no trace contexts are minted, spans degrade to two
 ``perf_counter`` calls plus one histogram update, and no journal I/O or
 watch fan-out happens at all.
+
+Nothing is re-exported here, so a library decompose timing its spans with
+:mod:`repro.obs.trace` never loads the observer, asyncio or ssl.
 """
-
-from repro.obs.hist import DEFAULT_BUCKETS, Histogram, HistogramVec, format_float
-from repro.obs.journal import EventJournal
-from repro.obs.observer import Observer
-from repro.obs.trace import Span, TraceContext, assemble_trace, new_trace_id
-
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "EventJournal",
-    "Histogram",
-    "HistogramVec",
-    "Observer",
-    "Span",
-    "TraceContext",
-    "assemble_trace",
-    "format_float",
-    "new_trace_id",
-]

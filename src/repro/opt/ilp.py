@@ -194,6 +194,8 @@ class BranchAndBoundSolver:
 
     def solve(self, program: IntegerProgram) -> IlpResult:
         """Solve ``program`` to optimality (or until the time limit)."""
+        import scipy.optimize  # noqa: F401  # load before the budget clock starts
+
         start = time.perf_counter()
         c, a_ub, b_ub, a_eq, b_eq = program.to_matrices()
         n = program.num_variables

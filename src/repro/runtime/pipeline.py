@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -185,7 +184,7 @@ class PoolExecutor:
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool = None  # the ProcessPoolExecutor, once started
         self._abandoned = False
 
     def __call__(self, batch: Batch, options: DecomposerOptions) -> List[ComponentSolve]:
@@ -198,6 +197,8 @@ class PoolExecutor:
             return solve_inline(batch, options)
         try:
             if self._pool is None:
+                from concurrent.futures import ProcessPoolExecutor
+
                 self._pool = ProcessPoolExecutor(max_workers=self.workers)
             futures = {
                 i: self._pool.submit(

@@ -21,8 +21,8 @@ What the base owns, once
   404.
 * **The layout request path** (:meth:`_serve_jobs`) — ``parse``,
   ``execute`` and ``encode`` spans, the journal's lifecycle events, 400 on
-  a :class:`~repro.service.protocol.ProtocolError` and the trace-id
-  response header.
+  a :class:`~repro.service.protocol.ProtocolError` or a body that is not
+  JSON, and the trace-id response header.
 * **The overload contract** (:meth:`_execute_jobs`) — oversized-batch 400,
   queue-full/draining 503 + Retry-After, in-flight slot accounting released
   per job from done-callbacks (a 504'd request abandons jobs that keep
@@ -295,14 +295,16 @@ class BaseHttpServer:
         try:
             with self.obs.span("parse", ctx):
                 jobs = await loop.run_in_executor(None, _decode_jobs)
-        except ProtocolError as exc:
+        except (ProtocolError, HttpError) as exc:
+            # HttpError: an empty or non-JSON body (``request.json()``).
+            status = exc.status if isinstance(exc, HttpError) else 400
             self._counters["invalid"] += 1
-            self.obs.emit(ctx, "failed", status=400, message=str(exc))
+            self.obs.emit(ctx, "failed", status=status, message=str(exc))
             if ctx is not None:
                 self._logger.warning(
                     "bad %s request: %s", kind, exc, extra={"trace_id": ctx.trace_id}
                 )
-            return (*error_body(400, str(exc)), self._trace_headers(ctx))
+            return (*error_body(status, str(exc)), self._trace_headers(ctx))
 
         self.obs.emit(ctx, "divided", layouts=len(jobs))
         with self.obs.span("execute", ctx):

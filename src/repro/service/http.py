@@ -72,7 +72,7 @@ class HttpRequest:
             raise HttpError(400, "request body is empty; expected JSON")
         try:
             return json.loads(self.body)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}") from exc
 
     def media_type(self) -> str:

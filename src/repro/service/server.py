@@ -200,17 +200,6 @@ class DecompositionServer(BaseHttpServer):
         """One component micro-batch: per-component results, one admission slot."""
         loop = asyncio.get_running_loop()
         started_at = time.perf_counter()
-        if request.media_type() != COMPONENTS_V2_CONTENT_TYPE:
-            self._counters["invalid"] += 1
-            return (
-                *error_body(
-                    415,
-                    f"POST /components takes {COMPONENTS_V2_CONTENT_TYPE} "
-                    f"frames (version {FRAME_VERSION}), "
-                    f"got {request.media_type()!r}",
-                ),
-                None,
-            )
 
         def _decode_batch() -> Tuple[List[object], Optional[str]]:
             # Packed flat-array frames, no JSON in sight.  Envelope damage
@@ -239,12 +228,19 @@ class DecompositionServer(BaseHttpServer):
                 )
             return entries, body_trace
 
-        try:
-            entries, body_trace = await loop.run_in_executor(None, _decode_batch)
-        except (ProtocolError, ComponentWireError) as exc:
-            self._counters["invalid"] += 1
-            self.obs.stages.observe("parse", time.perf_counter() - started_at)
-            return (*error_body(400, str(exc)), None)
+        body_trace = refusal = None
+        if request.media_type() != COMPONENTS_V2_CONTENT_TYPE:
+            refusal = (
+                415,
+                f"POST /components takes {COMPONENTS_V2_CONTENT_TYPE} "
+                f"frames (version {FRAME_VERSION}), "
+                f"got {request.media_type()!r}",
+            )
+        else:
+            try:
+                entries, body_trace = await loop.run_in_executor(None, _decode_batch)
+            except (ProtocolError, ComponentWireError) as exc:
+                refusal = (400, str(exc))
         parse_done = time.perf_counter()
         self.obs.stages.observe("parse", parse_done - started_at)
         # Trace id priority: the frame's trace field, then the header.  ``t0``
@@ -255,6 +251,11 @@ class DecompositionServer(BaseHttpServer):
         )
         if ctx is not None:
             ctx.add_span("parse", started_at, parse_done - started_at)
+        if refusal is not None:
+            self._counters["invalid"] += 1
+            self.obs.emit(ctx, "received", kind="components", bytes_in=len(request.body))
+            self.obs.emit(ctx, "failed", status=refusal[0], message=refusal[1])
+            return (*error_body(*refusal), self._trace_headers(ctx))
         self.obs.emit(
             ctx,
             "received",

@@ -12,6 +12,7 @@ benchmark circuits.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import logging
 import pickle
@@ -310,7 +311,7 @@ class TestFallback:
         def broken_pool(max_workers):
             raise OSError("no processes in this sandbox")
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", broken_pool)
         layout = load_circuit("C432", scale=0.25)
         options = _options(4, "linear")
         serial = Decomposer(options).decompose(layout)
@@ -330,7 +331,7 @@ class TestFallback:
             attempts.append(max_workers)
             raise OSError("no processes in this sandbox")
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", broken_pool)
         # Both circuits have two components above the in-process cutoff.
         layouts = [
             ("a", load_circuit("C432", scale=0.25)),
@@ -369,7 +370,7 @@ class TestPoolPayload:
             def shutdown(self, wait=True):
                 pass
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         options = _options(4, "linear")
         layout = load_circuit("C432", scale=0.25)
         graph = build_decomposition_graph(

@@ -17,7 +17,9 @@ import pytest
 
 from repro.bench.cells import figure4_graph
 from repro.bench.factory import repeated_cell_layout, wire_row_layout
+from repro.cluster import CoordinatorConfig, CoordinatorThread
 from repro.core.decomposer import Decomposer
+from repro.obs import replay
 from repro.obs.journal import read_journal
 from repro.obs.replay import check_events
 from repro.obs.trace import TERMINAL_EVENTS, valid_trace_id
@@ -156,6 +158,97 @@ class TestClientHeaderIgnored:
             for response in responses
         ]
         assert solves[0] == solves[1]
+
+
+def _post_raw(host, port, path, body, content_type, trace_id=None):
+    """POST ``body`` as is; return (status, trace-id header, error message)."""
+    headers = {"Content-Type": content_type}
+    if trace_id is not None:
+        headers[TRACE_HEADER] = trace_id
+    connection = http.client.HTTPConnection(host, port, timeout=30.0)
+    try:
+        connection.request("POST", path, body=body, headers=headers)
+        response = connection.getresponse()
+        message = json.loads(response.read())["error"]["message"]
+        return response.status, response.getheader(TRACE_HEADER), message
+    finally:
+        connection.close()
+
+
+def _assert_refusals_journaled(journal_dir, answers, kinds):
+    """Each refused request is one complete trace: ``received`` (its kind
+    and body size) then ``failed`` with the answer's status and message,
+    a ``parse`` span, and a journal ``repro.obs.replay --check`` accepts."""
+    events = read_journal(journal_dir)
+    assert check_events(events) == []
+    assert replay.main(["--journal", journal_dir, "--check"]) == 0
+    assert len(events) == 2 * len(answers)
+    for (status, trace_id, message, bytes_in), kind in zip(answers, kinds):
+        assert valid_trace_id(trace_id)
+        received, failed = [e for e in events if e["trace_id"] == trace_id]
+        assert received["event"] == "received" and received["kind"] == kind
+        assert received["bytes_in"] == bytes_in
+        assert failed["event"] == "failed"
+        assert (failed["status"], failed["message"]) == (status, message)
+        assert "parse" in [span["stage"] for span in failed["spans"]]
+
+
+class TestRefusedRequestsAreJournaled:
+    """A request refused before its body parses still ends its trace, and
+    answers with the trace-id header; ``invalid`` counts it once."""
+
+    @pytest.mark.parametrize("role", ["server", "coordinator"])
+    def test_unreadable_json_body(self, tmp_path, role):
+        requests = [
+            ("/decompose", b"{not json"), ("/batch", b""), ("/decompose", b"[" * 10**5),
+        ]
+        front_door = _server(tmp_path) if role == "server" else CoordinatorThread(
+            # The one peer is never reached: every request stops at the parse.
+            CoordinatorConfig(
+                port=0, peers=["127.0.0.1:1"], probe_interval=60.0,
+                journal_dir=str(tmp_path / "journal"),
+            )
+        )
+        with front_door as (host, port):
+            client = ServiceClient(host, port)
+            client.wait_until_healthy()
+            answers = [
+                (*_post_raw(host, port, path, body, "application/json"), len(body))
+                for path, body in requests
+            ]
+            invalid = client.stats()[role]["invalid"]
+        assert [answer[0] for answer in answers] == [400, 400, 400]
+        assert "empty" in answers[1][2]
+        # Too deeply nested to decode is not JSON either: a 400, not a 500.
+        assert "not valid JSON" in answers[0][2] and "not valid JSON" in answers[2][2]
+        assert invalid == 3
+        _assert_refusals_journaled(
+            str(tmp_path / "journal"), answers, ["decompose", "batch", "decompose"]
+        )
+
+    def test_refused_components_frame(self, tmp_path):
+        supplied = "feedface00112233"
+        not_a_frame = b"RPC2 not a frame"
+        json_body = json.dumps({"components": []}).encode("utf-8")
+        with _server(tmp_path) as (host, port):
+            client = ServiceClient(host, port)
+            client.wait_until_healthy()
+            answers = [
+                (*_post_raw(host, port, "/components", not_a_frame,
+                            COMPONENTS_V2_CONTENT_TYPE, trace_id=supplied),
+                 len(not_a_frame)),
+                (*_post_raw(host, port, "/components", json_body, "application/json"),
+                 len(json_body)),
+            ]
+            invalid = client.stats()["server"]["invalid"]
+        assert [answer[0] for answer in answers] == [400, 415]
+        # The frame's trace field is unreadable: the header's id is adopted.
+        assert answers[0][1] == supplied
+        assert COMPONENTS_V2_CONTENT_TYPE in answers[1][2]
+        assert invalid == 2
+        _assert_refusals_journaled(
+            str(tmp_path / "journal"), answers, ["components", "components"]
+        )
 
 
 class TestTraceEndpoint:
