@@ -1,18 +1,10 @@
 """Benchmark: what observability costs the serving path.
 
-The observability control plane rides every request (journal appends,
-span collection) and a background scrape loop (federation).  This harness
-pins both costs with numbers:
-
-* **request overhead** — end-to-end ``POST /decompose`` latency against
-  an in-process server with the event journal *off* vs *on* (same layout,
-  same inline pool).  The delta is what ``--journal DIR`` costs a caller
-  per request;
-* **scrape-loop cost** — wall time of one federation round
-  (``scrape_once``: fetch + parse every target) and of rendering the
-  merged ``/cluster/metrics`` view, swept over fleet sizes, using one
-  real server ``/metrics`` payload per simulated node.  This is the
-  coordinator-side budget the ``--scrape-interval`` knob spends.
+The event journal and span collection ride every request.  This harness
+pins that cost with numbers: end-to-end ``POST /decompose`` latency
+against an in-process server with the event journal *off* vs *on* (same
+layout, same inline pool).  The delta is what ``--journal DIR`` costs a
+caller per request.
 
 Run standalone to (re)record ``benchmarks/artifacts/obs_overhead.json``::
 
@@ -34,7 +26,6 @@ from typing import List, Optional
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.factory import wire_row_layout
-from repro.obs.federate import FederationConfig, MetricsFederator
 from repro.service import ServerConfig, ServerThread, ServiceClient
 
 ARTIFACT_PATH = Path(__file__).parent / "artifacts" / "obs_overhead.json"
@@ -68,54 +59,9 @@ def _measure_request_latency(
     }
 
 
-def _measure_scrape_round(num_nodes: int, repeats: int) -> dict:
-    """One federation round + merged render over ``num_nodes`` targets.
-
-    Uses a real server ``/metrics`` payload per target (captured once), so
-    the parse and merge see production-shaped expositions; the fetch
-    callable is local, isolating the CPU cost from network noise.
-    """
-    with ServerThread(
-        ServerConfig(port=0, workers=1, force_inline_pool=True)
-    ) as (host, port):
-        client = ServiceClient(host, port)
-        client.wait_until_healthy()
-        layout = wire_row_layout(num_wires=4, wire_length=600)
-        client.decompose(layout, name="sample", algorithm="linear")
-        exposition = client.metrics_text()
-        client.close()
-
-    federator = MetricsFederator(
-        targets=[
-            (f"node-{i}:800{i}", lambda text=exposition: text)
-            for i in range(num_nodes)
-        ],
-        config=FederationConfig(scrape_interval=3600.0, staleness_seconds=3600.0),
-    )
-    scrape_times: List[float] = []
-    merge_times: List[float] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        federator.scrape_once()
-        scrape_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        families = federator.merged_families()
-        merge_times.append(time.perf_counter() - start)
-    assert families  # the merged view is non-trivial
-    return {
-        "nodes": num_nodes,
-        "exposition_bytes": len(exposition),
-        "scrape_round_ms": round(min(scrape_times) * 1e3, 3),
-        "merge_render_ms": round(min(merge_times) * 1e3, 3),
-        "per_node_scrape_us": round(min(scrape_times) / num_nodes * 1e6, 1),
-    }
-
-
 def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
     requests = 10 if quick else 40
     warmup = 2 if quick else 5
-    fleet_sizes = [2, 8] if quick else [2, 8, 32]
-    scrape_repeats = 3 if quick else 7
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-obs-") as tmp:
         journal_off = _measure_request_latency(None, requests, warmup)
@@ -129,18 +75,12 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
         else None
     )
 
-    scrape_rows = [
-        _measure_scrape_round(nodes, scrape_repeats) for nodes in fleet_sizes
-    ]
-
     payload = {
         "benchmark": "obs_overhead",
         "quick": quick,
         "note": (
             "request latencies are per-request wall times against one "
-            "inline-pool server (shared-runner numbers are noisy; the "
-            "committed artifact is recorded on a quiet box); scrape and "
-            "merge timings are best-of CPU costs over local targets"
+            "inline-pool server; on a shared 1-2 CPU box they are noisy"
         ),
         "request_latency": {
             "journal_off": journal_off,
@@ -148,7 +88,6 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
             "journal_delta_median_us": delta_us,
             "journal_overhead_pct": overhead_pct,
         },
-        "scrape_loop": scrape_rows,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -160,7 +99,7 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: fewer requests and fleet sizes",
+        help="CI smoke mode: fewer requests",
     )
     parser.add_argument(
         "--artifact",
@@ -177,13 +116,6 @@ def main(argv: List[str] | None = None) -> int:
         f"(delta {latency['journal_delta_median_us']:+.0f}us, "
         f"{latency['journal_overhead_pct']:+.1f}%)"
     )
-    for row in payload["scrape_loop"]:
-        print(
-            f"scrape round over {row['nodes']:2d} nodes: "
-            f"{row['scrape_round_ms']:7.3f}ms "
-            f"({row['per_node_scrape_us']:.0f}us/node), "
-            f"merged render {row['merge_render_ms']:.3f}ms"
-        )
     print(f"artifact written to {args.artifact}")
     return 0
 

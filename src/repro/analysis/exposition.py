@@ -2,16 +2,16 @@
 
 ``repro.service.metrics.lint_metrics_text`` validates a rendered payload at
 runtime, but most registration sites only render under specific traffic
-(pool counters need a pool, SLO gauges need a window).  These rules check
+(pool counters need a pool, cache gauges need a cache).  These rules check
 every *registration site* statically instead.  A registration site is
 either a ``counter_family(...)`` / ``gauge_family(...)`` /
 ``histogram_family(...)`` helper call, or a raw 4-tuple literal
-``(name, "counter"|"gauge"|"histogram", help, samples)`` as built by
-``obs/federate.py`` and ``obs/slo.py``.
+``(name, "counter"|"gauge"|"histogram", help, samples)`` of the shape
+those helpers return.
 
 * **MET001** — every registered family name carries the ``repro_`` prefix
-  (namespace hygiene across a federated fleet; the deliberate exception is
-  the conventional ``up`` gauge, recorded in the baseline);
+  (namespace hygiene for a scraper that reads every process of a fleet
+  next to other exporters);
 * **MET002** — counters end in ``_total`` and nothing else does (the
   Prometheus suffix convention the runtime linter also enforces);
 * **MET003** — the statically visible label keys for one family are
@@ -160,7 +160,7 @@ class MetricPrefixRule(Rule):
                         reg.line,
                         f"metric family {reg.name!r} lacks the repro_ "
                         f"namespace prefix; un-namespaced metrics collide "
-                        f"when federated alongside other exporters",
+                        f"when scraped alongside other exporters",
                     )
                 )
         return findings

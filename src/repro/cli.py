@@ -1,6 +1,6 @@
 """Command line interface.
 
-Ten subcommands::
+Nine subcommands::
 
     repro-decompose decompose INPUT [--algorithm linear --colors 4 --output masks.gds]
     repro-decompose batch INPUT [INPUT ...] [--workers 4 --cache-db cells.db --json report.json]
@@ -10,7 +10,6 @@ Ten subcommands::
     repro-decompose stats INPUT
     repro-decompose generate CIRCUIT [--scale 0.35 --output circuit.json]
     repro-decompose trace --journal DIR [TRACE_ID] [--since SEQ|ISO --limit N] [--json]
-    repro-decompose status --coordinator HOST:PORT [--watch --interval 2]
     repro-decompose lint [PATHS ...] [--json --no-baseline --update-baseline --update-manifest]
 
 ``INPUT`` may be a GDSII file (``.gds``/``.gdsii``) or a JSON layout produced
@@ -250,8 +249,6 @@ def _cmd_cluster_node(args: argparse.Namespace) -> int:
 
 def _coordinator_config_from(args: argparse.Namespace):
     from repro.cluster import CoordinatorConfig
-    from repro.errors import ConfigurationError
-    from repro.obs.slo import parse_slo_spec
 
     peers = [
         peer.strip()
@@ -259,10 +256,6 @@ def _coordinator_config_from(args: argparse.Namespace):
         for peer in chunk.split(",")
         if peer.strip()
     ]
-    try:
-        parse_slo_spec(args.slo)  # fail a typo at startup, not at /slo time
-    except ValueError as exc:
-        raise ConfigurationError(f"invalid --slo spec: {exc}") from exc
     return CoordinatorConfig(
         **_front_door_config(args),
         peers=peers,
@@ -273,11 +266,6 @@ def _coordinator_config_from(args: argparse.Namespace):
         fanout_threads=args.fanout_threads,
         batch_max_components=args.batch_max_components,
         batch_max_bytes=args.batch_max_bytes,
-        scrape_interval=args.scrape_interval,
-        scrape_timeout=args.scrape_timeout,
-        metrics_staleness_seconds=args.metrics_staleness,
-        slo=args.slo,
-        slo_window_seconds=args.slo_window,
     )
 
 
@@ -355,84 +343,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     else:
         print(format_trace_tree(trace))
     return 0
-
-
-def _format_slo_status(payload: dict) -> str:
-    """Render one ``GET /slo`` payload as a compact status block.
-
-    Pure function of the payload — ``status --watch`` re-renders it every
-    poll and tests assert on it without a cluster.
-    """
-    target = payload["target"]
-    latency = payload["latency"]
-    errors = payload["errors"]
-    nodes = payload.get("nodes") or {}
-
-    def seconds(value) -> str:
-        return "n/a" if value is None else f"{value * 1000:.1f}ms"
-
-    quantile_pct = target["quantile"] * 100
-    quantile_pct_text = f"{quantile_pct:g}"
-    estimate = latency["estimate_seconds"]
-    within = latency["within_target"]
-    verdict = "n/a" if within is None else ("OK" if within else "MISS")
-    lines = [
-        f"slo: p{quantile_pct_text} < {target['latency_seconds']:g}s, "
-        f"err < {target['error_ratio'] * 100:g}%",
-    ]
-    if nodes:
-        lines.append(f"nodes: {nodes.get('alive', '?')}/{nodes.get('total', '?')} alive")
-    lines.append(
-        f"latency: p{quantile_pct_text}={seconds(estimate)} [{verdict}] "
-        f"over {latency['observations']} observations"
-    )
-    percentiles = ", ".join(
-        f"{name}={seconds(value)}"
-        for name, value in sorted(latency["percentiles"].items())
-    )
-    lines.append(f"percentiles: {percentiles}")
-    lines.append(
-        f"errors: {errors['window_errors']}/{errors['window_requests']} "
-        f"in {errors['window_span_seconds']:g}s window "
-        f"(ratio {errors['ratio'] * 100:.3f}%)"
-    )
-    lines.append(
-        f"burn rate: {errors['burn_rate']:.2f}x budget "
-        f"(remaining {errors['budget_remaining'] * 100:.1f}%)"
-    )
-    return "\n".join(lines)
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from repro.cluster.membership import parse_peer
-    from repro.service.client import ServiceClient, ServiceError
-
-    host, port = parse_peer(args.coordinator)
-    client = ServiceClient(host, port, timeout=args.timeout)
-    try:
-        while True:
-            try:
-                payload = client.slo()
-            except ServiceError as exc:
-                print(f"error: coordinator unreachable: {exc}", file=sys.stderr)
-                if not args.watch:
-                    return 1
-            else:
-                if args.json:
-                    print(json.dumps(payload, indent=2, sort_keys=True))
-                else:
-                    print(_format_slo_status(payload))
-                if not args.watch:
-                    return 0
-                print()
-            try:
-                _time.sleep(args.interval)
-            except KeyboardInterrupt:
-                return 0
-    finally:
-        client.close()
 
 
 def _cmd_prefill(args: argparse.Namespace) -> int:
@@ -792,46 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(an oversized single component still ships, alone)"
         ),
     )
-    coordinator.add_argument(
-        "--slo",
-        default="p99=2s,err=0.1%",
-        metavar="SPEC",
-        help=(
-            "declarative SLO target for GET /slo and the repro_slo_* gauges "
-            "on GET /cluster/metrics, e.g. p99=2s,err=0.1%% or p95=500ms"
-        ),
-    )
-    coordinator.add_argument(
-        "--slo-window",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help="rolling window for error-budget burn-rate accounting",
-    )
-    coordinator.add_argument(
-        "--scrape-interval",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="how often the coordinator scrapes each node's /metrics",
-    )
-    coordinator.add_argument(
-        "--scrape-timeout",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="per-node /metrics scrape timeout",
-    )
-    coordinator.add_argument(
-        "--metrics-staleness",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "age out a node's samples from GET /cluster/metrics after this "
-            "long without a fresh scrape (default: 3x --scrape-interval)"
-        ),
-    )
     coordinator.set_defaults(func=_cmd_cluster_coordinator)
 
     prefill = subparsers.add_parser(
@@ -913,41 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the assembled trace as JSON"
     )
     trace.set_defaults(func=_cmd_trace)
-
-    status = subparsers.add_parser(
-        "status",
-        help="live SLO status of a cluster coordinator (latency + burn rate)",
-        description=(
-            "Poll a coordinator's GET /slo and print latency quantile "
-            "estimates (from the cluster-merged execute-stage histogram), "
-            "error-budget burn rate over the rolling window, and node "
-            "liveness.  With --watch, re-polls every --interval seconds "
-            "until interrupted."
-        ),
-    )
-    status.add_argument(
-        "--coordinator",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address to poll",
-    )
-    status.add_argument(
-        "--watch", action="store_true", help="keep polling until interrupted"
-    )
-    status.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="poll interval with --watch",
-    )
-    status.add_argument(
-        "--timeout", type=float, default=5.0, help="per-poll HTTP timeout"
-    )
-    status.add_argument(
-        "--json", action="store_true", help="print the raw /slo payload as JSON"
-    )
-    status.set_defaults(func=_cmd_status)
 
     stats = subparsers.add_parser("stats", help="print layout statistics")
     stats.add_argument("input", help="input layout (.gds or .json)")

@@ -47,7 +47,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -57,8 +56,6 @@ from repro.core.options import DecomposerOptions
 from repro.errors import ReproError
 from repro.cluster.membership import Membership, NoNodesAvailable
 from repro.graph.flat import FlatGraph
-from repro.obs.federate import FederationConfig, MetricsFederator
-from repro.obs.slo import DEFAULT_SLO_SPEC, SloEngine, parse_slo_spec
 from repro.runtime.component_io import (
     ComponentErrorEntry,
     ComponentSolve,
@@ -77,7 +74,6 @@ from repro.service.base import (
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import HttpRequest, error_body, json_body
 from repro.service.metrics import (
-    METRICS_CONTENT_TYPE,
     build_info_family,
     counter_family,
     gauge_family,
@@ -85,12 +81,6 @@ from repro.service.metrics import (
     render_metrics,
 )
 from repro.service.protocol import run_job
-
-#: Node id the coordinator federates itself under in ``/cluster/metrics``:
-#: its own exposition is rendered locally (no HTTP loopback) and merged
-#: next to the peer scrapes, so ``up{node="coordinator"}`` and the
-#: coordinator's stage histograms live in the same fleet view.
-SELF_NODE_ID = "coordinator"
 
 #: Threads executing layout jobs (graph construction + merge).
 JOB_THREADS = 4
@@ -163,18 +153,6 @@ class CoordinatorConfig(HttpServerConfig):
     #: Approximate byte bound per micro-batch (serialised component wires);
     #: a single component larger than this still ships, alone.
     batch_max_bytes: int = 4 * 1024 * 1024
-    #: Seconds between federation scrapes of every node's ``/metrics``.
-    scrape_interval: float = 5.0
-    #: Connection/read timeout of one federation scrape.
-    scrape_timeout: float = 2.0
-    #: Seconds after which a node's last scrape ages out of the merged
-    #: ``GET /cluster/metrics`` view; ``None`` means 3x ``scrape_interval``.
-    metrics_staleness_seconds: Optional[float] = None
-    #: Declarative SLO target for ``GET /slo`` and the ``repro_slo_*``
-    #: gauges, e.g. ``p99=2s,err=0.1%``.
-    slo: str = DEFAULT_SLO_SPEC
-    #: Rolling window (seconds) of the error-budget burn-rate accounting.
-    slo_window_seconds: float = 300.0
 
 
 class ClusterCoordinator(BaseHttpServer):
@@ -207,13 +185,7 @@ class ClusterCoordinator(BaseHttpServer):
                 "node_requests": 0,
             }
         )
-        self._routes.update(
-            {
-                ("GET", "/ring"): self._serve_ring,
-                ("GET", "/cluster/metrics"): self._serve_cluster_metrics,
-                ("GET", "/slo"): self._serve_slo,
-            }
-        )
+        self._routes[("GET", "/ring")] = self._serve_ring
         self._routed: Dict[str, int] = {
             node_id: 0 for node_id in sorted(self._clients)
         }
@@ -221,37 +193,6 @@ class ClusterCoordinator(BaseHttpServer):
         self._counter_lock = threading.Lock()
         self._jobs_executor: Optional[ThreadPoolExecutor] = None
         self._fanout_executor: Optional[ThreadPoolExecutor] = None
-        # --- cluster observability control plane -------------------------
-        # A bad --slo spec must fail construction, not the first /slo hit.
-        self.slo_engine = SloEngine(
-            parse_slo_spec(config.slo), config.slo_window_seconds
-        )
-        #: Dedicated scrape clients: the fan-out clients run with the long
-        #: component timeout, while a scrape must give up fast so one hung
-        #: node cannot stall the whole federation round.
-        self._scrape_clients = {
-            node.node_id: ServiceClient(
-                node.host, node.port, timeout=config.scrape_timeout
-            )
-            for node in self.membership.nodes()
-        }
-        staleness = config.metrics_staleness_seconds
-        if staleness is None:
-            staleness = 3.0 * config.scrape_interval
-        targets = [(SELF_NODE_ID, self._metrics_text)]
-        targets += [
-            (node_id, client.metrics_text)
-            for node_id, client in sorted(self._scrape_clients.items())
-        ]
-        self.federator = MetricsFederator(
-            targets,
-            FederationConfig(
-                scrape_interval=config.scrape_interval,
-                staleness_seconds=staleness,
-            ),
-            liveness=self._live_node_ids,
-            after_round=self._record_slo_sample,
-        )
 
     # ------------------------------------------------------------ lifecycle
     async def _on_start(self, loop: asyncio.AbstractEventLoop) -> None:
@@ -267,7 +208,6 @@ class ClusterCoordinator(BaseHttpServer):
             thread_name_prefix="repro-coord-fanout",
         )
         self.membership.start()
-        self.federator.start()
 
     async def _on_bind_failed(self, loop: asyncio.AbstractEventLoop) -> None:
         await loop.run_in_executor(None, self._close_backend)
@@ -276,7 +216,6 @@ class ClusterCoordinator(BaseHttpServer):
         await loop.run_in_executor(None, self._close_backend)
 
     def _close_backend(self) -> None:
-        self.federator.stop()
         self.membership.stop()
         if self._jobs_executor is not None:
             self._jobs_executor.shutdown(wait=True)
@@ -285,8 +224,6 @@ class ClusterCoordinator(BaseHttpServer):
             self._fanout_executor.shutdown(wait=True)
             self._fanout_executor = None
         for client in self._clients.values():
-            client.close()
-        for client in self._scrape_clients.values():
             client.close()
 
     # ----------------------------------------------------- job control hooks
@@ -525,10 +462,9 @@ class ClusterCoordinator(BaseHttpServer):
             )
         return outcomes
 
-    # -------------------------------------------- cluster observability
+    # -------------------------------------------------------- observability
     def _metrics_text(self) -> str:
-        """The coordinator's node-level exposition: ``GET /metrics`` and the
-        federator's local scrape target."""
+        """The coordinator's own exposition (``GET /metrics``)."""
         return coordinator_metrics_text(
             self._stats(),
             extra_families=[
@@ -536,73 +472,6 @@ class ClusterCoordinator(BaseHttpServer):
                 *observability_families(self.obs),
             ],
         )
-
-    def _live_node_ids(self) -> set:
-        alive = self.membership.alive_ids()
-        alive.add(SELF_NODE_ID)
-        return alive
-
-    def _record_slo_sample(self) -> None:
-        """Feed one (total, errors) counter sample per federation round.
-
-        Errors are the coordinator's own terminal failures + timeouts;
-        shed requests (503) count as traffic but not as budget spend —
-        backpressure is the overload contract working, not an outage.
-        """
-        counters = self._counters
-        served = counters.get("served", 0)
-        failed = counters.get("failed", 0)
-        timeouts = counters.get("timeouts", 0)
-        rejected = counters.get("rejected", 0)
-        self.slo_engine.record_errors(
-            time.monotonic(),
-            served + failed + timeouts + rejected,
-            failed + timeouts,
-        )
-
-    def _slo_latency_snapshot(self):
-        """Cluster-merged execute-stage histogram: every request-execute
-        span in the fleet (coordinator layouts + node micro-batches)."""
-        return self.federator.merged_histogram(
-            "repro_stage_duration_seconds", {"stage": "execute"}
-        )
-
-    def _cluster_metrics_text(self) -> str:
-        families = list(self.federator.merged_families())
-        families.extend(self.slo_engine.families(self._slo_latency_snapshot()))
-        return render_metrics(families)
-
-    @staticmethod
-    def _wants_refresh(request: HttpRequest) -> bool:
-        query = request.path.partition("?")[2]
-        return any(
-            part.split("=", 1)[0] == "refresh"
-            for part in query.split("&")
-            if part
-        )
-
-    async def _serve_cluster_metrics(self, request: HttpRequest) -> Response:
-        loop = asyncio.get_running_loop()
-        # ?refresh=1 (and the very first hit, before the background round)
-        # forces a synchronous scrape so tests and operators get a
-        # deterministic, current view instead of waiting out the interval.
-        if self._wants_refresh(request) or not self.federator.scraped:
-            await loop.run_in_executor(None, self.federator.scrape_once)
-        text = await loop.run_in_executor(None, self._cluster_metrics_text)
-        return 200, text.encode("utf-8"), {"Content-Type": METRICS_CONTENT_TYPE}
-
-    async def _serve_slo(self, request: HttpRequest) -> Response:
-        loop = asyncio.get_running_loop()
-        if self._wants_refresh(request) or not self.federator.scraped:
-            await loop.run_in_executor(None, self.federator.scrape_once)
-        payload = await loop.run_in_executor(
-            None, lambda: self.slo_engine.status(self._slo_latency_snapshot())
-        )
-        payload["nodes"] = {
-            "alive": self.membership.alive_count(),
-            "total": len(self.membership),
-        }
-        return 200, json_body(payload), None
 
     def _healthz(self) -> Dict[str, object]:
         return {

@@ -231,17 +231,6 @@ class Membership:
         with self._lock:
             return sum(1 for state in self._nodes.values() if state.alive)
 
-    def alive_ids(self) -> set:
-        """Node ids currently considered alive (metrics federation's view:
-        a node the prober has retired shows ``up 0`` in ``/cluster/metrics``
-        immediately, without waiting for its scrapes to age out)."""
-        with self._lock:
-            return {
-                node_id
-                for node_id, state in self._nodes.items()
-                if state.alive
-            }
-
     def __len__(self) -> int:
         return len(self._nodes)
 

@@ -84,28 +84,6 @@ class HistogramSnapshot:
         out.append((math.inf, self.total_count))
         return out
 
-    def merge(self, other: "HistogramSnapshot") -> "HistogramSnapshot":
-        """Bucket-wise sum of two snapshots of the same bucket schema.
-
-        Cumulative Prometheus semantics are preserved because per-bucket
-        counts, total count and total sum are all plain sums — the merged
-        ``cumulative()`` is exactly what one histogram observing both
-        series' samples would report.  Mismatched bucket layouts cannot be
-        merged meaningfully (a sample counted under ``le=0.1`` on one node
-        has no home on a node without that bound), so they are rejected.
-        """
-        if self.buckets != other.buckets:
-            raise ValueError(
-                "cannot merge histograms with different bucket schemas: "
-                f"{self.buckets} != {other.buckets}"
-            )
-        return HistogramSnapshot(
-            self.buckets,
-            tuple(a + b for a, b in zip(self.counts, other.counts)),
-            self.total_count + other.total_count,
-            self.total_sum + other.total_sum,
-        )
-
 
 class Histogram:
     """A thread-safe fixed-bucket histogram (one series, no labels)."""
@@ -140,25 +118,6 @@ class Histogram:
             return HistogramSnapshot(
                 self._buckets, tuple(self._counts), self._count, self._sum
             )
-
-    @staticmethod
-    def merge(snapshots: Sequence[HistogramSnapshot]) -> HistogramSnapshot:
-        """Merge per-node snapshots of one logical series into a fleet view.
-
-        All snapshots must share one bucket schema (``ValueError``
-        otherwise, propagated from :meth:`HistogramSnapshot.merge`).  An
-        empty input merges to an empty series over the default buckets so
-        a fleet with zero fresh scrapes still renders a valid histogram.
-        """
-        items = list(snapshots)
-        if not items:
-            return HistogramSnapshot(
-                DEFAULT_BUCKETS, (0,) * len(DEFAULT_BUCKETS), 0, 0.0
-            )
-        merged = items[0]
-        for snap in items[1:]:
-            merged = merged.merge(snap)
-        return merged
 
 
 class HistogramVec:

@@ -15,7 +15,7 @@ import os
 import re
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple
 
 _SEGMENT_RE = re.compile(r"^events-(\d{6})\.jsonl$")
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -65,20 +65,7 @@ class EventJournal:
         last_seq = 0
         good_end = 0
         with open(path, "rb") as fh:
-            offset = 0
-            for raw in fh:
-                offset += len(raw)
-                if not raw.endswith(b"\n"):
-                    break
-                line = raw.strip()
-                if not line:
-                    good_end = offset
-                    continue
-                try:
-                    event = json.loads(line.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    break
-                good_end = offset
+            for good_end, event in _durable_lines(fh):
                 if isinstance(event, dict) and isinstance(event.get("seq"), int):
                     last_seq = max(last_seq, event["seq"])
         size = os.path.getsize(path)
@@ -137,23 +124,7 @@ class EventJournal:
     def events(self) -> Iterator[Dict[str, Any]]:
         """All durable events in seq order (skips any torn tail)."""
         for index in self._segment_indices():
-            try:
-                fh = open(self._segment_path(index), "rb")
-            except OSError:
-                continue
-            with fh:
-                for raw in fh:
-                    if not raw.endswith(b"\n"):
-                        break
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    try:
-                        event = json.loads(line.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError):
-                        break
-                    if isinstance(event, dict):
-                        yield event
+            yield from _iter_segment(self._segment_path(index))
 
     def events_for(self, trace_id: str) -> List[Dict[str, Any]]:
         return [e for e in self.events() if e.get("trace_id") == trace_id]
@@ -171,6 +142,32 @@ class EventJournal:
             }
 
 
+def _durable_lines(fh: BinaryIO) -> Iterator[Tuple[int, Any]]:
+    """``(end offset, decoded JSON or None if blank)`` per durable line.
+
+    The one line decoder of the journal.  It stops at a torn tail (a line
+    without its newline) and at the first line that does not decode: bytes
+    that are not UTF-8, text that is not JSON, an integer past Python's
+    digit limit (all ``ValueError``), or JSON nested too deep for
+    :func:`json.loads` to recurse through.  Everything after such a line in
+    its segment is unreadable.
+    """
+    offset = 0
+    for raw in fh:
+        offset += len(raw)
+        if not raw.endswith(b"\n"):
+            return
+        line = raw.strip()
+        if not line:
+            yield offset, None
+            continue
+        try:
+            value = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError):
+            return
+        yield offset, value
+
+
 def _iter_segment(path: str) -> Iterator[Dict[str, Any]]:
     """Durable events of one segment file (stops at a torn tail)."""
     try:
@@ -178,16 +175,7 @@ def _iter_segment(path: str) -> Iterator[Dict[str, Any]]:
     except OSError:
         return
     with fh:
-        for raw in fh:
-            if not raw.endswith(b"\n"):
-                break
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                break
+        for _, event in _durable_lines(fh):
             if isinstance(event, dict):
                 yield event
 

@@ -249,16 +249,11 @@ class ServiceClient:
     def stats(self) -> Dict:
         return self._request("GET", "/stats")
 
-    def metrics_text(self, path: str = "/metrics") -> str:
-        """Fetch a Prometheus text exposition endpoint (default ``/metrics``).
-
-        ``path`` admits the coordinator's federated view:
-        ``metrics_text("/cluster/metrics")`` or, forcing a synchronous
-        scrape round first, ``metrics_text("/cluster/metrics?refresh=1")``.
-        """
+    def metrics_text(self) -> str:
+        """Fetch the Prometheus text exposition (``GET /metrics``)."""
         status, _, raw = self._request_bytes(
             "GET",
-            path,
+            "/metrics",
             None,
             {"Accept": "text/plain", "Connection": "keep-alive"},
             (self.host, self.port),
@@ -341,10 +336,6 @@ class ServiceClient:
     def trace(self, trace_id: str) -> Dict:
         """Fetch one request's assembled trace tree (``GET /trace/<id>``)."""
         return self._request("GET", f"/trace/{trace_id}")
-
-    def slo(self) -> Dict:
-        """Fetch the coordinator's SLO status (``GET /slo``)."""
-        return self._request("GET", "/slo")
 
     def watch_events(
         self,

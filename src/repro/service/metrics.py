@@ -160,10 +160,10 @@ def process_open_fds() -> Optional[int]:
 def process_telemetry_families() -> List[MetricFamily]:
     """Per-process self-telemetry gauges every ``/metrics`` exposes.
 
-    Federation turns these into an instant per-node fleet view: a node
-    with runaway RSS or a descriptor leak stands out in ``/cluster/metrics``
-    without shell access to the box.  The procfs-backed gauges are simply
-    omitted on platforms without ``/proc`` rather than reporting garbage.
+    A scraper reading every node gets an instant per-node fleet view: a
+    node with runaway RSS or a descriptor leak stands out without shell
+    access to the box.  The procfs-backed gauges are simply omitted on
+    platforms without ``/proc`` rather than reporting garbage.
     """
     families = [
         gauge_family(
@@ -377,10 +377,8 @@ class MetricSample:
         self.labels = labels
         self.value = value
 
-    def labels_key(self, drop: Sequence[str] = ()) -> Tuple[Tuple[str, str], ...]:
-        return tuple(
-            sorted((k, v) for k, v in self.labels.items() if k not in drop)
-        )
+    def labels_key(self) -> Tuple[Tuple[str, str], ...]:
+        return tuple(sorted(self.labels.items()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MetricSample({self.name!r}, {self.labels!r}, {self.value!r})"
@@ -390,8 +388,7 @@ class ParsedFamily:
     """One parsed metric family: TYPE/HELP plus its sample lines.
 
     For histogram families ``samples`` holds the raw ``_bucket``/``_sum``/
-    ``_count`` lines; :meth:`ParsedMetrics.histogram` reconstructs
-    :class:`HistogramSnapshot` objects from them.
+    ``_count`` lines.
     """
 
     __slots__ = ("name", "type", "help", "samples")
@@ -407,18 +404,13 @@ class ParsedMetrics:
     """Structured view of one text exposition payload.
 
     ``families`` preserves declaration order; ``problems`` accumulates every
-    format violation found while parsing (the lint view).  The accessors are
-    what the federation layer consumes: per-sample values, histogram series
-    enumeration, and :class:`HistogramSnapshot` reconstruction from
-    cumulative bucket lines.
+    format violation found while parsing (the lint view); :meth:`value`
+    reads one sample back.
     """
 
     def __init__(self) -> None:
         self.families: Dict[str, ParsedFamily] = {}
         self.problems: List[str] = []
-
-    def family(self, name: str) -> Optional[ParsedFamily]:
-        return self.families.get(name)
 
     def value(
         self, sample_name: str, labels: Optional[Mapping[str, str]] = None
@@ -431,69 +423,6 @@ class ParsedMetrics:
                     return sample.value
         return None
 
-    def histogram_series(self, family_name: str) -> List[Dict[str, str]]:
-        """Distinct base label sets (``le`` stripped) of a histogram family."""
-        family = self.families.get(family_name)
-        if family is None or family.type != "histogram":
-            return []
-        seen: Dict[Tuple[Tuple[str, str], ...], Dict[str, str]] = {}
-        for sample in family.samples:
-            if not sample.name.endswith("_bucket"):
-                continue
-            key = sample.labels_key(drop=("le",))
-            seen.setdefault(key, dict(key))
-        return [seen[key] for key in sorted(seen)]
-
-    def histogram(
-        self, family_name: str, labels: Optional[Mapping[str, str]] = None
-    ) -> Optional[HistogramSnapshot]:
-        """Rebuild the :class:`HistogramSnapshot` of one histogram series.
-
-        Inverts the cumulative ``_bucket`` exposition back into per-bucket
-        counts; the ``+Inf`` bucket supplies ``total_count`` and ``_sum``
-        supplies ``total_sum``, so ``render → parse → histogram`` round-trips
-        exactly.
-        """
-        family = self.families.get(family_name)
-        if family is None or family.type != "histogram":
-            return None
-        want = tuple(sorted((labels or {}).items()))
-        buckets: List[Tuple[float, float]] = []
-        total_sum: Optional[float] = None
-        total_count: Optional[float] = None
-        for sample in family.samples:
-            if sample.name == family_name + "_bucket":
-                if sample.labels_key(drop=("le",)) != want:
-                    continue
-                le_text = sample.labels.get("le", "")
-                le = math.inf if le_text == "+Inf" else float(le_text)
-                buckets.append((le, sample.value))
-            elif sample.name == family_name + "_sum":
-                if sample.labels_key() == want:
-                    total_sum = sample.value
-            elif sample.name == family_name + "_count":
-                if sample.labels_key() == want:
-                    total_count = sample.value
-        if not buckets:
-            return None
-        buckets.sort(key=lambda pair: pair[0])
-        bounds = tuple(le for le, _ in buckets if not math.isinf(le))
-        counts: List[int] = []
-        previous = 0.0
-        for le, value in buckets:
-            if math.isinf(le):
-                continue
-            counts.append(int(value - previous))
-            previous = value
-        inf_value = buckets[-1][1] if math.isinf(buckets[-1][0]) else previous
-        count = total_count if total_count is not None else inf_value
-        return HistogramSnapshot(
-            bounds,
-            tuple(counts),
-            int(count),
-            float(total_sum if total_sum is not None else 0.0),
-        )
-
 
 def parse_metrics_text(text: str) -> ParsedMetrics:
     """Parse Prometheus text exposition into families, samples and problems.
@@ -504,7 +433,9 @@ def parse_metrics_text(text: str) -> ParsedMetrics:
     invariants a scraper relies on (cumulative ``le`` bucket monotonicity,
     final ``+Inf`` bucket equal to ``_count``).  Violations land in
     ``ParsedMetrics.problems`` — :func:`lint_metrics_text` is the thin
-    wrapper that returns just those.
+    wrapper that returns just those.  A sample line that cannot be read
+    (labels, value, family or ``le``) is reported once and skipped; a
+    histogram series that breaks an invariant keeps its samples.
     """
     parsed = ParsedMetrics()
     problems = parsed.problems
@@ -560,11 +491,13 @@ def parse_metrics_text(text: str) -> ParsedMetrics:
             name = line[:brace]
             label_blob = line[brace + 1 : close]
             rest = line[close + 1 :].strip()
+            bad_labels = False
             i = 0
             while i < len(label_blob):
                 eq = label_blob.find("=", i)
                 if eq < 0 or eq + 1 >= len(label_blob) or label_blob[eq + 1] != '"':
                     problems.append(f"line {lineno}: malformed label pair")
+                    bad_labels = True
                     break
                 key = label_blob[i:eq].strip().lstrip(",").strip()
                 j = eq + 2
@@ -590,11 +523,14 @@ def parse_metrics_text(text: str) -> ParsedMetrics:
                     j += 1
                 if not ok:
                     problems.append(f"line {lineno}: unterminated label value")
+                    bad_labels = True
                     break
                 labels[key] = "".join(value_chars)
                 i = j
                 if i < len(label_blob) and label_blob[i] == ",":
                     i += 1
+            if bad_labels:
+                continue
         else:
             name, _, rest = line.partition(" ")
             rest = rest.strip()
@@ -613,13 +549,19 @@ def parse_metrics_text(text: str) -> ParsedMetrics:
         if family not in declared:
             problems.append(f"line {lineno}: sample {name} without TYPE declaration")
             continue
-        parsed.families[family].samples.append(MetricSample(name, labels, value))
+        le: Optional[float] = None
         if declared[family] == "histogram" and name.endswith("_bucket"):
             le_text = labels.get("le")
             if le_text is None:
                 problems.append(f"line {lineno}: histogram bucket without le label")
                 continue
-            le = math.inf if le_text == "+Inf" else float(le_text)
+            try:
+                le = math.inf if le_text == "+Inf" else float(le_text)
+            except ValueError:
+                problems.append(f"line {lineno}: non-numeric le {le_text!r}")
+                continue
+        parsed.families[family].samples.append(MetricSample(name, labels, value))
+        if le is not None:
             series = ",".join(
                 f"{k}={v}" for k, v in sorted(labels.items()) if k != "le"
             )

@@ -4,7 +4,8 @@ The coordinator's heartbeat compares each node's ``/healthz``
 ``components_frame`` with the version it encodes.  A node reporting another
 version fails the probe: after ``failure_threshold`` probes it leaves the
 ring, ``/stats`` names both versions in its ``last_error``, and the
-federated ``up{node=}`` gauge reads 0.
+coordinator's own ``/metrics`` counts it under
+``repro_coordinator_nodes{state="dead"}``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _layouts():
 
 class TestFrameVersionRefusal:
     def test_mismatched_node_leaves_ring_with_both_versions_named(self):
-        coordinator_config = {"failure_threshold": 2, "scrape_interval": 60.0}
+        coordinator_config = {"failure_threshold": 2}
         with mini_cluster(num_nodes=1, coordinator_config=coordinator_config) as cluster:
             client = cluster.client()
             node_id = cluster.node_ids[0]
@@ -58,10 +59,8 @@ class TestFrameVersionRefusal:
             assert state["alive"] is False
             assert f"components frame {OTHER_FRAME}" in state["last_error"]
             assert f"speaks {FRAME_VERSION}" in state["last_error"]
-            federated = parse_metrics_text(
-                client.metrics_text("/cluster/metrics?refresh=1")
-            )
-            assert federated.value("up", {"node": node_id}) == 0
+            metrics = parse_metrics_text(client.metrics_text())
+            assert metrics.value("repro_coordinator_nodes", {"state": "dead"}) == 1
             with pytest.raises(ServiceError) as refused:
                 client.decompose(repeated_cell_layout(copies=2), algorithm="linear")
             assert refused.value.status == 503

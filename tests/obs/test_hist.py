@@ -83,6 +83,17 @@ class TestHistogram:
         hist = Histogram(buckets=(1.0, 0.01, 0.1))
         assert hist.snapshot().buckets == (0.01, 0.1, 1.0)
 
+    def test_unobserved_histogram_renders_zero_buckets_lint_clean(self):
+        """A process that has timed nothing yet still exposes every bucket."""
+        snap = Histogram(buckets=(0.1, 1.0)).snapshot()
+        assert snap.cumulative() == [(0.1, 0), (1.0, 0), (math.inf, 0)]
+        text = render_metrics(
+            [histogram_family("repro_idle_seconds", "Nothing timed yet.", [({}, snap)])]
+        )
+        assert lint_metrics_text(text) == []
+        assert 'repro_idle_seconds_bucket{le="+Inf"} 0' in text.splitlines()
+        assert "repro_idle_seconds_count 0" in text.splitlines()
+
     def test_empty_bucket_list_rejected(self):
         with pytest.raises(ValueError):
             Histogram(buckets=())
@@ -104,75 +115,12 @@ class TestHistogramVec:
         assert vec.labels("x") is vec.labels("x")
 
 
-class TestMerge:
-    def test_merge_sums_counts_and_totals(self):
-        left = Histogram(buckets=(0.01, 0.1, 1.0))
-        right = Histogram(buckets=(0.01, 0.1, 1.0))
-        for value in (0.005, 0.5, 9.0):
-            left.observe(value)
-        for value in (0.05, 0.05):
-            right.observe(value)
-        merged = left.snapshot().merge(right.snapshot())
-        assert merged.counts == (1, 2, 1)
-        assert merged.total_count == 5
-        assert merged.total_sum == pytest.approx(9.605)
-        # Cumulative semantics survive the merge: +Inf equals the count.
-        assert merged.cumulative()[-1] == (math.inf, 5)
-
-    def test_merge_empty_with_nonempty_is_identity(self):
-        empty = Histogram(buckets=(0.01, 0.1)).snapshot()
-        busy = Histogram(buckets=(0.01, 0.1))
-        busy.observe(0.05)
-        busy.observe(7.0)
-        snap = busy.snapshot()
-        for merged in (empty.merge(snap), snap.merge(empty)):
-            assert merged.counts == snap.counts
-            assert merged.total_count == snap.total_count
-            assert merged.total_sum == pytest.approx(snap.total_sum)
-
-    def test_merge_rejects_mismatched_bucket_schemas(self):
-        left = Histogram(buckets=(0.01, 0.1)).snapshot()
-        right = Histogram(buckets=(0.01, 0.5)).snapshot()
-        with pytest.raises(ValueError, match="bucket schemas"):
-            left.merge(right)
-
-    def test_static_merge_of_empty_list_is_zero_default_schema(self):
-        merged = Histogram.merge([])
-        assert merged.buckets == tuple(sorted(DEFAULT_BUCKETS))
-        assert merged.total_count == 0 and merged.total_sum == 0.0
-
-    def test_static_merge_folds_many(self):
-        snaps = []
-        for shift in range(3):
-            hist = Histogram(buckets=(0.1, 1.0))
-            hist.observe(0.05 + shift * 0.3)
-            snaps.append(hist.snapshot())
-        merged = Histogram.merge(snaps)
-        assert merged.total_count == 3
-
-    def test_merged_snapshot_renders_lint_clean(self):
-        left = Histogram(buckets=(0.005, 0.05, 0.5))
-        right = Histogram(buckets=(0.005, 0.05, 0.5))
-        left.observe(0.001)
-        right.observe(0.4)
-        right.observe(80.0)
-        merged = left.snapshot().merge(right.snapshot())
-        text = render_metrics(
-            [
-                histogram_family(
-                    "repro_merged_seconds",
-                    "Merged fleet histogram.",
-                    [({"stage": "solve"}, merged)],
-                )
-            ]
-        )
-        assert lint_metrics_text(text) == []
-
+class TestConcurrentObserve:
     def test_counter_monotonicity_under_concurrent_observe(self):
         """Snapshots taken while another thread observes must stay
         internally consistent (cumulative never decreases, +Inf == count)
-        and monotone across snapshots — the invariant the federation
-        scraper depends on while nodes keep serving traffic."""
+        and monotone across snapshots — the invariant a scraper depends
+        on while nodes keep serving traffic."""
         hist = Histogram(buckets=(0.01, 0.1, 1.0))
         stop = threading.Event()
 

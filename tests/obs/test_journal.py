@@ -106,6 +106,50 @@ class TestRecovery:
         path.write_bytes(lines[0] + b"\x00garbage\n" + lines[2])
         assert [e["seq"] for e in read_journal(str(tmp_path))] == [1]
 
+    def test_line_too_deep_to_decode_stops_that_segment(self, tmp_path):
+        """A line ``json.loads`` cannot nest through is undecodable like any
+        other corrupt line: it stops its segment for readers and recovery,
+        and the journal reopens and appends after the last durable seq."""
+        journal = EventJournal(str(tmp_path))
+        for i in range(3):
+            journal.append({"event": "progress", "i": i})
+        journal.close()
+        path = tmp_path / "events-000001.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + b"[" * 100_000 + b"\n" + lines[2])
+        assert [e["seq"] for e in read_journal(str(tmp_path))] == [1]
+        reopened = EventJournal(str(tmp_path))
+        assert [e["seq"] for e in reopened.events()] == [1]
+        assert reopened.append({"event": "progress", "i": 3})["seq"] == 2
+        reopened.close()
+
+    @pytest.mark.parametrize(
+        "bad_line, hides_rest",
+        [(b"\xff\xfe not utf-8", True), (b"[" * 100_000, True), (b"[1, 2, 3]", False)],
+        ids=["invalid-utf8", "too-deep", "json-array"],
+    )
+    def test_open_journal_reads_like_read_journal(self, tmp_path, bad_line, hides_rest):
+        """``events()`` of an open journal and ``read_journal`` decode lines
+        the same way: a line that does not decode hides the rest of its
+        segment, a line that decodes to a non-event is skipped, and the
+        next segment reads on."""
+        journal = EventJournal(str(tmp_path), max_segment_bytes=4096)
+        for i in range(120):
+            journal.append({"event": "progress", "i": i})
+        assert len(_segments(tmp_path)) == 2
+        first = tmp_path / "events-000001.jsonl"
+        lines = first.read_bytes().splitlines(keepends=True)
+        first.write_bytes(lines[0] + bad_line + b"\n" + b"".join(lines[1:]))
+        try:
+            events = list(journal.events())
+        finally:
+            journal.close()
+        assert events == read_journal(str(tmp_path))
+        hidden = set(range(2, len(lines) + 1)) if hides_rest else set()
+        assert [e["seq"] for e in events] == [
+            seq for seq in range(1, 121) if seq not in hidden
+        ]
+
     def test_read_journal_missing_directory_is_empty(self, tmp_path):
         assert read_journal(str(tmp_path / "nope")) == []
 

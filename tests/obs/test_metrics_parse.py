@@ -1,4 +1,4 @@
-"""The metrics text parser behind federation and the lint check."""
+"""The metrics text parser behind the lint check and the benchmark scraper."""
 
 from __future__ import annotations
 
@@ -56,25 +56,6 @@ class TestParse:
         assert parsed.value("repro_requests_total") is None  # no unlabelled sample
         assert parsed.value("repro_queue_depth") == 3
 
-    def test_histogram_reconstruction_round_trips(self):
-        """render → parse → histogram inverts the cumulative exposition
-        back into the exact per-bucket counts."""
-        parsed = parse_metrics_text(_render_sample_payload())
-        snap = parsed.histogram("repro_stage_duration_seconds", {"stage": "solve"})
-        assert snap is not None
-        assert snap.buckets == (0.01, 0.1, 1.0)
-        assert snap.counts == (1, 1, 1)
-        assert snap.total_count == 4
-        assert snap.total_sum == pytest.approx(5.555)
-        assert snap.cumulative()[-1] == (math.inf, 4)
-
-    def test_histogram_series_strips_le(self):
-        parsed = parse_metrics_text(_render_sample_payload())
-        assert parsed.histogram_series("repro_stage_duration_seconds") == [
-            {"stage": "solve"}
-        ]
-        assert parsed.histogram_series("repro_requests_total") == []
-
     def test_escaped_label_values_decode(self):
         text = (
             "# HELP g x\n# TYPE g gauge\n"
@@ -95,6 +76,38 @@ class TestParse:
         assert math.isnan(parsed.value("g", {"kind": "nan"}))
         assert parsed.value("g", {"kind": "inf"}) == math.inf
 
+    def test_non_numeric_le_is_a_problem_not_a_crash(self):
+        text = (
+            "# HELP h x\n# TYPE h histogram\n"
+            'h_bucket{le="abc"} 1\nh_bucket{le="+Inf"} 1\nh_sum 0.5\nh_count 1\n'
+        )
+        parsed = parse_metrics_text(text)
+        assert parsed.problems == ["line 3: non-numeric le 'abc'"]
+        buckets = [s.labels for s in parsed.families["h"].samples if s.name == "h_bucket"]
+        assert buckets == [{"le": "+Inf"}]
+
+    def test_histogram_lines_read_back_by_value(self):
+        """A scraper takes a stage's mean from ``_sum``/``_count`` and its
+        buckets from the cumulative ``_bucket`` lines."""
+        parsed = parse_metrics_text(_render_sample_payload())
+        solve = {"stage": "solve"}
+        assert parsed.value("repro_stage_duration_seconds_count", solve) == 4
+        assert parsed.value(
+            "repro_stage_duration_seconds_sum", solve
+        ) == pytest.approx(5.555)
+        assert parsed.value(
+            "repro_stage_duration_seconds_bucket", {**solve, "le": "0.1"}
+        ) == 2
+        assert parsed.value(
+            "repro_stage_duration_seconds_bucket", {**solve, "le": "+Inf"}
+        ) == 4
+
+    def test_timestamp_after_the_value_is_ignored(self):
+        text = "# HELP g x\n# TYPE g gauge\ng 7 1700000000000\n"
+        parsed = parse_metrics_text(text)
+        assert parsed.problems == []
+        assert parsed.value("g") == 7
+
     def test_problems_match_lint(self):
         bad = 'orphan 1\n# TYPE h counter\nh 1\n'
         assert parse_metrics_text(bad).problems == lint_metrics_text(bad)
@@ -108,3 +121,94 @@ class TestParse:
         assert parsed.problems == []
         uptime = parsed.value("repro_process_uptime_seconds")
         assert uptime is not None and uptime >= 0
+
+
+_GAUGE = "# HELP g x\n# TYPE g gauge\n"
+_HISTOGRAM = "# HELP h x\n# TYPE h histogram\n"
+
+
+class TestProblems:
+    """Every violation the parser knows, one exposition each: the problems
+    it reports and the samples it keeps.  An unreadable sample line is
+    reported once and skipped; a histogram series that breaks an
+    invariant keeps its samples."""
+
+    @pytest.mark.parametrize(
+        "text, problems, samples",
+        [
+            (
+                "# HELP g\n# TYPE g gauge\ng 1\n",
+                ["line 1: HELP without text", "line 2: TYPE g without preceding HELP"],
+                [("g", {}, 1)],
+            ),
+            (
+                "# HELP g x\n# TYPE g widget\ng 1\n",
+                [
+                    "line 2: bad TYPE line '# TYPE g widget'",
+                    "line 3: sample g without TYPE declaration",
+                ],
+                [],
+            ),
+            (
+                "# HELP g x\n# TYPE g\ng 1\n",
+                [
+                    "line 2: bad TYPE line '# TYPE g'",
+                    "line 3: sample g without TYPE declaration",
+                ],
+                [],
+            ),
+            (
+                _GAUGE + "# TYPE g gauge\ng 1\n",
+                ["line 3: duplicate TYPE for g"],
+                [("g", {}, 1)],
+            ),
+            (_GAUGE + 'g{a="1" 1\n', ["line 3: unbalanced braces"], []),
+            (_GAUGE + "g{a=1} 1\n", ["line 3: malformed label pair"], []),
+            (_GAUGE + "g{a=} 1\n", ["line 3: malformed label pair"], []),
+            (_GAUGE + 'g{a="1} 1\n', ["line 3: unterminated label value"], []),
+            (_GAUGE + 'g{a="\\t"} 1\n', ["line 3: unterminated label value"], []),
+            (_GAUGE + "g one\n", ["line 3: unparseable value 'one'"], []),
+            (_GAUGE + "g\n", ["line 3: unparseable value ''"], []),
+            (
+                _HISTOGRAM
+                + 'h_bucket{x="1"} 1\nh_bucket{le="+Inf"} 1\nh_sum 1\nh_count 1\n',
+                ["line 3: histogram bucket without le label"],
+                [("h_bucket", {"le": "+Inf"}, 1), ("h_sum", {}, 1), ("h_count", {}, 1)],
+            ),
+            (
+                _HISTOGRAM + 'h_bucket{le="+Inf"} 3\nh_sum 1\nh_count 4\n',
+                ["h{}: +Inf bucket != _count"],
+                [("h_bucket", {"le": "+Inf"}, 3), ("h_sum", {}, 1), ("h_count", {}, 4)],
+            ),
+        ],
+        ids=[
+            "help-without-text",
+            "unknown-type",
+            "type-without-kind",
+            "duplicate-type",
+            "unbalanced-braces",
+            "unquoted-label-value",
+            "empty-label-value",
+            "unterminated-label-value",
+            "unknown-escape",
+            "non-numeric-value",
+            "missing-value",
+            "bucket-without-le",
+            "inf-bucket-not-count",
+        ],
+    )
+    def test_each_violation(self, text, problems, samples):
+        parsed = parse_metrics_text(text)
+        assert parsed.problems == problems
+        kept = [
+            (sample.name, sample.labels, sample.value)
+            for family in parsed.families.values()
+            for sample in family.samples
+        ]
+        assert kept == samples
+
+    def test_lines_after_a_skipped_sample_still_parse(self):
+        parsed = parse_metrics_text(_GAUGE + 'g{a=1} 1\ng{a="2"} 2\n')
+        assert parsed.problems == ["line 3: malformed label pair"]
+        assert parsed.value("g") is None
+        assert parsed.value("g", {"a": "2"}) == 2

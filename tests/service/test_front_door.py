@@ -198,11 +198,7 @@ SHARED_ROUTES = [
     ("POST", "/batch"),
 ]
 SERVER_ROUTES = SHARED_ROUTES + [("POST", "/components")]
-COORDINATOR_ROUTES = SHARED_ROUTES + [
-    ("GET", "/ring"),
-    ("GET", "/cluster/metrics"),
-    ("GET", "/slo"),
-]
+COORDINATOR_ROUTES = SHARED_ROUTES + [("GET", "/ring")]
 
 
 def _raw(address, method, path, body=None):
@@ -380,4 +376,5 @@ class TestCoordinatorSurface:
 
     def test_route_table(self, coordinator_address):
         address, _ = coordinator_address
-        _assert_route_table(address, COORDINATOR_ROUTES, ["/components"])
+        foreign = ["/components", "/cluster/metrics", "/slo"]
+        _assert_route_table(address, COORDINATOR_ROUTES, foreign)

@@ -1,9 +1,12 @@
 """Unit tests for the command line interface."""
 
+import argparse
 import json
+import re
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 from repro.geometry.layout import Layout
 from repro.geometry.rect import Rect
@@ -24,6 +27,17 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_subcommands_are_the_ones_the_module_docstring_lists(self):
+        documented = re.findall(
+            r"^    repro-decompose (\w+)", repro.cli.__doc__, flags=re.MULTILINE
+        )
+        action = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert sorted(action.choices) == sorted(documented)
+        assert len(documented) == 9  # "Nine subcommands"
 
     def test_decompose_defaults(self):
         args = build_parser().parse_args(["decompose", "x.json"])

@@ -133,38 +133,6 @@ COORDINATOR = {
         "int",
         "BYTES",
     ),
-    "slo": _store(
-        "--slo",
-        "p99=2s,err=0.1%",
-        "declarative SLO target for GET /slo and the repro_slo_* gauges on "
-        "GET /cluster/metrics, e.g. p99=2s,err=0.1%% or p95=500ms",
-        metavar="SPEC",
-    ),
-    "slo_window": _store(
-        "--slo-window",
-        300.0,
-        "rolling window for error-budget burn-rate accounting",
-        "float",
-        "SECONDS",
-    ),
-    "scrape_interval": _store(
-        "--scrape-interval",
-        5.0,
-        "how often the coordinator scrapes each node's /metrics",
-        "float",
-        "SECONDS",
-    ),
-    "scrape_timeout": _store(
-        "--scrape-timeout", 2.0, "per-node /metrics scrape timeout", "float", "SECONDS"
-    ),
-    "metrics_staleness": _store(
-        "--metrics-staleness",
-        None,
-        "age out a node's samples from GET /cluster/metrics after this long "
-        "without a fresh scrape (default: 3x --scrape-interval)",
-        "float",
-        "SECONDS",
-    ),
 }
 ACTIONS = {
     ("serve",): {**SERVER, "port": _store("--port", 8000, BIND_HELP, "int")},
@@ -259,8 +227,6 @@ def test_coordinator_flags_map_to_coordinator_config(started):
         "--peers", "a:1,b:2", "--peers", "c:3", "--probe-interval", "1.5",
         "--failure-threshold", "4", "--virtual-nodes", "8", "--component-timeout", "9.0",
         "--fanout-threads", "2", "--batch-max-components", "6", "--batch-max-bytes", "100",
-        "--scrape-interval", "1.0", "--scrape-timeout", "0.5", "--metrics-staleness", "3.0",
-        "--slo", "p95=500ms", "--slo-window", "60",
     ]
     assert main(["cluster", "coordinator", *SHARED_FLAGS, *extra]) == 0
     (config,) = started
@@ -274,11 +240,6 @@ def test_coordinator_flags_map_to_coordinator_config(started):
         "fanout_threads": 2,
         "batch_max_components": 6,
         "batch_max_bytes": 100,
-        "scrape_interval": 1.0,
-        "scrape_timeout": 0.5,
-        "metrics_staleness_seconds": 3.0,
-        "slo": "p95=500ms",
-        "slo_window_seconds": 60.0,
     }
     assert {name: getattr(config, name) for name in fields} == fields
 
@@ -307,21 +268,23 @@ def _logger_state():
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, runs",
     [
-        (["serve", "--log-level", "info"], 0),
-        (["cluster", "node", "--log-level", "info"], 0),
-        (["cluster", "coordinator", "--peers", "a:1", "--log-level", "info"], 0),
-        (["cluster", "coordinator", "--peers", "a:1", "--slo", "p99"], 1),
-        (["serve", "--log-level", "loud"], 1),
+        (["serve", "--log-level", "info"], 0, 1),
+        (["cluster", "node", "--log-level", "info"], 0, 1),
+        (["cluster", "coordinator", "--peers", "a:1", "--log-level", "info"], 0, 1),
+        (["cluster", "coordinator", "--peers", "no-port", "--log-level", "info"], 1, 1),
+        (["serve", "--log-level", "loud"], 1, 0),
     ],
-    ids=["serve", "node", "coordinator", "coordinator-bad-slo", "serve-bad-level"],
+    ids=["serve", "node", "coordinator", "coordinator-bad-peer", "serve-bad-level"],
 )
-def test_daemon_commands_restore_the_repro_logger(monkeypatch, caplog, argv, code):
+def test_daemon_commands_restore_the_repro_logger(monkeypatch, caplog, argv, code, runs):
     """A daemon command run in-process leaves the ``repro`` logger as it found
-    it, so later ``caplog`` captures of ``repro.*`` loggers still see records."""
+    it, so later ``caplog`` captures of ``repro.*`` loggers still see records,
+    also when the daemon raises after logging was set up."""
     import repro.cluster
     import repro.service
+    from repro.cluster import ClusterCoordinator
 
     logger = logging.getLogger("repro")
     for attribute in ("level", "propagate", "handlers"):
@@ -333,12 +296,17 @@ def test_daemon_commands_restore_the_repro_logger(monkeypatch, caplog, argv, cod
         during.append(_logger_state())
         return 0
 
+    def run_coordinator(config):
+        run(config)
+        ClusterCoordinator(config)  # binds nothing; a bad peer raises here
+        return 0
+
     monkeypatch.setattr(repro.service, "run_server", run)
-    monkeypatch.setattr(repro.cluster, "run_coordinator", run)
+    monkeypatch.setattr(repro.cluster, "run_coordinator", run_coordinator)
     before = _logger_state()
     assert main(argv) == code
-    if code == 0:
-        ((level, propagate, handlers),) = during
+    assert len(during) == runs
+    for level, propagate, handlers in during:
         assert (level, propagate, len(handlers)) == (logging.INFO, False, len(before[2]) + 1)
     assert _logger_state() == before
     with caplog.at_level(logging.WARNING, logger="repro.runtime.pipeline"):
