@@ -6,11 +6,12 @@ cluster with the event journal enabled on every process (exactly what
 ``repro-decompose cluster node --journal DIR`` / ``cluster coordinator
 --journal DIR`` run across machines), then:
 
-1. subscribes to the coordinator's live ``GET /watch`` SSE feed,
-2. decomposes a repeated-cell layout with a caller-supplied trace id and
+1. decomposes a repeated-cell layout with a caller-supplied trace id and
    checks the masks are byte-identical to a direct ``Decomposer`` run,
-3. fetches the assembled ``GET /trace/<id>`` span tree and checks the
+2. fetches the assembled ``GET /trace/<id>`` span tree and checks the
    top-level stage durations fit inside the measured wall time,
+3. reads the coordinator's journal and checks it holds the request's
+   events from ``received`` to ``merged``,
 4. lints the Prometheus ``/metrics`` payload of the coordinator and of a
    node,
 5. replays every journal directory and verifies the lifecycle invariants.
@@ -26,8 +27,6 @@ from __future__ import annotations
 
 import sys
 import tempfile
-import threading
-import time
 from pathlib import Path
 
 from repro.bench.factory import repeated_cell_layout
@@ -79,24 +78,7 @@ def main(journal_root: Path) -> None:
         print(f"cluster up: coordinator {address[0]}:{address[1]}, "
               f"nodes {', '.join(peers)}")
 
-        # 1. live watch feed on its own connection/thread.
-        watched = []
-
-        def watch() -> None:
-            stream = ServiceClient(*address, timeout=30.0)
-            for name, payload in stream.watch_events(max_events=3):
-                watched.append((name, payload.get("trace_id")))
-
-        watcher = threading.Thread(target=watch, daemon=True)
-        watcher.start()
-        # Wait for the subscription to register so the request's events
-        # cannot slip past an unconnected watcher.
-        deadline = time.monotonic() + 10.0
-        while "repro_watch_subscribers 1" not in client.metrics_text():
-            assert time.monotonic() < deadline, "watcher never subscribed"
-            time.sleep(0.01)
-
-        # 2. traced request, byte-identical to direct.
+        # 1. traced request, byte-identical to direct.
         served = client.decompose(
             layout, name="cells", algorithm="linear", trace_id=TRACE_ID
         )
@@ -104,7 +86,7 @@ def main(journal_root: Path) -> None:
         assert client.last_trace_id == TRACE_ID
         print(f"served byte-identical to direct under trace {TRACE_ID}")
 
-        # 3. the assembled span tree.
+        # 2. the assembled span tree.
         trace = client.trace(TRACE_ID)
         assert trace["status"] == "completed", trace["status"]
         top = {span["stage"]: span["seconds"] for span in trace["spans"]}
@@ -116,10 +98,14 @@ def main(journal_root: Path) -> None:
             + f"; wall {trace['wall_seconds']:.6f}s"
         )
 
-        watcher.join(timeout=30.0)
-        assert not watcher.is_alive(), "watch stream never delivered"
-        assert all(trace_id == TRACE_ID for _, trace_id in watched), watched
-        print(f"watched live over SSE: {[name for name, _ in watched]}")
+        # 3. the request's lifecycle, in order, in the coordinator's journal.
+        journaled = [
+            event["event"]
+            for event in read_journal(str(journal_root / "coordinator"))
+            if event.get("trace_id") == TRACE_ID
+        ]
+        assert journaled[0] == "received" and journaled[-1] == "merged", journaled
+        print(f"journaled: {journaled}")
 
         # 4. lint-clean metrics on both roles.
         for label, metrics_client in (

@@ -1,8 +1,8 @@
 """Lock-discipline rules for the threaded serving/cluster/obs layers.
 
-The coordinator fan-out, membership prober, worker pool, journal and watch
-hub all hold ``threading`` locks on hot paths.  Two classes of bug recur in
-such code and are cheap to catch statically:
+The coordinator fan-out, membership prober, worker pool and journal all
+hold ``threading`` locks on hot paths.  Two classes of bug recur in such
+code and are cheap to catch statically:
 
 * **LOCK001** — a blocking call (socket I/O, ``urlopen``, ``time.sleep``,
   subprocess spawn, ``fsync``) executed while a lock is held: every other

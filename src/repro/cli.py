@@ -441,7 +441,7 @@ def _add_front_door_flags(
         metavar="DIR",
         help=(
             "append lifecycle events to a JSONL journal in DIR and enable "
-            "request tracing plus GET /trace and GET /watch (default: off)"
+            "request tracing plus GET /trace (default: off)"
         ),
     )
     parser.add_argument(

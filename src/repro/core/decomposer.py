@@ -74,10 +74,6 @@ class DecompositionResult:
     division_report: DivisionReport
     options: DecomposerOptions
 
-    def mask_of_vertex(self, vertex: int) -> int:
-        """Return the mask index assigned to a decomposition-graph vertex."""
-        return self.solution.mask_of(vertex)
-
     def to_mask_layout(self, prefix: str = "mask") -> Layout:
         """Return a layout whose layers ``mask0..mask(K-1)`` hold the fragments."""
         output = Layout(name=f"{self.construction.layer}-masks")

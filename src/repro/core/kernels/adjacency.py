@@ -65,9 +65,6 @@ class CSRAdjacency:
     def stitch_degree(self, rank: int) -> int:
         return self.stitch_start[rank + 1] - self.stitch_start[rank]
 
-    def friend_degree(self, rank: int) -> int:
-        return self.friend_start[rank + 1] - self.friend_start[rank]
-
 
 def degree_order(start: array, n: int) -> List[int]:
     """Ranks sorted by (-degree, rank) for one CSR ``start`` array.

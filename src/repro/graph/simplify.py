@@ -169,21 +169,6 @@ class MergedGraph:
                 mapping[vertex] = node
         return mapping
 
-    def node_neighbors(self, node: int) -> Set[int]:
-        """Return merged nodes connected to ``node`` by any weighted edge."""
-        result: Set[int] = set()
-        for (a, b) in self.conflict_weight:
-            if a == node:
-                result.add(b)
-            elif b == node:
-                result.add(a)
-        for (a, b) in self.stitch_weight:
-            if a == node:
-                result.add(b)
-            elif b == node:
-                result.add(a)
-        return result
-
     def expand_coloring(self, node_coloring: Dict[int, int]) -> Dict[int, int]:
         """Expand a merged-node coloring back to original vertex ids."""
         coloring: Dict[int, int] = {}

@@ -12,9 +12,6 @@ that spans a coordinator, N nodes and their worker pools:
 * :mod:`repro.obs.journal` — the append-only JSONL event journal with
   size-capped segment rotation, an fsync policy flag and crash-tolerant
   truncated-tail recovery;
-* :mod:`repro.obs.watch` — the ``GET /watch`` SSE hub (bounded
-  per-subscriber queues, drop-oldest with a ``dropped`` marker,
-  heartbeat comments);
 * :mod:`repro.obs.replay` — the journal lifecycle checker behind
   ``python -m repro.obs.replay --check``;
 * :mod:`repro.obs.logsetup` — structured ``key=value`` logging for the
@@ -25,9 +22,9 @@ that spans a coordinator, N nodes and their worker pools:
 
 Everything here is stdlib-only, and tracing costs near zero when disabled:
 without ``--journal`` no trace contexts are minted, spans degrade to two
-``perf_counter`` calls plus one histogram update, and no journal I/O or
-watch fan-out happens at all.
+``perf_counter`` calls plus one histogram update, and no journal I/O
+happens at all.
 
 Nothing is re-exported here, so a library decompose timing its spans with
-:mod:`repro.obs.trace` never loads the observer, asyncio or ssl.
+:mod:`repro.obs.trace` never loads the observer or the journal.
 """

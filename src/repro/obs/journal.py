@@ -3,9 +3,14 @@
 Layout: ``<directory>/events-000001.jsonl``, ``events-000002.jsonl``, …
 Each line is one JSON event stamped with a monotonically increasing
 ``seq`` and a wall-clock ``ts``. A segment rotates once it crosses
-``max_segment_bytes``. On open, a torn final line (crash mid-write) is
-truncated away and ``seq`` resumes after the last durable event, so a
-journal survives kill -9 with at most the unflushed tail lost.
+``max_segment_bytes``. On open, a torn final line (crash mid-write) of the
+last segment is truncated away and ``seq`` resumes after the last durable
+event, so a journal survives kill -9 with at most the unflushed tail lost.
+
+Nothing else is ever deleted.  A newline-terminated line that does not
+decode (disk corruption, a stray write) stays on disk; readers stop its
+segment there.  When such a line is in the last segment, appends go to a
+fresh segment, so they stay readable.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple
 
 _SEGMENT_RE = re.compile(r"^events-(\d{6})\.jsonl$")
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
+#: Bound of a decodable ``seq``: the journal counts in int64 range, and a
+#: seq past it may have no successor ``json.dumps`` can write at all.
+_SEQ_LIMIT = 2**63
 
 
 def _segment_name(index: int) -> str:
@@ -60,26 +68,32 @@ class EventJournal:
     def _segment_path(self, index: int) -> str:
         return os.path.join(self.directory, _segment_name(index))
 
-    def _recover_segment(self, path: str) -> int:
-        """Truncate a torn tail; return the last seq seen in the segment."""
-        last_seq = 0
-        good_end = 0
-        with open(path, "rb") as fh:
-            for good_end, event in _durable_lines(fh):
-                if isinstance(event, dict) and isinstance(event.get("seq"), int):
-                    last_seq = max(last_seq, event["seq"])
-        size = os.path.getsize(path)
-        if good_end < size:
-            self.recovered_bytes += size - good_end
-            with open(path, "rb+") as fh:
-                fh.truncate(good_end)
-        return last_seq
+    def _recover_tail(self, path: str, good_end: int) -> bool:
+        """Truncate the last segment's torn final line.
+
+        ``good_end`` is where the segment's readable lines end.  Returns
+        whether an undecodable newline-terminated line follows them:
+        appends after it would be unreadable.
+        """
+        with open(path, "rb+") as fh:
+            fh.seek(good_end)
+            rest = fh.read()
+            # Undecodable lines end at the last newline; a torn line follows.
+            kept = rest.rfind(b"\n") + 1
+            if kept < len(rest):
+                self.recovered_bytes += len(rest) - kept
+                fh.truncate(good_end + kept)
+        return kept > 0
 
     def _open_tail(self) -> None:
         indices = self._segment_indices()
+        good_end = 0
         for index in indices:
-            self._seq = max(self._seq, self._recover_segment(self._segment_path(index)))
+            last_seq, good_end = _readable_prefix(self._segment_path(index))
+            self._seq = max(self._seq, last_seq)
         self._segment_index = indices[-1] if indices else 1
+        if indices and self._recover_tail(self._segment_path(self._segment_index), good_end):
+            self._segment_index += 1
         path = self._segment_path(self._segment_index)
         self._fh = open(path, "ab")
         self._segment_bytes = os.path.getsize(path)
@@ -148,9 +162,10 @@ def _durable_lines(fh: BinaryIO) -> Iterator[Tuple[int, Any]]:
     The one line decoder of the journal.  It stops at a torn tail (a line
     without its newline) and at the first line that does not decode: bytes
     that are not UTF-8, text that is not JSON, an integer past Python's
-    digit limit (all ``ValueError``), or JSON nested too deep for
-    :func:`json.loads` to recurse through.  Everything after such a line in
-    its segment is unreadable.
+    digit limit (all ``ValueError``), JSON nested too deep for
+    :func:`json.loads` to recurse through, or an event whose integer
+    ``seq`` is at least ``2**63``.  Everything after such a line in its
+    segment is unreadable.
     """
     offset = 0
     for raw in fh:
@@ -165,7 +180,22 @@ def _durable_lines(fh: BinaryIO) -> Iterator[Tuple[int, Any]]:
             value = json.loads(line.decode("utf-8"))
         except (ValueError, RecursionError):
             return
+        if isinstance(value, dict):
+            seq = value.get("seq")
+            if isinstance(seq, int) and seq >= _SEQ_LIMIT:
+                return
         yield offset, value
+
+
+def _readable_prefix(path: str) -> Tuple[int, int]:
+    """``(largest integer seq, end offset)`` of a segment's readable lines."""
+    last_seq = 0
+    good_end = 0
+    with open(path, "rb") as fh:
+        for good_end, event in _durable_lines(fh):
+            if isinstance(event, dict) and isinstance(event.get("seq"), int):
+                last_seq = max(last_seq, event["seq"])
+    return last_seq, good_end
 
 
 def _iter_segment(path: str) -> Iterator[Dict[str, Any]]:

@@ -6,12 +6,11 @@ or cluster coordinator), built by its
 request path talks to:
 the per-stage latency histograms (always on — the cost is one dict/bucket
 update per span), and, only when a journal directory is configured, the
-trace-id minting, the JSONL event journal and the ``GET /watch`` hub.
+trace-id minting and the JSONL event journal behind ``GET /trace/<id>``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 from typing import Any, Dict, Optional, Union
 
@@ -25,7 +24,6 @@ from repro.obs.trace import (
     new_trace_id,
     valid_trace_id,
 )
-from repro.obs.watch import WatchHub, sse_comment, sse_event
 
 #: Stages each role times; seeding them keeps ``/metrics`` histogram
 #: series present (at zero) from the first scrape, so dashboards never
@@ -43,12 +41,9 @@ COORDINATOR_STAGES = (
     "encode",
 )
 
-#: Seconds between SSE heartbeat comments on an idle ``GET /watch``.
-WATCH_HEARTBEAT_SECONDS = 10.0
-
 
 class Observer:
-    """Tracing + histograms + journal + watch hub for one server.
+    """Tracing + histograms + journal for one server.
 
     ``config`` is the front end's
     :class:`~repro.service.base.HttpServerConfig`, read for its journal
@@ -64,20 +59,14 @@ class Observer:
         for stage in stage_names:
             self.stages.labels(stage)
         self.journal: Optional[EventJournal] = None
-        self.hub: Optional[WatchHub] = None
         if self.enabled:
             self.journal = EventJournal(
                 config.journal_dir,
                 max_segment_bytes=config.journal_segment_bytes,
                 fsync=config.journal_fsync,
             )
-            self.hub = WatchHub()
 
     # -- lifecycle --------------------------------------------------------
-
-    def open(self, loop: asyncio.AbstractEventLoop) -> None:
-        if self.hub is not None:
-            self.hub.bind(loop)
 
     def close(self) -> None:
         if self.journal is not None:
@@ -114,7 +103,7 @@ class Observer:
         event: str,
         **fields: Any,
     ) -> None:
-        """Journal + fan out one lifecycle event (no-op when disabled)."""
+        """Journal one lifecycle event (no-op when disabled)."""
         if ctx is None or self.journal is None:
             return
         record: Dict[str, Any] = {"event": event, "role": self.role}
@@ -131,9 +120,7 @@ class Observer:
         else:
             record["trace_id"] = ctx
         record.update(fields)
-        stamped = self.journal.append(record)
-        if self.hub is not None:
-            self.hub.publish(stamped)
+        self.journal.append(record)
 
     # -- read side --------------------------------------------------------
 
@@ -145,73 +132,16 @@ class Observer:
             return None
         return assemble_trace(events)
 
-    def stats(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"enabled": self.enabled}
-        if self.journal is not None:
-            out["journal"] = self.journal.stats()
-        if self.hub is not None:
-            out["watch"] = {
-                "subscribers": self.hub.subscriber_count,
-                "published": self.hub.published,
-                "dropped": self.hub.dropped,
-            }
-        return out
-
-    # -- GET /watch -------------------------------------------------------
-
-    def watch_runner(self, server) -> Any:
-        """Build the SSE stream coroutine for one ``GET /watch`` subscriber.
-
-        ``server`` is the owning BaseHttpServer: the stream ends when the
-        server starts draining (so graceful shutdown is never held hostage
-        by an idle watcher) or the client disconnects.
-        """
-        hub = self.hub
-
-        async def run(writer: asyncio.StreamWriter) -> None:
-            sub = hub.subscribe()
-            try:
-                writer.write(b"retry: 2000\n\n")
-                await writer.drain()
-                while True:
-                    drain_started = getattr(server, "_drain_started", None)
-                    if getattr(server, "_draining", False):
-                        writer.write(sse_comment("server draining; goodbye"))
-                        await writer.drain()
-                        return
-                    for event in hub.drain(sub):
-                        writer.write(sse_event(event))
-                    await writer.drain()
-                    waiters = [asyncio.ensure_future(sub.event.wait())]
-                    if drain_started is not None:
-                        waiters.append(asyncio.ensure_future(drain_started.wait()))
-                    done, pending = await asyncio.wait(
-                        waiters,
-                        timeout=WATCH_HEARTBEAT_SECONDS,
-                        return_when=asyncio.FIRST_COMPLETED,
-                    )
-                    for task in pending:
-                        task.cancel()
-                    if not done:
-                        writer.write(sse_comment("heartbeat"))
-                        await writer.drain()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-            finally:
-                hub.unsubscribe(sub)
-
-        return run
-
 
 def journal_hint_body() -> bytes:
-    """404 body explaining how to enable the journal-backed endpoints."""
+    """404 body of ``GET /trace/<id>`` without a journal: how to enable it."""
     return json.dumps(
         {
             "error": {
                 "status": 404,
                 "message": (
                     "event journal is disabled; start the server with "
-                    "--journal DIR to enable /trace and /watch"
+                    "--journal DIR to enable /trace"
                 ),
             }
         },

@@ -73,10 +73,6 @@ class IntegerProgram:
         except KeyError as exc:
             raise SolverError(f"unknown variable {name!r}") from exc
 
-    def set_objective(self, name: str, coefficient: float) -> None:
-        """Set the objective coefficient of an existing variable."""
-        self._objective[self.variable_index(name)] = coefficient
-
     def add_constraint(
         self, coefficients: Dict[str, float], sense: str, rhs: float
     ) -> None:

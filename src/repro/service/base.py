@@ -16,9 +16,9 @@ What the base owns, once
 
 * **Routes** — ``GET /healthz``, ``GET /stats``, ``GET /metrics``,
   ``POST /decompose``, ``POST /batch`` and the journal-backed
-  ``GET /trace/<id>`` and ``GET /watch``.  A role adds its own routes to
-  ``_routes``; any other method on a known path is a 405, any other path a
-  404.
+  ``GET /trace/<id>``.  A role adds its own routes to ``_routes``; any
+  other method on a known path is a 405, any other path a 404.  Every
+  route answers with one :data:`Response`.
 * **The layout request path** (:meth:`_serve_jobs`) — ``parse``,
   ``execute`` and ``encode`` spans, the journal's lifecycle events, 400 on
   a :class:`~repro.service.protocol.ProtocolError` or a body that is not
@@ -64,7 +64,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple, Union
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.obs.journal import DEFAULT_SEGMENT_BYTES
@@ -75,13 +75,11 @@ from repro.service.http import (
     HttpError,
     HttpRequest,
     MAX_HEADER_BYTES,
-    StreamResponse,
     error_body,
     json_body,
     read_request,
     wants_keep_alive,
     write_response,
-    write_stream_head,
 )
 from repro.service.metrics import METRICS_CONTENT_TYPE
 from repro.service.protocol import (
@@ -90,10 +88,8 @@ from repro.service.protocol import (
     parse_decompose_request,
 )
 
-#: One request's terminal response: (status, body, extra headers).
-ErrorResponse = Tuple[int, bytes, Optional[Dict[str, str]]]
-#: What a route handler returns: a response, or a stream (``GET /watch``).
-Response = Union[ErrorResponse, StreamResponse]
+#: What a route handler returns: (status, body, extra headers).
+Response = Tuple[int, bytes, Optional[Dict[str, str]]]
 
 
 @dataclass
@@ -116,7 +112,7 @@ class HttpServerConfig:
     #: Bounds how long an idle/slowloris peer can stall a graceful drain.
     header_timeout: float = 30.0
     #: Event-journal directory; ``None`` disables tracing, the journal and
-    #: the ``/trace``//``/watch`` endpoints (the near-zero-cost default).
+    #: ``GET /trace/<id>`` (the near-zero-cost default).
     journal_dir: Optional[str] = None
     #: fsync every journal append (durability over throughput).
     journal_fsync: bool = False
@@ -145,10 +141,6 @@ class BaseHttpServer:
         self._idle_writers: set = set()
         self._draining = False
         self._stopped: Optional[asyncio.Event] = None
-        #: Set by :meth:`shutdown` *before* in-flight connections are
-        #: awaited, so long-lived streams (``GET /watch``) can end promptly
-        #: instead of deadlocking the drain.
-        self._drain_started: Optional[asyncio.Event] = None
         self._started_at = 0.0
         self._inflight = 0
         self._counters = {
@@ -202,7 +194,7 @@ class BaseHttpServer:
         """The role's ``GET /metrics`` exposition (runs off the event loop)."""
         raise NotImplementedError
 
-    def _map_job_error(self, exc: BaseException) -> ErrorResponse:
+    def _map_job_error(self, exc: BaseException) -> Response:
         """Map a job failure onto a terminal error response (and counters).
 
         A role maps its own failures first and hands the rest here.
@@ -240,16 +232,15 @@ class BaseHttpServer:
 
     # ---------------------------------------------------------------- routes
     async def _dispatch(self, request: HttpRequest) -> Response:
-        """Route one request: the route table, then the journal routes, then
+        """Route one request: the route table, then ``GET /trace/<id>``, then
         405 for a known path and 404 for any other."""
         path = request.path.split("?", 1)[0]
         handler = self._routes.get((request.method, path))
         if handler is not None:
             return await handler(request)
-        observability = await self._dispatch_observability(request, path)
-        if observability is not None:
-            return observability
-        if path == "/watch" or path in {known for _, known in self._routes}:
+        if request.method == "GET" and path.startswith("/trace/"):
+            return await self._serve_trace(path[len("/trace/") :])
+        if path in {known for _, known in self._routes}:
             return (*error_body(405, f"{request.method} not allowed on {path}"), None)
         return (*error_body(404, f"no such endpoint {path!r}"), None)
 
@@ -266,6 +257,19 @@ class BaseHttpServer:
         loop = asyncio.get_running_loop()
         text = await loop.run_in_executor(None, self._metrics_text)
         return 200, text.encode("utf-8"), {"Content-Type": METRICS_CONTENT_TYPE}
+
+    async def _serve_trace(self, trace_id: str) -> Response:
+        """``GET /trace/<id>``: the assembled span tree of one journaled
+        request, or 404 with an enablement hint without a journal."""
+        if not self.obs.enabled:
+            return 404, journal_hint_body(), None
+        # Journal reads hit disk: keep them off the event loop.
+        payload = await asyncio.get_running_loop().run_in_executor(
+            None, self.obs.trace_payload, trace_id
+        )
+        if payload is None:
+            return (*error_body(404, f"no journaled events for trace {trace_id!r}"), None)
+        return 200, json_body(payload), None
 
     def _trace_headers(self, ctx) -> Optional[Dict[str, str]]:
         """Response headers advertising the request's trace id (or none)."""
@@ -354,7 +358,7 @@ class BaseHttpServer:
         ctx=None,
         units: Optional[int] = None,
         collect_errors: bool = False,
-    ) -> Tuple[Optional[List], Optional[ErrorResponse]]:
+    ) -> Tuple[Optional[List], Optional[Response]]:
         """Admission control + backend execution of parsed job dicts.
 
         Returns ``(results, None)`` on success or ``(None, error response)``
@@ -442,47 +446,11 @@ class BaseHttpServer:
                 _finish_one()
         return list(results), None
 
-    # -------------------------------------------------- observability routes
-    async def _dispatch_observability(self, request: HttpRequest, path: str):
-        """Serve the shared journal-backed routes; ``None`` when unmatched.
-
-        ``GET /trace/<id>`` returns the assembled span tree of one journaled
-        request; ``GET /watch`` upgrades to a live SSE stream.  Both answer
-        404 with an enablement hint when the server runs without a journal.
-        ``path`` is the request path without its query string.
-        """
-        if request.method != "GET":
-            return None
-        is_trace = path.startswith("/trace/")
-        is_watch = path == "/watch"
-        if not is_trace and not is_watch:
-            return None
-        obs = self.obs
-        if not obs.enabled:
-            return 404, journal_hint_body(), None
-        if is_trace:
-            trace_id = path[len("/trace/") :]
-            # Journal reads hit disk: keep them off the event loop.
-            payload = await asyncio.get_running_loop().run_in_executor(
-                None, obs.trace_payload, trace_id
-            )
-            if payload is None:
-                status, body = error_body(404, f"no journaled events for trace {trace_id!r}")
-                return status, body, None
-            return 200, json_body(payload), None
-        return StreamResponse(
-            status=200,
-            content_type="text/event-stream",
-            run=obs.watch_runner(self),
-        )
-
     # ------------------------------------------------------------- lifecycle
     async def start(self) -> Tuple[str, int]:
         """Start the backend and the accept loop; return the bound (host, port)."""
         loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
-        self._drain_started = asyncio.Event()
-        self.obs.open(loop)
         await self._on_start(loop)
         try:
             self._server = await asyncio.start_server(
@@ -513,13 +481,6 @@ class BaseHttpServer:
         if self._draining:
             return
         self._draining = True
-        # Wake long-lived streams *before* awaiting connections: a /watch
-        # subscriber is an in-flight connection that only ends once it
-        # notices the drain.
-        if self._drain_started is not None:
-            self._drain_started.set()
-        if self.obs.hub is not None:
-            self.obs.hub.wake_all()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -576,17 +537,7 @@ class BaseHttpServer:
                     return
                 self._counters["received"] += 1
                 try:
-                    result = await self._dispatch(request)
-                    if isinstance(result, StreamResponse):
-                        await write_stream_head(
-                            writer,
-                            result.status,
-                            result.content_type,
-                            result.extra_headers,
-                        )
-                        await result.run(writer)
-                        return
-                    status, body, extra = result
+                    status, body, extra = await self._dispatch(request)
                 except HttpError as exc:
                     self._counters["invalid"] += 1
                     status, body = error_body(exc.status, exc.message)

@@ -337,54 +337,6 @@ class ServiceClient:
         """Fetch one request's assembled trace tree (``GET /trace/<id>``)."""
         return self._request("GET", f"/trace/{trace_id}")
 
-    def watch_events(
-        self,
-        max_events: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ):
-        """Stream ``GET /watch`` journal events as ``(event, payload)`` pairs.
-
-        A generator over the server's SSE feed on a dedicated connection
-        (the stream is close-delimited, so it cannot share the keep-alive
-        pool).  Heartbeat comments and ``retry:`` hints are filtered out;
-        iteration ends after ``max_events`` events, when the server drains,
-        or when the socket times out.
-        """
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout if timeout is None else timeout
-        )
-        try:
-            connection.request(
-                "GET", "/watch", headers={"Accept": "text/event-stream"}
-            )
-            response = connection.getresponse()
-            if response.status >= 400:
-                raw = response.read()
-                self._json_response(response.status, response.headers, raw)
-                raise ServiceError(response.status, raw.decode(errors="replace"))
-            delivered = 0
-            event_name: Optional[str] = None
-            data_lines: List[str] = []
-            for raw_line in response:
-                line = raw_line.decode("utf-8").rstrip("\r\n")
-                if line.startswith(":"):
-                    continue  # heartbeat / informational comment
-                if not line:  # blank line terminates one SSE frame
-                    if data_lines:
-                        payload = json.loads("\n".join(data_lines))
-                        yield event_name, payload
-                        delivered += 1
-                        if max_events is not None and delivered >= max_events:
-                            return
-                    event_name, data_lines = None, []
-                    continue
-                if line.startswith("event:"):
-                    event_name = line[len("event:"):].strip()
-                elif line.startswith("data:"):
-                    data_lines.append(line[len("data:"):].strip())
-        finally:
-            connection.close()
-
     # ------------------------------------------------------------- helpers
     @staticmethod
     def _job_payload(

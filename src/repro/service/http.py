@@ -21,7 +21,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: Hard cap on the request line + headers block.
 MAX_HEADER_BYTES = 64 * 1024
@@ -179,42 +179,6 @@ async def write_response(
     lines = [f"HTTP/1.1 {status} {reason}"]
     lines.extend(f"{name}: {value}" for name, value in headers.items())
     writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
-    await writer.drain()
-
-
-@dataclass
-class StreamResponse:
-    """A response whose body is produced incrementally (e.g. SSE).
-
-    Returned by a dispatch handler instead of ``(status, body, headers)``.
-    The connection loop writes the head (no ``Content-Length``; the body is
-    delimited by connection close), then awaits ``run(writer)`` which owns
-    the writer until the stream ends.
-    """
-
-    status: int
-    content_type: str
-    run: Callable[[asyncio.StreamWriter], Awaitable[None]]
-    extra_headers: Optional[Dict[str, str]] = None
-
-
-async def write_stream_head(
-    writer: asyncio.StreamWriter,
-    status: int,
-    content_type: str,
-    extra_headers: Optional[Dict[str, str]] = None,
-) -> None:
-    """Write the response head for a close-delimited streaming body."""
-    reason = _REASONS.get(status, "Unknown")
-    headers = {
-        "Content-Type": content_type,
-        "Cache-Control": "no-cache",
-        "Connection": "close",
-    }
-    headers.update(extra_headers or {})
-    lines = [f"HTTP/1.1 {status} {reason}"]
-    lines.extend(f"{name}: {value}" for name, value in headers.items())
-    writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
     await writer.drain()
 
 

@@ -198,7 +198,7 @@ def observability_families(obs) -> List[MetricFamily]:
 
     Shared by the server's and the coordinator's ``/metrics``: the span
     stage histograms, the component-cache lookup histogram (process-wide,
-    serving-process view), and, when the journal is enabled, journal/watch
+    serving-process view), and, when the journal is enabled, journal
     telemetry.
     """
     from repro.runtime.cache import lookup_histogram
@@ -233,22 +233,6 @@ def observability_families(obs) -> List[MetricFamily]:
                 "Torn-tail bytes truncated during journal open-time "
                 "recovery.",
                 [({}, journal_stats["recovered_bytes"])],
-            )
-        )
-    if obs.hub is not None:
-        families.append(
-            gauge_family(
-                "repro_watch_subscribers",
-                "Live GET /watch subscribers.",
-                [({}, obs.hub.subscriber_count)],
-            )
-        )
-        families.append(
-            counter_family(
-                "repro_watch_dropped_events_total",
-                "Events dropped across slow GET /watch subscribers "
-                "(drop-oldest policy).",
-                [({}, obs.hub.dropped)],
             )
         )
     return families

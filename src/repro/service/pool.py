@@ -15,7 +15,8 @@ handed to the executor only when a worker is free, so a small interactive
 request overtakes the long tail of a large batch instead of queueing behind
 it.  Pure cost order would let a steady stream of small jobs starve a big
 one forever; an **age bump** prevents that — once the oldest queued job has
-waited ``starvation_age_seconds``, it is dispatched next regardless of cost.
+waited :data:`STARVATION_AGE_SECONDS`, it is dispatched next regardless of
+cost.
 Queue depth per priority class (``interactive`` vs ``batch``) and the bump
 count are exposed through :meth:`stats` (and from there ``/stats`` and
 ``/metrics``).
@@ -53,6 +54,9 @@ from repro.service import protocol
 
 #: The queue's priority classes, in display order.
 PRIORITY_CLASSES = ("interactive", "batch")
+
+#: Oldest-job wait beyond which the age bump overrides cost order.
+STARVATION_AGE_SECONDS = 5.0
 
 #: Per-thread (and, in process mode, per-process) worker state.  A
 #: ``threading.local`` covers both executors: a worker process runs its
@@ -125,9 +129,6 @@ class PoolConfig:
     #: Skip process workers and run on threads (used by tests that need to
     #: reach into in-flight jobs; also a sane choice under ``workers=1``).
     force_inline: bool = False
-    #: Oldest-job wait beyond which the age bump overrides cost order.
-    #: ``0`` degenerates to FIFO dispatch.
-    starvation_age_seconds: float = 5.0
 
 
 @dataclass
@@ -292,7 +293,7 @@ class WorkerPool:
         oldest = self._fifo[0]
         cheapest = self._heap[0][2]
         age = time.monotonic() - oldest.enqueued_at
-        if oldest is not cheapest and age >= self.config.starvation_age_seconds:
+        if oldest is not cheapest and age >= STARVATION_AGE_SECONDS:
             self._counters["priority_bumps"] += 1
             chosen = oldest
         else:

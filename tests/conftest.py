@@ -40,7 +40,7 @@ def pytest_configure(config) -> None:
     config.addinivalue_line(
         "markers",
         "obs: exercises the observability layer (tracing, histograms, "
-        "journal, /trace and /watch).  All obs tests run in the tier-1 "
+        "journal and /trace).  All obs tests run in the tier-1 "
         "fast path and in CI's dedicated obs step",
     )
 

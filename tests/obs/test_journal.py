@@ -150,6 +150,55 @@ class TestRecovery:
             seq for seq in range(1, 121) if seq not in hidden
         ]
 
+    def test_reopen_keeps_an_older_corrupt_segment(self, tmp_path):
+        """Recovery truncates only the last segment's torn tail: a corrupt
+        line in an older segment and every byte after it stay on disk."""
+        journal = EventJournal(str(tmp_path), max_segment_bytes=4096)
+        for i in range(200):
+            journal.append({"event": "progress", "i": i})
+        journal.close()
+        assert len(_segments(tmp_path)) >= 3
+        first = tmp_path / "events-000001.jsonl"
+        lines = first.read_bytes().splitlines(keepends=True)
+        damaged = lines[0] + b"\x00garbage\n" + b"".join(lines[1:])
+        first.write_bytes(damaged)
+        reopened = EventJournal(str(tmp_path), max_segment_bytes=4096)
+        record = reopened.append({"event": "progress", "i": 200})
+        reopened.close()
+        assert first.read_bytes() == damaged
+        assert reopened.recovered_bytes == 0
+        assert record["seq"] == 201
+        events = read_journal(str(tmp_path))
+        assert events[0]["seq"] == 1 and events[1]["seq"] == len(lines) + 1
+        assert events[-1] == record
+
+    def test_corrupt_line_in_the_last_segment_keeps_its_bytes(self, tmp_path):
+        """A corrupt middle line of the last segment stays on disk with the
+        lines after it; appends go to a fresh segment and read back last."""
+        journal = EventJournal(str(tmp_path))
+        for i in range(3):
+            journal.append({"event": "progress", "i": i})
+        journal.close()
+        path = tmp_path / "events-000001.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        damaged = lines[0] + b"\x00garbage\n" + lines[2]
+        path.write_bytes(damaged + b'{"event":"progress","seq":4,"tr')
+        reopened = EventJournal(str(tmp_path))
+        record = reopened.append({"event": "progress", "i": 3})
+        reopened.close()
+        assert path.read_bytes() == damaged  # only the torn tail went
+        assert _segments(tmp_path) == ["events-000001.jsonl", "events-000002.jsonl"]
+        assert record["seq"] == 2
+        assert read_journal(str(tmp_path))[-1] == record
+
+    @pytest.mark.parametrize("seq, readable", [(2**63 - 1, True), (2**63, False)])
+    def test_seq_from_2_to_the_63_is_undecodable(self, tmp_path, seq, readable):
+        (tmp_path / "events-000001.jsonl").write_bytes(
+            b'{"event":"progress","seq":%d}\n' % seq
+        )
+        events = read_journal(str(tmp_path))
+        assert [e["seq"] for e in events] == ([seq] if readable else [])
+
     def test_read_journal_missing_directory_is_empty(self, tmp_path):
         assert read_journal(str(tmp_path / "nope")) == []
 

@@ -141,6 +141,7 @@ CORPUS = {
     "json-array-line": b'[{"event":"received","seq":9999,"trace_id":"x"}]\n',
     "string-seq": b'{"event":"received","seq":"9999","trace_id":"%s"}\n' % (b"e" * 16),
     "int-past-digit-limit": b'{"event":"received","seq":' + b"9" * 5000 + b"}\n",
+    "seq-without-successor": b'{"event":"received","seq":' + b"9" * 4300 + b"}\n",
     "empty-segment": None,
 }
 

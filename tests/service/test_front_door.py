@@ -193,7 +193,6 @@ SHARED_ROUTES = [
     ("GET", "/healthz"),
     ("GET", "/stats"),
     ("GET", "/metrics"),
-    ("GET", "/watch"),
     ("POST", "/decompose"),
     ("POST", "/batch"),
 ]
@@ -333,7 +332,7 @@ class TestServerSurface:
         }
 
     def test_route_table(self, server_address):
-        foreign = ["/ring", "/cluster/metrics", "/slo"]
+        foreign = ["/ring", "/cluster/metrics", "/slo", "/watch"]
         _assert_route_table(server_address, SERVER_ROUTES, foreign)
 
 
@@ -376,5 +375,5 @@ class TestCoordinatorSurface:
 
     def test_route_table(self, coordinator_address):
         address, _ = coordinator_address
-        foreign = ["/components", "/cluster/metrics", "/slo"]
+        foreign = ["/components", "/cluster/metrics", "/slo", "/watch"]
         _assert_route_table(address, COORDINATOR_ROUTES, foreign)

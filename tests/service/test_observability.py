@@ -1,4 +1,4 @@
-"""Server-level observability: tracing, /trace, /watch, /metrics.
+"""Server-level observability: tracing, /trace, /metrics.
 
 The tentpole bar: enabling the journal and tracing must not change a
 single response byte, /trace must assemble a span tree whose top-level
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import threading
-import time
 
 import pytest
 
@@ -299,49 +297,10 @@ class TestTraceEndpoint:
         with _server() as (host, port):
             client = ServiceClient(host, port)
             client.wait_until_healthy()
-            for call in (
-                lambda: client.trace("0123456789abcdef"),
-                lambda: list(client.watch_events(max_events=1)),
-            ):
-                with pytest.raises(ServiceError) as excinfo:
-                    call()
-                assert excinfo.value.status == 404
-                assert "--journal" in str(excinfo.value)
-
-
-class TestWatchStream:
-    def test_live_events_stream_over_sse(self, tmp_path):
-        with _server(tmp_path) as (host, port):
-            client = ServiceClient(host, port)
-            client.wait_until_healthy()
-            received = []
-
-            def watch():
-                stream_client = ServiceClient(host, port, timeout=30.0)
-                for pair in stream_client.watch_events(max_events=3):
-                    received.append(pair)
-
-            watcher = threading.Thread(target=watch)
-            watcher.start()
-            # The SSE subscription is only live once the server registers it;
-            # publishing before that would race the watcher's first drain.
-            deadline = time.monotonic() + 5.0
-            while "repro_watch_subscribers 1" not in client.metrics_text():
-                assert time.monotonic() < deadline, "watcher never subscribed"
-                time.sleep(0.01)
-            client.decompose(
-                wire_row_layout(num_wires=3, wire_length=400),
-                name="w",
-                algorithm="linear",
-            )
-            watcher.join(timeout=30.0)
-            assert not watcher.is_alive()
-            names = [name for name, _ in received]
-            assert names == ["received", "divided", "merged"]
-            trace_id = client.last_trace_id
-            assert all(
-                payload["trace_id"] == trace_id for _, payload in received
-            )
+            with pytest.raises(ServiceError) as excinfo:
+                client.trace("0123456789abcdef")
+            assert excinfo.value.status == 404
+            assert "--journal" in str(excinfo.value)
 
 
 class TestMetrics:
@@ -362,9 +321,9 @@ class TestMetrics:
             "repro_cache_lookup_seconds",
             "repro_build_info",
             "repro_journal_events_total",
-            "repro_watch_subscribers",
         ):
             assert f"# TYPE {family} " in text, family
+        assert "repro_watch_" not in text
         assert 'repro_build_info{' in text and 'role="server"' in text
         # The request actually moved the stage histograms.
         assert 'repro_stage_duration_seconds_count{stage="execute"} 1' in text
@@ -382,8 +341,8 @@ class TestMetrics:
 
 
 class TestJournalRoutesIgnoreTheQueryString:
-    """``/trace/<id>`` and ``/watch`` route on the path without its query,
-    like every other route."""
+    """``/trace/<id>`` routes on the path without its query, like every
+    other route."""
 
     def test_trace_with_a_query_string(self, tmp_path):
         with _server(tmp_path) as (host, port):
@@ -407,16 +366,34 @@ class TestJournalRoutesIgnoreTheQueryString:
                     connection.close()
             assert bodies[0] == bodies[1]
 
-    def test_watch_with_a_query_string(self, tmp_path):
-        with _server(tmp_path) as (host, port):
-            ServiceClient(host, port).wait_until_healthy()
-            connection = http.client.HTTPConnection(host, port, timeout=30.0)
-            try:
-                connection.request(
-                    "GET", "/watch?x=1", headers={"Accept": "text/event-stream"}
+
+class TestNoWatchEndpoint:
+    """The journal is the one event feed: ``/watch`` is an unknown path on
+    both roles, with the journal on or off."""
+
+    @pytest.mark.parametrize("journaled", [False, True], ids=["journal-off", "journal-on"])
+    @pytest.mark.parametrize("role", ["server", "coordinator"])
+    def test_watch_is_no_such_endpoint(self, tmp_path, role, journaled):
+        if role == "server":
+            front_door = _server(tmp_path if journaled else None)
+        else:
+            front_door = CoordinatorThread(
+                CoordinatorConfig(
+                    port=0, peers=["127.0.0.1:1"], probe_interval=60.0,
+                    journal_dir=str(tmp_path / "journal") if journaled else None,
                 )
-                response = connection.getresponse()
-                assert response.status == 200
-                assert response.getheader("Content-Type").startswith("text/event-stream")
-            finally:
-                connection.close()
+            )
+        with front_door as (host, port):
+            ServiceClient(host, port).wait_until_healthy()
+            for method, body in (("GET", None), ("POST", b"{}")):
+                connection = http.client.HTTPConnection(host, port, timeout=30.0)
+                try:
+                    connection.request(method, "/watch", body=body)
+                    response = connection.getresponse()
+                    assert (response.status, response.read()) == (
+                        404,
+                        b'{"error": {"message": "no such endpoint \'/watch\'", '
+                        b'"status": 404}}',
+                    ), method
+                finally:
+                    connection.close()

@@ -60,13 +60,10 @@ class _RecordingPool:
             return {"name": job["name"]}
 
         monkeypatch.setattr(pool_module, "_worker_run", fake_worker)
-        self.pool = WorkerPool(
-            PoolConfig(
-                workers=1,
-                force_inline=True,
-                starvation_age_seconds=starvation_age_seconds,
-            )
+        monkeypatch.setattr(
+            pool_module, "STARVATION_AGE_SECONDS", starvation_age_seconds
         )
+        self.pool = WorkerPool(PoolConfig(workers=1, force_inline=True))
         self.pool.start()
 
     def occupy_worker(self):

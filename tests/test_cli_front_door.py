@@ -35,7 +35,7 @@ FRONT_DOOR = {
         "--journal",
         None,
         "append lifecycle events to a JSONL journal in DIR and enable request "
-        "tracing plus GET /trace and GET /watch (default: off)",
+        "tracing plus GET /trace (default: off)",
         metavar="DIR",
     ),
     "journal_fsync": _store(
