@@ -191,6 +191,47 @@ class TestRecovery:
         assert record["seq"] == 2
         assert read_journal(str(tmp_path))[-1] == record
 
+    def test_later_opens_keep_appending_to_the_fresh_segment(self, tmp_path):
+        """The fresh segment a corrupt last segment forced is where every
+        later open appends, empty or not: no further segment is started
+        and seq runs on."""
+        journal = EventJournal(str(tmp_path))
+        for i in range(3):
+            journal.append({"event": "progress", "i": i})
+        journal.close()
+        path = tmp_path / "events-000001.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        damaged = lines[0] + b"\x00garbage\n" + lines[2]
+        path.write_bytes(damaged)
+        EventJournal(str(tmp_path)).close()  # opens the fresh segment empty
+        records = []
+        for i in range(3):
+            reopened = EventJournal(str(tmp_path))
+            records.append(reopened.append({"event": "progress", "i": 3 + i}))
+            reopened.close()
+        assert path.read_bytes() == damaged
+        assert _segments(tmp_path) == ["events-000001.jsonl", "events-000002.jsonl"]
+        assert [r["seq"] for r in records] == [2, 3, 4]
+        assert [e["seq"] for e in read_journal(str(tmp_path))] == [1, 2, 3, 4]
+
+    def test_seq_at_the_limit_in_the_last_segment_moves_appends_on(self, tmp_path):
+        """A last-segment event whose seq is 2**63 is undecodable like any
+        corrupt line: its bytes stay, and appends go to a fresh segment and
+        resume after the last readable seq."""
+        journal = EventJournal(str(tmp_path))
+        journal.append({"event": "progress", "i": 0})
+        journal.close()
+        path = tmp_path / "events-000001.jsonl"
+        damaged = path.read_bytes() + b'{"event":"progress","seq":%d}\n' % 2**63
+        path.write_bytes(damaged)
+        reopened = EventJournal(str(tmp_path))
+        record = reopened.append({"event": "progress", "i": 1})
+        reopened.close()
+        assert path.read_bytes() == damaged
+        assert _segments(tmp_path) == ["events-000001.jsonl", "events-000002.jsonl"]
+        assert record["seq"] == 2
+        assert [e["seq"] for e in read_journal(str(tmp_path))] == [1, 2]
+
     @pytest.mark.parametrize("seq, readable", [(2**63 - 1, True), (2**63, False)])
     def test_seq_from_2_to_the_63_is_undecodable(self, tmp_path, seq, readable):
         (tmp_path / "events-000001.jsonl").write_bytes(

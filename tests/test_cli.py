@@ -284,6 +284,48 @@ class TestTraceCommand:
         assert main(["trace", "--journal", str(tmp_path / "missing")]) == 0
         assert "0 traces" in capsys.readouterr().out
 
+    def test_since_seq_follows_the_journal(self, journal_dir, capsys):
+        """Following a process: ``--since`` the last ``seq`` seen lists only
+        the traces with events after it."""
+        from repro.obs.journal import EventJournal
+
+        assert main(["trace", "--journal", str(journal_dir), "--since", "2"]) == 0
+        assert "0 traces" in capsys.readouterr().out
+        journal = EventJournal(str(journal_dir))
+        journal.append({"event": "received", "trace_id": "b" * 16, "kind": "decompose"})
+        journal.close()
+        assert main(["trace", "--journal", str(journal_dir), "--since", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "a" * 16 not in out
+        assert f"{'b' * 16}  " in out and "1 events" in out and "1 traces" in out
+
+    def test_since_an_iso_timestamp_is_at_or_after(self, tmp_path, capsys):
+        from datetime import datetime
+
+        from repro.obs.journal import EventJournal
+
+        since = "2026-01-31T12:00:00+00:00"
+        noon = datetime.fromisoformat(since).timestamp()
+        journal = EventJournal(str(tmp_path))
+        for trace_id, ts in (("a" * 16, noon - 1.0), ("b" * 16, noon), ("c" * 16, noon + 1.0)):
+            journal.append({"event": "received", "trace_id": trace_id, "ts": ts})
+        journal.close()
+        assert main(["trace", "--journal", str(tmp_path), "--since", since]) == 0
+        out = capsys.readouterr().out
+        assert "a" * 16 not in out
+        assert "b" * 16 in out and "c" * 16 in out and "2 traces" in out
+
+    def test_since_neither_seq_nor_timestamp_is_an_error(self, journal_dir, capsys):
+        assert main(["trace", "--journal", str(journal_dir), "--since", "yesterday"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --since 'yesterday' is neither a sequence number nor an ISO timestamp"
+        )
+
+    def test_limit_keeps_the_last_events(self, journal_dir, capsys):
+        assert main(["trace", "--journal", str(journal_dir), "--limit", "1"]) == 0
+        out = capsys.readouterr().out
+        assert f"{'a' * 16}  completed  1 events" in out and "1 traces" in out
+
 
 @pytest.mark.obs
 class TestObservabilityFlags:
