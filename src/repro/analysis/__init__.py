@@ -5,7 +5,8 @@ metrics, conflict reports, SVG rendering) operates on solve results; the
 static-analysis linter (``python -m repro.analysis``, ``repro-decompose
 lint`` — see :mod:`repro.analysis.engine` and :mod:`repro.analysis.linter`)
 operates on this repository's own source, enforcing the determinism,
-lock-discipline, schema-coupling and metrics-exposition invariants.
+lock-discipline, schema-coupling, metrics-exposition and import-hygiene
+invariants.
 """
 
 from repro.analysis.metrics import (

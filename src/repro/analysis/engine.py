@@ -4,7 +4,8 @@ The linter exists to turn this repository's hard-won invariants into
 machine-checked rules: bit-identical parallel/cached/clustered solves
 (determinism rules), deadlock- and stall-free threaded subsystems
 (lock-discipline rules), coupled schema/version bumps (schema-fingerprint
-rules) and a well-formed ``/metrics`` surface (exposition rules).
+rules), a well-formed ``/metrics`` surface (exposition rules) and modules
+that import only what they read (import rules).
 
 The engine itself is generic and stdlib-only: it parses every target file
 once, hands each :class:`FileContext` to every :class:`Rule`, then gives

@@ -27,12 +27,13 @@ from repro.analysis.determinism import (
     SetIterationRule,
     UnseededRandomRule,
 )
-from repro.analysis.engine import Finding, Rule, run_rules
+from repro.analysis.engine import Rule, run_rules
 from repro.analysis.exposition import (
     CounterSuffixRule,
     LabelConsistencyRule,
     MetricPrefixRule,
 )
+from repro.analysis.imports import UnusedImportRule
 from repro.analysis.locks import BlockingCallUnderLockRule, LockOrderInversionRule
 
 BASELINE_FILENAME = "lint_baseline.json"
@@ -50,6 +51,7 @@ def default_rules(manifest_path: Optional[Path] = None) -> List[Rule]:
         MetricPrefixRule(),
         CounterSuffixRule(),
         LabelConsistencyRule(),
+        UnusedImportRule(),
     ]
 
 
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-decompose lint",
         description=(
             "Project-specific static analysis: determinism, lock discipline, "
-            "schema-version coupling and metrics exposition."
+            "schema-version coupling, metrics exposition and unused imports."
         ),
     )
     parser.add_argument(

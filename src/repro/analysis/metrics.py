@@ -10,11 +10,10 @@ conflict-pair report designers use to locate remaining hotspots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.core.decomposer import DecompositionResult
-from repro.core.evaluation import DecompositionSolution
 from repro.geometry.rect import Rect, bounding_box
 from repro.graph.decomposition_graph import DecompositionGraph
 

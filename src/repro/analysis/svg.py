@@ -9,7 +9,7 @@ decomposition look right?" without requiring a layout viewer.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.core.decomposer import DecompositionResult
 from repro.geometry.layout import Layout

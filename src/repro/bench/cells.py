@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.options import HALF_PITCH_NM, MIN_SPACING_NM, MIN_WIDTH_NM
+from repro.core.options import MIN_SPACING_NM, MIN_WIDTH_NM
 from repro.geometry.layout import Layout
 from repro.geometry.rect import Rect
 from repro.graph.decomposition_graph import DecompositionGraph

@@ -13,7 +13,7 @@ the full Table 1/2 harness stays laptop-friendly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.bench.synthetic import SyntheticSpec, generate_layout
 from repro.errors import ConfigurationError

@@ -11,8 +11,8 @@ independent components).  Every generator is seeded and fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 

@@ -18,7 +18,7 @@ implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.coloring import ColoringAlgorithm
 from repro.core.greedy_coloring import greedy_color_merged

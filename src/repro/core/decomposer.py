@@ -15,8 +15,8 @@ main entry point of the library::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional, Union
 
 from repro.core.backtrack import BacktrackColoring
 from repro.core.coloring import ColoringAlgorithm
@@ -34,6 +34,8 @@ from repro.core.options import AlgorithmOptions, DecomposerOptions
 from repro.core.sdp_coloring import SdpColoring
 from repro.errors import ConfigurationError
 from repro.geometry.layout import Layout
+from repro.geometry.outlines import Outlines
+from repro.geometry.rect import Rect
 from repro.graph.construction import ConstructionResult, build_decomposition_graph
 from repro.graph.decomposition_graph import DecompositionGraph
 from repro.obs.trace import Span
@@ -77,11 +79,39 @@ class DecompositionResult:
     def to_mask_layout(self, prefix: str = "mask") -> Layout:
         """Return a layout whose layers ``mask0..mask(K-1)`` hold the fragments."""
         output = Layout(name=f"{self.construction.layer}-masks")
-        for vertex, rects in sorted(self.construction.fragments.items()):
-            color = self.solution.coloring[vertex]
-            for rect in rects:
-                output.add_rect(rect, layer=f"{prefix}{color}")
+        for layer, row in self._colored_rows(prefix):
+            output.add_rect(Rect(*row), layer=layer)
         return output
+
+    def mask_dict(self, prefix: str = "mask") -> Dict:
+        """Return ``to_mask_layout(prefix).to_dict()``, written from the arrays.
+
+        The served response's ``masks``: no :class:`Layout` or shape
+        objects are built.
+        """
+        shapes = [
+            {
+                "id": index,
+                "layer": layer,
+                "vertices": [(xl, yl), (xh, yl), (xh, yh), (xl, yh)],
+            }
+            for index, (layer, (xl, yl, xh, yh)) in enumerate(self._colored_rows(prefix))
+        ]
+        return {
+            "name": f"{self.construction.layer}-masks",
+            "dbu_per_nm": 1.0,
+            "shapes": shapes,
+        }
+
+    def _colored_rows(self, prefix: str):
+        """``(mask layer, (xl, yl, xh, yh))`` of every fragment row, vertex after vertex."""
+        coloring = self.solution.coloring
+        layers = [f"{prefix}{color}" for color in range(self.solution.num_colors)]
+        construction = self.construction
+        return zip(
+            [layers[coloring[v]] for v in construction.fragment_vertices.tolist()],
+            construction.fragment_boxes.tolist(),
+        )
 
     def mask_counts(self) -> Dict[int, int]:
         """Return the number of fragments assigned to each mask (balance check)."""
@@ -126,7 +156,7 @@ class Decomposer:
     # ------------------------------------------------------------------ API
     def decompose(
         self,
-        layout: Layout,
+        layout: Union[Layout, Outlines],
         layer: str = "metal1",
         workers: Optional[int] = None,
         cache=None,
@@ -135,6 +165,8 @@ class Decomposer:
     ) -> DecompositionResult:
         """Decompose one layer of ``layout`` into K masks.
 
+        ``layout`` may also be the packed :class:`Outlines` of the layer's
+        shapes, the form a served request reaches its worker in.
         ``span(stage)`` times the ``build`` stage and the pipeline's stages;
         the cluster coordinator passes its traced factory, every other
         caller the sink-less default.

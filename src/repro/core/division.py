@@ -14,8 +14,8 @@ The color-assignment algorithm only ever sees the final, smallest pieces.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.coloring import ColoringAlgorithm
 from repro.core.options import DivisionOptions

@@ -7,8 +7,8 @@ share a mask) and the **stitch number** (stitch edges whose endpoints differ).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import DecompositionError
 from repro.graph.decomposition_graph import DecompositionGraph

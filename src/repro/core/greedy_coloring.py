@@ -10,7 +10,7 @@ so the result is deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.coloring import ColoringAlgorithm
 from repro.graph.decomposition_graph import DecompositionGraph

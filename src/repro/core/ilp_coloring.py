@@ -17,7 +17,7 @@ reports a timeout the same way Table 1 reports "N/A".
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.coloring import ColoringAlgorithm
 from repro.core.greedy_coloring import greedy_color_graph

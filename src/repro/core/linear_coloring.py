@@ -23,7 +23,7 @@ vertices that have color-friendly neighbours, round three everything else.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.coloring import ColoringAlgorithm
 from repro.core.evaluation import evaluate

@@ -8,7 +8,7 @@ passes may be requested, stopping early once a pass makes no change.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.graph.decomposition_graph import DecompositionGraph
 

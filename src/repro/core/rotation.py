@@ -12,7 +12,7 @@ conflict-free offsets.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import DecompositionError
 from repro.graph.decomposition_graph import DecompositionGraph

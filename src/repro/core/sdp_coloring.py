@@ -23,7 +23,7 @@ from repro.core.greedy_coloring import greedy_color_merged
 from repro.core.refinement import refine_coloring
 from repro.errors import ConfigurationError
 from repro.graph.decomposition_graph import DecompositionGraph
-from repro.graph.simplify import MergedGraph, build_merged_graph
+from repro.graph.simplify import build_merged_graph
 from repro.graph.unionfind import UnionFind
 from repro.opt.sdp import SdpOptions, SdpResult, VectorProgramSolver
 

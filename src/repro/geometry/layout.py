@@ -9,8 +9,8 @@ layers so the same object can also carry the output masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import LayoutError, LayoutIOError
 from repro.geometry.point import COORDINATE_MAX, COORDINATE_MIN, Point, as_point
@@ -162,11 +162,8 @@ class Layout:
             dbu_per_nm=data.get("dbu_per_nm", 1.0),
         )
         for entry in data.get("shapes", []):
-            polygon = Polygon.from_points(_lattice_points(entry["vertices"]))
-            layer = entry.get("layer", "metal1")
-            if not isinstance(layer, str):
-                raise LayoutIOError(f"shape layer must be a string, got {layer!r}")
-            layout.add_polygon(polygon, layer)
+            polygon = Polygon.from_points(lattice_points(entry["vertices"]))
+            layout.add_polygon(polygon, shape_layer(entry))
         return layout
 
     # ----------------------------------------------------------------- stats
@@ -186,7 +183,26 @@ class Layout:
         }
 
 
-def _lattice_points(vertices) -> List[Point]:
+def shape_layer(entry: Dict) -> str:
+    """Return a JSON shape entry's ``layer`` (default ``metal1``).
+
+    Raises :class:`LayoutIOError` unless it is a string, since layer names
+    must sort against each other.
+    """
+    layer = entry.get("layer", "metal1")
+    if not isinstance(layer, str):
+        raise LayoutIOError(f"shape layer must be a string, got {layer!r}")
+    return layer
+
+
+#: What :func:`lattice_points` says about a coordinate no GDSII XY record holds.
+OUT_OF_RANGE_MESSAGE = (
+    f"vertex coordinate outside the signed 32-bit range "
+    f"{COORDINATE_MIN}..{COORDINATE_MAX} of GDSII coordinates"
+)
+
+
+def lattice_points(vertices) -> List[Point]:
     """Round JSON vertices onto the lattice, in the range GDSII XY records hold.
 
     Raises :class:`LayoutIOError` for a coordinate that is not finite, a
@@ -203,8 +219,5 @@ def _lattice_points(vertices) -> List[Point]:
             COORDINATE_MIN <= point.x <= COORDINATE_MAX
             and COORDINATE_MIN <= point.y <= COORDINATE_MAX
         ):
-            raise LayoutIOError(
-                f"vertex coordinate outside the signed 32-bit range "
-                f"{COORDINATE_MIN}..{COORDINATE_MAX} of GDSII coordinates"
-            )
+            raise LayoutIOError(OUT_OF_RANGE_MESSAGE)
     return points

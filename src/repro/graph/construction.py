@@ -1,14 +1,18 @@
 """Decomposition graph construction from a layout (Fig. 2, first stage).
 
 The construction works on whole arrays of one layer's rectangles, in exact
-int64 arithmetic, and makes three passes:
+int64 arithmetic.  It starts from a :class:`Layout` (each shape's cached
+``rects()``) or from the layer's packed
+:class:`~repro.geometry.outlines.Outlines` (a served request), turns either
+into one array of rectangle rows, and makes three passes:
 
 1. *Conflict neighbours* — one sort-and-sweep over the shapes' rectangles
    (:func:`~repro.geometry.distance.close_rect_pairs`) at radius ``min_s``
    yields every pair of features closer than ``min_s``.
 2. *Stitch insertion* — every feature with at least one conflict neighbour
    is offered projection-based stitch candidates, all features at once
-   (:func:`~repro.graph.stitch.stitch_positions`), and split into fragments.
+   (:func:`~repro.graph.stitch.stitch_positions`), and split into fragments
+   (:func:`~repro.graph.stitch.split_rows`).
 3. *Fragment edges* — a second sweep over the fragments' rectangles at
    radius ``min_s + half_pitch``, skipping pairs from one shape, gives every
    fragment pair's exact spacing: below ``min_s`` a conflict edge, inside
@@ -26,17 +30,18 @@ re-check of the close shape pairs would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.geometry.distance import close_rect_pairs
 from repro.geometry.layout import Layout
+from repro.geometry.outlines import Outlines
 from repro.geometry.point import COORDINATE_MAX
 from repro.geometry.rect import Rect, rect_array
 from repro.graph.decomposition_graph import DecompositionGraph, VertexData
-from repro.graph.stitch import split_at, stitch_positions
+from repro.graph.stitch import split_rows, stitch_positions
 
 
 @dataclass
@@ -103,11 +108,15 @@ class ConstructionResult:
     Attributes
     ----------
     graph:
-        The decomposition graph; vertex ids index :attr:`fragments`.
-    fragments:
-        Rectangle decomposition of each vertex's geometry.
-    shape_vertices:
-        Vertex ids belonging to each original shape id, in cut-axis order.
+        The decomposition graph; vertex ids index the fragment arrays.
+    fragment_boxes:
+        int64 ``(m, 4)`` array: the rectangle rows of every vertex's
+        geometry, vertex after vertex.
+    fragment_vertices:
+        int64 ``(m,)`` array: the vertex of each row of
+        :attr:`fragment_boxes`, non-decreasing.
+    vertex_shapes:
+        int64 ``(v,)`` array: the original shape id of each vertex.
     layer:
         Layer the graph was built from.
     options:
@@ -115,87 +124,115 @@ class ConstructionResult:
     """
 
     graph: DecompositionGraph
-    fragments: Dict[int, List[Rect]]
-    shape_vertices: Dict[int, List[int]]
+    fragment_boxes: np.ndarray
+    fragment_vertices: np.ndarray
+    vertex_shapes: np.ndarray
     layer: str
     options: ConstructionOptions
 
     @property
+    def fragments(self) -> Dict[int, List[Rect]]:
+        """Rectangle decomposition of each vertex's geometry (built per call)."""
+        fragments: Dict[int, List[Rect]] = {}
+        for vertex, row in zip(
+            self.fragment_vertices.tolist(), self.fragment_boxes.tolist()
+        ):
+            fragments.setdefault(vertex, []).append(Rect(*row))
+        return fragments
+
+    @property
+    def shape_vertices(self) -> Dict[int, List[int]]:
+        """Vertex ids of each original shape id, in cut-axis order (built per call)."""
+        shape_vertices: Dict[int, List[int]] = {}
+        for vertex, shape_id in enumerate(self.vertex_shapes.tolist()):
+            shape_vertices.setdefault(shape_id, []).append(vertex)
+        return shape_vertices
+
+    @property
     def num_features(self) -> int:
         """Number of original (pre-stitch) features."""
-        return len(self.shape_vertices)
+        return len(np.unique(self.vertex_shapes))
 
 
 def build_decomposition_graph(
-    layout: Layout,
+    layout: Union[Layout, Outlines],
     layer: str = "metal1",
     options: Optional[ConstructionOptions] = None,
 ) -> ConstructionResult:
     """Build the decomposition graph of one layout layer.
 
-    Raises :class:`GeometryError` for a coordinate outside the signed 32-bit
-    range the array passes compute in.
+    ``layout`` is a :class:`Layout`, read on ``layer``, or the packed
+    :class:`Outlines` of the layer's shapes, which ``layer`` then only
+    names.  Raises :class:`GeometryError` for a coordinate outside the
+    signed 32-bit range the array passes compute in.
     """
     options = options or ConstructionOptions()
     options.validate()
-    shapes = layout.shapes_on_layer(layer)
-    shape_rects = [shape.rects() for shape in shapes]
-    sizes = np.array([len(rects) for rects in shape_rects], dtype=np.int64)
-    boxes = rect_array([rect for rects in shape_rects for rect in rects])
-    shape_of_row = np.repeat(np.arange(len(shapes)), sizes)
-
-    cuts = _stitch_candidates(boxes, shape_of_row, sizes, options)
+    if isinstance(layout, Outlines):
+        boxes, sizes = layout.rect_rows()
+        shape_ids = layout.shape_ids
+    else:
+        shapes = layout.shapes_on_layer(layer)
+        shape_rects = [shape.rects() for shape in shapes]
+        sizes = np.array([len(rects) for rects in shape_rects], dtype=np.int64)
+        boxes = rect_array([rect for rects in shape_rects for rect in rects])
+        shape_ids = np.array([shape.shape_id for shape in shapes], dtype=np.int64)
+    count = len(sizes)
+    shape_of_row = np.repeat(np.arange(count), sizes)
 
     # ---------------------------------------------------------------- split
-    pieces_of = {
-        index: split_at(shape_rects[index], positions, horizontal)
-        for index, (positions, horizontal) in cuts.items()
+    cut_shapes, positions, horizontal = _stitch_candidates(
+        boxes, shape_of_row, sizes, options
+    )
+    offered = np.bincount(cut_shapes, minlength=count)
+    split = offered > 0
+    rows = np.flatnonzero(split[shape_of_row])
+    row_shapes = shape_of_row[rows]
+    per_row = offered[row_shapes]
+    first_cut = np.cumsum(offered) - offered
+    pieces, piece_rows, slots = split_rows(
+        boxes[rows],
+        horizontal[row_shapes],
+        np.repeat(np.arange(len(rows)), per_row),
+        positions[_ranges(first_cut[row_shapes], per_row)],
+    )
+    # One fragment per (shape, slot), in slot order; its pieces row by row.
+    piece_shapes = row_shapes[piece_rows]
+    order = np.argsort(
+        piece_shapes * (int(slots.max(initial=0)) + 1) + slots, kind="stable"
+    )
+    pieces, piece_shapes, slots = pieces[order], piece_shapes[order], slots[order]
+    starts = np.ones(len(slots), dtype=bool)
+    starts[1:] = (piece_shapes[1:] != piece_shapes[:-1]) | (slots[1:] != slots[:-1])
+    fragment_shapes = piece_shapes[starts]
+    # Vertices in shape order: one per unsplit shape, one per fragment.
+    vertex_counts = np.where(split, np.bincount(fragment_shapes, minlength=count), 1)
+    first_vertex = np.cumsum(vertex_counts) - vertex_counts
+    fragment_vertex = (
+        first_vertex[fragment_shapes]
+        + np.arange(len(fragment_shapes))
+        - np.searchsorted(fragment_shapes, fragment_shapes)
+    )
+    piece_vertices = fragment_vertex[np.cumsum(starts) - 1]
+
+    shape_of_vertex = np.repeat(np.arange(count), vertex_counts)
+    fragment_index = np.arange(len(shape_of_vertex)) - first_vertex[shape_of_vertex]
+    vertex_shapes = shape_ids[shape_of_vertex]
+    vertex_data = {
+        vertex: VertexData(shape_id, fragment)
+        for vertex, (shape_id, fragment) in enumerate(
+            zip(vertex_shapes.tolist(), fragment_index.tolist())
+        )
     }
-    vertex_data: Dict[int, VertexData] = {}
-    fragments: Dict[int, List[Rect]] = {}
-    shape_vertices: Dict[int, List[int]] = {}
-    stitch_edges: List[Tuple[int, int]] = []
-    first_vertex: List[int] = []
-    split_rows: List[Rect] = []
-    split_owners: List[int] = []
-    split_shapes: List[int] = []
-    vertex = 0
-    for index, shape in enumerate(shapes):
-        sid = shape.shape_id
-        first_vertex.append(vertex)
-        pieces = pieces_of.get(index)
-        if pieces is None:
-            vertex_data[vertex] = VertexData(sid)
-            fragments[vertex] = shape_rects[index]
-            shape_vertices[sid] = [vertex]
-            vertex += 1
-            continue
-        vertex_ids = list(range(vertex, vertex + len(pieces)))
-        for fragment_index, piece in enumerate(pieces):
-            vertex_data[vertex] = VertexData(sid, fragment_index)
-            fragments[vertex] = piece
-            split_rows.extend(piece)
-            split_owners.extend([vertex] * len(piece))
-            split_shapes.extend([index] * len(piece))
-            vertex += 1
-        shape_vertices[sid] = vertex_ids
-        stitch_edges.extend(zip(vertex_ids[:-1], vertex_ids[1:]))
+    later = np.flatnonzero(fragment_index > 0)
+    stitch_edges = list(zip((later - 1).tolist(), later.tolist()))
 
     # ------------------------------------------------------- fragment edges
     # Unsplit shapes keep their rows; split ones contribute their pieces.
-    whole = np.ones(len(shapes), dtype=bool)
-    whole[list(pieces_of)] = False
-    kept = whole[shape_of_row]
-    fragment_boxes = np.concatenate((boxes[kept], rect_array(split_rows)))
-    owners = np.concatenate(
-        (
-            np.array(first_vertex, dtype=np.int64)[shape_of_row[kept]],
-            np.array(split_owners, dtype=np.int64),
-        )
-    )
-    groups = np.concatenate(
-        (shape_of_row[kept], np.array(split_shapes, dtype=np.int64))
-    )
+    kept = ~split[shape_of_row]
+    fragment_boxes = np.concatenate((boxes[kept], pieces))
+    owners = np.concatenate((first_vertex[shape_of_row[kept]], piece_vertices))
+    groups = np.concatenate((shape_of_row[kept], piece_shapes))
     min_s = options.min_coloring_distance
     radius = min_s + options.half_pitch if options.enable_color_friendly else min_s
     low, high, d2 = close_rect_pairs(fragment_boxes, owners, radius, groups)
@@ -206,12 +243,21 @@ def build_decomposition_graph(
         stitch_edges,
         list(zip(low[~conflict].tolist(), high[~conflict].tolist())),
     )
+    by_vertex = np.argsort(owners, kind="stable")
     return ConstructionResult(
         graph=graph,
-        fragments=fragments,
-        shape_vertices=shape_vertices,
+        fragment_boxes=fragment_boxes[by_vertex],
+        fragment_vertices=owners[by_vertex],
+        vertex_shapes=vertex_shapes,
         layer=layer,
         options=options,
+    )
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i] .. starts[i] + lengths[i] - 1``, concatenated."""
+    return np.arange(int(lengths.sum())) + np.repeat(
+        starts - (np.cumsum(lengths) - lengths), lengths
     )
 
 
@@ -220,18 +266,21 @@ def _stitch_candidates(
     shape_of_row: np.ndarray,
     sizes: np.ndarray,
     options: ConstructionOptions,
-) -> Dict[int, Tuple[List[int], bool]]:
-    """Return ``{shape index: (sorted cut positions, horizontal)}`` for every
-    shape offered stitch candidates.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return ``(shapes, positions, horizontal)``: every stitch candidate.
 
-    Only a shape with a conflict neighbour is offered candidates; each
-    neighbour projects all of its rectangles.
+    ``shapes`` and ``positions`` are parallel arrays sorted by shape index,
+    positions strictly ascending within a shape; ``horizontal`` holds each
+    shape's cut axis.  Only a shape with a conflict neighbour is offered
+    candidates; each neighbour projects all of its rectangles.
     """
+    empty = np.zeros(0, dtype=np.int64)
+    horizontal = np.zeros(len(sizes), dtype=bool)
     if not options.enable_stitches:
-        return {}
+        return empty, empty, horizontal
     a, b, _ = close_rect_pairs(boxes, shape_of_row, options.min_coloring_distance)
     if not len(a):
-        return {}
+        return empty, empty, horizontal
     shape = np.concatenate((a, b))
     neighbour = np.concatenate((b, a))
     has_neighbour = np.zeros(len(sizes), dtype=bool)
@@ -251,19 +300,13 @@ def _stitch_candidates(
         axis=1,
     )[features]
     repeats = sizes[neighbour]
-    rows = np.arange(int(repeats.sum())) + np.repeat(
-        starts[neighbour] - (np.cumsum(repeats) - repeats), repeats
-    )
-    found, positions, horizontal = stitch_positions(
+    found, positions, across = stitch_positions(
         feature_boxes,
         np.repeat(slot_of_shape[shape], repeats),
-        boxes[rows],
+        boxes[_ranges(starts[neighbour], repeats)],
         min_fragment_length=options.min_fragment_length,
         projection_margin=options.stitch_projection_margin,
         max_candidates=options.max_stitches_per_feature,
     )
-    cuts: Dict[int, List[int]] = {}
-    for slot, position in zip(found.tolist(), positions.tolist()):
-        cuts.setdefault(slot, []).append(position)
-    indices, across = features.tolist(), horizontal.tolist()
-    return {indices[slot]: (cut, across[slot]) for slot, cut in cuts.items()}
+    horizontal[features] = across
+    return features[found], positions, horizontal

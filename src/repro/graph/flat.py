@@ -49,7 +49,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import GraphError
 

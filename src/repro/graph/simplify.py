@@ -17,7 +17,7 @@ algorithms:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.errors import GraphError
 from repro.graph.decomposition_graph import DecompositionGraph

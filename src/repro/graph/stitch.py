@@ -10,15 +10,16 @@ decomposers the paper builds on: project every conflicting neighbour onto the
 long axis of the feature; a position is a legal stitch candidate only where no
 neighbour projection covers the feature, and only when both resulting
 fragments keep a minimum printable length.  :func:`stitch_positions` finds
-them for every feature of a layer in one pass over arrays;
-:func:`find_stitch_candidates` is its one-feature form.
+them for every feature of a layer in one pass over arrays, and
+:func:`split_rows` cuts every split feature's rectangles in another;
+:func:`find_stitch_candidates` and :func:`split_feature` are their
+one-feature forms.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,11 +42,6 @@ class StitchCandidate:
 
     position: int
     horizontal: bool
-
-
-def _axis_interval(rect: Rect, horizontal: bool) -> Tuple[int, int]:
-    """Return the rect's interval on the chosen axis."""
-    return (rect.xl, rect.xh) if horizontal else (rect.yl, rect.yh)
 
 
 def stitch_positions(
@@ -184,39 +180,63 @@ def split_feature(
 
     Returns the fragments ordered along the cut axis; consecutive fragments
     share a stitch edge in the decomposition graph.  With no candidates the
-    single original fragment is returned.
+    single original fragment is returned.  A one-feature call of
+    :func:`split_rows`.
     """
     if not candidates:
         return [list(feature_rects)]
-    return split_at(
-        feature_rects,
-        sorted(c.position for c in candidates),
-        candidates[0].horizontal,
+    positions = sorted({c.position for c in candidates})
+    count = len(feature_rects)
+    pieces, _, slots = split_rows(
+        rect_array(feature_rects),
+        np.full(count, candidates[0].horizontal),
+        np.repeat(np.arange(count), len(positions)),
+        np.tile(np.array(positions, dtype=np.int64), count),
     )
+    fragments: Dict[int, List[Rect]] = {}
+    order = np.argsort(slots, kind="stable")
+    for slot, row in zip(slots[order].tolist(), pieces[order].tolist()):
+        fragments.setdefault(slot, []).append(Rect(*row))
+    return list(fragments.values())
 
 
-def split_at(
-    feature_rects: Sequence[Rect], positions: Sequence[int], horizontal: bool
-) -> List[List[Rect]]:
-    """Split a feature's rectangles at sorted cut ``positions`` on one axis.
+def split_rows(
+    boxes: np.ndarray,
+    horizontal: np.ndarray,
+    cut_rows: np.ndarray,
+    cut_positions: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut rectangle rows at positions on their cut axes, all rows at once.
 
-    Every rectangle is cut at each distinct position strictly inside its
-    interval on the cut axis, and each piece joins the fragment between the
-    positions around it.  Empty fragments are dropped.
+    ``boxes`` is an int64 ``(n, 4)`` array of ``(xl, yl, xh, yh)`` rows and
+    ``horizontal[i]`` row ``i``'s cut axis (True: cuts at x positions).
+    ``cut_rows`` and ``cut_positions`` list the positions offered to each
+    row, grouped by row in ascending order, strictly ascending within a
+    row.  A row is cut at every offered position strictly inside its
+    interval on the cut axis.
+
+    Returns ``(pieces, piece_rows, slots)``: the pieces, row after row and
+    along the axis within a row; the row each comes from; and its slot, the
+    number of the row's offered positions at or below the piece's low end.
+    The pieces of one feature's rows that share a slot form one fragment.
     """
-    distinct = list(dict.fromkeys(positions))
-    fragments: List[List[Rect]] = [[] for _ in range(len(positions) + 1)]
-    for rect in feature_rects:
-        lo, hi = _axis_interval(rect, horizontal)
-        cuts = [p for p in distinct if lo < p < hi]
-        if not cuts:
-            fragments[bisect_right(positions, lo)].append(rect)
-            continue
-        ends = [lo, *cuts, hi]
-        for a, b in zip(ends, ends[1:]):
-            if horizontal:
-                piece = Rect(a, rect.yl, b, rect.yh)
-            else:
-                piece = Rect(rect.xl, a, rect.xh, b)
-            fragments[bisect_right(positions, a)].append(piece)
-    return [fragment for fragment in fragments if fragment]
+    count = len(boxes)
+    lo = np.where(horizontal, boxes[:, 0], boxes[:, 1])
+    hi = np.where(horizontal, boxes[:, 2], boxes[:, 3])
+    inside = (lo[cut_rows] < cut_positions) & (cut_positions < hi[cut_rows])
+    below = np.bincount(cut_rows[cut_positions <= lo[cut_rows]], minlength=count)
+    cuts = np.bincount(cut_rows[inside], minlength=count)
+    piece_rows = np.repeat(np.arange(count), cuts + 1)
+    rank = np.arange(len(piece_rows)) - np.repeat(np.cumsum(cuts + 1) - cuts - 1, cuts + 1)
+    first = rank == 0
+    last = rank == cuts[piece_rows]
+    inner = cut_positions[inside]
+    low = np.empty(len(piece_rows), dtype=np.int64)
+    high = np.empty(len(piece_rows), dtype=np.int64)
+    low[first], low[~first] = lo, inner
+    high[last], high[~last] = hi, inner
+    pieces = boxes[piece_rows]
+    across = horizontal[piece_rows]
+    pieces[across, 0], pieces[across, 2] = low[across], high[across]
+    pieces[~across, 1], pieces[~across, 3] = low[~across], high[~across]
+    return pieces, piece_rows, below[piece_rows] + rank

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import InfeasibleError, SolverError
+from repro.errors import SolverError
 from repro.opt.lp import solve_lp
 
 _EPSILON = 1e-6

@@ -57,8 +57,8 @@ discrete-solution encoder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -84,8 +84,8 @@ from repro.service.http import (
 from repro.service.metrics import METRICS_CONTENT_TYPE
 from repro.service.protocol import (
     ProtocolError,
+    decode_decompose_request,
     parse_batch_request,
-    parse_decompose_request,
 )
 
 #: What a route handler returns: (status, body, extra headers).
@@ -288,13 +288,14 @@ class BaseHttpServer:
         )
 
         def _decode_jobs() -> List[Dict]:
-            # Decoding a (up to max_body_bytes) JSON body and rebuilding the
-            # layout is CPU work: off the event loop, or one big request
-            # stalls /healthz and every other connection.
+            # Decoding a (up to max_body_bytes) JSON body into packed
+            # outlines is CPU work: off the event loop, or one big request
+            # stalls /healthz and every other connection.  Polygons are
+            # decomposed in the worker, not here.
             payload = request.json()
             if batch:
                 return parse_batch_request(payload)
-            return [parse_decompose_request(payload)]
+            return [decode_decompose_request(payload)]
 
         try:
             with self.obs.span("parse", ctx):

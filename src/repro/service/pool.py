@@ -10,10 +10,10 @@ same file.  Without it, each worker keeps a process-private in-memory LRU —
 still effective for repeated cells within the worker's own request stream.
 
 Admission is **priority-aware**: jobs wait in a smallest-estimated-cost-first
-queue (cost ≈ vertices for a component job, shapes for a layout job) and are
-handed to the executor only when a worker is free, so a small interactive
-request overtakes the long tail of a large batch instead of queueing behind
-it.  Pure cost order would let a steady stream of small jobs starve a big
+queue (cost ≈ vertices for a component job, shapes on the decomposed layer
+for a layout job) and are handed to the executor only when a worker is
+free, so a small interactive request overtakes the long tail of a large
+batch instead of queueing behind it.  Pure cost order would let a steady stream of small jobs starve a big
 one forever; an **age bump** prevents that — once the oldest queued job has
 waited :data:`STARVATION_AGE_SECONDS`, it is dispatched next regardless of
 cost.
@@ -31,9 +31,12 @@ actually run on (``compiled`` or ``reference``), so a box without a C
 compiler is visible in ``/stats`` and ``repro_build_info`` instead of only
 in its latency.
 
-Jobs and results are plain JSON-level dicts (see
-:mod:`repro.service.protocol`), which keeps the process boundary cheap and
-version-skew-proof.
+A layout job carries its decomposed layer as packed integer arrays
+(:class:`~repro.geometry.outlines.Outlines`, see
+:mod:`repro.service.protocol`), so crossing the process boundary pickles a
+few buffers, not a layout document; the workers are processes of the
+server's own build, so the job needs no version-independent form.  A
+result is the response dict.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.decomposer import Decomposer
+from repro.geometry.outlines import Outlines
 from repro.obs.hist import Histogram
 from repro.runtime.cache import open_cache
 from repro.runtime.pipeline import resolve_workers
@@ -103,17 +107,17 @@ def _worker_probe() -> str:
 def estimate_job_cost(job: Dict) -> int:
     """Estimate one job's solve cost for the priority queue.
 
-    Deliberately cheap and structural — vertices for a component, shapes for
-    a layout — because the estimate only has to *order* jobs (small before
-    large), not predict wall time.  Component jobs carry the vertex count
-    as ``num_vertices`` (the frame decode already read it).
+    Deliberately cheap and structural — vertices for a component, shapes on
+    the decomposed layer for a layout — because the estimate only has to
+    *order* jobs (small before large), not predict wall time.  Component
+    jobs carry the vertex count as ``num_vertices`` (the frame decode
+    already read it), layout jobs their layer's ``outlines``.
     """
     if job.get("kind") == "component":
         hint = job.get("num_vertices")
         return hint if isinstance(hint, int) and hint > 0 else 1
-    layout = job.get("layout")
-    shapes = layout.get("shapes") if isinstance(layout, dict) else None
-    return max(1, len(shapes)) if isinstance(shapes, list) else 1
+    outlines = job.get("outlines")
+    return max(1, len(outlines)) if isinstance(outlines, Outlines) else 1
 
 
 @dataclass

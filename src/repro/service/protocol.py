@@ -34,6 +34,20 @@ format marker, so a client can feed it straight to
 :meth:`Layout.from_dict` or save it as a ``.json`` layout file.  Everything
 except ``seconds`` is deterministic: byte-compare two responses with
 ``canonical_json`` to prove two solves were identical.
+
+Jobs
+----
+
+:func:`decode_decompose_request` is the front ends' decode: one validating
+pass over the request straight into the job the worker pool runs.  The job
+carries the decomposed layer's packed
+:class:`~repro.geometry.outlines.Outlines` (``outlines``) and the options
+as scalars; no :class:`Layout` is built for a JSON layout, and polygon
+decomposition is left to the worker.  :func:`parse_decompose_request` is
+the JSON-level reference it is tested against: the same decisions and the
+same error texts, with the layout as a :meth:`Layout.to_dict` document
+(``layout``).  :func:`run_job` runs either, and :func:`result_to_payload`
+writes ``masks`` from the construction's fragment arrays.
 """
 
 from __future__ import annotations
@@ -41,12 +55,13 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.decomposer import DecompositionResult
 from repro.core.options import DecomposerOptions
 from repro.errors import ReproError
 from repro.geometry.layout import Layout
+from repro.geometry.outlines import PackedLayout
 from repro.io.gds import parse_gds
 from repro.io.jsonio import FORMAT_MARKER
 from repro.obs.trace import Span
@@ -91,11 +106,15 @@ def build_options(
     return options
 
 
-def parse_layout(payload: Dict) -> Tuple[str, Layout]:
+def parse_layout(
+    payload: Dict, packed: bool = False
+) -> Tuple[str, Union[Layout, PackedLayout]]:
     """Extract (name, layout) from a request dict.
 
     Exactly one of ``layout`` (repro JSON dict) and ``gds_b64`` (base64
-    GDSII) must be present.
+    GDSII) must be present.  With ``packed`` the layout comes back as a
+    :class:`PackedLayout`, decoded without building a :class:`Layout` for
+    a JSON document.
     """
     if not isinstance(payload, dict):
         raise ProtocolError("request body must be a JSON object")
@@ -111,7 +130,7 @@ def parse_layout(payload: Dict) -> Tuple[str, Layout]:
         if marker != FORMAT_MARKER:
             raise ProtocolError(f"'layout' has unknown format marker {marker!r}")
         try:
-            layout = Layout.from_dict(data)
+            layout = (PackedLayout if packed else Layout).from_dict(data)
         except (ReproError, KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"invalid 'layout' payload: {exc}") from exc
     else:
@@ -128,6 +147,8 @@ def parse_layout(payload: Dict) -> Tuple[str, Layout]:
             raise ProtocolError(f"invalid 'gds_b64' GDSII payload: {exc}") from exc
         # Uploads are named uniformly, whatever LIBNAME/STRNAME they carry.
         layout.name = "gds-upload"
+        if packed:
+            layout = PackedLayout.from_layout(layout)
     name = payload.get("name", layout.name or "layout")
     if not isinstance(name, str):
         raise ProtocolError(f"'name' must be a string, got {name!r}")
@@ -135,17 +156,32 @@ def parse_layout(payload: Dict) -> Tuple[str, Layout]:
 
 
 def parse_decompose_request(payload: Dict, defaults: Optional[Dict] = None) -> Dict:
-    """Validate a decompose request into a plain job dict.
+    """Validate a decompose request into a JSON-level job dict.
 
-    The job dict is what crosses the process boundary to the worker pool, so
-    it stays JSON-level (the layout as a dict, options as scalars) — cheap to
-    pickle and impossible to desynchronise from the wire schema.
+    The reference of :func:`decode_decompose_request`: the same decisions
+    and errors, with the layout as a :meth:`Layout.to_dict` document under
+    ``layout`` and the options as scalars.
     """
+    return _parse_request(payload, defaults, packed=False)
+
+
+def decode_decompose_request(payload: Dict, defaults: Optional[Dict] = None) -> Dict:
+    """Validate a decompose request into the job a worker runs.
+
+    What the front ends call.  Accepts and refuses what
+    :func:`parse_decompose_request` does, with the same
+    :class:`ProtocolError` texts; the job carries the decomposed layer's
+    :class:`~repro.geometry.outlines.Outlines` under ``outlines``.
+    """
+    return _parse_request(payload, defaults, packed=True)
+
+
+def _parse_request(payload: Dict, defaults: Optional[Dict], packed: bool) -> Dict:
     if not isinstance(payload, dict):
         raise ProtocolError("request body must be a JSON object")
     merged = dict(defaults or {})
     merged.update({k: payload[k] for k in _OPTION_KEYS if k in payload})
-    name, layout = parse_layout(payload)
+    name, layout = parse_layout(payload, packed)
     # Validate solve parameters up front: a bad request must 400 in the
     # server process, not explode later inside a worker.
     build_options(
@@ -159,18 +195,22 @@ def parse_decompose_request(payload: Dict, defaults: Optional[Dict] = None) -> D
         layer = layers[0] if layers else "metal1"
     if not isinstance(layer, str):
         raise ProtocolError(f"'layer' must be a string, got {layer!r}")
-    return {
+    job = {
         "name": merged.get("name", name),
-        "layout": layout.to_dict(),
         "layer": layer,
         "colors": merged.get("colors", 4),
         "algorithm": merged.get("algorithm", "sdp-backtrack"),
         "min_spacing": merged.get("min_spacing"),
     }
+    if packed:
+        job["outlines"] = layout.outlines(layer)
+    else:
+        job["layout"] = layout.to_dict()
+    return job
 
 
 def parse_batch_request(payload: Dict) -> List[Dict]:
-    """Validate a batch request into a list of job dicts."""
+    """Validate a batch request into a list of the front ends' job dicts."""
     if not isinstance(payload, dict):
         raise ProtocolError("request body must be a JSON object")
     layouts = payload.get("layouts")
@@ -180,7 +220,7 @@ def parse_batch_request(payload: Dict) -> List[Dict]:
     jobs = []
     for position, item in enumerate(layouts):
         try:
-            jobs.append(parse_decompose_request(item, defaults=defaults))
+            jobs.append(decode_decompose_request(item, defaults=defaults))
         except ProtocolError as exc:
             raise ProtocolError(f"layouts[{position}]: {exc}") from exc
     from repro.runtime.batch import dedupe_names
@@ -193,6 +233,8 @@ def parse_batch_request(payload: Dict) -> List[Dict]:
 def run_job(job: Dict, decomposer_factory, executor=None, span=Span) -> Dict:
     """Execute one job dict and encode the response payload.
 
+    ``job`` comes from :func:`decode_decompose_request` (packed outlines) or
+    :func:`parse_decompose_request` (a layout document).
     ``decomposer_factory(options)`` returns the :class:`Decomposer` to use —
     the worker pool binds its per-process cache there.  ``executor`` and
     ``span`` pass through to :meth:`Decomposer.decompose`: the cluster
@@ -200,7 +242,9 @@ def run_job(job: Dict, decomposer_factory, executor=None, span=Span) -> Dict:
     the request's trace.  Lives next to the parsers so request decoding and
     response encoding stay one module.
     """
-    layout = Layout.from_dict(job["layout"])
+    layout = job.get("outlines")
+    if layout is None:
+        layout = Layout.from_dict(job["layout"])
     options = build_options(
         colors=job["colors"],
         algorithm=job["algorithm"],
@@ -215,7 +259,7 @@ def run_job(job: Dict, decomposer_factory, executor=None, span=Span) -> Dict:
 
 def result_to_payload(name: str, layer: str, result: DecompositionResult) -> Dict:
     """Encode one :class:`DecompositionResult` as the response dict."""
-    masks = result.to_mask_layout().to_dict()
+    masks = result.mask_dict()
     masks["format"] = FORMAT_MARKER
     solution = result.solution
     return {

@@ -20,6 +20,7 @@ from repro.analysis.exposition import (
     LabelConsistencyRule,
     MetricPrefixRule,
 )
+from repro.analysis.imports import UnusedImportRule
 from repro.analysis.locks import BlockingCallUnderLockRule, LockOrderInversionRule
 
 
@@ -579,5 +580,43 @@ class TestMetricsExposition:
                     )
                 ]
             """,
+        )
+        assert findings == []
+
+
+# -- IMP001: unused imports --------------------------------------------------
+
+
+class TestUnusedImport:
+    SOURCE = """
+        from __future__ import annotations
+
+        import json
+        import os.path
+        from typing import Dict, List, Optional
+        from collections import OrderedDict as Ordered
+        from repro.geometry.rect import Rect
+        from repro.geometry.point import Point
+        import scipy.optimize  # noqa: F401  # loaded for its side effect
+
+        __all__ = ["Point"]
+
+        def encode(value: Dict) -> "List[Rect]":
+            return json.dumps(value)
+        """
+
+    def test_only_unread_names_are_flagged(self, tmp_path):
+        findings = lint_source(tmp_path, UnusedImportRule(), self.SOURCE)
+        assert rules_hit(findings) == ["IMP001"]
+        assert [f.message for f in findings] == [
+            "'os' (import os.path) is imported but never read",
+            "'Optional' (from typing import Optional) is imported but never read",
+            "'Ordered' (from collections import OrderedDict) is imported but never read",
+        ]
+        assert [f.line for f in findings] == [5, 6, 7]
+
+    def test_init_modules_are_exempt(self, tmp_path):
+        findings = lint_source(
+            tmp_path, UnusedImportRule(), "from json import dumps\n", filename="__init__.py"
         )
         assert findings == []

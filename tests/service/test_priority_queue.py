@@ -9,17 +9,18 @@ occupying a single admission slot.
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
 import repro.service.pool as pool_module
 from repro.bench.factory import repeated_cell_layout
+from repro.geometry.layout import Layout
 from repro.graph.components import connected_components
 from repro.graph.construction import build_decomposition_graph
 from repro.runtime.wire_binary import encode_components_frame
 from repro.service import ServerConfig, ServerThread, ServiceClient, ServiceError
 from repro.service.pool import PoolConfig, WorkerPool, estimate_job_cost
+from repro.service.protocol import decode_decompose_request
 
 pytestmark = pytest.mark.service
 
@@ -34,8 +35,17 @@ class TestCostEstimate:
 
     def test_layout_cost_is_shape_count(self):
         layout = repeated_cell_layout(copies=3)
-        job = {"layout": layout.to_dict()}
+        job = decode_decompose_request({"layout": layout.to_dict()})
         assert estimate_job_cost(job) == len(layout)
+
+    def test_layout_cost_counts_only_the_decomposed_layer(self):
+        layout = Layout()
+        for index in range(3):
+            layout.add_rect_xy(100 * index, 0, 100 * index + 40, 40, layer="metal1")
+        for index in range(100):
+            layout.add_rect_xy(100 * index, 500, 100 * index + 40, 540, layer="metal2")
+        job = decode_decompose_request({"layout": layout.to_dict(), "layer": "metal1"})
+        assert estimate_job_cost(job) == 3
 
     def test_malformed_jobs_cost_one(self):
         assert estimate_job_cost({}) == 1
