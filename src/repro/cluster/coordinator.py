@@ -227,7 +227,7 @@ class ClusterCoordinator(BaseHttpServer):
             client.close()
 
     # ----------------------------------------------------- job control hooks
-    async def _submit_jobs(self, loop, jobs: List[Dict], release_slot, klass, ctx):
+    async def _submit_jobs(self, loop, jobs: List[Dict], release_slot, ctx):
         assert self._jobs_executor is not None
         futures = []
         for job in jobs:

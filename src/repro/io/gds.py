@@ -29,8 +29,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import LayoutIOError
-from repro.geometry.layout import Layout
-from repro.geometry.point import Point
+from repro.geometry.layout import OUT_OF_RANGE_MESSAGE, Layout
+from repro.geometry.point import COORDINATE_MAX, COORDINATE_MIN, Point
 from repro.geometry.polygon import Polygon
 
 # GDSII record types used by this subset (record type byte values).
@@ -297,37 +297,27 @@ def _finish_element(
 
 
 def _path_to_polygons(points: Sequence[Point], width: int) -> List[Polygon]:
-    """Expand a Manhattan PATH centreline into rectangle polygons."""
+    """Expand a Manhattan PATH centreline into rectangle polygons.
+
+    Raises :class:`LayoutIOError` when the widening puts a corner outside
+    the signed 32-bit range of GDSII coordinates.
+    """
     if width <= 0:
         return []
     half = width // 2
     polygons: List[Polygon] = []
     for a, b in zip(points[:-1], points[1:]):
         if a.x == b.x:  # vertical segment
-            yl, yh = min(a.y, b.y), max(a.y, b.y)
-            polygons.append(
-                Polygon.from_points(
-                    [
-                        (a.x - half, yl - half),
-                        (a.x + half, yl - half),
-                        (a.x + half, yh + half),
-                        (a.x - half, yh + half),
-                    ]
-                )
-            )
+            xl, xh = a.x - half, a.x + half
+            yl, yh = min(a.y, b.y) - half, max(a.y, b.y) + half
         elif a.y == b.y:  # horizontal segment
-            xl, xh = min(a.x, b.x), max(a.x, b.x)
-            polygons.append(
-                Polygon.from_points(
-                    [
-                        (xl - half, a.y - half),
-                        (xh + half, a.y - half),
-                        (xh + half, a.y + half),
-                        (xl - half, a.y + half),
-                    ]
-                )
-            )
-        # Non-Manhattan path segments are outside the supported subset.
+            xl, xh = min(a.x, b.x) - half, max(a.x, b.x) + half
+            yl, yh = a.y - half, a.y + half
+        else:  # non-Manhattan path segments are outside the supported subset
+            continue
+        if min(xl, yl) < COORDINATE_MIN or max(xh, yh) > COORDINATE_MAX:
+            raise LayoutIOError(OUT_OF_RANGE_MESSAGE)
+        polygons.append(Polygon.from_points([(xl, yl), (xh, yl), (xh, yh), (xl, yh)]))
     return polygons
 
 

@@ -28,7 +28,7 @@ from repro.obs.trace import (
 #: Stages each role times; seeding them keeps ``/metrics`` histogram
 #: series present (at zero) from the first scrape, so dashboards never
 #: have to special-case an empty family.
-SERVER_STAGES = ("parse", "execute", "queue_wait", "cache_lookup", "solve", "encode")
+SERVER_STAGES = ("parse", "execute", "cache_lookup", "solve", "encode")
 COORDINATOR_STAGES = (
     "parse",
     "execute",

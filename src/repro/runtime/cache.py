@@ -34,7 +34,6 @@ CLI flags and server options map straight onto it).
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Protocol, Tuple
@@ -42,20 +41,7 @@ from typing import Dict, Optional, Protocol, Tuple
 from repro.core.division import DivisionReport
 from repro.core.options import AlgorithmOptions, DivisionOptions
 from repro.graph.decomposition_graph import DecompositionGraph
-from repro.obs.hist import Histogram
 from repro.runtime.hashing import canonical_component_key, canonical_vertex_order
-
-#: Latency of :meth:`ComponentCache.lookup` (backend get + rank replay),
-#: process-wide across every cache instance.  Like the per-worker hit/miss
-#: counters, observations made inside pool worker *processes* stay in those
-#: processes; the server's ``/metrics`` shows the serving process's view.
-LOOKUP_HISTOGRAM = Histogram()
-
-
-def lookup_histogram() -> Histogram:
-    """Accessor for the process-wide cache-lookup latency histogram."""
-    return LOOKUP_HISTOGRAM
-
 
 @dataclass
 class ComponentRecord:
@@ -277,21 +263,17 @@ class ComponentCache:
         itself can never be poisoned (see
         :func:`repro.runtime.component_io.solve_component_job`).
         """
-        started = time.perf_counter()
         record = self.backend.get(key, graph_shape(graph))
         if record is None:
             self.stats.misses += 1
-            LOOKUP_HISTOGRAM.observe(time.perf_counter() - started)
             return None
         self.stats.hits += 1
         order = canonical_vertex_order(graph)
-        replayed = ComponentRecord(
+        return ComponentRecord(
             coloring={vertex: record.coloring[rank] for rank, vertex in enumerate(order)},
             report=record.report.component_delta(),
             solver_timeouts=record.solver_timeouts,
         )
-        LOOKUP_HISTOGRAM.observe(time.perf_counter() - started)
-        return replayed
 
     def store(
         self,

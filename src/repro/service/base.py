@@ -177,16 +177,14 @@ class BaseHttpServer:
         loop: asyncio.AbstractEventLoop,
         jobs: List[Dict],
         release_slot,
-        klass: str,
         ctx,
     ):
         """Hand admitted jobs to the backend.
 
-        ``klass`` is the jobs' priority class (``interactive`` or
-        ``batch``) and ``ctx`` the request's trace context (``None`` when
-        tracing is off).  Returns ``(futures, first submit error)``; every
-        returned future must carry ``release_slot`` as a done-callback (it
-        owns that job's in-flight slot from then on).
+        ``ctx`` is the request's trace context (``None`` when tracing is
+        off).  Returns ``(futures, first submit error)``; every returned
+        future must carry ``release_slot`` as a done-callback (it owns that
+        job's in-flight slot from then on).
         """
         raise NotImplementedError
 
@@ -313,9 +311,7 @@ class BaseHttpServer:
 
         self.obs.emit(ctx, "divided", layouts=len(jobs))
         with self.obs.span("execute", ctx):
-            results, error = await self._execute_jobs(
-                jobs, klass="batch" if batch else "interactive", ctx=ctx
-            )
+            results, error = await self._execute_jobs(jobs, ctx=ctx)
         if error is not None:
             status = error[0]
             self.obs.emit(ctx, "failed", status=status)
@@ -355,7 +351,6 @@ class BaseHttpServer:
     async def _execute_jobs(
         self,
         jobs: List[Dict],
-        klass: str = "interactive",
         ctx=None,
         units: Optional[int] = None,
         collect_errors: bool = False,
@@ -366,12 +361,12 @@ class BaseHttpServer:
         when the request was shed, timed out or failed — the single place
         where queue limits, in-flight slot accounting and the overload
         contract live, shared by every job endpoint of every subclass.
-        ``klass`` and ``ctx`` pass through to :meth:`_submit_jobs`.
+        ``ctx`` passes through to :meth:`_submit_jobs`.
 
         ``units`` is how many admission slots the request occupies (default:
         one per job).  A component micro-batch passes ``units=1`` — it is one
-        node round trip whose internal ordering the pool's priority queue
-        owns, so admission control sheds *requests*, not components.  With
+        node round trip whose members queue in the backend like any other
+        jobs, so admission control sheds *requests*, not components.  With
         ``collect_errors`` a failing job becomes its exception in the results
         list instead of failing the whole request (per-component granularity
         for batch endpoints).
@@ -422,7 +417,7 @@ class BaseHttpServer:
         unsubmitted = len(jobs)
         try:
             futures, submit_error = await self._submit_jobs(
-                loop, jobs, _release_slot, klass, ctx
+                loop, jobs, _release_slot, ctx
             )
             unsubmitted = len(jobs) - len(futures)
             if submit_error is not None:

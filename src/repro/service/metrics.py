@@ -197,26 +197,16 @@ def observability_families(obs) -> List[MetricFamily]:
     """Metric families fed by :mod:`repro.obs` instrumentation.
 
     Shared by the server's and the coordinator's ``/metrics``: the span
-    stage histograms, the component-cache lookup histogram (process-wide,
-    serving-process view), and, when the journal is enabled, journal
-    telemetry.
+    stage histograms and, when the journal is enabled, journal telemetry.
     """
-    from repro.runtime.cache import lookup_histogram
-
     families: List[MetricFamily] = process_telemetry_families()
-    families += [
+    families.append(
         histogram_family(
             "repro_stage_duration_seconds",
             "Per-stage request latency (seconds), fed by trace spans.",
             [({"stage": stage}, snap) for stage, snap in obs.stages.snapshot()],
-        ),
-        histogram_family(
-            "repro_cache_lookup_seconds",
-            "Component-cache lookup latency (serving process only; pool "
-            "worker processes keep their own).",
-            [({}, lookup_histogram().snapshot())],
-        ),
-    ]
+        )
+    )
     if obs.journal is not None:
         journal_stats = obs.journal.stats()
         families.append(
@@ -307,25 +297,13 @@ def server_metrics_text(
         ),
         gauge_family(
             "repro_pool_queue_depth",
-            "Jobs admitted but not yet dispatched to a worker, by priority "
-            "class.",
-            [
-                ({"class": klass}, depth)
-                for klass, depth in sorted(
-                    (pool.get("queue_depth") or {}).items()
-                )
-            ],
+            "Jobs admitted but not yet dispatched to a worker.",
+            [({}, pool.get("queue_depth", 0))],
         ),
         gauge_family(
             "repro_pool_active_jobs",
             "Jobs currently executing on a worker.",
             [({}, pool.get("active", 0))],
-        ),
-        counter_family(
-            "repro_pool_priority_bumps_total",
-            "Queued jobs dispatched by the age-based anti-starvation bump "
-            "instead of smallest-cost order.",
-            [({}, pool.get("priority_bumps", 0))],
         ),
     ]
     if cache.get("backend") == "sqlite":

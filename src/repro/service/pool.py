@@ -9,17 +9,16 @@ for every later request, and for the next server instance pointed at the
 same file.  Without it, each worker keeps a process-private in-memory LRU —
 still effective for repeated cells within the worker's own request stream.
 
-Admission is **priority-aware**: jobs wait in a smallest-estimated-cost-first
-queue (cost ≈ vertices for a component job, shapes on the decomposed layer
-for a layout job) and are handed to the executor only when a worker is
-free, so a small interactive request overtakes the long tail of a large
-batch instead of queueing behind it.  Pure cost order would let a steady stream of small jobs starve a big
-one forever; an **age bump** prevents that — once the oldest queued job has
-waited :data:`STARVATION_AGE_SECONDS`, it is dispatched next regardless of
-cost.
-Queue depth per priority class (``interactive`` vs ``batch``) and the bump
-count are exposed through :meth:`stats` (and from there ``/stats`` and
-``/metrics``).
+Admitted jobs wait in one first-in, first-out queue and are handed to the
+executor only when a worker is free.  Jobs share no mutable state, so the
+order in which they run changes who waits, never an answer.  Holding the
+queue here rather than in the executor keeps the queue wait (enqueue to
+dispatch, :attr:`WorkerPool.queue_wait`, rendered as
+``repro_pool_queue_wait_seconds``) measured in the server process and
+``active`` and ``queue_depth`` in :meth:`~WorkerPool.stats` exact.  It
+also bounds what a worker crash costs: a process pool fails every job it
+holds when one worker dies, and it holds only the running ones, so the
+queued jobs run on the rebuilt executor.
 
 Environments that cannot fork (locked-down sandboxes) are detected at
 startup by running a probe job through the pool; on failure the pool falls
@@ -41,7 +40,6 @@ result is the response dict.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from collections import deque
@@ -50,17 +48,10 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.decomposer import Decomposer
-from repro.geometry.outlines import Outlines
 from repro.obs.hist import Histogram
 from repro.runtime.cache import open_cache
 from repro.runtime.pipeline import resolve_workers
 from repro.service import protocol
-
-#: The queue's priority classes, in display order.
-PRIORITY_CLASSES = ("interactive", "batch")
-
-#: Oldest-job wait beyond which the age bump overrides cost order.
-STARVATION_AGE_SECONDS = 5.0
 
 #: Per-thread (and, in process mode, per-process) worker state.  A
 #: ``threading.local`` covers both executors: a worker process runs its
@@ -104,22 +95,6 @@ def _worker_probe() -> str:
     return "compiled" if active_core() is not None else "reference"
 
 
-def estimate_job_cost(job: Dict) -> int:
-    """Estimate one job's solve cost for the priority queue.
-
-    Deliberately cheap and structural — vertices for a component, shapes on
-    the decomposed layer for a layout — because the estimate only has to
-    *order* jobs (small before large), not predict wall time.  Component
-    jobs carry the vertex count as ``num_vertices`` (the frame decode
-    already read it), layout jobs their layer's ``outlines``.
-    """
-    if job.get("kind") == "component":
-        hint = job.get("num_vertices")
-        return hint if isinstance(hint, int) and hint > 0 else 1
-    outlines = job.get("outlines")
-    return max(1, len(outlines)) if isinstance(outlines, Outlines) else 1
-
-
 @dataclass
 class PoolConfig:
     """Static pool configuration fixed at server startup."""
@@ -139,13 +114,9 @@ class PoolConfig:
 class _PendingJob:
     """One admitted job waiting for (or holding) a worker."""
 
-    seq: int
-    cost: int
-    klass: str
     enqueued_at: float
     job: Dict
     future: Future = field(default_factory=Future)
-    dispatched: bool = False
 
 
 class WorkerPool:
@@ -161,26 +132,13 @@ class WorkerPool:
         self._drained = threading.Condition(self._lock)
         self._executor = None
         self._stopping = False
-        self._seq = 0
         self._active = 0
-        #: Cost order (lazy deletion: entries stay until popped).
-        self._heap: List[Tuple[int, int, _PendingJob]] = []
-        #: Arrival order, for the age-based anti-starvation bump.
-        self._fifo: Deque[_PendingJob] = deque()
-        self._queued: Dict[str, int] = {klass: 0 for klass in PRIORITY_CLASSES}
-        self._counters = {
-            "submitted": 0,
-            "completed": 0,
-            "failed": 0,
-            "priority_bumps": 0,
-        }
+        #: Admitted jobs not yet handed to a worker, oldest first.
+        self._queue: Deque[_PendingJob] = deque()
+        self._counters = {"submitted": 0, "completed": 0, "failed": 0}
         #: Admission-queue wait (enqueue → dispatch to a worker), rendered
-        #: as ``repro_pool_queue_wait_seconds`` on ``/metrics``.  The owning
-        #: server may additionally attach its stage HistogramVec here so
-        #: queue waits show up as a ``queue_wait`` stage alongside the span
-        #: stages (see :mod:`repro.obs.observer`).
+        #: as ``repro_pool_queue_wait_seconds`` on ``/metrics``.
         self.queue_wait = Histogram()
-        self.stage_histograms = None
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
@@ -234,17 +192,10 @@ class WorkerPool:
         with self._lock:
             self._stopping = True
             if wait:
-                self._drained.wait_for(
-                    lambda: self._active == 0 and not self._pending_count_locked()
-                )
+                self._drained.wait_for(lambda: self._active == 0 and not self._queue)
                 cancelled: List[_PendingJob] = []
             else:
-                cancelled = [entry for entry in self._fifo if not entry.dispatched]
-                for entry in cancelled:
-                    entry.dispatched = True
-                    self._queued[entry.klass] -= 1
-                self._fifo.clear()
-                self._heap.clear()
+                cancelled, self._queue = list(self._queue), deque()
             executor, self._executor = self._executor, None
         for entry in cancelled:
             entry.future.cancel()
@@ -252,64 +203,20 @@ class WorkerPool:
             executor.shutdown(wait=wait)
 
     # -------------------------------------------------------------- serving
-    def submit(self, job: Dict, klass: str = "interactive") -> Future:
-        """Queue one job dict; the future resolves to the response payload.
-
-        ``klass`` is the priority class reported in queue-depth telemetry
-        (``interactive`` for single requests, ``batch`` for batch members);
-        dispatch order itself is by estimated cost, smallest first.
-        """
-        if klass not in self._queued:
-            klass = "interactive"
-        entry = _PendingJob(
-            seq=0,
-            cost=estimate_job_cost(job),
-            klass=klass,
-            enqueued_at=time.monotonic(),
-            job=job,
-        )
+    def submit(self, job: Dict) -> Future:
+        """Queue one job dict; the future resolves to the response payload."""
+        entry = _PendingJob(enqueued_at=time.monotonic(), job=job)
         with self._lock:
             if self._stopping or self.mode == "unstarted":
                 raise RuntimeError("pool is not running")
-            self._seq += 1
-            entry.seq = self._seq
             self._counters["submitted"] += 1
-            self._queued[entry.klass] += 1
-            heapq.heappush(self._heap, (entry.cost, entry.seq, entry))
-            self._fifo.append(entry)
+            self._queue.append(entry)
             failures, submissions = self._dispatch_locked()
         entry.future.add_done_callback(self._on_done)
         self._after_dispatch(failures, submissions)
         return entry.future
 
     # ----------------------------------------------------------- dispatching
-    def _pending_count_locked(self) -> int:
-        return sum(self._queued.values())
-
-    def _pick_locked(self) -> Optional[_PendingJob]:
-        """Choose the next job: cheapest, unless the oldest has starved."""
-        while self._fifo and self._fifo[0].dispatched:
-            self._fifo.popleft()
-        while self._heap and self._heap[0][2].dispatched:
-            heapq.heappop(self._heap)
-        if not self._fifo:
-            return None
-        oldest = self._fifo[0]
-        cheapest = self._heap[0][2]
-        age = time.monotonic() - oldest.enqueued_at
-        if oldest is not cheapest and age >= STARVATION_AGE_SECONDS:
-            self._counters["priority_bumps"] += 1
-            chosen = oldest
-        else:
-            chosen = cheapest
-        chosen.dispatched = True
-        self._queued[chosen.klass] -= 1
-        waited = time.monotonic() - chosen.enqueued_at
-        self.queue_wait.observe(waited)
-        if self.stage_histograms is not None:
-            self.stage_histograms.observe("queue_wait", waited)
-        return chosen
-
     def _dispatch_locked(
         self,
     ) -> Tuple[
@@ -326,12 +233,9 @@ class WorkerPool:
         """
         failures: List[Tuple[_PendingJob, BaseException]] = []
         submissions: List[Tuple[_PendingJob, Future]] = []
-        while self._active < self.workers:
-            if not self._pending_count_locked():
-                break
-            entry = self._pick_locked()
-            if entry is None:
-                break
+        while self._queue and self._active < self.workers:
+            entry = self._queue.popleft()
+            self.queue_wait.observe(time.monotonic() - entry.enqueued_at)
             try:
                 inner = self._submit_to_executor_locked(entry.job)
             except Exception as exc:
@@ -375,7 +279,7 @@ class WorkerPool:
         with self._lock:
             self._active -= 1
             failures, submissions = self._dispatch_locked()
-            if self._active == 0 and not self._pending_count_locked():
+            if self._active == 0 and not self._queue:
                 self._drained.notify_all()
         self._after_dispatch(failures, submissions)
         # Propagate outside the lock: the outer future's done-callbacks (the
@@ -400,7 +304,7 @@ class WorkerPool:
         """Snapshot for ``/stats``."""
         with self._lock:
             counters = dict(self._counters)
-            queue_depth = dict(self._queued)
+            queue_depth = len(self._queue)
             active = self._active
         return {
             "mode": self.mode,

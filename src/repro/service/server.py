@@ -19,11 +19,11 @@ Endpoints
     Components are the cluster's work unit: a coordinator routes each one
     to its cache-owning node, so a node answers from its component cache
     whenever any coordinator has routed the same canonical component here
-    before.  The batch occupies a single admission slot (its members are
-    ordered by the pool's priority queue, not by the HTTP queue limit) and
-    the JSON response carries per-component results in canonical rank
-    space (:mod:`repro.runtime.component_io`): one bad component yields an
-    error entry for itself, never a failure of its batch siblings.
+    before.  The batch occupies a single admission slot (its members queue
+    in the worker pool like any other jobs) and the JSON response carries
+    per-component results in canonical rank space
+    (:mod:`repro.runtime.component_io`): one bad component yields an error
+    entry for itself, never a failure of its batch siblings.
 ``GET /healthz``
     Liveness: status, pool mode, the components frame version this node
     decodes, in-flight count, uptime.
@@ -41,11 +41,9 @@ Operational behaviour
   running; beyond that the server answers ``503`` with a ``Retry-After``
   header instead of building an unbounded backlog.  Load shedding at the
   door is what keeps tail latency sane under overload.
-* **Priority scheduling** — admitted jobs wait in the worker pool's
-  smallest-estimated-cost-first queue (with an age-based anti-starvation
-  bump), so an interactive single-layout request overtakes a large batch's
-  tail instead of queueing behind it.  Queue depth per priority class is
-  visible in ``/stats`` and ``/metrics``.
+* **First-in, first-out dispatch** — admitted jobs wait in the worker
+  pool's queue and run in arrival order whenever a worker is free.  Queue
+  depth and queue wait are visible in ``/stats`` and ``/metrics``.
 * **Per-request timeouts** — a solve that exceeds ``request_timeout``
   seconds answers ``504``; the worker finishes (and caches) in the
   background, so a retry is typically a cache hit.
@@ -152,9 +150,6 @@ class DecompositionServer(BaseHttpServer):
         )
         self._routes[("POST", "/components")] = self._serve_components
         self._cache_stats_start: Dict[str, int] = {}
-        # Queue waits observed inside the pool surface as the ``queue_wait``
-        # stage of the same histogram family the spans feed.
-        self.pool.stage_histograms = self.obs.stages
 
     # ------------------------------------------------------------ lifecycle
     async def _on_start(self, loop: asyncio.AbstractEventLoop) -> None:
@@ -223,7 +218,6 @@ class DecompositionServer(BaseHttpServer):
                         "key": component.key,
                         "colors": colors,
                         "algorithm": algorithm,
-                        "num_vertices": component.flat.num_vertices,
                     }
                 )
             return entries, body_trace
@@ -269,11 +263,10 @@ class DecompositionServer(BaseHttpServer):
         execute_span = self.obs.span("execute", ctx)
         if jobs:
             # One admission slot for the whole batch: the node's overload
-            # contract sheds *round trips*; the pool's priority queue owns
-            # the ordering of the batch's members against other work.
+            # contract sheds *round trips*, not components.
             with execute_span:
                 results, error = await self._execute_jobs(
-                    jobs, klass="batch", units=1, collect_errors=True
+                    jobs, units=1, collect_errors=True
                 )
             if error is not None:
                 self.obs.emit(ctx, "failed", status=error[0])
@@ -332,7 +325,7 @@ class DecompositionServer(BaseHttpServer):
         return component_error_entry(500, f"worker failure: {exc}")
 
     # ----------------------------------------------------- job control hooks
-    async def _submit_jobs(self, loop, jobs: List[Dict], release_slot, klass, ctx):
+    async def _submit_jobs(self, loop, jobs: List[Dict], release_slot, ctx):
         def _submit_all():
             """Submit every job (off-loop: a broken-pool rebuild blocks).
 
@@ -342,7 +335,7 @@ class DecompositionServer(BaseHttpServer):
             submitted = []
             for job in jobs:
                 try:
-                    future = self.pool.submit(job, klass=klass)
+                    future = self.pool.submit(job)
                 except Exception as exc:  # pool broken beyond repair
                     return submitted, exc
                 future.add_done_callback(release_slot)
@@ -365,7 +358,7 @@ class DecompositionServer(BaseHttpServer):
                 *observability_families(self.obs),
                 histogram_family(
                     "repro_pool_queue_wait_seconds",
-                    "Seconds jobs spent in the worker pool's priority queue.",
+                    "Seconds jobs waited in the worker pool's queue for a worker.",
                     [({}, self.pool.queue_wait.snapshot())],
                 ),
             ],

@@ -26,9 +26,10 @@ def pytest_configure(config) -> None:
     )
     config.addinivalue_line(
         "markers",
-        "service: exercises the decomposition server / worker pool / client "
-        "(the smoke tests stay in the tier-1 fast path; heavyweight sweeps "
-        "are additionally marked slow)",
+        "service: exercises the decomposition server / worker pool / client.  "
+        "Fast service tests run in the tier-1 fast path and in CI's "
+        "dedicated service step; heavyweight sweeps are additionally marked "
+        "slow",
     )
     config.addinivalue_line(
         "markers",

@@ -21,7 +21,7 @@ from repro.service.metrics import lint_metrics_text, server_metrics_text
 
 pytestmark = pytest.mark.service
 
-#: Every counter non-zero, a SQLite cache block, two priority classes.
+#: Every counter non-zero and a SQLite cache block.
 SERVER_STATS = {
     "server": {
         "received": 41,
@@ -43,11 +43,10 @@ SERVER_STATS = {
         "kernels": "compiled",
         "workers": 2,
         "active": 1,
-        "queue_depth": {"interactive": 3, "batch": 8},
+        "queue_depth": 11,
         "submitted": 29,
         "completed": 23,
         "failed": 2,
-        "priority_bumps": 9,
     },
     "cache": {
         "backend": "sqlite",
@@ -99,16 +98,12 @@ repro_pool_jobs_total{state="failed"} 2
 # HELP repro_pool_workers Size of the worker pool.
 # TYPE repro_pool_workers gauge
 repro_pool_workers{mode="process"} 2
-# HELP repro_pool_queue_depth Jobs admitted but not yet dispatched to a worker, by priority class.
+# HELP repro_pool_queue_depth Jobs admitted but not yet dispatched to a worker.
 # TYPE repro_pool_queue_depth gauge
-repro_pool_queue_depth{class="batch"} 8
-repro_pool_queue_depth{class="interactive"} 3
+repro_pool_queue_depth 11
 # HELP repro_pool_active_jobs Jobs currently executing on a worker.
 # TYPE repro_pool_active_jobs gauge
 repro_pool_active_jobs 1
-# HELP repro_pool_priority_bumps_total Queued jobs dispatched by the age-based anti-starvation bump instead of smallest-cost order.
-# TYPE repro_pool_priority_bumps_total counter
-repro_pool_priority_bumps_total 9
 # HELP repro_cache_operations_total Persistent component-cache operations (cumulative across restarts).
 # TYPE repro_cache_operations_total counter
 repro_cache_operations_total{operation="hits"} 17
@@ -311,9 +306,8 @@ class TestServerSurface:
             "submitted",
             "completed",
             "failed",
-            "priority_bumps",
         }
-        assert set(stats["pool"]["queue_depth"]) == {"interactive", "batch"}
+        assert stats["pool"]["queue_depth"] == 0
         assert set(stats["cache"]) == {
             "backend",
             "path",

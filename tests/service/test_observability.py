@@ -318,15 +318,17 @@ class TestMetrics:
         for family in (
             "repro_stage_duration_seconds",
             "repro_pool_queue_wait_seconds",
-            "repro_cache_lookup_seconds",
             "repro_build_info",
             "repro_journal_events_total",
         ):
             assert f"# TYPE {family} " in text, family
         assert "repro_watch_" not in text
         assert 'repro_build_info{' in text and 'role="server"' in text
-        # The request actually moved the stage histograms.
+        # The request actually moved the stage histograms, and its one pool
+        # job was observed once, as the pool's queue wait and not a stage.
         assert 'repro_stage_duration_seconds_count{stage="execute"} 1' in text
+        assert "\nrepro_pool_queue_wait_seconds_count 1\n" in text
+        assert 'stage="queue_wait"' not in text
         # Stage series exist (at zero) even before any traffic touches them.
         assert 'repro_stage_duration_seconds_count{stage="cache_lookup"} 0' in text
 

@@ -23,7 +23,7 @@ from test_protocol import _field_mutants
 from repro.bench.circuits import load_circuit
 from repro.core.decomposer import Decomposer
 from repro.errors import ReproError
-from repro.geometry.layout import Layout
+from repro.geometry.layout import OUT_OF_RANGE_MESSAGE, Layout
 from repro.geometry.outlines import PackedLayout
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import rect_array
@@ -55,6 +55,22 @@ def _load_test_gds():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _wide_path_gds() -> bytes:
+    """A width-40 PATH at x = 2**31 - 10: its widened outline leaves int32."""
+    from repro.io import gds as g
+
+    edge = 2**31 - 10
+    return b"".join(
+        [
+            g._encode_record(g.PATH, 0x00, b""),
+            g._encode_record(g.LAYER, 0x02, [1]),
+            g._encode_record(g.WIDTH, 0x03, [40]),
+            g._encode_record(g.XY, 0x03, [edge, 0, edge, 100]),
+            g._encode_record(g.ENDEL, 0x00, b""),
+        ]
+    )
 
 
 def _decide(decode, payload):
@@ -192,22 +208,16 @@ class TestPackedDecodeMatchesReference:
 
 
     def test_gds_path_beyond_the_coordinate_range(self):
-        """A PATH widened past the signed 32-bit range parses, and both
-        sides refuse its rows with the same error (a 422 from the worker)."""
-        from repro.io import gds as g
-
-        edge = 2**31 - 10
-        records = [
-            g._encode_record(g.PATH, 0x00, b""),
-            g._encode_record(g.LAYER, 0x02, [1]),
-            g._encode_record(g.WIDTH, 0x03, [40]),
-            g._encode_record(g.XY, 0x03, [edge, 0, edge, 100]),
-            g._encode_record(g.ENDEL, 0x00, b""),
-        ]
-        payload = {"gds_b64": base64.b64encode(b"".join(records)).decode("ascii")}
-        assert assert_same_decode(payload)[0] == "accepted"
-        with pytest.raises(ReproError, match="outside the signed 32-bit range"):
-            decode_decompose_request(payload)["outlines"].rect_rows()
+        """A PATH widened past the signed 32-bit range: both decoders refuse
+        it with the same error."""
+        decision, message = assert_same_decode(
+            {"gds_b64": base64.b64encode(_wide_path_gds()).decode("ascii")}
+        )
+        assert decision == "refused"
+        assert message == (
+            "invalid 'gds_b64' GDSII payload: bad PATH outline: "
+            + OUT_OF_RANGE_MESSAGE
+        )
 
 
 class TestOneConstructionBody:
@@ -252,3 +262,16 @@ class TestWorkerRefusal:
                 client.decompose(layout, algorithm="linear")
         assert caught.value.status == 422
         assert "polygon decomposition produced no area" in str(caught.value)
+
+
+class TestFrontDoorRefusal:
+    def test_gds_path_beyond_the_coordinate_range_is_a_400(self):
+        config = ServerConfig(port=0, workers=1, force_inline_pool=True)
+        with ServerThread(config) as (host, port):
+            client = ServiceClient(host, port)
+            client.wait_until_healthy()
+            with pytest.raises(ServiceError) as caught:
+                client.decompose(gds_bytes=_wide_path_gds(), algorithm="linear")
+            assert client.stats()["pool"]["submitted"] == 0
+        assert caught.value.status == 400
+        assert OUT_OF_RANGE_MESSAGE in str(caught.value)

@@ -1,63 +1,45 @@
-"""The worker pool's priority-aware admission queue.
+"""The worker pool's first-in, first-out admission queue.
 
-Smallest-estimated-cost-first dispatch (an interactive single layout
-overtakes a large batch's tail), the age-based anti-starvation bump, the
-per-class queue-depth telemetry, and the ``POST /components`` micro-batch
+Dispatch in arrival order with one queue-wait observation per dispatch,
+the queue depth, what the pool keeps of its degraded modes (a dead worker
+process, a broken executor, a failing job, cancellation on an abandoning
+shutdown), concurrent submitters, and the ``POST /components`` micro-batch
 occupying a single admission slot.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 import repro.service.pool as pool_module
 from repro.bench.factory import repeated_cell_layout
-from repro.geometry.layout import Layout
 from repro.graph.components import connected_components
 from repro.graph.construction import build_decomposition_graph
 from repro.runtime.wire_binary import encode_components_frame
 from repro.service import ServerConfig, ServerThread, ServiceClient, ServiceError
-from repro.service.pool import PoolConfig, WorkerPool, estimate_job_cost
+from repro.service.pool import PoolConfig, WorkerPool
 from repro.service.protocol import decode_decompose_request
 
 pytestmark = pytest.mark.service
 
 
-def _component_job(name: str, vertices: int, **extra) -> dict:
-    return {"kind": "component", "name": name, "num_vertices": vertices, **extra}
-
-
-class TestCostEstimate:
-    def test_component_cost_is_vertex_count(self):
-        assert estimate_job_cost(_component_job("c", 7)) == 7
-
-    def test_layout_cost_is_shape_count(self):
-        layout = repeated_cell_layout(copies=3)
-        job = decode_decompose_request({"layout": layout.to_dict()})
-        assert estimate_job_cost(job) == len(layout)
-
-    def test_layout_cost_counts_only_the_decomposed_layer(self):
-        layout = Layout()
-        for index in range(3):
-            layout.add_rect_xy(100 * index, 0, 100 * index + 40, 40, layer="metal1")
-        for index in range(100):
-            layout.add_rect_xy(100 * index, 500, 100 * index + 40, 540, layer="metal2")
-        job = decode_decompose_request({"layout": layout.to_dict(), "layer": "metal1"})
-        assert estimate_job_cost(job) == 3
-
-    def test_malformed_jobs_cost_one(self):
-        assert estimate_job_cost({}) == 1
-        assert estimate_job_cost({"kind": "component"}) == 1
-        assert estimate_job_cost({"kind": "component", "num_vertices": 0}) == 1
-        assert estimate_job_cost({"layout": "junk"}) == 1
+def _job(name: str, **extra) -> dict:
+    return {"name": name, **extra}
 
 
 class _RecordingPool:
-    """A 1-worker inline pool whose worker function the test controls."""
+    """A 1-worker inline pool whose worker function the test controls.
 
-    def __init__(self, monkeypatch, starvation_age_seconds: float):
+    A job with ``block`` waits for :attr:`gate`; one with ``fail`` raises.
+    """
+
+    def __init__(self, monkeypatch):
         self.order = []
         self.gate = threading.Event()
         self.blocker_started = threading.Event()
@@ -67,77 +49,47 @@ class _RecordingPool:
                 self.blocker_started.set()
                 assert self.gate.wait(timeout=30), "gate never released"
             self.order.append(job["name"])
+            if job.get("fail"):
+                raise ValueError(f"{job['name']} failed")
             return {"name": job["name"]}
 
         monkeypatch.setattr(pool_module, "_worker_run", fake_worker)
-        monkeypatch.setattr(
-            pool_module, "STARVATION_AGE_SECONDS", starvation_age_seconds
-        )
         self.pool = WorkerPool(PoolConfig(workers=1, force_inline=True))
         self.pool.start()
 
-    def occupy_worker(self):
-        future = self.pool.submit(_component_job("blocker", 1, block=True))
+    def occupy_worker(self, **extra):
+        future = self.pool.submit(_job("blocker", block=True, **extra))
         assert self.blocker_started.wait(timeout=30), "blocker never dispatched"
         return future
 
 
-class TestPriorityOrder:
-    def test_small_job_overtakes_large_batch_job(self, monkeypatch):
-        harness = _RecordingPool(monkeypatch, starvation_age_seconds=60.0)
+class TestDispatch:
+    def test_jobs_dispatch_in_arrival_order(self, monkeypatch):
+        harness = _RecordingPool(monkeypatch)
         try:
             blocker = harness.occupy_worker()
-            big = harness.pool.submit(_component_job("big", 50), klass="batch")
-            small = harness.pool.submit(
-                _component_job("small", 2), klass="interactive"
-            )
-            assert harness.pool.stats()["queue_depth"] == {
-                "interactive": 1,
-                "batch": 1,
-            }
-            harness.gate.set()
-            for future in (blocker, big, small):
-                future.result(timeout=30)
-            assert harness.order == ["blocker", "small", "big"]
-            assert harness.pool.stats()["priority_bumps"] == 0
-        finally:
-            harness.gate.set()
-            harness.pool.shutdown()
-
-    def test_age_bump_prevents_starvation(self, monkeypatch):
-        # starvation_age=0 means the oldest queued job always wins: the big
-        # job submitted first runs before the cheaper later one, and the
-        # override is counted as a priority bump.
-        harness = _RecordingPool(monkeypatch, starvation_age_seconds=0.0)
-        try:
-            blocker = harness.occupy_worker()
-            big = harness.pool.submit(_component_job("big", 50), klass="batch")
-            small = harness.pool.submit(
-                _component_job("small", 2), klass="interactive"
-            )
+            big = harness.pool.submit(_job("big"))
+            small = harness.pool.submit(_job("small"))
             harness.gate.set()
             for future in (blocker, big, small):
                 future.result(timeout=30)
             assert harness.order == ["blocker", "big", "small"]
-            assert harness.pool.stats()["priority_bumps"] >= 1
+            assert harness.pool.queue_wait.snapshot().total_count == 3
         finally:
             harness.gate.set()
             harness.pool.shutdown()
 
     def test_queue_depth_drains_to_zero(self, monkeypatch):
-        harness = _RecordingPool(monkeypatch, starvation_age_seconds=60.0)
+        harness = _RecordingPool(monkeypatch)
         try:
             blocker = harness.occupy_worker()
-            futures = [
-                harness.pool.submit(_component_job(f"j{i}", i + 2), klass="batch")
-                for i in range(3)
-            ]
-            assert harness.pool.stats()["queue_depth"]["batch"] == 3
+            futures = [harness.pool.submit(_job(f"j{i}")) for i in range(3)]
+            assert harness.pool.stats()["queue_depth"] == 3
             harness.gate.set()
             for future in [blocker, *futures]:
                 future.result(timeout=30)
             stats = harness.pool.stats()
-            assert stats["queue_depth"] == {"interactive": 0, "batch": 0}
+            assert stats["queue_depth"] == 0
             assert stats["completed"] == 4
         finally:
             harness.gate.set()
@@ -173,7 +125,7 @@ class TestPriorityOrder:
         done = []
         worker = threading.Thread(
             target=lambda: done.extend(
-                pool.submit(_component_job(f"j{i}", 2)).result(timeout=10)["name"]
+                pool.submit(_job(f"j{i}")).result(timeout=10)["name"]
                 for i in range(5)
             ),
             daemon=True,
@@ -186,17 +138,168 @@ class TestPriorityOrder:
         pool.shutdown()
 
     def test_shutdown_wait_drains_queued_jobs(self, monkeypatch):
-        harness = _RecordingPool(monkeypatch, starvation_age_seconds=60.0)
+        harness = _RecordingPool(monkeypatch)
         queued = None
         try:
             harness.occupy_worker()
-            queued = harness.pool.submit(_component_job("queued", 3))
+            queued = harness.pool.submit(_job("queued"))
             release = threading.Timer(0.2, harness.gate.set)
             release.start()
             harness.pool.shutdown(wait=True)
             assert queued.result(timeout=1)["name"] == "queued"
         finally:
             harness.gate.set()
+
+    def test_shutdown_without_wait_cancels_queued_jobs(self, monkeypatch):
+        harness = _RecordingPool(monkeypatch)
+        try:
+            blocker = harness.occupy_worker()
+            queued = harness.pool.submit(_job("queued"))
+            harness.pool.shutdown(wait=False)
+            assert queued.cancelled()
+            with pytest.raises(RuntimeError, match="not running"):
+                harness.pool.submit(_job("late"))
+            harness.gate.set()
+            assert blocker.result(timeout=30) == {"name": "blocker"}
+            assert harness.order == ["blocker"]
+        finally:
+            harness.gate.set()
+
+    def test_broken_executor_is_rebuilt_once(self, monkeypatch):
+        monkeypatch.setattr(
+            pool_module, "_worker_run", lambda job: {"name": job["name"]}
+        )
+
+        class BrokenExecutor:
+            """submit() raises, as on a process pool whose worker died."""
+
+            shut_down = False
+
+            def submit(self, fn, *args):
+                raise RuntimeError("executor is broken")
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                self.shut_down = True
+
+        pool = WorkerPool(PoolConfig(workers=1, force_inline=True))
+        pool.start()
+        pool._executor.shutdown(wait=False)
+        broken = pool._executor = BrokenExecutor()
+        builds = []
+        build = pool._build_executor
+        monkeypatch.setattr(
+            pool, "_build_executor", lambda: builds.append(1) or build()
+        )
+        try:
+            assert pool.submit(_job("rebuilt")).result(timeout=30) == {"name": "rebuilt"}
+            assert broken.shut_down
+            assert len(builds) == 1
+            assert pool.mode == "inline"
+            assert pool.stats()["completed"] == 1
+        finally:
+            pool.shutdown()
+
+    def test_failing_job_frees_its_worker(self, monkeypatch):
+        harness = _RecordingPool(monkeypatch)
+        try:
+            failing = harness.occupy_worker(fail=True)
+            after = harness.pool.submit(_job("after"))
+            harness.gate.set()
+            with pytest.raises(ValueError, match="blocker failed"):
+                failing.result(timeout=30)
+            assert after.result(timeout=30) == {"name": "after"}
+            stats = harness.pool.stats()
+            assert (stats["failed"], stats["completed"], stats["active"]) == (1, 1, 0)
+        finally:
+            harness.gate.set()
+            harness.pool.shutdown()
+
+    def test_concurrent_submitters_never_exceed_the_workers(self, monkeypatch):
+        """More workers than cores, more submitters than workers, and a
+        short switch interval: a lost update in the pool's counters or its
+        ``_active < workers`` gate breaks one of the invariants below."""
+        workers, threads, per_thread = 3, 6, 20
+        lock = threading.Lock()
+        running = [0, 0]  # now, peak
+
+        def fake_worker(job):
+            with lock:
+                running[0] += 1
+                running[1] = max(running[1], running[0])
+            time.sleep(0.001)
+            with lock:
+                running[0] -= 1
+            return {"name": job["name"]}
+
+        monkeypatch.setattr(pool_module, "_worker_run", fake_worker)
+        pool = WorkerPool(PoolConfig(workers=workers, force_inline=True))
+        pool.start()
+        futures = {}
+        active_seen = []
+
+        def submit_many(thread):
+            for index in range(per_thread):
+                name = f"t{thread}-{index}"
+                futures[name] = pool.submit(_job(name))
+                active_seen.append(pool.stats()["active"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            submitters = [
+                threading.Thread(target=submit_many, args=(thread,))
+                for thread in range(threads)
+            ]
+            for submitter in submitters:
+                submitter.start()
+            for submitter in submitters:
+                submitter.join(timeout=30)
+                assert not submitter.is_alive(), "a submitter hung"
+            assert len(futures) == threads * per_thread
+            for name, future in futures.items():
+                assert future.result(timeout=30) == {"name": name}
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        assert running[1] <= workers
+        assert max(active_seen) <= workers
+        stats = pool.stats()
+        assert stats["submitted"] == stats["completed"] == threads * per_thread
+        assert stats["active"] == 0
+
+
+class _ExitOnUnpickle:
+    """Kills the worker process that unpickles it."""
+
+    def __reduce__(self):
+        return os._exit, (13,)
+
+
+class TestProcessPoolRecovery:
+    def test_dead_worker_fails_only_its_own_job(self):
+        layout = repeated_cell_layout(copies=1)
+        pool = WorkerPool(PoolConfig(workers=1))
+        pool.start()
+        try:
+            assert pool.mode == "process"
+            crash = pool.submit({"crash": _ExitOnUnpickle()})
+            queued = [
+                pool.submit(
+                    decode_decompose_request(
+                        {"layout": layout.to_dict(), "name": f"q{i}", "algorithm": "linear"}
+                    )
+                )
+                for i in range(3)
+            ]
+            with pytest.raises(BrokenProcessPool):
+                crash.result(timeout=60)
+            names = [future.result(timeout=60)["name"] for future in queued]
+            assert names == ["q0", "q1", "q2"]
+            stats = pool.stats()
+            assert pool.mode == "process"
+            assert (stats["failed"], stats["completed"]) == (1, 3)
+        finally:
+            pool.shutdown()
 
 
 def _component_flats(layout, algorithm="linear"):
@@ -304,9 +407,8 @@ class TestComponentsEndpoint:
             client.components_binary(_frame(flats))
             text = client.metrics_text()
             assert "# TYPE repro_pool_queue_depth gauge" in text
-            assert 'repro_pool_queue_depth{class="batch"} 0' in text
-            assert 'repro_pool_queue_depth{class="interactive"} 0' in text
-            assert "# TYPE repro_pool_priority_bumps_total counter" in text
+            assert "\nrepro_pool_queue_depth 0\n" in text
+            assert "repro_pool_priority_bumps_total" not in text
             assert "repro_server_component_batches_total 1" in text
             assert f"repro_server_batched_components_total {len(flats)}" in text
 
