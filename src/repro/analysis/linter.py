@@ -115,8 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--update-manifest",
         action="store_true",
-        help="re-pin the schema manifest's constants and fingerprints from "
-        "the current tree (use after an intentional version bump)",
+        help="re-pin the schema manifest's constants, fingerprints and "
+        "answer digest from the current tree (use after an intentional "
+        "version bump)",
     )
     return parser
 
@@ -137,8 +138,10 @@ def _update_manifest(root: Path, manifest_path: Path) -> int:
             file=sys.stderr,
         )
         return 2
+    from repro.analysis.answers import pin_answers
+
     manifest_path.write_text(
-        schema.render_manifest(regenerated), encoding="utf-8"
+        schema.render_manifest(pin_answers(regenerated)), encoding="utf-8"
     )
     print(f"lint: schema manifest re-pinned at {manifest_path}")
     return 0
