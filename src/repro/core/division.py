@@ -9,22 +9,42 @@ The pipeline applies, in order and only where enabled:
 4. GH-tree based (K-1)-cut removal, merged back by color rotation (Lemma 1).
 
 The color-assignment algorithm only ever sees the final, smallest pieces.
+
+Stages 2-4 run in *rank space*: a vertex is its rank in sorted-id order,
+read off the component's memoised flat form
+(:meth:`~repro.graph.decomposition_graph.DecompositionGraph.to_arrays`) and
+one :class:`~repro.core.kernels.adjacency.CSRAdjacency`.  A kernel piece, a
+block or a stage-4 part is a sorted list of ranks, never a graph; each final
+piece becomes a graph once, with its flat form attached, for the colorer.
+Rank order is id order, so every traversal visits what the same steps on
+the component graph would, in the same order, and the colorings are the
+same.  The peel and its reinsertion run in the compiled core when it is
+loaded and K is within :data:`~repro.core.kernels.MAX_COMPILED_COLORS`;
+otherwise :mod:`repro.graph.simplify` runs them on the component graph.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.coloring import ColoringAlgorithm
+from repro.core.kernels import MAX_COMPILED_COLORS, active_core
+from repro.core.kernels.adjacency import CSRAdjacency
 from repro.core.options import DivisionOptions
-from repro.core.rotation import merge_component_colorings
-from repro.graph.biconnected import biconnected_components
+from repro.core.rotation import best_rotation
+from repro.graph.biconnected import biconnected_blocks
 from repro.graph.components import connected_components
 from repro.graph.decomposition_graph import DecompositionGraph
 from repro.graph.gomory_hu import gomory_hu_tree
 from repro.graph.simplify import peel_low_degree_vertices, reinsert_peeled_vertices
+
+# The object-graph stages the division used to call, still attributes of
+# this module for the benchmark's layer tracer, which patches them here.
+from repro.core.rotation import merge_component_colorings  # noqa: IMP001
+from repro.graph.biconnected import biconnected_components  # noqa: IMP001
 
 
 @dataclass
@@ -108,7 +128,7 @@ def divide_and_color(
 
 
 # ---------------------------------------------------------------------------
-# Stage 2: low-degree peeling
+# Stages 2-4, in rank space
 # ---------------------------------------------------------------------------
 def color_component(
     graph: DecompositionGraph,
@@ -124,99 +144,236 @@ def color_component(
     self-contained, so coloring it never reads or writes state outside
     ``graph`` and the per-call ``report``.
     """
+    flat = graph.to_arrays()
+    n = flat.num_vertices
+    if n == 0:
+        return {}
     num_colors = colorer.num_colors
+    csr = CSRAdjacency(flat)
+
+    # Stage 2: peel.  ``alive`` marks the kernel; the compiled core leaves
+    # the removed ranks on ``stack``, the reference their ids on
+    # ``stack_ids``, in removal order.
+    alive = bytearray(b"\x01") * n
+    core = None
+    stack: Sequence[int] = ()
+    stack_ids: List[int] = []
     if division.low_degree_removal:
-        kernel, stack = peel_low_degree_vertices(graph, num_colors)
-    else:
-        kernel, stack = graph.copy(), []
-    report.peeled_vertices += len(stack)
+        if num_colors <= MAX_COMPILED_COLORS:
+            core = active_core()
+        peeled = core.peel(num_colors, 2, csr) if core is not None else None
+        if peeled is not None:
+            alive, _, _, _, stack = peeled
+        else:
+            core = None
+            _, stack_ids = peel_low_degree_vertices(graph, num_colors)
+            rank = {vertex: index for index, vertex in enumerate(flat.vertex_ids)}
+            for vertex in stack_ids:
+                alive[rank[vertex]] = 0
+    report.peeled_vertices += len(stack) + len(stack_ids)
 
-    coloring: Dict[int, int] = {}
-    if kernel.num_vertices:
-        # Peeling may disconnect the kernel; treat the pieces independently.
-        for piece in connected_components(kernel):
-            piece_graph = kernel.subgraph(piece)
-            coloring.update(_color_blocks(piece_graph, colorer, division, report))
-    reinsert_peeled_vertices(graph, coloring, stack, num_colors)
-    return coloring
+    divider = _RankDivider(flat, csr, colorer, division, report)
+    # Peeling may disconnect the kernel; treat the pieces independently.
+    for piece in divider.kernel_pieces(alive):
+        divider.color_blocks(piece)
+
+    colors = divider.colors
+    ids = flat.vertex_ids
+    if core is None:
+        coloring = {ids[r]: colors[r] for r in range(n) if colors[r] >= 0}
+        return reinsert_peeled_vertices(graph, coloring, stack_ids, num_colors)
+    core.reinsert(num_colors, stack, csr, colors)
+    return {ids[r]: colors[r] for r in range(n)}
 
 
-# ---------------------------------------------------------------------------
-# Stage 3: biconnected blocks
-# ---------------------------------------------------------------------------
-def _color_blocks(
-    graph: DecompositionGraph,
-    colorer: ColoringAlgorithm,
-    division: DivisionOptions,
-    report: DivisionReport,
-) -> Dict[int, int]:
-    num_colors = colorer.num_colors
-    if not division.biconnected_components or graph.num_vertices <= 3:
-        return _color_with_ghtree(graph, colorer, division, report)
+class _RankDivider:
+    """Stages 3 and 4 of one component, on ranks.
 
-    blocks = biconnected_components(graph)
-    report.num_biconnected_blocks += len(blocks)
-    if len(blocks) <= 1:
-        return _color_with_ghtree(graph, colorer, division, report)
+    ``colors`` holds the merged color of every rank a kernel piece colored
+    so far, and ``-1`` elsewhere.
+    """
 
-    # Breadth-first traversal of the block-cut structure so every new block
-    # shares at least one already-colored cut vertex with the merged region.
-    blocks_of_vertex: Dict[int, List[int]] = {}
-    for index, block in enumerate(blocks):
-        for vertex in block:
-            blocks_of_vertex.setdefault(vertex, []).append(index)
+    def __init__(
+        self,
+        flat,
+        csr: CSRAdjacency,
+        colorer: ColoringAlgorithm,
+        division: DivisionOptions,
+        report: DivisionReport,
+    ) -> None:
+        self.flat = flat
+        self.colorer = colorer
+        self.division = division
+        self.report = report
+        self.num_colors = colorer.num_colors
+        # CSR rows as Python lists: a row is one list slice.
+        self.conflict = (csr.conflict_start.tolist(), csr.conflict_adj.tolist())
+        self.stitch = (csr.stitch_start.tolist(), csr.stitch_adj.tolist())
+        self.friend = (csr.friend_start.tolist(), csr.friend_adj.tolist())
+        self.colors = array("i", [-1]) * flat.num_vertices
 
-    order: List[int] = []
-    visited: Set[int] = set()
-    for seed in range(len(blocks)):
-        if seed in visited:
-            continue
-        visited.add(seed)
-        queue: deque = deque([seed])
-        while queue:
-            current = queue.popleft()
-            order.append(current)
-            for vertex in blocks[current]:
-                for other in blocks_of_vertex[vertex]:
-                    if other not in visited:
-                        visited.add(other)
-                        queue.append(other)
+    # ------------------------------------------------------------ adjacency
+    def neighbours(self, rank: int) -> List[int]:
+        """Conflict then stitch neighbours of ``rank`` (a shared one twice)."""
+        (cs, ca), (ss, sa) = self.conflict, self.stitch
+        return ca[cs[rank] : cs[rank + 1]] + sa[ss[rank] : ss[rank + 1]]
 
-    coloring: Dict[int, int] = {}
-    for index in order:
-        block_graph = graph.subgraph(blocks[index])
-        block_coloring = _color_with_ghtree(block_graph, colorer, division, report)
-        shared = [v for v in blocks[index] if v in coloring]
-        if not shared:
-            coloring.update(block_coloring)
-            continue
-        permutation = _matching_permutation(
-            shared, coloring, block_coloring, num_colors
+    @staticmethod
+    def pairs(relation, ranks: Sequence[int], inside) -> List[Tuple[int, int]]:
+        """The ``relation`` edges induced on ``ranks`` (ascending; ``inside``
+        answers membership), as sorted ``(u, v)`` pairs with ``u < v``."""
+        start, adj = relation
+        return [
+            (u, v)
+            for u in ranks
+            for v in adj[start[u] : start[u + 1]]
+            if v > u and v in inside
+        ]
+
+    def kernel_pieces(self, alive) -> List[List[int]]:
+        """Connected components of the kernel, sorted, by smallest rank."""
+        seen = bytearray(len(alive))
+        pieces: List[List[int]] = []
+        for root in range(len(alive)):
+            if not alive[root] or seen[root]:
+                continue
+            seen[root] = 1
+            piece = [root]
+            for rank in piece:
+                for other in self.neighbours(rank):
+                    if alive[other] and not seen[other]:
+                        seen[other] = 1
+                        piece.append(other)
+            piece.sort()
+            pieces.append(piece)
+        return pieces
+
+    # -------------------------------------------------- stage 3: blocks
+    def blocks(self, ranks: List[int]) -> List[List[int]]:
+        """The biconnected blocks of the subgraph induced on ``ranks``, as
+        :func:`~repro.graph.biconnected.biconnected_components` orders them."""
+        position = {rank: index for index, rank in enumerate(ranks)}.get
+        (cs, ca), (ss, sa) = self.conflict, self.stitch
+        adjacency = []
+        for rank in ranks:
+            # Positions are increasing in rank, so a conflict row stays sorted.
+            row = [p for p in map(position, ca[cs[rank] : cs[rank + 1]]) if p is not None]
+            stitched = [p for p in map(position, sa[ss[rank] : ss[rank + 1]]) if p is not None]
+            adjacency.append(sorted(set(row).union(stitched)) if stitched else row)
+        return [[ranks[index] for index in block] for block in biconnected_blocks(adjacency)]
+
+    def color_blocks(self, ranks: List[int]) -> None:
+        """Color one kernel piece into :attr:`colors`."""
+        colors = self.colors
+        if not self.division.biconnected_components or len(ranks) <= 3:
+            blocks = [ranks]
+        else:
+            blocks = self.blocks(ranks)
+            self.report.num_biconnected_blocks += len(blocks)
+        if len(blocks) <= 1:
+            for rank, color in zip(ranks, self.color_cut(ranks)):
+                colors[rank] = color
+            return
+
+        # Breadth-first traversal of the block-cut structure so every new
+        # block shares at least one already-colored cut vertex with the
+        # merged region.
+        blocks_of_vertex: Dict[int, List[int]] = {}
+        for index, block in enumerate(blocks):
+            for vertex in block:
+                blocks_of_vertex.setdefault(vertex, []).append(index)
+        order: List[int] = []
+        visited: Set[int] = set()
+        for seed in range(len(blocks)):
+            if seed in visited:
+                continue
+            visited.add(seed)
+            queue: deque = deque([seed])
+            while queue:
+                current = queue.popleft()
+                order.append(current)
+                for vertex in blocks[current]:
+                    for other in blocks_of_vertex[vertex]:
+                        if other not in visited:
+                            visited.add(other)
+                            queue.append(other)
+
+        for index in order:
+            block = blocks[index]
+            block_colors = self.color_cut(block)
+            shared = [
+                (color, colors[rank])
+                for rank, color in zip(block, block_colors)
+                if colors[rank] >= 0
+            ]
+            permutation = _matching_permutation(shared, self.num_colors)
+            for rank, color in zip(block, block_colors):
+                if colors[rank] < 0:
+                    colors[rank] = permutation[color]
+
+    # --------------------------------------------- stage 4: (K-1)-cuts
+    def color_cut(self, ranks: List[int]) -> List[int]:
+        """Colors of ``ranks`` (aligned) after GH-tree (K-1)-cut removal."""
+        division, report, num_colors = self.division, self.report, self.num_colors
+        small = len(ranks) <= max(division.ghtree_minimum_size, num_colors + 1)
+        if not division.ghtree_cut_removal or small:
+            report.observe_piece(len(ranks))
+            return self.color_piece(ranks)
+
+        inside = set(ranks)
+        conflict = self.pairs(self.conflict, ranks, inside)
+        stitch = self.pairs(self.stitch, ranks, inside)
+        tree = gomory_hu_tree(ranks, conflict + stitch)
+        parts = tree.components_below(num_colors)
+        report.num_ghtree_parts += len(parts)
+        if len(parts) <= 1:
+            report.observe_piece(len(ranks))
+            return self.color_piece(ranks)
+
+        part_colors: List[List[int]] = []
+        for part in parts:
+            report.observe_piece(len(part))
+            part_colors.append(self.color_piece(part))
+        merged = _rotation_merge(
+            parts, part_colors, conflict, stitch, num_colors, self.colorer.options.alpha
         )
-        for vertex, color in block_coloring.items():
-            if vertex not in coloring:
-                coloring[vertex] = permutation[color]
-    return coloring
+        return [merged[rank] for rank in ranks]
+
+    def color_piece(self, ranks: List[int]) -> List[int]:
+        """Hand the piece induced on ``ranks`` to the colorer; its colors."""
+        position = {rank: index for index, rank in enumerate(ranks)}
+
+        def local(relation) -> array:
+            return array(
+                "I",
+                [
+                    index
+                    for u, v in self.pairs(relation, ranks, position)
+                    for index in (position[u], position[v])
+                ],
+            )
+
+        graph = self.flat.induced_graph(
+            ranks, local(self.conflict), local(self.stitch), local(self.friend)
+        )
+        coloring = self.colorer.color(graph)
+        return [coloring[vertex] for vertex in graph.to_arrays().vertex_ids]
 
 
 def _matching_permutation(
-    shared: Sequence[int],
-    fixed_coloring: Dict[int, int],
-    block_coloring: Dict[int, int],
-    num_colors: int,
+    shared: Sequence[Tuple[int, int]], num_colors: int
 ) -> List[int]:
     """Return a color permutation aligning a block with already-fixed vertices.
 
-    In a block-cut tree traversal there is normally exactly one shared cut
-    vertex; with several (possible when blocks are processed out of tree
-    order) the first consistent demands win and the rest of the permutation is
-    filled bijectively.
+    ``shared`` holds the ``(block color, fixed color)`` of each shared vertex,
+    in vertex order.  In a block-cut tree traversal there is normally
+    exactly one shared cut vertex; with several (possible when blocks are
+    processed out of tree order) the first consistent demands win and the
+    rest of the permutation is filled bijectively.  With none, the identity.
     """
     permutation: Dict[int, int] = {}
     used: Set[int] = set()
-    for vertex in shared:
-        source = block_coloring[vertex]
-        target = fixed_coloring[vertex]
+    for source, target in shared:
         if source in permutation or target in used:
             continue
         permutation[source] = target
@@ -228,34 +385,66 @@ def _matching_permutation(
     return [permutation[color] for color in range(num_colors)]
 
 
-# ---------------------------------------------------------------------------
-# Stage 4: GH-tree (K-1)-cut removal
-# ---------------------------------------------------------------------------
-def _color_with_ghtree(
-    graph: DecompositionGraph,
-    colorer: ColoringAlgorithm,
-    division: DivisionOptions,
-    report: DivisionReport,
+def _rotation_merge(
+    parts: List[List[int]],
+    part_colors: List[List[int]],
+    conflict: List[Tuple[int, int]],
+    stitch: List[Tuple[int, int]],
+    num_colors: int,
+    alpha: float,
 ) -> Dict[int, int]:
-    num_colors = colorer.num_colors
-    small = graph.num_vertices <= max(division.ghtree_minimum_size, num_colors + 1)
-    if not division.ghtree_cut_removal or small:
-        report.observe_piece(graph.num_vertices)
-        return colorer.color(graph)
+    """Merge independently colored parts by color rotation (rank space).
 
-    edges = graph.conflict_edges() + graph.stitch_edges()
-    tree = gomory_hu_tree(graph.vertices(), edges)
-    parts = tree.components_below(num_colors)
-    report.num_ghtree_parts += len(parts)
-    if len(parts) <= 1:
-        report.observe_piece(graph.num_vertices)
-        return colorer.color(graph)
+    :func:`repro.core.rotation.merge_component_colorings` on rank pairs:
+    parts are attached breadth-first over the part adjacency, and each new
+    one takes the rotation minimising the crossing cost against every part
+    already placed; the first part of each group keeps its colors.
+    """
+    part_of: Dict[int, int] = {}
+    color: Dict[int, int] = {}
+    for index, (part, colors) in enumerate(zip(parts, part_colors)):
+        for rank, value in zip(part, colors):
+            part_of[rank] = index
+            color[rank] = value
 
-    part_colorings: List[Dict[int, int]] = []
-    for part in parts:
-        part_graph = graph.subgraph(part)
-        report.observe_piece(part_graph.num_vertices)
-        part_colorings.append(colorer.color(part_graph))
-    return merge_component_colorings(
-        graph, part_colorings, num_colors, colorer.options.alpha
-    )
+    # Crossing edges bucketed by unordered part pair.
+    crossing: Dict[Tuple[int, int], List[Tuple[int, int, bool]]] = {}
+    for edges, is_conflict in ((conflict, True), (stitch, False)):
+        for u, v in edges:
+            a, b = part_of[u], part_of[v]
+            if a != b:
+                key = (a, b) if a < b else (b, a)
+                crossing.setdefault(key, []).append((u, v, is_conflict))
+    adjacency: List[List[int]] = [[] for _ in parts]
+    for a, b in crossing:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+
+    merged: Dict[int, int] = {}
+    placed = [False] * len(parts)
+    for start in range(len(parts)):
+        if placed[start]:
+            continue
+        for rank in parts[start]:
+            merged[rank] = color[rank]
+        placed[start] = True
+        queue: deque = deque([start])
+        while queue:
+            current = queue.popleft()
+            for neighbour in adjacency[current]:
+                if placed[neighbour]:
+                    continue
+                # (fixed rank, rank to rotate, is_conflict) toward every
+                # placed part.
+                toward = [
+                    (v, u, is_conflict) if part_of[u] == neighbour else (u, v, is_conflict)
+                    for (a, b), edges in crossing.items()
+                    if neighbour in (a, b) and placed[a + b - neighbour]
+                    for u, v, is_conflict in edges
+                ]
+                offset, _ = best_rotation(toward, merged, color, num_colors, alpha)
+                for rank in parts[neighbour]:
+                    merged[rank] = (color[rank] + offset) % num_colors
+                placed[neighbour] = True
+                queue.append(neighbour)
+    return merged

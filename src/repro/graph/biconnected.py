@@ -13,15 +13,16 @@ limit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.graph.decomposition_graph import DecompositionGraph
 
 
 def articulation_points(graph: DecompositionGraph) -> Set[int]:
     """Return the articulation (cut) vertices of the conflict+stitch graph."""
-    points, _ = _biconnected_dfs(graph)
-    return points
+    vertices = graph.vertices()
+    points, _ = _biconnected_dfs(_adjacency(graph, vertices))
+    return {vertices[index] for index in points}
 
 
 def bridges(graph: DecompositionGraph) -> List[Tuple[int, int]]:
@@ -64,50 +65,80 @@ def biconnected_components(graph: DecompositionGraph) -> List[List[int]]:
     Each block contains at least two vertices (an edge).  Isolated vertices
     form singleton blocks so that every vertex appears in the output.
     """
-    _, blocks = _biconnected_dfs(graph)
+    vertices = graph.vertices()
+    return [
+        [vertices[index] for index in block]
+        for block in biconnected_blocks(_adjacency(graph, vertices))
+    ]
+
+
+def biconnected_blocks(adjacency: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The blocks of the graph on ``0..n-1`` whose sorted neighbour lists are
+    ``adjacency``, as :func:`biconnected_components` returns them.
+
+    Blocks are sorted lists ordered by (first vertex, size), with isolated
+    vertices as singletons.  An increasing relabeling maps the blocks of a
+    graph onto those of its copy, in the same order, which is what lets the
+    division run this on ranks.
+    """
+    _, blocks = _biconnected_dfs(adjacency)
     covered: Set[int] = set()
     for block in blocks:
         covered.update(block)
-    for vertex in graph.vertices():
+    for vertex in range(len(adjacency)):
         if vertex not in covered:
             blocks.append([vertex])
-    blocks = [sorted(set(block)) for block in blocks]
     blocks.sort(key=lambda block: (block[0], len(block)))
     return blocks
 
 
+def _adjacency(graph: DecompositionGraph, vertices: List[int]) -> List[List[int]]:
+    """Sorted conflict+stitch neighbour positions of each of ``vertices``."""
+    position = {vertex: index for index, vertex in enumerate(vertices)}
+    return [sorted(position[other] for other in graph.neighbors(v)) for v in vertices]
+
+
 def _biconnected_dfs(
-    graph: DecompositionGraph,
+    adjacency: Sequence[Sequence[int]],
 ) -> Tuple[Set[int], List[List[int]]]:
-    """Iterative DFS returning (articulation points, biconnected blocks)."""
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
+    """Iterative DFS returning (articulation points, biconnected blocks).
+
+    Roots are taken in vertex order and neighbours in list order; each
+    block comes out as a sorted list.
+    """
+    n = len(adjacency)
+    index = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    resume = [0] * n  # next neighbour position of each vertex on the path
     points: Set[int] = set()
     blocks: List[List[int]] = []
     edge_stack: List[Tuple[int, int]] = []
     counter = 0
 
-    for root in graph.vertices():
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
         root_children = 0
         index[root] = low[root] = counter
         counter += 1
-        dfs_stack: List[Tuple[int, int, List[int], int]] = [
-            (root, -1, sorted(graph.neighbors(root)), 0)
-        ]
-        while dfs_stack:
-            vertex, parent, neighbours, pointer = dfs_stack.pop()
-            advanced = False
+        path = [root]
+        while path:
+            vertex = path[-1]
+            neighbours = adjacency[vertex]
+            up = parent[vertex]
+            pointer = resume[vertex]
             while pointer < len(neighbours):
                 child = neighbours[pointer]
                 pointer += 1
-                if child == parent:
+                if child == up:
                     continue
-                if child in index:
-                    if index[child] < index[vertex]:
+                seen = index[child]
+                if seen >= 0:
+                    if seen < index[vertex]:
                         edge_stack.append((vertex, child))
-                        low[vertex] = min(low[vertex], index[child])
+                        if seen < low[vertex]:
+                            low[vertex] = seen
                     continue
                 # Tree edge: descend.
                 edge_stack.append((vertex, child))
@@ -115,29 +146,29 @@ def _biconnected_dfs(
                 counter += 1
                 if vertex == root:
                     root_children += 1
-                dfs_stack.append((vertex, parent, neighbours, pointer))
-                dfs_stack.append((child, vertex, sorted(graph.neighbors(child)), 0))
-                advanced = True
+                resume[vertex] = pointer
+                parent[child] = vertex
+                path.append(child)
                 break
-            if advanced:
-                continue
-            # vertex is fully processed: propagate low-link to the parent.
-            if parent != -1:
-                low[parent] = min(low[parent], low[vertex])
-                if low[vertex] >= index[parent]:
-                    if parent != root or root_children > 1 or low[vertex] > index[parent]:
-                        pass  # articulation status of root handled below
-                    # Pop the block of edges above (parent, vertex).
+            else:
+                # vertex is fully processed: propagate low-link to the parent.
+                path.pop()
+                if up == -1:
+                    continue
+                if low[vertex] < low[up]:
+                    low[up] = low[vertex]
+                if low[vertex] >= index[up]:
+                    # Pop the block of edges above (up, vertex).
                     block: Set[int] = set()
                     while edge_stack:
                         edge = edge_stack.pop()
                         block.update(edge)
-                        if edge == (parent, vertex):
+                        if edge == (up, vertex):
                             break
                     if block:
                         blocks.append(sorted(block))
-                    if parent != root:
-                        points.add(parent)
+                    if up != root:
+                        points.add(up)
         if root_children > 1:
             points.add(root)
         # Any leftover edges under this root form one final block.

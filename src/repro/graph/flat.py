@@ -49,7 +49,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import GraphError
 
@@ -294,6 +294,30 @@ class FlatGraph:
             raise FlatFrameError(str(exc)) from exc
         if memoize and self.is_canonical():
             graph._flat = self
+        return graph
+
+    def induced_graph(
+        self, ranks: Sequence[int], conflict: array, stitch: array, friend: array
+    ):
+        """Build the graph induced on ``ranks``, its flat form attached.
+
+        ``ranks`` is strictly increasing, and the three edge lists are the
+        induced edges over positions in ``ranks``, pairs sorted with
+        ``u < v``.  An increasing relabeling keeps the snapshot canonical, so
+        it is memoised without :meth:`is_canonical`'s scan, and a compiled
+        solver colors the piece without flattening it again.
+        """
+        piece = FlatGraph(
+            array("q", [self.vertex_ids[rank] for rank in ranks]),
+            array("q", [self.shape_ids[rank] for rank in ranks]),
+            array("I", [self.fragments[rank] for rank in ranks]),
+            array("I", [self.weights[rank] for rank in ranks]),
+            conflict,
+            stitch,
+            friend,
+        )
+        graph = piece.to_graph()
+        graph._flat = piece
         return graph
 
     def __eq__(self, other: object) -> bool:

@@ -88,12 +88,40 @@ class FlowNetwork:
     def from_edges(
         edges: Iterable[Tuple[int, int]], vertices: Iterable[int] = ()
     ) -> "FlowNetwork":
-        """Build a network from an edge list (plus optional isolated vertices)."""
+        """Build a network from an edge list (plus optional isolated vertices).
+
+        One pass over the pairs, with the indices and arcs exactly as
+        :meth:`add_vertex` then :meth:`add_edge` per edge would lay them out:
+        ``vertices`` first, then each new endpoint as its first edge names
+        it, and edge ``k`` as the arc pair ``2k``/``2k + 1``.
+        """
         network = FlowNetwork()
+        index, ids = network._index, network._ids
+        arcs, heads = network._arcs, network._heads
         for vertex in vertices:
-            network.add_vertex(vertex)
+            if vertex not in index:
+                index[vertex] = len(ids)
+                ids.append(vertex)
+                arcs.append([])
         for u, v in edges:
-            network.add_edge(u, v)
+            if u == v:
+                raise GraphError(f"self loop on vertex {u}")
+            tail = index.get(u)
+            if tail is None:
+                tail = index[u] = len(ids)
+                ids.append(u)
+                arcs.append([])
+            head = index.get(v)
+            if head is None:
+                head = index[v] = len(ids)
+                ids.append(v)
+                arcs.append([])
+            arcs[tail].append(len(heads))
+            heads.append(head)
+            arcs[head].append(len(heads))
+            heads.append(tail)
+        network._label = list(range(len(ids)))
+        network._members = [[vertex] for vertex in network._label]
         return network
 
     def merge(self, u: int, v: int) -> None:

@@ -27,7 +27,11 @@ from repro.obs.trace import (
 
 #: Stages each role times; seeding them keeps ``/metrics`` histogram
 #: series present (at zero) from the first scrape, so dashboards never
-#: have to special-case an empty family.
+#: have to special-case an empty family.  A server times ``cache_lookup``
+#: and ``solve`` per component of a ``POST /components`` batch only: a
+#: ``/decompose`` or ``/batch`` job colors its whole layout in one worker
+#: call that reports no per-component timings, so on a server answering
+#: layouts those two read 0.
 SERVER_STAGES = ("parse", "execute", "cache_lookup", "solve", "encode")
 COORDINATOR_STAGES = (
     "parse",

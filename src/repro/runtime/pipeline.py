@@ -107,7 +107,11 @@ def color_graph(
     result.report.num_connected_components = len(components)
 
     with span("hash"):
-        subgraphs = [graph.subgraph(component) for component in components]
+        if len(components) == 1:
+            # One component spans the graph: solve the graph itself, no copy.
+            subgraphs = [graph]
+        else:
+            subgraphs = [graph.subgraph(component) for component in components]
         keys = [
             canonical_component_key(
                 subgraph,

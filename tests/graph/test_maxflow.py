@@ -72,6 +72,46 @@ class TestFlowNetworkBasics:
             FlowNetwork.from_edges([(0, 1)]).min_cut_partition()
 
 
+class TestBulkBuild:
+    """``from_edges`` lays out the arrays edge-by-edge building would."""
+
+    @staticmethod
+    def edge_by_edge(edges, vertices=()):
+        net = FlowNetwork()
+        for vertex in vertices:
+            net.add_vertex(vertex)
+        for u, v in edges:
+            net.add_edge(u, v)
+        return net
+
+    @staticmethod
+    def arrays(net):
+        return (net._index, net._ids, net._arcs, net._heads, net._label, net._members)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_arrays_equal_the_edge_by_edge_build(self, seed):
+        rng = np.random.default_rng(seed)
+        edges = [tuple(int(x) for x in rng.choice(40, 2, replace=False)) for _ in range(60)]
+        edges += edges[:: 7]  # parallel edges
+        isolated = [int(x) for x in rng.choice(range(40, 60), 4, replace=False)]
+        vertices = isolated + [edges[0][1], isolated[0]]  # endpoints and repeats too
+        bulk = FlowNetwork.from_edges(edges, vertices=vertices)
+        assert self.arrays(bulk) == self.arrays(self.edge_by_edge(edges, vertices))
+        assert self.arrays(FlowNetwork.from_edges(edges)) == self.arrays(
+            self.edge_by_edge(edges)
+        )
+
+    def test_empty_and_isolated_only(self):
+        for vertices in ((), (5, 3, 5)):
+            assert self.arrays(FlowNetwork.from_edges([], vertices)) == self.arrays(
+                self.edge_by_edge([], vertices)
+            )
+
+    def test_self_loop_still_rejected(self):
+        with pytest.raises(GraphError, match="self loop on vertex 2"):
+            FlowNetwork.from_edges([(0, 1), (2, 2)])
+
+
 class TestMinCutPartition:
     def test_partition_separates_terminals(self):
         net = FlowNetwork.from_edges([(0, 1), (1, 2), (2, 3)])

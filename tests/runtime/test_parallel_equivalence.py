@@ -225,6 +225,42 @@ class TestInCallDedup:
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
 
+class TestSingleComponent:
+    """A component spanning the graph is solved on the graph itself."""
+
+    @pytest.mark.parametrize("independent", [True, False])
+    def test_whole_graph_is_solved_without_a_copy(self, fig5, independent):
+        from repro.runtime.component_io import solve_component
+        from repro.runtime.pipeline import ColoredGraph
+
+        division = DivisionOptions(independent_components=independent)
+        options = _pipeline_options(4, "linear", division)
+        batches = []
+
+        def recording(batch, solve_options):
+            batches.append(list(batch))
+            return solve_inline(batch, solve_options)
+
+        cache = ComponentCache()
+        colored = color_graph(fig5, options, recording, cache=cache)
+        [[(key, solved)]] = batches
+        assert solved is fig5
+
+        # The copy the pipeline used to hash and solve: same key, same result.
+        copy = fig5.subgraph(fig5.vertices())
+        assert key == canonical_component_key(
+            copy, 4, "linear", options.algorithm_options, division
+        )
+        solve = solve_component(copy, options, key)
+        expected = ColoredGraph(coloring=solve.coloring_for(copy))
+        assert cache.lookup(key, copy).coloring == expected.coloring
+        expected.report.num_vertices = fig5.num_vertices
+        expected.report.num_connected_components = 1
+        expected.report.merge_from(solve.report)
+        expected.solver_timeouts = solve.solver_timeouts
+        assert dataclasses.asdict(colored) == dataclasses.asdict(expected)
+
+
 class TestBenchCircuitEquivalence:
     """The acceptance bar: identical results on the named bench circuits."""
 

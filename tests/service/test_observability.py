@@ -330,6 +330,9 @@ class TestMetrics:
         assert "\nrepro_pool_queue_wait_seconds_count 1\n" in text
         assert 'stage="queue_wait"' not in text
         # Stage series exist (at zero) even before any traffic touches them.
+        # cache_lookup is one: only POST /components feeds it, one sample per
+        # component; a /decompose job solves its layout in one worker call
+        # that reports no per-component timings, so it stays at 0 here.
         assert 'repro_stage_duration_seconds_count{stage="cache_lookup"} 0' in text
 
     def test_metrics_lint_clean_without_journal_too(self):
