@@ -34,7 +34,7 @@ from repro.core.coloring import ColoringAlgorithm
 from repro.core.kernels import MAX_COMPILED_COLORS, active_core
 from repro.core.kernels.adjacency import CSRAdjacency
 from repro.core.options import DivisionOptions
-from repro.core.rotation import best_rotation
+from repro.core.rotation import rotation_merge
 from repro.graph.biconnected import biconnected_blocks
 from repro.graph.components import connected_components
 from repro.graph.decomposition_graph import DecompositionGraph
@@ -334,7 +334,7 @@ class _RankDivider:
         for part in parts:
             report.observe_piece(len(part))
             part_colors.append(self.color_piece(part))
-        merged = _rotation_merge(
+        merged = rotation_merge(
             parts, part_colors, conflict, stitch, num_colors, self.colorer.options.alpha
         )
         return [merged[rank] for rank in ranks]
@@ -383,68 +383,3 @@ def _matching_permutation(
         if color not in permutation:
             permutation[color] = free_targets.pop(0)
     return [permutation[color] for color in range(num_colors)]
-
-
-def _rotation_merge(
-    parts: List[List[int]],
-    part_colors: List[List[int]],
-    conflict: List[Tuple[int, int]],
-    stitch: List[Tuple[int, int]],
-    num_colors: int,
-    alpha: float,
-) -> Dict[int, int]:
-    """Merge independently colored parts by color rotation (rank space).
-
-    :func:`repro.core.rotation.merge_component_colorings` on rank pairs:
-    parts are attached breadth-first over the part adjacency, and each new
-    one takes the rotation minimising the crossing cost against every part
-    already placed; the first part of each group keeps its colors.
-    """
-    part_of: Dict[int, int] = {}
-    color: Dict[int, int] = {}
-    for index, (part, colors) in enumerate(zip(parts, part_colors)):
-        for rank, value in zip(part, colors):
-            part_of[rank] = index
-            color[rank] = value
-
-    # Crossing edges bucketed by unordered part pair.
-    crossing: Dict[Tuple[int, int], List[Tuple[int, int, bool]]] = {}
-    for edges, is_conflict in ((conflict, True), (stitch, False)):
-        for u, v in edges:
-            a, b = part_of[u], part_of[v]
-            if a != b:
-                key = (a, b) if a < b else (b, a)
-                crossing.setdefault(key, []).append((u, v, is_conflict))
-    adjacency: List[List[int]] = [[] for _ in parts]
-    for a, b in crossing:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-
-    merged: Dict[int, int] = {}
-    placed = [False] * len(parts)
-    for start in range(len(parts)):
-        if placed[start]:
-            continue
-        for rank in parts[start]:
-            merged[rank] = color[rank]
-        placed[start] = True
-        queue: deque = deque([start])
-        while queue:
-            current = queue.popleft()
-            for neighbour in adjacency[current]:
-                if placed[neighbour]:
-                    continue
-                # (fixed rank, rank to rotate, is_conflict) toward every
-                # placed part.
-                toward = [
-                    (v, u, is_conflict) if part_of[u] == neighbour else (u, v, is_conflict)
-                    for (a, b), edges in crossing.items()
-                    if neighbour in (a, b) and placed[a + b - neighbour]
-                    for u, v, is_conflict in edges
-                ]
-                offset, _ = best_rotation(toward, merged, color, num_colors, alpha)
-                for rank in parts[neighbour]:
-                    merged[rank] = (color[rank] + offset) % num_colors
-                placed[neighbour] = True
-                queue.append(neighbour)
-    return merged

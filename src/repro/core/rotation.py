@@ -12,7 +12,7 @@ conflict-free offsets.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.errors import DecompositionError
 from repro.graph.decomposition_graph import DecompositionGraph
@@ -83,45 +83,69 @@ def merge_component_colorings(
     component receives the rotation minimising the crossing cost against the
     already-merged region.  Isolated components keep their colors.
     """
-    component_of: Dict[int, int] = {}
-    for index, coloring in enumerate(component_colorings):
+    seen: Set[int] = set()
+    for coloring in component_colorings:
         for vertex in coloring:
-            if vertex in component_of:
+            if vertex in seen:
                 raise DecompositionError(
                     f"vertex {vertex} appears in two component colorings"
                 )
-            component_of[vertex] = index
+            seen.add(vertex)
     for vertex in graph.vertices():
-        if vertex not in component_of:
+        if vertex not in seen:
             raise DecompositionError(f"vertex {vertex} missing from component colorings")
+    return rotation_merge(
+        [list(coloring) for coloring in component_colorings],
+        [list(coloring.values()) for coloring in component_colorings],
+        graph.conflict_edges(),
+        graph.stitch_edges(),
+        num_colors,
+        alpha,
+    )
 
-    # Crossing edges bucketed by unordered component pair.
+
+def rotation_merge(
+    parts: Sequence[Sequence[int]],
+    part_colors: Sequence[Sequence[int]],
+    conflict_edges: Iterable[Tuple[int, int]],
+    stitch_edges: Iterable[Tuple[int, int]],
+    num_colors: int,
+    alpha: float,
+) -> Dict[int, int]:
+    """:func:`merge_component_colorings` on plain lists, unchecked.
+
+    ``parts[i]`` lists the vertices of part ``i`` and ``part_colors[i]``
+    their colors, in the same order; the edge lists hold every edge between
+    the parts' vertices.  The division passes ranks.
+    """
+    part_of: Dict[int, int] = {}
+    color: Dict[int, int] = {}
+    for index, (part, colors) in enumerate(zip(parts, part_colors)):
+        for vertex, value in zip(part, colors):
+            part_of[vertex] = index
+            color[vertex] = value
+
+    # Crossing edges bucketed by unordered part pair.
     crossing: Dict[Tuple[int, int], List[Tuple[int, int, bool]]] = {}
-
-    def record(u: int, v: int, is_conflict: bool) -> None:
-        cu, cv = component_of[u], component_of[v]
-        if cu == cv:
-            return
-        key = (cu, cv) if cu < cv else (cv, cu)
-        crossing.setdefault(key, []).append((u, v, is_conflict))
-
-    for u, v in graph.conflict_edges():
-        record(u, v, True)
-    for u, v in graph.stitch_edges():
-        record(u, v, False)
-
-    adjacency: Dict[int, List[int]] = {i: [] for i in range(len(component_colorings))}
+    for edges, is_conflict in ((conflict_edges, True), (stitch_edges, False)):
+        for u, v in edges:
+            a, b = part_of[u], part_of[v]
+            if a != b:
+                key = (a, b) if a < b else (b, a)
+                crossing.setdefault(key, []).append((u, v, is_conflict))
+    adjacency: List[List[int]] = [[] for _ in parts]
     for a, b in crossing:
         adjacency[a].append(b)
         adjacency[b].append(a)
 
     merged: Dict[int, int] = {}
-    placed = [False] * len(component_colorings)
-    for start in range(len(component_colorings)):
+    placed = [False] * len(parts)
+    for start in range(len(parts)):
         if placed[start]:
             continue
-        # First component of a group is placed as-is.
-        merged.update(component_colorings[start])
+        # First part of a group is placed as-is.
+        for vertex in parts[start]:
+            merged[vertex] = color[vertex]
         placed[start] = True
         queue: deque = deque([start])
         while queue:
@@ -129,34 +153,17 @@ def merge_component_colorings(
             for neighbour in adjacency[current]:
                 if placed[neighbour]:
                     continue
-                edges = _edges_toward(crossing, merged, component_colorings[neighbour])
-                offset, _ = best_rotation(
-                    edges,
-                    merged,
-                    component_colorings[neighbour],
-                    num_colors,
-                    alpha,
-                )
-                merged.update(
-                    rotate_coloring(component_colorings[neighbour], offset, num_colors)
-                )
+                # (fixed vertex, vertex to rotate, is_conflict) for every
+                # crossing edge toward a placed part.
+                toward = [
+                    (v, u, is_conflict) if part_of[u] == neighbour else (u, v, is_conflict)
+                    for (a, b), edges in crossing.items()
+                    if neighbour in (a, b) and placed[a + b - neighbour]
+                    for u, v, is_conflict in edges
+                ]
+                offset, _ = best_rotation(toward, merged, color, num_colors, alpha)
+                for vertex in parts[neighbour]:
+                    merged[vertex] = (color[vertex] + offset) % num_colors
                 placed[neighbour] = True
                 queue.append(neighbour)
     return merged
-
-
-def _edges_toward(
-    crossing: Dict[Tuple[int, int], List[Tuple[int, int, bool]]],
-    merged: Dict[int, int],
-    component_coloring: Dict[int, int],
-) -> List[Tuple[int, int, bool]]:
-    """Collect crossing edges between the merged region and one component."""
-    edges: List[Tuple[int, int, bool]] = []
-    component_vertices = set(component_coloring)
-    for pair_edges in crossing.values():
-        for u, v, is_conflict in pair_edges:
-            if u in merged and v in component_vertices:
-                edges.append((u, v, is_conflict))
-            elif v in merged and u in component_vertices:
-                edges.append((v, u, is_conflict))
-    return edges
