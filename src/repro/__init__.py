@@ -54,12 +54,10 @@ from repro.errors import (
     DecompositionError,
     GeometryError,
     GraphError,
-    InfeasibleError,
     LayoutError,
     LayoutIOError,
     ReproError,
     SolverError,
-    TimeoutExceededError,
 )
 from repro.geometry import Layout, Point, Polygon, Rect, Shape
 from repro.graph import (
@@ -109,8 +107,6 @@ __all__ = [
     "LayoutIOError",
     "GraphError",
     "SolverError",
-    "InfeasibleError",
-    "TimeoutExceededError",
     "DecompositionError",
     "ConfigurationError",
     # geometry

@@ -21,7 +21,7 @@ from repro.core.evaluation import (
 )
 from repro.core.backtrack import BacktrackColoring, BacktrackStatistics, search_merged_graph
 from repro.core.greedy_coloring import GreedyColoring, greedy_color_graph
-from repro.core.ilp_coloring import IlpColoring, build_coloring_program
+from repro.core.ilp_coloring import IlpColoring
 from repro.core.linear_coloring import LinearColoring
 from repro.core.sdp_coloring import SdpColoring
 from repro.core.refinement import refine_coloring
@@ -56,7 +56,6 @@ __all__ = [
     "GreedyColoring",
     "greedy_color_graph",
     "IlpColoring",
-    "build_coloring_program",
     "LinearColoring",
     "SdpColoring",
     "refine_coloring",

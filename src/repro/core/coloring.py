@@ -4,7 +4,8 @@ Each algorithm colors one decomposition graph (usually a component produced
 by the graph-division stage) with K colors, minimising conflicts first and
 stitches second.  The concrete algorithms are:
 
-* :class:`repro.core.ilp_coloring.IlpColoring` — exact ILP baseline,
+* :class:`repro.core.ilp_coloring.IlpColoring` — exact ILP baseline, solved
+  by HiGHS's MIP solver,
 * :class:`repro.core.sdp_coloring.SdpColoring` — SDP relaxation followed by
   greedy or backtrack mapping,
 * :class:`repro.core.linear_coloring.LinearColoring` — the O(n) heuristic of

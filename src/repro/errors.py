@@ -35,15 +35,7 @@ class GraphError(ReproError):
 
 
 class SolverError(ReproError):
-    """Raised when an optimisation substrate (LP/ILP/SDP) fails to solve."""
-
-
-class InfeasibleError(SolverError):
-    """Raised when a model is proven infeasible."""
-
-
-class TimeoutExceededError(SolverError):
-    """Raised when a solver exceeds its configured time budget."""
+    """Raised when an optimisation substrate (ILP/SDP) fails to solve."""
 
 
 class DecompositionError(ReproError):

@@ -1,12 +1,9 @@
-"""Optimisation substrates: LP, branch-and-bound ILP and the vector-program SDP."""
+"""Optimisation substrate: the vector-program SDP.
 
-from repro.opt.lp import LpResult, solve_lp
-from repro.opt.ilp import (
-    BranchAndBoundSolver,
-    IlpResult,
-    IntegerProgram,
-    LinearConstraint,
-)
+The ILP baseline needs no substrate of its own: it hands its model to
+HiGHS's MIP solver (:mod:`repro.core.ilp_coloring`).
+"""
+
 from repro.opt.sdp import (
     SdpOptions,
     SdpResult,
@@ -17,12 +14,6 @@ from repro.opt.sdp import (
 )
 
 __all__ = [
-    "LpResult",
-    "solve_lp",
-    "IntegerProgram",
-    "LinearConstraint",
-    "BranchAndBoundSolver",
-    "IlpResult",
     "SdpOptions",
     "SdpResult",
     "VectorProgramSolver",

@@ -1,31 +1,66 @@
 """Unit tests for the exact ILP color assignment."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.evaluation import count_conflicts, count_stitches, evaluate
-from repro.core.ilp_coloring import IlpColoring, build_coloring_program, extract_coloring
+from repro.core.greedy_coloring import greedy_color_graph
+from repro.core.ilp_coloring import IlpColoring
 from repro.core.options import AlgorithmOptions
-from repro.errors import TimeoutExceededError
+from repro.errors import SolverError
 from repro.graph.decomposition_graph import DecompositionGraph
-from repro.opt.ilp import BranchAndBoundSolver
 
 
-class TestProgramConstruction:
-    def test_variable_and_constraint_counts(self):
-        g = DecompositionGraph.from_edges([(0, 1)], [(1, 2)])
-        program = build_coloring_program(g, 4, 0.1)
-        # 3 vertices * 4 colors + 1 conflict var + 1 stitch var
-        assert program.num_variables == 14
-        # 3 assignment + 4 conflict + 8 stitch constraints
-        assert program.num_constraints == 15
+def _brute_force_cost(graph, num_colors, alpha):
+    """Minimum ``conflicts + alpha * stitches`` over every coloring."""
+    rank = {vertex: i for i, vertex in enumerate(graph.vertices())}
+    colorings = np.array(
+        list(itertools.product(range(num_colors), repeat=len(rank)))
+    )
 
-    def test_solution_extraction(self):
-        g = DecompositionGraph.from_edges([(0, 1)])
-        program = build_coloring_program(g, 2, 0.1)
-        result = BranchAndBoundSolver().solve(program)
-        coloring = extract_coloring(g, result, 2)
-        assert set(coloring) == {0, 1}
-        assert coloring[0] != coloring[1]
+    def same(u, v):
+        return colorings[:, rank[u]] == colorings[:, rank[v]]
+
+    cost = np.zeros(len(colorings))
+    for u, v in graph.conflict_edges():
+        cost += same(u, v)
+    for u, v in graph.stitch_edges():
+        cost += alpha * ~same(u, v)
+    return cost.min()
+
+
+def _weighted_family():
+    """The hand-made mixed instance, then 20 seeded random graphs of 6-7
+    vertices (spread ids, some isolated) with conflict and stitch edges."""
+    yield "hand-made", 3, DecompositionGraph.from_edges(
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (3, 4)],
+        [(4, 5), (5, 0)],
+    )
+    for seed in range(20):
+        rng = random.Random(seed)
+        ids = rng.sample(range(100), rng.choice((6, 7)))
+        conflicts, stitches = [], []
+        for pair in itertools.combinations(ids, 2):
+            draw = rng.random()
+            if draw < 0.45:
+                conflicts.append(pair)
+            elif draw < 0.65:
+                stitches.append(pair)
+        yield f"seed {seed}", rng.choice((2, 3, 4)), DecompositionGraph.from_edges(
+            conflicts, stitches, vertices=ids
+        )
+
+
+def _stub_milp(monkeypatch, **result):
+    """Make every ``scipy.optimize.milp`` call return ``result``."""
+    import scipy.optimize
+
+    monkeypatch.setattr(
+        scipy.optimize, "milp", lambda *args, **kwargs: scipy.optimize.OptimizeResult(**result)
+    )
 
 
 class TestIlpColoring:
@@ -47,20 +82,14 @@ class TestIlpColoring:
         assert count_stitches(stitch_pair_graph, coloring) == 0
 
     def test_matches_exact_on_weighted_instance(self):
-        """ILP optimum equals the brute-force optimum on a small mixed graph."""
-        import itertools
-
-        g = DecompositionGraph.from_edges(
-            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (3, 4)],
-            [(4, 5), (5, 0)],
-        )
-        coloring = IlpColoring(3).color(g)
-        got = evaluate(g, coloring, 0.1).cost
-        best = min(
-            evaluate(g, dict(zip(g.vertices(), assignment)), 0.1).cost
-            for assignment in itertools.product(range(3), repeat=g.num_vertices)
-        )
-        assert got == pytest.approx(best)
+        """The ILP optimum equals the brute-force optimum on a seeded family
+        of small mixed graphs, each proven within the time limit."""
+        for name, num_colors, graph in _weighted_family():
+            colorer = IlpColoring(num_colors)
+            got = evaluate(graph, colorer.color(graph), 0.1).cost
+            best = _brute_force_cost(graph, num_colors, 0.1)
+            assert got == pytest.approx(best), (name, num_colors)
+            assert colorer.timeouts == 0, name
 
     def test_timeout_counter_increments(self, k5_graph):
         options = AlgorithmOptions(ilp_time_limit=0.0)
@@ -70,11 +99,18 @@ class TestIlpColoring:
         assert set(coloring) == set(k5_graph.vertices())
         assert colorer.timeouts >= 1
 
-    def test_raise_on_timeout(self, k5_graph):
-        options = AlgorithmOptions(ilp_time_limit=0.0)
-        colorer = IlpColoring(4, options, raise_on_timeout=True)
-        with pytest.raises(TimeoutExceededError):
-            colorer.color(k5_graph)
+    def test_time_limit_without_incumbent_falls_back_to_greedy(
+        self, k5_graph, monkeypatch
+    ):
+        _stub_milp(monkeypatch, status=1, x=None, message="Time limit reached.")
+        colorer = IlpColoring(4)
+        assert colorer.color(k5_graph) == greedy_color_graph(k5_graph, 4, 0.1)
+        assert colorer.timeouts == 1
+
+    def test_solver_failure_raises(self, k5_graph, monkeypatch):
+        _stub_milp(monkeypatch, status=4, x=None, message="solve error")
+        with pytest.raises(SolverError, match="solve error"):
+            IlpColoring(4).color(k5_graph)
 
     def test_five_colors(self, k5_graph):
         coloring = IlpColoring(5).color(k5_graph)
