@@ -6,6 +6,9 @@ Each line is one JSON event stamped with a monotonically increasing
 ``max_segment_bytes``. On open, a torn final line (crash mid-write) of the
 last segment is truncated away and ``seq`` resumes after the last durable
 event, so a journal survives kill -9 with at most the unflushed tail lost.
+A journal whose largest readable ``seq`` is ``2**63 - 1`` refuses to open
+(:class:`~repro.errors.ConfigurationError`): its next event could not be
+read back.
 
 Nothing else is ever deleted.  A newline-terminated line that does not
 decode (disk corruption, a stray write) stays on disk; readers stop its
@@ -21,6 +24,8 @@ import re
 import threading
 import time
 from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple
+
+from repro.errors import ConfigurationError
 
 _SEGMENT_RE = re.compile(r"^events-(\d{6})\.jsonl$")
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -91,6 +96,12 @@ class EventJournal:
         for index in indices:
             last_seq, good_end = _readable_prefix(self._segment_path(index))
             self._seq = max(self._seq, last_seq)
+        if self._seq >= _SEQ_LIMIT - 1:
+            # The next seq would be undecodable; refuse before touching a file.
+            raise ConfigurationError(
+                f"journal {self.directory} has no seq left: its last is "
+                f"{self._seq}, and no reader accepts {_SEQ_LIMIT} or more"
+            )
         self._segment_index = indices[-1] if indices else 1
         if indices and self._recover_tail(self._segment_path(self._segment_index), good_end):
             self._segment_index += 1

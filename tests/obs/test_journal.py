@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.obs.journal import EventJournal, journal_segment_plan, read_journal
 
 pytestmark = pytest.mark.obs
@@ -239,6 +242,50 @@ class TestRecovery:
         )
         events = read_journal(str(tmp_path))
         assert [e["seq"] for e in events] == ([seq] if readable else [])
+
+    def test_a_journal_at_the_last_seq_refuses_to_open(self, tmp_path):
+        """Its next event would be seq 2**63, which no reader accepts: the
+        open fails, naming the directory and the seq, and no byte moves."""
+        path = tmp_path / "events-000001.jsonl"
+        segment = b'{"event":"x","seq":%d}\n' % (2**63 - 1)
+        path.write_bytes(segment + b'{"event":"x","seq":1')  # and a torn tail
+        with pytest.raises(ConfigurationError) as refused:
+            EventJournal(str(tmp_path))
+        assert str(tmp_path) in str(refused.value)
+        assert str(2**63 - 1) in str(refused.value)
+        assert path.read_bytes() == segment + b'{"event":"x","seq":1'
+        assert _segments(tmp_path) == ["events-000001.jsonl"]
+
+    def test_a_journal_one_below_the_last_seq_takes_one_more_event(self, tmp_path):
+        (tmp_path / "events-000001.jsonl").write_bytes(
+            b'{"event":"x","seq":%d}\n' % (2**63 - 2)
+        )
+        journal = EventJournal(str(tmp_path))
+        record = journal.append({"event": "progress"})
+        journal.close()
+        assert record["seq"] == 2**63 - 1
+        assert [e["seq"] for e in read_journal(str(tmp_path))] == [2**63 - 2, 2**63 - 1]
+
+    @pytest.mark.parametrize(
+        "entry", [["repro.service"], ["repro.cluster", "--peers", "127.0.0.1:1"]]
+    )
+    def test_front_ends_exit_1_on_a_journal_at_the_last_seq(self, tmp_path, entry):
+        """A separate, time-bounded process: a front end that opened the
+        journal would serve forever."""
+        (tmp_path / "events-000001.jsonl").write_bytes(
+            b'{"event":"x","seq":%d}\n' % (2**63 - 1)
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src), env.get("PYTHONPATH", "")]
+        ).rstrip(os.pathsep)
+        done = subprocess.run(
+            [sys.executable, "-m", *entry, "--port", "0", "--journal", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: journal {tmp_path} ")
 
     def test_read_journal_missing_directory_is_empty(self, tmp_path):
         assert read_journal(str(tmp_path / "nope")) == []
