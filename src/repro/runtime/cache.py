@@ -39,9 +39,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Protocol, Tuple
 
 from repro.core.division import DivisionReport
-from repro.core.options import AlgorithmOptions, DivisionOptions
 from repro.graph.decomposition_graph import DecompositionGraph
-from repro.runtime.hashing import canonical_component_key, canonical_vertex_order
+from repro.runtime.hashing import canonical_vertex_order
 
 @dataclass
 class ComponentRecord:
@@ -233,19 +232,6 @@ class ComponentCache:
 
     def __len__(self) -> int:
         return len(self.backend)
-
-    def key_of(
-        self,
-        graph: DecompositionGraph,
-        num_colors: int,
-        algorithm: str,
-        algorithm_options: AlgorithmOptions,
-        division: DivisionOptions,
-    ) -> str:
-        """Return the canonical cache key of ``graph`` for this configuration."""
-        return canonical_component_key(
-            graph, num_colors, algorithm, algorithm_options, division
-        )
 
     # ------------------------------------------------------------- lookup
     def lookup(self, key: str, graph: DecompositionGraph) -> Optional[ComponentRecord]:

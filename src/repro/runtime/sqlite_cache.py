@@ -272,31 +272,6 @@ class SqliteBackend:
             (name, amount),
         )
 
-    def persistent_stats(self) -> Dict[str, int]:
-        """Cumulative counters aggregated over every process ever attached.
-
-        Unlike :attr:`ComponentCache.stats` (per-frontend, in-memory), these
-        live in the database: the server's ``/stats`` endpoint reads them to
-        report cache effectiveness across its whole worker pool, and across
-        restarts.
-        """
-        with self._lock:
-            rows = dict(
-                self._conn.execute(
-                    "SELECT name, value FROM counters WHERE name != 'clock'"
-                ).fetchall()
-            )
-            entries = self._conn.execute(
-                "SELECT COUNT(*) FROM components"
-            ).fetchone()[0]
-        return {
-            "hits": rows.get("hits", 0),
-            "misses": rows.get("misses", 0),
-            "stores": rows.get("stores", 0),
-            "evictions": rows.get("evictions", 0),
-            "entries": entries,
-        }
-
 
 def read_persistent_stats(path: Union[str, Path]) -> Optional[Dict[str, int]]:
     """Read the cumulative counters of a cache database without keeping it open.

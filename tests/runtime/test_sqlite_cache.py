@@ -16,7 +16,13 @@ import pytest
 from repro.core.division import DivisionReport
 from repro.core.options import AlgorithmOptions, DivisionOptions
 from repro.graph.decomposition_graph import DecompositionGraph
-from repro.runtime import ComponentCache, InMemoryBackend, SqliteBackend, open_cache
+from repro.runtime import (
+    ComponentCache,
+    InMemoryBackend,
+    SqliteBackend,
+    canonical_component_key,
+    open_cache,
+)
 from repro.runtime.sqlite_cache import SCHEMA_VERSION, read_persistent_stats
 
 
@@ -29,7 +35,7 @@ def _path_graph(offset: int = 0, length: int = 3) -> DecompositionGraph:
 
 
 def _key_and_coloring(graph: DecompositionGraph):
-    key = ComponentCache().key_of(
+    key = canonical_component_key(
         graph, 4, "linear", AlgorithmOptions(), DivisionOptions()
     )
     coloring = {vertex: rank % 4 for rank, vertex in enumerate(graph.vertices())}
@@ -65,7 +71,7 @@ class TestRoundTrip:
         cache = ComponentCache(backend=SqliteBackend(db_path))
         assert cache.lookup("no-such-key", _path_graph()) is None
         assert cache.stats.misses == 1
-        assert cache.backend.persistent_stats()["misses"] == 1
+        assert read_persistent_stats(db_path)["misses"] == 1
         cache.close()
 
     def test_persists_across_reopen(self, db_path):
@@ -111,7 +117,7 @@ class TestCrossProcess:
         record = parent.lookup(child_key, child_graph)
         assert record is not None and record.coloring == child_coloring
         # ...and the persistent counters aggregated both processes' stores.
-        assert parent.backend.persistent_stats()["stores"] == 2
+        assert read_persistent_stats(db_path)["stores"] == 2
         parent.close()
 
 
