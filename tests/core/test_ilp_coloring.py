@@ -32,26 +32,28 @@ def _brute_force_cost(graph, num_colors, alpha):
     return cost.min()
 
 
-def _weighted_family():
-    """The hand-made mixed instance, then 20 seeded random graphs of 6-7
-    vertices (spread ids, some isolated) with conflict and stitch edges."""
-    yield "hand-made", 3, DecompositionGraph.from_edges(
-        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (3, 4)],
-        [(4, 5), (5, 0)],
-    )
-    for seed in range(20):
-        rng = random.Random(seed)
-        ids = rng.sample(range(100), rng.choice((6, 7)))
-        conflicts, stitches = [], []
-        for pair in itertools.combinations(ids, 2):
-            draw = rng.random()
-            if draw < 0.45:
-                conflicts.append(pair)
-            elif draw < 0.65:
-                stitches.append(pair)
-        yield f"seed {seed}", rng.choice((2, 3, 4)), DecompositionGraph.from_edges(
-            conflicts, stitches, vertices=ids
-        )
+def _random_graph(seed):
+    """A seeded random graph of 6-7 vertices (spread ids, some isolated)
+    with conflict and stitch edges, and its color count K in {2, 3, 4}."""
+    rng = random.Random(seed)
+    ids = rng.sample(range(100), rng.choice((6, 7)))
+    conflicts, stitches = [], []
+    for pair in itertools.combinations(ids, 2):
+        draw = rng.random()
+        if draw < 0.45:
+            conflicts.append(pair)
+        elif draw < 0.65:
+            stitches.append(pair)
+    graph = DecompositionGraph.from_edges(conflicts, stitches, vertices=ids)
+    return rng.choice((2, 3, 4)), graph
+
+
+def _assert_matches_brute_force(graph, num_colors):
+    """The ILP optimum equals the brute-force optimum, proven in time."""
+    colorer = IlpColoring(num_colors)
+    got = evaluate(graph, colorer.color(graph), 0.1).cost
+    assert got == pytest.approx(_brute_force_cost(graph, num_colors, 0.1))
+    assert colorer.timeouts == 0
 
 
 def _stub_milp(monkeypatch, **result):
@@ -82,14 +84,16 @@ class TestIlpColoring:
         assert count_stitches(stitch_pair_graph, coloring) == 0
 
     def test_matches_exact_on_weighted_instance(self):
-        """The ILP optimum equals the brute-force optimum on a seeded family
-        of small mixed graphs, each proven within the time limit."""
-        for name, num_colors, graph in _weighted_family():
-            colorer = IlpColoring(num_colors)
-            got = evaluate(graph, colorer.color(graph), 0.1).cost
-            best = _brute_force_cost(graph, num_colors, 0.1)
-            assert got == pytest.approx(best), (name, num_colors)
-            assert colorer.timeouts == 0, name
+        graph = DecompositionGraph.from_edges(
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (3, 4)],
+            [(4, 5), (5, 0)],
+        )
+        _assert_matches_brute_force(graph, 3)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_exact_on_random_graph(self, seed):
+        num_colors, graph = _random_graph(seed)
+        _assert_matches_brute_force(graph, num_colors)
 
     def test_timeout_counter_increments(self, k5_graph):
         options = AlgorithmOptions(ilp_time_limit=0.0)
