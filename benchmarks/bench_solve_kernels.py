@@ -14,11 +14,17 @@ each on the Table 1 circuits in both modes and records the speedups:
   many components it skipped are recorded in the artifact, never silent);
 * **sdp**       — ``VectorProgramSolver.solve`` on every relaxation problem
   (SDP piece) an sdp-backtrack run of the circuit solves: the numpy
-  reference vs the compiled loop.
+  reference vs the compiled loop;
+* **division**  — every stage-3 (biconnected blocks) and stage-4
+  (K-classes) call a linear run's division makes, through the division's
+  own ``_RankDivider``: ``biconnected_blocks`` and
+  ``GomoryHuTree.components_below`` vs ``repro_blocks`` and
+  ``repro_kclasses``.
 
 Every timed call is parity-checked against the reference output (colorings,
-or every field of the relaxation result bit for bit) — the benchmark refuses
-to report a speedup for a kernel that changed the output.
+every field of the relaxation result bit for bit, or the blocks and pieces)
+— the benchmark refuses to report a speedup for a kernel that changed the
+output.
 
 Run standalone to (re)record ``benchmarks/artifacts/solve_kernels.json``::
 
@@ -26,7 +32,8 @@ Run standalone to (re)record ``benchmarks/artifacts/solve_kernels.json``::
     python benchmarks/bench_solve_kernels.py --quick   # CI smoke: 2 circuits
 
 Timings are best-of over repeated sweeps of all components (SDP pieces for
-the sdp leg) of each circuit, divided by their count — microseconds each.
+the sdp leg, stage calls for the division leg) of each circuit, divided by
+their count — microseconds each.
 """
 
 from __future__ import annotations
@@ -43,13 +50,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.factory import circuit_graph
 from repro.core.backtrack import search_merged_graph
-from repro.core.division import divide_and_color
+from repro.core.division import DivisionReport, _RankDivider, divide_and_color
 from repro.core.greedy_coloring import GreedyColoring
 from repro.core.kernels import set_kernel_mode
+from repro.core.kernels.adjacency import CSRAdjacency
 from repro.core.kernels.backtrack_kernel import backtrack_search
 from repro.core.kernels.ccore import compiled_core
 from repro.core.linear_coloring import LinearColoring
-from repro.core.options import AlgorithmOptions
+from repro.core.options import AlgorithmOptions, DivisionOptions
 from repro.core.sdp_coloring import SdpColoring
 from repro.graph.components import connected_components
 from repro.graph.simplify import build_merged_graph
@@ -229,6 +237,74 @@ def _sdp_leg(graph, repeats: int) -> tuple:
     return legs, len(pieces)
 
 
+@contextmanager
+def _recording_division_calls():
+    """Collect the ``(component flat form, stage, ranks)`` of every stage-3
+    (``blocks``) and stage-4 (``k_classes``) call the division makes."""
+    calls: List[tuple] = []
+    originals = {stage: getattr(_RankDivider, stage) for stage in ("blocks", "k_classes")}
+
+    def recorder(stage):
+        def recording(divider, ranks):
+            calls.append((divider.flat, stage, list(ranks)))
+            return originals[stage](divider, ranks)
+
+        return recording
+
+    for stage in originals:
+        setattr(_RankDivider, stage, recorder(stage))
+    try:
+        yield calls
+    finally:
+        for stage, original in originals.items():
+            setattr(_RankDivider, stage, original)
+
+
+def _division_leg(graph, repeats: int) -> tuple:
+    """Time the division's stage-3 and stage-4 calls of a linear run."""
+    colorer = LinearColoring(NUM_COLORS, AlgorithmOptions())
+    with _recording_division_calls() as calls:
+        divide_and_color(graph, colorer)
+    counts = {
+        stage: sum(1 for _, called, _ in calls if called == stage)
+        for stage in ("blocks", "k_classes")
+    }
+    if not calls:
+        return {}, counts
+
+    def prepared(mode: str) -> List[tuple]:
+        """One divider per component, built in ``mode``, for every call."""
+        set_kernel_mode(mode)
+        dividers: Dict[int, _RankDivider] = {}
+        for flat, _, _ in calls:
+            if id(flat) not in dividers:
+                dividers[id(flat)] = _RankDivider(
+                    flat, CSRAdjacency(flat), colorer, DivisionOptions(), DivisionReport()
+                )
+        return [(dividers[id(flat)], stage, ranks) for flat, stage, ranks in calls]
+
+    def run(call):
+        divider, stage, ranks = call
+        return getattr(divider, stage)(ranks)
+
+    reference_calls = prepared("off")
+    reference = [run(call) for call in reference_calls]
+    legs: Dict[str, float] = {"off": _time_sweep(run, reference_calls, repeats)}
+    for mode in _modes():
+        if mode == "off":
+            continue
+        mode_calls = prepared(mode)
+        for index, call in enumerate(mode_calls):
+            if run(call) != reference[index]:
+                raise AssertionError(
+                    f"division parity violation in mode {mode!r} on {call[1]} "
+                    f"call {index} ({len(call[2])} vertices)"
+                )
+        legs[mode] = _time_sweep(run, mode_calls, repeats)
+    set_kernel_mode(None)
+    return legs, counts
+
+
 def _speedups(legs: Dict[str, float]) -> Dict[str, float]:
     return {
         f"{mode}_vs_reference": round(legs["off"] / legs[mode], 2)
@@ -250,6 +326,7 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
         linear_legs = _solver_leg(LinearColoring, components, repeats)
         backtrack_legs, skipped, timed = _backtrack_leg(components, repeats)
         sdp_legs, sdp_pieces = _sdp_leg(graph, repeats)
+        division_legs, division_calls = _division_leg(graph, repeats)
         row = {
             "circuit": circuit,
             "components": len(components),
@@ -261,16 +338,19 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
                     m: round(s * 1e6, 3) for m, s in backtrack_legs.items()
                 },
                 "sdp": {m: round(s * 1e6, 3) for m, s in sdp_legs.items()},
+                "division": {m: round(s * 1e6, 3) for m, s in division_legs.items()},
             },
             "speedups": {
                 "greedy": _speedups(greedy_legs),
                 "linear": _speedups(linear_legs),
                 "backtrack": _speedups(backtrack_legs) if backtrack_legs else {},
                 "sdp": _speedups(sdp_legs) if sdp_legs else {},
+                "division": _speedups(division_legs) if division_legs else {},
             },
             "backtrack_components_timed": timed,
             "backtrack_components_skipped_over_cap": skipped,
             "sdp_pieces_timed": sdp_pieces,
+            "division_calls_timed": division_calls,
         }
         rows.append(row)
     payload = {
@@ -291,7 +371,11 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
             "and under backtrack_expansion_limit expansions per search.  "
             "The sdp leg times one relaxation per SDP piece of an "
             "sdp-backtrack run (sdp_pieces_timed per row; its microseconds "
-            "are per piece) and checks every result field bit for bit."
+            "are per piece) and checks every result field bit for bit.  "
+            "The division leg times every stage-3 (blocks) and stage-4 "
+            "(k_classes) call a linear run's division makes "
+            "(division_calls_timed per row; its microseconds are per call) "
+            "and checks every call's blocks or pieces."
         ),
         "circuits": rows,
         "min_compiled_speedup": {
@@ -303,7 +387,7 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
                 ),
                 default=None,
             )
-            for solver in ("greedy", "linear", "backtrack", "sdp")
+            for solver in ("greedy", "linear", "backtrack", "sdp", "division")
         },
     }
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -339,7 +423,9 @@ def main(argv: List[str] | None = None) -> int:
             f"backtrack {compiled('backtrack')} "
             f"({row['backtrack_components_timed']} timed, "
             f"{row['backtrack_components_skipped_over_cap']} over cap)  "
-            f"sdp {compiled('sdp')} ({row['sdp_pieces_timed']} pieces)"
+            f"sdp {compiled('sdp')} ({row['sdp_pieces_timed']} pieces)  "
+            f"division {compiled('division')} "
+            f"({sum(row['division_calls_timed'].values())} calls)"
         )
     print(f"minimum compiled speedup per solver: {payload['min_compiled_speedup']}")
     print(f"artifact written to {args.artifact}")

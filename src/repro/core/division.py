@@ -21,6 +21,11 @@ the component graph would, in the same order, and the colorings are the
 same.  The peel and its reinsertion run in the compiled core when it is
 loaded and K is within :data:`~repro.core.kernels.MAX_COMPILED_COLORS`;
 otherwise :mod:`repro.graph.simplify` runs them on the component graph.
+Blocks and K-classes run in the core whenever it is loaded, at any K; the
+references are :func:`~repro.graph.biconnected.biconnected_blocks` and
+:meth:`~repro.graph.gomory_hu.GomoryHuTree.components_below`, which also
+run when the core cannot allocate.  The core repeats the reference's
+depth-first search, and K-classes are unique, so the pieces are the same.
 """
 
 from __future__ import annotations
@@ -190,7 +195,8 @@ class _RankDivider:
     """Stages 3 and 4 of one component, on ranks.
 
     ``colors`` holds the merged color of every rank a kernel piece colored
-    so far, and ``-1`` elsewhere.
+    so far, and ``-1`` elsewhere.  ``position`` is the compiled stages'
+    rank-to-position scratch, all ``-1`` between calls.
     """
 
     def __init__(
@@ -206,6 +212,9 @@ class _RankDivider:
         self.division = division
         self.report = report
         self.num_colors = colorer.num_colors
+        self.csr = csr
+        self.core = active_core()
+        self.position = array("i", [-1]) * flat.num_vertices
         # CSR rows as Python lists: a row is one list slice.
         self.conflict = (csr.conflict_start.tolist(), csr.conflict_adj.tolist())
         self.stitch = (csr.stitch_start.tolist(), csr.stitch_adj.tolist())
@@ -252,6 +261,11 @@ class _RankDivider:
     def blocks(self, ranks: List[int]) -> List[List[int]]:
         """The biconnected blocks of the subgraph induced on ``ranks``, as
         :func:`~repro.graph.biconnected.biconnected_components` orders them."""
+        if self.core is not None:
+            blocks = self.core.blocks(ranks, self.csr, self.position)
+            if blocks is not None:
+                blocks.sort(key=lambda block: (block[0], len(block)))
+                return blocks
         position = {rank: index for index, rank in enumerate(ranks)}.get
         (cs, ca), (ss, sa) = self.conflict, self.stitch
         adjacency = []
@@ -320,11 +334,7 @@ class _RankDivider:
             report.observe_piece(len(ranks))
             return self.color_piece(ranks)
 
-        inside = set(ranks)
-        conflict = self.pairs(self.conflict, ranks, inside)
-        stitch = self.pairs(self.stitch, ranks, inside)
-        tree = gomory_hu_tree(ranks, conflict + stitch)
-        parts = tree.components_below(num_colors)
+        parts = self.k_classes(ranks)
         report.num_ghtree_parts += len(parts)
         if len(parts) <= 1:
             report.observe_piece(len(ranks))
@@ -334,10 +344,27 @@ class _RankDivider:
         for part in parts:
             report.observe_piece(len(part))
             part_colors.append(self.color_piece(part))
+        inside = set(ranks)
         merged = rotation_merge(
-            parts, part_colors, conflict, stitch, num_colors, self.colorer.options.alpha
+            parts,
+            part_colors,
+            self.pairs(self.conflict, ranks, inside),
+            self.pairs(self.stitch, ranks, inside),
+            num_colors,
+            self.colorer.options.alpha,
         )
         return [merged[rank] for rank in ranks]
+
+    def k_classes(self, ranks: List[int]) -> List[List[int]]:
+        """The K-classes of the subgraph induced on ``ranks``, each sorted,
+        ordered by their smallest rank (the stage-4 pieces)."""
+        if self.core is not None:
+            parts = self.core.kclasses(self.num_colors, ranks, self.csr, self.position)
+            if parts is not None:
+                return parts
+        inside = set(ranks)
+        edges = self.pairs(self.conflict, ranks, inside) + self.pairs(self.stitch, ranks, inside)
+        return gomory_hu_tree(ranks, edges).components_below(self.num_colors)
 
     def color_piece(self, ranks: List[int]) -> List[int]:
         """Hand the piece induced on ``ranks`` to the colorer; its colors."""

@@ -367,6 +367,436 @@ int repro_peel(
     return stack_len;
 }
 
+/* The two division stages below work on one piece of a component: ranks[]
+ * holds its n ranks, strictly increasing, and a piece vertex is its
+ * position in ranks[].  position[] has one entry per component rank; it
+ * must arrive all -1, maps the piece's ranks to positions while the stage
+ * runs, and is all -1 again on return.  Positions increase with rank, so a
+ * CSR row read through position[] stays sorted. */
+static void place_piece(int n, const int *ranks, int *position, int placed)
+{
+    for (int p = 0; p < n; p++)
+        position[ranks[p]] = placed ? p : -1;
+}
+
+/* The piece's conflict plus stitch row lengths: a bound on its inside
+ * adjacency entries, where each inside edge counts at both ends. */
+static size_t row_entries(
+    int n, const int *ranks, const int *conf_start, const int *stitch_start)
+{
+    size_t entries = 0;
+    for (int p = 0; p < n; p++) {
+        int rank = ranks[p];
+        entries += (size_t)(conf_start[rank + 1] - conf_start[rank]);
+        entries += (size_t)(stitch_start[rank + 1] - stitch_start[rank]);
+    }
+    return entries;
+}
+
+static int compare_ints(const void *a, const void *b)
+{
+    int x = *(const int *)a, y = *(const int *)b;
+    return (x > y) - (x < y);
+}
+
+/* Biconnected blocks of the piece (biconnected._biconnected_dfs).
+ *
+ * A vertex's neighbours are its conflict and stitch neighbours inside the
+ * piece, merged ascending with a shared one once: the reference's sorted
+ * adjacency.  The DFS takes roots in vertex order and neighbours in list
+ * order.  Writes the blocks in discovery order, each sorted, as ranks:
+ * block b is members[block_start[b] .. block_start[b + 1]).  A vertex in
+ * no block (an isolated one) follows as a singleton, in vertex order.
+ * members[] needs 2n entries and block_start[] n + 1: a graph on n
+ * vertices has at most n blocks, holding at most 2n vertices together.
+ * Returns the block count, or -1 on allocation failure.
+ */
+int repro_blocks(
+    int n, const int *ranks,
+    const int *conf_start, const int *conf_adj,
+    const int *stitch_start, const int *stitch_adj,
+    int *position, int *members, int *block_start)
+{
+    size_t bound = row_entries(n, ranks, conf_start, stitch_start);
+    int *adj_start = malloc(((size_t)n + 1) * sizeof(int));
+    int *adj = malloc((bound + 1) * sizeof(int));
+    int *index = malloc(((size_t)n + 1) * sizeof(int));
+    int *low = malloc(((size_t)n + 1) * sizeof(int));
+    int *parent = malloc(((size_t)n + 1) * sizeof(int));
+    int *resume = malloc(((size_t)n + 1) * sizeof(int));
+    int *path = malloc(((size_t)n + 1) * sizeof(int));
+    int *mark = calloc((size_t)n + 1, sizeof(int));
+    /* Every edge is pushed once, from its later-visited end. */
+    int *edge_tail = malloc((bound / 2 + 1) * sizeof(int));
+    int *edge_head = malloc((bound / 2 + 1) * sizeof(int));
+    int result = -1;
+    if (!adj_start || !adj || !index || !low || !parent || !resume || !path ||
+        !mark || !edge_tail || !edge_head)
+        goto done;
+
+    place_piece(n, ranks, position, 1);
+    int entries = 0;
+    for (int p = 0; p < n; p++) {
+        int rank = ranks[p];
+        int ci = conf_start[rank], ce = conf_start[rank + 1];
+        int si = stitch_start[rank], se = stitch_start[rank + 1];
+        adj_start[p] = entries;
+        for (;;) {
+            while (ci < ce && position[conf_adj[ci]] < 0)
+                ci++;
+            while (si < se && position[stitch_adj[si]] < 0)
+                si++;
+            if (ci == ce && si == se)
+                break;
+            int a = ci < ce ? position[conf_adj[ci]] : n;
+            int b = si < se ? position[stitch_adj[si]] : n;
+            if (a <= b)
+                ci++;
+            if (b <= a)
+                si++;
+            adj[entries++] = a < b ? a : b;
+        }
+        index[p] = -1;
+        parent[p] = -1;
+    }
+    adj_start[n] = entries;
+    for (int p = 0; p < n; p++)
+        resume[p] = adj_start[p];
+
+    int counter = 0, blocks = 0, total = 0, top = 0;
+    for (int root = 0; root < n; root++) {
+        if (index[root] >= 0)
+            continue;
+        index[root] = low[root] = counter++;
+        int depth = 0;
+        path[depth++] = root;
+        while (depth > 0) {
+            int vertex = path[depth - 1];
+            int up = parent[vertex];
+            int pointer = resume[vertex];
+            int descended = 0;
+            while (pointer < adj_start[vertex + 1]) {
+                int child = adj[pointer++];
+                if (child == up)
+                    continue;
+                int seen = index[child];
+                if (seen >= 0) {
+                    if (seen < index[vertex]) {
+                        edge_tail[top] = vertex;
+                        edge_head[top++] = child;
+                        if (seen < low[vertex])
+                            low[vertex] = seen;
+                    }
+                    continue;
+                }
+                /* Tree edge: descend. */
+                edge_tail[top] = vertex;
+                edge_head[top++] = child;
+                index[child] = low[child] = counter++;
+                resume[vertex] = pointer;
+                parent[child] = vertex;
+                path[depth++] = child;
+                descended = 1;
+                break;
+            }
+            if (descended)
+                continue;
+            depth--;
+            if (up == -1)
+                continue;
+            if (low[vertex] < low[up])
+                low[up] = low[vertex];
+            if (low[vertex] < index[up])
+                continue;
+            /* Pop the block of edges above (up, vertex). */
+            int first = total;
+            while (top > 0) {
+                top--;
+                int a = edge_tail[top], b = edge_head[top];
+                if (mark[a] != blocks + 1) {
+                    mark[a] = blocks + 1;
+                    members[total++] = a;
+                }
+                if (mark[b] != blocks + 1) {
+                    mark[b] = blocks + 1;
+                    members[total++] = b;
+                }
+                if (a == up && b == vertex)
+                    break;
+            }
+            qsort(members + first, (size_t)(total - first), sizeof(int), compare_ints);
+            block_start[blocks++] = first;
+        }
+        /* Every edge under a root lies above one of the root's tree edges,
+         * whose pop ends at it, so the reference's final leftover block is
+         * always empty and has no counterpart here. */
+    }
+    for (int p = 0; p < n; p++) {
+        if (!mark[p]) {
+            block_start[blocks++] = total;
+            members[total++] = p;
+        }
+    }
+    block_start[blocks] = total;
+    for (int i = 0; i < total; i++)
+        members[i] = ranks[members[i]];
+    result = blocks;
+
+done:
+    place_piece(n, ranks, position, 0);
+    free(adj_start);
+    free(adj);
+    free(index);
+    free(low);
+    free(parent);
+    free(resume);
+    free(path);
+    free(mark);
+    free(edge_tail);
+    free(edge_head);
+    return result;
+}
+
+/* The flow network and class bookkeeping of repro_kclasses. */
+typedef struct {
+    const int *arc_start; /* vertex -> its arcs in arc_list, in edge order */
+    const int *arc_list;
+    const int *head;      /* arc -> head vertex; arc ^ 1 is its residual */
+    int arcs;
+    int *residual;
+    int *via;             /* vertex -> arc that reached it, -2 source, -1 none */
+    int *queue;           /* the BFS order; the source side after a cut */
+    int *label;           /* vertex -> its class (a member vertex) */
+    int *next_member;     /* class member lists, -1 terminated */
+    int *class_head;
+    int *class_size;
+    int *group;
+    int groups;
+} ClassNetwork;
+
+/* BFS from every member of class s over arcs with residual capacity,
+ * stopping at the first vertex of class t.  Returns that vertex, or -1;
+ * *reached is the number of vertices queued (all of the source side when
+ * t is unreachable).  via[] is set for those and the returned vertex. */
+static int class_search(ClassNetwork *net, int s, int t, int *reached)
+{
+    int len = 0;
+    for (int m = net->class_head[s]; m >= 0; m = net->next_member[m]) {
+        net->via[m] = -2;
+        net->queue[len++] = m;
+    }
+    int end = -1;
+    for (int i = 0; i < len && end < 0; i++) {
+        int vertex = net->queue[i];
+        for (int j = net->arc_start[vertex]; j < net->arc_start[vertex + 1]; j++) {
+            int arc = net->arc_list[j];
+            if (!net->residual[arc])
+                continue;
+            int h = net->head[arc];
+            if (net->via[h] != -1)
+                continue;
+            net->via[h] = arc;
+            if (net->label[h] == t) {
+                end = h;
+                break;
+            }
+            net->queue[len++] = h;
+        }
+    }
+    *reached = len;
+    return end;
+}
+
+/* Flow from class s to class t, stopping after limit augmenting paths;
+ * returns min(value, limit).  Below the limit, queue[0 .. *reached) is the
+ * source side of the minimal minimum cut. */
+static int class_flow(ClassNetwork *net, int s, int t, int limit, int *reached)
+{
+    for (int a = 0; a < net->arcs; a++)
+        net->residual[a] = 1;
+    int total = 0;
+    while (total < limit) {
+        int end = class_search(net, s, t, reached);
+        if (end >= 0) {
+            int arc = net->via[end];
+            while (arc >= 0) {
+                net->residual[arc] -= 1;
+                net->residual[arc ^ 1] += 1;
+                arc = net->via[net->head[arc ^ 1]];
+            }
+            net->via[end] = -1;
+        }
+        for (int i = 0; i < *reached; i++)
+            net->via[net->queue[i]] = -1;
+        if (end < 0)
+            return total;
+        total += 1;
+    }
+    return total;
+}
+
+/* One capped flow between the classes of u and v, from the smaller class
+ * to the larger: merge them at the cap, else split u's group along the
+ * cut (separate() inside components_below). */
+static void separate(ClassNetwork *net, int u, int v, int threshold)
+{
+    int source = u, sink = v;
+    if (net->class_size[net->label[v]] < net->class_size[net->label[u]]) {
+        source = v;
+        sink = u;
+    }
+    int s = net->label[source], t = net->label[sink];
+    int reached = 0;
+    if (class_flow(net, s, t, threshold, &reached) >= threshold) {
+        /* Merge the smaller class into the larger one. */
+        int keep = t, drop = s;
+        if (net->class_size[keep] < net->class_size[drop]) {
+            keep = s;
+            drop = t;
+        }
+        int last = drop;
+        for (int m = net->class_head[drop]; m >= 0; m = net->next_member[m]) {
+            net->label[m] = keep;
+            last = m;
+        }
+        net->next_member[last] = net->class_head[keep];
+        net->class_head[keep] = net->class_head[drop];
+        net->class_head[drop] = -1;
+        net->class_size[keep] += net->class_size[drop];
+        net->class_size[drop] = 0;
+        return;
+    }
+    int old = net->group[u], fresh = net->groups++;
+    for (int i = 0; i < reached; i++) {
+        int vertex = net->queue[i];
+        if (net->group[vertex] == old)
+            net->group[vertex] = fresh;
+    }
+}
+
+/* K-classes of the piece (gomory_hu.GomoryHuTree.components_below).
+ *
+ * The flow network holds the piece's conflict edges, then its stitch
+ * edges, each as arcs 2k (u -> v) and 2k + 1 (v -> u) of capacity 1, so a
+ * pair in both relations has capacity 2.  Every vertex starts as its own
+ * class, all in group 0.  A flow runs from one class of a group to
+ * another, capped at the threshold: at the cap the two classes merge,
+ * below it the group splits along the source side of the cut.  Pairs come
+ * from the edges, then from each vertex against its group's leader, as in
+ * the reference.  class_of[p] receives the class of position p, classes
+ * numbered by their smallest vertex.  Returns the class count, or -1 on
+ * allocation failure.
+ */
+int repro_kclasses(
+    int n, int threshold, const int *ranks,
+    const int *conf_start, const int *conf_adj,
+    const int *stitch_start, const int *stitch_adj,
+    int *position, int *class_of)
+{
+    size_t bound = row_entries(n, ranks, conf_start, stitch_start);
+    int *arc_start = calloc((size_t)n + 2, sizeof(int));
+    int *arc_list = malloc((bound + 1) * sizeof(int));
+    int *head = malloc((bound + 1) * sizeof(int));
+    int *residual = malloc((bound + 1) * sizeof(int));
+    int *via = malloc(((size_t)n + 1) * sizeof(int));
+    int *queue = malloc(((size_t)n + 1) * sizeof(int));
+    int *label = malloc(((size_t)n + 1) * sizeof(int));
+    int *next_member = malloc(((size_t)n + 1) * sizeof(int));
+    int *class_head = malloc(((size_t)n + 1) * sizeof(int));
+    int *class_size = malloc(((size_t)n + 1) * sizeof(int));
+    int *group = malloc(((size_t)n + 1) * sizeof(int));
+    int *leader = malloc(((size_t)n + 1) * sizeof(int));
+    int result = -1;
+    if (!arc_start || !arc_list || !head || !residual || !via || !queue ||
+        !label || !next_member || !class_head || !class_size || !group || !leader)
+        goto done;
+
+    place_piece(n, ranks, position, 1);
+    /* Edge k is arcs 2k and 2k + 1: the conflict pairs (u < v) in order,
+     * then the stitch pairs; head[] first, degrees into arc_start[]. */
+    int arcs = 0;
+    for (int relation = 0; relation < 2; relation++) {
+        const int *start = relation ? stitch_start : conf_start;
+        const int *adj = relation ? stitch_adj : conf_adj;
+        for (int p = 0; p < n; p++) {
+            int rank = ranks[p];
+            for (int i = start[rank]; i < start[rank + 1]; i++) {
+                int q = position[adj[i]];
+                if (q <= p)
+                    continue;
+                head[arcs++] = q;
+                head[arcs++] = p;
+                arc_start[p + 2] += 1;
+                arc_start[q + 2] += 1;
+            }
+        }
+    }
+    for (int p = 0; p < n; p++)
+        arc_start[p + 2] += arc_start[p + 1];
+    /* arc_start[p + 1] is now the first slot of vertex p; fill in arc order. */
+    for (int arc = 0; arc < arcs; arc++) {
+        int tail = head[arc ^ 1];
+        arc_list[arc_start[tail + 1]++] = arc;
+    }
+    for (int p = 0; p < n; p++) {
+        via[p] = -1;
+        label[p] = p;
+        next_member[p] = -1;
+        class_head[p] = p;
+        class_size[p] = 1;
+        group[p] = 0;
+        leader[p] = -1;
+    }
+    ClassNetwork net = {
+        arc_start, arc_list, head, arcs, residual, via, queue,
+        label, next_member, class_head, class_size, group, 1,
+    };
+    for (int arc = 0; arc < arcs; arc += 2) {
+        int u = head[arc + 1], v = head[arc];
+        if (group[u] == group[v] && label[u] != label[v])
+            separate(&net, u, v, threshold);
+    }
+    /* A K-class need not contain an edge (two hubs joined only through K or
+     * more degree-2 vertices), so every vertex also meets its group's
+     * leader, whose class holds every vertex of the group visited so far. */
+    for (int v = 0; v < n; v++) {
+        if (leader[group[v]] < 0)
+            leader[group[v]] = v;
+        int u = leader[group[v]];
+        if (label[u] != label[v]) {
+            separate(&net, u, v, threshold);
+            leader[group[u]] = u;
+            leader[group[v]] = v;
+        }
+    }
+    /* Number the classes by their smallest vertex (leader[] is reused). */
+    int classes = 0;
+    for (int p = 0; p < n; p++)
+        leader[p] = -1;
+    for (int p = 0; p < n; p++) {
+        if (leader[label[p]] < 0)
+            leader[label[p]] = classes++;
+        class_of[p] = leader[label[p]];
+    }
+    result = classes;
+
+done:
+    place_piece(n, ranks, position, 0);
+    free(arc_start);
+    free(arc_list);
+    free(head);
+    free(residual);
+    free(via);
+    free(queue);
+    free(label);
+    free(next_member);
+    free(class_head);
+    free(class_size);
+    free(group);
+    free(leader);
+    return result;
+}
+
 /* Branch-and-bound DFS (backtrack.search_merged_graph).
  *
  * Position-space packed earlier-edge CSR; best_cost_io carries the incumbent

@@ -30,7 +30,7 @@ import tempfile
 import threading
 from array import array
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 #: Set to ``0`` to forbid compiling (pre-built caches are still loaded).
 BUILD_ENV = "REPRO_KERNELS_BUILD"
@@ -154,6 +154,10 @@ class CompiledCore:
             ctypes.c_void_p,
         ]
         lib.repro_peel.restype = ctypes.c_int
+        lib.repro_blocks.argtypes = [ctypes.c_int] + [ctypes.c_void_p] * 8
+        lib.repro_blocks.restype = ctypes.c_int
+        lib.repro_kclasses.argtypes = [ctypes.c_int, ctypes.c_int] + [ctypes.c_void_p] * 7
+        lib.repro_kclasses.restype = ctypes.c_int
         lib.repro_sdp_solve.argtypes = [
             ctypes.c_int,
             ctypes.c_int,
@@ -312,6 +316,68 @@ class CompiledCore:
             return None
         return alive, cdeg, sdeg, fdeg, stack[:stack_len]
 
+    def blocks(self, ranks, csr, position: array) -> Optional[List[List[int]]]:
+        """The biconnected blocks of the piece induced on ``ranks``.
+
+        ``ranks`` is strictly increasing and ``position`` an all ``-1``
+        int32 array with one entry per component rank (all ``-1`` again
+        afterwards).  Returns the blocks as sorted rank lists in discovery
+        order, isolated vertices last, or ``None`` when the core could not
+        allocate.
+        """
+        piece = _piece(ranks, csr, position)
+        n = len(piece)
+        members = array("i", bytes(8 * n))
+        block_start = array("i", bytes(4 * (n + 1)))
+        count = self._lib.repro_blocks(
+            n,
+            self._buf(piece),
+            self._buf(csr.conflict_start),
+            self._buf(csr.conflict_adj),
+            self._buf(csr.stitch_start),
+            self._buf(csr.stitch_adj),
+            self._buf(position),
+            self._buf(members),
+            self._buf(block_start),
+        )
+        if count < 0:  # allocation failure inside the core
+            return None
+        starts = block_start[: count + 1].tolist()
+        flat = members[: starts[-1]].tolist()
+        return [flat[first:end] for first, end in zip(starts, starts[1:])]
+
+    def kclasses(
+        self, threshold: int, ranks, csr, position: array
+    ) -> Optional[List[List[int]]]:
+        """The K-classes (K = ``threshold``) of the piece induced on ``ranks``.
+
+        Same ``ranks`` and ``position`` contract as :meth:`blocks`.  Returns
+        the classes as sorted rank lists ordered by their smallest rank, or
+        ``None`` when the core could not allocate.
+        """
+        piece = _piece(ranks, csr, position)
+        n = len(piece)
+        class_of = array("i", bytes(4 * n))
+        count = self._lib.repro_kclasses(
+            n,
+            # Below 0 every pair is a class pair, as at 0; no flow on an
+            # int32 network reaches 2**31 - 1.
+            min(max(threshold, 0), 2**31 - 1),
+            self._buf(piece),
+            self._buf(csr.conflict_start),
+            self._buf(csr.conflict_adj),
+            self._buf(csr.stitch_start),
+            self._buf(csr.stitch_adj),
+            self._buf(position),
+            self._buf(class_of),
+        )
+        if count < 0:  # allocation failure inside the core
+            return None
+        classes: List[List[int]] = [[] for _ in range(count)]
+        for rank, index in zip(piece, class_of):
+            classes[index].append(rank)
+        return classes
+
     def backtrack_search(
         self,
         n: int,
@@ -392,6 +458,20 @@ class CompiledCore:
         if iterations < 0:  # allocation failure inside the core
             return None
         return iterations, objective.value, violation.value
+
+
+def _piece(ranks, csr, position: array) -> array:
+    """``ranks`` as an int32 array, once the C stages can index with it:
+    component ranks, and one int32 ``position`` slot per component rank.
+    (A rank order other than strictly increasing gives wrong pieces, not
+    stray memory accesses.)"""
+    piece = array("i", ranks)
+    n = csr.num_vertices
+    if position.typecode != "i" or len(position) != n:
+        raise ValueError(f"position must be an int32 array of {n} entries")
+    if piece and (min(piece) < 0 or max(piece) >= n):
+        raise ValueError(f"ranks must lie in 0..{n - 1}")
+    return piece
 
 
 def _cache_dir() -> Path:

@@ -19,7 +19,8 @@ into one array of rectangle rows, and makes three passes:
    the band ``[min_s, min_s + half_pitch)`` a color-friendly edge
    (Definition 2).  Consecutive fragments of a feature are linked by stitch
    edges, and :meth:`DecompositionGraph.from_parts` assembles the graph in
-   one call.
+   one call.  The same arrays are already the graph's flat form, which is
+   attached to it, so hashing the graph flattens nothing.
 
 Every fragment rectangle lies inside its shape's rectangles, so two
 fragments can only be that close when their shapes are: the fragment sweep
@@ -29,6 +30,7 @@ re-check of the close shape pairs would.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -41,6 +43,7 @@ from repro.geometry.outlines import Outlines
 from repro.geometry.point import COORDINATE_MAX
 from repro.geometry.rect import Rect, rect_array
 from repro.graph.decomposition_graph import DecompositionGraph, VertexData
+from repro.graph.flat import FlatGraph
 from repro.graph.stitch import split_rows, stitch_positions
 
 
@@ -243,6 +246,17 @@ def build_decomposition_graph(
         stitch_edges,
         list(zip(low[~conflict].tolist(), high[~conflict].tolist())),
     )
+    # Vertex ids are 0..n-1, so a vertex is its own rank, and every edge
+    # list is already sorted unique u < v pairs: the flat form as is.
+    graph._flat = FlatGraph(
+        vertex_ids=_packed("q", np.arange(len(vertex_shapes))),
+        shape_ids=_packed("q", vertex_shapes),
+        fragments=_packed("I", fragment_index),
+        weights=array("I", [1]) * len(vertex_shapes),
+        conflict_edges=_packed("I", np.stack((low[conflict], high[conflict]), axis=1)),
+        stitch_edges=_packed("I", np.stack((later - 1, later), axis=1)),
+        friend_edges=_packed("I", np.stack((low[~conflict], high[~conflict]), axis=1)),
+    )
     by_vertex = np.argsort(owners, kind="stable")
     return ConstructionResult(
         graph=graph,
@@ -252,6 +266,13 @@ def build_decomposition_graph(
         layer=layer,
         options=options,
     )
+
+
+def _packed(typecode: str, values: np.ndarray) -> array:
+    """``values`` as an ``array`` of ``typecode`` (its C type, row by row)."""
+    packed = array(typecode)
+    packed.frombytes(np.ascontiguousarray(values, dtype=typecode).tobytes())
+    return packed
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

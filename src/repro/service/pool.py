@@ -30,6 +30,10 @@ actually run on (``compiled`` or ``reference``), so a box without a C
 compiler is visible in ``/stats`` and ``repro_build_info`` instead of only
 in its latency.
 
+A worker process would outlive a server that dies without shutting its
+pool down (SIGKILL, the OOM killer), so each one polls its parent PID from
+a daemon thread and exits once the server is no longer its parent.
+
 A layout job carries its decomposed layer as packed integer arrays
 (:class:`~repro.geometry.outlines.Outlines`, see
 :mod:`repro.service.protocol`), so crossing the process boundary pickles a
@@ -40,6 +44,7 @@ result is the response dict.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
@@ -60,9 +65,40 @@ from repro.service import protocol
 _worker_state = threading.local()
 
 
-def _worker_init(cache_db: Optional[str], cache_max_entries: Optional[int]) -> None:
-    """Executor initializer: build this worker's cache handle exactly once."""
+#: Seconds between a worker process's checks that its server is alive.
+PARENT_POLL_SECONDS = 0.5
+
+
+def _worker_init(
+    cache_db: Optional[str],
+    cache_max_entries: Optional[int],
+    server_pid: Optional[int] = None,
+) -> None:
+    """Executor initializer: build this worker's cache handle exactly once.
+
+    A process worker gets its ``server_pid`` and, when the server is its
+    parent (the fork and spawn start methods), starts the watchdog that
+    ends it once the server is gone; a thread worker gets ``None``.
+    """
     _worker_state.cache = open_cache(db_path=cache_db, max_entries=cache_max_entries)
+    if server_pid is not None and os.getppid() == server_pid:
+        threading.Thread(
+            target=_exit_when_orphaned,
+            args=(server_pid,),
+            name="repro-parent-watch",
+            daemon=True,
+        ).start()
+
+
+def _exit_when_orphaned(server_pid: int) -> None:
+    """Exit this worker process as soon as ``server_pid`` is not its parent.
+
+    A dead parent's children are re-parented (to PID 1 or a subreaper), so
+    the parent PID changes the moment the server dies, however it died.
+    """
+    while os.getppid() == server_pid:
+        time.sleep(PARENT_POLL_SECONDS)
+    os._exit(1)
 
 
 def _worker_run(job: Dict) -> Dict:
@@ -155,7 +191,7 @@ class WorkerPool:
                 executor = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_worker_init,
-                    initargs=initargs,
+                    initargs=(*initargs, os.getpid()),
                 )
                 # Force worker creation now: a pool that cannot fork must
                 # fail at startup (and degrade), not on the first request.

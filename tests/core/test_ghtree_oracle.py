@@ -3,15 +3,16 @@
 Cutting every GH-tree edge of weight < K leaves exactly the maximal vertex
 sets whose every pair has local edge connectivity >= K, which is what
 ``networkx.k_edge_components`` computes by an independent method.  The check
-covers every GH-tree the division builds on the Table 1 (K=4) and Table 2
-(K=5) circuits at scale 0.1, and pins the property the max-flow rewrite
-relies on: any exact max-flow yields the same tree and the same pieces.
+covers every stage-4 call the division makes on the Table 1 (K=4) and
+Table 2 (K=5) circuits at scale 0.1, in kernel modes ``off`` and
+``compiled`` (the ``stage4_calls`` fixture), and pins the property the
+max-flow rewrite relies on: any exact max-flow yields the same tree and the
+same pieces.
 """
 
 import networkx as nx
 import pytest
 
-import repro.core.division as division
 from repro.bench.circuits import TABLE1_CIRCUITS, TABLE2_CIRCUITS, load_circuit
 from repro.core.decomposer import Decomposer
 from repro.core.options import DecomposerOptions
@@ -27,31 +28,21 @@ pytestmark = pytest.mark.slow
     ],
     ids=["table1-k4", "table2-k5"],
 )
-def test_every_ghtree_piece_is_a_k_edge_component(monkeypatch, circuits, options):
-    calls = []
-    build = division.gomory_hu_tree
-
-    def recording(vertices, edges):
-        vertices, edges = list(vertices), list(edges)
-        tree = build(vertices, edges)
-        calls.append((vertices, edges, tree))
-        return tree
-
-    monkeypatch.setattr(division, "gomory_hu_tree", recording)
+def test_every_ghtree_piece_is_a_k_edge_component(stage4_calls, circuits, options):
     decomposer = Decomposer(options)
     for name in circuits:
         decomposer.decompose(load_circuit(name, scale=0.1))
 
     k = options.num_colors
-    assert calls, "the division built no GH-tree"
+    assert stage4_calls, "the division made no stage-4 call"
     split = 0
-    for vertices, edges, tree in calls:
+    for vertices, edges, found in stage4_calls:
         graph = nx.Graph()
         graph.add_nodes_from(vertices)
         graph.add_edges_from(edges)
         assert graph.number_of_edges() == len(edges), "oracle needs a simple graph"
-        pieces = sorted(sorted(piece) for piece in tree.components_below(k))
+        pieces = sorted(sorted(piece) for piece in found)
         expected = sorted(sorted(piece) for piece in nx.k_edge_components(graph, k))
         assert pieces == expected
         split += len(pieces) > 1
-    assert split, "no GH-tree split its block, so the oracle checked nothing"
+    assert split, "no stage-4 call split its block, so the oracle checked nothing"

@@ -2,20 +2,22 @@
 
 The division cuts its pieces without building the tree: it finds the
 K-classes with flows capped at K between contracted classes
-(``GomoryHuTree.components_below``).  The exact Gusfield tree
-(``GomoryHuTree.edges``) is the reference.  For every stage-4 call the
-division makes on the Table 1 (K=4) and Table 2 (K=5) circuits at scale
-0.35, the pieces must equal the tree's components once every edge of
-weight < K is cut.  A failure names the first call that differs.
+(``GomoryHuTree.components_below``, or the compiled core's
+``repro_kclasses``).  The exact Gusfield tree (``GomoryHuTree.edges``) is
+the reference.  For every stage-4 call the division makes on the Table 1
+(K=4) and Table 2 (K=5) circuits at scale 0.35, in kernel modes ``off`` and
+``compiled`` (the ``stage4_calls`` fixture), the pieces it got must equal
+the tree's components once every edge of weight < K is cut.  A failure
+names the first call that differs.
 """
 
 import networkx as nx
 import pytest
 
-import repro.core.division as division
 from repro.bench.circuits import TABLE1_CIRCUITS, TABLE2_CIRCUITS, load_circuit
 from repro.core.decomposer import Decomposer
 from repro.core.options import DecomposerOptions
+from repro.graph.gomory_hu import gomory_hu_tree
 
 pytestmark = pytest.mark.slow
 
@@ -36,25 +38,18 @@ def tree_pieces(tree, threshold: int):
     ],
     ids=["table1-k4", "table2-k5"],
 )
-def test_pieces_equal_the_exact_tree_cut(monkeypatch, circuits, options):
-    calls = []
-    build = division.gomory_hu_tree
-
-    def recording(vertices, edges):
-        tree = build(vertices, edges)
-        calls.append((circuit, tree))
-        return tree
-
-    monkeypatch.setattr(division, "gomory_hu_tree", recording)
+def test_pieces_equal_the_exact_tree_cut(stage4_calls, circuits, options):
     decomposer = Decomposer(options)
+    owners = []
     for circuit in circuits:
         decomposer.decompose(load_circuit(circuit, scale=0.35))
+        owners += [circuit] * (len(stage4_calls) - len(owners))
 
     k = options.num_colors
-    assert calls, "the division made no stage-4 call"
+    assert stage4_calls, "the division made no stage-4 call"
     split = 0
-    for index, (circuit, tree) in enumerate(calls):
-        pieces = tree.components_below(k)
+    for index, ((vertices, edges, pieces), circuit) in enumerate(zip(stage4_calls, owners)):
+        tree = gomory_hu_tree(vertices, edges)
         assert pieces == tree_pieces(tree, k), (
             f"stage-4 call {index} ({circuit}, {len(tree.vertices)} vertices) "
             "differs from the exact tree"

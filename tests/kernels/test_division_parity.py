@@ -60,9 +60,16 @@ def _restore_kernel_mode():
 
 
 class _PeelFailingCore:
-    """A loaded core whose peel cannot allocate; nothing else may be called."""
+    """A loaded core whose peel, blocks and K-classes cannot allocate;
+    nothing else may be called."""
 
     def peel(self, *args):
+        return None
+
+    def blocks(self, *args):
+        return None
+
+    def kclasses(self, *args):
         return None
 
 

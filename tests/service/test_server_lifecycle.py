@@ -365,3 +365,82 @@ class TestKernelBackendReport:
             assert client.stats()["pool"]["kernels"] == expected
             assert f'solve_kernels="{expected}"' in client.metrics_text()
 
+
+
+def _worker_processes(server_pid):
+    """``{pid: cmdline}`` of the live children of ``server_pid`` (Linux /proc).
+
+    A process-mode worker is a fork of the server, so it shares its
+    command line.
+    """
+    with open(f"/proc/{server_pid}/cmdline", "rb") as handle:
+        server_cmdline = handle.read()
+    workers = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read()
+        except OSError:
+            continue
+        # Fields after the parenthesised command name: state, then ppid.
+        state, ppid = stat[stat.rindex(")") + 2 :].split()[:2]
+        if int(ppid) == server_pid and state != "Z" and cmdline == server_cmdline:
+            workers[int(entry)] = cmdline
+    return workers
+
+
+def _still_running(pid, cmdline):
+    """True while ``pid`` is a live (not zombie) process with ``cmdline``."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+        with open(f"/proc/{pid}/cmdline", "rb") as handle:
+            current = handle.read()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z" and current == cmdline
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_server_is_killed(self):
+        """SIGKILL gives the server no chance to stop its pool: the workers
+        must notice the lost parent and exit on their own."""
+        process = _spawn_server("--workers", "2")
+        workers = {}
+        try:
+            first_line = process.stdout.readline()
+            address = re.search(r"http://([\d.]+):(\d+)", first_line)
+            assert address, f"no address in startup line: {first_line!r}"
+            client = ServiceClient(address.group(1), int(address.group(2)))
+            assert client.wait_until_healthy()["mode"] == "process"
+            deadline = time.monotonic() + 10
+            while len(workers) < 2 and time.monotonic() < deadline:
+                workers = _worker_processes(process.pid)
+                time.sleep(0.05)
+            assert len(workers) == 2, f"expected 2 worker processes, found {workers}"
+
+            process.kill()
+            # wait, not communicate: a surviving worker holds the pipe open.
+            process.wait(timeout=60)
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and any(
+                _still_running(pid, cmdline) for pid, cmdline in workers.items()
+            ):
+                time.sleep(0.1)
+            survivors = [
+                pid for pid, cmdline in workers.items() if _still_running(pid, cmdline)
+            ]
+            assert survivors == [], f"workers outlived their server: {survivors}"
+        finally:
+            for pid, cmdline in workers.items():
+                if _still_running(pid, cmdline):
+                    os.kill(pid, signal.SIGKILL)
+            if process.poll() is None:
+                process.kill()
+            process.stdout.close()
+            process.wait()
