@@ -21,12 +21,7 @@ from typing import Dict, Optional, Union
 from repro.core.backtrack import BacktrackColoring
 from repro.core.coloring import ColoringAlgorithm
 from repro.core.division import DivisionReport
-from repro.core.evaluation import (
-    DecompositionSolution,
-    check_complete,
-    count_conflicts,
-    count_stitches,
-)
+from repro.core.evaluation import DecompositionSolution, check_complete, evaluate
 from repro.core.greedy_coloring import GreedyColoring
 from repro.core.ilp_coloring import IlpColoring
 from repro.core.linear_coloring import LinearColoring
@@ -216,11 +211,12 @@ class Decomposer:
         elapsed = time.perf_counter() - start
         coloring = colored.coloring
         check_complete(graph, coloring, self.options.num_colors)
+        score = evaluate(graph, coloring)
         solution = DecompositionSolution(
             coloring=coloring,
             num_colors=self.options.num_colors,
-            conflicts=count_conflicts(graph, coloring),
-            stitches=count_stitches(graph, coloring),
+            conflicts=score.conflicts,
+            stitches=score.stitches,
             algorithm=make_colorer(
                 self.options.algorithm,
                 self.options.num_colors,

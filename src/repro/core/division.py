@@ -15,12 +15,13 @@ read off the component's memoised flat form
 (:meth:`~repro.graph.decomposition_graph.DecompositionGraph.to_arrays`) and
 one :class:`~repro.core.kernels.adjacency.CSRAdjacency`.  A kernel piece, a
 block or a stage-4 part is a sorted list of ranks, never a graph; each final
-piece becomes a graph once, with its flat form attached, for the colorer.
-Rank order is id order, so every traversal visits what the same steps on
-the component graph would, in the same order, and the colorings are the
-same.  The peel and its reinsertion run in the compiled core when it is
-loaded and K is within :data:`~repro.core.kernels.MAX_COMPILED_COLORS`;
-otherwise :mod:`repro.graph.simplify` runs them on the component graph.
+piece reaches the colorer as a view of its flat form.  Rank order is id
+order, so every traversal visits what the same steps on the component graph
+would, in the same order, and the colorings are the same.  The peel and its
+reinsertion run in the compiled core when it is loaded and K is within
+:data:`~repro.core.kernels.MAX_COMPILED_COLORS`; otherwise
+:mod:`repro.graph.simplify` runs them on the component graph.  The kernel's
+pieces come from :func:`rank_components`, in the core that peeled it.
 Blocks and K-classes run in the core whenever it is loaded, at any K; the
 references are :func:`~repro.graph.biconnected.biconnected_blocks` and
 :meth:`~repro.graph.gomory_hu.GomoryHuTree.components_below`, which also
@@ -133,8 +134,42 @@ def divide_and_color(
 
 
 # ---------------------------------------------------------------------------
-# Stages 2-4, in rank space
+# Stages 1-4, in rank space
 # ---------------------------------------------------------------------------
+def rank_components(
+    csr: CSRAdjacency, alive: Optional[array] = None, core=None
+) -> Tuple[array, List[List[int]]]:
+    """Connected components of the ``alive`` ranks over conflict and stitch
+    edges (all ranks when ``alive`` is ``None``).
+
+    Returns ``(labels, pieces)``: each rank's component index, ``-1`` when
+    not alive, and the components as sorted rank lists ordered by their
+    smallest rank.  ``core`` runs the search in ``repro_components``;
+    ``None`` runs the same breadth-first search here.
+    """
+    if core is not None:
+        return core.components(csr, alive)
+    n = csr.num_vertices
+    cs, ca = csr.conflict_start.tolist(), csr.conflict_adj.tolist()
+    ss, sa = csr.stitch_start.tolist(), csr.stitch_adj.tolist()
+    labels = [-1] * n
+    pieces: List[List[int]] = []
+    for root in range(n):
+        if labels[root] >= 0 or (alive is not None and not alive[root]):
+            continue
+        index = len(pieces)
+        labels[root] = index
+        piece = [root]
+        for rank in piece:
+            for other in ca[cs[rank] : cs[rank + 1]] + sa[ss[rank] : ss[rank + 1]]:
+                if labels[other] < 0 and (alive is None or alive[other]):
+                    labels[other] = index
+                    piece.append(other)
+        piece.sort()
+        pieces.append(piece)
+    return array("i", labels), pieces
+
+
 def color_component(
     graph: DecompositionGraph,
     colorer: ColoringAlgorithm,
@@ -159,7 +194,7 @@ def color_component(
     # Stage 2: peel.  ``alive`` marks the kernel; the compiled core leaves
     # the removed ranks on ``stack``, the reference their ids on
     # ``stack_ids``, in removal order.
-    alive = bytearray(b"\x01") * n
+    alive = None
     core = None
     stack: Sequence[int] = ()
     stack_ids: List[int] = []
@@ -172,6 +207,7 @@ def color_component(
         else:
             core = None
             _, stack_ids = peel_low_degree_vertices(graph, num_colors)
+            alive = array("b", b"\x01") * n
             rank = {vertex: index for index, vertex in enumerate(flat.vertex_ids)}
             for vertex in stack_ids:
                 alive[rank[vertex]] = 0
@@ -179,7 +215,9 @@ def color_component(
 
     divider = _RankDivider(flat, csr, colorer, division, report)
     # Peeling may disconnect the kernel; treat the pieces independently.
-    for piece in divider.kernel_pieces(alive):
+    # The core that peeled, if any, splits the kernel too.
+    _, pieces = rank_components(csr, alive, core)
+    for piece in pieces:
         divider.color_blocks(piece)
 
     colors = divider.colors
@@ -220,13 +258,10 @@ class _RankDivider:
         self.stitch = (csr.stitch_start.tolist(), csr.stitch_adj.tolist())
         self.friend = (csr.friend_start.tolist(), csr.friend_adj.tolist())
         self.colors = array("i", [-1]) * flat.num_vertices
+        self._paired: Optional[List[int]] = None
+        self._pairs: Tuple[List[Tuple[int, int]], ...] = ()
 
     # ------------------------------------------------------------ adjacency
-    def neighbours(self, rank: int) -> List[int]:
-        """Conflict then stitch neighbours of ``rank`` (a shared one twice)."""
-        (cs, ca), (ss, sa) = self.conflict, self.stitch
-        return ca[cs[rank] : cs[rank + 1]] + sa[ss[rank] : ss[rank + 1]]
-
     @staticmethod
     def pairs(relation, ranks: Sequence[int], inside) -> List[Tuple[int, int]]:
         """The ``relation`` edges induced on ``ranks`` (ascending; ``inside``
@@ -239,23 +274,20 @@ class _RankDivider:
             if v > u and v in inside
         ]
 
-    def kernel_pieces(self, alive) -> List[List[int]]:
-        """Connected components of the kernel, sorted, by smallest rank."""
-        seen = bytearray(len(alive))
-        pieces: List[List[int]] = []
-        for root in range(len(alive)):
-            if not alive[root] or seen[root]:
-                continue
-            seen[root] = 1
-            piece = [root]
-            for rank in piece:
-                for other in self.neighbours(rank):
-                    if alive[other] and not seen[other]:
-                        seen[other] = 1
-                        piece.append(other)
-            piece.sort()
-            pieces.append(piece)
-        return pieces
+    def block_pairs(self, ranks: List[int]) -> Tuple[List[Tuple[int, int]], ...]:
+        """The conflict and stitch :meth:`pairs` induced on ``ranks``.
+
+        Built once per block: stage 4's reference and ``rotation_merge``
+        both read the lists of the block last asked for.
+        """
+        if self._paired is not ranks:
+            inside = set(ranks)
+            self._paired = ranks
+            self._pairs = (
+                self.pairs(self.conflict, ranks, inside),
+                self.pairs(self.stitch, ranks, inside),
+            )
+        return self._pairs
 
     # -------------------------------------------------- stage 3: blocks
     def blocks(self, ranks: List[int]) -> List[List[int]]:
@@ -344,14 +376,9 @@ class _RankDivider:
         for part in parts:
             report.observe_piece(len(part))
             part_colors.append(self.color_piece(part))
-        inside = set(ranks)
+        conflict, stitch = self.block_pairs(ranks)
         merged = rotation_merge(
-            parts,
-            part_colors,
-            self.pairs(self.conflict, ranks, inside),
-            self.pairs(self.stitch, ranks, inside),
-            num_colors,
-            self.colorer.options.alpha,
+            parts, part_colors, conflict, stitch, num_colors, self.colorer.options.alpha
         )
         return [merged[rank] for rank in ranks]
 
@@ -362,9 +389,8 @@ class _RankDivider:
             parts = self.core.kclasses(self.num_colors, ranks, self.csr, self.position)
             if parts is not None:
                 return parts
-        inside = set(ranks)
-        edges = self.pairs(self.conflict, ranks, inside) + self.pairs(self.stitch, ranks, inside)
-        return gomory_hu_tree(ranks, edges).components_below(self.num_colors)
+        conflict, stitch = self.block_pairs(ranks)
+        return gomory_hu_tree(ranks, conflict + stitch).components_below(self.num_colors)
 
     def color_piece(self, ranks: List[int]) -> List[int]:
         """Hand the piece induced on ``ranks`` to the colorer; its colors."""

@@ -3,12 +3,17 @@
 Every color-assignment algorithm is scored with the same two numbers the
 paper's tables report: the **conflict number** (conflict edges whose endpoints
 share a mask) and the **stitch number** (stitch edges whose endpoints differ).
+Both are counted on the graph's flat form, so scoring a view never builds
+its object graph.  A vertex the coloring leaves out counts for nothing, and
+keys that are not vertices are ignored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import DecompositionError
 from repro.graph.decomposition_graph import DecompositionGraph
@@ -48,23 +53,42 @@ def check_complete(graph: DecompositionGraph, coloring: Dict[int, int], num_colo
         )
 
 
+def _color_codes(flat, coloring: Dict[int, int]) -> np.ndarray:
+    """Each rank's color in ``coloring``, coded by the distinct colors the
+    ranks take, so that two codes are equal exactly when the colors are;
+    ``-1`` for an uncolored vertex."""
+    colors = list(map(coloring.get, flat.vertex_ids))
+    index = {color: code for code, color in enumerate(set(colors))}
+    index[None] = -1
+    return np.fromiter(map(index.__getitem__, colors), dtype=np.int64, count=len(colors))
+
+
+def _ends(edges, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The codes at the two ends of every rank pair in ``edges``."""
+    pairs = np.frombuffer(edges, dtype="I").reshape(-1, 2)
+    return codes[pairs[:, 0]], codes[pairs[:, 1]]
+
+
+def _conflicts(flat, codes: np.ndarray) -> int:
+    u, v = _ends(flat.conflict_edges, codes)
+    return int(np.count_nonzero((u >= 0) & (u == v)))
+
+
+def _stitches(flat, codes: np.ndarray) -> int:
+    u, v = _ends(flat.stitch_edges, codes)
+    return int(np.count_nonzero((u >= 0) & (v >= 0) & (u != v)))
+
+
 def count_conflicts(graph: DecompositionGraph, coloring: Dict[int, int]) -> int:
     """Return the number of conflict edges with equal endpoint colors."""
-    return sum(
-        1
-        for (u, v) in graph.conflict_edges()
-        if coloring.get(u) is not None and coloring.get(u) == coloring.get(v)
-    )
+    flat = graph.to_arrays()
+    return _conflicts(flat, _color_codes(flat, coloring))
 
 
 def count_stitches(graph: DecompositionGraph, coloring: Dict[int, int]) -> int:
     """Return the number of stitch edges with different endpoint colors."""
-    count = 0
-    for (u, v) in graph.stitch_edges():
-        cu, cv = coloring.get(u), coloring.get(v)
-        if cu is not None and cv is not None and cu != cv:
-            count += 1
-    return count
+    flat = graph.to_arrays()
+    return _stitches(flat, _color_codes(flat, coloring))
 
 
 def conflict_edges_violated(
@@ -82,10 +106,10 @@ def evaluate(
     graph: DecompositionGraph, coloring: Dict[int, int], alpha: float = 0.1
 ) -> CostBreakdown:
     """Return the cost breakdown of ``coloring`` on ``graph``."""
+    flat = graph.to_arrays()
+    codes = _color_codes(flat, coloring)
     return CostBreakdown(
-        conflicts=count_conflicts(graph, coloring),
-        stitches=count_stitches(graph, coloring),
-        alpha=alpha,
+        conflicts=_conflicts(flat, codes), stitches=_stitches(flat, codes), alpha=alpha
     )
 
 

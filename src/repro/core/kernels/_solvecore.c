@@ -367,6 +367,64 @@ int repro_peel(
     return stack_len;
 }
 
+/* Connected components over conflict and stitch edges
+ * (division.rank_components): of a whole component graph, or of the
+ * kernel its peel leaves.  alive[] marks the ranks searched (NULL: all);
+ * it is read, never written.  A breadth-first search starts from every
+ * unlabelled alive rank in rank order, so components are numbered by
+ * their smallest rank.  label[r] is r's component, -1 for a rank not
+ * alive; members[] lists the alive ranks component by component,
+ * ascending within one, and component c is members[start[c] ..
+ * start[c + 1]).  members[] and start[] need n and n + 1 entries.  The
+ * search allocates nothing; returns the component count. */
+int repro_components(
+    int n, const signed char *alive,
+    const int *conf_start, const int *conf_adj,
+    const int *stitch_start, const int *stitch_adj,
+    int *label, int *members, int *start)
+{
+    for (int r = 0; r < n; r++)
+        label[r] = -1;
+    /* members[] is the search queue first: each component lands in one
+     * run, in label order, so the runs' bounds are the final ones. */
+    int count = 0, tail = 0;
+    for (int root = 0; root < n; root++) {
+        if (label[root] >= 0 || (alive && !alive[root]))
+            continue;
+        start[count] = tail;
+        label[root] = count;
+        members[tail++] = root;
+        for (int head = start[count]; head < tail; head++) {
+            int rank = members[head];
+            for (int i = conf_start[rank]; i < conf_start[rank + 1]; i++) {
+                int other = conf_adj[i];
+                if (label[other] < 0 && (!alive || alive[other])) {
+                    label[other] = count;
+                    members[tail++] = other;
+                }
+            }
+            for (int i = stitch_start[rank]; i < stitch_start[rank + 1]; i++) {
+                int other = stitch_adj[i];
+                if (label[other] < 0 && (!alive || alive[other])) {
+                    label[other] = count;
+                    members[tail++] = other;
+                }
+            }
+        }
+        count++;
+    }
+    start[count] = tail;
+    /* Refill each run in rank order, advancing start[c] through run c;
+     * it ends at the next run's start, so shifting restores the bounds. */
+    for (int r = 0; r < n; r++)
+        if (label[r] >= 0)
+            members[start[label[r]]++] = r;
+    for (int c = count; c > 0; c--)
+        start[c] = start[c - 1];
+    start[0] = 0;
+    return count;
+}
+
 /* The two division stages below work on one piece of a component: ranks[]
  * holds its n ranks, strictly increasing, and a piece vertex is its
  * position in ranks[].  position[] has one entry per component rank; it

@@ -154,6 +154,8 @@ class CompiledCore:
             ctypes.c_void_p,
         ]
         lib.repro_peel.restype = ctypes.c_int
+        lib.repro_components.argtypes = [ctypes.c_int] + [ctypes.c_void_p] * 8
+        lib.repro_components.restype = ctypes.c_int
         lib.repro_blocks.argtypes = [ctypes.c_int] + [ctypes.c_void_p] * 8
         lib.repro_blocks.restype = ctypes.c_int
         lib.repro_kclasses.argtypes = [ctypes.c_int, ctypes.c_int] + [ctypes.c_void_p] * 7
@@ -315,6 +317,36 @@ class CompiledCore:
         if stack_len < 0:  # allocation failure inside the core
             return None
         return alive, cdeg, sdeg, fdeg, stack[:stack_len]
+
+    def components(self, csr, alive: Optional[array] = None) -> Tuple[array, List[List[int]]]:
+        """Connected components of the ``alive`` ranks over conflict and
+        stitch edges (all ranks when ``alive`` is ``None``).
+
+        ``alive`` is an int8 array with one entry per rank, read only.
+        Returns ``(labels, pieces)``: each rank's component index (``-1``
+        when not alive) and the components as sorted rank lists, ordered by
+        their smallest rank.
+        """
+        n = csr.num_vertices
+        if alive is not None and (alive.typecode != "b" or len(alive) != n):
+            raise ValueError(f"alive must be an int8 array of {n} entries")
+        labels = array("i", bytes(4 * n))
+        members = array("i", bytes(4 * n))
+        start = array("i", bytes(4 * (n + 1)))
+        count = self._lib.repro_components(
+            n,
+            None if alive is None else self._buf(alive),
+            self._buf(csr.conflict_start),
+            self._buf(csr.conflict_adj),
+            self._buf(csr.stitch_start),
+            self._buf(csr.stitch_adj),
+            self._buf(labels),
+            self._buf(members),
+            self._buf(start),
+        )
+        starts = start[: count + 1].tolist()
+        ranks = members.tolist()
+        return labels, [ranks[first:end] for first, end in zip(starts, starts[1:])]
 
     def blocks(self, ranks, csr, position: array) -> Optional[List[List[int]]]:
         """The biconnected blocks of the piece induced on ``ranks``.

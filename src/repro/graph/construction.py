@@ -18,9 +18,11 @@ into one array of rectangle rows, and makes three passes:
    fragment pair's exact spacing: below ``min_s`` a conflict edge, inside
    the band ``[min_s, min_s + half_pitch)`` a color-friendly edge
    (Definition 2).  Consecutive fragments of a feature are linked by stitch
-   edges, and :meth:`DecompositionGraph.from_parts` assembles the graph in
-   one call.  The same arrays are already the graph's flat form, which is
-   attached to it, so hashing the graph flattens nothing.
+   edges.  These arrays are already the graph's canonical flat form, and
+   the graph returned is a view of it
+   (:meth:`DecompositionGraph.from_flat`): the division and the compiled
+   colorers read only the flat form, and the adjacency sets are built only
+   if a caller asks for them.
 
 Every fragment rectangle lies inside its shape's rectangles, so two
 fragments can only be that close when their shapes are: the fragment sweep
@@ -42,7 +44,7 @@ from repro.geometry.layout import Layout
 from repro.geometry.outlines import Outlines
 from repro.geometry.point import COORDINATE_MAX
 from repro.geometry.rect import Rect, rect_array
-from repro.graph.decomposition_graph import DecompositionGraph, VertexData
+from repro.graph.decomposition_graph import DecompositionGraph
 from repro.graph.flat import FlatGraph
 from repro.graph.stitch import split_rows, stitch_positions
 
@@ -111,7 +113,8 @@ class ConstructionResult:
     Attributes
     ----------
     graph:
-        The decomposition graph; vertex ids index the fragment arrays.
+        The decomposition graph, a view of its flat form; vertex ids index
+        the fragment arrays.
     fragment_boxes:
         int64 ``(m, 4)`` array: the rectangle rows of every vertex's
         geometry, vertex after vertex.
@@ -221,14 +224,7 @@ def build_decomposition_graph(
     shape_of_vertex = np.repeat(np.arange(count), vertex_counts)
     fragment_index = np.arange(len(shape_of_vertex)) - first_vertex[shape_of_vertex]
     vertex_shapes = shape_ids[shape_of_vertex]
-    vertex_data = {
-        vertex: VertexData(shape_id, fragment)
-        for vertex, (shape_id, fragment) in enumerate(
-            zip(vertex_shapes.tolist(), fragment_index.tolist())
-        )
-    }
     later = np.flatnonzero(fragment_index > 0)
-    stitch_edges = list(zip((later - 1).tolist(), later.tolist()))
 
     # ------------------------------------------------------- fragment edges
     # Unsplit shapes keep their rows; split ones contribute their pieces.
@@ -240,22 +236,18 @@ def build_decomposition_graph(
     radius = min_s + options.half_pitch if options.enable_color_friendly else min_s
     low, high, d2 = close_rect_pairs(fragment_boxes, owners, radius, groups)
     conflict = d2 < min_s * min_s
-    graph = DecompositionGraph.from_parts(
-        vertex_data,
-        list(zip(low[conflict].tolist(), high[conflict].tolist())),
-        stitch_edges,
-        list(zip(low[~conflict].tolist(), high[~conflict].tolist())),
-    )
     # Vertex ids are 0..n-1, so a vertex is its own rank, and every edge
     # list is already sorted unique u < v pairs: the flat form as is.
-    graph._flat = FlatGraph(
-        vertex_ids=_packed("q", np.arange(len(vertex_shapes))),
-        shape_ids=_packed("q", vertex_shapes),
-        fragments=_packed("I", fragment_index),
-        weights=array("I", [1]) * len(vertex_shapes),
-        conflict_edges=_packed("I", np.stack((low[conflict], high[conflict]), axis=1)),
-        stitch_edges=_packed("I", np.stack((later - 1, later), axis=1)),
-        friend_edges=_packed("I", np.stack((low[~conflict], high[~conflict]), axis=1)),
+    graph = DecompositionGraph.from_flat(
+        FlatGraph(
+            vertex_ids=_packed("q", np.arange(len(vertex_shapes))),
+            shape_ids=_packed("q", vertex_shapes),
+            fragments=_packed("I", fragment_index),
+            weights=array("I", [1]) * len(vertex_shapes),
+            conflict_edges=_packed("I", np.stack((low[conflict], high[conflict]), axis=1)),
+            stitch_edges=_packed("I", np.stack((later - 1, later), axis=1)),
+            friend_edges=_packed("I", np.stack((low[~conflict], high[~conflict]), axis=1)),
+        )
     )
     by_vertex = np.argsort(owners, kind="stable")
     return ConstructionResult(

@@ -12,6 +12,13 @@ This implementation adds a third, optional edge set of **color-friendly
 edges** (Definition 2): features whose spacing lies in
 ``(min_s, min_s + half_pitch)``.  Those edges never constrain legality; they
 only guide the linear color assignment heuristic.
+
+The flow itself works on the graph's flat form
+(:class:`~repro.graph.flat.FlatGraph`).  The construction and the division
+hand out *views* (:meth:`DecompositionGraph.from_flat`): a view holds only
+the flat form, answers the vertex and edge counts, ``vertices()`` and
+``to_arrays()`` from it, and builds its adjacency sets the first time any
+other method needs them.
 """
 
 from __future__ import annotations
@@ -20,6 +27,18 @@ from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import GraphError
+
+
+#: The object-graph state a view builds on first use.
+_OBJECT_STATE = (
+    "_vertices",
+    "_conflict_adj",
+    "_stitch_adj",
+    "_friend_adj",
+    "_conflict_edges",
+    "_stitch_edges",
+    "_friend_edges",
+)
 
 
 def _edge_key(u: int, v: int) -> Tuple[int, int]:
@@ -68,8 +87,8 @@ class VertexData:
 class DecompositionGraph:
     """Undirected multi-relation graph {V, CE, SE} plus color-friendly edges.
 
-    Vertices are non-negative integers.  The structure is mutable: the graph
-    division and simplification stages remove and re-add vertices.
+    Vertices are non-negative integers.  The structure is mutable: the
+    reference simplification stages remove and re-add vertices.
     """
 
     def __init__(self) -> None:
@@ -86,6 +105,41 @@ class DecompositionGraph:
         self._flat = None
         self._key_memo: Dict[object, str] = {}
 
+    @classmethod
+    def from_flat(cls, flat) -> "DecompositionGraph":
+        """A view of the graph whose canonical flat form is ``flat``.
+
+        The view holds ``flat`` and the key memo only: the vertex and edge
+        counts, :meth:`vertices` and :meth:`to_arrays` answer from ``flat``,
+        and the vertex map, adjacency sets and edge sets are built once,
+        through :meth:`FlatGraph.to_graph
+        <repro.graph.flat.FlatGraph.to_graph>`, when any other method first
+        reads them, mutates the graph or pickles it.  ``flat`` must be
+        canonical (:meth:`FlatGraph.is_canonical
+        <repro.graph.flat.FlatGraph.is_canonical>`); the construction and
+        the division build theirs so, and frames decoded from bytes are
+        never wrapped.
+        """
+        graph = cls.__new__(cls)
+        graph._flat = flat
+        graph._key_memo = {}
+        return graph
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks: on a view, the
+        # object-graph state not built yet.
+        if name not in _OBJECT_STATE or self.__dict__.get("_flat") is None:
+            raise AttributeError(name)
+        self._materialise()
+        return self.__dict__[name]
+
+    def _materialise(self) -> None:
+        """Build a view's object-graph state from its flat form (once)."""
+        if "_vertices" not in self.__dict__:
+            built = self._flat.to_graph()
+            for name in _OBJECT_STATE:
+                setattr(self, name, getattr(built, name))
+
     def _invalidate(self) -> None:
         """Drop memoised derived state; called by every structural mutator."""
         if self._flat is not None or self._key_memo:
@@ -93,11 +147,12 @@ class DecompositionGraph:
             self._key_memo = {}
 
     def __getstate__(self):
-        """Pickle without the memoised derived forms.
+        """Pickle the object graph without the memoised derived forms.
 
         The flat snapshot and key memo are cheap to rebuild and would only
-        inflate a pickled graph.
+        inflate a pickled graph; a view builds its object graph first.
         """
+        self._materialise()
         state = dict(self.__dict__)
         state["_flat"] = None
         state["_key_memo"] = {}
@@ -146,10 +201,14 @@ class DecompositionGraph:
 
     def vertices(self) -> List[int]:
         """Return all vertex ids (sorted for determinism)."""
+        if self._flat is not None:
+            return self._flat.vertex_ids.tolist()
         return sorted(self._vertices)
 
     @property
     def num_vertices(self) -> int:
+        if self._flat is not None:
+            return self._flat.num_vertices
         return len(self._vertices)
 
     # ------------------------------------------------------------------ edges
@@ -220,14 +279,20 @@ class DecompositionGraph:
 
     @property
     def num_conflict_edges(self) -> int:
+        if self._flat is not None:
+            return self._flat.num_conflict_edges
         return len(self._conflict_edges)
 
     @property
     def num_stitch_edges(self) -> int:
+        if self._flat is not None:
+            return self._flat.num_stitch_edges
         return len(self._stitch_edges)
 
     @property
     def num_friend_edges(self) -> int:
+        if self._flat is not None:
+            return self._flat.num_friend_edges
         return len(self._friend_edges)
 
     # ------------------------------------------------------------- adjacency
@@ -267,8 +332,8 @@ class DecompositionGraph:
 
         The snapshot is memoised and reused until the next structural
         mutation, so the hashing, wire and worker-dispatch layers each pulling
-        the flat form pay for one flattening, not three.  Callers must treat
-        the returned object as immutable.
+        the flat form pay for one flattening, not three; a view holds it from
+        the start.  Callers must treat the returned object as immutable.
         """
         if self._flat is None:
             from repro.graph.flat import flatten_graph
@@ -293,9 +358,10 @@ class DecompositionGraph:
     ) -> "DecompositionGraph":
         """Build a graph in one pass from its vertex data and three edge lists.
 
-        Every whole-graph build goes through here: the construction,
-        :meth:`copy`, :meth:`subgraph`, :meth:`from_edges` and
-        :meth:`FlatGraph.to_graph <repro.graph.flat.FlatGraph.to_graph>`.
+        Every whole-graph build goes through here: :meth:`copy`,
+        :meth:`subgraph`, :meth:`from_edges` and :meth:`FlatGraph.to_graph
+        <repro.graph.flat.FlatGraph.to_graph>`, which also builds a view's
+        object graph.
         ``vertex_data`` becomes the graph's own vertex map (pass a fresh
         dict).  Edges are collections of ``(u, v)`` tuples in either
         orientation; an edge already ordered ``u < v`` is stored as the very

@@ -51,6 +51,8 @@ import sys
 from array import array
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import GraphError
 
 #: Bump when the frame layout changes; decoders reject other versions.
@@ -136,6 +138,10 @@ class FlatGraph:
     @property
     def num_stitch_edges(self) -> int:
         return len(self.stitch_edges) // 2
+
+    @property
+    def num_friend_edges(self) -> int:
+        return len(self.friend_edges) // 2
 
     def canonical_buffers(self) -> Tuple[array, ...]:
         """The buffers that define canonical equality (the hash payload).
@@ -299,14 +305,18 @@ class FlatGraph:
     def induced_graph(
         self, ranks: Sequence[int], conflict: array, stitch: array, friend: array
     ):
-        """Build the graph induced on ``ranks``, its flat form attached.
+        """A view of the graph induced on ``ranks``.
 
         ``ranks`` is strictly increasing, and the three edge lists are the
         induced edges over positions in ``ranks``, pairs sorted with
-        ``u < v``.  An increasing relabeling keeps the snapshot canonical, so
-        it is memoised without :meth:`is_canonical`'s scan, and a compiled
-        solver colors the piece without flattening it again.
+        ``u < v``.  An increasing relabeling keeps the snapshot canonical,
+        so it backs a view (:meth:`DecompositionGraph.from_flat
+        <repro.graph.decomposition_graph.DecompositionGraph.from_flat>`)
+        without :meth:`is_canonical`'s scan, and a compiled solver colors
+        the piece without building its object graph.
         """
+        from repro.graph.decomposition_graph import DecompositionGraph
+
         piece = FlatGraph(
             array("q", [self.vertex_ids[rank] for rank in ranks]),
             array("q", [self.shape_ids[rank] for rank in ranks]),
@@ -316,9 +326,61 @@ class FlatGraph:
             stitch,
             friend,
         )
-        graph = piece.to_graph()
-        graph._flat = piece
-        return graph
+        return DecompositionGraph.from_flat(piece)
+
+    def split(self, labels) -> List["FlatGraph"]:
+        """The flat forms of the parts ``labels`` puts the ranks in.
+
+        ``labels`` holds one part index per rank, every index from 0 up to
+        the largest used; part ``i`` comes ``i``-th.  A part keeps its ranks
+        in order, so its flat form is canonical, and keeps the edges with
+        both ends in it.  An edge between two parts is dropped: when the
+        parts are the connected components of the conflict and stitch
+        edges, only a friend edge can be, as
+        :meth:`DecompositionGraph.subgraph
+        <repro.graph.decomposition_graph.DecompositionGraph.subgraph>` drops
+        it.
+        """
+        labels = np.asarray(labels)
+        n = len(labels)
+        sizes = np.bincount(labels)
+        count = len(sizes)
+        order = np.argsort(labels, kind="stable")
+        first = np.cumsum(sizes) - sizes
+        local = np.empty(n, dtype=np.int64)
+        local[order] = np.arange(n) - np.repeat(first, sizes)
+        # Each column as bytes in part order, with the item each part starts at.
+        columns = [
+            (typecode, np.frombuffer(buf, dtype=typecode)[order].tobytes(), first)
+            for typecode, buf in (
+                ("q", self.vertex_ids),
+                ("q", self.shape_ids),
+                ("I", self.fragments),
+                ("I", self.weights),
+            )
+        ]
+        for edges in (self.conflict_edges, self.stitch_edges, self.friend_edges):
+            pairs = np.frombuffer(edges, dtype="I").reshape(-1, 2)
+            part = labels[pairs[:, 0]]
+            inside = part == labels[pairs[:, 1]]
+            pairs, part = pairs[inside], part[inside]
+            by_part = np.argsort(part, kind="stable")
+            per_part = np.bincount(part, minlength=count)
+            columns.append(
+                (
+                    "I",
+                    local[pairs[by_part]].astype("I").tobytes(),
+                    2 * (np.cumsum(per_part) - per_part),
+                )
+            )
+        cut = []
+        for typecode, data, starts in columns:
+            width = array(typecode).itemsize
+            offsets = (width * starts).tolist() + [len(data)]
+            cut.append(
+                [array(typecode, data[a:b]) for a, b in zip(offsets, offsets[1:])]
+            )
+        return [FlatGraph(*buffers) for buffers in zip(*cut)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlatGraph):

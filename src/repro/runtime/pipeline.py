@@ -5,7 +5,10 @@ graph into independent connected components, colors each one and merges
 the colorings.  :func:`color_graph` is the only implementation of that
 shape:
 
-1. **divide** the graph into connected components;
+1. **divide** the graph into connected components: label them on the
+   graph's flat form (:func:`~repro.core.division.rank_components`) and
+   slice out each one's flat form (:meth:`~repro.graph.flat.FlatGraph.split`),
+   a view the rest of the flow reads;
 2. **hash** each one (:func:`~repro.runtime.hashing.canonical_component_key`)
    and group identical components under their key;
 3. **route** the distinct keys: look each one up once in the optional
@@ -38,10 +41,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.division import DivisionReport
+from repro.core.division import DivisionReport, rank_components
+from repro.core.kernels import active_core
+from repro.core.kernels.adjacency import CSRAdjacency
 from repro.core.options import DecomposerOptions
 from repro.errors import ConfigurationError
-from repro.graph.components import connected_components
 from repro.graph.decomposition_graph import DecompositionGraph
 from repro.graph.flat import graph_from_frame
 from repro.obs.trace import Span
@@ -100,18 +104,20 @@ def color_graph(
         return result
 
     with span("divide"):
+        flat = graph.to_arrays()
+        count = 1
         if options.division.independent_components:
-            components = connected_components(graph)
-        else:
-            components = [graph.vertices()]
-    result.report.num_connected_components = len(components)
+            csr = CSRAdjacency(flat, include_friend=False)
+            labels, components = rank_components(csr, None, active_core())
+            count = len(components)
+    result.report.num_connected_components = count
 
     with span("hash"):
-        if len(components) == 1:
+        if count == 1:
             # One component spans the graph: solve the graph itself, no copy.
             subgraphs = [graph]
         else:
-            subgraphs = [graph.subgraph(component) for component in components]
+            subgraphs = [DecompositionGraph.from_flat(part) for part in flat.split(labels)]
         keys = [
             canonical_component_key(
                 subgraph,

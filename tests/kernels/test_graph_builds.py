@@ -1,0 +1,102 @@
+"""A work gate: how many object graphs one decomposition builds.
+
+Every whole-graph build goes through ``DecompositionGraph.from_parts``
+(``copy``, ``subgraph``, ``from_edges`` and ``FlatGraph.to_graph``, which
+also builds a view's object graph), so counting its calls counts them.  A
+count, not a timing, so it holds on any runner.  With the compiled core,
+``linear`` and ``greedy`` read only flat forms: the construction, the
+component split, the division's pieces and the scoring must build no graph
+at all.  ``sdp-backtrack`` builds a piece's graph inside ``SdpColoring``,
+where the relaxation and the mapping read its edges, at most once per
+piece, and nowhere else.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import pytest
+
+from repro.bench.circuits import TABLE1_CIRCUITS, TABLE2_CIRCUITS, load_circuit
+from repro.core.decomposer import Decomposer
+from repro.core.kernels import set_kernel_mode
+from repro.core.kernels.ccore import compiled_core
+from repro.core.options import DecomposerOptions
+from repro.core.sdp_coloring import SdpColoring
+from repro.graph.decomposition_graph import DecompositionGraph
+
+pytestmark = pytest.mark.skipif(
+    compiled_core() is None, reason="compiled solve core unavailable"
+)
+
+#: The circuits and scales the served benchmark draws its requests from.
+SERVED_PROFILES = (
+    "C432", "C499", "C880", "C1355", "C1908", "C2670",
+    "C3540", "C5315", "C6288", "C7552", "S1488",
+)
+
+
+@contextmanager
+def counting_builds(monkeypatch):
+    """Yield a list that gains one entry per ``from_parts`` call."""
+    builds = []
+    from_parts = DecompositionGraph.from_parts.__func__
+
+    def counted(cls, *args, **kwargs):
+        builds.append(cls)
+        return from_parts(cls, *args, **kwargs)
+
+    monkeypatch.setattr(DecompositionGraph, "from_parts", classmethod(counted))
+    previous = set_kernel_mode("compiled")
+    try:
+        yield builds
+    finally:
+        set_kernel_mode(previous)
+
+
+@pytest.mark.parametrize("algorithm", ["linear", "greedy"])
+def test_table2_builds_no_graph(monkeypatch, algorithm):
+    options = DecomposerOptions.for_pentuple_patterning(algorithm)
+    layouts = {name: load_circuit(name, 0.35) for name in TABLE2_CIRCUITS}
+    with counting_builds(monkeypatch) as builds:
+        for name, layout in layouts.items():
+            result = Decomposer(options).decompose(layout)
+            assert result.solution.coloring, name
+            assert builds == [], f"{name}: {len(builds)} graphs built"
+
+
+@pytest.mark.parametrize("algorithm", ["linear", "greedy"])
+def test_served_profiles_build_no_graph(monkeypatch, algorithm):
+    options = DecomposerOptions.for_quadruple_patterning(algorithm)
+    layouts = {
+        (name, scale): load_circuit(name, scale)
+        for name in SERVED_PROFILES
+        for scale in (0.05, 0.15)
+    }
+    split = 0
+    with counting_builds(monkeypatch) as builds:
+        for case, layout in layouts.items():
+            result = Decomposer(options).decompose(layout)
+            assert builds == [], f"{case}: {len(builds)} graphs built"
+            split += result.division_report.num_connected_components > 1
+    assert split, "no layout had two components, so no split was counted"
+
+
+def test_sdp_builds_at_most_one_graph_per_piece(monkeypatch):
+    options = DecomposerOptions.for_quadruple_patterning("sdp-backtrack")
+    layouts = {name: load_circuit(name, 0.1) for name in TABLE1_CIRCUITS}
+    per_piece = []
+    color = SdpColoring.color
+
+    def counted_color(self, graph):
+        before = len(builds)
+        coloring = color(self, graph)
+        per_piece.append(len(builds) - before)
+        return coloring
+
+    with counting_builds(monkeypatch) as builds:
+        monkeypatch.setattr(SdpColoring, "color", counted_color)
+        for name, layout in layouts.items():
+            Decomposer(options).decompose(layout)
+            assert len(builds) == sum(per_piece), f"{name}: a graph built outside SdpColoring"
+    assert max(per_piece) == 1 and sum(per_piece) < len(per_piece)
