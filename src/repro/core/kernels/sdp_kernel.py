@@ -6,6 +6,11 @@ and clipped gram — runs as one ``repro_sdp_solve`` call in the compiled
 core, on the start point the solver already drew.  The C loop repeats the
 reference arithmetic operation for operation (the contract is stated in
 :mod:`repro.opt.sdp`), so its output is bit-identical.
+
+Both loops read their schedule from the same ``SdpOptions``: one penalty
+round by default.  The penalty-growth rounds run only when
+``max_outer_iterations`` asks for more, which no default path does; the
+SDP parity tests run both schedules, so they stay bit-identical there too.
 """
 
 from __future__ import annotations

@@ -15,9 +15,24 @@ implements a specialised solver for exactly this SDP family using the
 Burer–Monteiro low-rank factorisation ``X = V V^T`` with unit-norm rows:
 projected gradient descent on the unit sphere with an augmented quadratic
 penalty for the conflict-edge inequality constraints, and an outer loop that
-tightens the penalty.  The downstream mapping stages only consume the pairwise
-inner products ``x_ij``, which this solver provides with the same semantics
-("close to 1" = same mask, "close to -1/(K-1)" = different masks).
+can tighten the penalty.  The downstream mapping stages only consume the
+pairwise inner products ``x_ij``, which this solver provides with the same
+semantics ("close to 1" = same mask, "close to -1/(K-1)" = different masks).
+
+Penalty schedule
+----------------
+By default the relaxation runs one penalty round: at most 400 gradient
+steps at penalty 2.0.  More rounds (``SdpOptions.max_outer_iterations``)
+multiply the penalty by ``penalty_growth`` and run again while the conflict
+bound is still violated by 1e-3 or more.  The mapped tables chose one
+round: over relaxation seeds 2014-2018 at full scale, six rounds gave more
+conflicts on both tables under both mappings (Table 2 sdp-backtrack
+776-783 against 547-562) for about twice the CPU
+(``benchmarks/bench_sdp_schedule.py``).  So the default iterate usually
+violates the conflict bound: 43 of the 46 relaxations of perfbench's
+``sdp-k4`` inputs end at 1e-3 or more, against 19 with six rounds.  The
+schedule was picked by the tables the mapping makes of the inner products,
+not by the feasibility of the iterate.
 
 Arithmetic contract
 -------------------
@@ -117,10 +132,18 @@ def discrete_objective(
 
 @dataclass
 class SdpOptions:
-    """Hyper-parameters of the low-rank vector-program solver."""
+    """Hyper-parameters of the low-rank vector-program solver.
+
+    The schedule is up to ``max_outer_iterations`` penalty rounds of at most
+    ``max_inner_iterations`` steps of ``learning_rate``.  Round ``r`` (from
+    0) uses penalty ``penalty_initial * penalty_growth ** r`` and runs only
+    while the last round ended with a conflict violation of 1e-3 or more.
+    The default is one round at penalty 2.0: more rounds cost time and made
+    the mapped tables worse (module docstring, "Penalty schedule").
+    """
 
     dimension: Optional[int] = None
-    max_outer_iterations: int = 6
+    max_outer_iterations: int = 1
     max_inner_iterations: int = 400
     learning_rate: float = 0.05
     penalty_initial: float = 2.0

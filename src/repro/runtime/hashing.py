@@ -48,7 +48,10 @@ from repro.graph.flat import _le_bytes
 #: v4 marks the fixed-order SDP relaxation arithmetic (seeded raw-word start
 #: point, edge-order scatter, left-to-right sums): sdp-* solutions changed
 #: under unchanged keys, so cached pre-v4 relaxations must not be replayed.
-_SCHEMA_VERSION = 4
+#: v5 marks the one-round SDP penalty schedule (``SdpOptions`` runs one
+#: penalty round by default instead of six): sdp-* solutions changed under
+#: unchanged keys, so cached pre-v5 sdp colorings must not be replayed.
+_SCHEMA_VERSION = 5
 
 _U32 = struct.Struct("<I")
 

@@ -16,8 +16,15 @@ import pytest
 
 from repro.analysis import schema
 from repro.analysis.linter import find_root
+from repro.runtime import hashing
 
 ROOT = find_root(Path(__file__).resolve().parent)
+
+#: The hashing module's version line and that line bumped to the successor.
+_BUMP = (
+    f"_SCHEMA_VERSION = {hashing._SCHEMA_VERSION}",
+    f"_SCHEMA_VERSION = {hashing._SCHEMA_VERSION + 1}",
+)
 
 
 def _load():
@@ -63,7 +70,7 @@ class TestMutationDetection:
     def test_bump_without_regenerate_reports_schema002(self):
         relpath = "src/repro/runtime/hashing.py"
         source = (ROOT / relpath).read_text(encoding="utf-8")
-        bumped = source.replace("_SCHEMA_VERSION = 4", "_SCHEMA_VERSION = 5", 1)
+        bumped = source.replace(*_BUMP, 1)
         assert bumped != source
         findings = schema.check_manifest(
             ROOT, _load(), source_overrides={relpath: bumped}
@@ -75,9 +82,7 @@ class TestMutationDetection:
         separate violation — regenerating the manifest resolves both."""
         relpath = "src/repro/runtime/hashing.py"
         source = (ROOT / relpath).read_text(encoding="utf-8")
-        mutated = source.replace(
-            "_SCHEMA_VERSION = 4", "_SCHEMA_VERSION = 5", 1
-        ).replace(
+        mutated = source.replace(*_BUMP, 1).replace(
             "digest.update(_le_bytes(buf))",
             "digest.update(_le_bytes(buf) + b'!')",
             1,

@@ -70,16 +70,24 @@ class TestCompiledParity:
     @pytest.mark.parametrize("num_colors", [3, 4, 5, 6])
     @pytest.mark.parametrize("stitches", [False, True])
     def test_random_problems(self, num_colors, stitches):
+        """Both schedules: the default single penalty round, and six rounds,
+        which keep the penalty-growth branch of both loops under test."""
         rng = random.Random(1000 * num_colors + stitches)
         for trial in range(6):
             n = rng.randint(1, 18)
             conflict, stitch = random_problem(rng, n, stitches)
-            solver = VectorProgramSolver(
-                num_colors, alpha=0.1, options=SdpOptions(seed=rng.randint(0, 9999))
-            )
-            reference = solve_in("off", solver, n, conflict, stitch)
-            candidate = solve_in("compiled", solver, n, conflict, stitch)
-            assert_identical(reference, candidate, (num_colors, stitches, trial, n))
+            seed = rng.randint(0, 9999)
+            for rounds in (1, 6):
+                solver = VectorProgramSolver(
+                    num_colors,
+                    alpha=0.1,
+                    options=SdpOptions(max_outer_iterations=rounds, seed=seed),
+                )
+                reference = solve_in("off", solver, n, conflict, stitch)
+                candidate = solve_in("compiled", solver, n, conflict, stitch)
+                assert_identical(
+                    reference, candidate, (num_colors, stitches, trial, n, rounds)
+                )
 
     @needs_compiled
     @pytest.mark.parametrize("dimension", [1, 3, 9])
@@ -102,7 +110,12 @@ class TestCompiledParity:
 
 
 class TestByteExactness:
-    """One fixed problem, pinned to the byte in both modes."""
+    """One fixed problem, pinned to the byte in both modes under each schedule.
+
+    Six penalty rounds reach a feasible iterate after five; the default
+    single round stops at its 400-step cap, still violating the conflict
+    bound, which is the iterate the mapping stages receive.
+    """
 
     N = 12
     CONFLICT = [(i, (i + 1) % 12) for i in range(12)] + [
@@ -111,16 +124,33 @@ class TestByteExactness:
     STITCH = [(0, 6), (3, 9), (4, 10)]
     VECTORS_SHA256 = "ca50757f5f312e1d95eb89a73142defc6e541e04ad4d791880128e8cd71f69cd"
     GRAM_SHA256 = "3d12c48e0e35d8835cd81066e3f99dcf6e9da64661e1b4b73a4177510f919f6f"
+    DEFAULT_VECTORS_SHA256 = (
+        "1b4c59c8300f27112810a19ba4d8e17140609aa14f91d8b2228c3a5c15fc57da"
+    )
+    DEFAULT_GRAM_SHA256 = (
+        "a25218c72bd889595bd2fe9aa0ab14d57dadeb7480b6959cee6cef9c686603b9"
+    )
 
     @pytest.mark.parametrize(
         "mode", ["off", pytest.param("compiled", marks=needs_compiled)]
     )
     def test_bytes_pinned(self, mode):
-        result = solve_in(mode, VectorProgramSolver(4), self.N, self.CONFLICT, self.STITCH)
+        solver = VectorProgramSolver(4, options=SdpOptions(max_outer_iterations=6))
+        result = solve_in(mode, solver, self.N, self.CONFLICT, self.STITCH)
         assert digest(result.vectors) == self.VECTORS_SHA256
         assert digest(result.gram) == self.GRAM_SHA256
         assert result.iterations == 2000
         assert result.constraint_violation == 0.0
+
+    @pytest.mark.parametrize(
+        "mode", ["off", pytest.param("compiled", marks=needs_compiled)]
+    )
+    def test_default_schedule_bytes_pinned(self, mode):
+        result = solve_in(mode, VectorProgramSolver(4), self.N, self.CONFLICT, self.STITCH)
+        assert digest(result.vectors) == self.DEFAULT_VECTORS_SHA256
+        assert digest(result.gram) == self.DEFAULT_GRAM_SHA256
+        assert result.iterations == 400
+        assert result.constraint_violation == 0.2507674299978035
 
 
 class _NoCallCore:

@@ -29,9 +29,9 @@ from repro.runtime.hashing import (
 #: schema) and re-pin; silent drift here silently severs every persisted
 #: cache and every mixed-version cluster.
 GOLDEN_KEYS = {
-    "triangle-linear-K4": "1d3e9c3b5ec5bec1312f92bfa6b9625e4bf141c05a1ba612c8bd0e6c7913d28a",
-    "stitch-sdp-K4": "00ec689e5569c2d52b416b27ff4d1a1bf2e7256adf5887ed94ef0a3d047b70d2",
-    "k4-greedy-K5": "6b89dabe52a0b1443b497d2833c0a0136d8df8e6b62f60febc010ced8b045bc7",
+    "triangle-linear-K4": "9a728af5662ef47dd4950a6a0c4bf57156b912d601d4dfa4e6848728753e4c5e",
+    "stitch-sdp-K4": "e4c84186380f5acd04af1d398fe2d0557f9e6445f7c6c337f4fff10c5d95ab46",
+    "k4-greedy-K5": "3e0caff8e9d51ac2ea806a74ba8e2deeb8dc2fb1fe610c0948ac6002bd97bb7b",
 }
 
 
@@ -86,8 +86,8 @@ def _v1_key(graph, num_colors, algorithm) -> str:
 
 
 class TestGoldenKeys:
-    def test_schema_version_is_4(self):
-        assert _SCHEMA_VERSION == 4
+    def test_schema_version_is_5(self):
+        assert _SCHEMA_VERSION == 5
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
     def test_keys_pinned(self, name):
