@@ -130,13 +130,14 @@ def graph_statistics(graph: DecompositionGraph, num_colors: int = 4) -> GraphSta
     the part of the graph the expensive color-assignment algorithms actually
     see.
     """
+    from repro.core.kernels.adjacency import CSRAdjacency
     from repro.graph.components import connected_components
     from repro.graph.simplify import peel_low_degree_vertices
 
     vertices = graph.vertices()
     degrees = [graph.conflict_degree(v) for v in vertices]
     components = connected_components(graph)
-    kernel, _ = peel_low_degree_vertices(graph, num_colors)
+    alive, *_ = peel_low_degree_vertices(num_colors, 2, CSRAdjacency(graph.to_arrays()))
     return GraphStatistics(
         vertices=graph.num_vertices,
         conflict_edges=graph.num_conflict_edges,
@@ -146,7 +147,7 @@ def graph_statistics(graph: DecompositionGraph, num_colors: int = 4) -> GraphSta
         average_conflict_degree=(sum(degrees) / len(degrees)) if degrees else 0.0,
         component_count=len(components),
         largest_component=max((len(c) for c in components), default=0),
-        kernel_vertices=kernel.num_vertices,
+        kernel_vertices=sum(alive),
     )
 
 

@@ -19,9 +19,9 @@ piece reaches the colorer as a view of its flat form.  Rank order is id
 order, so every traversal visits what the same steps on the component graph
 would, in the same order, and the colorings are the same.  The peel and its
 reinsertion run in the compiled core when it is loaded and K is within
-:data:`~repro.core.kernels.MAX_COMPILED_COLORS`; otherwise
-:mod:`repro.graph.simplify` runs them on the component graph.  The kernel's
-pieces come from :func:`rank_components`, in the core that peeled it.
+:data:`~repro.core.kernels.MAX_COMPILED_COLORS`; otherwise their references
+in :mod:`repro.graph.simplify` run on the same CSR.  The kernel's pieces
+come from :func:`rank_components`, in the core that peeled it.
 Blocks and K-classes run in the core whenever it is loaded, at any K; the
 references are :func:`~repro.graph.biconnected.biconnected_blocks` and
 :meth:`~repro.graph.gomory_hu.GomoryHuTree.components_below`, which also
@@ -191,41 +191,32 @@ def color_component(
     num_colors = colorer.num_colors
     csr = CSRAdjacency(flat)
 
-    # Stage 2: peel.  ``alive`` marks the kernel; the compiled core leaves
-    # the removed ranks on ``stack``, the reference their ids on
-    # ``stack_ids``, in removal order.
+    # Stage 2: peel.  ``alive`` marks the kernel and ``stack`` holds the
+    # removed ranks in removal order.  The core that peeled, if any, also
+    # splits the kernel and reinserts; otherwise the references do.
     alive = None
     core = None
     stack: Sequence[int] = ()
-    stack_ids: List[int] = []
     if division.low_degree_removal:
         if num_colors <= MAX_COMPILED_COLORS:
             core = active_core()
         peeled = core.peel(num_colors, 2, csr) if core is not None else None
-        if peeled is not None:
-            alive, _, _, _, stack = peeled
-        else:
+        if peeled is None:
             core = None
-            _, stack_ids = peel_low_degree_vertices(graph, num_colors)
-            alive = array("b", b"\x01") * n
-            rank = {vertex: index for index, vertex in enumerate(flat.vertex_ids)}
-            for vertex in stack_ids:
-                alive[rank[vertex]] = 0
-    report.peeled_vertices += len(stack) + len(stack_ids)
+            peeled = peel_low_degree_vertices(num_colors, 2, csr)
+        alive, _, _, _, stack = peeled
+    report.peeled_vertices += len(stack)
 
     divider = _RankDivider(flat, csr, colorer, division, report)
     # Peeling may disconnect the kernel; treat the pieces independently.
-    # The core that peeled, if any, splits the kernel too.
     _, pieces = rank_components(csr, alive, core)
     for piece in pieces:
         divider.color_blocks(piece)
 
     colors = divider.colors
+    reinsert = reinsert_peeled_vertices if core is None else core.reinsert
+    reinsert(num_colors, stack, csr, colors)
     ids = flat.vertex_ids
-    if core is None:
-        coloring = {ids[r]: colors[r] for r in range(n) if colors[r] >= 0}
-        return reinsert_peeled_vertices(graph, coloring, stack_ids, num_colors)
-    core.reinsert(num_colors, stack, csr, colors)
     return {ids[r]: colors[r] for r in range(n)}
 
 

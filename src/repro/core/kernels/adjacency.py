@@ -10,9 +10,10 @@ that are already sorted ascending — rank order equals vertex-id order under
 the order-preserving relabeling, which is exactly the ``sorted(...)`` the
 reference solvers apply per vertex.
 
-numpy, when available, vectorises the degree count and prefix sum for larger
-components; the pure-``array`` path produces byte-identical buffers, so the
-kernels never behave differently with or without it.
+numpy vectorises the degree count and prefix sum for larger components, and
+a pure-``array`` loop builds the small ones, where numpy's per-call overhead
+dominates; both give byte-identical buffers
+(``tests/kernels/test_adjacency_paths.py``).
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from __future__ import annotations
 from array import array
 from typing import List, Tuple
 
-try:  # numpy is optional — the kernels are stdlib-complete without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as _np
 
-#: Below this edge count the python loop beats numpy's per-call overhead.
+#: Below this many edge-array entries (two per pair) the python loop beats
+#: numpy's per-call overhead.
 _NUMPY_MIN_EDGES = 256
 
 
@@ -73,7 +72,7 @@ def degree_order(start: array, n: int) -> List[int]:
     the numpy path is a stable argsort on the negated degrees, which keeps
     ascending-rank order within equal degrees.
     """
-    if _np is not None and n >= 128:
+    if n >= 128:
         starts = _np.frombuffer(start, dtype=_np.int32)
         degrees = starts[1:] - starts[:-1]
         return _np.argsort(-degrees, kind="stable").tolist()
@@ -82,7 +81,7 @@ def degree_order(start: array, n: int) -> List[int]:
 
 def _build_csr(n: int, edges: array) -> Tuple[array, array]:
     """Build ``(start, adj)`` int32 CSR arrays from a flat rank-pair array."""
-    if _np is not None and len(edges) >= _NUMPY_MIN_EDGES:
+    if len(edges) >= _NUMPY_MIN_EDGES:
         return _build_csr_numpy(n, edges)
     degree = [0] * n
     for rank in edges:

@@ -1,17 +1,18 @@
 """Linear color assignment over CSR arrays (kernel for ``LinearColoring``).
 
 Replicates Algorithm 2 — peel, peer-selected kernel coloring, refinement,
-reinsert — exactly as :class:`repro.core.linear_coloring.LinearColoring` and
-:mod:`repro.graph.simplify` implement it, but in rank space over the packed
-flat arrays, with every stage running in the compiled core:
+reinsert — exactly as :class:`repro.core.linear_coloring.LinearColoring`
+implements it, but in rank space over the packed flat arrays, with every
+stage running in the compiled core:
 
-* the peel loop runs on degree counters and an ``alive`` byte array instead
-  of a mutated graph copy (same seed order, same LIFO queue, same sorted
-  neighbour re-enqueue — rank order equals id order);
+* the peel and the reinsertion are ``repro_peel`` and ``repro_reinsert``,
+  whose references in :mod:`repro.graph.simplify` the reference colorer
+  runs on the same CSR;
 * dead vertices keep the ``-1`` color sentinel, which reproduces the
-  reference's "neighbour not in the peeled kernel graph" behaviour without
+  reference's "neighbour not in the kernel graph" behaviour without
   rebuilding subgraphs (a colored vertex is always alive);
-* ``legal_color`` blocking is a per-color bitmask over the full-graph CSR.
+* the reinsertion's blocked colors are a per-color bitmask over the
+  full-graph CSR.
 
 Every float comparison keeps the reference expression order (including
 refinement's ``cost < best_cost - 1e-12``), and candidate orders, peer

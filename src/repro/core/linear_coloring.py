@@ -23,10 +23,12 @@ vertices that have color-friendly neighbours, round three everything else.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.coloring import ColoringAlgorithm
 from repro.core.evaluation import evaluate
+from repro.core.kernels.adjacency import CSRAdjacency
 from repro.core.refinement import refine_coloring
 from repro.graph.decomposition_graph import DecompositionGraph
 from repro.graph.simplify import peel_low_degree_vertices, reinsert_peeled_vertices
@@ -51,8 +53,12 @@ class LinearColoring(ColoringAlgorithm):
             if coloring is not None:
                 return coloring
 
-        # Stage 1: iterative removal of non-critical vertices.
-        kernel, stack = peel_low_degree_vertices(graph, self.num_colors)
+        # Stage 1: iterative removal of non-critical vertices, on ranks.
+        flat = graph.to_arrays()
+        ids = flat.vertex_ids
+        csr = CSRAdjacency(flat)
+        alive, _, _, _, stack = peel_low_degree_vertices(self.num_colors, 2, csr)
+        kernel = graph.subgraph([ids[r] for r in range(flat.num_vertices) if alive[r]])
 
         # Stage 2: peer selection over three vertex orders on the kernel.
         coloring: Dict[int, int]
@@ -74,7 +80,11 @@ class LinearColoring(ColoringAlgorithm):
                 refine_coloring(kernel, coloring, self.num_colors, self.options.alpha)
 
         # Pop the stack: every removed vertex has a guaranteed legal color.
-        reinsert_peeled_vertices(graph, coloring, stack, self.num_colors)
+        # The popped vertices join ``coloring`` in pop order.
+        colors = array("i", [coloring.get(vertex, -1) for vertex in ids])
+        reinsert_peeled_vertices(self.num_colors, stack, csr, colors)
+        for rank in reversed(stack):
+            coloring[ids[rank]] = colors[rank]
         return coloring
 
     # ------------------------------------------------------------ orderings

@@ -13,23 +13,13 @@ from repro.graph.construction import (
     ConstructionResult,
     build_decomposition_graph,
 )
-from repro.graph.components import (
-    component_of,
-    component_size_histogram,
-    connected_components,
-    largest_component_size,
-)
-from repro.graph.biconnected import (
-    articulation_points,
-    biconnected_components,
-    bridges,
-)
+from repro.graph.components import connected_components
+from repro.graph.biconnected import articulation_points, biconnected_components
 from repro.graph.maxflow import FlowNetwork
 from repro.graph.gomory_hu import GomoryHuTree, gomory_hu_tree
 from repro.graph.simplify import (
     MergedGraph,
     build_merged_graph,
-    legal_color,
     peel_low_degree_vertices,
     reinsert_peeled_vertices,
 )
@@ -48,18 +38,13 @@ __all__ = [
     "ConstructionResult",
     "build_decomposition_graph",
     "connected_components",
-    "component_of",
-    "component_size_histogram",
-    "largest_component_size",
     "articulation_points",
     "biconnected_components",
-    "bridges",
     "FlowNetwork",
     "GomoryHuTree",
     "gomory_hu_tree",
     "MergedGraph",
     "build_merged_graph",
-    "legal_color",
     "peel_low_degree_vertices",
     "reinsert_peeled_vertices",
     "StitchCandidate",

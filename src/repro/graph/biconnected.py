@@ -1,10 +1,9 @@
-"""Articulation points, bridges and 2-vertex-connected components.
+"""Articulation points and 2-vertex-connected components.
 
 The 2-vertex-connected (biconnected) component split is the third graph
 division technique of Section 4: a cut vertex can be colored once and the
 attached blocks colored independently, then merged by rotating whole blocks so
-the shared vertex keeps a single color.  Bridge detection additionally exposes
-1-cuts, the cheapest cut-removal case.
+the shared vertex keeps a single color.
 
 The implementation is an iterative Hopcroft–Tarjan DFS (no recursion) so that
 components with tens of thousands of vertices do not hit Python's recursion
@@ -13,7 +12,7 @@ limit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from repro.graph.decomposition_graph import DecompositionGraph
 
@@ -23,40 +22,6 @@ def articulation_points(graph: DecompositionGraph) -> Set[int]:
     vertices = graph.vertices()
     points, _ = _biconnected_dfs(_adjacency(graph, vertices))
     return {vertices[index] for index in points}
-
-
-def bridges(graph: DecompositionGraph) -> List[Tuple[int, int]]:
-    """Return the bridge edges (1-cuts) of the conflict+stitch graph."""
-    result: List[Tuple[int, int]] = []
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    counter = 0
-    for root in graph.vertices():
-        if root in index:
-            continue
-        stack: List[Tuple[int, int, List[int], int]] = []
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append((root, -1, sorted(graph.neighbors(root)), 0))
-        while stack:
-            vertex, parent, neighbours, pointer = stack.pop()
-            if pointer < len(neighbours):
-                stack.append((vertex, parent, neighbours, pointer + 1))
-                child = neighbours[pointer]
-                if child == parent:
-                    continue
-                if child in index:
-                    low[vertex] = min(low[vertex], index[child])
-                else:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append((child, vertex, sorted(graph.neighbors(child)), 0))
-            else:
-                if parent != -1:
-                    low[parent] = min(low[parent], low[vertex])
-                    if low[vertex] > index[parent]:
-                        result.append((min(parent, vertex), max(parent, vertex)))
-    return sorted(result)
 
 
 def biconnected_components(graph: DecompositionGraph) -> List[List[int]]:

@@ -9,7 +9,7 @@ assignment cost is driven by the largest component rather than the full chip.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.graph.decomposition_graph import DecompositionGraph
 
@@ -40,27 +40,6 @@ def connected_components(
         components.append(sorted(component))
     components.sort(key=lambda comp: comp[0])
     return components
-
-
-def component_of(
-    graph: DecompositionGraph, vertex: int, conflict_only: bool = False
-) -> List[int]:
-    """Return the sorted component containing ``vertex``."""
-    return sorted(_bfs(graph, vertex, conflict_only))
-
-
-def largest_component_size(graph: DecompositionGraph) -> int:
-    """Return the size of the largest connected component (0 for empty graphs)."""
-    components = connected_components(graph)
-    return max((len(c) for c in components), default=0)
-
-
-def component_size_histogram(graph: DecompositionGraph) -> Dict[int, int]:
-    """Return ``{component size: count}`` — the key workload difficulty metric."""
-    histogram: Dict[int, int] = {}
-    for component in connected_components(graph):
-        histogram[len(component)] = histogram.get(len(component), 0) + 1
-    return histogram
 
 
 def _bfs(graph: DecompositionGraph, start: int, conflict_only: bool) -> Set[int]:

@@ -87,8 +87,8 @@ class VertexData:
 class DecompositionGraph:
     """Undirected multi-relation graph {V, CE, SE} plus color-friendly edges.
 
-    Vertices are non-negative integers.  The structure is mutable: the
-    reference simplification stages remove and re-add vertices.
+    Vertices are non-negative integers.  Vertices and edges are added, never
+    removed: the flow's stages read the graph and build new ones from it.
     """
 
     def __init__(self) -> None:
@@ -174,22 +174,6 @@ class DecompositionGraph:
         self._stitch_adj[vertex] = set()
         self._friend_adj[vertex] = set()
 
-    def remove_vertex(self, vertex: int) -> None:
-        """Remove ``vertex`` and every edge incident to it."""
-        self._require(vertex)
-        for other in list(self._conflict_adj[vertex]):
-            self.remove_conflict_edge(vertex, other)
-        for other in list(self._stitch_adj[vertex]):
-            self.remove_stitch_edge(vertex, other)
-        for other in list(self._friend_adj[vertex]):
-            self._friend_adj[other].discard(vertex)
-            self._friend_edges.discard(_edge_key(vertex, other))
-        del self._vertices[vertex]
-        del self._conflict_adj[vertex]
-        del self._stitch_adj[vertex]
-        del self._friend_adj[vertex]
-        self._invalidate()
-
     def has_vertex(self, vertex: int) -> bool:
         """Return True if ``vertex`` is in the graph."""
         return vertex in self._vertices
@@ -234,26 +218,6 @@ class DecompositionGraph:
         self._friend_adj[u].add(v)
         self._friend_adj[v].add(u)
         self._friend_edges.add(_edge_key(u, v))
-        self._invalidate()
-
-    def remove_conflict_edge(self, u: int, v: int) -> None:
-        """Remove the conflict edge ``{u, v}`` (must exist)."""
-        key = _edge_key(u, v)
-        if key not in self._conflict_edges:
-            raise GraphError(f"no conflict edge {key}")
-        self._conflict_edges.remove(key)
-        self._conflict_adj[u].discard(v)
-        self._conflict_adj[v].discard(u)
-        self._invalidate()
-
-    def remove_stitch_edge(self, u: int, v: int) -> None:
-        """Remove the stitch edge ``{u, v}`` (must exist)."""
-        key = _edge_key(u, v)
-        if key not in self._stitch_edges:
-            raise GraphError(f"no stitch edge {key}")
-        self._stitch_edges.remove(key)
-        self._stitch_adj[u].discard(v)
-        self._stitch_adj[v].discard(u)
         self._invalidate()
 
     def has_conflict_edge(self, u: int, v: int) -> bool:
@@ -358,8 +322,8 @@ class DecompositionGraph:
     ) -> "DecompositionGraph":
         """Build a graph in one pass from its vertex data and three edge lists.
 
-        Every whole-graph build goes through here: :meth:`copy`,
-        :meth:`subgraph`, :meth:`from_edges` and :meth:`FlatGraph.to_graph
+        Every whole-graph build goes through here: :meth:`subgraph`,
+        :meth:`from_edges` and :meth:`FlatGraph.to_graph
         <repro.graph.flat.FlatGraph.to_graph>`, which also builds a view's
         object graph.
         ``vertex_data`` becomes the graph's own vertex map (pass a fresh
@@ -394,15 +358,6 @@ class DecompositionGraph:
             setattr(graph, adjacency_name, adjacency)
             setattr(graph, edges_name, _edge_set(edges))
         return graph
-
-    def copy(self) -> "DecompositionGraph":
-        """Return a deep structural copy (vertex data objects are shared)."""
-        return DecompositionGraph.from_parts(
-            dict(self._vertices),
-            self._conflict_edges,
-            self._stitch_edges,
-            self._friend_edges,
-        )
 
     def subgraph(self, keep: Iterable[int]) -> "DecompositionGraph":
         """Return the induced subgraph on ``keep`` (original vertex ids kept).
@@ -451,14 +406,6 @@ class DecompositionGraph:
         )
 
     # ------------------------------------------------------------------ misc
-    def degree_histogram(self) -> Dict[int, int]:
-        """Return a histogram of conflict degrees (diagnostics)."""
-        hist: Dict[int, int] = {}
-        for v in self._vertices:
-            d = len(self._conflict_adj[v])
-            hist[d] = hist.get(d, 0) + 1
-        return hist
-
     def _require(self, vertex: int) -> None:
         if vertex not in self._vertices:
             raise GraphError(f"unknown vertex {vertex}")

@@ -8,6 +8,11 @@ algorithms:
   (there are K colors and fewer than K constrained neighbours), so it is
   removed and pushed on a stack, possibly enabling further removals.  Popping
   the stack after coloring restores a complete, conflict-safe assignment.
+  Both run in *rank space*, on one component's
+  :class:`~repro.core.kernels.adjacency.CSRAdjacency` (a vertex is its
+  position in sorted-id order): they are the references of the compiled
+  ``repro_peel`` and ``repro_reinsert``, with the same arguments, results
+  and traversal, and no bound on the number of colors.
 * **Merged graphs** — the SDP mapping stage unions vertices that the
   relaxation places (almost) parallel; the merged graph carries aggregated
   conflict/stitch weights between groups so the exact backtracking stage can
@@ -16,8 +21,9 @@ algorithms:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.graph.decomposition_graph import DecompositionGraph
@@ -25,109 +31,89 @@ from repro.graph.unionfind import UnionFind
 
 
 def peel_low_degree_vertices(
-    graph: DecompositionGraph,
-    num_colors: int,
-    max_stitch_degree: int = 2,
-) -> Tuple[DecompositionGraph, List[int]]:
-    """Iteratively remove non-critical vertices.
+    num_colors: int, max_stitch_degree: int, csr
+) -> Tuple[array, array, array, array, array]:
+    """Iteratively remove non-critical vertices (Algorithm 2, lines 1-4).
 
-    A vertex is non-critical when its conflict degree is below ``num_colors``
-    and its stitch degree is below ``max_stitch_degree`` (Algorithm 2,
-    lines 1-4, with ``num_colors`` = 4 in QPLD).
+    A rank is non-critical while its conflict degree among the live ranks
+    is below ``num_colors`` and its stitch degree below
+    ``max_stitch_degree``.  ``csr`` is any object with the
+    :class:`~repro.core.kernels.adjacency.CSRAdjacency` attributes.
 
-    Returns the peeled copy of the graph and the removal stack (in removal
-    order; re-insert by popping from the end).
+    Returns ``(alive, cdeg, sdeg, fdeg, stack)``, as ``CompiledCore.peel``
+    does: ``alive`` (int8) marks the kernel; the int32 live conflict,
+    stitch and color-friendly degrees, each frozen at its removal for a
+    peeled rank; and the removed ranks in removal order (re-insert by
+    popping from the end).  The queue is LIFO, seeded in rank order and
+    guarded by a pending flag; degrees only fall, so it holds removable live
+    ranks only, each once.  A removed rank enqueues its now removable
+    neighbours in rank order.
     """
-    work = graph.copy()
+    n = csr.num_vertices
+    cs, ca = csr.conflict_start.tolist(), csr.conflict_adj.tolist()
+    ss, sa = csr.stitch_start.tolist(), csr.stitch_adj.tolist()
+    fs, fa = csr.friend_start.tolist(), csr.friend_adj.tolist()
+    cdeg = [cs[r + 1] - cs[r] for r in range(n)]
+    sdeg = [ss[r + 1] - ss[r] for r in range(n)]
+    fdeg = [fs[r + 1] - fs[r] for r in range(n)]
+    alive = [1] * n
+    queue = [r for r in range(n) if cdeg[r] < num_colors and sdeg[r] < max_stitch_degree]
+    pending = [False] * n
+    for rank in queue:
+        pending[rank] = True
     stack: List[int] = []
-    # Seed with all currently removable vertices, then propagate lazily.
-    candidates = [
-        v
-        for v in work.vertices()
-        if work.conflict_degree(v) < num_colors
-        and work.stitch_degree(v) < max_stitch_degree
-    ]
-    pending = set(candidates)
-    queue = list(candidates)
     while queue:
-        vertex = queue.pop()
-        pending.discard(vertex)
-        if not work.has_vertex(vertex):
-            continue
-        if (
-            work.conflict_degree(vertex) >= num_colors
-            or work.stitch_degree(vertex) >= max_stitch_degree
-        ):
-            continue
-        neighbours = work.neighbors(vertex)
-        work.remove_vertex(vertex)
-        stack.append(vertex)
-        # Sorted so the peel order is a function of graph *content*: raw set
-        # iteration order depends on the container's insertion history, which
-        # differs between an in-process graph and its pickled copy in a
-        # worker, and the peel order feeds the final coloring.
-        for other in sorted(neighbours):
-            if (
-                other not in pending
-                and work.has_vertex(other)
-                and work.conflict_degree(other) < num_colors
-                and work.stitch_degree(other) < max_stitch_degree
-            ):
-                pending.add(other)
+        rank = queue.pop()
+        pending[rank] = False
+        conflict = [other for other in ca[cs[rank] : cs[rank + 1]] if alive[other]]
+        stitch = [other for other in sa[ss[rank] : ss[rank + 1]] if alive[other]]
+        alive[rank] = 0
+        stack.append(rank)
+        for other in conflict:
+            cdeg[other] -= 1
+        for other in stitch:
+            sdeg[other] -= 1
+        for other in fa[fs[rank] : fs[rank + 1]]:
+            if alive[other]:
+                fdeg[other] -= 1
+        for other in sorted(set(conflict).union(stitch)) if stitch else conflict:
+            if not pending[other] and cdeg[other] < num_colors and sdeg[other] < max_stitch_degree:
+                pending[other] = True
                 queue.append(other)
-    return work, stack
-
-
-def legal_color(
-    graph: DecompositionGraph,
-    vertex: int,
-    coloring: Dict[int, int],
-    num_colors: int,
-) -> int:
-    """Pick a color for ``vertex`` that avoids colored conflict neighbours.
-
-    Preference order: a color shared by a stitch neighbour (avoids a stitch),
-    then the lowest free color, then — if every color is blocked, which can
-    only happen for vertices that were not peel-eligible — the color
-    minimising new conflicts.
-    """
-    blocked: Set[int] = {
-        coloring[n] for n in graph.conflict_neighbors(vertex) if n in coloring
-    }
-    # Sorted for determinism: with several differently-colored stitch
-    # neighbours the first legal one wins, so the visit order must not depend
-    # on set layout (see the peeling loop above).
-    stitch_colors = [
-        coloring[n] for n in sorted(graph.stitch_neighbors(vertex)) if n in coloring
-    ]
-    for color in stitch_colors:
-        if color not in blocked:
-            return color
-    for color in range(num_colors):
-        if color not in blocked:
-            return color
-    # Fall back to least-damaging color.
-    damage = [0] * num_colors
-    for n in graph.conflict_neighbors(vertex):
-        if n in coloring:
-            damage[coloring[n]] += 1
-    return min(range(num_colors), key=lambda c: damage[c])
+    return (
+        array("b", alive),
+        array("i", cdeg),
+        array("i", sdeg),
+        array("i", fdeg),
+        array("i", stack),
+    )
 
 
 def reinsert_peeled_vertices(
-    graph: DecompositionGraph,
-    coloring: Dict[int, int],
-    stack: Sequence[int],
-    num_colors: int,
-) -> Dict[int, int]:
-    """Pop the peel stack and assign each vertex a legal color.
+    num_colors: int, stack: Sequence[int], csr, colors
+) -> None:
+    """Pop the peel ``stack`` and give each rank a legal color, in place.
 
-    ``graph`` must be the original (un-peeled) graph; ``coloring`` is extended
-    in place and also returned.
+    ``colors`` holds one color per rank of ``csr``, ``-1`` for uncolored,
+    as ``CompiledCore.reinsert`` reads it.  A popped rank takes, in order of
+    preference: the color of its first colored stitch neighbour (in rank
+    order) that no colored conflict neighbour has, which avoids a stitch;
+    the lowest such free color; and — if every color is blocked, which can
+    only happen for a rank that was not peel-eligible — the lowest color
+    with the fewest colored conflict neighbours.
     """
-    for vertex in reversed(list(stack)):
-        coloring[vertex] = legal_color(graph, vertex, coloring, num_colors)
-    return coloring
+    cs, ca = csr.conflict_start, csr.conflict_adj
+    ss, sa = csr.stitch_start, csr.stitch_adj
+    for rank in reversed(stack):
+        taken = [colors[other] for other in ca[cs[rank] : cs[rank + 1]]]
+        blocked = set(taken)
+        stitched = (colors[other] for other in sa[ss[rank] : ss[rank + 1]])
+        picked = next((c for c in stitched if c >= 0 and c not in blocked), -1)
+        if picked < 0:
+            picked = next((c for c in range(num_colors) if c not in blocked), -1)
+        if picked < 0:
+            picked = min(range(num_colors), key=taken.count)
+        colors[rank] = picked
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for articulation points, bridges and biconnected components.
+"""Unit tests for articulation points and biconnected components.
 
 Random graphs are cross-checked against networkx, which is used as a test
 oracle only (the library implementation is self-contained).
@@ -8,7 +8,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.graph.biconnected import articulation_points, biconnected_components, bridges
+from repro.graph.biconnected import articulation_points, biconnected_components
 from repro.graph.decomposition_graph import DecompositionGraph
 
 
@@ -48,22 +48,6 @@ class TestArticulationPoints:
         g = random_graph(18, 0.15, seed)
         expected = set(nx.articulation_points(to_nx(g)))
         assert articulation_points(g) == expected
-
-
-class TestBridges:
-    def test_path_edges_are_bridges(self):
-        g = DecompositionGraph.from_edges([(0, 1), (1, 2)])
-        assert bridges(g) == [(0, 1), (1, 2)]
-
-    def test_cycle_has_no_bridges(self):
-        g = DecompositionGraph.from_edges([(0, 1), (1, 2), (2, 0)])
-        assert bridges(g) == []
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_networkx(self, seed):
-        g = random_graph(18, 0.12, seed)
-        expected = sorted(tuple(sorted(e)) for e in nx.bridges(to_nx(g)))
-        assert bridges(g) == expected
 
 
 class TestBiconnectedComponents:

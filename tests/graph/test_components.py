@@ -1,11 +1,6 @@
 """Unit tests for connected component computation."""
 
-from repro.graph.components import (
-    component_of,
-    component_size_histogram,
-    connected_components,
-    largest_component_size,
-)
+from repro.graph.components import connected_components
 from repro.graph.decomposition_graph import DecompositionGraph
 
 
@@ -28,19 +23,6 @@ class TestConnectedComponents:
 
     def test_empty_graph(self):
         assert connected_components(DecompositionGraph()) == []
-
-    def test_component_of(self):
-        g = DecompositionGraph.from_edges([(0, 1), (2, 3)])
-        assert component_of(g, 3) == [2, 3]
-
-    def test_largest_component_size(self):
-        g = DecompositionGraph.from_edges([(0, 1), (1, 2), (4, 5)])
-        assert largest_component_size(g) == 3
-        assert largest_component_size(DecompositionGraph()) == 0
-
-    def test_size_histogram(self):
-        g = DecompositionGraph.from_edges([(0, 1), (2, 3), (4, 5), (6, 7), (7, 8)])
-        assert component_size_histogram(g) == {2: 3, 3: 1}
 
     def test_components_partition_vertices(self):
         g = DecompositionGraph.from_edges(

@@ -145,12 +145,9 @@ class TestMemoisation:
         cases = [
             lambda g: g.add_vertex(99),
             lambda g: g.add_vertex(3, VertexData(weight=9)),
-            lambda g: g.remove_vertex(5),
             lambda g: g.add_conflict_edge(3, 8),
             lambda g: g.add_stitch_edge(3, 8),
             lambda g: g.add_friend_edge(5, 11),
-            lambda g: g.remove_conflict_edge(5, 8),
-            lambda g: g.remove_stitch_edge(8, 11),
         ]
         for mutate in cases:
             graph = _rich_graph()

@@ -1,14 +1,20 @@
 """The compiled division stages against their references.
 
-``repro_kclasses`` (stage 4) and ``repro_blocks`` (stage 3) in
-``_solvecore.c`` run on one piece of a component: its sorted ranks, the
-component's CSR adjacency and a rank-to-position scratch that must come back
-all ``-1``.  On random graphs whose conflict and stitch edges may share a
-pair (a parallel edge of capacity 2), with isolated vertices and K from 0 to
-6, the compiled K-classes must equal ``GomoryHuTree.components_below`` and
-the exact Gusfield tree cut below K.  The compiled blocks of rank subsets of
-a larger component must come out in ``_biconnected_dfs``'s discovery order
-and, sorted, equal ``biconnected_blocks``.
+``repro_peel`` and ``repro_reinsert`` (stage 2) run on a whole component's
+CSR adjacency: on random graphs with color-friendly edges, K from 2 to 64
+and a stitch bound from 1 to 3, the compiled peel must return the tuple
+``graph/simplify.peel_low_degree_vertices`` returns, array for array, and
+the compiled reinsertion must fill the colors its reference fills, from the
+peel's own stack and from random partial colorings and stacks.
+``repro_kclasses`` (stage 4) and ``repro_blocks`` (stage 3) run on one piece
+of a component: its sorted ranks, the component's CSR adjacency and a
+rank-to-position scratch that must come back all ``-1``.  On random graphs
+whose conflict and stitch edges may share a pair (a parallel edge of
+capacity 2), with isolated vertices and K from 0 to 6, the compiled
+K-classes must equal ``GomoryHuTree.components_below`` and the exact
+Gusfield tree cut below K.  The compiled blocks of rank subsets of a larger
+component must come out in ``_biconnected_dfs``'s discovery order and,
+sorted, equal ``biconnected_blocks``.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from repro.core.kernels.ccore import compiled_core
 from repro.graph.biconnected import _biconnected_dfs, biconnected_blocks
 from repro.graph.decomposition_graph import DecompositionGraph
 from repro.graph.gomory_hu import gomory_hu_tree
+from repro.graph.simplify import peel_low_degree_vertices, reinsert_peeled_vertices
 
 pytestmark = pytest.mark.skipif(
     compiled_core() is None, reason="compiled solve core unavailable"
@@ -47,9 +54,11 @@ def components(draw, max_vertices=14):
     return n, conflict, stitch
 
 
-def csr_of(n, conflict, stitch) -> CSRAdjacency:
+def csr_of(n, conflict, stitch, friend=()) -> CSRAdjacency:
     """The CSR adjacency of the graph on ids ``0..n-1`` (a rank is its id)."""
     graph = DecompositionGraph.from_edges(conflict, stitch, vertices=range(n))
+    for u, v in friend:
+        graph.add_friend_edge(u, v)
     return CSRAdjacency(graph.to_arrays())
 
 
@@ -75,6 +84,44 @@ def subsets(data, n: int):
     if n == 0:
         return []
     return sorted(data.draw(st.sets(st.integers(min_value=0, max_value=n - 1))))
+
+
+# ------------------------------------------------------------ stage 2
+@settings(max_examples=300, deadline=None)
+@given(
+    components(max_vertices=24),
+    st.one_of(st.integers(min_value=2, max_value=4), st.integers(min_value=2, max_value=64)),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_peel_and_reinsert_equal_the_references(component, num_colors, max_stitch, data):
+    n, conflict, stitch = component
+    friend = set()
+    if n >= 2:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for u, v in data.draw(st.lists(pair.filter(lambda p: p[0] != p[1]), max_size=2 * n)):
+            friend.add((min(u, v), max(u, v)))
+    csr = csr_of(n, conflict, stitch, sorted(friend))
+    core = compiled_core()
+    expected = peel_low_degree_vertices(num_colors, max_stitch, csr)
+    got = core.peel(num_colors, max_stitch, csr)
+    assert got == expected
+    assert [a.typecode for a in got] == [a.typecode for a in expected]
+
+    alive, stack = expected[0], expected[4]
+    color = st.integers(min_value=0, max_value=num_colors - 1)
+    kernel = array("i", [data.draw(color) if alive[r] else -1 for r in range(n)])
+    partial = array("i", data.draw(st.lists(st.one_of(st.just(-1), color), min_size=n, max_size=n)))
+    shuffled = array("i", data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))])
+    # Every rank colored and popped: where all K colors get blocked.
+    recolored = array("i", data.draw(st.lists(color, min_size=n, max_size=n)))
+    everything = array("i", data.draw(st.permutations(range(n))))
+    for order, colors in ((stack, kernel), (shuffled, partial), (everything, recolored)):
+        want, have = array("i", colors), array("i", colors)
+        reinsert_peeled_vertices(num_colors, order, csr, want)
+        core.reinsert(num_colors, order, csr, have)
+        assert have == want
+        assert order is not stack or -1 not in want  # the peel's stack colors all
 
 
 # ------------------------------------------------------------ stage 4

@@ -1,15 +1,18 @@
 """The rank-space division against the object-graph division it replaced.
 
-``color_component`` runs stages 2-4 on the component's ranks: the compiled
-peel and reinsert when the core is loaded and K is within
-``MAX_COMPILED_COLORS``, ``graph/simplify`` otherwise, and blocks, K-classes
-and merges on rank arrays always.  The oracle below is the object-graph
-division as it stood before (peel a copy, ``subgraph`` per kernel piece,
-block and part, merge through ``merge_component_colorings``), with its own
-dict-based Hopcroft–Tarjan.  On randomized graphs, under each division
-toggle, every way of running the rank-space division must give the oracle's
-coloring and report: mode ``off``, mode ``compiled``, a core whose peel
-cannot allocate, and K past the compiled bound.
+``color_component`` runs stages 2-4 on the component's ranks: the peel and
+the reinsertion in the compiled core when it is loaded and K is within
+``MAX_COMPILED_COLORS``, their rank-space references in ``graph/simplify``
+otherwise, and blocks, K-classes and merges on rank arrays always.  The
+oracle below is the object-graph division as it stood before (peel the live
+vertices one at a time, reinsert by legal color, ``subgraph`` per kernel
+piece, block and part, merge through ``merge_component_colorings``), with
+its own dict-based Hopcroft–Tarjan.  On randomized graphs, under each
+division toggle, every way of running the rank-space division must give the
+oracle's coloring and report: mode ``off``, mode ``compiled``, a core whose
+peel cannot allocate, and K past the compiled bound.  On the paths without
+the compiled peel the division must also build no object graph outside the
+colorer.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from repro.core.rotation import merge_component_colorings
 from repro.graph.biconnected import biconnected_components
 from repro.graph.components import connected_components
 from repro.graph.decomposition_graph import DecompositionGraph
+from repro.graph.flat import flatten_graph
 from repro.graph.gomory_hu import gomory_hu_tree
-from repro.graph.simplify import peel_low_degree_vertices, reinsert_peeled_vertices
 
 needs_compiled = pytest.mark.skipif(
     compiled_core() is None, reason="compiled solve core unavailable"
@@ -138,13 +141,61 @@ def _oracle_blocks(graph: DecompositionGraph) -> List[List[int]]:
     return blocks
 
 
+def _oracle_peel(graph: DecompositionGraph, num_colors: int) -> Tuple[Set[int], List[int]]:
+    """The object-graph peel: ``(kernel vertices, removal stack)``.
+
+    Degrees count live neighbours only; the queue is LIFO, guarded by a
+    pending set, and a removed vertex enqueues its removable neighbours in
+    id order.
+    """
+    live = set(graph.vertices())
+
+    def removable(vertex: int) -> bool:
+        return (
+            len(graph.conflict_neighbors(vertex) & live) < num_colors
+            and len(graph.stitch_neighbors(vertex) & live) < 2
+        )
+
+    queue = [vertex for vertex in graph.vertices() if removable(vertex)]
+    pending = set(queue)
+    stack: List[int] = []
+    while queue:
+        vertex = queue.pop()
+        pending.discard(vertex)
+        if vertex not in live or not removable(vertex):
+            continue
+        neighbours = graph.neighbors(vertex) & live
+        live.discard(vertex)
+        stack.append(vertex)
+        for other in sorted(neighbours):
+            if other not in pending and removable(other):
+                pending.add(other)
+                queue.append(other)
+    return live, stack
+
+
+def _oracle_reinsert(graph, coloring: Dict[int, int], stack, num_colors: int) -> None:
+    """Pop ``stack``, giving each vertex its legal color (in place): a
+    stitch neighbour's color, else the lowest free color, else the color
+    seen least on its colored conflict neighbours."""
+    for vertex in reversed(stack):
+        conflicting = [coloring[n] for n in graph.conflict_neighbors(vertex) if n in coloring]
+        stitched = [coloring[n] for n in sorted(graph.stitch_neighbors(vertex)) if n in coloring]
+        free = [color for color in range(num_colors) if color not in conflicting]
+        legal = [color for color in stitched if color not in conflicting] + free
+        coloring[vertex] = (
+            legal[0] if legal else min(range(num_colors), key=conflicting.count)
+        )
+
+
 def _oracle_component(graph, colorer, division, report) -> Dict[int, int]:
     """Stages 2-4 on the component graph, as the division ran them before."""
     num_colors = colorer.num_colors
     if division.low_degree_removal:
-        kernel, stack = peel_low_degree_vertices(graph, num_colors)
+        live, stack = _oracle_peel(graph, num_colors)
+        kernel = graph.subgraph(live)
     else:
-        kernel, stack = graph.copy(), []
+        kernel, stack = graph.subgraph(graph.vertices()), []
     report.peeled_vertices += len(stack)
     coloring: Dict[int, int] = {}
     if kernel.num_vertices:
@@ -152,7 +203,7 @@ def _oracle_component(graph, colorer, division, report) -> Dict[int, int]:
             coloring.update(
                 _oracle_blocks_stage(kernel.subgraph(piece), colorer, division, report)
             )
-    reinsert_peeled_vertices(graph, coloring, stack, num_colors)
+    _oracle_reinsert(graph, coloring, stack, num_colors)
     return coloring
 
 
@@ -366,14 +417,72 @@ def test_past_the_compiled_color_bound(toggle):
             assert got == expected, (index, algorithm, toggle)
 
 
+class _BuildCounter:
+    """Counts ``DecompositionGraph.from_parts`` calls, every whole-graph
+    build, made while no watched colorer is coloring."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.outside = 0
+        self._coloring = 0
+        from_parts = DecompositionGraph.from_parts.__func__
+
+        def counted(cls, *args, **kwargs):
+            self.outside += not self._coloring
+            return from_parts(cls, *args, **kwargs)
+
+        monkeypatch.setattr(DecompositionGraph, "from_parts", classmethod(counted))
+
+    def watch(self, colorer):
+        color = colorer.color
+
+        def watched(graph):
+            self._coloring += 1
+            try:
+                return color(graph)
+            finally:
+                self._coloring -= 1
+
+        colorer.color = watched
+        return colorer
+
+
+@pytest.mark.parametrize("toggle", TOGGLES)
+@pytest.mark.parametrize("setting", ["off", "past_the_bound", "failed_peel"])
+def test_the_reference_peel_builds_no_graph(request, monkeypatch, setting, toggle):
+    """Mode ``off``, K past the compiled bound and a core whose peel cannot
+    allocate: stages 2-4 of a component view read its flat form only, so
+    every object graph is built inside the colorer."""
+    division = _division(toggle)
+    algorithms = ("greedy", "linear")
+    if setting == "past_the_bound":
+        rng = random.Random(5)
+        cases = [(i, MAX_COMPILED_COLORS + 1, division_graph(rng, 6)) for i in range(3)]
+        set_kernel_mode("auto")
+    elif setting == "failed_peel":
+        cases = list(_cases(range(3)))
+        request.getfixturevalue("failing_core")
+        algorithms = ("linear",)  # the failing core has no greedy walk
+    else:
+        cases = list(_cases(range(3)))
+        set_kernel_mode("off")
+    counter = _BuildCounter(monkeypatch)
+    for seed, num_colors, graph in cases:
+        view = DecompositionGraph.from_flat(flatten_graph(graph))
+        for algorithm in algorithms:
+            colorer = counter.watch(make_colorer(algorithm, num_colors, AlgorithmOptions()))
+            coloring = color_component(view, colorer, division, DivisionReport())
+            assert sorted(coloring) == graph.vertices()
+            assert counter.outside == 0, (seed, num_colors, algorithm)
+
+
 def test_graphs_reach_every_stage():
     """The generator exercises what the parity checks claim to cover."""
     totals = DivisionReport()
     disconnected = 0
     for _, num_colors, graph in _cases(range(6)):
         _, report = _oracle(graph, "linear", num_colors, DivisionOptions())
-        kernel, _ = peel_low_degree_vertices(graph, num_colors)
-        disconnected += len(connected_components(kernel)) > 1
+        live, _ = _oracle_peel(graph, num_colors)
+        disconnected += len(connected_components(graph.subgraph(live))) > 1
         totals.merge_from(DivisionReport(**report))
     assert totals.peeled_vertices and totals.num_biconnected_blocks
     assert totals.num_ghtree_parts and disconnected

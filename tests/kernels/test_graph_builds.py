@@ -1,14 +1,15 @@
 """A work gate: how many object graphs one decomposition builds.
 
 Every whole-graph build goes through ``DecompositionGraph.from_parts``
-(``copy``, ``subgraph``, ``from_edges`` and ``FlatGraph.to_graph``, which
-also builds a view's object graph), so counting its calls counts them.  A
-count, not a timing, so it holds on any runner.  With the compiled core,
-``linear`` and ``greedy`` read only flat forms: the construction, the
-component split, the division's pieces and the scoring must build no graph
-at all.  ``sdp-backtrack`` builds a piece's graph inside ``SdpColoring``,
-where the relaxation and the mapping read its edges, at most once per
-piece, and nowhere else.
+(``subgraph``, ``from_edges`` and ``FlatGraph.to_graph``, which also builds
+a view's object graph), so counting its calls counts them.  A count, not a
+timing, so it holds on any runner.  With the compiled core, ``linear`` and
+``greedy`` read only flat forms: the construction, the component split, the
+division's pieces and the scoring must build no graph at all.
+``sdp-backtrack`` builds a piece's graph inside ``SdpColoring``, where the
+relaxation and the mapping read its edges, at most once per piece, and
+nowhere else.  This module skips itself without the compiled core; the
+division's own count, in every mode, is in ``test_division_parity.py``.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Property-based tests for the graph algorithms."""
 
 import random
+from array import array
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kernels.adjacency import CSRAdjacency
 from repro.graph.components import connected_components
 from repro.graph.decomposition_graph import DecompositionGraph
 from repro.graph.gomory_hu import gomory_hu_tree
@@ -136,7 +138,8 @@ class TestPeelingProperties:
     def test_kernel_vertices_have_high_degree_or_stitches(self, data, k):
         n, edges = data
         g = DecompositionGraph.from_edges(edges, vertices=range(n))
-        kernel, stack = peel_low_degree_vertices(g, k)
+        alive, _, _, _, stack = peel_low_degree_vertices(k, 2, CSRAdjacency(g.to_arrays()))
+        kernel = g.subgraph([v for v in range(n) if alive[v]])
         assert set(kernel.vertices()) | set(stack) == set(range(n))
         for vertex in kernel.vertices():
             assert (
@@ -152,13 +155,16 @@ class TestPeelingProperties:
 
         n, edges = data
         g = DecompositionGraph.from_edges(edges, vertices=range(n))
-        kernel, stack = peel_low_degree_vertices(g, k)
+        csr = CSRAdjacency(g.to_arrays())
+        alive, _, _, _, stack = peel_low_degree_vertices(k, 2, csr)
+        kernel = g.subgraph([v for v in range(n) if alive[v]])
         coloring = greedy_color_graph(kernel, k, 0.1) if kernel.num_vertices else {}
-        reinsert_peeled_vertices(g, coloring, stack, k)
+        colors = array("i", [coloring.get(v, -1) for v in range(n)])
+        reinsert_peeled_vertices(k, stack, csr, colors)
         peeled = set(stack)
         for u, v in g.conflict_edges():
             if u in peeled or v in peeled:
-                assert coloring[u] != coloring[v]
+                assert colors[u] != colors[v]
 
 
 class TestMergedGraphProperties:
