@@ -34,6 +34,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -48,7 +49,7 @@ from repro.core.linear_coloring import LinearColoring
 from repro.core.options import AlgorithmOptions
 from repro.core.sdp_coloring import SdpColoring
 from repro.experiments.runner import build_graph_for_circuit
-from repro.opt.sdp import SdpOptions
+from repro.opt.sdp import SdpOptions, VectorProgramSolver
 
 #: table -> (circuits, K)
 TABLES = {1: (TABLE1_CIRCUITS, 4), 2: (TABLE2_CIRCUITS, 5)}
@@ -73,18 +74,22 @@ def _colorer(
     return SdpColoring(num_colors, AlgorithmOptions(), mapping, sdp_options=options)
 
 
-class _CountingSdp(SdpColoring):
-    """``sdp-backtrack`` that keeps ``(iterations, violation)`` per relaxation."""
+@contextmanager
+def _recording_relaxations():
+    """Collect the ``(iterations, violation)`` of every relaxation solved."""
+    relaxations: List[tuple] = []
+    original = VectorProgramSolver.solve
 
-    def __init__(self, num_colors: int, options: SdpOptions) -> None:
-        super().__init__(
-            num_colors, AlgorithmOptions(), "backtrack", sdp_options=options
-        )
-        self.relaxations: List[tuple] = []
+    def recording(solver, *args, **kwargs):
+        result = original(solver, *args, **kwargs)
+        relaxations.append((result.iterations, result.constraint_violation))
+        return result
 
-    def _backtrack_mapping(self, graph, result, index):
-        self.relaxations.append((result.iterations, result.constraint_violation))
-        return super()._backtrack_mapping(graph, result, index)
+    VectorProgramSolver.solve = recording
+    try:
+        yield relaxations
+    finally:
+        VectorProgramSolver.solve = original
 
 
 def _cell(graphs: List, colorer: ColoringAlgorithm) -> Dict[str, object]:
@@ -103,13 +108,14 @@ def _cell(graphs: List, colorer: ColoringAlgorithm) -> Dict[str, object]:
 def _relaxation_counts(rounds: int) -> Dict[str, int]:
     """The relaxation's work on the ``sdp-k4`` inputs under ``rounds``."""
     options = SdpOptions(max_outer_iterations=rounds)
-    colorer = _CountingSdp(4, options)
-    for circuit in TABLE1_CIRCUITS:
-        graph = build_graph_for_circuit(circuit, 4, COUNT_SCALE).graph
-        divide_and_color(graph, colorer)
+    colorer = _colorer("sdp-backtrack", 4, options)
+    with _recording_relaxations() as relaxations:
+        for circuit in TABLE1_CIRCUITS:
+            graph = build_graph_for_circuit(circuit, 4, COUNT_SCALE).graph
+            divide_and_color(graph, colorer)
     cap = options.max_outer_iterations * options.max_inner_iterations
-    steps = [steps for steps, _ in colorer.relaxations]
-    violations = [violation for _, violation in colorer.relaxations]
+    steps = [steps for steps, _ in relaxations]
+    violations = [violation for _, violation in relaxations]
     return {
         "calls": len(steps),
         "gradient_steps": sum(steps),

@@ -1,13 +1,15 @@
 """Benchmark: per-component solve speed of the compiled flat-array kernels.
 
-The per-component solvers and the SDP relaxation run either as their
-reference implementations or on the compiled C core.  This harness measures
-each on the Table 1 circuits in both modes and records the speedups:
+Each colorer runs one rank-space flow whose stages, and the SDP
+relaxation, run either as their Python references or on the compiled C
+core.  This harness measures each on the Table 1 circuits in both modes and
+records the speedups:
 
-* **greedy**    — ``GreedyColoring`` over every component: reference vs the
-  compiled walk;
+* **greedy**    — ``GreedyColoring`` over every component: the Python walk
+  (mode ``off``) vs the compiled walk;
 * **linear**    — ``LinearColoring`` (peel / peer selection / refinement /
-  reinsertion) over every component, same two modes;
+  reinsertion) over every component: every stage on its Python reference
+  vs every stage in the core;
 * **backtrack** — ``search_merged_graph`` vs the packed kernel on the merged
   graphs of the small components (the exact search is exponential, so the
   leg is capped at ``BACKTRACK_MAX_NODES`` merged nodes — the cap and how
@@ -365,7 +367,8 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
         "note": (
             "per-component microseconds, best-of over repeated full-circuit "
             "sweeps; every timed kernel call is parity-checked against the "
-            "reference coloring first.  'off' is the dict-walking reference; "
+            "reference coloring first.  'off' runs every stage's Python "
+            "reference (for greedy and linear, the same rank-space flow); "
             "the backtrack leg runs only on components whose merged graph "
             "has <= backtrack_max_nodes nodes (skips are counted per row) "
             "and under backtrack_expansion_limit expansions per search.  "

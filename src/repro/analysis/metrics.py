@@ -84,11 +84,12 @@ def conflict_report(result: DecompositionResult) -> List[ConflictReport]:
     hotspot a designer would inspect (or fix by stitch insertion / manual
     recoloring).
     """
-    graph = result.construction.graph
+    flat = result.construction.graph.to_arrays()
     fragments = result.construction.fragments
     coloring = result.solution.coloring
     reports: List[ConflictReport] = []
-    for u, v in graph.conflict_edges():
+    vertex_of, edges = flat.vertex_ids.__getitem__, flat.conflict_edges
+    for u, v in zip(map(vertex_of, edges[0::2]), map(vertex_of, edges[1::2])):
         if coloring[u] != coloring[v]:
             continue
         rects = fragments[u] + fragments[v]
@@ -124,25 +125,27 @@ class GraphStatistics:
 
 
 def graph_statistics(graph: DecompositionGraph, num_colors: int = 4) -> GraphStatistics:
-    """Summarise a decomposition graph.
+    """Summarise a decomposition graph from its flat form.
 
     ``kernel_vertices`` counts the vertices that survive low-degree peeling —
     the part of the graph the expensive color-assignment algorithms actually
     see.
     """
+    from repro.core.division import rank_components
     from repro.core.kernels.adjacency import CSRAdjacency
-    from repro.graph.components import connected_components
     from repro.graph.simplify import peel_low_degree_vertices
 
-    vertices = graph.vertices()
-    degrees = [graph.conflict_degree(v) for v in vertices]
-    components = connected_components(graph)
-    alive, *_ = peel_low_degree_vertices(num_colors, 2, CSRAdjacency(graph.to_arrays()))
+    flat = graph.to_arrays()
+    csr = CSRAdjacency(flat)
+    start = csr.conflict_start
+    degrees = [start[rank + 1] - start[rank] for rank in range(flat.num_vertices)]
+    _, components = rank_components(csr)
+    alive, *_ = peel_low_degree_vertices(num_colors, 2, csr)
     return GraphStatistics(
-        vertices=graph.num_vertices,
-        conflict_edges=graph.num_conflict_edges,
-        stitch_edges=graph.num_stitch_edges,
-        friend_edges=len(graph.friend_edges()),
+        vertices=flat.num_vertices,
+        conflict_edges=flat.num_conflict_edges,
+        stitch_edges=flat.num_stitch_edges,
+        friend_edges=flat.num_friend_edges,
         max_conflict_degree=max(degrees, default=0),
         average_conflict_degree=(sum(degrees) / len(degrees)) if degrees else 0.0,
         component_count=len(components),

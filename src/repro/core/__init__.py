@@ -20,11 +20,10 @@ from repro.core.evaluation import (
     evaluate,
 )
 from repro.core.backtrack import BacktrackColoring, BacktrackStatistics, search_merged_graph
-from repro.core.greedy_coloring import GreedyColoring, greedy_color_graph
+from repro.core.greedy_coloring import GreedyColoring
 from repro.core.ilp_coloring import IlpColoring
 from repro.core.linear_coloring import LinearColoring
 from repro.core.sdp_coloring import SdpColoring
-from repro.core.refinement import refine_coloring
 from repro.core.rotation import best_rotation, merge_component_colorings, rotate_coloring
 from repro.core.division import DivisionReport, divide_and_color
 from repro.core.decomposer import (
@@ -54,11 +53,9 @@ __all__ = [
     "BacktrackStatistics",
     "search_merged_graph",
     "GreedyColoring",
-    "greedy_color_graph",
     "IlpColoring",
     "LinearColoring",
     "SdpColoring",
-    "refine_coloring",
     "best_rotation",
     "merge_component_colorings",
     "rotate_coloring",

@@ -218,27 +218,24 @@ def run_backtrack_search(
 ) -> Dict[int, int]:
     """Solve ``merged`` with the fastest available backtracking implementation.
 
-    Dispatches through :func:`repro.core.kernels.select_kernel` to the
-    compiled packed-array kernel when the core is loaded, and to the
+    Runs the compiled packed-array kernel when the core is loaded, and the
     reference :func:`search_merged_graph` otherwise (or when the kernel
     declines, e.g. on a C allocation failure).  Both are bit-identical —
     same coloring, same tie-breaks, same expansion count and statistics —
     so call sites never observe which one ran.
     """
-    from repro.core.kernels import select_kernel
+    from repro.core.kernels.backtrack_kernel import backtrack_search
 
-    kernel = select_kernel("backtrack")
-    if kernel is not None:
-        coloring = kernel.backtrack_search(
-            merged,
-            num_colors,
-            alpha,
-            expansion_limit=expansion_limit,
-            initial=initial,
-            statistics=statistics,
-        )
-        if coloring is not None:
-            return coloring
+    coloring = backtrack_search(
+        merged,
+        num_colors,
+        alpha,
+        expansion_limit=expansion_limit,
+        initial=initial,
+        statistics=statistics,
+    )
+    if coloring is not None:
+        return coloring
     return search_merged_graph(
         merged,
         num_colors,
@@ -264,13 +261,10 @@ class BacktrackColoring(ColoringAlgorithm):
         if graph.num_vertices == 0:
             return {}
         merged = build_merged_graph(graph, [])
-        group_of = merged.group_of()
         node_coloring = run_backtrack_search(
             merged,
             self.num_colors,
             self.options.alpha,
             expansion_limit=self.options.backtrack_expansion_limit,
         )
-        return {
-            vertex: node_coloring[group_of[vertex]] for vertex in graph.vertices()
-        }
+        return merged.expand_coloring(node_coloring)

@@ -69,37 +69,34 @@ def _ends(edges, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return codes[pairs[:, 0]], codes[pairs[:, 1]]
 
 
-def _conflicts(flat, codes: np.ndarray) -> int:
-    u, v = _ends(flat.conflict_edges, codes)
+def _conflicts(edges, codes: np.ndarray) -> int:
+    u, v = _ends(edges, codes)
     return int(np.count_nonzero((u >= 0) & (u == v)))
 
 
-def _stitches(flat, codes: np.ndarray) -> int:
-    u, v = _ends(flat.stitch_edges, codes)
+def _stitches(edges, codes: np.ndarray) -> int:
+    u, v = _ends(edges, codes)
     return int(np.count_nonzero((u >= 0) & (v >= 0) & (u != v)))
+
+
+def count_rank_pairs(conflict_edges, stitch_edges, colors) -> Tuple[int, int]:
+    """``(conflicts, stitches)`` of the int32 rank ``colors`` (``-1`` =
+    uncolored) over two flat rank-pair arrays: what
+    ``CompiledCore.evaluate`` counts, with the same arguments."""
+    codes = np.frombuffer(colors, dtype=np.intc)
+    return _conflicts(conflict_edges, codes), _stitches(stitch_edges, codes)
 
 
 def count_conflicts(graph: DecompositionGraph, coloring: Dict[int, int]) -> int:
     """Return the number of conflict edges with equal endpoint colors."""
     flat = graph.to_arrays()
-    return _conflicts(flat, _color_codes(flat, coloring))
+    return _conflicts(flat.conflict_edges, _color_codes(flat, coloring))
 
 
 def count_stitches(graph: DecompositionGraph, coloring: Dict[int, int]) -> int:
     """Return the number of stitch edges with different endpoint colors."""
     flat = graph.to_arrays()
-    return _stitches(flat, _color_codes(flat, coloring))
-
-
-def conflict_edges_violated(
-    graph: DecompositionGraph, coloring: Dict[int, int]
-) -> List[Tuple[int, int]]:
-    """Return the conflict edges left uncolored-correctly (reporting helper)."""
-    return [
-        (u, v)
-        for (u, v) in graph.conflict_edges()
-        if coloring.get(u) is not None and coloring.get(u) == coloring.get(v)
-    ]
+    return _stitches(flat.stitch_edges, _color_codes(flat, coloring))
 
 
 def evaluate(
@@ -109,7 +106,9 @@ def evaluate(
     flat = graph.to_arrays()
     codes = _color_codes(flat, coloring)
     return CostBreakdown(
-        conflicts=_conflicts(flat, codes), stitches=_stitches(flat, codes), alpha=alpha
+        conflicts=_conflicts(flat.conflict_edges, codes),
+        stitches=_stitches(flat.stitch_edges, codes),
+        alpha=alpha,
     )
 
 

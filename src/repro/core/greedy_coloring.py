@@ -10,56 +10,43 @@ so the result is deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, List, Tuple
 
 from repro.core.coloring import ColoringAlgorithm
+from repro.core.kernels import MAX_COMPILED_COLORS, active_core
+from repro.core.kernels.adjacency import CSRAdjacency, degree_order
 from repro.graph.decomposition_graph import DecompositionGraph
 from repro.graph.simplify import MergedGraph
 
 
-def pick_greedy_color(
-    graph: DecompositionGraph,
-    vertex: int,
-    coloring: Dict[int, int],
+def greedy_walk(
+    n: int,
     num_colors: int,
     alpha: float,
-) -> int:
-    """Return the locally cheapest color for ``vertex`` given ``coloring``."""
-    conflict_hits = [0] * num_colors
-    stitch_hits = [0] * num_colors
-    for neighbour in graph.conflict_neighbors(vertex):
-        color = coloring.get(neighbour)
-        if color is not None:
-            conflict_hits[color] += 1
-    colored_stitches = 0
-    for neighbour in graph.stitch_neighbors(vertex):
-        color = coloring.get(neighbour)
-        if color is not None:
-            stitch_hits[color] += 1
-            colored_stitches += 1
+    order,
+    conflict_start,
+    conflict_adj,
+    stitch_start,
+    stitch_adj,
+    colors,
+) -> None:
+    """Color the ranks in ``order`` one after another, on ``colors`` in place.
 
-    def cost(color: int) -> Tuple[float, int]:
-        stitches = colored_stitches - stitch_hits[color]
-        return (conflict_hits[color] + alpha * stitches, color)
-
-    return min(range(num_colors), key=cost)
-
-
-def greedy_color_graph(
-    graph: DecompositionGraph,
-    num_colors: int,
-    alpha: float,
-    order: Optional[Sequence[int]] = None,
-) -> Dict[int, int]:
-    """Greedily color a graph; ``order`` defaults to decreasing conflict degree."""
-    if order is None:
-        order = sorted(
-            graph.vertices(), key=lambda v: (-graph.conflict_degree(v), v)
+    The reference of ``CompiledCore.greedy_walk``, with its arguments:
+    ``colors`` holds one color per rank of the CSR rows, ``-1`` for
+    uncolored, and ``order`` has ``n`` ranks.  A rank takes the first color
+    of least ``conflicts + alpha * stitches``, counting its colored conflict
+    neighbours of that color and its colored stitch neighbours of another.
+    """
+    cs, ca, ss, sa = conflict_start, conflict_adj, stitch_start, stitch_adj
+    for rank in order[:n]:
+        conflict = [colors[other] for other in ca[cs[rank] : cs[rank + 1]]]
+        stitch = [c for c in (colors[other] for other in sa[ss[rank] : ss[rank + 1]]) if c >= 0]
+        colors[rank] = min(
+            range(num_colors),
+            key=lambda c: conflict.count(c) + alpha * (len(stitch) - stitch.count(c)),
         )
-    coloring: Dict[int, int] = {}
-    for vertex in order:
-        coloring[vertex] = pick_greedy_color(graph, vertex, coloring, num_colors, alpha)
-    return coloring
 
 
 def greedy_color_merged(
@@ -67,7 +54,7 @@ def greedy_color_merged(
 ) -> Dict[int, int]:
     """Greedily color a merged (weighted) graph; returns node -> color.
 
-    Mirrors :func:`greedy_color_graph` exactly on singleton-group merged
+    Mirrors :class:`GreedyColoring` exactly on singleton-group merged
     graphs: nodes are processed in decreasing conflict-degree order (number
     of distinct conflict-weighted edges, the merged analogue of
     ``conflict_degree``), cost accumulators stay integers until the single
@@ -117,12 +104,31 @@ class GreedyColoring(ColoringAlgorithm):
     name = "greedy"
 
     def color(self, graph: DecompositionGraph) -> Dict[int, int]:
-        """Color ``graph`` greedily in decreasing conflict-degree order."""
-        from repro.core.kernels import select_kernel
+        """Color ``graph`` greedily in decreasing conflict-degree order.
 
-        kernel = select_kernel("greedy")
-        if kernel is not None:
-            coloring = kernel.greedy_color(graph, self.num_colors, self.options.alpha)
-            if coloring is not None:
-                return coloring
-        return greedy_color_graph(graph, self.num_colors, self.options.alpha)
+        Runs in rank space on the flat form: the walk in the compiled core
+        when it is loaded and K is within its bound, :func:`greedy_walk` on
+        the same CSR otherwise.  The dict lists the vertices in walk order.
+        """
+        flat = graph.to_arrays()
+        n = flat.num_vertices
+        if n == 0:
+            return {}
+        csr = CSRAdjacency(flat, include_friend=False)
+        order = degree_order(csr.conflict_start, n)
+        colors = array("i", [-1]) * n
+        core = active_core() if self.num_colors <= MAX_COMPILED_COLORS else None
+        walk = greedy_walk if core is None else core.greedy_walk
+        walk(
+            n,
+            self.num_colors,
+            self.options.alpha,
+            array("i", order),
+            csr.conflict_start,
+            csr.conflict_adj,
+            csr.stitch_start,
+            csr.stitch_adj,
+            colors,
+        )
+        ids = flat.vertex_ids
+        return {ids[rank]: colors[rank] for rank in order}

@@ -27,7 +27,7 @@ from typing import Dict
 import numpy as np
 
 from repro.core.coloring import ColoringAlgorithm
-from repro.core.greedy_coloring import greedy_color_graph
+from repro.core.greedy_coloring import GreedyColoring
 from repro.errors import SolverError
 from repro.graph.decomposition_graph import DecompositionGraph
 
@@ -105,6 +105,6 @@ class IlpColoring(ColoringAlgorithm):
         if result.status == 1:
             self.timeouts += 1
         if result.x is None:
-            return greedy_color_graph(graph, self.num_colors, self.options.alpha)
+            return GreedyColoring(self.num_colors, self.options).color(graph)
         colors = result.x[: x.size].reshape(n, k).argmax(axis=1)
         return dict(zip(flat.vertex_ids, colors.tolist()))

@@ -1,34 +1,38 @@
-"""Compiled solve kernels over the flat-array graph form.
+"""The compiled solve core and the kernel mode that selects it.
 
-The per-component solvers in :mod:`repro.core` are the reference
-implementations: dict-walking pure Python, written for clarity and pinned by
-the golden tables.  The kernels in this package marshal the packed
-:class:`repro.graph.flat.FlatGraph` arrays (CSR adjacency, flat earlier-edge
-arrays) into the compiled C core of :mod:`repro.core.kernels.ccore` and
-produce **bit-identical output**: same colorings, same tie-breaks, same
-search statistics.  The SDP relaxation of :mod:`repro.opt.sdp` dispatches
-the same way: its numpy reference defines the arithmetic and one C call
-repeats it.  Parity is the hard acceptance gate (``tests/kernels/``),
-which is why the C loops replicate the reference float expression order
-operation for operation.
+Every colorer runs one flow in *rank space* (a vertex is its position in
+sorted-id order) over the packed :class:`repro.graph.flat.FlatGraph` arrays
+and one :class:`~repro.core.kernels.adjacency.CSRAdjacency`.  Each stage of
+that flow is either a call into the compiled C core of
+:mod:`repro.core.kernels.ccore` or its Python reference, which takes the
+same arguments, returns the same results and walks in the same order: the
+walks and refinement next to their colorers, the peel and reinsertion in
+:mod:`repro.graph.simplify`, the branch-and-bound search in
+:mod:`repro.core.backtrack` (packed here by
+:mod:`~repro.core.kernels.backtrack_kernel`) and the SDP relaxation in
+:mod:`repro.opt.sdp` (:mod:`~repro.core.kernels.sdp_kernel`).  The output
+is **bit-identical**: same colorings, same tie-breaks, same search
+statistics, same relaxation bytes.  Parity is the hard acceptance gate
+(``tests/kernels/``), which is why the C loops replicate the reference
+float expression order operation for operation.
 
-Dispatch is compiled or reference, controlled by the ``REPRO_SOLVE_KERNELS``
-environment variable (checked once per solve, overridable in-process via
+Which one runs is controlled by the ``REPRO_SOLVE_KERNELS`` environment
+variable (checked once per solve, overridable in-process via
 :func:`set_kernel_mode`):
 
 ``auto`` (default)
     Use the compiled core when it is available (building it on first use),
-    the reference solvers otherwise.
+    the references otherwise.
 ``compiled``
     *Require* the compiled core — raise instead of silently running the
-    reference solvers (CI uses this to keep the compiled path honest).
+    references (CI uses this to keep the compiled path honest).
 ``off``
-    Never load the core; run the reference solvers.
+    Never load the core; run the references.
 
-With the core loaded, a solve still runs the reference when K exceeds
-:data:`MAX_COMPILED_COLORS` (greedy and linear) or the core cannot allocate
-its working memory: the kernel returns ``None`` and its caller falls back.  A server reports the
-backend its workers actually run on (``repro_build_info{solve_kernels=}``).
+With the core loaded, a solve still runs the references when K exceeds
+:data:`MAX_COMPILED_COLORS` (greedy, linear and the division's peel) or the
+core cannot allocate its working memory.  A server reports the backend its
+workers actually run on (``repro_build_info{solve_kernels=}``).
 
 The mode deliberately lives outside :class:`repro.core.options.AlgorithmOptions`:
 options are fingerprinted into cache keys, and because every backend produces
@@ -37,7 +41,6 @@ identical output, keys must not (and do not) depend on which one ran.
 
 from __future__ import annotations
 
-import importlib
 import os
 from typing import Optional
 
@@ -51,14 +54,6 @@ _VALID_MODES = ("auto", "compiled", "off")
 #: The C stages keep per-color counters/bitmasks with this bound (mirrors
 #: ``MAX_COLORS`` in ``_solvecore.c``); larger K runs the reference.
 MAX_COMPILED_COLORS = 64
-
-#: Algorithms with a compiled kernel, and the module holding it.
-_KERNEL_MODULES = {
-    "greedy": "greedy_kernel",
-    "linear": "linear_kernel",
-    "backtrack": "backtrack_kernel",
-    "sdp": "sdp_kernel",
-}
 
 #: In-process override (tests, benchmarks); ``None`` defers to the env var.
 _forced_mode: Optional[str] = None
@@ -94,19 +89,6 @@ def set_kernel_mode(mode: Optional[str]) -> Optional[str]:
     return previous
 
 
-def select_kernel(algorithm: str):
-    """Return the compiled kernel module for ``algorithm``, or ``None``.
-
-    ``None`` — run the reference solver — for anything but ``greedy``,
-    ``linear``, ``backtrack`` and ``sdp``, in mode ``off``, and in mode
-    ``auto`` when the compiled core is unavailable.
-    """
-    module = _KERNEL_MODULES.get(algorithm)
-    if module is None or active_core() is None:
-        return None
-    return importlib.import_module(f"repro.core.kernels.{module}")
-
-
 def active_core():
     """Return the loaded compiled core for the current mode, or ``None``.
 
@@ -135,6 +117,5 @@ __all__ = [
     "MAX_COMPILED_COLORS",
     "active_core",
     "kernel_mode",
-    "select_kernel",
     "set_kernel_mode",
 ]

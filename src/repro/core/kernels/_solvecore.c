@@ -15,7 +15,7 @@
 
 #define MAX_COLORS 64 /* mirrored by MAX_COMPILED_COLORS on the python side */
 
-/* Greedy coloring walk (greedy_coloring.greedy_color_graph).
+/* Greedy coloring walk (greedy_coloring.greedy_walk).
  *
  * colors[] must arrive initialised to -1; order[] is the processing order
  * over vertex ranks; CSR rows are sorted ascending.
@@ -62,7 +62,7 @@ void repro_greedy_walk(
     }
 }
 
-/* Kernel coloring walk (LinearColoring._color_in_order / _pick_color).
+/* Kernel coloring walk (linear_coloring.linear_walk).
  *
  * Same hit counters as the greedy walk plus the color-friendly counter;
  * the color pick replicates the python tuple comparison
@@ -129,7 +129,7 @@ void repro_linear_walk(
     }
 }
 
-/* Kernel-subgraph score (evaluation.evaluate): conflict/stitch counts
+/* Kernel-subgraph score (evaluation.count_rank_pairs): conflict/stitch counts
  * over the flat uint32 edge-pair arrays, uncolored (-1) endpoints skipped. */
 void repro_evaluate(
     const unsigned int *conf_edges, int conf_len,
@@ -153,7 +153,7 @@ void repro_evaluate(
     *stitches_out = stitches;
 }
 
-/* Local recolor cost (refinement.local_color_cost). */
+/* Local recolor cost (the cost inside refinement.refine_pass). */
 static double local_cost(
     int rank, int color, double alpha, const int *colors,
     const int *conf_start, const int *conf_adj,
@@ -173,7 +173,7 @@ static double local_cost(
     return conflicts + alpha * (double)stitches;
 }
 
-/* One greedy improvement pass (refinement.refine_coloring),
+/* One greedy improvement pass (refinement.refine_pass),
  * including the reference's `cost < best_cost - 1e-12` epsilon. */
 void repro_refine_pass(
     int num_colors, double alpha,

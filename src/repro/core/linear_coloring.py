@@ -19,17 +19,27 @@ The 3-round order is not fully specified in the paper; this implementation
 uses the interpretation documented in DESIGN.md: round one colors the densest
 vertices (conflict degree >= K) in decreasing-degree order, round two the
 vertices that have color-friendly neighbours, round three everything else.
+
+The flow runs in *rank space* (a vertex is its position in sorted-id order)
+on the graph's flat form and one
+:class:`~repro.core.kernels.adjacency.CSRAdjacency`; a peeled vertex keeps
+the color ``-1`` until it is reinserted.  Each stage runs in the compiled
+core when it is loaded, K is within
+:data:`~repro.core.kernels.MAX_COMPILED_COLORS` and the core's peel could
+allocate; otherwise every stage runs its Python reference on the same CSR,
+with the same arguments, results and traversal.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.coloring import ColoringAlgorithm
-from repro.core.evaluation import evaluate
+from repro.core.evaluation import count_rank_pairs
+from repro.core.kernels import MAX_COMPILED_COLORS, active_core
 from repro.core.kernels.adjacency import CSRAdjacency
-from repro.core.refinement import refine_coloring
+from repro.core.refinement import refine_pass
 from repro.graph.decomposition_graph import DecompositionGraph
 from repro.graph.simplify import peel_low_degree_vertices, reinsert_peeled_vertices
 
@@ -39,125 +49,98 @@ class LinearColoring(ColoringAlgorithm):
 
     name = "linear"
 
-    # ------------------------------------------------------------------ API
     def color(self, graph: DecompositionGraph) -> Dict[int, int]:
-        """Color ``graph`` with Algorithm 2."""
-        if graph.num_vertices == 0:
-            return {}
+        """Color ``graph`` with Algorithm 2.
 
-        from repro.core.kernels import select_kernel
-
-        kernel_module = select_kernel("linear")
-        if kernel_module is not None:
-            coloring = kernel_module.linear_color(graph, self.num_colors, self.options)
-            if coloring is not None:
-                return coloring
-
-        # Stage 1: iterative removal of non-critical vertices, on ranks.
+        The dict lists the kernel in the chosen candidate's order, then the
+        peeled vertices in reinsertion order.
+        """
         flat = graph.to_arrays()
-        ids = flat.vertex_ids
+        n = flat.num_vertices
+        if n == 0:
+            return {}
+        num_colors, options = self.num_colors, self.options
         csr = CSRAdjacency(flat)
-        alive, _, _, _, stack = peel_low_degree_vertices(self.num_colors, 2, csr)
-        kernel = graph.subgraph([ids[r] for r in range(flat.num_vertices) if alive[r]])
 
-        # Stage 2: peer selection over three vertex orders on the kernel.
-        coloring: Dict[int, int]
-        if kernel.num_vertices == 0:
-            coloring = {}
+        # Stage 1: iterative removal of non-critical vertices.  The core that
+        # peeled runs every later stage too; without one, the references do.
+        core = active_core() if num_colors <= MAX_COMPILED_COLORS else None
+        peeled = core.peel(num_colors, 2, csr) if core is not None else None
+        if peeled is None:  # no core, K past its bound, or it could not allocate
+            core = None
+            peeled = peel_low_degree_vertices(num_colors, 2, csr)
+        alive, cdeg, _, fdeg, stack = peeled
+        kernel = [rank for rank in range(n) if alive[rank]]
+        if core is None:
+            walk, score, refine, reinsert = (
+                linear_walk, count_rank_pairs, refine_pass, reinsert_peeled_vertices
+            )
         else:
-            candidates = [self._color_in_order(kernel, order) for order in self._orders(kernel)]
-            scored = [
-                (evaluate(kernel, candidate, self.options.alpha), candidate)
-                for candidate in candidates
-            ]
-            best_score, coloring = scored[0]
-            for score, candidate in scored[1:]:
-                if score.better_than(best_score):
-                    best_score, coloring = score, candidate
+            walk, score, refine, reinsert = (
+                core.linear_walk, core.evaluate, core.refine_pass, core.reinsert
+            )
 
-            # Stage 3: greedy post-refinement on the kernel.
-            if self.options.use_post_refinement:
-                refine_coloring(kernel, coloring, self.num_colors, self.options.alpha)
+        # Stage 2: peer selection.  Each candidate starts uncolored; the
+        # first with the fewest conflicts, then the fewest stitches, wins.
+        alpha = options.alpha
+        colors = array("i", [-1]) * n
+        chosen: Sequence[int] = ()
+        best = None
+        for order in self._orders(kernel, cdeg, fdeg):
+            candidate = array("i", [-1]) * n
+            walk(num_colors, alpha, options.use_color_friendly, array("i", order), csr, candidate)
+            counts = score(flat.conflict_edges, flat.stitch_edges, candidate)
+            if best is None or counts < best:
+                best, colors, chosen = counts, candidate, order
 
-        # Pop the stack: every removed vertex has a guaranteed legal color.
-        # The popped vertices join ``coloring`` in pop order.
-        colors = array("i", [coloring.get(vertex, -1) for vertex in ids])
-        reinsert_peeled_vertices(self.num_colors, stack, csr, colors)
+        # Stage 3: one refinement pass over the kernel, then pop the stack.
+        if options.use_post_refinement:
+            refine(num_colors, alpha, array("i", kernel), csr, colors)
+        reinsert(num_colors, stack, csr, colors)
+
+        ids = flat.vertex_ids
+        coloring = {ids[rank]: colors[rank] for rank in chosen}
         for rank in reversed(stack):
             coloring[ids[rank]] = colors[rank]
         return coloring
 
-    # ------------------------------------------------------------ orderings
-    def _orders(self, kernel: DecompositionGraph) -> List[List[int]]:
-        """Return the vertex orders processed by peer selection."""
-        sequence = kernel.vertices()
+    def _orders(self, kernel: List[int], cdeg, fdeg) -> List[List[int]]:
+        """The kernel orders peer selection colors in: *sequence* (rank
+        order), *degree* (decreasing conflict degree) and *3-round*; only
+        *sequence* without peer selection, and none for an empty kernel."""
+        if not kernel:
+            return []
         if not self.options.use_peer_selection:
-            return [sequence]
-        degree = sorted(
-            sequence, key=lambda v: (-kernel.conflict_degree(v), v)
+            return [kernel]
+        degree = sorted(kernel, key=lambda rank: (-cdeg[rank], rank))
+        dense = [rank for rank in degree if cdeg[rank] >= self.num_colors]
+        friendly = [rank for rank in degree if cdeg[rank] < self.num_colors and fdeg[rank]]
+        rest = [rank for rank in kernel if cdeg[rank] < self.num_colors and not fdeg[rank]]
+        return [kernel, degree, dense + friendly + rest]
+
+
+def linear_walk(num_colors: int, alpha: float, use_friendly: bool, order, csr, colors) -> None:
+    """Color the ranks in ``order`` one after another, on ``colors`` in place.
+
+    The reference of ``CompiledCore.linear_walk``, with its arguments:
+    ``colors`` holds one color per rank of ``csr``, ``-1`` for uncolored.
+    A rank takes the first color with the fewest colored conflict
+    neighbours, then the fewest colored stitch neighbours of another color
+    (times ``alpha``), then, with ``use_friendly``, the most color-friendly
+    neighbours of that color.
+    """
+    cs, ca = csr.conflict_start, csr.conflict_adj
+    ss, sa = csr.stitch_start, csr.stitch_adj
+    fs, fa = csr.friend_start, csr.friend_adj
+    for rank in order:
+        conflict = [colors[other] for other in ca[cs[rank] : cs[rank + 1]]]
+        stitch = [c for c in (colors[other] for other in sa[ss[rank] : ss[rank + 1]]) if c >= 0]
+        friend = [colors[other] for other in fa[fs[rank] : fs[rank + 1]]] if use_friendly else []
+        colors[rank] = min(
+            range(num_colors),
+            key=lambda c: (
+                conflict.count(c),
+                alpha * (len(stitch) - stitch.count(c)),
+                -friend.count(c),
+            ),
         )
-        return [sequence, degree, self._three_round_order(kernel)]
-
-    def _three_round_order(self, kernel: DecompositionGraph) -> List[int]:
-        """3ROUND-COLORING order: dense vertices, friendly vertices, the rest."""
-        round_one: List[int] = []
-        round_two: List[int] = []
-        round_three: List[int] = []
-        for vertex in kernel.vertices():
-            if kernel.conflict_degree(vertex) >= self.num_colors:
-                round_one.append(vertex)
-            elif kernel.friend_neighbors(vertex):
-                round_two.append(vertex)
-            else:
-                round_three.append(vertex)
-        round_one.sort(key=lambda v: (-kernel.conflict_degree(v), v))
-        round_two.sort(key=lambda v: (-kernel.conflict_degree(v), v))
-        round_three.sort()
-        return round_one + round_two + round_three
-
-    # ------------------------------------------------------------- coloring
-    def _color_in_order(
-        self, kernel: DecompositionGraph, order: Sequence[int]
-    ) -> Dict[int, int]:
-        """Greedily color the kernel following ``order``."""
-        coloring: Dict[int, int] = {}
-        for vertex in order:
-            coloring[vertex] = self._pick_color(kernel, vertex, coloring)
-        return coloring
-
-    def _pick_color(
-        self, kernel: DecompositionGraph, vertex: int, coloring: Dict[int, int]
-    ) -> int:
-        """Pick the cheapest color for ``vertex``, guided by color-friendly rules."""
-        num_colors = self.num_colors
-        conflict_hits = [0] * num_colors
-        for neighbour in kernel.conflict_neighbors(vertex):
-            color = coloring.get(neighbour)
-            if color is not None:
-                conflict_hits[color] += 1
-
-        stitch_hits = [0] * num_colors
-        colored_stitches = 0
-        for neighbour in kernel.stitch_neighbors(vertex):
-            color = coloring.get(neighbour)
-            if color is not None:
-                stitch_hits[color] += 1
-                colored_stitches += 1
-
-        friend_hits = [0] * num_colors
-        if self.options.use_color_friendly:
-            for neighbour in kernel.friend_neighbors(vertex):
-                color = coloring.get(neighbour)
-                if color is not None:
-                    friend_hits[color] += 1
-
-        def key(color: int) -> Tuple[int, float, int, int]:
-            stitch_mismatch = colored_stitches - stitch_hits[color]
-            return (
-                conflict_hits[color],
-                self.options.alpha * stitch_mismatch,
-                -friend_hits[color],
-                color,
-            )
-
-        return min(range(num_colors), key=key)

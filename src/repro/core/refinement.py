@@ -1,74 +1,42 @@
-"""Greedy post-refinement of a complete coloring (Algorithm 2, stage 3).
+"""Greedy post-refinement of a coloring (Algorithm 2, stage 3).
 
-A single pass visits every vertex once and re-assigns it to the locally
-cheapest color given its already-colored neighbours; the pass never increases
-the objective, so it is safe to append to any algorithm's output.  Multiple
-passes may be requested, stopping early once a pass makes no change.
+A pass visits the given ranks once, in order, and moves each to the color
+that is locally cheapest given its neighbours' current colors; a move must
+save more than ``1e-12``, so the pass never increases the objective.  The
+linear colorer refines its kernel with one pass, the SDP backtrack mapping
+its whole piece with two.  A pass that changes nothing leaves the next one
+nothing to change.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
-
-from repro.graph.decomposition_graph import DecompositionGraph
+from typing import Sequence
 
 
-def local_color_cost(
-    graph: DecompositionGraph,
-    vertex: int,
-    color: int,
-    coloring: Dict[int, int],
-    alpha: float,
-) -> float:
-    """Return the cost contributed by ``vertex`` if it takes ``color``."""
-    conflicts = 0
-    for neighbour in graph.conflict_neighbors(vertex):
-        if coloring.get(neighbour) == color:
-            conflicts += 1
-    stitches = 0
-    for neighbour in graph.stitch_neighbors(vertex):
-        other = coloring.get(neighbour)
-        if other is not None and other != color:
-            stitches += 1
-    return conflicts + alpha * stitches
+def refine_pass(num_colors: int, alpha: float, order: Sequence[int], csr, colors) -> None:
+    """One refinement pass over the ranks in ``order``, on ``colors`` in place.
 
-
-def refine_coloring(
-    graph: DecompositionGraph,
-    coloring: Dict[int, int],
-    num_colors: int,
-    alpha: float,
-    max_passes: int = 1,
-    order: Optional[Sequence[int]] = None,
-) -> Tuple[Dict[int, int], int]:
-    """Greedily improve ``coloring`` in place.
-
-    Returns the (same) coloring dictionary and the number of vertices whose
-    color changed across all passes.
+    The reference of ``CompiledCore.refine_pass``, with its arguments:
+    ``colors`` holds one color per rank of ``csr``, ``-1`` for uncolored.
+    A rank's cost under color ``c`` is its conflict neighbours colored
+    ``c`` plus ``alpha`` times its colored stitch neighbours not colored
+    ``c``; the rank keeps its color unless another, tried in ascending
+    order, costs less than the best so far by more than ``1e-12``.
     """
-    if order is None:
-        order = graph.vertices()
-    changed_total = 0
-    for _ in range(max_passes):
-        changed_this_pass = 0
-        for vertex in order:
-            if vertex not in coloring:
-                continue
-            current = coloring[vertex]
-            current_cost = local_color_cost(graph, vertex, current, coloring, alpha)
-            best_color = current
-            best_cost = current_cost
-            for color in range(num_colors):
-                if color == current:
-                    continue
-                cost = local_color_cost(graph, vertex, color, coloring, alpha)
-                if cost < best_cost - 1e-12:
-                    best_cost = cost
-                    best_color = color
-            if best_color != current:
-                coloring[vertex] = best_color
-                changed_this_pass += 1
-        changed_total += changed_this_pass
-        if changed_this_pass == 0:
-            break
-    return coloring, changed_total
+    cs, ca = csr.conflict_start, csr.conflict_adj
+    ss, sa = csr.stitch_start, csr.stitch_adj
+    for rank in order:
+        conflict = [colors[other] for other in ca[cs[rank] : cs[rank + 1]]]
+        stitch = [c for c in (colors[other] for other in sa[ss[rank] : ss[rank + 1]]) if c >= 0]
+
+        def cost(color: int) -> float:
+            return conflict.count(color) + alpha * (len(stitch) - stitch.count(color))
+
+        current = best_color = colors[rank]
+        best_cost = cost(current)
+        for color in range(num_colors):
+            if color != current:
+                candidate = cost(color)
+                if candidate < best_cost - 1e-12:
+                    best_cost, best_color = candidate, color
+        colors[rank] = best_color

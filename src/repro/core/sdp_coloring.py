@@ -15,16 +15,20 @@ differ only in how the continuous Gram matrix is mapped back to K colors:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from array import array
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.core.backtrack import BacktrackStatistics, run_backtrack_search
 from repro.core.coloring import ColoringAlgorithm
 from repro.core.greedy_coloring import greedy_color_merged
-from repro.core.refinement import refine_coloring
+from repro.core.kernels import active_core
+from repro.core.kernels.adjacency import CSRAdjacency
+from repro.core.refinement import refine_pass
 from repro.errors import ConfigurationError
 from repro.graph.decomposition_graph import DecompositionGraph
-from repro.graph.simplify import build_merged_graph
-from repro.graph.unionfind import UnionFind
+from repro.graph.simplify import MergedGraph, contract_ranks
 from repro.opt.sdp import SdpOptions, SdpResult, VectorProgramSolver
 
 #: Pairs with a relaxed inner product below this value are never considered
@@ -33,7 +37,17 @@ GREEDY_MAPPING_FLOOR = 0.0
 
 
 class SdpColoring(ColoringAlgorithm):
-    """SDP relaxation followed by greedy or backtrack mapping."""
+    """SDP relaxation followed by greedy or backtrack mapping.
+
+    Both run in *rank space* (a vertex is its position in sorted-id order)
+    on the piece's flat form and one
+    :class:`~repro.core.kernels.adjacency.CSRAdjacency`: the relaxation
+    solves over rank pairs, so its gram matrix is indexed by rank; one merge
+    loop unions ranks and tests conflicts on CSR rows; the merged graph is
+    contracted from the flat form; the backtrack mapping's refinement is
+    :func:`~repro.core.refinement.refine_pass`, in the compiled core when it
+    is loaded.
+    """
 
     def __init__(
         self,
@@ -56,113 +70,50 @@ class SdpColoring(ColoringAlgorithm):
     # ------------------------------------------------------------------ API
     def color(self, graph: DecompositionGraph) -> Dict[int, int]:
         """Color ``graph`` via the vector-program relaxation plus mapping."""
-        n = graph.num_vertices
-        if n == 0:
-            return {}
-        if n == 1:
-            return {graph.vertices()[0]: 0}
-        if graph.num_conflict_edges == 0:
+        flat = graph.to_arrays()
+        n = flat.num_vertices
+        ids = flat.vertex_ids.tolist()
+        if n <= 1 or flat.num_conflict_edges == 0:
             # No conflicts: give every vertex the same mask (zero stitches).
-            return {vertex: 0 for vertex in graph.vertices()}
+            return dict.fromkeys(ids, 0)
 
         solver = VectorProgramSolver(
             self.num_colors, alpha=self.options.alpha, options=self.sdp_options
         )
-        result, index = solver.solve_graph(
-            graph.vertices(), graph.conflict_edges(), graph.stitch_edges()
+        conflict, stitch = flat.conflict_edges, flat.stitch_edges
+        result = solver.solve(
+            n,
+            list(zip(conflict[0::2], conflict[1::2])),
+            list(zip(stitch[0::2], stitch[1::2])),
         )
+        csr = CSRAdjacency(flat, include_friend=False)
         if self.mapping == "greedy":
-            coloring = self._greedy_mapping(graph, result, index)
-        else:
-            coloring = self._backtrack_mapping(graph, result, index)
-            refine_coloring(
-                graph, coloring, self.num_colors, self.options.alpha, max_passes=2
-            )
-        return coloring
+            label = _merge(result, csr, GREEDY_MAPPING_FLOOR, n)
+            merged = contract_ranks(flat, label)
+            node_coloring = greedy_color_merged(merged, self.num_colors, self.options.alpha)
+            return merged.expand_coloring(node_coloring)
+
+        node_limit = self.options.backtrack_node_limit
+        label = _merge(result, csr, self.options.sdp_merge_threshold, node_limit)
+        merged = contract_ranks(flat, label)
+        coloring = merged.expand_coloring(self._backtrack_mapping(merged))
+        # Two refinement passes: one that changes nothing leaves the next
+        # nothing to change.
+        colors = array("i", map(coloring.__getitem__, ids))
+        core = active_core()
+        refine = refine_pass if core is None else core.refine_pass
+        order = array("i", range(n))
+        for _ in range(2):
+            refine(self.num_colors, self.options.alpha, order, csr, colors)
+        return dict(zip(ids, colors))
 
     # -------------------------------------------------------------- mapping
-    def _sorted_pairs(
-        self,
-        graph: DecompositionGraph,
-        result: SdpResult,
-        index: Dict[int, int],
-        floor: float,
-    ) -> List[Tuple[float, int, int]]:
-        """Return vertex pairs sorted by decreasing relaxed inner product."""
-        vertices = graph.vertices()
-        pairs: List[Tuple[float, int, int]] = []
-        for i, u in enumerate(vertices):
-            for v in vertices[i + 1 :]:
-                value = result.inner_product(index[u], index[v])
-                if value >= floor:
-                    pairs.append((value, u, v))
-        pairs.sort(key=lambda item: (-item[0], item[1], item[2]))
-        return pairs
-
-    def _greedy_mapping(
-        self,
-        graph: DecompositionGraph,
-        result: SdpResult,
-        index: Dict[int, int],
-    ) -> Dict[int, int]:
-        """Greedy mapping of [4]: union compatible pairs in x_ij order."""
-        pairs = self._sorted_pairs(graph, result, index, GREEDY_MAPPING_FLOOR)
-        uf = UnionFind(graph.vertices())
-        members: Dict[int, set] = {v: {v} for v in graph.vertices()}
-        for _, u, v in pairs:
-            ru, rv = uf.find(u), uf.find(v)
-            if ru == rv:
-                continue
-            if self._groups_conflict(graph, members[ru], members[rv]):
-                continue
-            root = uf.union(ru, rv)
-            merged_members = members[ru] | members[rv]
-            members[root] = merged_members
-        merge_pairs = [
-            (u, uf.find(u)) for u in graph.vertices() if uf.find(u) != u
-        ]
-        merged = build_merged_graph(graph, merge_pairs)
-        node_coloring = greedy_color_merged(merged, self.num_colors, self.options.alpha)
-        return merged.expand_coloring(node_coloring)
-
-    def _backtrack_mapping(
-        self,
-        graph: DecompositionGraph,
-        result: SdpResult,
-        index: Dict[int, int],
-    ) -> Dict[int, int]:
-        """Algorithm 1: threshold merge then exact search on the merged graph.
-
-        All pairs with ``x_ij >= t_th`` are merged.  When the merged graph is
-        still larger than the backtrack node limit, merging continues down the
-        sorted ``x_ij`` list (never across a conflict) until it fits — the SDP
-        solution keeps guiding which vertices share a mask, and the exact
-        search then optimises the small cluster graph.
-        """
-        threshold = self.options.sdp_merge_threshold
-        node_limit = self.options.backtrack_node_limit
-        pairs = self._sorted_pairs(graph, result, index, floor=-1.0)
-
-        uf = UnionFind(graph.vertices())
-        members: Dict[int, set] = {v: {v} for v in graph.vertices()}
-        num_groups = graph.num_vertices
-        for value, u, v in pairs:
-            if value < threshold and num_groups <= node_limit:
-                break
-            ru, rv = uf.find(u), uf.find(v)
-            if ru == rv:
-                continue
-            if self._groups_conflict(graph, members[ru], members[rv]):
-                continue
-            root = uf.union(ru, rv)
-            members[root] = members[ru] | members[rv]
-            num_groups -= 1
-
-        merge_pairs = [(u, uf.find(u)) for u in graph.vertices() if uf.find(u) != u]
-        merged = build_merged_graph(graph, merge_pairs)
-
+    def _backtrack_mapping(self, merged: MergedGraph) -> Dict[int, int]:
+        """Algorithm 1's exact search on the merged graph, from the greedy
+        coloring; on a merged graph still past the node limit it runs as an
+        anytime improvement pass."""
         expansion_limit = self.options.backtrack_expansion_limit
-        if merged.num_nodes > node_limit:
+        if merged.num_nodes > self.options.backtrack_node_limit:
             # Dense graph that could not be clustered further without forcing
             # conflicts: run the search as an anytime improvement pass.
             expansion_limit = min(expansion_limit, 150_000)
@@ -176,13 +127,49 @@ class SdpColoring(ColoringAlgorithm):
             statistics=stats,
         )
         self.last_backtrack_stats = stats
-        return merged.expand_coloring(node_coloring)
+        return node_coloring
 
-    @staticmethod
-    def _groups_conflict(graph: DecompositionGraph, first: set, second: set) -> bool:
-        """Return True if any conflict edge crosses the two vertex groups."""
-        small, large = (first, second) if len(first) <= len(second) else (second, first)
-        for vertex in small:
-            if graph.conflict_neighbors(vertex) & large:
-                return True
-        return False
+
+def _merge(result: SdpResult, csr: CSRAdjacency, floor: float, node_limit: int) -> List[int]:
+    """Union ranks pair by pair, in decreasing ``x_ij`` order, never across
+    a conflict edge; each rank's group label.
+
+    The loop stops at the first pair with ``x_ij < floor`` once there are
+    at most ``node_limit`` groups.  The greedy mapping of [4] stops at
+    ``x_ij < 0``.  Algorithm 1 merges every pair with ``x_ij >= t_th`` and,
+    while the merged graph is still past the backtrack node limit, keeps
+    merging down the list until it fits: the relaxation keeps guiding which
+    vertices share a mask, and the exact search then optimises the small
+    cluster graph.
+    """
+    n = csr.num_vertices
+    first, second = np.triu_indices(n, k=1)
+    values = result.gram[first, second]
+    # The pairs come in (i, j) order, so a stable sort on -x_ij orders them
+    # by (-x_ij, i, j).
+    by_value = np.argsort(-values, kind="stable")
+    cs, ca = csr.conflict_start.tolist(), csr.conflict_adj.tolist()
+    label = list(range(n))
+    members = [[rank] for rank in range(n)]
+    groups = n
+    for value, u, v in zip(
+        values[by_value].tolist(), first[by_value].tolist(), second[by_value].tolist()
+    ):
+        if value < floor and groups <= node_limit:
+            break
+        small, large = label[u], label[v]
+        if small == large:
+            continue
+        if len(members[small]) > len(members[large]):
+            small, large = large, small
+        if any(
+            label[other] == large
+            for rank in members[small]
+            for other in ca[cs[rank] : cs[rank + 1]]
+        ):
+            continue
+        for rank in members[small]:
+            label[rank] = large
+        members[large] += members[small]
+        groups -= 1
+    return label

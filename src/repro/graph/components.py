@@ -14,45 +14,32 @@ from typing import List, Set
 from repro.graph.decomposition_graph import DecompositionGraph
 
 
-def connected_components(
-    graph: DecompositionGraph, conflict_only: bool = False
-) -> List[List[int]]:
+def connected_components(graph: DecompositionGraph) -> List[List[int]]:
     """Return the connected components as sorted vertex lists.
 
-    Parameters
-    ----------
-    graph:
-        Decomposition graph.
-    conflict_only:
-        When True only conflict edges define connectivity; by default stitch
-        edges connect too (fragments of one feature must stay together).
-
-    The components are returned sorted by their smallest vertex so the output
-    is deterministic across runs.
+    Conflict and stitch edges both connect (fragments of one feature must
+    stay together).  The components are returned sorted by their smallest
+    vertex so the output is deterministic across runs.
     """
     seen: Set[int] = set()
     components: List[List[int]] = []
     for start in graph.vertices():
         if start in seen:
             continue
-        component = _bfs(graph, start, conflict_only)
+        component = _bfs(graph, start)
         seen.update(component)
         components.append(sorted(component))
     components.sort(key=lambda comp: comp[0])
     return components
 
 
-def _bfs(graph: DecompositionGraph, start: int, conflict_only: bool) -> Set[int]:
-    """Breadth-first traversal from ``start`` over the selected edge sets."""
+def _bfs(graph: DecompositionGraph, start: int) -> Set[int]:
+    """Breadth-first traversal from ``start`` over conflict and stitch edges."""
     seen: Set[int] = {start}
     queue: deque = deque([start])
     while queue:
         vertex = queue.popleft()
-        if conflict_only:
-            neighbours = graph.conflict_neighbors(vertex)
-        else:
-            neighbours = graph.neighbors(vertex)
-        for other in neighbours:
+        for other in graph.neighbors(vertex):
             if other not in seen:
                 seen.add(other)
                 queue.append(other)

@@ -255,7 +255,7 @@ class FlatGraph:
                 prev_u, prev_v = u, v
         return True
 
-    def to_graph(self, memoize: bool = False):
+    def to_graph(self):
         """Rebuild the original :class:`DecompositionGraph`, bit-for-bit.
 
         The reconstruction round-trips exactly: vertex ids, per-vertex data,
@@ -268,11 +268,6 @@ class FlatGraph:
         checks (known endpoints, no self loops, non-negative ids) surface
         here as :class:`FlatFrameError`, as does an edge rank outside the
         vertex range.
-
-        With ``memoize=True`` this snapshot is attached to the rebuilt graph
-        as its memoised flat form (guarded by :meth:`is_canonical`), so the
-        worker-side canonical hash and the solve kernels consume the shipped
-        buffers directly instead of re-flattening the rebuilt dicts.
         """
         from repro.graph.decomposition_graph import DecompositionGraph, VertexData
 
@@ -298,8 +293,6 @@ class FlatGraph:
             raise FlatFrameError(f"edge rank outside the vertex range: {exc}") from exc
         except GraphError as exc:
             raise FlatFrameError(str(exc)) from exc
-        if memoize and self.is_canonical():
-            graph._flat = self
         return graph
 
     def induced_graph(
@@ -396,20 +389,24 @@ class FlatGraph:
         )
 
 
-def graph_from_frame(data, memoize: bool = False):
+def graph_from_frame(data):
     """Decode one complete flat-graph frame into a graph.
 
     The one materialisation helper every transport consumer uses (binary
     wire jobs, inline pickle-channel frames), so
     the trailing-bytes check can never silently diverge between them.
-    Raises :class:`FlatFrameError` on any malformation.  ``memoize=True``
-    re-attaches the decoded (canonical) frame as the graph's flat form —
-    see :meth:`FlatGraph.to_graph`.
+    Raises :class:`FlatFrameError` on any malformation.  A canonical frame
+    (:meth:`FlatGraph.is_canonical`) becomes the graph's memoised flat
+    form, so the worker-side canonical hash and the solvers read the
+    shipped buffers instead of re-flattening the rebuilt graph.
     """
     flat, end = FlatGraph.from_bytes(data)
     if end != len(data):
         raise FlatFrameError(f"graph frame has {len(data) - end} trailing bytes")
-    return flat.to_graph(memoize=memoize)
+    graph = flat.to_graph()
+    if flat.is_canonical():
+        graph._flat = flat
+    return graph
 
 
 def flatten_graph(graph) -> FlatGraph:

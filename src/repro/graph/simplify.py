@@ -185,28 +185,52 @@ def build_merged_graph(
     graph: DecompositionGraph,
     merge_pairs: Iterable[Tuple[int, int]],
 ) -> MergedGraph:
-    """Contract ``graph`` by unioning every pair in ``merge_pairs``."""
-    uf = UnionFind(graph.vertices())
+    """Contract ``graph`` by unioning every pair in ``merge_pairs``.
+
+    Reads only the graph's flat form; a pair with a vertex outside the
+    graph raises :class:`~repro.errors.GraphError`.
+    """
+    flat = graph.to_arrays()
+    rank = {vertex: index for index, vertex in enumerate(flat.vertex_ids)}
+    uf = UnionFind(range(flat.num_vertices))
     for a, b in merge_pairs:
-        if not graph.has_vertex(a) or not graph.has_vertex(b):
+        if a not in rank or b not in rank:
             raise GraphError(f"merge pair ({a}, {b}) not in graph")
-        uf.union(a, b)
-    groups = uf.groups()
+        uf.union(rank[a], rank[b])
+    return contract_ranks(flat, [uf.find(index) for index in range(flat.num_vertices)])
+
+
+def contract_ranks(flat, label: Sequence[int]) -> MergedGraph:
+    """The merged graph of ``flat`` whose groups are the ranks sharing a
+    ``label``.
+
+    Groups come ordered by their smallest vertex, each sorted, and the
+    weights are keyed in the order of the sorted edge lists (conflict
+    edges, then stitch edges): the float order of
+    :func:`~repro.core.backtrack.search_setup` depends on it.
+    """
     node_of: Dict[int, int] = {}
-    for node, members in enumerate(groups):
-        for vertex in members:
-            node_of[vertex] = node
+    groups: List[List[int]] = []
+    node = []
+    for vertex, group in zip(flat.vertex_ids, label):
+        index = node_of.setdefault(group, len(groups))
+        if index == len(groups):
+            groups.append([])
+        groups[index].append(vertex)
+        node.append(index)
 
     merged = MergedGraph(groups=groups)
-    for u, v in graph.conflict_edges():
-        a, b = node_of[u], node_of[v]
+    edges = flat.conflict_edges
+    for u, v in zip(edges[0::2], edges[1::2]):
+        a, b = node[u], node[v]
         if a == b:
             merged.internal_conflicts += 1
             continue
         key = (a, b) if a < b else (b, a)
         merged.conflict_weight[key] = merged.conflict_weight.get(key, 0) + 1
-    for u, v in graph.stitch_edges():
-        a, b = node_of[u], node_of[v]
+    edges = flat.stitch_edges
+    for u, v in zip(edges[0::2], edges[1::2]):
+        a, b = node[u], node[v]
         if a == b:
             continue
         key = (a, b) if a < b else (b, a)

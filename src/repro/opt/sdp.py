@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -217,8 +217,8 @@ class VectorProgramSolver:
         """Solve the relaxation for a graph on ``range(num_vertices)``.
 
         Edge endpoints must be indices in ``[0, num_vertices)``.  Runs the
-        compiled loop when :func:`repro.core.kernels.select_kernel` offers
-        it, and :meth:`_relax` otherwise; both return the same bytes.
+        compiled loop when the core is loaded and can allocate, and
+        :meth:`_relax` otherwise; both return the same bytes.
         """
         if num_vertices <= 0:
             raise SolverError("cannot solve an empty vector program")
@@ -234,28 +234,12 @@ class VectorProgramSolver:
         stitch = np.asarray(stitch_edges, dtype=int).reshape(-1, 2)
         lower_bound = -1.0 / (self.num_colors - 1)
 
-        from repro.core.kernels import select_kernel
+        from repro.core.kernels.sdp_kernel import relax
 
-        kernel = select_kernel("sdp")
-        if kernel is not None:
-            result = kernel.relax(
-                vectors, conflict, stitch, self.alpha, lower_bound, self.options
-            )
-            if result is not None:
-                return result
+        result = relax(vectors, conflict, stitch, self.alpha, lower_bound, self.options)
+        if result is not None:
+            return result
         return self._relax(vectors, conflict, stitch, lower_bound)
-
-    def solve_graph(
-        self,
-        vertices: Sequence[int],
-        conflict_edges: Iterable[Tuple[int, int]],
-        stitch_edges: Iterable[Tuple[int, int]] = (),
-    ) -> Tuple[SdpResult, Dict[int, int]]:
-        """Solve for arbitrary vertex ids; also return the id -> index map."""
-        index = {vertex: position for position, vertex in enumerate(sorted(vertices))}
-        ce = [(index[u], index[v]) for (u, v) in conflict_edges]
-        se = [(index[u], index[v]) for (u, v) in stitch_edges]
-        return self.solve(len(index), ce, se), index
 
     # ------------------------------------------------------------ reference
     def _relax(

@@ -265,9 +265,9 @@ def job_graph(job: Dict) -> DecompositionGraph:
     from repro.graph.flat import FlatFrameError, graph_from_frame
 
     try:
-        # memoize=True: node workers hash and solve straight off the
-        # shipped canonical buffers (no re-flattening on the hot path).
-        return graph_from_frame(job["graph_frame"], memoize=True)
+        # Node workers hash and solve straight off the shipped canonical
+        # buffers (no re-flattening on the hot path).
+        return graph_from_frame(job["graph_frame"])
     except (FlatFrameError, KeyError) as exc:
         raise ComponentWireError(f"invalid 'graph_frame' payload: {exc}") from exc
 

@@ -174,9 +174,9 @@ def solve_inline(batch: Batch, options: DecomposerOptions) -> List[ComponentSolv
 
 def _solve_frame(frame: bytes, key: str, options: DecomposerOptions) -> ComponentSolve:
     """Pool worker: rebuild a component from its flat frame and solve it."""
-    # memoize=True: the decoded frame becomes the graph's flat form, so the
-    # solve kernels run straight off the shipped buffers.
-    return solve_component(graph_from_frame(frame, memoize=True), options, key)
+    # The decoded frame becomes the graph's flat form, so the solvers run
+    # straight off the shipped buffers.
+    return solve_component(graph_from_frame(frame), options, key)
 
 
 class PoolExecutor:

@@ -95,3 +95,20 @@ class TestSummaryText:
         text = summary_text(conflicted_result)
         assert "hotspots" in text
         assert "mask" in text
+
+    def test_summary_builds_no_graph(self, monkeypatch):
+        """The report reads the layout's flat form: no ``from_parts`` call."""
+        options = DecomposerOptions.for_k_patterning(3, "backtrack")
+        options.construction.min_coloring_distance = 80
+        result = Decomposer(options).decompose(dense_contact_array(3, 4), layer="metal1")
+        builds = []
+        from_parts = DecompositionGraph.from_parts.__func__
+
+        def counted(cls, *args, **kwargs):
+            builds.append(cls)
+            return from_parts(cls, *args, **kwargs)
+
+        monkeypatch.setattr(DecompositionGraph, "from_parts", classmethod(counted))
+        assert "hotspots" in summary_text(result)
+        assert builds == []
+        assert "_vertices" not in vars(result.construction.graph)

@@ -6,7 +6,6 @@ from repro.core.evaluation import (
     CostBreakdown,
     DecompositionSolution,
     check_complete,
-    conflict_edges_violated,
     count_conflicts,
     count_stitches,
     evaluate,
@@ -31,7 +30,6 @@ class TestCounting:
     def test_conflict_counted(self, small_graph):
         coloring = {0: 1, 1: 1, 2: 0, 3: 0}
         assert count_conflicts(small_graph, coloring) == 1
-        assert conflict_edges_violated(small_graph, coloring) == [(0, 1)]
 
     def test_stitch_counted(self, small_graph):
         coloring = {0: 0, 1: 1, 2: 0, 3: 2}

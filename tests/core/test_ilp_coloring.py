@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.evaluation import count_conflicts, count_stitches, evaluate
-from repro.core.greedy_coloring import greedy_color_graph
+from repro.core.greedy_coloring import GreedyColoring
 from repro.core.ilp_coloring import IlpColoring
 from repro.core.options import AlgorithmOptions
 from repro.errors import SolverError
@@ -108,7 +108,7 @@ class TestIlpColoring:
     ):
         _stub_milp(monkeypatch, status=1, x=None, message="Time limit reached.")
         colorer = IlpColoring(4)
-        assert colorer.color(k5_graph) == greedy_color_graph(k5_graph, 4, 0.1)
+        assert colorer.color(k5_graph) == GreedyColoring(4).color(k5_graph)
         assert colorer.timeouts == 1
 
     def test_solver_failure_raises(self, k5_graph, monkeypatch):

@@ -1,10 +1,13 @@
 """Unit tests for the linear color assignment (Algorithm 2)."""
 
+from array import array
+
 import pytest
 
 from repro.bench.cells import figure4_graph
 from repro.core.evaluation import count_conflicts, count_stitches
-from repro.core.linear_coloring import LinearColoring
+from repro.core.kernels.adjacency import CSRAdjacency
+from repro.core.linear_coloring import LinearColoring, linear_walk
 from repro.core.options import AlgorithmOptions
 from repro.graph.decomposition_graph import DecompositionGraph
 
@@ -81,13 +84,15 @@ class TestFigure4:
         used by a color-friendly neighbour wins (Fig. 4(c)-(d))."""
         g = DecompositionGraph.from_edges([(0, 1), (0, 2)], vertices=[3])
         g.add_friend_edge(0, 3)
-        coloring = {1: 0, 2: 1, 3: 3}
-        with_friendly = LinearColoring(4)._pick_color(g, 0, coloring)
-        options = AlgorithmOptions()
-        options.use_color_friendly = False
-        without_friendly = LinearColoring(4, options)._pick_color(g, 0, coloring)
-        assert with_friendly == 3
-        assert without_friendly == 2
+        csr = CSRAdjacency(g.to_arrays())
+
+        def pick(use_friendly: bool) -> int:
+            colors = array("i", [-1, 0, 1, 3])  # vertex 0 uncolored
+            linear_walk(4, 0.1, use_friendly, array("i", [0]), csr, colors)
+            return colors[0]
+
+        assert pick(True) == 3
+        assert pick(False) == 2
 
 
 class TestAlgorithmOptions:

@@ -17,10 +17,6 @@ class TestConnectedComponents:
         g = DecompositionGraph.from_edges([(0, 1)], [(1, 2)])
         assert connected_components(g) == [[0, 1, 2]]
 
-    def test_conflict_only_ignores_stitches(self):
-        g = DecompositionGraph.from_edges([(0, 1)], [(1, 2)])
-        assert connected_components(g, conflict_only=True) == [[0, 1], [2]]
-
     def test_empty_graph(self):
         assert connected_components(DecompositionGraph()) == []
 

@@ -3,13 +3,13 @@
 Every whole-graph build goes through ``DecompositionGraph.from_parts``
 (``subgraph``, ``from_edges`` and ``FlatGraph.to_graph``, which also builds
 a view's object graph), so counting its calls counts them.  A count, not a
-timing, so it holds on any runner.  With the compiled core, ``linear`` and
-``greedy`` read only flat forms: the construction, the component split, the
-division's pieces and the scoring must build no graph at all.
-``sdp-backtrack`` builds a piece's graph inside ``SdpColoring``, where the
-relaxation and the mapping read its edges, at most once per piece, and
-nowhere else.  This module skips itself without the compiled core; the
-division's own count, in every mode, is in ``test_division_parity.py``.
+timing, so it holds on any runner.  Every colorer reads only flat forms, in
+both kernel modes: the construction, the component split, the division's
+pieces, the colorers (the relaxation, the merge loop, the merged graph, the
+search and the refinement included) and the scoring must build no graph at
+all.  The mode-``off`` cases need no compiled core, so they also run on a
+box without a C compiler; the division's own count, at K = 65 and with a
+failing core too, is in ``test_division_parity.py``.
 """
 
 from __future__ import annotations
@@ -23,12 +23,18 @@ from repro.core.decomposer import Decomposer
 from repro.core.kernels import set_kernel_mode
 from repro.core.kernels.ccore import compiled_core
 from repro.core.options import DecomposerOptions
-from repro.core.sdp_coloring import SdpColoring
 from repro.graph.decomposition_graph import DecompositionGraph
+from repro.opt.sdp import VectorProgramSolver
 
-pytestmark = pytest.mark.skipif(
-    compiled_core() is None, reason="compiled solve core unavailable"
-)
+MODES = [
+    "off",
+    pytest.param(
+        "compiled",
+        marks=pytest.mark.skipif(
+            compiled_core() is None, reason="compiled solve core unavailable"
+        ),
+    ),
+]
 
 #: The circuits and scales the served benchmark draws its requests from.
 SERVED_PROFILES = (
@@ -38,8 +44,8 @@ SERVED_PROFILES = (
 
 
 @contextmanager
-def counting_builds(monkeypatch):
-    """Yield a list that gains one entry per ``from_parts`` call."""
+def counting_builds(monkeypatch, mode):
+    """Yield a list that gains one entry per ``from_parts`` call, in ``mode``."""
     builds = []
     from_parts = DecompositionGraph.from_parts.__func__
 
@@ -48,26 +54,28 @@ def counting_builds(monkeypatch):
         return from_parts(cls, *args, **kwargs)
 
     monkeypatch.setattr(DecompositionGraph, "from_parts", classmethod(counted))
-    previous = set_kernel_mode("compiled")
+    previous = set_kernel_mode(mode)
     try:
         yield builds
     finally:
         set_kernel_mode(previous)
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("algorithm", ["linear", "greedy"])
-def test_table2_builds_no_graph(monkeypatch, algorithm):
+def test_table2_builds_no_graph(monkeypatch, algorithm, mode):
     options = DecomposerOptions.for_pentuple_patterning(algorithm)
     layouts = {name: load_circuit(name, 0.35) for name in TABLE2_CIRCUITS}
-    with counting_builds(monkeypatch) as builds:
+    with counting_builds(monkeypatch, mode) as builds:
         for name, layout in layouts.items():
             result = Decomposer(options).decompose(layout)
             assert result.solution.coloring, name
             assert builds == [], f"{name}: {len(builds)} graphs built"
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("algorithm", ["linear", "greedy"])
-def test_served_profiles_build_no_graph(monkeypatch, algorithm):
+def test_served_profiles_build_no_graph(monkeypatch, algorithm, mode):
     options = DecomposerOptions.for_quadruple_patterning(algorithm)
     layouts = {
         (name, scale): load_circuit(name, scale)
@@ -75,7 +83,7 @@ def test_served_profiles_build_no_graph(monkeypatch, algorithm):
         for scale in (0.05, 0.15)
     }
     split = 0
-    with counting_builds(monkeypatch) as builds:
+    with counting_builds(monkeypatch, mode) as builds:
         for case, layout in layouts.items():
             result = Decomposer(options).decompose(layout)
             assert builds == [], f"{case}: {len(builds)} graphs built"
@@ -83,21 +91,22 @@ def test_served_profiles_build_no_graph(monkeypatch, algorithm):
     assert split, "no layout had two components, so no split was counted"
 
 
-def test_sdp_builds_at_most_one_graph_per_piece(monkeypatch):
-    options = DecomposerOptions.for_quadruple_patterning("sdp-backtrack")
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("algorithm", ["backtrack", "sdp-backtrack", "sdp-greedy"])
+def test_table1_builds_no_graph(monkeypatch, algorithm, mode):
+    """The search and both SDP mappings; the SDP cases must relax pieces."""
+    options = DecomposerOptions.for_quadruple_patterning(algorithm)
     layouts = {name: load_circuit(name, 0.1) for name in TABLE1_CIRCUITS}
-    per_piece = []
-    color = SdpColoring.color
+    relaxations = []
+    solve = VectorProgramSolver.solve
 
-    def counted_color(self, graph):
-        before = len(builds)
-        coloring = color(self, graph)
-        per_piece.append(len(builds) - before)
-        return coloring
+    def counted_solve(self, *args, **kwargs):
+        relaxations.append(args[0])
+        return solve(self, *args, **kwargs)
 
-    with counting_builds(monkeypatch) as builds:
-        monkeypatch.setattr(SdpColoring, "color", counted_color)
+    with counting_builds(monkeypatch, mode) as builds:
+        monkeypatch.setattr(VectorProgramSolver, "solve", counted_solve)
         for name, layout in layouts.items():
             Decomposer(options).decompose(layout)
-            assert len(builds) == sum(per_piece), f"{name}: a graph built outside SdpColoring"
-    assert max(per_piece) == 1 and sum(per_piece) < len(per_piece)
+            assert builds == [], f"{name}: {len(builds)} graphs built"
+    assert bool(relaxations) == algorithm.startswith("sdp"), len(relaxations)

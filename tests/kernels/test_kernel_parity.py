@@ -27,7 +27,6 @@ from repro.core.kernels import (
     MAX_COMPILED_COLORS,
     active_core,
     kernel_mode,
-    select_kernel,
     set_kernel_mode,
 )
 from repro.core.kernels.backtrack_kernel import backtrack_search
@@ -221,19 +220,11 @@ class TestDispatchPlumbing:
         monkeypatch.setenv(KERNEL_MODE_ENV, "compiled")
         set_kernel_mode("off")
         assert kernel_mode() == "off"
-        assert select_kernel("greedy") is None
+        assert active_core() is None
 
     def test_off_disables_dispatch(self):
         set_kernel_mode("off")
-        assert select_kernel("greedy") is None
-        assert select_kernel("linear") is None
-        assert select_kernel("backtrack") is None
-        assert select_kernel("sdp") is None
         assert active_core() is None
-
-    def test_unknown_algorithm_is_none(self):
-        set_kernel_mode("auto")
-        assert select_kernel("ilp") is None
 
     def test_compiled_mode_is_strict(self, monkeypatch, tmp_path):
         """``compiled`` must raise, not fall back, when no core can build.
@@ -252,7 +243,6 @@ class TestDispatchPlumbing:
                 active_core()
             set_kernel_mode("auto")
             assert active_core() is None  # auto runs the reference
-            assert select_kernel("greedy") is None
             graph = random_graph(random.Random(4), 9)
             algorithm = GreedyColoring(4, AlgorithmOptions())
             candidate = algorithm.color(graph)
@@ -276,14 +266,8 @@ class TestDispatchPlumbing:
         mode = kernel_mode()
         if mode == "compiled":
             assert active_core() is not None
-            assert select_kernel("greedy") is not None
-            assert select_kernel("sdp") is not None
         elif mode == "off" or _core_cannot_load(ccore):
             assert active_core() is None
-            assert select_kernel("greedy") is None
-            assert select_kernel("linear") is None
-            assert select_kernel("backtrack") is None
-            assert select_kernel("sdp") is None
 
 
 def _core_cannot_load(ccore) -> bool:
@@ -340,7 +324,7 @@ class TestReferenceFallback:
 
         monkeypatch.setattr(ccore, "compiled_core", lambda: None)
         set_kernel_mode("auto")
-        assert select_kernel(solver) is None
+        assert active_core() is None
         rng = random.Random(11)
         if solver == "backtrack":
             merged = random_merged(rng, 9)
@@ -359,35 +343,9 @@ class TestReferenceFallback:
             reference = algorithm.color(graph)
         _assert_same_coloring(reference, candidate, solver)
 
-    @pytest.mark.parametrize("solver", ["greedy", "linear"])
-    def test_kernels_decline_beyond_color_cap(self, failing_core, solver):
-        """K past the compiled bound: the kernel declines before any C call."""
-        from repro.core.kernels import greedy_kernel, linear_kernel
-
-        graph = random_graph(random.Random(8), 8)
-        too_many = MAX_COMPILED_COLORS + 1
-        if solver == "greedy":
-            assert greedy_kernel.greedy_color(graph, too_many, 0.1) is None
-        else:
-            options = AlgorithmOptions()
-            assert linear_kernel.linear_color(graph, too_many, options) is None
-
-    def test_unknown_algorithm_never_touches_the_core(self, monkeypatch, tmp_path):
-        """``select_kernel('ilp')`` answers before loading (or requiring) a core."""
-        from repro.core.kernels import ccore
-
-        monkeypatch.setenv(ccore.BUILD_ENV, "0")
-        monkeypatch.setenv(ccore.CACHE_DIR_ENV, str(tmp_path))
-        ccore.reset()
-        try:
-            set_kernel_mode("compiled")
-            assert select_kernel("ilp") is None
-        finally:
-            ccore.reset()
-
     @pytest.mark.parametrize("seed", range(4))
     def test_sdp_allocation_failure_runs_reference(self, failing_core, seed):
-        assert select_kernel("sdp") is not None  # the declining core is reached
+        assert active_core() is not None  # the declining core is reached
         rng = random.Random(seed)
         n = 11
         conflict = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
@@ -468,7 +426,7 @@ class TestMemoizedFrameParity:
         rng = random.Random(17)
         graph = random_graph(rng, 13)
         frame = graph.to_arrays().to_bytes()
-        rebuilt = graph_from_frame(frame, memoize=True)
+        rebuilt = graph_from_frame(frame)
         assert rebuilt._flat is not None  # decoded frame reused, not re-flattened
         for algorithm_cls in (GreedyColoring, LinearColoring):
             algorithm = algorithm_cls(4, AlgorithmOptions())

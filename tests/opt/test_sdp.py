@@ -119,12 +119,6 @@ class TestVectorProgramSolver:
         b = VectorProgramSolver(4).solve(4, edges)
         assert np.allclose(a.gram, b.gram)
 
-    def test_solve_graph_maps_arbitrary_ids(self):
-        solver = VectorProgramSolver(4)
-        result, index = solver.solve_graph([10, 20, 30], [(10, 20), (20, 30)])
-        assert set(index) == {10, 20, 30}
-        assert result.gram.shape == (3, 3)
-
     def test_options_validation(self):
         with pytest.raises(ConfigurationError):
             SdpOptions(learning_rate=0.0).validate()

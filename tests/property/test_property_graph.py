@@ -151,14 +151,14 @@ class TestPeelingProperties:
     def test_reinsertion_adds_no_conflicts(self, data, k):
         """Peel, color the kernel greedily, reinsert: every conflict involving
         a peeled vertex must be satisfied (the safety claim of Algorithm 2)."""
-        from repro.core.greedy_coloring import greedy_color_graph
+        from repro.core.greedy_coloring import GreedyColoring
 
         n, edges = data
         g = DecompositionGraph.from_edges(edges, vertices=range(n))
         csr = CSRAdjacency(g.to_arrays())
         alive, _, _, _, stack = peel_low_degree_vertices(k, 2, csr)
         kernel = g.subgraph([v for v in range(n) if alive[v]])
-        coloring = greedy_color_graph(kernel, k, 0.1) if kernel.num_vertices else {}
+        coloring = GreedyColoring(k).color(kernel)
         colors = array("i", [coloring.get(v, -1) for v in range(n)])
         reinsert_peeled_vertices(k, stack, csr, colors)
         peeled = set(stack)
