@@ -7,11 +7,12 @@ circuits:
 * **hash**        — v1 repr-string SHA-256 (reimplemented baseline) vs the
   v2 packed-array streaming hash (cold, memo invalidated per run) vs the
   memoised re-hash (the steady-state cost inside one request);
-* **wire**        — binary frame roundtrip (flatten → frame bytes → decode
-  → rebuild graph);
+* **wire**        — binary frame roundtrip (flatten → frame bytes →
+  ``graph_from_frame``, the check a node runs, → a view of the frame);
 * **dispatch**    — pickling the graph object there and back (the old
   process-pool payload) vs shipping the flat frame inline through the
-  pickle channel and decoding it (the payload the pools send);
+  pickle channel and checking it into a view (the payload the pools send
+  and what their workers solve on);
 * **serialize+hash** — the per-component preparation cost the coordinator
   pays before a component leaves the box: hash + binary encode, sharing
   one flattening.
@@ -42,7 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.bench.factory import circuit_graph
 from repro.core.options import AlgorithmOptions, DivisionOptions
 from repro.graph.components import connected_components
-from repro.graph.flat import FlatGraph
+from repro.graph.flat import graph_from_frame
 from repro.runtime.hashing import canonical_component_key, options_fingerprint
 from repro.runtime.wire_binary import encode_components_frame
 
@@ -109,9 +110,7 @@ def _v2_hash_memoised(graph) -> str:
 
 def _binary_roundtrip(graph):
     _invalidate(graph)
-    frame = graph.to_arrays().to_bytes()
-    flat, _ = FlatGraph.from_bytes(frame)
-    return flat.to_graph()
+    return graph_from_frame(graph.to_arrays().to_bytes())
 
 
 def _pickle_dispatch(graph):
@@ -123,9 +122,7 @@ def _pickle_dispatch(graph):
 # flattens twice, so the benchmark must not either.
 def _inline_frame_dispatch(graph):
     """What the scheduler/pool do: frame bytes through the pickle channel."""
-    frame = pickle.loads(pickle.dumps(graph.to_arrays().to_bytes()))
-    flat, _ = FlatGraph.from_bytes(frame)
-    return flat.to_graph()
+    return graph_from_frame(pickle.loads(pickle.dumps(graph.to_arrays().to_bytes())))
 
 
 def _serialize_hash_v2(graph):

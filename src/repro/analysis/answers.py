@@ -5,7 +5,7 @@ derive a cache key.  A cached coloring is valid only while the solvers still
 give the same answer under that key, and the division, the solvers and the
 compiled core sit outside every fingerprint.  So the manifest also pins an
 *answer digest* beside ``_SCHEMA_VERSION``: a sha256 over the rank-space
-:class:`~repro.runtime.component_io.ComponentSolve` record (coloring, report
+:class:`~repro.runtime.cache.ComponentSolve` (coloring, report
 delta, timeout count) of every distinct component of :data:`CORPUS`, each
 solved once through :func:`~repro.runtime.component_io.solve_component`.
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import abc
 from typing import Dict, Optional
 
-from repro.core.evaluation import CostBreakdown, evaluate
 from repro.core.options import AlgorithmOptions
 from repro.errors import ConfigurationError
 from repro.graph.decomposition_graph import DecompositionGraph
@@ -43,11 +42,6 @@ class ColoringAlgorithm(abc.ABC):
     @abc.abstractmethod
     def color(self, graph: DecompositionGraph) -> Dict[int, int]:
         """Return a complete coloring of ``graph`` (vertex id -> color)."""
-
-    # ------------------------------------------------------------- helpers
-    def score(self, graph: DecompositionGraph, coloring: Dict[int, int]) -> CostBreakdown:
-        """Evaluate a coloring with this algorithm's alpha."""
-        return evaluate(graph, coloring, self.options.alpha)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(K={self.num_colors})"

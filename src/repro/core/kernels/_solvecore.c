@@ -301,12 +301,10 @@ int repro_peel(
     }
     int stack_len = 0;
     while (top > 0) {
+        /* A queued rank is alive and removable: it was queued so, and
+         * its degrees only fall while it waits. */
         int rank = queue[--top];
         pending[rank] = 0;
-        if (!alive[rank])
-            continue;
-        if (cdeg[rank] >= num_colors || sdeg[rank] >= max_stitch_degree)
-            continue;
         int crow_len = 0;
         for (int i = conf_start[rank]; i < conf_start[rank + 1]; i++) {
             int other = conf_adj[i];

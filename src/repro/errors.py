@@ -44,3 +44,7 @@ class DecompositionError(ReproError):
 
 class ConfigurationError(ReproError):
     """Raised for invalid user-facing configuration (bad K, bad thresholds)."""
+
+
+class ComponentWireError(ReproError):
+    """Raised for malformed component requests/responses (HTTP 400)."""

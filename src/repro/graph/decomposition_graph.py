@@ -117,8 +117,9 @@ class DecompositionGraph:
         reads them, mutates the graph or pickles it.  ``flat`` must be
         canonical (:meth:`FlatGraph.is_canonical
         <repro.graph.flat.FlatGraph.is_canonical>`); the construction and
-        the division build theirs so, and frames decoded from bytes are
-        never wrapped.
+        the division build theirs so, and a frame decoded from bytes is
+        wrapped only after :func:`~repro.graph.flat.graph_from_frame` has
+        checked it.
         """
         graph = cls.__new__(cls)
         graph._flat = flat

@@ -18,7 +18,7 @@ The layout is:
 * ``fragments``   — ``uint32[n]``;
 * ``weights``     — ``uint32[n]``;
 * ``conflict_edges`` / ``stitch_edges`` / ``friend_edges`` — ``uint32[2m]``,
-  flattened ``(u_rank, v_rank)`` pairs with ``u_rank <= v_rank``, pairs in
+  flattened ``(u_rank, v_rank)`` pairs with ``u_rank < v_rank``, pairs in
   sorted order.
 
 The *canonical* portion — ``weights`` plus the three rank-space edge lists —
@@ -49,7 +49,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -230,30 +230,37 @@ class FlatGraph:
         return flat, cursor
 
     # --------------------------------------------------------------- graph
-    def is_canonical(self) -> bool:
-        """True when the buffers are exactly what :func:`flatten_graph` emits.
+    def canonical_fault(self) -> Optional[str]:
+        """Name what keeps the buffers from being what :func:`flatten_graph` emits.
 
-        Vertex ids strictly increasing (so rank order is sorted-id order)
-        and every edge list a strictly increasing sequence of normalised
-        ``u <= v`` rank pairs (so the lists are sorted and duplicate-free).
-        Only such a snapshot may be re-attached to a rebuilt graph as its
-        memoised flat form: frames arrive over the wire, and memoising a
-        non-canonical frame would poison the canonical hash downstream.
+        ``None`` when vertex ids are non-negative and strictly increasing
+        (so rank order is sorted-id order) and every edge list is a strictly
+        increasing sequence of ``u < v`` rank pairs (so the lists are sorted
+        and duplicate-free); otherwise the first fault found.
         """
-        ids = self.vertex_ids
-        for i in range(len(ids) - 1):
-            if ids[i] >= ids[i + 1]:
-                return False
-        for edges in (self.conflict_edges, self.stitch_edges, self.friend_edges):
-            prev_u = prev_v = -1
-            for i in range(0, len(edges), 2):
-                u, v = edges[i], edges[i + 1]
-                if u > v:
-                    return False
-                if u < prev_u or (u == prev_u and v <= prev_v):
-                    return False
-                prev_u, prev_v = u, v
-        return True
+        ids = np.frombuffer(self.vertex_ids, dtype="q")
+        if (ids[1:] <= ids[:-1]).any():
+            return "vertex ids are not canonical: not strictly increasing"
+        if len(ids) and ids[0] < 0:
+            return f"vertex ids must be non-negative, got {ids[0]}"
+        for what, edges in (
+            ("conflict edges", self.conflict_edges),
+            ("stitch edges", self.stitch_edges),
+            ("friend edges", self.friend_edges),
+        ):
+            pairs = np.frombuffer(edges, dtype="I").reshape(-1, 2)
+            low, high = pairs[:, 0], pairs[:, 1]
+            loops = low == high
+            if loops.any():
+                return f"{what}: self loop on rank {low[loops][0]}"
+            packed = (low.astype(np.uint64) << 32) | high
+            if (low > high).any() or (packed[1:] <= packed[:-1]).any():
+                return f"{what} are not canonical: not increasing u < v rank pairs"
+        return None
+
+    def is_canonical(self) -> bool:
+        """True when :meth:`canonical_fault` finds nothing."""
+        return self.canonical_fault() is None
 
     def to_graph(self):
         """Rebuild the original :class:`DecompositionGraph`, bit-for-bit.
@@ -261,13 +268,9 @@ class FlatGraph:
         The reconstruction round-trips exactly: vertex ids, per-vertex data,
         and all three edge sets equal the source graph's, so colorings (and
         canonical keys) computed on the rebuilt graph match the original.
-
-        This is the worker-side hot path (every binary-wire or pool-dispatched
-        component lands here), so it builds through the one bulk
-        constructor, :meth:`DecompositionGraph.from_parts`, whose whole-list
-        checks (known endpoints, no self loops, non-negative ids) surface
-        here as :class:`FlatFrameError`, as does an edge rank outside the
-        vertex range.
+        It builds through the one bulk constructor,
+        :meth:`DecompositionGraph.from_parts`; a view calls it the first
+        time something reads its object graph.
         """
         from repro.graph.decomposition_graph import DecompositionGraph, VertexData
 
@@ -283,17 +286,13 @@ class FlatGraph:
             )
         }
         vertex_at = ids.__getitem__
-        try:
-            edge_lists = [
+        return DecompositionGraph.from_parts(
+            vertex_data,
+            *(
                 list(zip(map(vertex_at, edges[0::2]), map(vertex_at, edges[1::2])))
                 for edges in (self.conflict_edges, self.stitch_edges, self.friend_edges)
-            ]
-            graph = DecompositionGraph.from_parts(vertex_data, *edge_lists)
-        except IndexError as exc:
-            raise FlatFrameError(f"edge rank outside the vertex range: {exc}") from exc
-        except GraphError as exc:
-            raise FlatFrameError(str(exc)) from exc
-        return graph
+            ),
+        )
 
     def induced_graph(
         self, ranks: Sequence[int], conflict: array, stitch: array, friend: array
@@ -305,7 +304,7 @@ class FlatGraph:
         ``u < v``.  An increasing relabeling keeps the snapshot canonical,
         so it backs a view (:meth:`DecompositionGraph.from_flat
         <repro.graph.decomposition_graph.DecompositionGraph.from_flat>`)
-        without :meth:`is_canonical`'s scan, and a compiled solver colors
+        without :meth:`canonical_fault`'s scan, and a compiled solver colors
         the piece without building its object graph.
         """
         from repro.graph.decomposition_graph import DecompositionGraph
@@ -390,23 +389,30 @@ class FlatGraph:
 
 
 def graph_from_frame(data):
-    """Decode one complete flat-graph frame into a graph.
+    """Check one complete flat-graph frame and return a view of it.
 
-    The one materialisation helper every transport consumer uses (binary
-    wire jobs, inline pickle-channel frames), so
-    the trailing-bytes check can never silently diverge between them.
-    Raises :class:`FlatFrameError` on any malformation.  A canonical frame
-    (:meth:`FlatGraph.is_canonical`) becomes the graph's memoised flat
-    form, so the worker-side canonical hash and the solvers read the
-    shipped buffers instead of re-flattening the rebuilt graph.
+    The one validator of every frame a process receives: the node's
+    :func:`~repro.runtime.wire_binary.decode_components_frame`, its
+    workers' jobs and the process pool's workers all decode here, so the
+    checks cannot diverge between them.  On top of
+    :meth:`FlatGraph.from_bytes`'s (version, truncation, ranks inside the
+    vertex range) it refuses trailing bytes and a frame that is not
+    canonical (:meth:`FlatGraph.canonical_fault`), since a view of one
+    would poison the canonical hash downstream.  Raises
+    :class:`FlatFrameError` naming the fault.  The view
+    (:meth:`DecompositionGraph.from_flat
+    <repro.graph.decomposition_graph.DecompositionGraph.from_flat>`) builds
+    no object graph unless something reads one.
     """
+    from repro.graph.decomposition_graph import DecompositionGraph
+
     flat, end = FlatGraph.from_bytes(data)
     if end != len(data):
         raise FlatFrameError(f"graph frame has {len(data) - end} trailing bytes")
-    graph = flat.to_graph()
-    if flat.is_canonical():
-        graph._flat = flat
-    return graph
+    fault = flat.canonical_fault()
+    if fault is not None:
+        raise FlatFrameError(fault)
+    return DecompositionGraph.from_flat(flat)
 
 
 def flatten_graph(graph) -> FlatGraph:

@@ -8,15 +8,19 @@ this package turns that structural fact into throughput:
   process-pool executors (largest-first ordering, deterministic merge,
   in-process fallback when the pool dies);
 * :mod:`repro.runtime.hashing` — canonical, order-preserving component keys;
-* :mod:`repro.runtime.cache` — :class:`ComponentCache`, replaying previously
-  solved components bit-identically over a pluggable :class:`CacheBackend`
+* :mod:`repro.runtime.cache` — :class:`ComponentCache`, storing each solved
+  component as the rank-space
+  :class:`~repro.runtime.cache.ComponentSolve` every executor returns and
+  handing it back unchanged, over a pluggable :class:`CacheBackend`
   (in-memory LRU by default);
 * :mod:`repro.runtime.sqlite_cache` — :class:`SqliteBackend`, the durable
   multi-process store behind ``--cache-db`` and the decomposition server;
 * :mod:`repro.runtime.batch` — :func:`decompose_many`, the multi-layout API
   behind the ``repro-decompose batch`` subcommand;
 * :mod:`repro.runtime.wire_binary` — the binary v2 ``POST /components``
-  frame over the flat-array graph form of :mod:`repro.graph.flat`.
+  frame over the flat-array graph form of :mod:`repro.graph.flat`, each
+  graph frame checked by :func:`~repro.graph.flat.graph_from_frame` and
+  solved on a view of it.
 
 Every path through this package preserves the exact masks, conflict counts
 and stitch counts of the serial pipeline.
@@ -26,7 +30,6 @@ from repro.runtime.cache import (
     CacheBackend,
     CacheStats,
     ComponentCache,
-    ComponentRecord,
     InMemoryBackend,
     open_cache,
 )
@@ -51,7 +54,6 @@ __all__ = [
     "CacheBackend",
     "CacheStats",
     "ComponentCache",
-    "ComponentRecord",
     "InMemoryBackend",
     "SqliteBackend",
     "open_cache",

@@ -3,10 +3,11 @@
 Standard-cell layouts repeat the same cell across the die, so after graph
 division the pipeline (:mod:`repro.runtime.pipeline`) sees the same small
 component over and over, within one layout and across layouts.  The
-:class:`ComponentCache` stores each solved component's coloring in canonical
-(rank) space, keyed by :func:`repro.runtime.hashing.canonical_component_key`;
-a later isomorphic component replays the stored colors through its own rank
-map instead of re-running the solver.
+:class:`ComponentCache` stores each :class:`ComponentSolve`, a solved
+component in canonical (rank) space, keyed by
+:func:`repro.runtime.hashing.canonical_component_key`; a later isomorphic
+component replays the stored ranks onto its own vertex ids
+(:meth:`ComponentSolve.coloring_for`) instead of re-running the solver.
 
 Because the canonical relabeling is order-preserving and every colorer is
 equivariant under order-preserving relabelings (see :mod:`hashing`), a cache
@@ -17,8 +18,8 @@ so replays reproduce the full solve byproducts, not just the colors.  One
 cache is safe to share across the layouts of a batch and across algorithms
 and K (the key fingerprints both).
 
-Storage is pluggable: :class:`ComponentCache` is a thin frontend (rank
-mapping + hit/miss accounting) over a :class:`CacheBackend`.  Two backends
+Storage is pluggable: :class:`ComponentCache` is a thin frontend (shape
+stamping + hit/miss accounting) over a :class:`CacheBackend`.  Two backends
 ship with the library:
 
 * :class:`InMemoryBackend` — the default LRU ``OrderedDict`` store, private
@@ -35,33 +36,54 @@ CLI flags and server options map straight onto it).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.core.division import DivisionReport
+from repro.errors import ComponentWireError
 from repro.graph.decomposition_graph import DecompositionGraph
-from repro.runtime.hashing import canonical_vertex_order
+
 
 @dataclass
-class ComponentRecord:
-    """One solved component: coloring plus solve byproducts.
+class ComponentSolve:
+    """One solved component in canonical rank space.
 
-    ``coloring`` is expressed over canonical ranks inside the cache and over
-    real vertex ids in the records returned by :meth:`ComponentCache.lookup`.
-    ``shape`` fingerprints the solved graph's structure (vertex count and
-    the three edge counts); lookups reject records whose shape does not
-    match the queried graph, so a key arriving from an untrusted component
-    request can never replay some *other* component's coloring as a hit.
+    What every executor returns and what the cache stores and hands back:
+    :func:`~repro.runtime.component_io.solve_component` builds it from a
+    solve, :func:`~repro.runtime.component_io.parse_component_response`
+    from a node's response entry, and :meth:`ComponentCache.lookup` returns
+    the stored one.  ``ranks[r]`` colors the vertex of rank ``r`` (its
+    position in sorted-id order).  ``shape`` fingerprints the solved graph's
+    structure (vertex count and the three edge counts); the cache stamps it
+    on store and rejects a lookup whose graph has another shape, so a key
+    arriving from an untrusted component request can never replay some
+    *other* component's coloring as a hit.
     """
 
-    coloring: Dict[int, int]
+    key: str
+    ranks: List[int]
     report: DivisionReport = field(default_factory=DivisionReport)
     solver_timeouts: int = 0
+    cache_hit: bool = False
     shape: Optional[Tuple[int, int, int, int]] = None
+
+    def coloring_for(self, graph: DecompositionGraph) -> Dict[int, int]:
+        """Replay the rank-space coloring onto ``graph``'s own vertex ids.
+
+        Valid for any component with the same canonical key as the one that
+        was solved; the one rank-to-id mapping of the component layer.
+        """
+        order = graph.vertices()
+        if len(order) != len(self.ranks):
+            raise ComponentWireError(
+                f"component response colors {len(self.ranks)} vertices, "
+                f"local component has {len(order)}"
+            )
+        return dict(zip(order, self.ranks))
 
 
 def graph_shape(graph: DecompositionGraph) -> Tuple[int, int, int, int]:
-    """The structural fingerprint stored in (and checked against) records."""
+    """The structural fingerprint stored in (and checked against) solves."""
     return (
         graph.num_vertices,
         graph.num_conflict_edges,
@@ -70,14 +92,9 @@ def graph_shape(graph: DecompositionGraph) -> Tuple[int, int, int, int]:
     )
 
 
-def _shape_matches(record: ComponentRecord, expected) -> bool:
-    """Shared backend-side guard; shape-less legacy records fall back to the
-    coloring-size check so a replay can never KeyError."""
-    if expected is None:
-        return True
-    if record.shape is not None:
-        return record.shape == expected
-    return len(record.coloring) == expected[0]
+def _shape_matches(solve: ComponentSolve, expected) -> bool:
+    """The backends' shared guard (``expected`` ``None``: don't check)."""
+    return expected is None or solve.shape == expected
 
 
 @dataclass
@@ -126,15 +143,15 @@ class CacheStats:
 class CacheBackend(Protocol):
     """Storage contract behind :class:`ComponentCache`.
 
-    Records are stored and returned in canonical rank space (coloring keyed
-    by rank ``0..n-1``); the frontend does all vertex-id mapping.  ``put``
+    Solves are stored and handed back unchanged, in canonical rank space;
+    the frontend stamps each one's shape before ``put``.  ``put``
     returns the number of entries evicted to make room, so the frontend can
     account for them.  Backends own their persistence/concurrency story;
     the frontend never assumes entries survive between calls (a concurrent
     process may have evicted them).
 
     ``get`` takes the caller's expected structural shape (``None`` = don't
-    check): a record under the right key but the wrong shape is a *miss* —
+    check): a solve under the right key but the wrong shape is a *miss* —
     returned as ``None``, counted as a miss by backends with persistent
     counters, and not refreshed in LRU order — so an untrusted key can
     neither smuggle a mismatched coloring out nor distort the accounting.
@@ -142,9 +159,9 @@ class CacheBackend(Protocol):
 
     def get(
         self, key: str, expected_shape: Optional[Tuple[int, int, int, int]] = None
-    ) -> Optional[ComponentRecord]: ...
+    ) -> Optional[ComponentSolve]: ...
 
-    def put(self, key: str, record: ComponentRecord) -> int: ...
+    def put(self, key: str, solve: ComponentSolve) -> int: ...
 
     def __len__(self) -> int: ...
 
@@ -167,22 +184,22 @@ class InMemoryBackend:
         if max_entries is not None and max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[str, ComponentRecord]" = OrderedDict()
+        self._entries: "OrderedDict[str, ComponentSolve]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(
         self, key: str, expected_shape: Optional[Tuple[int, int, int, int]] = None
-    ) -> Optional[ComponentRecord]:
-        record = self._entries.get(key)
-        if record is None or not _shape_matches(record, expected_shape):
+    ) -> Optional[ComponentSolve]:
+        solve = self._entries.get(key)
+        if solve is None or not _shape_matches(solve, expected_shape):
             return None
         self._entries.move_to_end(key)
-        return record
+        return solve
 
-    def put(self, key: str, record: ComponentRecord) -> int:
-        self._entries[key] = record
+    def put(self, key: str, solve: ComponentSolve) -> int:
+        self._entries[key] = solve
         self._entries.move_to_end(key)
         evicted = 0
         if self.max_entries is not None and len(self._entries) > self.max_entries:
@@ -234,12 +251,11 @@ class ComponentCache:
         return len(self.backend)
 
     # ------------------------------------------------------------- lookup
-    def lookup(self, key: str, graph: DecompositionGraph) -> Optional[ComponentRecord]:
-        """Return the cached solution replayed onto ``graph``'s vertex ids.
+    def lookup(self, key: str, graph: DecompositionGraph) -> Optional[ComponentSolve]:
+        """Return the solve stored under ``key`` for ``graph``, or ``None``.
 
-        Records a hit or miss in :attr:`stats`; returns ``None`` on a miss.
-        A record whose stored shape (or, for shape-less records, coloring
-        size) does not match ``graph``'s is a miss, never a crash: keys may
+        Records a hit or miss in :attr:`stats`.  A solve whose stored shape
+        does not match ``graph``'s is a miss, never a crash: keys may
         arrive from untrusted component requests (a node trusts the
         coordinator's routing hash), and the shape guard keeps a mismatched
         key from replaying a structurally different component's coloring.
@@ -249,35 +265,22 @@ class ComponentCache:
         itself can never be poisoned (see
         :func:`repro.runtime.component_io.solve_component_job`).
         """
-        record = self.backend.get(key, graph_shape(graph))
-        if record is None:
+        solve = self.backend.get(key, graph_shape(graph))
+        if solve is None:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        order = canonical_vertex_order(graph)
-        return ComponentRecord(
-            coloring={vertex: record.coloring[rank] for rank, vertex in enumerate(order)},
-            report=record.report.component_delta(),
-            solver_timeouts=record.solver_timeouts,
-        )
+        return solve
 
-    def store(
-        self,
-        key: str,
-        graph: DecompositionGraph,
-        coloring: Dict[int, int],
-        report: Optional[DivisionReport] = None,
-        solver_timeouts: int = 0,
-    ) -> None:
-        """Store a solution (on ``graph``'s own vertex ids) under ``key``."""
-        order = canonical_vertex_order(graph)
-        record = ComponentRecord(
-            coloring={rank: coloring[vertex] for rank, vertex in enumerate(order)},
-            report=report.component_delta() if report is not None else DivisionReport(),
-            solver_timeouts=solver_timeouts,
-            shape=graph_shape(graph),
-        )
-        self.stats.evictions += self.backend.put(key, record)
+    def store(self, key: str, graph: DecompositionGraph, solve: ComponentSolve) -> None:
+        """Store ``solve``, solved on ``graph``, under ``key``.
+
+        What is stored is what a later hit returns: ``solve``'s ranks,
+        report delta and timeouts, with ``cache_hit`` set and ``graph``'s
+        shape.
+        """
+        stored = replace(solve, key=key, cache_hit=True, shape=graph_shape(graph))
+        self.stats.evictions += self.backend.put(key, stored)
 
     def snapshot_stats(self) -> CacheStats:
         """Return a point-in-time copy of the stats with the entry count.

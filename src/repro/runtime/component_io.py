@@ -27,8 +27,9 @@ never poisons its batch siblings::
         {"error": {"status": 422, "message": "..."}}, ...]}
 
 The coloring travels in canonical rank space (rank = position in sorted
-vertex-id order), exactly how the component cache stores records: the
-coordinator replays it onto its own vertex ids through the rank map, and —
+vertex-id order), exactly as the component cache stores it: the
+coordinator replays it onto its own vertex ids
+(:meth:`ComponentSolve.coloring_for`), and —
 because the canonical relabeling is order-preserving and every colorer is
 equivariant under it (see :mod:`repro.runtime.hashing`) — the replayed
 coloring is bit-identical to solving the component locally.  That property
@@ -47,10 +48,11 @@ from typing import Dict, List, Optional
 from repro.core.decomposer import make_colorer
 from repro.core.division import DivisionReport, color_component
 from repro.core.options import DecomposerOptions
-from repro.errors import ReproError
+from repro.errors import ComponentWireError, ReproError
 from repro.graph.decomposition_graph import DecompositionGraph
-from repro.runtime.cache import ComponentCache, ComponentRecord
-from repro.runtime.hashing import canonical_component_key, canonical_vertex_order
+from repro.graph.flat import FlatFrameError, graph_from_frame
+from repro.runtime.cache import ComponentCache, ComponentSolve
+from repro.runtime.hashing import canonical_component_key
 
 #: DivisionReport counters that cross the wire (the per-component delta).
 _REPORT_FIELDS = (
@@ -60,10 +62,6 @@ _REPORT_FIELDS = (
     "colored_pieces",
     "largest_colored_piece",
 )
-
-
-class ComponentWireError(ReproError):
-    """Raised for malformed component requests/responses (HTTP 400)."""
 
 
 def options_for(colors: int, algorithm: str) -> DecomposerOptions:
@@ -162,58 +160,6 @@ def report_from_wire(payload: Dict) -> DivisionReport:
         raise ComponentWireError(f"invalid 'report' payload: {exc}") from exc
 
 
-class ComponentSolve:
-    """One solved component in canonical rank space.
-
-    What every executor returns: :func:`solve_component` builds it from a
-    solve, :meth:`from_record` from a cache hit, and
-    :func:`parse_component_response` from a node's response entry.
-    """
-
-    __slots__ = ("key", "ranks", "report", "solver_timeouts", "cache_hit")
-
-    def __init__(
-        self,
-        key: str,
-        ranks: List[int],
-        report: DivisionReport,
-        solver_timeouts: int,
-        cache_hit: bool,
-    ) -> None:
-        self.key = key
-        self.ranks = ranks
-        self.report = report
-        self.solver_timeouts = solver_timeouts
-        self.cache_hit = cache_hit
-
-    def coloring_for(self, graph: DecompositionGraph) -> Dict[int, int]:
-        """Replay the rank-space coloring onto ``graph``'s own vertex ids.
-
-        Valid for any component with the same canonical key as the one that
-        was solved — the same replay rule the component cache uses.
-        """
-        order = canonical_vertex_order(graph)
-        if len(order) != len(self.ranks):
-            raise ComponentWireError(
-                f"component response colors {len(self.ranks)} vertices, "
-                f"local component has {len(order)}"
-            )
-        return {vertex: self.ranks[rank] for rank, vertex in enumerate(order)}
-
-    @classmethod
-    def from_record(
-        cls, key: str, record: ComponentRecord, graph: DecompositionGraph
-    ) -> "ComponentSolve":
-        """A cache hit (``record`` on ``graph``'s vertex ids) in rank space."""
-        return cls(
-            key=key,
-            ranks=[record.coloring[vertex] for vertex in canonical_vertex_order(graph)],
-            report=record.report,
-            solver_timeouts=record.solver_timeouts,
-            cache_hit=True,
-        )
-
-
 def solve_component(
     graph: DecompositionGraph, options: DecomposerOptions, key: str = ""
 ) -> ComponentSolve:
@@ -228,10 +174,9 @@ def solve_component(
     coloring = color_component(graph, colorer, options.division, report)
     return ComponentSolve(
         key=key,
-        ranks=[coloring[vertex] for vertex in canonical_vertex_order(graph)],
+        ranks=[coloring[vertex] for vertex in graph.vertices()],
         report=report.component_delta(),
         solver_timeouts=int(getattr(colorer, "timeouts", 0)),
-        cache_hit=False,
     )
 
 
@@ -256,17 +201,14 @@ def parse_component_response(payload: Dict) -> ComponentSolve:
 
 # --------------------------------------------------------------- node worker
 def job_graph(job: Dict) -> DecompositionGraph:
-    """Materialise the job's component graph from its ``graph_frame`` bytes.
+    """The job's component graph: a view of its checked ``graph_frame`` bytes.
 
     The frame is the component's packed flat-graph frame, exactly as it
     arrived in the binary ``POST /components`` body; it reaches process
-    workers inline through the executor's pickle channel.
+    workers inline through the executor's pickle channel.  Node workers
+    hash and solve straight off the shipped buffers.
     """
-    from repro.graph.flat import FlatFrameError, graph_from_frame
-
     try:
-        # Node workers hash and solve straight off the shipped canonical
-        # buffers (no re-flattening on the hot path).
         return graph_from_frame(job["graph_frame"])
     except (FlatFrameError, KeyError) as exc:
         raise ComponentWireError(f"invalid 'graph_frame' payload: {exc}") from exc
@@ -304,30 +246,22 @@ def solve_component_job(job: Dict, cache: Optional[ComponentCache]) -> Dict:
 
     key = job.get("key") or local_key()
     lookup_started = time.perf_counter()
-    record = cache.lookup(key, graph) if cache is not None else None
-    if record is None and cache is not None and job.get("key"):
+    solve = cache.lookup(key, graph) if cache is not None else None
+    if solve is None and cache is not None and job.get("key"):
         # The shipped key missed (cold cache — or a key that does not match
         # this graph).  Fall back to the authoritative local key before
         # paying for a solve; from here on `key` is trusted.
         key = local_key()
         if key != job["key"]:
-            record = cache.lookup(key, graph)
+            solve = cache.lookup(key, graph)
     lookup_seconds = time.perf_counter() - lookup_started
     solve_seconds = 0.0
-    if record is not None:
-        solve = ComponentSolve.from_record(key, record, graph)
-    else:
+    if solve is None:
         solve_started = time.perf_counter()
         solve = solve_component(graph, options, key)
         solve_seconds = time.perf_counter() - solve_started
         if cache is not None:
-            cache.store(
-                key,
-                graph,
-                solve.coloring_for(graph),
-                solve.report,
-                solver_timeouts=solve.solver_timeouts,
-            )
+            cache.store(key, graph, solve)
     # "timings" is node-local observability: the server feeds it into its
     # stage histograms and trace spans, then strips it before encoding the
     # wire response, so response bytes are identical with tracing on or off.

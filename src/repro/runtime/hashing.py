@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import fields
-from typing import Dict, List
+from typing import List
 
 from repro.core.options import AlgorithmOptions, DivisionOptions
 from repro.graph.decomposition_graph import DecompositionGraph
@@ -54,16 +54,6 @@ from repro.graph.flat import _le_bytes
 _SCHEMA_VERSION = 5
 
 _U32 = struct.Struct("<I")
-
-
-def canonical_vertex_order(graph: DecompositionGraph) -> List[int]:
-    """Return the graph's vertices in canonical (sorted-id) order."""
-    return graph.vertices()
-
-
-def canonical_rank_map(graph: DecompositionGraph) -> Dict[int, int]:
-    """Map each vertex id to its rank in the canonical order."""
-    return {vertex: rank for rank, vertex in enumerate(canonical_vertex_order(graph))}
 
 
 def options_fingerprint(

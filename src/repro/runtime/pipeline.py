@@ -19,7 +19,7 @@ shape:
 
 An *executor* is any callable ``executor(batch, options)`` that solves a
 list of distinct ``(key, component)`` pairs and returns one rank-space
-:class:`~repro.runtime.component_io.ComponentSolve` per pair, in order.
+:class:`~repro.runtime.cache.ComponentSolve` per pair, in order.
 Executors change where a component is solved, never what is computed:
 
 * :func:`solve_inline` — in this process;
@@ -49,8 +49,8 @@ from repro.errors import ConfigurationError
 from repro.graph.decomposition_graph import DecompositionGraph
 from repro.graph.flat import graph_from_frame
 from repro.obs.trace import Span
-from repro.runtime.cache import ComponentCache
-from repro.runtime.component_io import ComponentSolve, solve_component
+from repro.runtime.cache import ComponentCache, ComponentSolve
+from repro.runtime.component_io import solve_component
 from repro.runtime.hashing import canonical_component_key
 
 logger = logging.getLogger("repro.runtime.pipeline")
@@ -138,21 +138,15 @@ def color_graph(
         solves: Dict[str, ComponentSolve] = {}
         misses: List[Tuple[str, DecompositionGraph]] = []
         for key, subgraph in distinct.items():
-            record = cache.lookup(key, subgraph) if cache is not None else None
-            if record is None:
+            solve = cache.lookup(key, subgraph) if cache is not None else None
+            if solve is None:
                 misses.append((key, subgraph))
             else:
-                solves[key] = ComponentSolve.from_record(key, record, subgraph)
+                solves[key] = solve
         for (key, subgraph), solve in zip(misses, executor(misses, options)):
             solves[key] = solve
             if cache is not None:
-                cache.store(
-                    key,
-                    subgraph,
-                    solve.coloring_for(subgraph),
-                    solve.report,
-                    solver_timeouts=solve.solver_timeouts,
-                )
+                cache.store(key, subgraph, solve)
         if cache is not None:
             # In-call siblings, replayed from the solve in hand, are hits too.
             cache.stats.hits += len(subgraphs) - len(distinct)
@@ -173,9 +167,7 @@ def solve_inline(batch: Batch, options: DecomposerOptions) -> List[ComponentSolv
 
 
 def _solve_frame(frame: bytes, key: str, options: DecomposerOptions) -> ComponentSolve:
-    """Pool worker: rebuild a component from its flat frame and solve it."""
-    # The decoded frame becomes the graph's flat form, so the solvers run
-    # straight off the shipped buffers.
+    """Pool worker: solve a component on a view of its checked flat frame."""
     return solve_component(graph_from_frame(frame), options, key)
 
 

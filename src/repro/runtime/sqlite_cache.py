@@ -33,9 +33,11 @@ Design notes
   effectiveness aggregated over *all* worker processes, and tests can verify
   that a restarted server really reused its predecessor's entries.
 
-Records are stored in canonical rank space as JSON, mirroring
-:class:`~repro.runtime.cache.ComponentRecord`; replay through the rank map is
-the frontend's job, so SQLite-cached solves stay bit-identical to fresh ones.
+Each row holds one :class:`~repro.runtime.cache.ComponentSolve` in
+canonical rank space as JSON (ranks, report delta, timeouts, shape); the
+solve a hit decodes replays onto the caller's vertex ids through
+:meth:`~repro.runtime.cache.ComponentSolve.coloring_for`, so SQLite-cached
+solves stay bit-identical to fresh ones.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.core.division import DivisionReport
-from repro.runtime.cache import ComponentRecord, _shape_matches
+from repro.runtime.cache import ComponentSolve, _shape_matches
 
 #: Bump when the table layout, the JSON payload format, or the canonical
 #: hashing scheme feeding the keys changes; mismatched stores are dropped and
@@ -65,27 +67,38 @@ SCHEMA_VERSION = 3
 BUSY_TIMEOUT_SECONDS = 30.0
 
 
-def _encode_record(record: ComponentRecord) -> str:
-    """Serialise a canonical-rank record to the JSON payload format."""
-    # Rank colorings are dense 0..n-1 by construction, so a plain list is
-    # enough (and keeps JSON keys from becoming strings).
-    colors = [record.coloring[rank] for rank in range(len(record.coloring))]
-    report = {f.name: getattr(record.report, f.name) for f in fields(DivisionReport)}
-    payload = {"colors": colors, "report": report, "timeouts": record.solver_timeouts}
-    if record.shape is not None:
-        payload["shape"] = list(record.shape)
+def _encode_record(solve: ComponentSolve) -> str:
+    """Serialise a rank-space solve to the JSON payload format."""
+    report = {f.name: getattr(solve.report, f.name) for f in fields(DivisionReport)}
+    payload = {
+        "colors": solve.ranks,
+        "report": report,
+        "timeouts": solve.solver_timeouts,
+        "shape": list(solve.shape),
+    }
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _decode_record(payload: str) -> ComponentRecord:
+def _decode_record(payload: str, key: str) -> ComponentSolve:
+    """The solve stored under ``key``, as a hit hands it back.
+
+    A damaged payload raises :class:`ValueError`, :class:`KeyError` or
+    :class:`TypeError`, and the caller drops the row: also one without
+    ``shape``, or whose colors do not cover the vertex count in its shape
+    (the shape guard would pass it, and its replay would fail).
+    """
     data = json.loads(payload)
-    shape = data.get("shape")
-    return ComponentRecord(
-        coloring={rank: color for rank, color in enumerate(data["colors"])},
+    solve = ComponentSolve(
+        key=key,
+        ranks=data["colors"],
         report=DivisionReport(**data["report"]),
         solver_timeouts=data["timeouts"],
-        shape=tuple(shape) if shape is not None else None,
+        cache_hit=True,
+        shape=tuple(data["shape"]),
     )
+    if len(solve.shape) != 4 or len(solve.ranks) != solve.shape[0]:
+        raise ValueError(f"row colors {len(solve.ranks)} vertices, shape {solve.shape}")
+    return solve
 
 
 class SqliteBackend:
@@ -193,15 +206,15 @@ class SqliteBackend:
 
     def get(
         self, key: str, expected_shape: Optional[tuple] = None
-    ) -> Optional[ComponentRecord]:
+    ) -> Optional[ComponentSolve]:
         with self._lock, self._conn:
             row = self._conn.execute(
                 "SELECT payload FROM components WHERE key = ?", (key,)
             ).fetchone()
-            record = None
+            solve = None
             if row is not None:
                 try:
-                    record = _decode_record(row[0])
+                    solve = _decode_record(row[0], key)
                 except (ValueError, KeyError, TypeError):
                     # Damaged payload (torn write, manual edit): the cache
                     # must never fail a decomposition — drop the row and
@@ -209,12 +222,12 @@ class SqliteBackend:
                     self._conn.execute(
                         "DELETE FROM components WHERE key = ?", (key,)
                     )
-                if record is not None and not _shape_matches(record, expected_shape):
+                if solve is not None and not _shape_matches(solve, expected_shape):
                     # Wrong shape under a (possibly untrusted) key: a miss.
                     # The row itself is legitimate — keep it, but neither
                     # count a hit nor refresh its LRU slot.
-                    record = None
-            if record is None:
+                    solve = None
+            if solve is None:
                 self._bump_locked("misses")
                 return None
             self._conn.execute(
@@ -222,10 +235,10 @@ class SqliteBackend:
                 (self._tick_locked(), key),
             )
             self._bump_locked("hits")
-        return record
+        return solve
 
-    def put(self, key: str, record: ComponentRecord) -> int:
-        payload = _encode_record(record)
+    def put(self, key: str, solve: ComponentSolve) -> int:
+        payload = _encode_record(solve)
         with self._lock, self._conn:
             self._conn.execute(
                 "INSERT OR REPLACE INTO components (key, payload, last_used) "

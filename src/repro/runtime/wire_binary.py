@@ -38,7 +38,7 @@ from __future__ import annotations
 import struct
 from typing import List, Optional, Tuple
 
-from repro.graph.flat import FlatFrameError, FlatGraph
+from repro.graph.flat import FlatFrameError, FlatGraph, graph_from_frame
 from repro.runtime.component_io import ComponentWireError
 
 #: ``Content-Type`` marking a v2 binary components request body.
@@ -98,9 +98,10 @@ def frame_size(flat: FlatGraph, key: Optional[str] = None) -> int:
 class ComponentFrame:
     """One decoded component of a request: its key, graph, or decode error.
 
-    ``frame`` keeps the entry's raw graph-frame bytes so the server can hand
-    them straight to a worker without re-encoding the already-validated
-    :attr:`flat`.
+    ``flat`` is the entry's graph, checked by
+    :func:`~repro.graph.flat.graph_from_frame`; ``frame`` keeps its raw
+    graph-frame bytes so the server can hand them straight to a worker
+    without re-encoding.
     """
 
     __slots__ = ("key", "flat", "frame", "error")
@@ -127,8 +128,9 @@ def decode_components_frame(
     *envelope* (bad magic/version, truncated header or entry framing)
     raises :class:`ComponentWireError` — the whole request is
     unintelligible and answers ``400``.  A malformed *graph frame inside an
-    intact entry* becomes that entry's :attr:`ComponentFrame.error` so the
-    node fails only that component.
+    intact entry* (any fault :func:`~repro.graph.flat.graph_from_frame`
+    names) becomes that entry's :attr:`ComponentFrame.error` so the node
+    fails only that component.
     """
     view = memoryview(data)
     try:
@@ -198,14 +200,11 @@ def decode_components_frame(
         # The entry is intact (length-prefixed); a bad graph inside it fails
         # only this component.
         try:
-            flat, end = FlatGraph.from_bytes(frame)
-            if end != frame_length:
-                raise FlatFrameError(
-                    f"graph frame has {frame_length - end} trailing bytes"
-                )
-            components.append(ComponentFrame(key=key, flat=flat, frame=bytes(frame)))
+            flat = graph_from_frame(frame).to_arrays()
         except FlatFrameError as exc:
             components.append(ComponentFrame(key=key, error=str(exc)))
+        else:
+            components.append(ComponentFrame(key=key, flat=flat, frame=bytes(frame)))
     if cursor != len(view):
         raise ComponentWireError(
             f"components frame has {len(view) - cursor} trailing bytes"

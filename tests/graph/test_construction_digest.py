@@ -43,9 +43,11 @@ def construction_digest(result: ConstructionResult) -> str:
     for vertex in graph.vertices():
         data = graph.vertex_data(vertex)
         vertices.append((vertex, data.shape_id, data.fragment, data.weight))
+    # ``result.fragments`` builds its dict on every read: read it once.
+    fragment_rects = result.fragments
     fragments = [
-        (vertex, [(r.xl, r.yl, r.xh, r.yh) for r in result.fragments[vertex]])
-        for vertex in sorted(result.fragments)
+        (vertex, [(r.xl, r.yl, r.xh, r.yh) for r in fragment_rects[vertex]])
+        for vertex in sorted(fragment_rects)
     ]
     shape_vertices = sorted(result.shape_vertices.items())
     payload = repr(

@@ -130,6 +130,35 @@ class TestFrameErrors:
         with pytest.raises(FlatFrameError, match=message):
             graph_from_frame(frame)
 
+    @pytest.mark.parametrize(
+        "vertex_ids, conflict",
+        [
+            ([0, 1, 2], [1, 2, 0, 1]),
+            ([0, 1, 2], [0, 1, 0, 1]),
+            ([2, 1, 0], [0, 1]),
+            ([0, 1, 2], [1, 0]),
+        ],
+        ids=["unsorted-pairs", "duplicate-pair", "decreasing-ids", "reversed-pair"],
+    )
+    def test_non_canonical_frames_rejected(self, vertex_ids, conflict):
+        """A frame ``flatten_graph`` could not have written is refused, not
+        re-canonicalised: a view of it would hash and solve it as given."""
+        flat = FlatGraph(
+            array("q", vertex_ids), array("q", [0, 0, 0]), array("I", [0, 0, 0]),
+            array("I", [1, 1, 1]), array("I", conflict), array("I"), array("I"),
+        )
+        assert not flat.is_canonical()
+        with pytest.raises(FlatFrameError, match="not canonical"):
+            graph_from_frame(flat.to_bytes())
+
+    def test_decoded_frame_is_a_view(self):
+        """A checked frame is wrapped, not rebuilt: no object graph yet."""
+        graph = _rich_graph()
+        view = graph_from_frame(graph.to_arrays().to_bytes())
+        assert "_vertices" not in vars(view)
+        assert view.to_arrays() == graph.to_arrays()
+        _assert_graphs_equal(view, graph)
+
 
 class TestMemoisation:
     def test_flat_form_is_cached_until_mutation(self):

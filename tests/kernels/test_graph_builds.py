@@ -7,7 +7,8 @@ timing, so it holds on any runner.  Every colorer reads only flat forms, in
 both kernel modes: the construction, the component split, the division's
 pieces, the colorers (the relaxation, the merge loop, the merged graph, the
 search and the refinement included) and the scoring must build no graph at
-all.  The mode-``off`` cases need no compiled core, so they also run on a
+all, and neither may a pool worker or a node solving a shipped component
+frame.  The mode-``off`` cases need no compiled core, so they also run on a
 box without a C compiler; the division's own count, at K = 65 and with a
 failing core too, is in ``test_division_parity.py``.
 """
@@ -23,8 +24,12 @@ from repro.core.decomposer import Decomposer
 from repro.core.kernels import set_kernel_mode
 from repro.core.kernels.ccore import compiled_core
 from repro.core.options import DecomposerOptions
+from repro.graph.construction import build_decomposition_graph
 from repro.graph.decomposition_graph import DecompositionGraph
 from repro.opt.sdp import VectorProgramSolver
+from repro.runtime.cache import open_cache
+from repro.runtime.component_io import solve_component_job
+from repro.runtime.pipeline import _solve_frame, color_graph, solve_inline
 
 MODES = [
     "off",
@@ -110,3 +115,33 @@ def test_table1_builds_no_graph(monkeypatch, algorithm, mode):
             Decomposer(options).decompose(layout)
             assert builds == [], f"{name}: {len(builds)} graphs built"
     assert bool(relaxations) == algorithm.startswith("sdp"), len(relaxations)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("algorithm", ["linear", "greedy"])
+def test_component_frames_build_no_graph(monkeypatch, algorithm, mode):
+    """A shipped component frame is solved on a view: on a node (through
+    its cache, a miss then a hit) and in a pool worker."""
+    options = DecomposerOptions.for_quadruple_patterning(algorithm)
+    frames = {}  # one frame per distinct component, as a node's cache sees them
+
+    def recording(batch, solve_options):
+        for key, graph in batch:
+            frames.setdefault(key, graph.to_arrays().to_bytes())
+        return solve_inline(batch, solve_options)
+
+    for name in SERVED_PROFILES:
+        for scale in (0.05, 0.15):
+            construction = build_decomposition_graph(
+                load_circuit(name, scale), options=options.construction
+            )
+            color_graph(construction.graph, options, recording)
+    assert len(frames) > len(SERVED_PROFILES) * 2, "no layout had two components"
+    cache = open_cache()
+    with counting_builds(monkeypatch, mode) as builds:
+        for key, frame in frames.items():
+            job = {"graph_frame": frame, "key": key, "colors": 4, "algorithm": algorithm}
+            assert not solve_component_job(job, cache)["cache_hit"]
+            assert solve_component_job(job, cache)["cache_hit"]
+            _solve_frame(frame, key, options)
+            assert builds == [], f"{len(builds)} graphs built"

@@ -10,6 +10,7 @@ from repro.core.division import DivisionReport
 from repro.core.options import AlgorithmOptions, DecomposerOptions, DivisionOptions
 from repro.graph.decomposition_graph import DecompositionGraph
 from repro.runtime import ComponentCache, canonical_component_key
+from repro.runtime.cache import ComponentSolve
 
 
 def _key(graph, num_colors=4, algorithm="linear", options=None, division=None):
@@ -82,7 +83,8 @@ class TestCanonicalKey:
         coloring = colorer.color(graph)
 
         old_key = _key(graph, options=AlgorithmOptions(alpha=0.1))
-        cache.store(old_key, graph, coloring)
+        ranks = [coloring[vertex] for vertex in graph.vertices()]
+        cache.store(old_key, graph, ComponentSolve(old_key, ranks))
         assert cache.lookup(old_key, graph) is not None
 
         new_key = _key(graph, options=AlgorithmOptions(alpha=0.9))
@@ -96,10 +98,10 @@ class TestCacheAccounting:
         cache = ComponentCache()
         key = _key(graph)
         assert cache.lookup(key, graph) is None
-        cache.store(key, graph, {0: 0, 1: 1, 2: 0})
+        cache.store(key, graph, ComponentSolve(key, [0, 1, 0]))
         record = cache.lookup(key, graph)
         assert record is not None
-        assert record.coloring == {0: 0, 1: 1, 2: 0}
+        assert record.coloring_for(graph) == {0: 0, 1: 1, 2: 0}
         stats = cache.snapshot_stats()
         assert (stats.hits, stats.misses, stats.entries_hint) == (1, 1, 1)
         assert stats.hit_rate == pytest.approx(0.5)
@@ -111,16 +113,16 @@ class TestCacheAccounting:
         cache = ComponentCache()
         key = _key(original)
         assert key == _key(relabeled)
-        cache.store(key, original, {0: 2, 1: 0, 2: 1})
+        cache.store(key, original, ComponentSolve(key, [2, 0, 1]))
         record = cache.lookup(key, relabeled)
-        assert record.coloring == {5: 2, 8: 0, 11: 1}
+        assert record.coloring_for(relabeled) == {5: 2, 8: 0, 11: 1}
 
     def test_report_delta_replayed(self):
         graph = DecompositionGraph.from_edges([(0, 1), (1, 2)])
         report = DivisionReport(peeled_vertices=3, colored_pieces=1)
         cache = ComponentCache()
         key = _key(graph)
-        cache.store(key, graph, {0: 0, 1: 1, 2: 0}, report=report, solver_timeouts=2)
+        cache.store(key, graph, ComponentSolve(key, [0, 1, 0], report, solver_timeouts=2))
         record = cache.lookup(key, graph)
         assert record.report.peeled_vertices == 3
         assert record.report.colored_pieces == 1
@@ -135,7 +137,7 @@ class TestCacheAccounting:
         path4 = DecompositionGraph.from_edges([(0, 1), (1, 2), (2, 3)])
         cache = ComponentCache()
         key = _key(path3)
-        cache.store(key, path3, {0: 0, 1: 1, 2: 0})
+        cache.store(key, path3, ComponentSolve(key, [0, 1, 0]))
         assert cache.lookup(key, path4) is None  # wrong vertex count: miss
         # Same vertex count, different edges: the path's 2-coloring would be
         # an illegal triangle coloring — the shape guard makes it a miss.
@@ -147,8 +149,8 @@ class TestCacheAccounting:
         cache = ComponentCache(max_entries=1)
         first = DecompositionGraph.from_edges([(0, 1)])
         second = DecompositionGraph.from_edges([(0, 1), (1, 2)])
-        cache.store(_key(first), first, {0: 0, 1: 1})
-        cache.store(_key(second), second, {0: 0, 1: 1, 2: 0})
+        cache.store(_key(first), first, ComponentSolve(_key(first), [0, 1]))
+        cache.store(_key(second), second, ComponentSolve(_key(second), [0, 1, 0]))
         assert len(cache) == 1
         assert cache.stats.evictions == 1
         assert cache.lookup(_key(first), first) is None

@@ -20,7 +20,6 @@ from repro.graph.decomposition_graph import DecompositionGraph
 from repro.runtime.hashing import (
     _SCHEMA_VERSION,
     canonical_component_key,
-    canonical_rank_map,
     options_fingerprint,
 )
 
@@ -58,7 +57,7 @@ def _key(graph, num_colors=4, algorithm="linear"):
 
 def _v1_key(graph, num_colors, algorithm) -> str:
     """The retired v1 scheme, verbatim: repr-built payload string, SHA-256."""
-    rank = canonical_rank_map(graph)
+    rank = {vertex: index for index, vertex in enumerate(graph.vertices())}
 
     def relabel(edges):
         out = []

@@ -12,6 +12,7 @@ from repro.core.options import AlgorithmOptions, DecomposerOptions, DivisionOpti
 from repro.graph.components import connected_components
 from repro.graph.construction import build_decomposition_graph
 from repro.graph.decomposition_graph import DecompositionGraph
+from repro.graph.flat import FlatGraph
 from repro.runtime.component_io import solve_component_job
 from repro.runtime.hashing import canonical_component_key
 from repro.runtime.wire_binary import encode_components_frame
@@ -122,6 +123,27 @@ class TestBinaryComponents:
         assert "coloring" in results[0]
         assert results[1]["error"]["status"] == 400
         assert "version" in results[1]["error"]["message"]
+
+    def test_non_canonical_graph_frame_gets_error_envelope(self, inline_server):
+        """A frame repeating a conflict pair is refused, not re-canonicalised:
+        its entry answers 400 and its siblings still solve."""
+        subgraphs = _subgraphs(repeated_cell_layout(copies=2, cell_pitch=1000))
+        good = subgraphs[0].to_arrays()
+        duplicated = FlatGraph(
+            good.vertex_ids, good.shape_ids, good.fragments, good.weights,
+            good.conflict_edges[:2] + good.conflict_edges,
+            good.stitch_edges, good.friend_edges,
+        )
+        response = inline_server.components_binary(
+            encode_components_frame(
+                [(None, good), (None, duplicated), (None, good)], 4, "linear"
+            )
+        )
+        results = response["results"]
+        expected = _direct_solve(subgraphs[0])["coloring"]
+        assert [entry.get("coloring") for entry in results] == [expected, None, expected]
+        assert results[1]["error"]["status"] == 400
+        assert "not canonical" in results[1]["error"]["message"]
 
     def test_non_ascii_key_bytes_are_400(self, inline_server):
         graph = DecompositionGraph.from_edges([(0, 1), (1, 2)])
